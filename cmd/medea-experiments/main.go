@@ -80,7 +80,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON := fs.String("bench-json", "", "run the fig8-quick cache trajectory (off/cold/warm, byte-identity enforced) and write a BENCH_<date>.json perf snapshot to this path")
 	benchForce := fs.Bool("bench-json-force", false, "overwrite an existing -bench-json snapshot instead of refusing")
-	noFFwd := fs.Bool("no-ffwd", false, "disable idle fast-forward (tick every cycle; output is byte-identical either way)")
+	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
 	parallelism := fs.Int("parallelism", 0, "max concurrent simulations per process (0 = GOMAXPROCS); with -shards, shards x parallelism simulations run fleet-wide")
 	shards := fs.Int("shards", 0, "figs 6|7|8|9: split the sweep into this many shards run by worker processes and merge (0 = single-process; output is byte-identical either way)")
 	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard)")

@@ -79,7 +79,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheBackend := fs.String("cache", resultcache.BackendOff, "result cache backend: off | mem | disk (disk persists across runs; output is byte-identical either way)")
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
-	noFFwd := fs.Bool("no-ffwd", false, "disable idle fast-forward (tick every cycle; output is byte-identical either way)")
+	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
 	noFork := fs.Bool("no-fork", false, "disable warm-snapshot sharing across measure_windows (re-simulate each warmup; output is byte-identical either way)")
 	shards := fs.Int("shards", 0, `split each sweep into this many shards run by worker processes and merge the rows (0 = the scenario file's "shard" section, else single-process; output is byte-identical either way)`)
 	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard); each worker runs -parallelism simulations, so shards x parallelism run fleet-wide")

@@ -20,11 +20,24 @@
 // cycle-accurate engine for millions of Ticks per configuration (168
 // configurations for the full Fig 6 sweep), so per-cycle overhead
 // multiplies across the whole benchmark suite. The hot path is organized
-// around three ideas:
+// around four ideas:
+//
+//   - Wake-driven stepping (internal/sim/sched.go): a cycle steps only the
+//     components that have work. A component that found nothing to do
+//     sleeps until its own next-event cycle, until a register it consumes
+//     commits, or until whoever hands it work wakes it; in a kernel run
+//     that is one core of twelve and none of the sixteen switches on most
+//     cycles. When everything is asleep the clock jumps to the earliest
+//     wake stamp — idle fast-forward is the same mechanism's all-asleep
+//     case. -no-ffwd on the CLIs steps every component every cycle
+//     instead; the output is byte-identical, which the differential
+//     batteries (scenario, noc, jacobi, matmul, syncbench
+//     Test*FastForwardDifferential*, noc.TestWakeDrivenStateDifferential)
+//     enforce.
 //
 //   - Two-phase tick with dirty-register commit (internal/sim): each cycle
-//     runs all components in phase order (nodes, then switches) and then
-//     commits only the registers written during the cycle. Set enqueues
+//     runs the awake components in phase order (nodes, then switches) and
+//     then commits only the registers written during the cycle. Set enqueues
 //     the register's index on a per-cycle dirty list (a pointer-free int32
 //     slice resolved through a table of pre-bound commit functions — no
 //     interface dispatch, no GC write barriers); registers that were valid
@@ -36,7 +49,7 @@
 //
 //   - Ring-buffer FIFOs (internal/queue): every hardware queue (TIE ports,
 //     bridge output, MPMMU request/data queues, arbiter FIFOs, traffic
-//     sources) is a head/tail ring with amortized O(1) push and pop, so
+//     sources, the XY switch's input queues) is a head/tail ring with amortized O(1) push and pop, so
 //     the per-cycle drains stay constant-time at any occupancy.
 //
 //   - Allocation-free accessors (internal/cache, internal/memory): the
@@ -55,6 +68,12 @@
 // and the end-to-end figure benchmarks with
 //
 //	go test -bench 'BenchmarkFig' -run '^$' -benchtime 1x -benchmem
+//
+// The repository's benchmark proper — four workloads, end-to-end metrics
+// and a per-layer probe for every package named above — is bench/:
+//
+//	bash bench/run.sh --workload kernel-sweep --trace 0   # end to end
+//	bash bench/run.sh --workload kernel-sweep --trace 1   # per layer
 //
 // To profile the full experiment driver without editing code:
 //

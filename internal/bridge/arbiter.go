@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/queue"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -61,6 +62,10 @@ type Arbiter struct {
 	rrTIEFirst bool
 	name       string
 
+	// wake is the arbiter's own scheduling handle; puller is the switch
+	// that calls TryPull, woken while any flit is queued here.
+	wake, puller *sim.Handle
+
 	Stats ArbiterStats
 }
 
@@ -80,6 +85,22 @@ func NewArbiter(name string, mode ArbiterMode, tieOut, brgOut *queue.FIFO[flit.F
 
 // Name implements sim.Component.
 func (a *Arbiter) Name() string { return a.name }
+
+// Bind implements sim.Sleeper. The arbiter's inputs are the two source
+// FIFOs, fed only from the owning core's Step, which calls Wake.
+func (a *Arbiter) Bind(h *sim.Handle) { a.wake = h }
+
+// Wake makes the arbiter step again; the core calls it whenever it may
+// have pushed a flit into a source FIFO. Safe on a nil arbiter.
+func (a *Arbiter) Wake() {
+	if a != nil {
+		a.wake.Wake()
+	}
+}
+
+// WakeOnInject records the handle of the switch that pulls from this
+// arbiter (the node interface forwards it from noc.Network.Attach).
+func (a *Arbiter) WakeOnInject(h *sim.Handle) { a.puller = h }
 
 // Step stages flits from the source queues into the arbiter FIFOs (FIFO
 // modes only). One flit per source per cycle may be staged, modelling the
@@ -101,6 +122,11 @@ func (a *Arbiter) Step(now int64) {
 	case ArbDualFIFO:
 		a.stageInto(a.hp, a.tie)
 		a.stageInto(a.be, a.brg)
+	}
+	if a.Pending() > 0 {
+		a.puller.Wake() // the switch has something to pull this cycle
+	} else {
+		a.wake.Idle()
 	}
 }
 

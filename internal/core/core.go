@@ -170,25 +170,30 @@ func (s *System) MPMMUBusyTotal() int64 {
 
 // nodeIface demultiplexes flits arriving at a compute node: message flits
 // go to the TIE port, everything else to the shared-memory bridge. The
-// injection side is the node's arbiter.
+// injection side is the node's arbiter. Both directions are wake paths:
+// a delivered flit wakes the core that waits on it, and the arbiter wakes
+// the switch while it holds flits to pull.
 type nodeIface struct {
 	arb  *bridge.Arbiter
-	brg  *bridge.Bridge
-	port *tie.Port
+	proc *pe.Proc
 }
 
 func (ni *nodeIface) TryPull() (flit.Flit, bool) { return ni.arb.TryPull() }
 
 // Pending exposes the arbiter's queued-flit count so the node's switch
-// can tell whether injection work remains (fast-forward idle probing).
+// can tell whether injection work remains before it goes to sleep.
 func (ni *nodeIface) Pending() int { return ni.arb.Pending() }
+
+// WakeOnInject implements noc.InjectWaker through the arbiter.
+func (ni *nodeIface) WakeOnInject(h *sim.Handle) { ni.arb.WakeOnInject(h) }
 
 func (ni *nodeIface) Deliver(f flit.Flit, now int64) {
 	if f.Type == flit.Message {
-		ni.port.Deliver(f)
-		return
+		ni.proc.Port.Deliver(f)
+	} else {
+		ni.proc.Bridge.Deliver(f, now)
 	}
-	ni.brg.Deliver(f, now)
+	ni.proc.Wake()
 }
 
 // Build wires a system from a configuration.
@@ -253,7 +258,8 @@ func Build(cfg Config) (*System, error) {
 		port := tie.NewPort(node, topo.NumNodes(), coordOf, cfg.PortFIFOCap)
 		proc := pe.NewProc(node, rank, l1, brg, port, cfg.Cost)
 		arb := bridge.NewArbiter(fmt.Sprintf("arb%d", node), cfg.Arbiter, port.Out(), brg.Out(), cfg.ArbFIFOCap)
-		net.Attach(node, &nodeIface{arb: arb, brg: brg, port: port})
+		proc.Arbiter = arb
+		net.Attach(node, &nodeIface{arb: arb, proc: proc})
 		engine.Register(sim.PhaseNode, proc)
 		engine.Register(sim.PhaseNode, arb)
 		s.Procs = append(s.Procs, proc)

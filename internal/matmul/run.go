@@ -50,6 +50,14 @@ func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant) (R
 	if err != nil {
 		return Result{}, err
 	}
+	return runOn(ctx, sys, spec, variant)
+}
+
+// runOn executes the workload on a freshly built system; split from
+// RunCtx so the differential tests can read the system's counters
+// afterwards.
+func runOn(ctx context.Context, sys *core.System, spec Spec, variant Variant) (Result, error) {
+	cfg := sys.Cfg
 	blocks := Partition(spec.N, cfg.NumCompute)
 	Preload(sys.DDR, sys.Map, spec.N, blocks)
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/flit"
 	"repro/internal/memory"
 	"repro/internal/queue"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -96,6 +97,10 @@ type Unit struct {
 	locks     map[uint32]*lockState
 	nextPktID uint64
 
+	// wake is the unit's own scheduling handle; puller is the switch that
+	// drains outQ, woken on every reply pushed.
+	wake, puller *sim.Handle
+
 	Stats Stats
 }
 
@@ -127,6 +132,14 @@ func (u *Unit) Cache() *cache.Cache { return u.cache }
 // Name implements sim.Component.
 func (u *Unit) Name() string { return "mpmmu" }
 
+// Bind implements sim.Sleeper. The unit's inputs are its own clock
+// (busyUntil) and the request and data queues, filled only by Deliver,
+// which wakes it.
+func (u *Unit) Bind(h *sim.Handle) { u.wake = h }
+
+// WakeOnInject implements noc.InjectWaker.
+func (u *Unit) WakeOnInject(h *sim.Handle) { u.puller = h }
+
 // Deliver implements noc.LocalPort: incoming flits are demultiplexed into
 // the Pif-Request/Control queue (request tokens) and the Pif-Data queue
 // (granted write data), as in the paper.
@@ -150,6 +163,7 @@ func (u *Unit) Deliver(f flit.Flit, now int64) {
 	default:
 		panic(fmt.Sprintf("mpmmu: unexpected flit %v", f))
 	}
+	u.wake.Wake()
 }
 
 // TryPull implements noc.LocalPort: the switch drains the outgoing FIFO at
@@ -174,6 +188,10 @@ func (u *Unit) Step(now int64) {
 	case stIdle:
 		u.startNext(now)
 	}
+	// Ask after every Step: a unit that just started an access knows it
+	// has nothing to do until busyUntil. The memory node is one component
+	// per system, so the question is never on a hot path.
+	u.wake.Idle()
 }
 
 func (u *Unit) startNext(now int64) {
@@ -318,6 +336,7 @@ func (u *Unit) pushOut(dstNode int, t flit.Type, sub flit.SubType, seq, burst ui
 	f.Meta.InjectCycle = now
 	f.Meta.PacketID = uint64(u.cfg.NodeID)<<48 | 2<<40 | u.nextPktID
 	u.outQ.Push(f)
+	u.puller.Wake()
 	if u.outQ.Len() > u.Stats.OutQPeak {
 		u.Stats.OutQPeak = u.outQ.Len()
 	}

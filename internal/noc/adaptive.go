@@ -135,6 +135,8 @@ func (s *AdaptiveSwitch) Step(now int64) {
 					s.out[p].Set(assigned[p])
 				}
 			}
+		} else {
+			s.wake.Idle()
 		}
 		return
 	}

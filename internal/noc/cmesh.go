@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/sim"
 )
 
 // CMeshConcentration is the concentrated mesh's concentration factor:
@@ -128,6 +129,12 @@ type concentrator struct {
 	eps []LocalPort
 	rr  int
 
+	// wake is the crossbar's own handle, sw the handle of the switch that
+	// drains the latch; epWakes counts the endpoints that promised to wake
+	// the crossbar on injection (it sleeps only when all of them did).
+	wake, sw *sim.Handle
+	epWakes  int
+
 	latch    flit.Flit
 	hasLatch bool
 
@@ -144,9 +151,35 @@ func newConcentrator(topo Topology, swID int, net *Network) *concentrator {
 	c := &concentrator{topo: topo, swID: swID, x: x, y: y, net: net,
 		eps: make([]LocalPort, topo.Concentration())}
 	for i := range c.eps {
-		c.eps[i] = &nullPort{}
+		c.attach(i, &nullPort{})
 	}
 	return c
+}
+
+// Bind implements sim.Sleeper. The crossbar's input paths are its
+// endpoints' injection queues (InjectWaker) and the switch draining the
+// latch, which matters only while an endpoint holds flits — and then
+// NextEvent keeps the crossbar awake.
+func (c *concentrator) Bind(h *sim.Handle) {
+	c.wake = h
+	for _, ep := range c.eps {
+		bindInject(ep, h)
+	}
+}
+
+// WakeOnInject implements InjectWaker toward the switch: a latched flit
+// is the switch's to pull.
+func (c *concentrator) WakeOnInject(h *sim.Handle) { c.sw = h }
+
+// attach connects an endpoint to a crossbar slot.
+func (c *concentrator) attach(slot int, lp LocalPort) {
+	if _, ok := c.eps[slot].(InjectWaker); ok {
+		c.epWakes--
+	}
+	c.eps[slot] = lp
+	if bindInject(lp, c.wake) {
+		c.epWakes++
+	}
 }
 
 // Name implements sim.Component.
@@ -174,8 +207,10 @@ func (c *concentrator) Step(now int64) {
 			return
 		}
 		c.latch, c.hasLatch = f, true
+		c.sw.Wake()
 		return
 	}
+	c.wake.Idle()
 }
 
 // TryPull implements LocalPort for the switch side.

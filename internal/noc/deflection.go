@@ -76,6 +76,8 @@ func (s *DeflSwitch) Step(now int64) {
 		// skips the ejection/sort/placement machinery entirely.
 		if f, ok := s.local.TryPull(); ok {
 			s.injectIntoIdle(f)
+		} else {
+			s.wake.Idle()
 		}
 		return
 	}

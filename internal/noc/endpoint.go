@@ -1,6 +1,9 @@
 package noc
 
-import "repro/internal/flit"
+import (
+	"repro/internal/flit"
+	"repro/internal/sim"
+)
 
 // LocalPort is the interface between a switch and the node attached to it
 // (a processing element's network interface, an MPMMU, or a traffic
@@ -19,6 +22,38 @@ type LocalPort interface {
 	Deliver(f flit.Flit, now int64)
 }
 
+// InjectWaker is the optional LocalPort capability that lets the port's
+// switch (or, on concentrated topologies, its local crossbar) sleep:
+// Attach hands the port the handle of whoever calls its TryPull, and the
+// port promises to Wake it whenever a flit becomes available to pull. A
+// port without it keeps its switch stepping every cycle, which is always
+// correct.
+type InjectWaker interface {
+	WakeOnInject(h *sim.Handle)
+}
+
+// bindInject hands p its puller's handle and reports whether p will wake
+// it, i.e. whether the puller may sleep while p is idle.
+func bindInject(p LocalPort, h *sim.Handle) bool {
+	iw, ok := p.(InjectWaker)
+	if ok {
+		iw.WakeOnInject(h)
+	}
+	return ok
+}
+
+// portWakes is the wake wiring every traffic endpoint in this package
+// embeds: its own scheduling handle (sim.Sleeper's Bind) and the handle of
+// the switch or crossbar that drains its source queue (InjectWaker), which
+// it wakes on every push.
+type portWakes struct{ wake, puller *sim.Handle }
+
+// Bind implements sim.Sleeper.
+func (w *portWakes) Bind(h *sim.Handle) { w.wake = h }
+
+// WakeOnInject implements InjectWaker.
+func (w *portWakes) WakeOnInject(h *sim.Handle) { w.puller = h }
+
 // nullPort is attached to switches with no node; it never injects and
 // counts (in tests, via the network stats) any stray delivery.
 type nullPort struct{ delivered int64 }
@@ -26,3 +61,4 @@ type nullPort struct{ delivered int64 }
 func (n *nullPort) TryPull() (flit.Flit, bool) { return flit.Flit{}, false }
 func (n *nullPort) Deliver(flit.Flit, int64)   { n.delivered++ }
 func (n *nullPort) Pending() int               { return 0 }
+func (n *nullPort) WakeOnInject(*sim.Handle)   {} // never injects

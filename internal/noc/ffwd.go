@@ -1,25 +1,28 @@
 package noc
 
-// Fast-forward and checkpoint capabilities of the switches and the cmesh
-// concentrator (see internal/sim/ffwd.go and internal/sim/snapshot.go for
+// Sleep, wake and checkpoint capabilities of the switches and the cmesh
+// concentrator (see internal/sim/sched.go and internal/sim/snapshot.go for
 // the engine-side contracts; the traffic nodes' pre-drawn gating lives in
 // traffic.go).
 //
-// What "idle" means per router kind:
+// Every switch is a sim.Sleeper. Its input paths, each of which wakes it:
+// the link registers it reads (declared consumers, NewRouterNetwork), its
+// local port (InjectWaker: the port wakes the switch whenever a flit
+// becomes available to pull) and, for the wormhole switch, the credit
+// wires (returnCredit). What "nothing to do" means per router kind:
 //
 //   - Deflection and adaptive switches store nothing between cycles, so
-//     with no flit on any link (the engine's quiet precondition) and no
-//     source reporting pending work they are fully passive: NoEvent.
+//     with no flit on any input link and a local port that has nothing
+//     queued they are fully passive: NoEvent.
 //   - The XY switch is passive when its input queues are empty; its
-//     round-robin pointer advances every cycle regardless, so skipped
-//     cycles compensate it in Skipped.
+//     round-robin pointer advances every cycle regardless, which Skipped
+//     makes up for.
 //   - The wormhole switch is passive only when its buffers are empty AND
 //     no returned credit is awaiting collection: a pending credit folds on
-//     a parity the next Step derives from the clock, so skipping over one
+//     a parity the next Step derives from the clock, so sleeping over one
 //     would fold it on the wrong cycle.
 //   - The concentrator is passive unless its output latch is occupied
-//     (the switch must drain it); endpoints with queued flits keep the
-//     engine ticking by themselves (TrafficNode.NextEvent returns now).
+//     (the switch must drain it) or an endpoint holds flits for it.
 
 import (
 	"repro/internal/flit"
@@ -28,10 +31,11 @@ import (
 )
 
 // pendingReporter is the optional LocalPort capability the switches' idle
-// detection relies on: the current source-queue occupancy. TrafficNode and
-// the concentrator implement it; an attached port that does not (a test
-// stub, say) makes its switch veto every skip — fast-forward silently
-// degrades to plain ticking rather than risking an unserved injection.
+// detection relies on beside InjectWaker: the current source-queue
+// occupancy. Every port in the repository implements both; an attached
+// port that lacks either (a test stub, say) keeps its switch awake — the
+// scheduler silently degrades to plain ticking rather than risking an
+// unserved injection.
 type pendingReporter interface{ Pending() int }
 
 // portIdle reports whether the local port provably has nothing to inject.
@@ -45,9 +49,9 @@ func portIdle(p LocalPort) bool {
 
 // NextEvent implements sim.NextEventer; the bufferless deflection switch
 // holds no state across cycles, so it is passive whenever its local port
-// provably has nothing to inject.
+// provably has nothing to inject and will wake it when that changes.
 func (s *DeflSwitch) NextEvent(now int64) int64 {
-	if !portIdle(s.local) {
+	if !s.localIdle() {
 		return now
 	}
 	return sim.NoEvent
@@ -62,7 +66,7 @@ func (s *DeflSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
 // NextEvent implements sim.NextEventer; the adaptive switch is bufferless
 // like the deflection switch.
 func (s *AdaptiveSwitch) NextEvent(now int64) int64 {
-	if !portIdle(s.local) {
+	if !s.localIdle() {
 		return now
 	}
 	return sim.NoEvent
@@ -77,7 +81,7 @@ func (s *AdaptiveSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
 // NextEvent implements sim.NextEventer: buffered flits mean work every
 // cycle; empty queues mean fully passive.
 func (s *XYSwitch) NextEvent(now int64) int64 {
-	if s.buffered > 0 || !portIdle(s.local) {
+	if s.buffered > 0 || !s.localIdle() {
 		return now
 	}
 	return sim.NoEvent
@@ -93,7 +97,7 @@ func (s *XYSwitch) Skipped(from, to int64) {
 
 // xySnap is the checkpointed state of an XYSwitch.
 type xySnap struct {
-	queues   [NumPorts + 1][]flit.Flit
+	queues   [NumPorts + 1]fifoSnap
 	rrStart  int
 	buffered int
 	peakBuf  int
@@ -104,9 +108,7 @@ type xySnap struct {
 func (s *XYSwitch) Snapshot() any {
 	snap := xySnap{rrStart: s.rrStart, buffered: s.buffered, peakBuf: s.peakBuf, stats: s.Stats}
 	for q := range s.queues {
-		if len(s.queues[q]) > 0 {
-			snap.queues[q] = append([]flit.Flit(nil), s.queues[q]...)
-		}
+		snap.queues[q] = s.queues[q].Snapshot()
 	}
 	return snap
 }
@@ -115,7 +117,7 @@ func (s *XYSwitch) Snapshot() any {
 func (s *XYSwitch) Restore(snap any) {
 	sn := snap.(xySnap)
 	for q := range s.queues {
-		s.queues[q] = append(s.queues[q][:0], sn.queues[q]...)
+		s.queues[q].Restore(sn.queues[q])
 	}
 	s.rrStart, s.buffered, s.peakBuf, s.Stats = sn.rrStart, sn.buffered, sn.peakBuf, sn.stats
 }
@@ -124,7 +126,7 @@ func (s *XYSwitch) Restore(snap any) {
 // it holds flits (input buffers or injection queue) or a returned credit
 // is awaiting its parity-scheduled collection.
 func (s *WormholeSwitch) NextEvent(now int64) int64 {
-	if s.buffered > 0 || !portIdle(s.local) {
+	if s.buffered > 0 || !s.localIdle() {
 		return now
 	}
 	for par := range s.pending {
@@ -187,7 +189,7 @@ func (s *WormholeSwitch) Restore(snap any) {
 // must step to drain it; an empty latch with idle endpoints means nothing
 // to multiplex (endpoints holding flits report now themselves).
 func (c *concentrator) NextEvent(now int64) int64 {
-	if c.hasLatch {
+	if c.hasLatch || c.epWakes < len(c.eps) {
 		return now
 	}
 	for _, ep := range c.eps {

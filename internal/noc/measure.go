@@ -43,7 +43,7 @@ type Measurement struct {
 	// bufferless routers).
 	PeakBuffer int
 	// CyclesSkipped counts the window's cycles the engine fast-forwarded
-	// over instead of ticking (see internal/sim/ffwd.go). A pure
+	// over instead of ticking (see internal/sim/sched.go). A pure
 	// performance counter: every other field is byte-identical whatever
 	// its value, which the differential tests assert. It is deliberately
 	// excluded from rendered tables and cache codecs.

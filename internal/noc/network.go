@@ -97,14 +97,29 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 	// and its endpoints; it runs on the endpoint side of the clock.
 	if topo.Concentration() > 1 {
 		n.conc = make([]*concentrator, topo.NumNodes())
-		for id, r := range n.Routers {
+		for id := range n.Routers {
 			n.conc[id] = newConcentrator(topo, id, n)
-			r.wiring().local = n.conc[id]
 			e.Register(sim.PhaseNode, n.conc[id])
 		}
 	}
 	for _, r := range n.Routers {
 		e.Register(sim.PhaseSwitch, r)
+	}
+	// Wake wiring, now that every switch holds its handle: a link
+	// register's commit wakes the switch that reads it, and the local
+	// port (null until Attach) wakes the switch it injects into.
+	for id, r := range n.Routers {
+		rp := r.wiring()
+		for p := Port(0); p < NumPorts; p++ {
+			if rp.in[p] != nil {
+				rp.in[p].Wakes(rp.wake)
+			}
+		}
+		if n.conc != nil {
+			rp.attachLocal(n.conc[id])
+		} else {
+			rp.attachLocal(rp.local)
+		}
 	}
 	return n
 }
@@ -121,10 +136,10 @@ func (n *Network) Attach(id int, lp LocalPort) {
 	}
 	if n.conc != nil {
 		ex, ey := n.Topo.EndpointCoord(id)
-		n.conc[n.Topo.EndpointSwitch(id)].eps[n.Topo.LocalIndex(ex, ey)] = lp
+		n.conc[n.Topo.EndpointSwitch(id)].attach(n.Topo.LocalIndex(ex, ey), lp)
 		return
 	}
-	n.Routers[id].wiring().local = lp
+	n.Routers[id].wiring().attachLocal(lp)
 }
 
 // ConcentratorHeld sums the flits currently latched in the local crossbar

@@ -42,7 +42,7 @@ type ReplayConfig struct {
 // destinations, same per-node packet-id sequences — so every measured
 // statistic matches the source run (the record/replay differential tests
 // assert byte-identity). The pre-scheduled events give NextEvent exact
-// bounds, so replay composes with idle fast-forward out of the box.
+// bounds, so a replay node sleeps from one recorded injection to the next.
 type replayNode struct {
 	id     int
 	topo   Topology
@@ -51,6 +51,8 @@ type replayNode struct {
 	outQ   *queue.FIFO[flit.Flit]
 	now    int64
 	pktID  uint64
+
+	portWakes // the schedule is the node's only input
 }
 
 // newReplayNode creates the replay source/sink for endpoint id. The
@@ -87,6 +89,10 @@ func (r *replayNode) Step(now int64) {
 		f.Meta.InjectCycle = now
 		f.Meta.PacketID = uint64(r.id)<<40 | r.pktID
 		r.outQ.Push(f)
+		r.puller.Wake()
+	}
+	if r.outQ.Len() == 0 {
+		r.wake.Idle()
 	}
 }
 

@@ -142,10 +142,33 @@ type routerPorts struct {
 
 	local LocalPort
 	net   *Network
+
+	// wake is the switch's own scheduling handle; localWakes records that
+	// the attached local port promised to wake it (InjectWaker), without
+	// which the switch never sleeps.
+	wake       *sim.Handle
+	localWakes bool
 }
 
 // ID implements Router.
 func (rp *routerPorts) ID() int { return rp.id }
+
+// Bind implements sim.Sleeper for every router kind. The switch's input
+// paths are its link registers (declared consumers in NewRouterNetwork),
+// its local port (InjectWaker) and, for the wormhole router, the credit
+// wires (returnCredit wakes the upstream switch).
+func (rp *routerPorts) Bind(h *sim.Handle) { rp.wake = h }
+
+// attachLocal connects the local port and asks it to wake this switch on
+// injection.
+func (rp *routerPorts) attachLocal(lp LocalPort) {
+	rp.local = lp
+	rp.localWakes = bindInject(lp, rp.wake)
+}
+
+// localIdle reports whether the local port provably has nothing to inject
+// and will wake the switch when that changes.
+func (rp *routerPorts) localIdle() bool { return rp.localWakes && portIdle(rp.local) }
 
 func (rp *routerPorts) wiring() *routerPorts { return rp }
 
@@ -187,7 +210,7 @@ func newRouter(kind RouterKind, rp routerPorts) Router {
 	case RouterDeflection:
 		return &DeflSwitch{routerPorts: rp}
 	case RouterXY:
-		return &XYSwitch{routerPorts: rp}
+		return newXYSwitch(rp)
 	case RouterAdaptive:
 		return &AdaptiveSwitch{routerPorts: rp}
 	case RouterWormhole:

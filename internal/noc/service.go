@@ -139,8 +139,8 @@ func (b *svcBoard) complete(id uint32, req *svcRequest, now int64) {
 const reqIDSeqBits = 20
 
 // svcClient is a client endpoint: an open-loop request source (gated by
-// the same pre-drawable injectGate as TrafficNode, so it composes with
-// idle fast-forward) and the sink for its own responses.
+// the same pre-drawn injectGate as TrafficNode, so it sleeps from one
+// arrival to the next) and the sink for its own responses.
 type svcClient struct {
 	id    int
 	topo  Topology
@@ -152,6 +152,10 @@ type svcClient struct {
 	now   int64
 	seq   uint32
 	pktID uint64
+
+	// The arrival gate is the client's only input: returning responses
+	// only update the board.
+	portWakes
 }
 
 func newSvcClient(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoard) *svcClient {
@@ -160,10 +164,11 @@ func newSvcClient(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoa
 		rng:  sim.NewRNG(cfg.Seed ^ int64(id)*0x9E37),
 		outQ: queue.NewFIFO[flit.Flit](cfg.QueueCap),
 	}
-	c.inj = injectGate{rng: c.rng, rate: cfg.ArrivalRate, drawnThrough: -1, nextInject: -1}
+	var burst *BurstModulator
 	if cfg.Burst != nil {
-		c.inj.burst = NewBurstModulator(*cfg.Burst, cfg.Seed^int64(id)*0x9E37^0x5B75)
+		burst = NewBurstModulator(*cfg.Burst, cfg.Seed^int64(id)*0x9E37^0x5B75)
 	}
+	c.inj = newInjectGate(c.rng, cfg.ArrivalRate, burst)
 	return c
 }
 
@@ -185,6 +190,9 @@ func (c *svcClient) chooseServer() int {
 func (c *svcClient) Step(now int64) {
 	c.now = now
 	if !c.inj.gate(now) {
+		if c.outQ.Len() == 0 && !c.inj.dense {
+			c.wake.Idle()
+		}
 		return
 	}
 	if c.outQ.Full() {
@@ -205,6 +213,7 @@ func (c *svcClient) Step(now int64) {
 	f.Meta.InjectCycle = now
 	f.Meta.PacketID = uint64(c.id)<<40 | c.pktID
 	c.outQ.Push(f)
+	c.puller.Wake()
 	c.board.pending[id] = &svcRequest{create: now, inject: -1, arrive: -1, respInject: -1, done: -1}
 	c.board.issued.Inc()
 }
@@ -261,6 +270,10 @@ type svcServer struct {
 	cur   uint32
 	until int64
 	pktID uint64
+
+	// Requests arrive through Deliver, which wakes the server; the
+	// think-time deadline is its own stamp.
+	portWakes
 }
 
 func newSvcServer(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoard) *svcServer {
@@ -295,12 +308,16 @@ func (s *svcServer) Step(now int64) {
 			f.Meta.PacketID = uint64(s.id)<<40 | s.pktID
 			s.outQ.Push(f)
 		}
+		s.puller.Wake()
 		s.busy = false
 	}
 	if !s.busy {
 		if id, ok := s.workQ.Pop(); ok {
 			s.busy, s.cur, s.until = true, id, now+s.cfg.ThinkTime
 		}
+	}
+	if s.outQ.Len() == 0 {
+		s.wake.Idle() // thinking until s.until, or nothing to do
 	}
 }
 
@@ -313,6 +330,7 @@ func (s *svcServer) Deliver(f flit.Flit, now int64) {
 		req.arrive = now
 	}
 	s.workQ.Push(f.Data)
+	s.wake.Wake()
 }
 
 // Pending returns the current response-queue occupancy.

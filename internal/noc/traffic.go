@@ -108,6 +108,10 @@ type TrafficNode struct {
 	pktID uint64
 	inj   injectGate
 
+	// The source's only input is its own clock (the pre-drawn gate):
+	// deliveries are merely counted, so nothing else need wake it.
+	portWakes
+
 	Sent      stats.Counter
 	Recv      stats.Counter
 	Throttled stats.Counter
@@ -116,67 +120,92 @@ type TrafficNode struct {
 
 // injectGate is the pre-drawn injection gating shared by TrafficNode and
 // the service workload's clients: a per-cycle burst-modulator step
-// followed by a Bernoulli injection coin, drawable ahead of time for idle
-// fast-forward. The gating randomness must be drawn exactly once per
-// cycle in cycle order whether the decision is made live in gate or ahead
-// of time in next, or the RNG stream — and with it every destination draw
-// — would diverge from a non-fast-forwarded run. drawnThrough is the last
-// cycle whose gating has been drawn; nextInject is the earliest drawn
-// cycle that came up heads (-1 when none has), consumed by the gate call
-// that injects it.
+// followed by a Bernoulli injection coin. Gating is always drawn ahead —
+// up to the next cycle that comes up heads — so the owner can say when it
+// next injects and sleep until then. Each cycle's gating is drawn exactly
+// once, in cycle order, and drawing stops at the first heads until that
+// injection (and its destination draw, from the same stream) is consumed,
+// so the RNG stream is the one a cycle-by-cycle draw produces, and the
+// generator state at any cycle is the same whether the owner was stepped
+// every cycle or slept. drawnThrough is the last cycle whose gating has
+// been drawn; nextInject is the earliest drawn cycle that came up heads
+// (-1 when none has), consumed by the gate call that injects it.
 type injectGate struct {
 	rng   *sim.RNG // shared with the owner's destination draws
 	burst *BurstModulator
 	rate  float64
+	// dense marks a source whose attempts are on average less than
+	// denseGap cycles apart: sleeping through such gaps costs more than
+	// the idle Steps it saves, so the source never asks to, and with
+	// nothing to gain from drawing ahead it draws cycle by cycle instead
+	// (one straight-line draw per Step, which is what a loaded network's
+	// tick is made of).
+	dense bool
 
 	drawnThrough int64
 	nextInject   int64
 }
 
-// drawOne draws cycle drawnThrough+1's gating randomness — the burst
-// modulator step first, then (only while on, mirroring the historical
-// short-circuit) the Bernoulli injection coin — and reports whether that
-// cycle attempts an injection.
-func (g *injectGate) drawOne() bool {
-	g.drawnThrough++
-	if g.burst != nil && !g.burst.Step() {
+// denseGap is the mean gap between injection attempts, in cycles, below
+// which a source does not sleep: an idle Step of a source is a compare or
+// two, a sleep a NextEvent call and the engine's bookkeeping around it, so
+// it takes on the order of ten Steps saved to pay for one.
+const denseGap = 16
+
+func newInjectGate(rng *sim.RNG, rate float64, burst *BurstModulator) injectGate {
+	return injectGate{
+		rng: rng, rate: rate, burst: burst,
+		dense:        burst == nil && rate*denseGap >= 1,
+		drawnThrough: -1, nextInject: -1,
+	}
+}
+
+// gate reports whether cycle now attempts an injection, consuming it.
+func (g *injectGate) gate(now int64) bool {
+	if g.dense {
+		g.drawnThrough = now
+		return g.rng.Bernoulli(g.rate)
+	}
+	// The common case inline: an attempt already drawn, for a later cycle.
+	if g.nextInject > now || (g.nextInject < now && g.next(now) != now) {
 		return false
 	}
-	return g.rng.Bernoulli(g.rate)
+	g.nextInject = -1 // consumed
+	return true
 }
 
-// gate reports whether cycle now attempts an injection, drawing any gating
-// decisions not already pre-drawn by next. Each cycle's gating is drawn
-// exactly once, in cycle order, wherever the decision is made.
-func (g *injectGate) gate(now int64) bool {
-	for g.drawnThrough < now {
-		if g.drawOne() {
-			g.nextInject = g.drawnThrough
-		}
-	}
-	if g.nextInject == now {
-		g.nextInject = -1 // consumed
-		return true
-	}
-	return false
-}
-
-// next pre-draws gating decisions forward and reports the next
-// injection-attempt cycle (the queue-occupancy check is the owner's).
+// next reports the earliest cycle >= now that may attempt an injection,
+// drawing gating decisions forward as far as needed (the queue-occupancy
+// check is the owner's).
 func (g *injectGate) next(now int64) int64 {
+	if g.dense {
+		return now
+	}
 	if g.nextInject >= now {
 		return g.nextInject
 	}
+	if g.drawnThrough >= now {
+		return g.drawnThrough + 1 // everything drawn so far came up tails
+	}
 	if g.rate <= 0 {
 		// No injection can ever happen, so the per-cycle gating draws can
-		// never be observed (destinations are drawn only on injection):
-		// skipping is invisible. gate catches the stream up if the engine
-		// ticks instead of jumping.
+		// never be observed (destinations are drawn only on injection).
 		return sim.NoEvent
 	}
-	limit := now + ffwdHorizon
+	return g.draw(now + ffwdHorizon)
+}
+
+// draw draws gating forward, one cycle at a time — the burst modulator
+// step first, then (only while on, mirroring the historical
+// short-circuit) the Bernoulli injection coin — up to the first cycle
+// that attempts an injection, or through cycle limit if none does.
+func (g *injectGate) draw(limit int64) int64 {
 	for g.drawnThrough < limit {
-		if g.drawOne() {
+		g.drawnThrough++
+		if g.burst != nil && !g.burst.Step() {
+			continue
+		}
+		if g.rng.Bernoulli(g.rate) {
 			g.nextInject = g.drawnThrough
 			return g.nextInject
 		}
@@ -195,13 +224,14 @@ func NewTrafficNode(id int, topo Topology, cfg TrafficConfig, seed int64) *Traff
 		rng:  sim.NewRNG(seed ^ int64(id)*0x9E37),
 		outQ: queue.NewFIFO[flit.Flit](cfg.QueueCap),
 	}
-	t.inj = injectGate{rng: t.rng, rate: cfg.Rate, drawnThrough: -1, nextInject: -1}
+	var burst *BurstModulator
 	if cfg.Burst != nil {
 		// The modulator draws from its own RNG stream so enabling bursts
 		// does not perturb the destination/injection stream of the base
 		// pattern beyond the gating itself.
-		t.inj.burst = NewBurstModulator(*cfg.Burst, seed^int64(id)*0x9E37^0x5B75)
+		burst = NewBurstModulator(*cfg.Burst, seed^int64(id)*0x9E37^0x5B75)
 	}
+	t.inj = newInjectGate(t.rng, cfg.Rate, burst)
 	return t
 }
 
@@ -212,6 +242,9 @@ func (t *TrafficNode) Name() string { return fmt.Sprintf("traffic(%d)", t.id) }
 func (t *TrafficNode) Step(now int64) {
 	t.now = now
 	if !t.inj.gate(now) {
+		if t.outQ.Len() == 0 && !t.inj.dense {
+			t.wake.Idle()
+		}
 		return
 	}
 	if t.outQ.Full() {
@@ -233,6 +266,7 @@ func (t *TrafficNode) Step(now int64) {
 	f.Meta.InjectCycle = now
 	f.Meta.PacketID = uint64(t.id)<<40 | t.pktID
 	t.outQ.Push(f)
+	t.puller.Wake()
 	t.Sent.Inc()
 	if t.cfg.Record != nil {
 		t.cfg.Record.RecordInjection(now, t.id, dst, f.Data)
@@ -283,10 +317,10 @@ func (t *TrafficNode) Deliver(flit.Flit, int64) { t.Recv.Inc() }
 // Pending returns the current source-queue occupancy.
 func (t *TrafficNode) Pending() int { return t.outQ.Len() }
 
-// ffwdHorizon bounds how many cycles of gating NextEvent pre-draws per
-// call. When no injection lands inside the horizon the engine may jump at
-// most this far and ask again — still a large multiple of a full tick's
-// cost per call, without unbounded scanning at very low rates.
+// ffwdHorizon bounds how many cycles of gating one call pre-draws. When no
+// injection lands inside the horizon the owner sleeps at most this far
+// and asks again — still a large multiple of a full tick's cost per call,
+// without unbounded scanning at very low rates.
 const ffwdHorizon = 1 << 14
 
 // NextEvent implements sim.NextEventer. While the source queue is
@@ -306,7 +340,6 @@ type trafficSnap struct {
 	burst        BurstModulator
 	hasBurst     bool
 	outQ         queue.Snap[flit.Flit]
-	now          int64
 	pktID        uint64
 	drawnThrough int64
 	nextInject   int64
@@ -320,7 +353,7 @@ type trafficSnap struct {
 func (t *TrafficNode) Snapshot() any {
 	s := trafficSnap{
 		rng: *t.rng, outQ: t.outQ.Snapshot(),
-		now: t.now, pktID: t.pktID,
+		pktID:        t.pktID,
 		drawnThrough: t.inj.drawnThrough, nextInject: t.inj.nextInject,
 		sent: t.Sent, recv: t.Recv, throttled: t.Throttled, queueLat: t.QueueLat,
 	}
@@ -338,7 +371,7 @@ func (t *TrafficNode) Restore(snap any) {
 		t.inj.burst.restore(s.burst)
 	}
 	t.outQ.Restore(s.outQ)
-	t.now, t.pktID = s.now, s.pktID
+	t.pktID = s.pktID
 	t.inj.drawnThrough, t.inj.nextInject = s.drawnThrough, s.nextInject
 	t.Sent, t.Recv, t.Throttled, t.QueueLat = s.sent, s.recv, s.throttled, s.queueLat
 }

@@ -128,7 +128,9 @@ func (s *WormholeSwitch) MinCredit() int { return s.minCredit }
 // accumulator for the current cycle and becomes spendable at its next
 // Step, so turnaround time does not depend on the order switches step in.
 func (s *WormholeSwitch) returnCredit(q Port, v uint8, now int64) {
-	s.up[q].pending[now&1][q.Opposite()][v]++
+	up := s.up[q]
+	up.pending[now&1][q.Opposite()][v]++
+	up.wake.Wake() // the credit wire is an input path of the upstream switch
 }
 
 // collectCredits folds the credits returned during the previous cycle
@@ -313,5 +315,8 @@ func (s *WormholeSwitch) Step(now int64) {
 	}
 	if s.buffered > s.peakBuf {
 		s.peakBuf = s.buffered
+	}
+	if s.buffered == 0 {
+		s.wake.Idle() // NextEvent keeps it awake while a credit is in flight
 	}
 }

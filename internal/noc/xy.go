@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/queue"
 	"repro/internal/stats"
 )
 
@@ -17,13 +18,27 @@ import (
 type XYSwitch struct {
 	routerPorts
 
-	queues  [NumPorts + 1][]flit.Flit // +1: local injection queue
+	queues  [NumPorts + 1]queue.FIFO[flit.Flit] // unbounded rings; +1: local injection queue
 	rrStart int
 
 	buffered int // total occupancy across all queues
 	peakBuf  int
 
 	Stats XYStats
+}
+
+// xyQueueReserve is the ring each input queue starts with. The queues are
+// unbounded, but at the loads the router is measured at a single one
+// rarely holds more (the whole switch peaks at ten or so flits), so a tick
+// does not allocate once the network has warmed up.
+const xyQueueReserve = 8
+
+func newXYSwitch(rp routerPorts) *XYSwitch {
+	s := &XYSwitch{routerPorts: rp}
+	for q := range s.queues {
+		s.queues[q].Reserve(xyQueueReserve)
+	}
+	return s
 }
 
 // XYStats counts per-switch events for the XY router.
@@ -57,7 +72,7 @@ func (s *XYSwitch) Step(now int64) {
 			continue
 		}
 		if f, ok := s.in[p].Get(); ok {
-			s.queues[p] = append(s.queues[p], f)
+			s.queues[p].Push(f)
 			s.buffered++
 		}
 	}
@@ -65,12 +80,24 @@ func (s *XYSwitch) Step(now int64) {
 	if f, ok := s.local.TryPull(); ok {
 		s.Stats.Injected.Inc()
 		s.net.noteInjected()
-		s.queues[NumPorts] = append(s.queues[NumPorts], f)
+		s.queues[NumPorts].Push(f)
 		s.buffered++
 	}
+	if s.buffered > 0 {
+		s.forward(now)
+	} else {
+		s.wake.Idle()
+	}
+	// The round-robin pointer moves every cycle, busy or not; Skipped owes
+	// a sleeper exactly that.
+	s.rrStart = (s.rrStart + 1) % len(s.queues)
+}
+
+// forward records the occupancy watermarks and moves the queue heads on.
+func (s *XYSwitch) forward(now int64) {
 	for q := range s.queues {
-		if len(s.queues[q]) > s.Stats.PeakQ {
-			s.Stats.PeakQ = len(s.queues[q])
+		if n := s.queues[q].Len(); n > s.Stats.PeakQ {
+			s.Stats.PeakQ = n
 		}
 	}
 	if s.buffered > s.peakBuf {
@@ -87,10 +114,10 @@ func (s *XYSwitch) Step(now int64) {
 	nq := len(s.queues)
 	for i := 0; i < nq; i++ {
 		q := (s.rrStart + i) % nq
-		if len(s.queues[q]) == 0 {
+		f, ok := s.queues[q].Peek()
+		if !ok {
 			continue
 		}
-		f := s.queues[q][0]
 		dx, dy := s.dstSwitch(f)
 		if dx == s.x && dy == s.y {
 			if ejectTaken {
@@ -110,8 +137,7 @@ func (s *XYSwitch) Step(now int64) {
 			s.out[p].Set(f)
 			s.Stats.Routed.Inc()
 		}
-		s.queues[q] = s.queues[q][1:]
+		s.queues[q].Pop()
 		s.buffered--
 	}
-	s.rrStart = (s.rrStart + 1) % nq
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bridge"
 	"repro/internal/cache"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tie"
 )
@@ -97,6 +98,12 @@ type Proc struct {
 	Bridge *bridge.Bridge
 	Port   *tie.Port
 	Cost   CostModel
+	// Arbiter drains the TIE port's and the bridge's output FIFOs toward
+	// the switch; the core wakes it whenever its Step may have fed them.
+	// Nil (a core stepped by hand in a test) is fine.
+	Arbiter *bridge.Arbiter
+
+	wake *sim.Handle
 
 	opCh  chan op
 	resCh chan result
@@ -133,6 +140,15 @@ func NewProc(id, rank int, c *cache.Cache, b *bridge.Bridge, p *tie.Port, cost C
 // Name implements sim.Component.
 func (p *Proc) Name() string { return fmt.Sprintf("pe%d", p.ID) }
 
+// Bind implements sim.Sleeper. The core's inputs are its own clock
+// (busyUntil), the program (Launch wakes it) and the flits its node
+// interface delivers to the bridge and the TIE port (Wake).
+func (p *Proc) Bind(h *sim.Handle) { p.wake = h }
+
+// Wake makes the core step again: whoever delivers a flit to its bridge
+// or its TIE port calls it.
+func (p *Proc) Wake() { p.wake.Wake() }
+
 // Program is the application code run by a core.
 type Program func(env *Env)
 
@@ -150,6 +166,7 @@ func (p *Proc) Launch(prog Program) {
 	}
 	p.progErr = nil
 	p.st = stNeedOp
+	p.wake.Wake()
 	go func() {
 		defer func() {
 			if r := recover(); r != nil && !isAbort(r) {
@@ -217,12 +234,22 @@ func (p *Proc) FinishCycle() int64 { return p.finish }
 // Step implements sim.Component.
 func (p *Proc) Step(now int64) {
 	// Feed the transmit paths first so a flit can leave this cycle.
-	p.Port.StepSend(now)
-	p.Bridge.Step(now)
+	if p.Port.SendBusy() || p.Bridge.Sending() {
+		p.Port.StepSend(now)
+		p.Bridge.Step(now)
+		p.Arbiter.Wake()
+	}
+	p.advance(now)
+	// Ask after every Step, not only from the stall branches: a core that
+	// just started a compute burst or a bridge transaction knows already
+	// that it has nothing to do until busyUntil or the reply, and the
+	// question is a handful of compares beside a goroutine handoff.
+	p.wake.Idle()
+}
 
+// advance runs one cycle of the core's state machine.
+func (p *Proc) advance(now int64) {
 	switch p.st {
-	case stHalted:
-		return
 	case stNeedOp:
 		p.fetchOp(now)
 	case stBusy:

@@ -34,6 +34,19 @@ func (q *FIFO[T]) grow() {
 	if n < 4 {
 		n = 4
 	}
+	q.resize(n)
+}
+
+// Reserve makes room for n elements up front, so that an unbounded queue
+// whose usual depth is known does not allocate while it gets there.
+func (q *FIFO[T]) Reserve(n int) {
+	if n > len(q.buf) {
+		q.resize(n)
+	}
+}
+
+// resize moves the elements to a fresh ring of n slots.
+func (q *FIFO[T]) resize(n int) {
 	buf := make([]T, n)
 	copied := copy(buf, q.buf[q.head:])
 	copy(buf[copied:], q.buf[:q.head])

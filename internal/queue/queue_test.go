@@ -206,3 +206,32 @@ func TestFIFOQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestReserve(t *testing.T) {
+	q := NewFIFO[int](0)
+	q.Push(1)
+	q.Push(2)
+	q.Pop()
+	q.Reserve(8)
+	if v, ok := q.Pop(); !ok || v != 2 || q.Len() != 0 {
+		t.Errorf("Reserve lost the queued element: got %d, %v, len %d", v, ok, q.Len())
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 8; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < 8; i++ {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations filling a reserved ring", allocs)
+	}
+	q.Reserve(4) // never shrinks
+	for i := 0; i < 8; i++ {
+		q.Push(i)
+	}
+	if q.Len() != 8 {
+		t.Errorf("Len = %d after 8 pushes", q.Len())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/resultcache"
@@ -266,10 +267,10 @@ func TestWorkerRejectsVersionSkew(t *testing.T) {
 // burning the retry budget.
 func TestCoordinatorFailsFastOnBadScenario(t *testing.T) {
 	s := loadSmoke(t)
-	attempts := 0
+	var attempts atomic.Int32 // NewWorker runs on the coordinator's worker goroutines
 	co := &Coordinator{
 		NewWorker: func(ctx context.Context) (Worker, error) {
-			attempts++
+			attempts.Add(1)
 			return errorWorker{}, nil
 		},
 		Shards: 3,
@@ -278,8 +279,8 @@ func TestCoordinatorFailsFastOnBadScenario(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("run = %v, want the worker's application error", err)
 	}
-	if attempts > 3 {
-		t.Errorf("application failure was retried: %d workers started", attempts)
+	if n := attempts.Load(); n > 3 {
+		t.Errorf("application failure was retried: %d workers started", n)
 	}
 }
 

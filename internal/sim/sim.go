@@ -16,26 +16,41 @@
 //
 // # Performance
 //
-// Tick is the simulator's innermost loop: every workload cycle executes
-// every component Step plus the register-commit pass, so its constant
-// factors multiply across the millions of cycles behind each design-space
-// point. The commit pass therefore uses a dirty list instead of scanning
-// all registers: Set enqueues the register's index on the engine's
-// per-cycle dirty list (a pointer-free int32 slice, so the append has no
-// GC write barrier, resolved through a table of pre-bound commit functions
-// rather than an interface dispatch), and Tick commits only the registers
-// written during the cycle. A register that holds a value but is not
-// rewritten must still drain — links do not hold flits across idle cycles
-// — which is implemented lazily: commit stamps the register with the one
-// cycle during which its value is observable, and Valid/Get compare that
-// stamp against the engine clock, so an idle register expires without
-// ever being touched again. In a 4x4 mesh at realistic loads the
-// overwhelming majority of the 64 link registers are idle on any given
-// cycle, and the engine pays nothing for them.
+// Tick is the simulator's innermost loop, so its constant factors multiply
+// across the millions of cycles behind each design-space point. Two
+// mechanisms keep it proportional to the work a cycle actually holds.
+//
+// Wake-driven stepping (sched.go): every registered component has a wake
+// stamp and Tick steps only those whose stamp has arrived. A component
+// that found nothing to do says so from its own idle branch
+// (Handle.Idle); the engine then asks its NextEvent once and stops
+// stepping it until that cycle, until a register it consumes commits
+// (Reg.Wakes, folded into the commit itself), or until whoever hands it
+// work calls Handle.Wake. While nothing is asleep Tick runs the loop an
+// engine without a scheduler would; a system in which one core of twelve
+// has work pays for one Step, not twelve plus sixteen switches. Sleeping
+// has to pay for itself, so a component in a loaded network all but stops
+// asking (see minNap). When every stamp lies in
+// the future the run loops jump the clock to the earliest one — idle
+// fast-forward is the all-asleep case of the same mechanism, not a second
+// one.
+//
+// The commit pass uses a dirty list instead of scanning all registers:
+// Set enqueues the register's index on the engine's per-cycle dirty list
+// (a pointer-free int32 slice, so the append has no GC write barrier,
+// resolved through a table of pre-bound commit functions rather than an
+// interface dispatch), and Tick commits only the registers written during
+// the cycle. A register that holds a value but is not rewritten must
+// still drain — links do not hold flits across idle cycles — which is
+// implemented lazily: commit stamps the register with the one cycle
+// during which its value is observable, and Valid/Get compare that stamp
+// against the engine clock, so an idle register expires without ever
+// being touched again.
 //
 // Run `go test ./internal/noc -bench BenchmarkTick -run '^$'` to measure
-// the per-cycle cost on the paper's 4x4 mesh, and see the repository
-// doc.go Performance section for profiling the full experiment binaries.
+// the per-cycle cost on the paper's 4x4 mesh, `bash bench/run.sh --trace 1`
+// for every layer's number, and see the repository doc.go Performance
+// section for profiling the full experiment binaries.
 package sim
 
 import (
@@ -69,7 +84,12 @@ type commitFunc func(visibleAt int64)
 
 // Engine drives a set of components cycle by cycle.
 type Engine struct {
-	phases [numPhases][]Component
+	// comps holds the registered components in registration order within
+	// each phase, and handles their scheduling handles, index for index
+	// (see sched.go). While nothing is asleep Tick walks comps alone, the
+	// same loop an engine without a scheduler would run.
+	comps   [numPhases][]Component
+	handles [numPhases][]*Handle
 	// commitFns holds one pre-bound commit function per register, in
 	// creation order; a register is addressed by its index. The dirty list
 	// stores indices rather than the function values themselves so that
@@ -87,15 +107,18 @@ type Engine struct {
 	spare []int32
 	cycle int64
 
-	// Idle fast-forward state (see ffwd.go). eventers/skippers cache the
-	// capability interfaces of the registered components; nonEventers
-	// counts components that cannot report a next-event cycle (any such
-	// component disables fast-forward for the whole engine). quiet tracks
-	// whether the previous Tick committed nothing, i.e. no register holds
-	// an observable value in the current cycle.
-	eventers      []NextEventer
-	skippers      []Skipper
-	nonEventers   int
+	// Scheduler state (see sched.go). sleepers are the components that
+	// manage their own sleep (Sleeper), asleep how many of them are
+	// asleep right now; polled are the plain NextEventers, which the
+	// engine itself puts to sleep for the length of a jump; alwaysOn
+	// counts components with neither capability, whose presence rules
+	// jumps out. quiet tracks whether the previous Tick committed
+	// nothing, i.e. no register holds an observable value in the current
+	// cycle.
+	sleepers      []*Handle
+	polled        []*Handle
+	asleep        int
+	alwaysOn      int
 	quiet         bool
 	ffwdOff       bool
 	cyclesSkipped int64
@@ -120,32 +143,57 @@ func NewEngine() *Engine {
 }
 
 // Register adds a component to the given phase. Components in lower phases
-// step before components in higher phases within one cycle.
+// step before components in higher phases within one cycle. A component
+// implementing Sleeper receives its scheduling handle here.
 func (e *Engine) Register(phase int, c Component) {
 	if phase < 0 || phase >= numPhases {
 		panic(fmt.Sprintf("sim: invalid phase %d", phase))
 	}
-	e.phases[phase] = append(e.phases[phase], c)
-	if ev, ok := c.(NextEventer); ok {
-		e.eventers = append(e.eventers, ev)
-	} else {
-		e.nonEventers++
+	h := &Handle{e: e, c: c, since: awake, idleAt: -1}
+	if e.ffwdOff {
+		h.tryAt = NoEvent
 	}
-	if sk, ok := c.(Skipper); ok {
-		e.skippers = append(e.skippers, sk)
+	h.ev, _ = c.(NextEventer)
+	h.sk, _ = c.(Skipper)
+	e.comps[phase] = append(e.comps[phase], c)
+	e.handles[phase] = append(e.handles[phase], h)
+	if s, ok := c.(Sleeper); ok {
+		e.sleepers = append(e.sleepers, h)
+		s.Bind(h)
+	} else if h.ev != nil {
+		e.polled = append(e.polled, h)
+	} else {
+		e.alwaysOn++
 	}
 }
 
 // Now returns the current cycle number.
 func (e *Engine) Now() int64 { return e.cycle }
 
-// Tick runs one full cycle: all phases in order, then the dirty-register
-// commit.
+// Tick runs one full cycle: every component whose wake stamp has arrived
+// steps, phases in order, then the dirty registers commit.
 func (e *Engine) Tick() {
 	now := e.cycle
-	for p := 0; p < numPhases; p++ {
-		for _, c := range e.phases[p] {
-			c.Step(now)
+	if e.asleep == 0 {
+		// Nobody to skip. A component that goes to sleep during this
+		// cycle has stepped already; one woken again later in it keeps
+		// its place in line for the next cycle.
+		for p := 0; p < numPhases; p++ {
+			for _, c := range e.comps[p] {
+				c.Step(now)
+			}
+		}
+	} else {
+		for p := 0; p < numPhases; p++ {
+			for _, h := range e.handles[p] {
+				if h.wakeAt > now {
+					continue
+				}
+				if h.since != awake {
+					h.rouse(now)
+				}
+				h.c.Step(now)
+			}
 		}
 	}
 	// Commit the dirty list: exactly the registers written this cycle.
@@ -153,14 +201,15 @@ func (e *Engine) Tick() {
 	// matching the clock), so they cost nothing here. Commit order follows
 	// write order, which is deterministic because components step in
 	// registration order; commits are independent per register, so order
-	// does not affect behaviour.
+	// does not affect behaviour. A commit also wakes the register's
+	// declared consumers for the cycle the value is visible in.
 	visibleAt := e.cycle + 1
 	fns := e.commitFns
 	for _, i := range e.dirty {
 		fns[i](visibleAt)
 	}
 	// An empty dirty list means no register holds an observable value next
-	// cycle — the precondition for idle fast-forward (see ffwd.go).
+	// cycle — the precondition for a jump (see sched.go).
 	e.quiet = len(e.dirty) == 0
 	e.dirty, e.spare = e.spare[:0], e.dirty[:0]
 	e.cycle++
@@ -206,6 +255,7 @@ func (e *Engine) pollCtx(ctx context.Context) error {
 // run stops in bounded time (mid-simulation, not at run granularity) and
 // returns the context's error.
 func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles int64) error {
+	defer e.flushSkipped()
 	deadline := e.cycle + maxCycles
 	for !done() {
 		if e.cycle >= deadline {
@@ -214,7 +264,7 @@ func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles in
 		if err := e.pollCtx(ctx); err != nil {
 			return err
 		}
-		e.maybeFastForward(deadline)
+		e.fastForward(deadline)
 		if e.cycle >= deadline {
 			continue // jumped to the deadline: re-check done, then time out
 		}
@@ -223,12 +273,15 @@ func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles in
 	return nil
 }
 
-// Run ticks the engine for n cycles (fewer ticks when idle fast-forward
-// jumps the clock; the engine still ends exactly n cycles later).
+// Run ticks the engine for n cycles (fewer ticks when fast-forward jumps
+// the clock; the engine still ends exactly n cycles later). Like every run
+// loop it returns with all pending Skipped notifications delivered, so
+// counters read between runs are exact.
 func (e *Engine) Run(n int64) {
+	defer e.flushSkipped()
 	end := e.cycle + n
 	for e.cycle < end {
-		e.maybeFastForward(end)
+		e.fastForward(end)
 		if e.cycle >= end {
 			break
 		}
@@ -240,12 +293,13 @@ func (e *Engine) Run(n int64) {
 // ctxCheckInterval cycles; it returns the context's error if canceled
 // mid-run, leaving the engine at the cycle it stopped on.
 func (e *Engine) RunCtx(ctx context.Context, n int64) error {
+	defer e.flushSkipped()
 	end := e.cycle + n
 	for e.cycle < end {
 		if err := e.pollCtx(ctx); err != nil {
 			return err
 		}
-		e.maybeFastForward(end)
+		e.fastForward(end)
 		if e.cycle >= end {
 			break
 		}
@@ -268,7 +322,10 @@ type Reg[T any] struct {
 	validAt   int64
 	cur, next T
 	written   bool
-	name      string
+	// wakes are the handles of the components that consume this register
+	// (see Wakes); each commit wakes them for the cycle the value shows.
+	wakes []*Handle
+	name  string
 }
 
 // NewReg creates a register attached to the engine.
@@ -318,6 +375,18 @@ func (r *Reg[T]) Set(v T) {
 	r.eng.dirty = append(r.eng.dirty, r.idx)
 }
 
+// Wakes declares h's component a consumer of the register: every commit
+// wakes it for the cycle the value is visible in. A component may sleep
+// only once every register it reads is declared this way; call it once
+// per consumer at wiring time. A nil handle is ignored.
+func (r *Reg[T]) Wakes(h *Handle) {
+	if h == nil {
+		return
+	}
+	r.wakes = append(r.wakes, h)
+	r.eng.commitFns[r.idx] = r.commitAndWake // a register nobody sleeps on keeps the plain commit
+}
+
 // commit latches next into cur and stamps the cycle during which the value
 // is observable. Only written registers are committed; everything else
 // expires lazily through the stamp comparison in Valid/Get.
@@ -325,6 +394,18 @@ func (r *Reg[T]) commit(visibleAt int64) {
 	r.cur = r.next
 	r.validAt = visibleAt
 	r.written = false
+}
+
+// commitAndWake is commit for a register with declared consumers: the
+// wake is part of the commit, so a sleeping consumer steps on exactly the
+// cycle the value shows and an awake one costs a compare.
+func (r *Reg[T]) commitAndWake(visibleAt int64) {
+	r.commit(visibleAt)
+	for _, h := range r.wakes {
+		if h.wakeAt > visibleAt {
+			h.wakeAt = visibleAt
+		}
+	}
 }
 
 // FuncComponent adapts a function to the Component interface, handy in
