@@ -20,7 +20,7 @@
 // cycle-accurate engine for millions of Ticks per configuration (168
 // configurations for the full Fig 6 sweep), so per-cycle overhead
 // multiplies across the whole benchmark suite. The hot path is organized
-// around four ideas:
+// around five ideas:
 //
 //   - Wake-driven stepping (internal/sim/sched.go): a cycle steps only the
 //     components that have work. A component that found nothing to do
@@ -34,6 +34,16 @@
 //     batteries (scenario, noc, jacobi, matmul, syncbench
 //     Test*FastForwardDifferential*, noc.TestWakeDrivenStateDifferential)
 //     enforce.
+//
+//   - The PE handoff (internal/pe): a kernel is ordinary Go, run as a
+//     coroutine its core switches to directly (iter.Pull) — no channel and
+//     no second thread between them — and the operations nothing outside
+//     the core can observe (compute, L1 hits under write-back,
+//     invalidates: about seven in eight on the paper's kernels) retire on
+//     the program's side without any switch, as a debt of cycles the core
+//     works off before it starts the next operation that is issued.
+//     pe.TestRunAheadDifferential compares that against handing back after
+//     every operation; DESIGN.md, "PE handoff", has the table.
 //
 //   - Two-phase tick with dirty-register commit (internal/sim): each cycle
 //     runs the awake components in phase order (nodes, then switches) and
@@ -60,8 +70,10 @@
 //
 // Micro-benchmarks cover each layer: BenchmarkTick (internal/noc, the
 // per-cycle engine cost on the paper's 4x4 mesh at several loads),
-// BenchmarkFIFOPushPop (internal/queue) and BenchmarkCacheAccess
-// (internal/cache, which must report 0 allocs/op on reads). Run them with
+// BenchmarkHandoff (internal/pe, one operation on each path between a
+// program and its core), BenchmarkFIFOPushPop (internal/queue) and
+// BenchmarkCacheAccess (internal/cache, which must report 0 allocs/op on
+// reads). Run them with
 //
 //	go test ./internal/... -bench . -run '^$' -benchmem
 //

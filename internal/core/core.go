@@ -302,8 +302,9 @@ func (s *System) Run(maxCycles int64) error {
 //     stops the run at the next tick boundary rather than letting the
 //     surviving cores spin against the cycle budget, and its error is
 //     returned;
-//   - on every early exit the remaining program goroutines are aborted
-//     (pe.Proc.Abort), so canceled, failed or timed-out runs leak nothing.
+//   - on every early exit the remaining programs are stopped
+//     (pe.Proc.Abort), so canceled, failed or timed-out runs leave no
+//     coroutine behind (pe.TestAbandonedRunsLeakNothing).
 func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
 	err := s.Engine.RunUntilCtx(ctx, func() bool {
 		allHalted := true
@@ -332,8 +333,8 @@ func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
 		err = progErr
 	}
 	if err != nil {
-		// Unwind whatever is still running so no program goroutine
-		// outlives its abandoned simulation.
+		// Unwind whatever is still running so no program outlives its
+		// abandoned simulation.
 		for _, p := range s.Procs {
 			p.Abort()
 		}

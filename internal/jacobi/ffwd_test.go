@@ -7,28 +7,8 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/pe"
+	"repro/internal/core/coretest"
 )
-
-// counters is everything a kernel run leaves behind that sleeping could
-// get wrong without moving the verified grid: the run length, every
-// core's event and stall counts, every memory node's busy cycles.
-type counters struct {
-	Cycles int64
-	Procs  []pe.Stats
-	Busy   []int64
-}
-
-func countersOf(sys *core.System) counters {
-	c := counters{Cycles: sys.Cycles()}
-	for _, p := range sys.Procs {
-		c.Procs = append(c.Procs, p.Stats)
-	}
-	for _, u := range sys.MMUs {
-		c.Busy = append(c.Busy, u.Stats.BusyCycles.Value())
-	}
-	return c
-}
 
 // TestFastForwardDifferential is the jacobi twin of the syncbench test of
 // the same name, on the system's own counters: with wake-driven stepping
@@ -44,7 +24,7 @@ func TestFastForwardDifferential(t *testing.T) {
 			for _, mmus := range []int{1, 2} {
 				cfg := core.DefaultConfig(6, 2, cache.WriteBack)
 				cfg.Arbiter, cfg.NumMPMMUs = arb, mmus
-				var got [2]counters
+				var got [2]coretest.Counters
 				var res [2]Result
 				for i, ffwd := range []bool{true, false} {
 					var sys *core.System
@@ -57,7 +37,7 @@ func TestFastForwardDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/%v/%d mmus ffwd=%v: %v", variant, arb, mmus, ffwd, err)
 					}
-					got[i] = countersOf(sys)
+					got[i] = coretest.CountersOf(sys)
 				}
 				if res[1].CyclesSkipped != 0 {
 					t.Errorf("%v/%v/%d mmus: CyclesSkipped = %d with fast-forward disabled", variant, arb, mmus, res[1].CyclesSkipped)

@@ -8,9 +8,9 @@ import (
 	"repro/internal/pe"
 )
 
-// shared carries the per-rank timing measurements out of the program
-// goroutines. Writes happen strictly before the final opHalt rendezvous,
-// so the driver may read them after the run completes.
+// shared carries the per-rank timing measurements out of the programs.
+// Programs run as coroutines of the simulation (pe.Proc.Launch), each
+// rank writes its own slots, and the driver reads them after the run.
 type shared struct {
 	t0, t1 []int64
 }

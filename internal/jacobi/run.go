@@ -63,7 +63,7 @@ func Run(cfg core.Config, spec Spec, variant Variant, opts ...RunOption) (Result
 
 // RunCtx is Run with cooperative cancellation: a canceled context stops
 // the simulation mid-run (within a few thousand simulated cycles of wall
-// time) and aborts the kernel goroutines, so a canceled sweep point costs
+// time) and unwinds the kernel programs, so a canceled sweep point costs
 // bounded time and leaks nothing.
 func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant, opts ...RunOption) (Result, error) {
 	var ro runOptions

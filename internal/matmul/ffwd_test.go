@@ -8,28 +8,8 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/pe"
+	"repro/internal/core/coretest"
 )
-
-// counters is everything a kernel run leaves behind that sleeping could
-// get wrong without moving the verified product: the run length, every
-// core's event and stall counts, every memory node's busy cycles.
-type counters struct {
-	Cycles int64
-	Procs  []pe.Stats
-	Busy   []int64
-}
-
-func countersOf(sys *core.System) counters {
-	c := counters{Cycles: sys.Cycles()}
-	for _, p := range sys.Procs {
-		c.Procs = append(c.Procs, p.Stats)
-	}
-	for _, u := range sys.MMUs {
-		c.Busy = append(c.Busy, u.Stats.BusyCycles.Value())
-	}
-	return c
-}
 
 // TestFastForwardDifferential is the matmul twin of the syncbench test of
 // the same name, on the system's own counters: with wake-driven stepping
@@ -42,7 +22,7 @@ func TestFastForwardDifferential(t *testing.T) {
 		for _, arb := range []bridge.ArbiterMode{bridge.ArbMux, bridge.ArbSingleFIFO, bridge.ArbDualFIFO} {
 			cfg := core.DefaultConfig(5, 2, cache.WriteBack)
 			cfg.Arbiter = arb
-			var got [2]counters
+			var got [2]coretest.Counters
 			var res [2]Result
 			for i, ffwd := range []bool{true, false} {
 				sys, err := core.Build(cfg)
@@ -50,10 +30,10 @@ func TestFastForwardDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.Engine.SetFastForward(ffwd)
-				if res[i], err = runOn(context.Background(), sys, Spec{N: 12}, variant); err != nil {
+				if res[i], err = RunOn(context.Background(), sys, Spec{N: 12}, variant); err != nil {
 					t.Fatalf("%v/%v ffwd=%v: %v", variant, arb, ffwd, err)
 				}
-				got[i] = countersOf(sys)
+				got[i] = coretest.CountersOf(sys)
 			}
 			if res[1].CyclesSkipped != 0 {
 				t.Errorf("%v/%v: CyclesSkipped = %d with fast-forward disabled", variant, arb, res[1].CyclesSkipped)

@@ -40,7 +40,7 @@ func Run(cfg core.Config, spec Spec, variant Variant) (Result, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: a canceled context stops
-// the simulation mid-run and aborts the kernel goroutines, so a canceled
+// the simulation mid-run and unwinds the kernel programs, so a canceled
 // sweep point costs bounded time and leaks nothing.
 func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant) (Result, error) {
 	if err := spec.Validate(); err != nil {
@@ -50,13 +50,13 @@ func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant) (R
 	if err != nil {
 		return Result{}, err
 	}
-	return runOn(ctx, sys, spec, variant)
+	return RunOn(ctx, sys, spec, variant)
 }
 
-// runOn executes the workload on a freshly built system; split from
-// RunCtx so the differential tests can read the system's counters
-// afterwards.
-func runOn(ctx context.Context, sys *core.System, spec Spec, variant Variant) (Result, error) {
+// RunOn executes the workload on a freshly built system; split from
+// RunCtx so the differential tests, here and in internal/pe, can read the
+// system's counters afterwards.
+func RunOn(ctx context.Context, sys *core.System, spec Spec, variant Variant) (Result, error) {
 	cfg := sys.Cfg
 	blocks := Partition(spec.N, cfg.NumCompute)
 	Preload(sys.DDR, sys.Map, spec.N, blocks)

@@ -10,6 +10,9 @@ import "repro/internal/sim"
 //   - a halted core does nothing;
 //   - a computing core (stBusy) next acts at busyUntil, and every skipped
 //     cycle is a stall cycle (see Skipped);
+//   - a core catching up on its program (stAhead) next acts at busyUntil
+//     too, and owes nothing for the cycles in between: fetchOp charged the
+//     whole stretch's stalls when it began;
 //   - a core waiting on the bridge or on a message is passive until the
 //     reply or packet is present — arrival happens inside a switch tick,
 //     which the engine never skips over (in-flight flits keep their
@@ -23,7 +26,7 @@ func (p *Proc) NextEvent(now int64) int64 {
 	switch p.st {
 	case stHalted:
 		return sim.NoEvent
-	case stBusy:
+	case stBusy, stAhead:
 		return p.busyUntil
 	case stBridge:
 		if p.Bridge.Completed() {

@@ -8,187 +8,150 @@ import (
 	"repro/internal/cache"
 )
 
-// memSeq is a micro-sequence implementing one architectural memory
-// operation: zero or more bridge transactions executed in order, then a
-// finishing action that updates the cache and produces the result plus the
+// memSeq is the micro-sequence implementing the pending memory or lock
+// operation: up to two bridge transactions executed in order (victim
+// write-back then line fill; the two halves of an uncached double), then
+// finishSeq, which updates the cache and produces the result plus the
 // final core-side latency (typically the L1 access cycle).
 type memSeq struct {
-	txns    []bridge.Txn
-	finish  func(results [][]uint32) (result, int64)
-	results [][]uint32
+	txns    [2]bridge.Txn
+	data    [2][]uint32 // what each transaction returned
+	n, next int         // planned, started
+	// fill: the last transaction reads the line a cached access missed on;
+	// finishSeq installs it and performs the access.
+	fill bool
 }
 
-func (p *Proc) lockSeq(o op) memSeq {
-	kind := bridge.TxnLock
-	if o.kind == opUnlock {
-		kind = bridge.TxnUnlock
-	}
-	return memSeq{
-		txns: []bridge.Txn{{Kind: kind, Addr: o.addr}},
-	}
+func (s *memSeq) reset() { s.n, s.next, s.fill = 0, 0, false }
+
+func (s *memSeq) add(kind bridge.TxnKind, addr uint32, data []uint32) {
+	s.txns[s.n] = bridge.Txn{Kind: kind, Addr: addr, Data: data}
+	s.n++
 }
 
-// memSeqFor plans the transactions for a load/store/flush/invalidate.
+// planSeq plans the transactions of the pending memory or lock operation.
 // Planning happens when the operation starts; since the core is blocking
-// and in-order, cache state cannot change underneath the plan.
-func (p *Proc) memSeqFor(o op) memSeq {
+// and in-order, cache state cannot change underneath the plan. Cached
+// accesses arrive here only when they need the bridge: the program side
+// has done (and counted) the L1 lookup and retired the hits that stay
+// inside the core (Env.load, Env.store).
+func (p *Proc) planSeq() {
+	o, s := &p.pending, &p.seq
+	s.reset()
 	switch o.kind {
+	case opLock:
+		s.add(bridge.TxnLock, o.addr, nil)
+	case opUnlock:
+		s.add(bridge.TxnUnlock, o.addr, nil)
 	case opFlush:
 		// Software cache flush: write the dirty line back to system
 		// memory so producer-side coherency holds (paper §II-E).
 		var buf [cache.LineBytes]byte
-		if !p.Cache.FlushLineInto(o.addr, buf[:]) {
-			return memSeq{}
+		if p.Cache.FlushLineInto(o.addr, buf[:]) {
+			s.add(bridge.TxnBlockWrite, cache.LineAddr(o.addr), p.lineOf(buf[:]))
 		}
-		return memSeq{txns: []bridge.Txn{{
-			Kind: bridge.TxnBlockWrite,
-			Addr: cache.LineAddr(o.addr),
-			Data: wordsOf(buf[:]),
-		}}}
-	case opInval:
-		// The DII instruction: drop the line so the next access fetches
-		// from system memory (consumer-side coherency).
-		p.Cache.InvalidateLine(o.addr)
-		return memSeq{}
 	case opLoadU:
-		return p.uncachedLoad(o)
+		p.Stats.UncachedOps.Inc()
+		s.add(bridge.TxnSingleRead, o.addr, nil)
+		if o.size == 8 {
+			s.add(bridge.TxnSingleRead, o.addr+4, nil)
+		}
 	case opStoreU:
-		return memSeq{txns: p.storeThroughTxns(o.addr, o.size, o.value)}
-	}
-	panic("pe: not a memory op")
-}
-
-// startCached dispatches a cached load/store. Hits complete without
-// building a transaction plan (the simulator's hottest path); misses fall
-// through to the micro-sequence machinery.
-func (p *Proc) startCached(o op, now int64) {
-	checkAlign(o.addr, o.size)
-	if p.Cache.Lookup(o.addr) {
-		if o.kind == opLoad {
-			p.stash = result{value: p.readCache(o.addr, o.size)}
-			p.becomeBusy(now, p.Cost.CacheHit)
+		p.planStoreThrough()
+	case opLoad, opStore:
+		wb := p.Cache.Policy() == cache.WriteBack
+		if !wb && o.kind == opStore {
+			// Write-through: the store goes to system memory whether it
+			// hit (the program side has updated the line) or missed
+			// (write-no-allocate), and the core stalls for the protocol
+			// round trips — no store buffer, as in the paper's simple core.
+			p.planStoreThrough()
 			return
 		}
-		// Store hit: update the line; write-through additionally sends
-		// the store to system memory and the core stalls for the
-		// protocol round trips (no store buffer, as in the paper's
-		// simple core).
-		p.writeCache(o.addr, o.size, o.value)
-		if p.Cache.Policy() == cache.WriteThrough {
-			p.startSeq(memSeq{txns: p.storeThroughTxns(o.addr, o.size, o.value)}, now)
-			return
-		}
-		p.becomeBusy(now, p.Cost.CacheHit)
-		return
-	}
-	p.startSeq(p.cachedMiss(o), now)
-}
-
-func (p *Proc) uncachedLoad(o op) memSeq {
-	p.Stats.UncachedOps.Inc()
-	txns := []bridge.Txn{{Kind: bridge.TxnSingleRead, Addr: o.addr}}
-	if o.size == 8 {
-		txns = append(txns, bridge.Txn{Kind: bridge.TxnSingleRead, Addr: o.addr + 4})
-	}
-	return memSeq{
-		txns: txns,
-		finish: func(results [][]uint32) (result, int64) {
-			v := uint64(results[0][0])
-			if o.size == 8 {
-				v |= uint64(results[1][0]) << 32
+		// A miss that allocates: write a dirty victim back, fetch the line.
+		line := cache.LineAddr(o.addr)
+		if wb {
+			var buf [cache.LineBytes]byte
+			if vaddr, dirty := p.Cache.VictimInto(line, buf[:]); dirty {
+				s.add(bridge.TxnBlockWrite, vaddr, p.lineOf(buf[:]))
 			}
-			return result{value: v}, 1
-		},
+		}
+		s.add(bridge.TxnBlockRead, line, nil)
+		s.fill = true
+	default:
+		panic("pe: not a memory or lock op")
 	}
 }
 
-// storeThroughTxns emits the single-write transactions of an uncached or
+// planStoreThrough emits the single-write transactions of an uncached or
 // write-through store (one per 32-bit word).
-func (p *Proc) storeThroughTxns(addr uint32, size int, value uint64) []bridge.Txn {
+func (p *Proc) planStoreThrough() {
+	o := &p.pending
 	p.Stats.UncachedOps.Inc()
-	txns := []bridge.Txn{{Kind: bridge.TxnSingleWrite, Addr: addr, Data: []uint32{uint32(value)}}}
-	if size == 8 {
-		txns = append(txns, bridge.Txn{
-			Kind: bridge.TxnSingleWrite, Addr: addr + 4, Data: []uint32{uint32(value >> 32)},
-		})
+	p.storeWords = [2]uint32{uint32(o.value), uint32(o.value >> 32)}
+	p.seq.add(bridge.TxnSingleWrite, o.addr, p.storeWords[0:1])
+	if o.size == 8 {
+		p.seq.add(bridge.TxnSingleWrite, o.addr+4, p.storeWords[1:2])
 	}
-	return txns
 }
 
-// cachedMiss plans the transactions for a load/store miss; the lookup has
-// already been performed (and counted) by startCached.
-func (p *Proc) cachedMiss(o op) memSeq {
-	line := cache.LineAddr(o.addr)
-	wb := p.Cache.Policy() == cache.WriteBack
-	if !wb && o.kind == opStore {
-		// Write-through, write-no-allocate: a store miss goes straight
-		// to system memory.
-		return memSeq{txns: p.storeThroughTxns(o.addr, o.size, o.value)}
-	}
-
-	var txns []bridge.Txn
-	if wb {
+// finishSeq completes the pending operation once its transactions are
+// done: it leaves the result in stash and returns the remaining core-side
+// latency.
+func (p *Proc) finishSeq() int64 {
+	o, s := &p.pending, &p.seq
+	switch {
+	case s.fill:
 		var buf [cache.LineBytes]byte
-		if vaddr, needsWB := p.Cache.VictimInto(line, buf[:]); needsWB {
-			txns = append(txns, bridge.Txn{
-				Kind: bridge.TxnBlockWrite, Addr: vaddr, Data: wordsOf(buf[:]),
-			})
+		bytesOf(buf[:], s.data[s.n-1])
+		p.Cache.Fill(cache.LineAddr(o.addr), buf[:])
+		if o.kind == opLoad {
+			p.stash = result{value: p.Cache.ReadUint(o.addr, o.size)}
+		} else {
+			p.Cache.WriteUint(o.addr, o.size, o.value)
 		}
+		return p.Cost.CacheHit
+	case o.kind == opLoadU:
+		v := uint64(s.data[0][0])
+		if o.size == 8 {
+			v |= uint64(s.data[1][0]) << 32
+		}
+		p.stash = result{value: v}
 	}
-	txns = append(txns, bridge.Txn{Kind: bridge.TxnBlockRead, Addr: line})
-	return memSeq{
-		txns: txns,
-		finish: func(results [][]uint32) (result, int64) {
-			fill := results[len(results)-1]
-			p.Cache.Fill(line, bytesOf(fill))
-			switch o.kind {
-			case opLoad:
-				return result{value: p.readCache(o.addr, o.size)}, p.Cost.CacheHit
-			case opStore:
-				p.writeCache(o.addr, o.size, o.value)
-				if !wb {
-					// Unreachable: WT store misses never allocate.
-					panic("pe: write-through store allocated")
-				}
-				return result{}, p.Cost.CacheHit
-			}
-			panic("pe: bad cached op")
-		},
-	}
+	return 1
 }
 
-func (p *Proc) readCache(addr uint32, size int) uint64 {
-	return p.Cache.ReadUint(addr, size)
-}
-
-func (p *Proc) writeCache(addr uint32, size int, v uint64) {
-	p.Cache.WriteUint(addr, size, v)
-}
-
+// checkAlign panics unless addr is a size-aligned 4- or 8-byte access. It
+// runs on the program's side of the switch, so a bad access fails the
+// program that made it (ProgramErr, with its stack) and nothing else.
 func checkAlign(addr uint32, size int) {
-	if size != 4 && size != 8 {
-		panic(fmt.Sprintf("pe: unsupported access size %d", size))
-	}
-	if addr%uint32(size) != 0 {
-		panic(fmt.Sprintf("pe: unaligned %d-byte access at %#x", size, addr))
+	if (size != 4 && size != 8) || addr%uint32(size) != 0 {
+		panic(fmt.Errorf("pe: bad access: %d bytes at %#x (accesses are 4 or 8 bytes, aligned to their size)", size, addr))
 	}
 }
 
-func wordsOf(b []byte) []uint32 {
-	if len(b)%4 != 0 {
-		panic("pe: byte slice not word-aligned")
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
+// lineOf converts one cache line to words in the core's scratch line.
+func (p *Proc) lineOf(b []byte) []uint32 {
+	wordsOf(p.lineWords[:], b)
+	return p.lineWords[:]
 }
 
-func bytesOf(words []uint32) []byte {
-	out := make([]byte, 4*len(words))
+// wordsOf decodes the little-endian words of b into dst.
+func wordsOf(dst []uint32, b []byte) {
+	if len(b) != 4*len(dst) {
+		panic("pe: byte slice does not match its words")
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+}
+
+// bytesOf encodes words into dst, little-endian.
+func bytesOf(dst []byte, words []uint32) {
+	if len(dst) != 4*len(words) {
+		panic("pe: byte slice does not match its words")
+	}
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[4*i:], w)
+		binary.LittleEndian.PutUint32(dst[4*i:], w)
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,33 +31,29 @@ func TestMulHighOff(t *testing.T) {
 	}
 }
 
+// roundTrip encodes words to bytes and back through the two converters.
+func roundTrip(words []uint32) []uint32 {
+	b := make([]byte, 4*len(words))
+	bytesOf(b, words)
+	back := make([]uint32, len(words))
+	wordsOf(back, b)
+	return back
+}
+
 func TestWordsBytesRoundTrip(t *testing.T) {
 	words := []uint32{0x01020304, 0xA0B0C0D0, 0, 0xFFFFFFFF}
-	b := bytesOf(words)
-	if len(b) != 16 {
-		t.Fatalf("bytesOf returned %d bytes", len(b))
+	b := make([]byte, 16)
+	bytesOf(b, words)
+	if b[0] != 0x04 || b[3] != 0x01 {
+		t.Fatalf("bytesOf is not little-endian: % x", b[:4])
 	}
-	back := wordsOf(b)
-	for i := range words {
-		if back[i] != words[i] {
-			t.Fatalf("word %d: %#x != %#x", i, back[i], words[i])
-		}
+	if back := roundTrip(words); !slices.Equal(back, words) {
+		t.Fatalf("round trip: %#x != %#x", back, words)
 	}
 }
 
 func TestWordsBytesQuick(t *testing.T) {
-	fn := func(words []uint32) bool {
-		back := wordsOf(bytesOf(words))
-		if len(back) != len(words) {
-			return false
-		}
-		for i := range words {
-			if back[i] != words[i] {
-				return false
-			}
-		}
-		return true
-	}
+	fn := func(words []uint32) bool { return slices.Equal(roundTrip(words), words) }
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
@@ -68,7 +65,7 @@ func TestWordsOfRejectsRagged(t *testing.T) {
 			t.Error("non-word-multiple byte slice should panic")
 		}
 	}()
-	wordsOf(make([]byte, 7))
+	wordsOf(make([]uint32, 1), make([]byte, 7))
 }
 
 func TestCheckAlign(t *testing.T) {

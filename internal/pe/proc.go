@@ -5,13 +5,23 @@
 // Instead of an ISA interpreter, the core executes an abstract operation
 // stream — compute bursts, loads/stores, cache control, lock/unlock, send/
 // receive — with the latencies of the paper's cost model. Application code
-// is ordinary Go running in one goroutine per core against the Env API;
-// a strictly synchronous rendezvous keeps the simulation deterministic.
+// is ordinary Go written against the Env API. Each core runs its program
+// as a coroutine (iter.Pull): the core switches to it to fetch the next
+// operation and the program switches back by issuing one, so core and
+// program strictly alternate on one thread of control and the simulator
+// owns the only scheduling decision.
+//
+// Operations that touch nothing outside the core — compute bursts, L1
+// hits under write-back, invalidates — retire on the program's side of
+// that switch and only add to the core's run-ahead account (Proc.ahead);
+// the next operation that something outside the core can observe is
+// started that many cycles later. DESIGN.md, "PE handoff", has the table.
 package pe
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 
 	"repro/internal/bridge"
@@ -24,39 +34,37 @@ import (
 type opKind int
 
 const (
-	opCompute opKind = iota
-	opLoad
+	opLoad opKind = iota
 	opStore
 	opLoadU
 	opStoreU
 	opFlush
-	opInval
 	opLock
 	opUnlock
 	opSend
 	opRecv
 	opRecvAny
+	// opSync carries no work: a program that has run maxAhead cycles
+	// ahead hands back so the core can catch up (Env.retire).
+	opSync
+	// opHalt is never issued: fetchOp makes it up when the program returns.
 	opHalt
 )
 
 type op struct {
-	kind   opKind
-	cycles int64
-	addr   uint32
-	size   int // 4 or 8 bytes
-	value  uint64
-	dst    int
-	src    int
-	class  tie.Class
-	words  []uint32
+	kind  opKind
+	addr  uint32
+	size  int // 4 or 8 bytes
+	value uint64
+	dst   int
+	src   int
+	class tie.Class
+	words []uint32
 }
 
 type result struct {
 	value uint64
 	pkt   tie.Packet
-	// aborted poisons the result: the program goroutine unwinds via
-	// errProgramAborted instead of consuming it (see Proc.Abort).
-	aborted bool
 }
 
 // errProgramAborted is the sentinel the Env API panics with when the core
@@ -69,6 +77,10 @@ type procState int
 
 const (
 	stNeedOp procState = iota
+	// stAhead: the program retired local operations before issuing
+	// pending; the core is busy with them until busyUntil and starts
+	// pending then.
+	stAhead
 	stBusy
 	stBridge
 	stSending
@@ -105,22 +117,34 @@ type Proc struct {
 
 	wake *sim.Handle
 
-	opCh  chan op
-	resCh chan result
+	// The program coroutine: next resumes it until it issues its next
+	// operation (ok false: it returned), stop unwinds it. The program's
+	// side of the switch is Env.yield.
+	next func() (op, bool)
+	stop func()
 
 	st        procState
 	busyUntil int64
 	pending   op
-	stash     result
+	stash     result // the pending operation's result, read by Env.issue
 	seq       memSeq
-	lastCycle int64
+	lastCycle int64 // cycle of the latest fetch: the program's time base
 	finish    int64
 
-	// progErr records why the program goroutine terminated abnormally: an
-	// error passed to Env.Fail, or a recovered panic with its stack. It is
-	// written by the program goroutine strictly before the final opHalt
-	// rendezvous, so the simulation driver may read it once the core has
-	// halted (Halted() true) without further synchronization.
+	// ahead is the latency of the operations the program has retired
+	// locally since the latest fetch, aheadOps their number.
+	ahead, aheadOps int64
+
+	// Scratch for the one memory operation in flight (the core is blocking
+	// and in-order): the line a block write carries, the words of a
+	// single-write pair.
+	lineWords  [cache.LineBytes / 4]uint32
+	storeWords [2]uint32
+
+	// progErr records why the program terminated abnormally: an error
+	// passed to Env.Fail, or a recovered panic with its stack. It is
+	// written on the program's side of the switch and read by the
+	// simulation driver once the core has halted.
 	progErr error
 
 	Stats Stats
@@ -131,9 +155,7 @@ func NewProc(id, rank int, c *cache.Cache, b *bridge.Bridge, p *tie.Port, cost C
 	return &Proc{
 		ID: id, Rank: rank,
 		Cache: c, Bridge: b, Port: p, Cost: cost,
-		opCh:  make(chan op),
-		resCh: make(chan result),
-		st:    stHalted, // until a program is launched
+		st: stHalted, // until a program is launched
 	}
 }
 
@@ -152,10 +174,11 @@ func (p *Proc) Wake() { p.wake.Wake() }
 // Program is the application code run by a core.
 type Program func(env *Env)
 
-// Launch starts the program goroutine. The core begins fetching operations
-// on the next cycle. Call once per run.
+// Launch starts the program as a coroutine of the core. The core begins
+// fetching operations on the next cycle; the program first runs when it
+// does. Call once per run.
 //
-// The goroutine is panic-isolated: a panic in program code is recovered,
+// The program is panic-isolated: a panic in program code is recovered,
 // recorded (readable through ProgramErr once the core halts) and converted
 // into a normal halt, so one faulty kernel fails its own run instead of
 // taking down the whole process — essential when many simulations share a
@@ -167,23 +190,19 @@ func (p *Proc) Launch(prog Program) {
 	p.progErr = nil
 	p.st = stNeedOp
 	p.wake.Wake()
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(op) bool) {
 		defer func() {
 			if r := recover(); r != nil && !isAbort(r) {
 				p.progErr = fmt.Errorf("pe: program on core %d (rank %d) panicked: %v\n%s",
 					p.ID, p.Rank, r, debug.Stack())
 			}
-			// Always complete the halt rendezvous, even after a panic or
-			// abort: the engine side (fetchOp or Abort) is blocked on it.
-			p.opCh <- op{kind: opHalt}
 		}()
-		env := &Env{p: p}
-		prog(env)
-	}()
+		prog(&Env{p: p, yield: yield})
+	})
 }
 
 // isAbort reports whether a recovered value is the clean-abort sentinel
-// (raised by Env.issue on a poisoned result or by Env.Fail).
+// (raised by Env.issue after Abort, or by Env.Fail).
 func isAbort(r any) bool {
 	err, ok := r.(error)
 	return ok && errors.Is(err, errProgramAborted)
@@ -193,39 +212,23 @@ func isAbort(r any) bool {
 func (p *Proc) Halted() bool { return p.st == stHalted }
 
 // ProgramErr returns the error the program terminated with: an Env.Fail
-// error, a recovered panic, or nil for a clean finish. Only meaningful —
-// and only safe to read — once Halted() reports true.
+// error, a recovered panic, or nil for a clean finish. Only meaningful
+// once Halted() reports true.
 func (p *Proc) ProgramErr() error { return p.progErr }
 
-// Abort terminates a launched program that has not halted: it poisons the
-// rendezvous protocol so the program goroutine unwinds (every blocked or
-// future Env call panics with the abort sentinel, which Launch's wrapper
-// recovers) and returns once the goroutine has reached its halt handshake.
-// Call it from the simulation driver after abandoning a run (cancellation,
-// cycle-budget exhaustion, a failed sibling core) so canceled jobs do not
-// leak program goroutines. The core is left halted; the Proc must not be
-// stepped again afterwards.
+// Abort terminates a launched program that has not halted: it stops the
+// coroutine, so the Env call the program is suspended in — and any it
+// makes while unwinding — panics with the abort sentinel, which Launch's
+// wrapper recovers. Call it from the simulation driver after abandoning a
+// run (cancellation, cycle-budget exhaustion, a failed sibling core) so
+// abandoned runs leave no coroutine behind. The core is left halted; the
+// Proc must not be stepped again afterwards.
 func (p *Proc) Abort() {
 	if p.st == stHalted {
 		return
 	}
-	// Unless the core is still waiting for the program's first operation,
-	// an operation is pending and the program goroutine is blocked on its
-	// result; poison it to start the unwind.
-	if p.st != stNeedOp {
-		p.resCh <- result{aborted: true}
-	}
-	// Drain the protocol until the goroutine's deferred halt arrives. A
-	// program that ignores the first poisoned result (e.g. application
-	// code recovered our sentinel) keeps issuing ops; keep poisoning.
-	for {
-		o := <-p.opCh
-		if o.kind == opHalt {
-			p.st = stHalted
-			return
-		}
-		p.resCh <- result{aborted: true}
-	}
+	p.stop()
+	p.st = stHalted
 }
 
 // FinishCycle returns the cycle at which the program halted.
@@ -242,19 +245,22 @@ func (p *Proc) Step(now int64) {
 	p.advance(now)
 	// Ask after every Step, not only from the stall branches: a core that
 	// just started a compute burst or a bridge transaction knows already
-	// that it has nothing to do until busyUntil or the reply, and the
-	// question is a handful of compares beside a goroutine handoff.
+	// that it has nothing to do until busyUntil or the reply.
 	p.wake.Idle()
 }
 
 // advance runs one cycle of the core's state machine.
 func (p *Proc) advance(now int64) {
 	switch p.st {
-	case stNeedOp:
+	case stNeedOp: // launched, not yet fetched from
 		p.fetchOp(now)
+	case stAhead:
+		if now >= p.busyUntil {
+			p.start(now)
+		}
 	case stBusy:
 		if now >= p.busyUntil {
-			p.complete(now)
+			p.fetchOp(now)
 		} else {
 			p.Stats.StallCycles.Inc()
 		}
@@ -264,14 +270,14 @@ func (p *Proc) advance(now int64) {
 			p.Stats.StallCycles.Inc()
 			return
 		}
-		p.seq.results = append(p.seq.results, res.Data)
+		p.seq.data[p.seq.next-1] = res.Data
 		p.advanceSeq(now)
 	case stSending:
 		if p.Port.SendBusy() {
 			p.Stats.StallCycles.Inc()
 			return
 		}
-		p.complete(now)
+		p.fetchOp(now)
 	case stReceiving:
 		var pkt tie.Packet
 		var ok bool
@@ -289,25 +295,44 @@ func (p *Proc) advance(now int64) {
 	}
 }
 
-// fetchOp performs the synchronous rendezvous with the program goroutine
-// and starts the next operation. The receive blocks at most for the time
-// the program needs to compute its next operation, which preserves
-// determinism: the simulator owns the only scheduling decision.
+// fetchOp switches to the program — which finds the result of the
+// operation that just completed in stash — until it issues its next one,
+// in the same cycle, so back-to-back operations lose no cycles.
+//
+// What the program retired locally on the way (Env.retire) occupies the
+// core first: a chain of k such operations totalling n cycles would have
+// been fetched one by one and stalled n-k cycles in between, so that is
+// what the run-ahead state is charged, once, and the issued operation
+// starts at now+n — the cycle it would have been fetched on.
 func (p *Proc) fetchOp(now int64) {
-	o := <-p.opCh
-	p.Stats.Ops.Inc()
+	p.lastCycle = now
+	p.ahead, p.aheadOps = 0, 0
+	o, ok := p.next()
+	if !ok {
+		o = op{kind: opHalt}
+	}
 	p.pending = o
+	if p.ahead == 0 {
+		p.start(now)
+		return
+	}
+	p.Stats.StallCycles.Add(p.ahead - p.aheadOps)
+	p.busyUntil = now + p.ahead
+	p.st = stAhead
+}
+
+// start begins the pending operation.
+func (p *Proc) start(now int64) {
+	o := &p.pending
+	if o.kind == opSync {
+		p.fetchOp(now)
+		return
+	}
+	p.Stats.Ops.Inc()
 	switch o.kind {
 	case opHalt:
 		p.st = stHalted
 		p.finish = now
-	case opCompute:
-		n := o.cycles
-		if n < 1 {
-			n = 1
-		}
-		p.Stats.ComputeCycles.Add(n)
-		p.becomeBusy(now, n)
 	case opSend:
 		p.Stats.Sends.Inc()
 		if err := p.Port.StartSend(o.dst, o.class, o.words, now); err != nil {
@@ -319,13 +344,12 @@ func (p *Proc) fetchOp(now int64) {
 		p.st = stReceiving
 	case opLock, opUnlock:
 		p.Stats.Locks.Inc()
-		p.startSeq(p.lockSeq(o), now)
-	case opLoad, opStore:
+		p.planSeq()
+		p.advanceSeq(now)
+	case opLoad, opStore, opLoadU, opStoreU, opFlush:
 		p.Stats.MemOps.Inc()
-		p.startCached(o, now)
-	case opLoadU, opStoreU, opFlush, opInval:
-		p.Stats.MemOps.Inc()
-		p.startSeq(p.memSeqFor(o), now)
+		p.planSeq()
+		p.advanceSeq(now)
 	default:
 		panic("pe: unknown op")
 	}
@@ -339,36 +363,14 @@ func (p *Proc) becomeBusy(now, cycles int64) {
 	p.st = stBusy
 }
 
-// complete hands the stashed result to the program and immediately fetches
-// the next operation, so back-to-back operations lose no cycles.
-func (p *Proc) complete(now int64) {
-	p.lastCycle = now
-	res := p.stash
-	p.stash = result{}
-	p.resCh <- res
-	p.st = stNeedOp
-	p.fetchOp(now)
-}
-
-// startSeq begins a memory micro-sequence: zero or more bridge
-// transactions followed by a finishing action.
-func (p *Proc) startSeq(s memSeq, now int64) {
-	p.seq = s
-	p.seq.results = p.seq.results[:0]
-	p.advanceSeq(now)
-}
-
+// advanceSeq starts the next bridge transaction of the memory
+// micro-sequence in seq, or finishes the operation when none is left.
 func (p *Proc) advanceSeq(now int64) {
-	if len(p.seq.txns) > 0 {
-		t := p.seq.txns[0]
-		p.seq.txns = p.seq.txns[1:]
-		p.Bridge.Start(t, now)
+	if p.seq.next < p.seq.n {
+		p.Bridge.Start(p.seq.txns[p.seq.next], now)
+		p.seq.next++
 		p.st = stBridge
 		return
 	}
-	extra := int64(1)
-	if p.seq.finish != nil {
-		p.stash, extra = p.seq.finish(p.seq.results)
-	}
-	p.becomeBusy(now, extra)
+	p.becomeBusy(now, p.finishSeq())
 }

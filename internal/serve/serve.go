@@ -13,10 +13,10 @@
 //     server's base context, optionally deadline-bounded (Config.
 //     JobTimeout). Cancellation is cooperative and bounded: the simulation
 //     engine polls the context every few thousand simulated cycles and the
-//     run aborts its program goroutines, so a canceled job releases its
+//     run stops its program coroutines, so a canceled job releases its
 //     worker quickly and leaks nothing.
 //   - Panic isolation: a panic inside one job — in a sweep worker (caught
-//     by par.ForEachCtx) or in a simulated program goroutine (caught by
+//     by par.ForEachCtx) or in a simulated program (caught by
 //     pe.Proc.Launch) or anywhere else on the job path (caught here) —
 //     fails that job with a structured error; the server keeps serving.
 //   - Graceful drain: Shutdown stops admission, lets queued and running
@@ -406,7 +406,7 @@ func (s *Server) runJob(j *job) {
 // runSafely is the last line of panic isolation: anything that escapes
 // the runner on the worker goroutine becomes this job's structured
 // failure instead of crashing the daemon. (Panics inside sweep workers
-// and simulated program goroutines are already converted to errors by
+// and simulated programs are already converted to errors by
 // par.ForEachCtx and pe.Proc.Launch respectively.)
 func runSafely(run Runner, ctx context.Context, sc *scenario.Scenario) (results []scenario.Result, err error) {
 	defer func() {

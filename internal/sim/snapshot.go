@@ -18,8 +18,8 @@ import (
 // Checkpointable is the optional component capability behind
 // checkpoint/fork. Snapshot returns an opaque value copy of the
 // component's complete mutable state; Restore reinstates a value
-// previously returned by the same component's Snapshot. Components built
-// on goroutines (the PE program wrappers) cannot implement it — their
+// previously returned by the same component's Snapshot. Components that
+// hold a coroutine (a PE running its program) cannot implement it — their
 // engines refuse to snapshot, and the sweep layers fall back to
 // re-simulating warmup.
 type Checkpointable interface {

@@ -81,8 +81,8 @@ func MeasureWith(kind Kind, cfg core.Config, rounds int) (Result, error) {
 }
 
 // MeasureWithCtx is MeasureWith with cooperative cancellation: a canceled
-// context stops the simulation mid-run and aborts the benchmark
-// goroutines, so a canceled sweep point costs bounded time and leaks
+// context stops the simulation mid-run and unwinds the benchmark
+// programs, so a canceled sweep point costs bounded time and leaks
 // nothing. Errors inside the benchmark kernels (e.g. a communicator that
 // fails to build) fail the run with an error rather than panicking.
 func MeasureWithCtx(ctx context.Context, kind Kind, cfg core.Config, rounds int) (Result, error) {
@@ -97,6 +97,14 @@ func MeasureWithCtx(ctx context.Context, kind Kind, cfg core.Config, rounds int)
 	if err != nil {
 		return Result{}, err
 	}
+	return MeasureOn(ctx, kind, sys, rounds)
+}
+
+// MeasureOn runs the episodes on a freshly built system; split from
+// MeasureWithCtx, which validates its arguments, so the differential tests
+// in internal/pe can read the system's counters afterwards.
+func MeasureOn(ctx context.Context, kind Kind, sys *core.System, rounds int) (Result, error) {
+	cores := sys.Cfg.NumCompute
 	t0 := make([]int64, cores)
 	t1 := make([]int64, cores)
 	progs := make([]pe.Program, cores)
