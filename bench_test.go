@@ -34,7 +34,7 @@ import (
 // iteration across core counts, cache sizes and write policies.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig6(dse.Quick)
+		table, pts, err := dse.Fig6Ctx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func BenchmarkFig6(b *testing.B) {
 // curve for the 60x60 array.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig6(dse.Quick)
+		_, pts, err := dse.Fig6Ctx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates Figure 8: the 30x30 array, write-back only.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig8(dse.Quick)
+		table, pts, err := dse.Fig8Ctx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates Figure 9: speedup vs area for the 30x30 array.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig8(dse.Quick)
+		_, pts, err := dse.Fig8Ctx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkFig9(b *testing.B) {
 // growing to >5x at 10 cores / 16 kB.
 func BenchmarkHybridVsSharedMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.HybridComparison(dse.Quick)
+		table, rows, err := dse.HybridComparisonCtx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkHybridVsSharedMemory(b *testing.B) {
 // regime the sync-only hybrid tracks the full hybrid within 2-20%.
 func BenchmarkSyncVsFullMessagePassing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.SmallCacheComparison(dse.Quick)
+		table, rows, err := dse.SmallCacheComparisonCtx(context.Background(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var cycles int64
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig(8, 16, cache.WriteBack)
-		res, err := jacobi.Run(cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.HybridFull)
+		res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.HybridFull)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,50 +182,77 @@ func BenchmarkDeflectionVsXY(b *testing.B) {
 	})
 }
 
-// BenchmarkRouterAblation is the experiment R-1: all four routers under
+// BenchmarkRouterAblation is the experiment R-1
+// (examples/scenarios/router-ablation.json): all four routers under
 // identical adversarial transpose traffic, reporting per-router saturation
 // throughput and peak buffer occupancy. The ordering assertions live in
 // internal/scenario.TestRouterAblationOrdering; this benchmark records the
 // numbers behind them.
 func BenchmarkRouterAblation(b *testing.B) {
-	o := dse.DefaultRouterAblationOptions()
+	s := loadExample(b, "router-ablation.json")
 	for i := 0; i < b.N; i++ {
-		points, err := dse.RouterAblation(o)
+		rows, err := scenario.RunCtx(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + dse.RouterAblationTable(o, points))
-			sat := dse.SaturationThroughput(points)
-			peak := dse.PeakBufferByRouter(points)
+			b.Log("\n" + scenario.Table(rows))
+			byRouter := func(r scenario.Result) string { return r.Router }
+			sat := maxBy(rows, byRouter, func(r scenario.Result) float64 { return r.Throughput })
+			peak := maxBy(rows, byRouter, func(r scenario.Result) float64 { return float64(r.PeakBuffer) })
 			for _, kind := range noc.AllRouters() {
-				b.ReportMetric(sat[kind], kind.String()+"-sat-throughput")
-				b.ReportMetric(float64(peak[kind]), kind.String()+"-peak-buffer")
+				b.ReportMetric(sat[kind.String()], kind.String()+"-sat-throughput")
+				b.ReportMetric(peak[kind.String()], kind.String()+"-peak-buffer")
 			}
 		}
 	}
 }
 
-// BenchmarkTopologyAblation is the experiment T-3: the paper's deflection
+// loadExample loads one of the shipped scenario files.
+func loadExample(b *testing.B, name string) *scenario.Scenario {
+	b.Helper()
+	s, err := scenario.Load("examples/scenarios/" + name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// maxBy reduces scenario rows to the largest metric each key reached
+// across the sweep: saturation throughput, worst buffer occupancy, worst
+// deflection rate.
+func maxBy(rows []scenario.Result, key func(scenario.Result) string, metric func(scenario.Result) float64) map[string]float64 {
+	best := map[string]float64{}
+	for _, r := range rows {
+		if v := metric(r); v > best[key(r)] {
+			best[key(r)] = v
+		}
+	}
+	return best
+}
+
+// BenchmarkTopologyAblation is the experiment T-3
+// (examples/scenarios/topology-ablation.json): the paper's deflection
 // router under identical uniform traffic on all three fabrics serving the
 // same endpoint grid, reporting per-fabric saturation throughput and
 // worst deflection cost. The ordering assertions live in
 // internal/scenario.TestTopologyAblationOrdering; this benchmark records
 // the numbers behind them.
 func BenchmarkTopologyAblation(b *testing.B) {
-	o := dse.DefaultTopologyAblationOptions()
+	s := loadExample(b, "topology-ablation.json")
 	for i := 0; i < b.N; i++ {
-		points, err := dse.TopologyAblation(o)
+		rows, err := scenario.RunCtx(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + dse.TopologyAblationTable(o, points))
-			sat := dse.SaturationThroughputByTopology(points)
-			defl := dse.PeakDeflectionRateByTopology(points)
+			b.Log("\n" + scenario.Table(rows))
+			byTopo := func(r scenario.Result) string { return r.Topology }
+			sat := maxBy(rows, byTopo, func(r scenario.Result) float64 { return r.Throughput })
+			defl := maxBy(rows, byTopo, func(r scenario.Result) float64 { return r.DeflectionRate })
 			for _, kind := range noc.AllTopologies() {
-				b.ReportMetric(sat[kind], kind.String()+"-sat-throughput")
-				b.ReportMetric(defl[kind], kind.String()+"-peak-defl-rate")
+				b.ReportMetric(sat[kind.String()], kind.String()+"-sat-throughput")
+				b.ReportMetric(defl[kind.String()], kind.String()+"-peak-defl-rate")
 			}
 		}
 	}
@@ -241,7 +268,7 @@ func BenchmarkTopologyAblation(b *testing.B) {
 func BenchmarkKernelAblation(b *testing.B) {
 	o := dse.DefaultKernelAblationOptions()
 	for i := 0; i < b.N; i++ {
-		points, err := dse.KernelAblation(o)
+		points, err := dse.KernelAblationCtx(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +294,7 @@ func BenchmarkArbiterVariants(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(6, 8, cache.WriteBack)
 				cfg.Arbiter = mode
-				res, err := jacobi.Run(cfg, jacobi.Spec{N: 30, Warmup: 1, Measured: 1}, jacobi.HybridFull)
+				res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 30, Warmup: 1, Measured: 1}, jacobi.HybridFull)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,7 +316,7 @@ func BenchmarkCostModelAblation(b *testing.B) {
 			if !mulHigh {
 				cfg.Cost = pe.MulHighOff()
 			}
-			res, err := jacobi.Run(cfg, jacobi.Spec{N: 30, Warmup: 1, Measured: 1}, jacobi.HybridFull)
+			res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 30, Warmup: 1, Measured: 1}, jacobi.HybridFull)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -309,7 +336,7 @@ func BenchmarkMatMulBroadcast(b *testing.B) {
 		var total, transfer int64
 		for i := 0; i < b.N; i++ {
 			cfg := core.DefaultConfig(8, 16, cache.WriteBack)
-			res, err := matmul.Run(cfg, matmul.Spec{N: 24}, v)
+			res, err := matmul.RunCtx(context.Background(), cfg, matmul.Spec{N: 24}, v)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -333,7 +360,7 @@ func BenchmarkMPMMUCacheSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(6, 16, cache.WriteBack)
 				cfg.MPMMUCacheKB = kb
-				res, err := jacobi.Run(cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.PureSM)
+				res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.PureSM)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -358,7 +385,7 @@ func BenchmarkAssociativity(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(6, 8, cache.WriteBack)
 				cfg.CacheWays = ways
-				res, err := jacobi.Run(cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.HybridFull)
+				res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.HybridFull)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,7 +408,7 @@ func BenchmarkBarrierLatency(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/%d-cores", kind, cores), func(b *testing.B) {
 				var cyc int64
 				for i := 0; i < b.N; i++ {
-					res, err := syncbench.Measure(kind, cores, 20)
+					res, err := syncbench.MeasureWithCtx(context.Background(), kind, core.DefaultConfig(cores, 8, cache.WriteBack), 20)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -405,7 +432,7 @@ func BenchmarkMultiMPMMU(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(8, 16, cache.WriteBack)
 				cfg.NumMPMMUs = m
-				res, err := jacobi.Run(cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.PureSM)
+				res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 60, Warmup: 1, Measured: 1}, jacobi.PureSM)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -426,7 +453,7 @@ func BenchmarkScenarioPatternSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		results, err := scenario.Run(s)
+		results, err := scenario.RunCtx(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -447,14 +474,14 @@ func BenchmarkResultCacheWarmSweep(b *testing.B) {
 	o := dse.Fig8Options(dse.Quick)
 	o.Cache = root
 	// Warm the store once, outside the timed region.
-	cold, err := dse.Sweep(o)
+	cold, err := dse.SweepCtx(context.Background(), o)
 	if err != nil {
 		b.Fatal(err)
 	}
 	o.Cache = root.Scope() // count only the warm reruns
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		warm, err := dse.Sweep(o)
+		warm, err := dse.SweepCtx(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}

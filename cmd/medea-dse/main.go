@@ -9,10 +9,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/dse"
 	"repro/internal/jacobi"
@@ -36,7 +39,9 @@ func main() {
 
 	log.Printf("sweeping %d configurations on a %dx%d grid (%v)...",
 		len(o.Cores)*len(o.CachesKB)*len(o.Policies), *n, *n, o.Variant)
-	points, err := dse.Sweep(o)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	points, err := dse.SweepCtx(ctx, o)
 	if err != nil {
 		log.Fatal(err)
 	}

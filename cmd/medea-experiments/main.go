@@ -7,7 +7,7 @@
 // figure/table -> command map).
 //
 // Every experiment runs through the same execution paths as the
-// declarative scenario runner (dse.Sweep, dse.KernelSweep), so the
+// declarative scenario runner (dse.SweepCtx, dse.KernelSweepCtx), so the
 // hand-coded tables here and the JSON scenarios under examples/scenarios/
 // cannot drift apart.
 //
@@ -46,10 +46,10 @@ func main() {
 	// Ctrl-C / SIGTERM cancel the sweeps cooperatively: dispatch stops,
 	// in-flight simulations abort within a few thousand simulated cycles,
 	// and the process exits promptly (profiles still flush via the defers
-	// inside runCtx).
+	// inside run).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runCtx(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		var canceled *par.CanceledError
 		if errors.As(err, &canceled) {
 			log.Fatalf("interrupted: %d of %d points had completed; partial results discarded", canceled.Done, canceled.Total)
@@ -64,13 +64,8 @@ func main() {
 // run executes the CLI against args, writing tables to stdout. Errors
 // propagate back here instead of os.Exit-ing in place so the profile
 // defers still flush (a profile of a failing run is exactly the one worth
-// keeping).
-func run(args []string, stdout io.Writer) error {
-	return runCtx(context.Background(), args, stdout)
-}
-
-// runCtx is run under a cancelable context (main wires Ctrl-C into it).
-func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
+// keeping). main wires Ctrl-C into ctx.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("medea-experiments", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "which experiment: 6 | 7 | 8 | 9 | hybrid | sync | barrier | kernel | all")
 	full := fs.Bool("full", false, "run the paper's full parameter grid (slower)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // variants show up in the rendered table.
 func TestKernelFigRuns(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig", "kernel", "-workloads", "syncbench"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-fig", "kernel", "-workloads", "syncbench"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"K-1", "syncbench", "hybrid-full", "pure-sm", "summary"} {
@@ -24,7 +25,7 @@ func TestKernelFigRuns(t *testing.T) {
 // restricted to syncbench, so its output carries the same schema.
 func TestBarrierFigSharesKernelPath(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig", "barrier"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-fig", "barrier"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"K-1", "syncbench", "pure-sm"} {
@@ -41,7 +42,7 @@ func TestBarrierFigSharesKernelPath(t *testing.T) {
 // other binaries.
 func TestHelpExitsClean(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-h"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-h"}, &out); err != nil {
 		t.Errorf("-h returned %v, want nil", err)
 	}
 }
@@ -66,7 +67,7 @@ func TestUsageErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var out strings.Builder
-			err := run(c.args, &out)
+			err := run(context.Background(), c.args, &out)
 			if err == nil {
 				t.Fatalf("args %v accepted", c.args)
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // invocation into the real CLI instead of the test runner.
 func TestMain(m *testing.M) {
 	if os.Getenv("MEDEA_WORKER_MAIN") == "1" {
-		if err := run(os.Args[1:], os.Stdout); err != nil {
+		if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -30,12 +31,12 @@ func TestShardedFig8MatchesSingleProcess(t *testing.T) {
 		t.Skip("runs the fig8-quick sweep twice, once across worker processes")
 	}
 	var direct strings.Builder
-	if err := run([]string{"-fig", "8"}, &direct); err != nil {
+	if err := run(context.Background(), []string{"-fig", "8"}, &direct); err != nil {
 		t.Fatal(err)
 	}
 	t.Setenv("MEDEA_WORKER_MAIN", "1")
 	var sharded strings.Builder
-	if err := run([]string{"-fig", "8", "-shards", "2"}, &sharded); err != nil {
+	if err := run(context.Background(), []string{"-fig", "8", "-shards", "2"}, &sharded); err != nil {
 		t.Fatal(err)
 	}
 	if sharded.String() != direct.String() {
@@ -45,11 +46,11 @@ func TestShardedFig8MatchesSingleProcess(t *testing.T) {
 
 func TestShardsFlagValidation(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig", "kernel", "-shards", "2"}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-fig", "kernel", "-shards", "2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-shards") {
 		t.Errorf("-fig kernel -shards 2 = %v, want a -shards error", err)
 	}
-	if err := run([]string{"-fig", "8", "-shards", "-2"}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-fig", "8", "-shards", "-2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-shards") {
 		t.Errorf("-shards -2 = %v, want a flag error", err)
 	}

@@ -16,14 +16,17 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"text/tabwriter"
 
 	"repro/internal/noc"
@@ -37,17 +40,23 @@ var errUsage = errors.New("medea-noc: bad arguments")
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("medea-noc: ")
-	switch err := run(os.Args[1:], os.Stdout); {
+	// Ctrl-C / SIGTERM stop the sweep within a few thousand simulated
+	// cycles.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch err := run(ctx, os.Args[1:], os.Stdout); {
 	case err == nil:
 	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case errors.Is(err, context.Canceled):
+		log.Fatal("interrupted")
 	default:
 		log.Fatal(err)
 	}
 }
 
 // run executes the CLI against args, writing the result table to stdout.
-func run(args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("medea-noc", flag.ContinueOnError)
 	w := fs.Int("w", 4, "endpoint grid width (>= 2; cmesh needs even and >= 4)")
 	h := fs.Int("h", 4, "endpoint grid height (>= 2; cmesh needs even and >= 4)")
@@ -149,9 +158,15 @@ func run(args []string, stdout io.Writer) error {
 		if tr != nil {
 			cfg.Record = tr
 		}
-		r := measureRouter(topo, kind, cfg, *cycles, *seed)
+		r, err := measureRouter(ctx, topo, kind, cfg, *cycles, *seed)
+		if err != nil {
+			return err
+		}
 		if *withXY {
-			x := measureRouter(topo, noc.RouterXY, trafficCfg(pat, *hotspot, rate, burst), *cycles, *seed)
+			x, err := measureRouter(ctx, topo, noc.RouterXY, trafficCfg(pat, *hotspot, rate, burst), *cycles, *seed)
+			if err != nil {
+				return err
+			}
 			r.xyLatency, r.xyPeakBuf, r.xyThroughput = x.latency, x.peakBuf, x.throughput
 			r.hasXY = true
 		}
@@ -256,10 +271,13 @@ func topoDesc(topo noc.Topology) string {
 	return topo.Kind().String()
 }
 
-func measureRouter(topo noc.Topology, kind noc.RouterKind, cfg noc.TrafficConfig, cycles, seed int64) row {
-	m := noc.Measure(topo, noc.MeasureConfig{
+func measureRouter(ctx context.Context, topo noc.Topology, kind noc.RouterKind, cfg noc.TrafficConfig, cycles, seed int64) (row, error) {
+	m, err := noc.MeasureCtx(ctx, topo, noc.MeasureConfig{
 		Router: kind, Traffic: cfg, Measure: cycles, Seed: seed,
 	})
+	if err != nil {
+		return row{}, err
+	}
 	return row{
 		load:        cfg.Rate,
 		throughput:  m.Throughput,
@@ -268,5 +286,5 @@ func measureRouter(topo noc.Topology, kind noc.RouterKind, cfg noc.TrafficConfig
 		hops:        m.MeanHops,
 		deflections: m.Deflections,
 		peakBuf:     m.PeakBuffer,
-	}
+	}, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +29,7 @@ func TestPatternFlagAcceptsAllNames(t *testing.T) {
 func TestRouterFlagAcceptsAllNames(t *testing.T) {
 	for _, name := range noc.RouterNames() {
 		var out strings.Builder
-		if err := run([]string{"-router", name, "-loads", "0.1", "-cycles", "200"}, &out); err != nil {
+		if err := run(context.Background(), []string{"-router", name, "-loads", "0.1", "-cycles", "200"}, &out); err != nil {
 			t.Errorf("-router %s: %v", name, err)
 		}
 		if !strings.Contains(out.String(), name+" router") {
@@ -43,7 +44,7 @@ func TestRouterFlagAcceptsAllNames(t *testing.T) {
 func TestRateValidation(t *testing.T) {
 	for _, bad := range []string{"-0.2", "0", "1.5", "0.2,2.0", "abc", "0.5x", "", "0.3,,0.4"} {
 		var out strings.Builder
-		err := run([]string{"-loads", bad, "-cycles", "100"}, &out)
+		err := run(context.Background(), []string{"-loads", bad, "-cycles", "100"}, &out)
 		if err == nil {
 			t.Errorf("-loads %q accepted; want a usage error", bad)
 			continue
@@ -54,7 +55,7 @@ func TestRateValidation(t *testing.T) {
 	}
 	// The happy path still works, including whitespace.
 	var out strings.Builder
-	if err := run([]string{"-loads", " 0.05, 0.1 ", "-cycles", "100"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-loads", " 0.05, 0.1 ", "-cycles", "100"}, &out); err != nil {
 		t.Errorf("valid -loads rejected: %v", err)
 	}
 }
@@ -72,7 +73,7 @@ func TestCLIErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
+		if err := run(context.Background(), args, &out); err == nil {
 			t.Errorf("args %v accepted; want error", args)
 		}
 	}
@@ -85,7 +86,7 @@ func TestCLIErrors(t *testing.T) {
 func TestTopologyFlag(t *testing.T) {
 	for _, name := range noc.TopologyNames() {
 		var out strings.Builder
-		if err := run([]string{"-topo", name, "-w", "4", "-h", "4", "-loads", "0.1", "-cycles", "200"}, &out); err != nil {
+		if err := run(context.Background(), []string{"-topo", name, "-w", "4", "-h", "4", "-loads", "0.1", "-cycles", "200"}, &out); err != nil {
 			t.Errorf("-topo %s: %v", name, err)
 			continue
 		}
@@ -104,21 +105,24 @@ func TestTopologyFlag(t *testing.T) {
 	}
 	for _, args := range bad {
 		var out strings.Builder
-		if err := run(append(args, "-cycles", "100"), &out); err == nil {
+		if err := run(context.Background(), append(args, "-cycles", "100"), &out); err == nil {
 			t.Errorf("args %v accepted; want a usage error", args)
 		}
 	}
 	// cmesh addresses endpoints, not switches: hotspot 63 is the last
 	// endpoint of an 8x8 grid even though there are only 16 switches.
 	var out strings.Builder
-	if err := run([]string{"-topo", "cmesh", "-w", "8", "-h", "8", "-hotspot", "63", "-pattern", "hotspot", "-loads", "0.05", "-cycles", "200"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-topo", "cmesh", "-w", "8", "-h", "8", "-hotspot", "63", "-pattern", "hotspot", "-loads", "0.05", "-cycles", "200"}, &out); err != nil {
 		t.Errorf("cmesh hotspot on last endpoint rejected: %v", err)
 	}
 }
 
 func TestMeasureRouterProducesSaneRow(t *testing.T) {
 	topo, _ := noc.NewTopology(4, 4)
-	r := measureRouter(topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, nil), 2000, 7)
+	r, err := measureRouter(context.Background(), topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, nil), 2000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.throughput <= 0 || r.throughput > 1 {
 		t.Errorf("throughput %v out of range", r.throughput)
 	}
@@ -138,8 +142,14 @@ func TestMeasureRouterProducesSaneRow(t *testing.T) {
 func TestMeasureRouterBursty(t *testing.T) {
 	topo, _ := noc.NewTopology(4, 4)
 	burst := &noc.BurstConfig{MeanOn: 25, MeanOff: 75}
-	full := measureRouter(topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, nil), 4000, 7)
-	gated := measureRouter(topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, burst), 4000, 7)
+	full, err := measureRouter(context.Background(), topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, nil), 4000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := measureRouter(context.Background(), topo, noc.RouterDeflection, trafficCfg(noc.Uniform, 0, 0.2, burst), 4000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ratio := gated.throughput / full.throughput
 	if ratio < 0.15 || ratio > 0.40 {
 		t.Errorf("bursty/steady throughput ratio %.3f, want ~0.25", ratio)
@@ -148,7 +158,10 @@ func TestMeasureRouterBursty(t *testing.T) {
 
 func TestMeasureXYProducesSaneRow(t *testing.T) {
 	topo, _ := noc.NewTopology(4, 4)
-	r := measureRouter(topo, noc.RouterXY, trafficCfg(noc.Uniform, 0, 0.2, nil), 2000, 7)
+	r, err := measureRouter(context.Background(), topo, noc.RouterXY, trafficCfg(noc.Uniform, 0, 0.2, nil), 2000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.latency <= 0 || r.throughput <= 0 || r.peakBuf < 1 {
 		t.Errorf("bad xy row: lat=%v thr=%v peak=%d", r.latency, r.throughput, r.peakBuf)
 	}
@@ -157,7 +170,7 @@ func TestMeasureXYProducesSaneRow(t *testing.T) {
 func TestCSVOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.csv")
 	var out strings.Builder
-	if err := run([]string{"-loads", "0.1", "-cycles", "300", "-router", "wormhole", "-csv", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-loads", "0.1", "-cycles", "300", "-router", "wormhole", "-csv", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -178,7 +191,7 @@ func TestCSVOutput(t *testing.T) {
 func TestRecordFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
 	var out strings.Builder
-	err := run([]string{"-pattern", "tornado", "-loads", "0.2", "-cycles", "400",
+	err := run(context.Background(), []string{"-pattern", "tornado", "-loads", "0.2", "-cycles", "400",
 		"-seed", "9", "-record", path}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +214,7 @@ func TestRecordFlag(t *testing.T) {
 		{"-xy", "-loads", "0.1", "-record", path}, // one router only
 	} {
 		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
+		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("args %v accepted; want error", args)
 		}
 	}

@@ -49,7 +49,7 @@ func main() {
 	// and the process exits promptly instead of finishing the sweep.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runCtx(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		var canceled *par.CanceledError
 		if errors.As(err, &canceled) {
 			log.Fatalf("interrupted: %d of %d points had completed; partial results discarded", canceled.Done, canceled.Total)
@@ -63,13 +63,8 @@ func main() {
 
 // run executes the CLI against args, writing results to stdout; logs
 // (progress, summaries) go through the log package so -format csv output
-// stays machine-clean.
-func run(args []string, stdout io.Writer) error {
-	return runCtx(context.Background(), args, stdout)
-}
-
-// runCtx is run under a cancelable context (main wires Ctrl-C into it).
-func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
+// stays machine-clean. main wires Ctrl-C into ctx.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("medea-scenarios", flag.ContinueOnError)
 	format := fs.String("format", "", `output format: table | csv | json (default: the scenario file's "output", else table)`)
 	outPath := fs.String("out", "", "write results to this file instead of stdout (single scenario only)")
@@ -80,7 +75,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
 	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
-	noFork := fs.Bool("no-fork", false, "disable warm-snapshot sharing across measure_windows (re-simulate each warmup; output is byte-identical either way)")
 	shards := fs.Int("shards", 0, `split each sweep into this many shards run by worker processes and merge the rows (0 = the scenario file's "shard" section, else single-process; output is byte-identical either way)`)
 	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard); each worker runs -parallelism simulations, so shards x parallelism run fleet-wide")
 	workerCmd := fs.String("worker-cmd", "", "worker command for sharded runs, space-separated (default: this binary re-exec'd with -worker and the cache flags)")
@@ -102,9 +96,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *noFFwd {
 		sim.SetDefaultFastForward(false)
-	}
-	if *noFork {
-		scenario.SetWindowFork(false)
 	}
 
 	switch *format {
@@ -171,7 +162,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	newWorker, err := workerFactory(*workerURLs, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget, *noFFwd, *noFork)
+	newWorker, err := workerFactory(*workerURLs, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget, *noFFwd)
 	if err != nil {
 		return err
 	}
@@ -303,7 +294,7 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 // -worker-cmd (default: this binary re-exec'd in -worker mode with the
 // run's cache and determinism flags, so -cache disk gives the fleet one
 // shared store and cross-process dedup).
-func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64, noFFwd, noFork bool) (func(context.Context) (shard.Worker, error), error) {
+func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64, noFFwd bool) (func(context.Context) (shard.Worker, error), error) {
 	if urls != "" {
 		return shard.HTTPFactory(strings.Split(urls, ",")), nil
 	}
@@ -324,9 +315,6 @@ func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64, 
 		}
 		if noFFwd {
 			argv = append(argv, "-no-ffwd")
-		}
-		if noFork {
-			argv = append(argv, "-no-fork")
 		}
 	}
 	return shard.ProcFactory(shard.ProcSpec{Command: argv}), nil

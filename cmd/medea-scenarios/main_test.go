@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,10 +20,10 @@ func TestGoldenFig8ViaCLI(t *testing.T) {
 		t.Skip("runs two full Fig8 sweeps")
 	}
 	var out strings.Builder
-	if err := run([]string{"-format", "csv", "../../examples/scenarios/fig8-quick.json"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/fig8-quick.json"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := dse.Sweep(dse.Fig8Options(dse.Quick))
+	pts, err := dse.SweepCtx(context.Background(), dse.Fig8Options(dse.Quick))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +40,14 @@ func TestValidateAllExamples(t *testing.T) {
 		t.Fatalf("expected at least 4 example scenarios, got %v (%v)", files, err)
 	}
 	var out strings.Builder
-	if err := run(append([]string{"-validate"}, files...), &out); err != nil {
+	if err := run(context.Background(), append([]string{"-validate"}, files...), &out); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSmokeScenarioRuns(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"../../examples/scenarios/smoke.json"}, &out); err != nil {
+	if err := run(context.Background(), []string{"../../examples/scenarios/smoke.json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"pattern", "uniform", "tornado"} {
@@ -58,7 +59,7 @@ func TestSmokeScenarioRuns(t *testing.T) {
 
 func TestPatternsFlagListsEverything(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-patterns"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-patterns"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range noc.PatternNames() {
@@ -70,7 +71,7 @@ func TestPatternsFlagListsEverything(t *testing.T) {
 
 func TestWorkloadsFlagListsEverything(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-workloads"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-workloads"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range scenario.WorkloadNames() {
@@ -92,7 +93,7 @@ func TestKernelScenarioViaCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{path}, &out); err != nil {
+	if err := run(context.Background(), []string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"total-cycles", "cycles/round", "pure-sm"} {
@@ -120,7 +121,7 @@ func TestInvalidKernelCombosViaCLI(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out strings.Builder
-			err := run([]string{path}, &out)
+			err := run(context.Background(), []string{path}, &out)
 			if err == nil {
 				t.Fatalf("invalid scenario accepted:\n%s", c.json)
 			}
@@ -133,7 +134,7 @@ func TestInvalidKernelCombosViaCLI(t *testing.T) {
 
 func TestRoutersFlagListsEverything(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-routers"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-routers"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range noc.RouterNames() {
@@ -145,7 +146,7 @@ func TestRoutersFlagListsEverything(t *testing.T) {
 
 func TestTopologiesFlagListsEverything(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-topologies"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-topologies"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range noc.TopologyNames() {
@@ -158,7 +159,7 @@ func TestTopologiesFlagListsEverything(t *testing.T) {
 func TestOutFlagWritesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.csv")
 	var out strings.Builder
-	if err := run([]string{"-format", "csv", "-out", path, "../../examples/scenarios/smoke.json"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "-out", path, "../../examples/scenarios/smoke.json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -175,17 +176,17 @@ func TestOutFlagWritesFile(t *testing.T) {
 
 func TestCLIErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
+	if err := run(context.Background(), nil, &out); err == nil {
 		t.Error("no arguments should fail")
 	}
-	if err := run([]string{"no-such-file.json"}, &out); err == nil {
+	if err := run(context.Background(), []string{"no-such-file.json"}, &out); err == nil {
 		t.Error("missing file should fail")
 	}
-	if err := run([]string{"-out", "x.csv", "a.json", "b.json"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-out", "x.csv", "a.json", "b.json"}, &out); err == nil {
 		t.Error("-out with two scenarios should fail")
 	}
 	// A bad -format must be rejected before any sweep runs.
-	if err := run([]string{"-format", "xml", "../../examples/scenarios/smoke.json"}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-format", "xml", "../../examples/scenarios/smoke.json"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-format") {
 		t.Errorf("bad -format not rejected up front: %v", err)
 	}

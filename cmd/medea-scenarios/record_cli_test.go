@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +92,7 @@ func TestInvalidTraceServiceCombosViaCLI(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out strings.Builder
-			err := run([]string{path}, &out)
+			err := run(context.Background(), []string{path}, &out)
 			if err == nil {
 				t.Fatalf("invalid scenario accepted:\n%s", c.json)
 			}
@@ -129,7 +130,7 @@ func TestRecordFlagValidation(t *testing.T) {
 	}
 	for _, args := range bad {
 		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
+		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("args %v accepted; want error", args)
 		}
 	}
@@ -150,7 +151,7 @@ func TestRecordReplayViaCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var src strings.Builder
-	if err := run([]string{"-record", tracePath, recScenario}, &src); err != nil {
+	if err := run(context.Background(), []string{"-record", tracePath, recScenario}, &src); err != nil {
 		t.Fatal(err)
 	}
 	replayScenario := filepath.Join(dir, "replay.json")
@@ -161,7 +162,7 @@ func TestRecordReplayViaCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep strings.Builder
-	if err := run([]string{"-cache", "mem", replayScenario}, &rep); err != nil {
+	if err := run(context.Background(), []string{"-cache", "mem", replayScenario}, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if src.String() != rep.String() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 // invocation into the real CLI instead of the test runner.
 func TestMain(m *testing.M) {
 	if os.Getenv("MEDEA_WORKER_MAIN") == "1" {
-		if err := run(os.Args[1:], os.Stdout); err != nil {
+		if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -32,11 +33,11 @@ func TestShardedCLIMatchesSingleProcess(t *testing.T) {
 	}
 	t.Setenv("MEDEA_WORKER_MAIN", "1")
 	var direct strings.Builder
-	if err := run([]string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
 		t.Fatal(err)
 	}
 	var sharded strings.Builder
-	if err := run([]string{"-format", "csv", "-shards", "3", "../../examples/scenarios/smoke.json"}, &sharded); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "-shards", "3", "../../examples/scenarios/smoke.json"}, &sharded); err != nil {
 		t.Fatal(err)
 	}
 	if sharded.String() != direct.String() {
@@ -65,11 +66,11 @@ func TestShardSectionDrivesSharding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var direct strings.Builder
-	if err := run([]string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
 		t.Fatal(err)
 	}
 	var sharded strings.Builder
-	if err := run([]string{"-format", "csv", path}, &sharded); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", path}, &sharded); err != nil {
 		t.Fatal(err)
 	}
 	if sharded.String() != direct.String() {
@@ -79,7 +80,7 @@ func TestShardSectionDrivesSharding(t *testing.T) {
 
 func TestShardFlagValidation(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-shards", "-1", "../../examples/scenarios/smoke.json"}, &out)
+	err := run(context.Background(), []string{"-shards", "-1", "../../examples/scenarios/smoke.json"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Errorf("-shards -1 = %v, want a flag error", err)
 	}

@@ -8,10 +8,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -68,7 +71,9 @@ func main() {
 		}))
 	}
 
-	res, err := jacobi.Run(cfg, spec, v, opts...)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	res, err := jacobi.RunCtx(ctx, cfg, spec, v, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

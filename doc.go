@@ -12,7 +12,10 @@
 // (internal/scenario, cmd/medea-scenarios, examples/scenarios/) rather
 // than by writing new driver code, across four pluggable axes: workload
 // (jacobi, matmul, syncbench, noc-synthetic) x programming-model variant
-// x network topology x router.
+// x network topology x router. Every sweep — the figures, the kernel
+// ablation, each scenario workload, one shard's subset of any of them —
+// is a canonical job list plus a per-point function handed to one loop,
+// par.Sweep (internal/par).
 //
 // # Performance
 //

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	}
 	fmt.Printf("sweeping %d configurations of a 16x16 Jacobi problem...\n\n",
 		len(o.Cores)*len(o.CachesKB))
-	points, err := dse.Sweep(o)
+	points, err := dse.SweepCtx(context.Background(), o)
 	if err != nil {
 		log.Fatal(err)
 	}

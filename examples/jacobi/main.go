@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 
 	results := map[jacobi.Variant]jacobi.Result{}
 	for _, v := range []jacobi.Variant{jacobi.HybridFull, jacobi.HybridSync, jacobi.PureSM} {
-		res, err := jacobi.Run(cfg, spec, v)
+		res, err := jacobi.RunCtx(context.Background(), cfg, spec, v)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 		},
 	}
 	sys.Launch(progs)
-	if err := sys.Run(1_000_000); err != nil {
+	if err := sys.RunCtx(context.Background(), 1_000_000); err != nil {
 		log.Fatal(err)
 	}
 

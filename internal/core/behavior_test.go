@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestDeadlockDetectedByBudget(t *testing.T) {
 			env.Recv(sys.NodeOf(0), tie.Data) // never satisfied
 		},
 	})
-	err := sys.Run(20_000)
+	err := sys.RunCtx(context.Background(), 20_000)
 	if !errors.Is(err, sim.ErrTimeout) {
 		t.Fatalf("expected timeout on deadlock, got %v", err)
 	}
@@ -155,7 +156,7 @@ func TestMessageLatencyScalesWithDistance(t *testing.T) {
 			lat = env.Now() - t0
 		}
 		sys.Launch(progs)
-		if err := sys.Run(1_000_000); err != nil {
+		if err := sys.RunCtx(context.Background(), 1_000_000); err != nil {
 			t.Fatal(err)
 		}
 		return lat

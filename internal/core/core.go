@@ -285,15 +285,8 @@ func (s *System) Launch(progs []pe.Program) {
 	}
 }
 
-// Run ticks the system until every core's program has halted or the cycle
-// budget is exhausted.
-func (s *System) Run(maxCycles int64) error {
-	return s.RunCtx(context.Background(), maxCycles)
-}
-
 // RunCtx ticks the system until every core's program has halted, the cycle
-// budget is exhausted, or the context is canceled. It is the robust run
-// loop behind Run:
+// budget is exhausted, or the context is canceled:
 //
 //   - cancellation is polled mid-simulation (every few thousand cycles),
 //     so a canceled run stops in bounded wall time instead of at run

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bridge"
@@ -21,7 +22,7 @@ func build(t *testing.T, numCompute, cacheKB int, policy cache.Policy) *System {
 func run(t *testing.T, sys *System, progs ...pe.Program) {
 	t.Helper()
 	sys.Launch(progs)
-	if err := sys.Run(20_000_000); err != nil {
+	if err := sys.RunCtx(context.Background(), 20_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if n := sys.IntegrityErrors(); n != 0 {
@@ -240,7 +241,7 @@ func TestDeterministicRuns(t *testing.T) {
 			}
 		}
 		sys.Launch(progs)
-		if err := sys.Run(20_000_000); err != nil {
+		if err := sys.RunCtx(context.Background(), 20_000_000); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Cycles(), sys.Net.Stats.Delivered.Value()

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -25,16 +26,16 @@ func cacheTestOptions(cores, cachesKB []int) Options {
 // cached sweep returns exactly the points a cache-off sweep returns.
 func TestSweepCacheByteIdentical(t *testing.T) {
 	o := cacheTestOptions([]int{2, 4}, []int{4, 16})
-	off, err := Sweep(o)
+	off, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Cache = resultcache.New(resultcache.NewMemoryStore(0))
-	cold, err := Sweep(o)
+	cold, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Sweep(o)
+	warm, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSweepOverlappingGridsDedup(t *testing.T) {
 
 	first := cacheTestOptions([]int{2, 4}, []int{4, 16})
 	first.Cache = rc.Scope()
-	if _, err := Sweep(first); err != nil {
+	if _, err := SweepCtx(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
 	if st := first.Cache.Stats(); st.Hits != 0 || st.Computes != 4 {
@@ -72,7 +73,7 @@ func TestSweepOverlappingGridsDedup(t *testing.T) {
 
 	second := cacheTestOptions([]int{4, 8}, []int{4, 16})
 	second.Cache = rc.Scope()
-	pts, err := Sweep(second)
+	pts, err := SweepCtx(context.Background(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSweepOverlappingGridsDedup(t *testing.T) {
 	// The overlap must be invisible in the results: the cached cores=4
 	// points equal a cache-off evaluation of the same grid.
 	second.Cache = nil
-	off, err := Sweep(second)
+	off, err := SweepCtx(context.Background(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +106,15 @@ func TestKernelSweepCacheByteIdentical(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			o := KernelOptions{Kernel: k, N: 16, Cores: []int{2, 4}, CachesKB: []int{8}}
-			off, err := KernelSweep(o)
+			off, err := KernelSweepCtx(context.Background(), o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.Cache = resultcache.New(resultcache.NewMemoryStore(0))
-			if _, err := KernelSweep(o); err != nil { // cold
+			if _, err := KernelSweepCtx(context.Background(), o); err != nil { // cold
 				t.Fatal(err)
 			}
-			warm, err := KernelSweep(o)
+			warm, err := KernelSweepCtx(context.Background(), o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,28 +32,13 @@ type CompareRow struct {
 	FullVsSync float64
 }
 
-// Compare runs all three variants for every core count at a fixed cache
-// size and returns one row per configuration.
-func Compare(n int, cores []int, cacheKB, warmup, measured int) ([]CompareRow, error) {
-	return CompareCtx(context.Background(), n, cores, cacheKB, warmup, measured)
-}
-
-// CompareCtx is Compare with cooperative cancellation, running on the
-// same bounded worker pool as the sweeps (see SweepCtx for the error
-// shape).
+// CompareCtx runs all three variants for every core count at a fixed
+// cache size and returns one row per configuration, on the same bounded
+// worker pool as the sweeps (see SweepCtx for the error shape).
 func CompareCtx(ctx context.Context, n int, cores []int, cacheKB, warmup, measured int) ([]CompareRow, error) {
-	rows := make([]CompareRow, len(cores))
-	if err := par.ForEachCtx(ctx, len(cores), DefaultParallelism(), func(i int) error {
-		row, err := compareOne(ctx, n, cores[i], cacheKB, warmup, measured)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return par.Sweep(ctx, cores, nil, DefaultParallelism(), func(ctx context.Context, c int) (CompareRow, error) {
+		return compareOne(ctx, n, c, cacheKB, warmup, measured)
+	})
 }
 
 func compareOne(ctx context.Context, n, cores, cacheKB, warmup, measured int) (CompareRow, error) {

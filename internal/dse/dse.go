@@ -11,14 +11,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/jacobi"
-	"repro/internal/par"
 	"repro/internal/resultcache"
 )
 
 // defaultParallelism is the sweep concurrency applied when an Options
-// leaves Parallelism at 0. It is itself 0 by default, which par.ForEachCtx
+// leaves Parallelism at 0. It is itself 0 by default, which par.Sweep
 // resolves to runtime.GOMAXPROCS(0) — cmd/medea-experiments exposes it as
 // -parallelism, mirroring cmd/medea-scenarios (which threads the flag
 // through Scenario.Parallelism instead).
@@ -95,25 +93,6 @@ type Options struct {
 	Points []int
 }
 
-// selectPoints validates a Points filter against a sweep of total jobs.
-// nil means "all points".
-func selectPoints(total int, pts []int) error {
-	if pts == nil {
-		return nil
-	}
-	prev := -1
-	for _, p := range pts {
-		if p <= prev {
-			return fmt.Errorf("dse: point filter not strictly increasing at index %d", p)
-		}
-		if p < 0 || p >= total {
-			return fmt.Errorf("dse: point filter index %d outside the %d-point sweep", p, total)
-		}
-		prev = p
-	}
-	return nil
-}
-
 // PaperCores returns the paper's compute-core range: 2..15 (3..16 total
 // nodes counting the MPMMU).
 func PaperCores() []int {
@@ -142,102 +121,48 @@ func DefaultOptions(n int) Options {
 	}
 }
 
-// Sweep evaluates every configuration and returns the points sorted by
-// (policy, cache, cores). Runs execute concurrently; each simulation is
-// independently deterministic, so the result set is reproducible.
-func Sweep(o Options) ([]Point, error) {
-	return SweepCtx(context.Background(), o)
-}
-
-// SweepCtx is Sweep with cooperative cancellation: a canceled context
+// SweepCtx evaluates every configuration of the jacobi design space and
+// returns the points sorted by (policy, cache, cores): the jacobi arm of
+// KernelSweepCtx for the one variant, projected onto the figure schema.
+// Runs execute concurrently; each simulation is independently
+// deterministic, so the result set is reproducible. A canceled context
 // stops dispatching new points, interrupts in-flight simulations, and
 // returns the context's error (wrapped in a par.CanceledError recording
 // how many points had finished). A panic inside one point is isolated to
 // that point and surfaces as a *par.PanicError instead of crashing the
 // sweep.
 func SweepCtx(ctx context.Context, o Options) ([]Point, error) {
-	if o.Warmup == 0 && o.Measured == 0 {
-		o.Warmup, o.Measured = 1, 1
-	}
-	if o.Measured == 0 {
-		o.Measured = 1
-	}
-	type job struct {
-		idx       int
-		cores, kb int
-		policy    cache.Policy
-	}
-	var jobs []job
-	for _, pol := range o.Policies {
-		for _, kb := range o.CachesKB {
-			for _, c := range o.Cores {
-				jobs = append(jobs, job{idx: len(jobs), cores: c, kb: kb, policy: pol})
-			}
-		}
-	}
-	if err := selectPoints(len(jobs), o.Points); err != nil {
+	kps, err := KernelSweepCtx(ctx, KernelOptions{
+		Kernel:      KernelJacobi,
+		N:           o.N,
+		Cores:       o.Cores,
+		CachesKB:    o.CachesKB,
+		Policies:    o.Policies,
+		Variants:    []jacobi.Variant{o.Variant},
+		Warmup:      o.Warmup,
+		Measured:    o.Measured,
+		Parallelism: o.Parallelism,
+		Cache:       o.Cache,
+		Points:      o.Points,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if o.Points != nil {
-		sel := make([]job, len(o.Points))
-		for i, p := range o.Points {
-			sel[i] = jobs[p]
-			sel[i].idx = i
+	points := make([]Point, len(kps))
+	for i, p := range kps {
+		points[i] = Point{
+			Compute: p.Compute, CacheKB: p.CacheKB, Policy: p.Policy,
+			CyclesPerIter: p.Cycles,
+			MissRate:      p.MissRate,
+			AreaMM2:       p.AreaMM2,
+			Speedup:       p.Speedup,
+			Label:         fmt.Sprintf("%dP_%dk$", p.Compute, p.CacheKB),
+			MPMMUBusy:     p.MPMMUBusy,
+			NoCFlits:      p.NoCFlits,
+			CyclesSkipped: p.CyclesSkipped,
 		}
-		jobs = sel
-	}
-	points := make([]Point, len(jobs))
-
-	// Each slot of points is written by exactly one job, so the fixed
-	// worker pool needs no further synchronization; per-point errors are
-	// collected and joined in index order by ForEachCtx.
-	if err := par.ForEachCtx(ctx, len(jobs), parallelismOr(o.Parallelism), func(i int) error {
-		j := jobs[i]
-		cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
-		spec := jacobi.Spec{N: o.N, Warmup: o.Warmup, Measured: o.Measured}
-		val, skipped, err := jacobiPointValueCached(ctx, o.Cache, cfg, spec, o.Variant, j.cores, j.kb, j.policy)
-		if err != nil {
-			return err
-		}
-		points[j.idx] = Point{
-			Compute: j.cores, CacheKB: j.kb, Policy: j.policy,
-			CyclesPerIter: val.CyclesPerIter,
-			MissRate:      val.MissRate,
-			AreaMM2:       Area(j.cores, j.kb, cfg.MPMMUCacheKB),
-			Label:         fmt.Sprintf("%dP_%dk$", j.cores, j.kb),
-			MPMMUBusy:     val.MPMMUBusy,
-			NoCFlits:      val.NoCFlits,
-			CyclesSkipped: skipped,
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if o.Points == nil {
-		AttachSpeedup(points)
 	}
 	return points, nil
-}
-
-// AttachSpeedup fills the Speedup field of every point relative to the
-// smallest-area configuration ("starting from the architecture with the
-// smallest area", as the paper's pruning does). Write-through points share
-// the write-back baseline so speedups are comparable across policies.
-func AttachSpeedup(points []Point) {
-	if len(points) == 0 {
-		return
-	}
-	base := -1
-	for i, p := range points {
-		if base < 0 || p.AreaMM2 < points[base].AreaMM2 ||
-			(p.AreaMM2 == points[base].AreaMM2 && p.CyclesPerIter > points[base].CyclesPerIter) {
-			base = i
-		}
-	}
-	ref := float64(points[base].CyclesPerIter)
-	for i := range points {
-		points[i].Speedup = ref / float64(points[i].CyclesPerIter)
-	}
 }
 
 // ParetoFront returns the points that are not Pareto-dominated (no other

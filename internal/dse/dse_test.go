@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,12 +38,12 @@ func TestAreaModelCalibration(t *testing.T) {
 }
 
 func TestAttachSpeedup(t *testing.T) {
-	pts := []Point{
-		{Compute: 2, CacheKB: 2, CyclesPerIter: 1000, AreaMM2: 2},
-		{Compute: 4, CacheKB: 2, CyclesPerIter: 500, AreaMM2: 4},
-		{Compute: 8, CacheKB: 2, CyclesPerIter: 200, AreaMM2: 8},
+	pts := []KernelPoint{
+		{Compute: 2, CacheKB: 2, Cycles: 1000, AreaMM2: 2},
+		{Compute: 4, CacheKB: 2, Cycles: 500, AreaMM2: 4},
+		{Compute: 8, CacheKB: 2, Cycles: 200, AreaMM2: 8},
 	}
-	AttachSpeedup(pts)
+	AttachKernelSpeedup(pts)
 	if pts[0].Speedup != 1 {
 		t.Errorf("base speedup %v, want 1", pts[0].Speedup)
 	}
@@ -102,7 +103,7 @@ func TestSmallSweepAndTables(t *testing.T) {
 		Warmup:   1,
 		Measured: 1,
 	}
-	pts, err := Sweep(o)
+	pts, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCompareSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compare in short mode")
 	}
-	rows, err := Compare(16, []int{2, 4}, 8, 1, 1)
+	rows, err := CompareCtx(context.Background(), 16, []int{2, 4}, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestSweepDeterminism(t *testing.T) {
 		Policies: []cache.Policy{cache.WriteBack},
 		Variant:  jacobi.HybridFull, Warmup: 1, Measured: 1,
 	}
-	a, err := Sweep(o)
+	a, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(o)
+	b, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,14 +58,9 @@ func Fig8Options(f Fidelity) Options {
 	return o
 }
 
-// Fig6 reproduces Figure 6: execution time for a 60x60 array varying the
-// number of cores, the cache size and the cache policy. It returns the
+// Fig6Ctx reproduces Figure 6: execution time for a 60x60 array varying
+// the number of cores, the cache size and the cache policy. It returns the
 // rendered table and the raw points (which Fig7 reuses).
-func Fig6(f Fidelity) (string, []Point, error) {
-	return Fig6Ctx(context.Background(), f)
-}
-
-// Fig6Ctx is Fig6 with cooperative cancellation.
 func Fig6Ctx(ctx context.Context, f Fidelity) (string, []Point, error) {
 	pts, err := SweepCtx(ctx, Fig6Options(f))
 	if err != nil {
@@ -91,13 +86,8 @@ func Fig7(points []Point) string {
 	return ParetoTable(front, knee, "Fig. 7 — Optimal speedup vs chip area, 60x60 array")
 }
 
-// Fig8 reproduces Figure 8: execution time for a 30x30 array, write-back
-// caches only, 2-32 kB.
-func Fig8(f Fidelity) (string, []Point, error) {
-	return Fig8Ctx(context.Background(), f)
-}
-
-// Fig8Ctx is Fig8 with cooperative cancellation.
+// Fig8Ctx reproduces Figure 8: execution time for a 30x30 array,
+// write-back caches only, 2-32 kB.
 func Fig8Ctx(ctx context.Context, f Fidelity) (string, []Point, error) {
 	pts, err := SweepCtx(ctx, Fig8Options(f))
 	if err != nil {
@@ -115,15 +105,10 @@ func Fig9(points []Point) string {
 	return ParetoTable(front, knee, "Fig. 9 — Optimal speedup vs chip area, 30x30 array")
 }
 
-// HybridComparison reproduces the prose analysis of Section III (T-1 and
-// T-2 in DESIGN.md): the three programming-model variants on a 60x60 array
-// with 16 kB caches across core counts, reporting the pure-SM/hybrid and
-// sync-only ratios.
-func HybridComparison(f Fidelity) (string, []CompareRow, error) {
-	return HybridComparisonCtx(context.Background(), f)
-}
-
-// HybridComparisonCtx is HybridComparison with cooperative cancellation.
+// HybridComparisonCtx reproduces the prose analysis of Section III (T-1
+// and T-2 in DESIGN.md): the three programming-model variants on a 60x60
+// array with 16 kB caches across core counts, reporting the pure-SM/hybrid
+// and sync-only ratios.
 func HybridComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow, error) {
 	cores := []int{2, 4, 6, 8, 10}
 	if f == Full {
@@ -137,15 +122,9 @@ func HybridComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow,
 		"Hybrid vs shared-memory (60x60, 16 kB WB): paper reports 2x below the knee, up to >5x at 10 cores"), rows, nil
 }
 
-// SmallCacheComparison runs the variant comparison in the miss-dominated
-// regime (2 kB caches), where the paper reports the sync-only hybrid
-// within 2-20% of the full hybrid.
-func SmallCacheComparison(f Fidelity) (string, []CompareRow, error) {
-	return SmallCacheComparisonCtx(context.Background(), f)
-}
-
-// SmallCacheComparisonCtx is SmallCacheComparison with cooperative
-// cancellation.
+// SmallCacheComparisonCtx runs the variant comparison in the
+// miss-dominated regime (2 kB caches), where the paper reports the
+// sync-only hybrid within 2-20% of the full hybrid.
 func SmallCacheComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow, error) {
 	cores := []int{2, 6, 10}
 	if f == Full {
@@ -159,15 +138,9 @@ func SmallCacheComparisonCtx(ctx context.Context, f Fidelity) (string, []Compare
 		"Miss-dominated regime (60x60, 2 kB WB): sync-only hybrid should track the full hybrid within 2-20%"), rows, nil
 }
 
-// AllExperiments renders every figure and comparison at the given
-// fidelity, in paper order.
-func AllExperiments(f Fidelity) (string, error) {
-	return AllExperimentsCtx(context.Background(), f)
-}
-
-// AllExperimentsCtx is AllExperiments with cooperative cancellation: a
-// canceled context stops the in-flight sweep and returns its error,
-// discarding the partial report.
+// AllExperimentsCtx renders every figure and comparison at the given
+// fidelity, in paper order. A canceled context stops the in-flight sweep
+// and returns its error, discarding the partial report.
 func AllExperimentsCtx(ctx context.Context, f Fidelity) (string, error) {
 	var b strings.Builder
 	t6, p6, err := Fig6Ctx(ctx, f)

@@ -4,10 +4,10 @@ package dse
 // (experiment K-1): every compute kernel (jacobi, matmul, syncbench) run
 // in both of the paper's programming models — message passing
 // (hybrid-full) against pure shared memory — across core counts, from one
-// execution path. KernelSweep is that path: the scenario runner's kernel
-// workloads and the hand-coded K-1 table both delegate here, so the
-// declarative and programmatic results are golden-comparable
-// point-for-point.
+// execution path. KernelSweepCtx is that path: the scenario runner's
+// kernel workloads, the figure sweeps (SweepCtx) and the hand-coded K-1
+// table all delegate here, so the declarative and programmatic results are
+// golden-comparable point-for-point.
 
 import (
 	"context"
@@ -24,7 +24,7 @@ import (
 	"repro/internal/syncbench"
 )
 
-// Kernel selects a compute kernel for KernelSweep. Kernels are a
+// Kernel selects a compute kernel for KernelSweepCtx. Kernels are a
 // first-class sweep axis: every kind runs on the same full MEDEA system
 // (cores + caches + MPMMU over the NoC) under the same Variant vocabulary,
 // so the cost of the two communication paths is directly comparable across
@@ -110,7 +110,7 @@ func (k Kernel) Supports(v jacobi.Variant) bool {
 	return true
 }
 
-// KernelOptions parameterizes a KernelSweep over one kernel.
+// KernelOptions parameterizes a KernelSweepCtx over one kernel.
 type KernelOptions struct {
 	Kernel Kernel
 	// N is the problem size: the grid edge for jacobi, the matrix edge for
@@ -166,7 +166,7 @@ type KernelPoint struct {
 	MPMMUBusy int64
 	NoCFlits  int64
 	// Speedup is relative to the smallest-area configuration of the same
-	// (kernel, variant) series, mirroring AttachSpeedup.
+	// (kernel, variant) series (see AttachKernelSpeedup).
 	Speedup float64
 	// CyclesSkipped counts cycles the engine fast-forwarded over while
 	// simulating this point (0 when recalled from the result cache; never
@@ -214,164 +214,109 @@ func (o *KernelOptions) withDefaults() error {
 	return nil
 }
 
-// KernelSweep evaluates the variants x policies x caches x cores
-// cross-product of one kernel and returns the points in deterministic
-// axis order (variants outermost, then policy, cache, cores — the same
-// inner ordering as Sweep). Speedup is attached per variant series. This
-// is the single execution path behind scenario kernel workloads,
-// KernelAblation and cmd/medea-experiments.
-func KernelSweep(o KernelOptions) ([]KernelPoint, error) {
-	return KernelSweepCtx(context.Background(), o)
+// kernelJob is one point of the canonical sweep order.
+type kernelJob struct {
+	variant   jacobi.Variant
+	policy    cache.Policy
+	kb, cores int
 }
 
-// KernelSweepCtx is KernelSweep with cooperative cancellation: a canceled
-// context stops dispatching new points and interrupts in-flight
-// simulations (see SweepCtx for the error shape).
+// enumerate lists the sweep in canonical order: variants outermost, then
+// policy, cache, cores.
+func (o *KernelOptions) enumerate() []kernelJob {
+	var jobs []kernelJob
+	for _, v := range o.Variants {
+		for _, pol := range o.Policies {
+			for _, kb := range o.CachesKB {
+				for _, c := range o.Cores {
+					jobs = append(jobs, kernelJob{variant: v, policy: pol, kb: kb, cores: c})
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// runPoint simulates (or recalls from the cache) one point.
+func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint, error) {
+	cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
+	p := KernelPoint{
+		Kernel: o.Kernel, Variant: j.variant,
+		Compute: j.cores, CacheKB: j.kb, Policy: j.policy,
+		AreaMM2: Area(j.cores, j.kb, cfg.MPMMUCacheKB),
+	}
+	switch o.Kernel {
+	case KernelJacobi:
+		spec := jacobi.Spec{N: o.N, Warmup: o.Warmup, Measured: o.Measured}
+		val, skipped, err := jacobiPointValueCached(ctx, o.Cache, cfg, spec, j.variant, j.cores, j.kb, j.policy)
+		if err != nil {
+			return p, err
+		}
+		p.Cycles = val.CyclesPerIter
+		p.MissRate = val.MissRate
+		p.MPMMUBusy = val.MPMMUBusy
+		p.NoCFlits = val.NoCFlits
+		p.CyclesSkipped = skipped
+	case KernelMatmul:
+		val, skipped, err := matmulPointValueCached(ctx, o.Cache, cfg, o.N, j.variant, j.cores, j.kb, j.policy)
+		if err != nil {
+			return p, err
+		}
+		p.Cycles = val.Cycles
+		p.TransferCycles = val.TransferCycles
+		p.MPMMUBusy = val.MPMMUBusy
+		p.NoCFlits = val.NoCFlits
+		p.CyclesSkipped = skipped
+	case KernelSyncbench:
+		kind := syncbench.MessageBarrier
+		if j.variant == jacobi.PureSM {
+			kind = syncbench.LockBarrier
+		}
+		val, skipped, err := syncbenchPointValueCached(ctx, o.Cache, cfg, kind, o.Rounds, j.cores, j.kb, j.policy)
+		if err != nil {
+			return p, err
+		}
+		p.Cycles = val.Cycles
+		p.MPMMUBusy = val.MPMMUBusy
+		p.NoCFlits = val.NoCFlits
+		p.CyclesSkipped = skipped
+	}
+	return p, nil
+}
+
+// KernelSweepCtx evaluates the variants x policies x caches x cores
+// cross-product of one kernel and returns the points in deterministic
+// axis order (variants outermost, then policy, cache, cores). Speedup is
+// attached per variant series on an unfiltered sweep. This is the single
+// execution path behind scenario kernel workloads, the figure sweeps,
+// KernelAblationCtx and cmd/medea-experiments. A canceled context stops
+// dispatching new points and interrupts in-flight simulations (see
+// SweepCtx for the error shape).
 func KernelSweepCtx(ctx context.Context, o KernelOptions) ([]KernelPoint, error) {
 	if err := o.withDefaults(); err != nil {
 		return nil, err
 	}
-	perVariant := len(o.Policies) * len(o.CachesKB) * len(o.Cores)
-	if err := selectPoints(perVariant*len(o.Variants), o.Points); err != nil {
+	pts, err := par.Sweep(ctx, o.enumerate(), o.Points, parallelismOr(o.Parallelism), o.runPoint)
+	if err != nil {
 		return nil, err
 	}
-	var out []KernelPoint
-	for vi, variant := range o.Variants {
-		local := o.Points
-		if o.Points != nil {
-			// Split the global filter into this variant's slice of the
-			// canonical order (variants outermost), rebased to local
-			// indices.
-			local = make([]int, 0)
-			for _, p := range o.Points {
-				if p >= vi*perVariant && p < (vi+1)*perVariant {
-					local = append(local, p-vi*perVariant)
-				}
-			}
-			if len(local) == 0 {
-				continue
-			}
-		}
-		pts, err := kernelVariantSweep(ctx, o, variant, local)
-		if err != nil {
-			return nil, err
-		}
-		if o.Points == nil {
-			AttachKernelSpeedup(pts)
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
-}
-
-// kernelVariantSweep runs one variant's policies x caches x cores grid,
-// restricted to the local point indices when points is non-nil. Jacobi
-// delegates to Sweep so the declarative path, the figure sweeps and the
-// kernel ablation share one execution path byte-for-byte.
-func kernelVariantSweep(ctx context.Context, o KernelOptions, variant jacobi.Variant, points []int) ([]KernelPoint, error) {
-	if o.Kernel == KernelJacobi {
-		pts, err := SweepCtx(ctx, Options{
-			N:           o.N,
-			Cores:       o.Cores,
-			CachesKB:    o.CachesKB,
-			Policies:    o.Policies,
-			Variant:     variant,
-			Warmup:      o.Warmup,
-			Measured:    o.Measured,
-			Parallelism: o.Parallelism,
-			Cache:       o.Cache,
-			Points:      points,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]KernelPoint, len(pts))
-		for i, p := range pts {
-			out[i] = KernelPoint{
-				Kernel: KernelJacobi, Variant: variant,
-				Compute: p.Compute, CacheKB: p.CacheKB, Policy: p.Policy,
-				Cycles:   p.CyclesPerIter,
-				MissRate: p.MissRate,
-				AreaMM2:  p.AreaMM2,
-				// Speedup intentionally dropped: attachKernelSpeedup
-				// recomputes it identically over the same series.
-				MPMMUBusy:     p.MPMMUBusy,
-				NoCFlits:      p.NoCFlits,
-				CyclesSkipped: p.CyclesSkipped,
-			}
-		}
-		return out, nil
-	}
-
-	type job struct {
-		idx       int
-		cores, kb int
-		policy    cache.Policy
-	}
-	var jobs []job
-	for _, pol := range o.Policies {
-		for _, kb := range o.CachesKB {
-			for _, c := range o.Cores {
-				jobs = append(jobs, job{idx: len(jobs), cores: c, kb: kb, policy: pol})
-			}
+	if o.Points == nil {
+		per := len(pts) / len(o.Variants)
+		for vi := range o.Variants {
+			AttachKernelSpeedup(pts[vi*per : (vi+1)*per])
 		}
 	}
-	if points != nil {
-		sel := make([]job, len(points))
-		for i, p := range points {
-			sel[i] = jobs[p]
-			sel[i].idx = i
-		}
-		jobs = sel
-	}
-	out := make([]KernelPoint, len(jobs))
-	if err := par.ForEachCtx(ctx, len(jobs), parallelismOr(o.Parallelism), func(i int) error {
-		j := jobs[i]
-		cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
-		p := KernelPoint{
-			Kernel: o.Kernel, Variant: variant,
-			Compute: j.cores, CacheKB: j.kb, Policy: j.policy,
-			AreaMM2: Area(j.cores, j.kb, cfg.MPMMUCacheKB),
-		}
-		switch o.Kernel {
-		case KernelMatmul:
-			val, skipped, err := matmulPointValueCached(ctx, o.Cache, cfg, o.N, variant, j.cores, j.kb, j.policy)
-			if err != nil {
-				return err
-			}
-			p.Cycles = val.Cycles
-			p.TransferCycles = val.TransferCycles
-			p.MPMMUBusy = val.MPMMUBusy
-			p.NoCFlits = val.NoCFlits
-			p.CyclesSkipped = skipped
-		case KernelSyncbench:
-			kind := syncbench.MessageBarrier
-			if variant == jacobi.PureSM {
-				kind = syncbench.LockBarrier
-			}
-			val, skipped, err := syncbenchPointValueCached(ctx, o.Cache, cfg, kind, o.Rounds, j.cores, j.kb, j.policy)
-			if err != nil {
-				return err
-			}
-			p.Cycles = val.Cycles
-			p.MPMMUBusy = val.MPMMUBusy
-			p.NoCFlits = val.NoCFlits
-			p.CyclesSkipped = skipped
-		}
-		out[j.idx] = p
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return pts, nil
 }
 
 // AttachKernelSpeedup fills Speedup relative to the smallest-area
-// configuration of the series, with AttachSpeedup's exact baseline choice
-// (equal areas break toward the slower point) so jacobi numbers match the
-// figure sweeps bit-for-bit. Exported for the shard merger, which
-// reassembles full series from per-shard rows and must reattach the
-// cross-point Speedup with this exact algorithm.
+// configuration of the series ("starting from the architecture with the
+// smallest area", as the paper's pruning does); equal areas break toward
+// the slower point. A series spans every policy, so write-through points
+// share the write-back baseline and speedups are comparable across
+// policies. Exported for the shard merger, which reassembles full series
+// from per-shard rows and must reattach the cross-point Speedup with this
+// exact algorithm.
 func AttachKernelSpeedup(points []KernelPoint) {
 	if len(points) == 0 {
 		return
@@ -389,7 +334,7 @@ func AttachKernelSpeedup(points []KernelPoint) {
 	}
 }
 
-// KernelAblationOptions parameterizes KernelAblation. The zero value is
+// KernelAblationOptions parameterizes KernelAblationCtx. The zero value is
 // not runnable; use DefaultKernelAblationOptions.
 type KernelAblationOptions struct {
 	// N is the problem size shared by jacobi and matmul.
@@ -429,15 +374,10 @@ func DefaultKernelAblationOptions() KernelAblationOptions {
 	}
 }
 
-// KernelAblation sweeps kernels x variants x cores and returns one point
-// per combination, kernels outermost, in deterministic order. Each
-// kernel's share is one KernelSweep, the execution path shared with the
+// KernelAblationCtx sweeps kernels x variants x cores and returns one
+// point per combination, kernels outermost, in deterministic order. Each
+// kernel's share is one KernelSweepCtx, the execution path shared with the
 // scenario runner.
-func KernelAblation(o KernelAblationOptions) ([]KernelPoint, error) {
-	return KernelAblationCtx(context.Background(), o)
-}
-
-// KernelAblationCtx is KernelAblation with cooperative cancellation.
 func KernelAblationCtx(ctx context.Context, o KernelAblationOptions) ([]KernelPoint, error) {
 	kernels := o.Kernels
 	if len(kernels) == 0 {

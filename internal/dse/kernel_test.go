@@ -1,10 +1,10 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/jacobi"
 )
 
@@ -41,7 +41,7 @@ func TestKernelSupports(t *testing.T) {
 
 func TestKernelSweepValidation(t *testing.T) {
 	base := KernelOptions{Kernel: KernelJacobi, N: 16, Cores: []int{2}, CachesKB: []int{8}}
-	if _, err := KernelSweep(base); err != nil {
+	if _, err := KernelSweepCtx(context.Background(), base); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	cases := []struct {
@@ -60,46 +60,8 @@ func TestKernelSweepValidation(t *testing.T) {
 	for _, c := range cases {
 		o := base
 		c.mutate(&o)
-		if _, err := KernelSweep(o); err == nil {
+		if _, err := KernelSweepCtx(context.Background(), o); err == nil {
 			t.Errorf("%s: accepted", c.name)
-		}
-	}
-}
-
-// TestKernelSweepMatchesSweepForJacobi pins the delegation contract: the
-// jacobi kernel sweep must be dse.Sweep bit-for-bit (same ordering, same
-// cycles, same speedup), because the scenario golden tests ride on it.
-func TestKernelSweepMatchesSweepForJacobi(t *testing.T) {
-	o := KernelOptions{
-		Kernel:   KernelJacobi,
-		N:        16,
-		Cores:    []int{2, 4},
-		CachesKB: []int{4, 8},
-		Policies: []cache.Policy{cache.WriteBack, cache.WriteThrough},
-		Variants: []jacobi.Variant{jacobi.HybridFull},
-	}
-	kpts, err := KernelSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Sweep(Options{
-		N: 16, Cores: o.Cores, CachesKB: o.CachesKB, Policies: o.Policies,
-		Variant: jacobi.HybridFull, Warmup: 1, Measured: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kpts) != len(pts) {
-		t.Fatalf("kernel sweep has %d points, Sweep %d", len(kpts), len(pts))
-	}
-	for i, kp := range kpts {
-		p := pts[i]
-		if kp.Compute != p.Compute || kp.CacheKB != p.CacheKB || kp.Policy != p.Policy {
-			t.Fatalf("point %d: axis order diverged: %+v vs %+v", i, kp, p)
-		}
-		if kp.Cycles != p.CyclesPerIter || kp.MissRate != p.MissRate ||
-			kp.AreaMM2 != p.AreaMM2 || kp.Speedup != p.Speedup {
-			t.Errorf("point %d: kernel sweep %+v diverges from Sweep %+v", i, kp, p)
 		}
 	}
 }
@@ -114,7 +76,7 @@ func TestKernelAblationShapes(t *testing.T) {
 	}
 	o := DefaultKernelAblationOptions()
 	o.Cores = []int{2, 6, 12}
-	points, err := KernelAblation(o)
+	points, err := KernelAblationCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +139,12 @@ func TestKernelSweepDeterministic(t *testing.T) {
 		CachesKB: []int{4},
 		Variants: []jacobi.Variant{jacobi.HybridFull, jacobi.PureSM},
 	}
-	a, err := KernelSweep(o)
+	a, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Parallelism = 1
-	b, err := KernelSweep(o)
+	b, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,13 +25,13 @@ func pointsTestOptions() Options {
 // selected slice of the full sweep, in filter order, with every measured
 // column identical — only the cross-point Speedup is left for the merger.
 func TestSweepPointsFilter(t *testing.T) {
-	full, err := Sweep(pointsTestOptions())
+	full, err := SweepCtx(context.Background(), pointsTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := pointsTestOptions()
 	o.Points = []int{1, 3, 6}
-	sub, err := Sweep(o)
+	sub, err := SweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestSweepPointsValidation(t *testing.T) {
 	} {
 		o := pointsTestOptions()
 		o.Points = tc.points
-		_, err := Sweep(o)
+		_, err := SweepCtx(context.Background(), o)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("Points=%v: err = %v, want mention of %q", tc.points, err, tc.wantSub)
 		}
@@ -80,7 +81,7 @@ func TestKernelSweepPointsFilter(t *testing.T) {
 		Warmup:   1,
 		Measured: 1,
 	}
-	full, err := KernelSweep(o)
+	full, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestKernelSweepPointsFilter(t *testing.T) {
 	}
 	// One index in each variant's series.
 	o.Points = []int{1, 2}
-	sub, err := KernelSweep(o)
+	sub, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 package dse
 
 import (
-	"reflect"
-	"strings"
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -17,7 +16,7 @@ import (
 func runPoint(t *testing.T, n, cores, kb int, pol cache.Policy) int64 {
 	t.Helper()
 	cfg := core.DefaultConfig(cores, kb, pol)
-	res, err := jacobi.Run(cfg, jacobi.Spec{N: n, Warmup: 1, Measured: 1}, jacobi.HybridFull)
+	res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: n, Warmup: 1, Measured: 1}, jacobi.HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestShapeHybridAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := Compare(60, []int{4, 10}, 16, 1, 1)
+	rows, err := CompareCtx(context.Background(), 60, []int{4, 10}, 16, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestShapeSyncOnlyTracksFullWhenMissBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := Compare(60, []int{6}, 2, 1, 1)
+	rows, err := CompareCtx(context.Background(), 60, []int{6}, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestShapeParetoKnees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	_, pts, err := Fig6(Quick)
+	_, pts, err := Fig6Ctx(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,45 +153,5 @@ func TestShapeParetoKnees(t *testing.T) {
 	}
 	if jump < 1.5 {
 		t.Errorf("no cache-fit knee on the front (max step %.2fx)", jump)
-	}
-}
-
-// TestServiceAblationShape holds the S-2 contract: the sweep is
-// deterministic, completes work at every point, and the worst server-side
-// p99 rises monotonically with hotspot skew while the network components
-// stay of the same order — concentration, not the fabric, drives the tail.
-func TestServiceAblationShape(t *testing.T) {
-	o := DefaultServiceAblationOptions()
-	o.Measure = 3000
-	points, err := ServiceAblation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(o.Skews)*len(o.Rates) {
-		t.Fatalf("got %d points, want %d", len(points), len(o.Skews)*len(o.Rates))
-	}
-	for _, p := range points {
-		if p.Completed == 0 {
-			t.Errorf("skew %.2f rate %.3f completed nothing", p.Skew, p.Rate)
-		}
-	}
-	worst := P99ServerBySkew(points)
-	for i := 1; i < len(o.Skews); i++ {
-		lo, hi := o.Skews[i-1], o.Skews[i]
-		if worst[hi] <= worst[lo] {
-			t.Errorf("worst p99-srv at skew %.2f (%.0f) not above skew %.2f (%.0f)",
-				hi, worst[hi], lo, worst[lo])
-		}
-	}
-	again, err := ServiceAblation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(points, again) {
-		t.Error("service ablation not deterministic")
-	}
-	tbl := ServiceAblationTable(o, points)
-	if !strings.Contains(tbl, "S-2 service ablation") || !strings.Contains(tbl, "worst p99-srv") {
-		t.Errorf("table missing expected sections:\n%s", tbl)
 	}
 }

@@ -1,6 +1,7 @@
 package empi
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -20,7 +21,7 @@ func buildSys(t *testing.T, n int) *core.System {
 func runAll(t *testing.T, sys *core.System, progs []pe.Program) {
 	t.Helper()
 	sys.Launch(progs)
-	if err := sys.Run(50_000_000); err != nil {
+	if err := sys.RunCtx(context.Background(), 50_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if n := sys.IntegrityErrors(); n != 0 {

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"strings"
@@ -21,7 +22,7 @@ func TestDeterminismGolden(t *testing.T) {
 	spec := Spec{N: 30, Warmup: 1, Measured: 2}
 
 	run := func() Result {
-		res, err := Run(cfg, spec, HybridFull)
+		res, err := RunCtx(context.Background(), cfg, spec, HybridFull)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestFastForwardDifferential(t *testing.T) {
 				for i, ffwd := range []bool{true, false} {
 					var sys *core.System
 					var err error
-					res[i], err = Run(cfg, spec, variant, WithSystemHook(func(s *core.System) error {
+					res[i], err = RunCtx(context.Background(), cfg, spec, variant, WithSystemHook(func(s *core.System) error {
 						sys = s
 						s.Engine.SetFastForward(ffwd)
 						return nil

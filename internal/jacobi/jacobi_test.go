@@ -1,6 +1,7 @@
 package jacobi
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -216,7 +217,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 		for _, cores := range []int{1, 2, 5} {
 			for _, pol := range []cache.Policy{cache.WriteBack, cache.WriteThrough} {
 				cfg := core.DefaultConfig(cores, 4, pol)
-				_, err := Run(cfg, Spec{N: 16, Warmup: 1, Measured: 2}, variant)
+				_, err := RunCtx(context.Background(), cfg, Spec{N: 16, Warmup: 1, Measured: 2}, variant)
 				if err != nil {
 					t.Errorf("%v cores=%d %v: %v", variant, cores, pol, err)
 				}
@@ -231,7 +232,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 func TestMoreRanksThanRows(t *testing.T) {
 	cfg := core.DefaultConfig(15, 4, cache.WriteBack)
 	for _, variant := range []Variant{HybridFull, HybridSync, PureSM} {
-		if _, err := Run(cfg, Spec{N: 16, Warmup: 1, Measured: 1}, variant); err != nil {
+		if _, err := RunCtx(context.Background(), cfg, Spec{N: 16, Warmup: 1, Measured: 1}, variant); err != nil {
 			t.Errorf("%v: %v", variant, err)
 		}
 	}
@@ -241,7 +242,7 @@ func TestSingleRowRanks(t *testing.T) {
 	// 16x16 on 14 cores: every rank owns exactly one row, so each rank's
 	// top row == bottom row (the aliasing edge case).
 	cfg := core.DefaultConfig(14, 4, cache.WriteBack)
-	if _, err := Run(cfg, Spec{N: 16, Warmup: 1, Measured: 1}, HybridFull); err != nil {
+	if _, err := RunCtx(context.Background(), cfg, Spec{N: 16, Warmup: 1, Measured: 1}, HybridFull); err != nil {
 		t.Error(err)
 	}
 }
@@ -254,7 +255,7 @@ func TestVariantStrings(t *testing.T) {
 
 func TestRunRejectsBadSpec(t *testing.T) {
 	cfg := core.DefaultConfig(2, 8, cache.WriteBack)
-	if _, err := Run(cfg, Spec{N: 2, Warmup: 1, Measured: 1}, HybridFull); err == nil {
+	if _, err := RunCtx(context.Background(), cfg, Spec{N: 2, Warmup: 1, Measured: 1}, HybridFull); err == nil {
 		t.Error("bad spec accepted")
 	}
 }
@@ -265,11 +266,11 @@ func TestRunRejectsBadSpec(t *testing.T) {
 func TestHybridBeatsPureSM(t *testing.T) {
 	spec := Spec{N: 30, Warmup: 1, Measured: 1}
 	cfg := core.DefaultConfig(4, 16, cache.WriteBack)
-	hy, err := Run(cfg, spec, HybridFull)
+	hy, err := RunCtx(context.Background(), cfg, spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Run(cfg, spec, PureSM)
+	sm, err := RunCtx(context.Background(), cfg, spec, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +285,11 @@ func TestHybridBeatsPureSM(t *testing.T) {
 // time decreases when cores are added (Fig. 6's right-hand regime).
 func TestScalingWithCores(t *testing.T) {
 	spec := Spec{N: 30, Warmup: 1, Measured: 1}
-	t4, err := Run(core.DefaultConfig(4, 32, cache.WriteBack), spec, HybridFull)
+	t4, err := RunCtx(context.Background(), core.DefaultConfig(4, 32, cache.WriteBack), spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := Run(core.DefaultConfig(8, 32, cache.WriteBack), spec, HybridFull)
+	t8, err := RunCtx(context.Background(), core.DefaultConfig(8, 32, cache.WriteBack), spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +302,11 @@ func TestScalingWithCores(t *testing.T) {
 func TestDeterministicResult(t *testing.T) {
 	cfg := core.DefaultConfig(3, 8, cache.WriteBack)
 	spec := Spec{N: 16, Warmup: 1, Measured: 1}
-	a, err := Run(cfg, spec, HybridFull)
+	a, err := RunCtx(context.Background(), cfg, spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, spec, HybridFull)
+	b, err := RunCtx(context.Background(), cfg, spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +320,13 @@ func TestDeterministicResult(t *testing.T) {
 func TestMultiMPMMU(t *testing.T) {
 	spec := Spec{N: 30, Warmup: 1, Measured: 1}
 	cfg1 := core.DefaultConfig(6, 8, cache.WriteBack)
-	one, err := Run(cfg1, spec, PureSM)
+	one, err := RunCtx(context.Background(), cfg1, spec, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg1
 	cfg2.NumMPMMUs = 2
-	two, err := Run(cfg2, spec, PureSM)
+	two, err := RunCtx(context.Background(), cfg2, spec, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type Result struct {
 // deadlock/livelock and fails the run.
 const DefaultBudget = 200_000_000
 
-// RunOption customizes a Run.
+// RunOption customizes a RunCtx.
 type RunOption func(*runOptions)
 
 type runOptions struct {
@@ -54,15 +54,10 @@ func WithSystemHook(fn func(*core.System) error) RunOption {
 	return func(o *runOptions) { o.systemHook = fn }
 }
 
-// Run builds a MEDEA system for cfg, executes the Jacobi workload in the
-// given variant, verifies the numerical result against the sequential
-// reference, and returns the measurements.
-func Run(cfg core.Config, spec Spec, variant Variant, opts ...RunOption) (Result, error) {
-	return RunCtx(context.Background(), cfg, spec, variant, opts...)
-}
-
-// RunCtx is Run with cooperative cancellation: a canceled context stops
-// the simulation mid-run (within a few thousand simulated cycles of wall
+// RunCtx builds a MEDEA system for cfg, executes the Jacobi workload in
+// the given variant, verifies the numerical result against the sequential
+// reference, and returns the measurements. A canceled context stops the
+// simulation mid-run (within a few thousand simulated cycles of wall
 // time) and unwinds the kernel programs, so a canceled sweep point costs
 // bounded time and leaks nothing.
 func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant, opts ...RunOption) (Result, error) {
@@ -152,11 +147,4 @@ func Verify(sys *core.System, spec Spec, blocks []Block) error {
 		}
 	}
 	return nil
-}
-
-// RunQuick is a helper for tests and examples: a small grid, write-back
-// caches, default everything.
-func RunQuick(numCompute, cacheKB int, variant Variant) (Result, error) {
-	cfg := core.DefaultConfig(numCompute, cacheKB, 0)
-	return Run(cfg, Spec{N: 16, Warmup: 1, Measured: 1}, variant)
 }

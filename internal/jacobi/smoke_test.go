@@ -1,9 +1,20 @@
 package jacobi
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// runQuick runs a small grid on write-back caches, default everything.
+func runQuick(numCompute, cacheKB int, variant Variant) (Result, error) {
+	cfg := core.DefaultConfig(numCompute, cacheKB, 0)
+	return RunCtx(context.Background(), cfg, Spec{N: 16, Warmup: 1, Measured: 1}, variant)
+}
 
 func TestSmokeHybridFull(t *testing.T) {
-	res, err := RunQuick(3, 8, HybridFull)
+	res, err := runQuick(3, 8, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +26,7 @@ func TestSmokeHybridFull(t *testing.T) {
 }
 
 func TestSmokeHybridSync(t *testing.T) {
-	res, err := RunQuick(3, 8, HybridSync)
+	res, err := runQuick(3, 8, HybridSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +34,7 @@ func TestSmokeHybridSync(t *testing.T) {
 }
 
 func TestSmokePureSM(t *testing.T) {
-	res, err := RunQuick(3, 8, PureSM)
+	res, err := runQuick(3, 8, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}

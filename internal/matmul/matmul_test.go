@@ -1,6 +1,7 @@
 package matmul
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -83,7 +84,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 	for _, variant := range []Variant{HybridFull, HybridSync, PureSM} {
 		for _, cores := range []int{1, 3, 6} {
 			cfg := core.DefaultConfig(cores, 8, cache.WriteBack)
-			if _, err := Run(cfg, Spec{N: 12}, variant); err != nil {
+			if _, err := RunCtx(context.Background(), cfg, Spec{N: 12}, variant); err != nil {
 				t.Errorf("%v cores=%d: %v", variant, cores, err)
 			}
 		}
@@ -92,7 +93,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 
 func TestMoreRanksThanRows(t *testing.T) {
 	cfg := core.DefaultConfig(15, 4, cache.WriteBack)
-	if _, err := Run(cfg, Spec{N: 8}, HybridFull); err != nil {
+	if _, err := RunCtx(context.Background(), cfg, Spec{N: 8}, HybridFull); err != nil {
 		t.Error(err)
 	}
 }
@@ -106,11 +107,11 @@ func TestBroadcastBeatsSharedMemoryReads(t *testing.T) {
 	}
 	cfg := core.DefaultConfig(8, 16, cache.WriteBack)
 	spec := Spec{N: 24}
-	hy, err := Run(cfg, spec, HybridFull)
+	hy, err := RunCtx(context.Background(), cfg, spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Run(cfg, spec, PureSM)
+	sm, err := RunCtx(context.Background(), cfg, spec, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +126,11 @@ func TestBroadcastBeatsSharedMemoryReads(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	cfg := core.DefaultConfig(4, 8, cache.WriteBack)
-	a, err := Run(cfg, Spec{N: 12}, HybridFull)
+	a, err := RunCtx(context.Background(), cfg, Spec{N: 12}, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, Spec{N: 12}, HybridFull)
+	b, err := RunCtx(context.Background(), cfg, Spec{N: 12}, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,15 +33,10 @@ type mmShared struct {
 	t0, tMid, t1 []int64
 }
 
-// Run executes C = A x B on a MEDEA system in the given variant and
-// verifies the product against the sequential reference.
-func Run(cfg core.Config, spec Spec, variant Variant) (Result, error) {
-	return RunCtx(context.Background(), cfg, spec, variant)
-}
-
-// RunCtx is Run with cooperative cancellation: a canceled context stops
-// the simulation mid-run and unwinds the kernel programs, so a canceled
-// sweep point costs bounded time and leaks nothing.
+// RunCtx executes C = A x B on a MEDEA system in the given variant and
+// verifies the product against the sequential reference. A canceled
+// context stops the simulation mid-run and unwinds the kernel programs, so
+// a canceled sweep point costs bounded time and leaks nothing.
 func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err

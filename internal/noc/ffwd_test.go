@@ -33,9 +33,9 @@ func TestMeasureFastForwardDifferential(t *testing.T) {
 			mc.Measure = 5_000
 
 			sim.SetDefaultFastForward(true)
-			on := Measure(topo, mc)
+			on := mustMeasure(t, topo, mc)
 			sim.SetDefaultFastForward(false)
-			off := Measure(topo, mc)
+			off := mustMeasure(t, topo, mc)
 
 			if off.CyclesSkipped != 0 {
 				t.Errorf("%v rate %g: CyclesSkipped = %d with fast-forward disabled", router, rate, off.CyclesSkipped)
@@ -53,7 +53,7 @@ func TestMeasureFastForwardDifferential(t *testing.T) {
 // its cycles.
 func TestMeasureFastForwardEngagesAtLowLoad(t *testing.T) {
 	topo := mustTopo(t, 4, 4)
-	m := Measure(topo, lowLoadConfig())
+	m := mustMeasure(t, topo, lowLoadConfig())
 	if m.CyclesSkipped <= m.Cycles/2 {
 		t.Errorf("CyclesSkipped = %d of %d measured cycles; expected a mostly-skipped window at rate %g",
 			m.CyclesSkipped, m.Cycles, lowLoadConfig().Traffic.Rate)
@@ -82,16 +82,14 @@ func TestMeasureWindowsForkDifferential(t *testing.T) {
 					Warmup:  2_000,
 					Seed:    7,
 				}
-				forked, err := MeasureWindowsCtx(context.Background(), topo, mc, windows, true)
+				forked, err := MeasureWindowsCtx(context.Background(), topo, mc, windows)
 				if err != nil {
 					t.Fatalf("%v/%v forked: %v", kind, router, err)
 				}
-				independent, err := MeasureWindowsCtx(context.Background(), topo, mc, windows, false)
-				if err != nil {
-					t.Fatalf("%v/%v independent: %v", kind, router, err)
-				}
-				for i := range windows {
-					f, ind := forked[i], independent[i]
+				for i, w := range windows {
+					wmc := mc
+					wmc.Measure = w
+					f, ind := forked[i], mustMeasure(t, topo, wmc)
 					f.CyclesSkipped, ind.CyclesSkipped = 0, 0
 					if f != ind {
 						t.Errorf("%v/%v burst=%v window %d: fork diverges:\n  forked:      %+v\n  independent: %+v",
@@ -101,6 +99,15 @@ func TestMeasureWindowsForkDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+func mustMeasure(t *testing.T, topo Topology, mc MeasureConfig) Measurement {
+	t.Helper()
+	m, err := MeasureCtx(context.Background(), topo, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func mustTopo(t *testing.T, w, h int) Topology {

@@ -24,7 +24,7 @@ type MeasureConfig struct {
 	Seed int64
 }
 
-// Measurement is the result of one Measure call. Latency statistics cover
+// Measurement is the result of one MeasureCtx call. Latency statistics cover
 // only flits delivered inside the measurement window; peak buffer covers
 // the whole run (buffers fill during warmup too, and sizing hardware needs
 // the worst case).
@@ -50,33 +50,36 @@ type Measurement struct {
 	CyclesSkipped int64
 }
 
-// Measure simulates one (topology, router, traffic, seed) point: build a
-// fresh network, attach one traffic node per endpoint, warm up, then
-// measure over an exact latency sample and counter snapshots so only
-// flits delivered inside the window count. Throughput is normalized per
-// endpoint, so topologies with different switch counts (the cmesh) stay
-// comparable per attached node.
-func Measure(topo Topology, mc MeasureConfig) Measurement {
-	m, _ := MeasureCtx(context.Background(), topo, mc)
-	return m
-}
-
 // measureRig is a built network ready to run: the engine, the fabric and
-// one traffic node per endpoint.
+// one endpoint component per endpoint.
 type measureRig struct {
 	e *sim.Engine
 	n *Network
 }
 
-func buildRig(topo Topology, mc MeasureConfig) *measureRig {
+// newRig builds the fabric, attaches and registers the endpoint component
+// node(i) returns for every endpoint i, and runs the unmeasured warmup.
+// Every measurement entry point starts here.
+func newRig(ctx context.Context, topo Topology, router RouterKind, warmup int64, node func(i int) (LocalPort, sim.Component)) (*measureRig, error) {
 	e := sim.NewEngine()
-	n := NewRouterNetwork(e, topo, mc.Router)
+	n := NewRouterNetwork(e, topo, router)
 	for i := 0; i < topo.NumEndpoints(); i++ {
-		tn := NewTrafficNode(i, topo, mc.Traffic, mc.Seed)
-		n.Attach(i, tn)
-		e.Register(sim.PhaseNode, tn)
+		port, comp := node(i)
+		n.Attach(i, port)
+		e.Register(sim.PhaseNode, comp)
 	}
-	return &measureRig{e: e, n: n}
+	if err := e.RunCtx(ctx, warmup); err != nil {
+		return nil, err
+	}
+	return &measureRig{e: e, n: n}, nil
+}
+
+// newTrafficRig is newRig with one synthetic traffic node per endpoint.
+func newTrafficRig(ctx context.Context, topo Topology, mc MeasureConfig) (*measureRig, error) {
+	return newRig(ctx, topo, mc.Router, mc.Warmup, func(i int) (LocalPort, sim.Component) {
+		tn := NewTrafficNode(i, topo, mc.Traffic, mc.Seed)
+		return tn, tn
+	})
 }
 
 // window runs one measurement window on a warmed-up rig, attaching a
@@ -116,13 +119,17 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 	return m, nil
 }
 
-// MeasureCtx is Measure with cooperative cancellation: the context is
-// polled every few thousand simulated cycles, so a canceled measurement
-// stops in bounded wall time and returns the context's error with a
-// zero-value Measurement.
+// MeasureCtx simulates one (topology, router, traffic, seed) point: build
+// a fresh network, attach one traffic node per endpoint, warm up, then
+// measure over an exact latency sample and counter snapshots so only
+// flits delivered inside the window count. Throughput is normalized per
+// endpoint, so topologies with different switch counts (the cmesh) stay
+// comparable per attached node. The context is polled every few thousand
+// simulated cycles, so a canceled measurement stops in bounded wall time
+// and returns the context's error with a zero-value Measurement.
 func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
-	r := buildRig(topo, mc)
-	if err := r.e.RunCtx(ctx, mc.Warmup); err != nil {
+	r, err := newTrafficRig(ctx, topo, mc)
+	if err != nil {
 		return Measurement{}, err
 	}
 	return r.window(ctx, topo, mc.Measure)
@@ -130,29 +137,14 @@ func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measureme
 
 // MeasureWindowsCtx measures several window lengths that share one warmup
 // prefix (same topology, router, traffic and seed; mc.Measure is ignored
-// in favour of windows). With fork enabled it simulates the warmup once,
-// snapshots the complete engine state, and restores that warm snapshot
-// before each window — every returned Measurement is byte-identical to an
-// independent MeasureCtx call with the same warmup and that window, which
-// the differential tests assert. With fork disabled it runs exactly those
-// independent calls.
-func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64, fork bool) ([]Measurement, error) {
-	out := make([]Measurement, len(windows))
-	if !fork || len(windows) <= 1 {
-		for i, w := range windows {
-			wmc := mc
-			wmc.Measure = w
-			m, err := MeasureCtx(ctx, topo, wmc)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = m
-		}
-		return out, nil
-	}
-
-	r := buildRig(topo, mc)
-	if err := r.e.RunCtx(ctx, mc.Warmup); err != nil {
+// in favour of windows): it simulates the warmup once, snapshots the
+// complete engine state, and restores that warm snapshot before each
+// window. Every returned Measurement is byte-identical to an independent
+// MeasureCtx call with the same warmup and that window, which the
+// differential tests assert.
+func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
+	r, err := newTrafficRig(ctx, topo, mc)
+	if err != nil {
 		return nil, err
 	}
 	snap, err := r.e.Snapshot()
@@ -165,6 +157,7 @@ func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, win
 	// the warm state.
 	warmStats := r.n.Stats
 	warmStats.LatencySample = nil
+	out := make([]Measurement, len(windows))
 	for i, w := range windows {
 		if err := r.e.Restore(snap); err != nil {
 			return nil, fmt.Errorf("noc: restoring warm snapshot: %w", err)

@@ -136,15 +136,11 @@ func MeasureReplayCtx(ctx context.Context, topo Topology, rc ReplayConfig) (Meas
 		}
 		per[ev.Src] = append(per[ev.Src], ev)
 	}
-	e := sim.NewEngine()
-	net := NewRouterNetwork(e, topo, rc.Router)
-	for i := 0; i < n; i++ {
+	rig, err := newRig(ctx, topo, rc.Router, rc.Warmup, func(i int) (LocalPort, sim.Component) {
 		rn := newReplayNode(i, topo, per[i])
-		net.Attach(i, rn)
-		e.Register(sim.PhaseNode, rn)
-	}
-	rig := &measureRig{e: e, n: net}
-	if err := e.RunCtx(ctx, rc.Warmup); err != nil {
+		return rn, rn
+	})
+	if err != nil {
 		return Measurement{}, err
 	}
 	return rig.window(ctx, topo, rc.Measure)

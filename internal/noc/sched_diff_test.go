@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -33,7 +34,7 @@ func TestWakeDrivenStateDifferential(t *testing.T) {
 			for _, rate := range []float64{0.002, 0.05, 0.4} {
 				name := fmt.Sprintf("%v/%v/load-%g", kind, router, rate)
 				mc := MeasureConfig{Router: router, Traffic: TrafficConfig{Pattern: Uniform, Rate: rate}, Seed: 11}
-				all, woken := buildRig(topo, mc), buildRig(topo, mc)
+				all, woken := mustRig(t, topo, mc), mustRig(t, topo, mc)
 				all.e.SetFastForward(false)
 				woken.e.SetFastForward(true)
 				for i := 1; i <= checkpoints; i++ {
@@ -64,4 +65,15 @@ func TestWakeDrivenStateDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustRig builds an unwarmed traffic rig (the configurations here have no
+// warmup), so the caller can set its stepping mode before the first cycle.
+func mustRig(t *testing.T, topo Topology, mc MeasureConfig) *measureRig {
+	t.Helper()
+	r, err := newTrafficRig(context.Background(), topo, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -353,8 +353,7 @@ func (s *svcServer) NextEvent(now int64) int64 {
 
 // serviceRig is a built service rig ready to run.
 type serviceRig struct {
-	e     *sim.Engine
-	n     *Network
+	*measureRig
 	board *svcBoard
 }
 
@@ -381,31 +380,27 @@ func (sc *ServiceMeasureConfig) validate(topo Topology) error {
 	return nil
 }
 
-func buildServiceRig(topo Topology, sc ServiceMeasureConfig) *serviceRig {
+func buildServiceRig(ctx context.Context, topo Topology, sc ServiceMeasureConfig) (*serviceRig, error) {
 	if sc.QueueCap <= 0 {
 		sc.QueueCap = 16
 	}
 	if sc.ResponseFlits <= 0 {
 		sc.ResponseFlits = 1
 	}
-	e := sim.NewEngine()
-	n := NewRouterNetwork(e, topo, sc.Router)
 	board := newSvcBoard()
 	clients := topo.NumEndpoints() - sc.Servers
-	for i := 0; i < topo.NumEndpoints(); i++ {
-		var port LocalPort
-		var comp sim.Component
+	rig, err := newRig(ctx, topo, sc.Router, sc.Warmup, func(i int) (LocalPort, sim.Component) {
 		if i < clients {
 			c := newSvcClient(i, topo, sc, board)
-			port, comp = c, c
-		} else {
-			s := newSvcServer(i, topo, sc, board)
-			port, comp = s, s
+			return c, c
 		}
-		n.Attach(i, port)
-		e.Register(sim.PhaseNode, comp)
+		s := newSvcServer(i, topo, sc, board)
+		return s, s
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &serviceRig{e: e, n: n, board: board}
+	return &serviceRig{measureRig: rig, board: board}, nil
 }
 
 // window runs one measurement window on a warmed-up service rig.
@@ -448,8 +443,8 @@ func MeasureServiceCtx(ctx context.Context, topo Topology, sc ServiceMeasureConf
 	if err := sc.validate(topo); err != nil {
 		return ServiceMeasurement{}, err
 	}
-	r := buildServiceRig(topo, sc)
-	if err := r.e.RunCtx(ctx, sc.Warmup); err != nil {
+	r, err := buildServiceRig(ctx, topo, sc)
+	if err != nil {
 		return ServiceMeasurement{}, err
 	}
 	return r.window(ctx, topo, sc)

@@ -60,7 +60,10 @@ func TestServiceRequestConservation(t *testing.T) {
 func TestServiceBreakdownSums(t *testing.T) {
 	topo := mustTorus(t)
 	sc := svcConfig()
-	rig := buildServiceRig(topo, sc)
+	rig, err := buildServiceRig(context.Background(), topo, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seen int
 	rig.board.onComplete = func(r svcRequest) {
 		seen++

@@ -1,13 +1,15 @@
-// Package par provides the fixed worker-pool parallel-for shared by the
-// sweep drivers (dse.Sweep, scenario.Run): a bounded number of goroutines
-// pulls indices from a channel, so the goroutine count stays constant no
-// matter how large the job grid grows.
+// Package par provides the one sweep loop of the repository. Sweep runs
+// a points-filtered subset of a canonical job list on a fixed worker pool
+// and returns the results in filter order; every sweep in dse and scenario
+// is an enumeration of jobs plus a per-point function handed to it.
 //
-// ForEachCtx is the robust entry point: it stops dispatching new jobs when
-// the context is canceled (in-flight jobs finish; the sweep stops at job
+// ForEachCtx is the pool underneath: a bounded number of goroutines pulls
+// indices from a channel, so the goroutine count stays constant no matter
+// how large the job grid grows. It stops dispatching new jobs when the
+// context is canceled (in-flight jobs finish; the sweep stops at job
 // granularity), converts a panicking job into a per-job *PanicError
 // instead of crashing the process, and reports partial completion through
-// *CanceledError. ForEach is the legacy fire-and-forget shim over it.
+// *CanceledError.
 package par
 
 import (
@@ -51,22 +53,46 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the underlying context error.
 func (e *CanceledError) Unwrap() error { return e.Err }
 
-// ForEach runs fn(i) for every i in [0, n) on a fixed pool of workers
-// goroutines (workers <= 0 means GOMAXPROCS). It returns when all calls
-// have completed. fn must synchronize any shared state itself; writing
-// each i to its own slot of a pre-sized slice needs no synchronization.
-func ForEach(n, workers int, fn func(int)) {
-	err := ForEachCtx(context.Background(), n, workers, func(i int) error {
-		fn(i)
+// Sweep runs the jobs selected by points on a fixed pool of workers
+// goroutines and returns one result per selected job: result i belongs to
+// jobs[points[i]]. jobs is the sweep's canonical point order; points ==
+// nil selects all of it, otherwise the indices must be strictly increasing
+// and in range (the shard layer's partitions are). Each result slot is
+// written by exactly one job, so run needs no synchronization of its own
+// for it. Errors, panics and cancellation have ForEachCtx's shapes; on any
+// error no results are returned.
+func Sweep[J, R any](ctx context.Context, jobs []J, points []int, workers int, run func(context.Context, J) (R, error)) ([]R, error) {
+	prev := -1
+	for _, p := range points {
+		if p <= prev {
+			return nil, fmt.Errorf("par: point filter not strictly increasing at index %d", p)
+		}
+		if p >= len(jobs) {
+			return nil, fmt.Errorf("par: point filter index %d outside the %d-point sweep", p, len(jobs))
+		}
+		prev = p
+	}
+	n := len(jobs)
+	if points != nil {
+		n = len(points)
+	}
+	out := make([]R, n)
+	err := ForEachCtx(ctx, n, workers, func(i int) error {
+		j := i
+		if points != nil {
+			j = points[i]
+		}
+		r, err := run(ctx, jobs[j])
+		if err != nil {
+			return err
+		}
+		out[i] = r
 		return nil
 	})
-	// The only possible error here is a recovered panic (the context is
-	// never canceled and fn returns no errors); re-panic it so legacy
-	// callers keep the crash-on-bug semantics they were written against.
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(pe.Value)
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // ForEachCtx runs fn(i) for every i in [0, n) on a fixed pool of workers

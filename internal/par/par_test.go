@@ -12,9 +12,12 @@ import (
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 100} {
 		counts := make([]int32, 37)
-		ForEach(len(counts), workers, func(i int) {
+		if err := ForEachCtx(context.Background(), len(counts), workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
-		})
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
@@ -25,9 +28,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroJobs(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int) { ran = true })
-	if ran {
-		t.Error("fn ran with n=0")
+	err := ForEachCtx(context.Background(), 0, 4, func(int) error { ran = true; return nil })
+	if ran || err != nil {
+		t.Errorf("n=0: ran=%v err=%v", ran, err)
 	}
 }
 
@@ -146,18 +149,96 @@ func TestForEachCtxErrorsJoinInIndexOrder(t *testing.T) {
 	}
 }
 
-func TestForEachRepanics(t *testing.T) {
-	// The legacy shim restores crash-on-bug semantics: the recovered value
-	// surfaces as a panic in the caller, not as a swallowed error.
-	defer func() {
-		if r := recover(); r != "legacy boom" {
-			t.Errorf("recovered %v, want the original panic value", r)
-		}
-	}()
-	ForEach(4, 2, func(i int) {
-		if i == 2 {
-			panic("legacy boom")
-		}
+// squares is the Sweep fixture: job j yields j*j, so a result names the
+// job it came from.
+func squares(ctx context.Context, jobs []int, points []int, workers int) ([]int, error) {
+	return Sweep(ctx, jobs, points, workers, func(_ context.Context, j int) (int, error) {
+		return j * j, nil
 	})
-	t.Error("ForEach returned instead of re-panicking")
+}
+
+// TestSweepPointsFilter: nil selects every job, a filter selects its
+// indices in filter order, and a malformed filter fails before any job
+// runs.
+func TestSweepPointsFilter(t *testing.T) {
+	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, tc := range []struct {
+		name    string
+		points  []int
+		want    []int
+		wantErr string
+	}{
+		{name: "nil is all", points: nil, want: []int{0, 1, 4, 9, 16, 25, 36, 49}},
+		{name: "empty is none", points: []int{}, want: []int{}},
+		{name: "subset in filter order", points: []int{1, 4, 7}, want: []int{1, 16, 49}},
+		{name: "every index", points: []int{0, 1, 2, 3, 4, 5, 6, 7}, want: []int{0, 1, 4, 9, 16, 25, 36, 49}},
+		{name: "out of range", points: []int{0, 8}, wantErr: "index 8 outside the 8-point sweep"},
+		{name: "negative", points: []int{-1}, wantErr: "point filter"},
+		{name: "non-increasing", points: []int{3, 1}, wantErr: "not strictly increasing at index 1"},
+		{name: "duplicate", points: []int{2, 2}, wantErr: "not strictly increasing at index 2"},
+	} {
+		for _, workers := range []int{0, 1, 3} {
+			got, err := squares(context.Background(), jobs, tc.points, workers)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
+				}
+				if got != nil {
+					t.Errorf("%s: results %v returned beside an error", tc.name, got)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+				continue
+			}
+			if len(got) != len(tc.want) {
+				t.Errorf("%s workers=%d: got %v, want %v", tc.name, workers, got, tc.want)
+				continue
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("%s workers=%d: got %v, want %v", tc.name, workers, got, tc.want)
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestSweepErrorShapes: a failing job, a panicking job and a canceled
+// context surface with ForEachCtx's types, indexed by position in the
+// filtered run, and discard the partial results.
+func TestSweepErrorShapes(t *testing.T) {
+	jobs := []int{10, 11, 12, 13}
+	boom := errors.New("boom")
+	got, err := Sweep(context.Background(), jobs, []int{1, 3}, 2, func(_ context.Context, j int) (int, error) {
+		switch j {
+		case 11:
+			return 0, boom
+		case 13:
+			panic("poisoned point")
+		}
+		return j, nil
+	})
+	if got != nil {
+		t.Errorf("results %v returned beside an error", got)
+	}
+	if !errors.Is(err, boom) {
+		t.Errorf("returned error lost: %v", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Index != 1 || pe.Value != "poisoned point" {
+		t.Errorf("panic not isolated as *PanicError at filtered index 1: %v", err)
+	}
+
+	// 100 jobs: dispatch is a select between a ready Done channel and a
+	// possibly-ready worker, so a short sweep could slip through whole.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err = squares(ctx, make([]int, 100), nil, 2)
+	var ce *CanceledError
+	if got != nil || !errors.As(err, &ce) || ce.Total != 100 || !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled sweep: results %v, err %v", got, err)
+	}
 }

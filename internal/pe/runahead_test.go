@@ -36,7 +36,7 @@ func TestRunAheadDifferential(t *testing.T) {
 		add(fmt.Sprintf("jacobi/%v", v), func(cfg core.Config) (any, coretest.Counters, error) {
 			cfg.NumCompute = 6
 			var sys *core.System
-			res, err := jacobi.Run(cfg, jacobi.Spec{N: 16, Warmup: 1, Measured: 1}, v,
+			res, err := jacobi.RunCtx(context.Background(), cfg, jacobi.Spec{N: 16, Warmup: 1, Measured: 1}, v,
 				jacobi.WithSystemHook(func(s *core.System) error { sys = s; return nil }))
 			if err != nil {
 				return nil, coretest.Counters{}, err

@@ -8,6 +8,7 @@ package scenario
 // one byte of output is a correctness bug, not a performance feature.
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func runScoped(t *testing.T, path string, rc *resultcache.Cache) (map[string]str
 	}
 	scope := rc.Scope()
 	s.Cache = scope
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -16,7 +17,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := scenario.Run(s)
+	results, err := scenario.RunCtx(context.Background(), s)
 	if err != nil {
 		panic(err)
 	}
@@ -56,7 +57,7 @@ func Example_matmul() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := scenario.Run(s)
+	results, err := scenario.RunCtx(context.Background(), s)
 	if err != nil {
 		panic(err)
 	}

@@ -3,12 +3,14 @@ package scenario
 // The differential battery of the hot-path optimizations: idle
 // fast-forward and warm-snapshot window forking are performance features
 // with a zero-tolerance correctness contract — every example scenario
-// must render byte-identically with them on and off, and repeated forked
-// runs must reproduce the same Merkle ledger root. These tests toggle
-// process-wide switches (sim.SetDefaultFastForward, SetWindowFork), so
-// they run serially — no t.Parallel anywhere in this file.
+// must render byte-identically with fast-forward on and off, a forked
+// window sweep must equal independent runs, and repeated forked runs must
+// reproduce the same Merkle ledger root. These tests toggle a
+// process-wide switch (sim.SetDefaultFastForward), so they run serially —
+// no t.Parallel anywhere in this file.
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -84,18 +86,17 @@ func windowScenario(t *testing.T) *Scenario {
 }
 
 // TestWindowForkDifferential requires a measure_windows sweep to be
-// byte-identical with warm-snapshot forking on and off, and forked runs
-// to be reproducible: forking the same warm snapshot twice must yield the
-// same Merkle ledger root (the snapshot is not consumed or mutated).
+// byte-identical to independent simulation — the same scenario expanded
+// into one plain measure_cycles scenario per window, each re-simulating
+// its own warmup — and forked runs to be reproducible: forking the same
+// warm snapshot twice must yield the same Merkle ledger root (the
+// snapshot is not consumed or mutated).
 func TestWindowForkDifferential(t *testing.T) {
-	defer SetWindowFork(WindowFork())
-
-	SetWindowFork(true)
-	forked, err := Run(windowScenario(t))
+	forked, err := RunCtx(context.Background(), windowScenario(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(windowScenario(t))
+	again, err := RunCtx(context.Background(), windowScenario(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +104,21 @@ func TestWindowForkDifferential(t *testing.T) {
 		t.Errorf("two forked runs disagree: %s vs %s", MerkleRoot(forked), MerkleRoot(again))
 	}
 
-	SetWindowFork(false)
-	independent, err := Run(windowScenario(t))
-	if err != nil {
-		t.Fatal(err)
+	// Windows are the innermost axis of the canonical order, so window wi
+	// of tuple i sits at i*len(windows)+wi.
+	windows := windowScenario(t).NoC.MeasureWindows
+	independent := make([]Result, len(forked))
+	for wi, w := range windows {
+		single := windowScenario(t)
+		single.NoC.MeasureWindows = nil
+		single.NoC.MeasureCycles = w
+		rows, err := RunCtx(context.Background(), single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			independent[i*len(windows)+wi] = r
+		}
 	}
 	wantOut := renderAll(t, independent)
 	for format, out := range renderAll(t, forked) {
@@ -129,7 +141,7 @@ func TestWindowCacheInterop(t *testing.T) {
 
 	s := windowScenario(t)
 	s.Cache = rc.Scope()
-	forked, err := Run(s)
+	forked, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +157,7 @@ func TestWindowCacheInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		fixed.Cache = rc.Scope()
-		got, err := Run(fixed)
+		got, err := RunCtx(context.Background(), fixed)
 		if err != nil {
 			t.Fatal(err)
 		}

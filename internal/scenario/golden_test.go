@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,13 +39,13 @@ func TestFig8QuickGolden(t *testing.T) {
 		t.Errorf("fig8-quick.json policies = %v, dse says %v", s.Jacobi.Policies, want.Policies)
 	}
 
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotCSV := dse.PointsCSV(DSEPoints(results))
 
-	pts, err := dse.Sweep(want)
+	pts, err := dse.SweepCtx(context.Background(), want)
 	if err != nil {
 		t.Fatal(err)
 	}

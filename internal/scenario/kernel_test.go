@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 // workload axis, mirroring TestTopologyAblationGolden: running
 // kernel-ablation.json must reproduce
 // dse.KernelAblation(DefaultKernelAblationOptions()) point-for-point,
-// because both delegate to dse.KernelSweep.
+// because both delegate to dse.KernelSweepCtx.
 func TestKernelAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full kernel ablations")
@@ -62,7 +63,7 @@ func TestKernelAblationGolden(t *testing.T) {
 		t.Errorf("kernel-ablation.json variants = %v (%v), dse says %v", variants, err, want.Variants)
 	}
 
-	points, err := dse.KernelAblation(want)
+	points, err := dse.KernelAblationCtx(context.Background(), want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestKernelWorkloadsRenderPerSchema(t *testing.T) {
 	if got, want := s.NumPoints(), 2*2*1*1*2; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	if got, want := multi.NumPoints(), 2*2; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
-	results, err := Run(multi)
+	results, err := RunCtx(context.Background(), multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 		t.Errorf("per-variant speedup baselines broken: %+v", results)
 	}
 
-	single, err := Run(mustParse(t, `{
+	single, err := RunCtx(context.Background(), mustParse(t, `{
 		"name": "v",
 		"workload": "jacobi",
 		"jacobi": {"n": 16, "cores": [2, 4], "cache_kb": [8]}

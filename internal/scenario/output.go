@@ -26,7 +26,7 @@ func Render(results []Result, format string) (string, error) {
 }
 
 // renderGroup is a maximal run of consecutive results of one workload
-// kind. Run emits results workload-outermost, so for scenario output one
+// kind. RunCtx emits results workload-outermost, so for scenario output one
 // group per workload comes back; hand-assembled interleavings still
 // render correctly, with repeated headers.
 type renderGroup struct {
@@ -121,7 +121,7 @@ func Summary(s *Scenario) string {
 	case WorkloadTrace:
 		if t, err := s.Trace.load(); err == nil {
 			axes = fmt.Sprintf("%d topologies x %d routers replaying %d recorded events",
-				len(s.Trace.topologyList(t)), len(s.Trace.routerList(t)), len(t.Events))
+				max(1, len(s.Trace.Topologies)), max(1, len(s.Trace.Routers)), len(t.Events))
 		} else {
 			axes = "trace replay"
 		}

@@ -45,7 +45,7 @@ func TestRecordReplayScenarioGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay.Cache = cache
-	repResults, err := Run(replay)
+	repResults, err := RunCtx(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRecordReplayScenarioGolden(t *testing.T) {
 
 	// Warm rerun: every replay point must come from the cache, and the
 	// rows must still match (the cache codec drops no rendered field).
-	again, err := Run(replay)
+	again, err := RunCtx(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRecordedKernelTrace(t *testing.T) {
 		"workload": "trace",
 		"trace": {"file": "`+path+`"}
 	}`)
-	results, err := Run(replay)
+	results, err := RunCtx(context.Background(), replay)
 	if err != nil {
 		t.Fatal(err)
 	}

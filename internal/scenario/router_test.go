@@ -1,9 +1,9 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/dse"
 	"repro/internal/noc"
 )
 
@@ -15,7 +15,7 @@ func loadRouterAblation(t *testing.T) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,35 +94,5 @@ func TestRouterAblationOrdering(t *testing.T) {
 	if xHigh.PeakBuffer <= wHigh.PeakBuffer {
 		t.Errorf("xy unbounded queues (peak %d) should exceed wormhole's bounded %d",
 			xHigh.PeakBuffer, wHigh.PeakBuffer)
-	}
-}
-
-// TestRouterAblationGolden proves the declarative path is exact for the
-// router axis, mirroring TestFig8QuickGolden: running router-ablation.json
-// must reproduce dse.RouterAblation(DefaultRouterAblationOptions())
-// point-for-point, because both delegate to noc.Measure.
-func TestRouterAblationGolden(t *testing.T) {
-	results := loadRouterAblation(t)
-
-	o := dse.DefaultRouterAblationOptions()
-	points, err := dse.RouterAblation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(results) {
-		t.Fatalf("scenario has %d points, dse sweep %d", len(results), len(points))
-	}
-	for i, p := range points {
-		r := results[i]
-		if r.Router != p.Router.String() || r.Rate != p.Rate {
-			t.Fatalf("point %d: scenario (%s, %g) vs dse (%v, %g): axis order diverged",
-				i, r.Router, r.Rate, p.Router, p.Rate)
-		}
-		if r.Throughput != p.Throughput || r.MeanLatency != p.MeanLatency ||
-			r.P99Latency != p.P99Latency || r.DeflectionRate != p.DeflectionRate ||
-			r.PeakBuffer != p.PeakBuffer {
-			t.Errorf("point %d (%s @ %g): scenario %+v diverges from dse %+v",
-				i, r.Router, r.Rate, r, p)
-		}
 	}
 }

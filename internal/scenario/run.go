@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/dse"
@@ -13,20 +12,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/resultcache"
 )
-
-// windowForkOff disables warm-snapshot sharing across measure_windows
-// (each window then re-simulates its own warmup). Results are
-// byte-identical either way — this is the escape hatch the CLI exposes
-// as -no-fork, mirroring sim.SetDefaultFastForward/-no-ffwd.
-var windowForkOff atomic.Bool
-
-// SetWindowFork enables or disables warm-snapshot sharing for
-// measure_windows sweeps (enabled by default).
-func SetWindowFork(on bool) { windowForkOff.Store(!on) }
-
-// WindowFork reports whether measure_windows sweeps share their warmup
-// prefix through engine snapshots.
-func WindowFork() bool { return !windowForkOff.Load() }
 
 // Result is one evaluated sweep point. NoC-synthetic points fill the
 // pattern/rate/seed axes and the network metrics; kernel points (jacobi,
@@ -98,16 +83,11 @@ type Result struct {
 	NoCFlits  int64 `json:"noc_flits,omitempty"`
 }
 
-// Run executes the scenario's full sweep cross-product and returns one
+// RunCtx executes the scenario's full sweep cross-product and returns one
 // Result per point, in deterministic axis order (independent of the
 // execution interleaving): one block per workload, each produced by its
 // registered Workload implementation. The scenario must have passed
-// Validate (Load and Parse guarantee this).
-func Run(s *Scenario) ([]Result, error) {
-	return RunCtx(context.Background(), s)
-}
-
-// RunCtx is Run with cooperative cancellation: a canceled context stops
+// Validate (Load and Parse guarantee this). A canceled context stops
 // dispatching new sweep points, interrupts in-flight simulations within a
 // few thousand simulated cycles, and returns the context's error (wrapped
 // in a par.CanceledError recording completed-point counts). The sweep is
@@ -119,7 +99,7 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 	}
 	var all []Result
 	for _, k := range kinds {
-		results, err := ForKind(k).Run(ctx, s)
+		results, err := ForKind(k).Run(ctx, s, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +110,7 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 
 // DSEPoints converts Jacobi results back to dse.Point rows, so scenario
 // output can reuse the dse table renderers and golden tests can compare
-// against dse.Sweep byte-for-byte.
+// against dse.SweepCtx byte-for-byte.
 func DSEPoints(results []Result) []dse.Point {
 	points := make([]dse.Point, 0, len(results))
 	for _, r := range results {
@@ -153,36 +133,34 @@ func DSEPoints(results []Result) []dse.Point {
 	return points
 }
 
-// runNoCShard expands topologies x routers x patterns x rates x seeds and
-// executes each point on the shared fixed worker pool (par.ForEachCtx, as
-// dse.SweepCtx does): every point is an independent deterministic
-// simulation, so each slot of the result slice is written by exactly one
-// job and the whole set is reproducible. A non-nil points filter (strictly
-// increasing canonical-order indices) restricts the run to those points —
-// window groups still form over the canonical order, so only windows that
-// landed in this shard share a warmup prefix.
-func runNoCShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// nocJob is one point of the noc-synthetic canonical order.
+type nocJob struct {
+	topo    noc.Topology
+	router  noc.RouterKind
+	pattern noc.Pattern
+	rate    float64
+	seed    int64
+	// Window-sweep points: every window of one (topology, router,
+	// pattern, rate, seed) tuple shares a group, so the warmup prefix
+	// simulates once and each window forks off its warm snapshot. group is
+	// nil for a plain measure_cycles point.
+	window int
+	group  *windowGroup
+}
+
+// nocJobs expands topologies x routers x patterns x rates x seeds (x
+// measure_windows) in canonical order. Window groups form over the
+// canonical order, so under a points filter only the windows that landed
+// in this shard share a warmup prefix.
+func nocJobs(s *Scenario) ([]nocJob, error) {
 	c := s.NoC
-	topos := make([]noc.Topology, 0, len(c.topologyList()))
-	for _, tk := range c.topologyList() {
-		topo, err := noc.NewTopologyOfKind(tk, c.Width, c.Height)
-		if err != nil {
-			return nil, err
-		}
-		topos = append(topos, topo)
+	topos, err := c.fabrics()
+	if err != nil {
+		return nil, err
 	}
-	type job struct {
-		idx     int
-		topo    noc.Topology
-		router  noc.RouterKind
-		pattern noc.Pattern
-		rate    float64
-		seed    int64
-		// Window-sweep points: every window of one (topology, router,
-		// pattern, rate, seed) tuple shares a group, so the warmup prefix
-		// simulates once and each window forks off its warm snapshot.
-		window int
-		group  *windowGroup
+	routers, err := c.routers()
+	if err != nil {
+		return nil, err
 	}
 	patterns := make([]noc.Pattern, 0, len(c.Patterns))
 	for _, name := range c.Patterns {
@@ -197,35 +175,36 @@ func runNoCShard(ctx context.Context, s *Scenario, points []int) ([]Result, erro
 		}
 		patterns = append(patterns, p)
 	}
-	var jobs []job
+	var jobs []nocJob
 	for _, topo := range topos {
-		for _, router := range c.routerList() {
+		for _, router := range routers {
 			for _, p := range patterns {
 				for _, rate := range c.Rates {
 					for _, seed := range s.seedList() {
+						j := nocJob{topo: topo, router: router, pattern: p, rate: rate, seed: seed}
 						if len(c.MeasureWindows) == 0 {
-							jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router, pattern: p, rate: rate, seed: seed})
+							jobs = append(jobs, j)
 							continue
 						}
-						g := &windowGroup{}
+						j.group = &windowGroup{}
 						for wi := range c.MeasureWindows {
-							jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router, pattern: p, rate: rate, seed: seed, window: wi, group: g})
+							j.window = wi
+							jobs = append(jobs, j)
 						}
 					}
 				}
 			}
 		}
 	}
-	if points != nil {
-		sel := make([]job, len(points))
-		for i, p := range points {
-			if p < 0 || p >= len(jobs) {
-				return nil, fmt.Errorf("scenario: point filter index %d outside the %d-point noc sweep", p, len(jobs))
-			}
-			sel[i] = jobs[p]
-			sel[i].idx = i
-		}
-		jobs = sel
+	return jobs, nil
+}
+
+// Run executes the noc-synthetic sweep: every point is an independent
+// deterministic simulation, so the whole set is reproducible.
+func (nocWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+	jobs, err := nocJobs(s)
+	if err != nil {
+		return nil, err
 	}
 	// Recording bypasses the cache: a hit would skip the simulation and
 	// record nothing (RecordCtx also detaches the cache, this is the
@@ -234,26 +213,11 @@ func runNoCShard(ctx context.Context, s *Scenario, points []int) ([]Result, erro
 	if s.Record != nil {
 		rcache = nil
 	}
-	results := make([]Result, len(jobs))
-	if err := par.ForEachCtx(ctx, len(jobs), s.Parallelism, func(i int) error {
-		j := jobs[i]
-		var r Result
-		var err error
-		if j.group == nil {
-			r, err = runNoCPoint(ctx, rcache, s.Record, j.topo, c, j.router, j.pattern, j.rate, j.seed)
-		} else {
-			r, err = runNoCWindowPoint(ctx, rcache, j.topo, c, j.router, j.pattern, j.rate, j.seed, j.window, j.group)
-		}
-		if err != nil {
-			return err
-		}
+	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j nocJob) (Result, error) {
+		r, err := runNoCPoint(ctx, rcache, s.Record, s.NoC, j)
 		r.Scenario = s.Name
-		results[j.idx] = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
+		return r, err
+	})
 }
 
 // windowGroup computes one warm-prefix group of a measure_windows sweep
@@ -269,13 +233,13 @@ type windowGroup struct {
 
 func (g *windowGroup) measurements(ctx context.Context, topo noc.Topology, mc noc.MeasureConfig, windows []int64) ([]noc.Measurement, error) {
 	g.once.Do(func() {
-		g.ms, g.err = noc.MeasureWindowsCtx(ctx, topo, mc, windows, WindowFork())
+		g.ms, g.err = noc.MeasureWindowsCtx(ctx, topo, mc, windows)
 	})
 	return g.ms, g.err
 }
 
 // nocPointValue is the cached measurement of one noc-synthetic point: the
-// raw noc.Measure metrics only; axis labels reattach from the job.
+// raw noc.MeasureCtx metrics only; axis labels reattach from the job.
 type nocPointValue struct {
 	Cycles         int64   `json:"cycles"`
 	Delivered      int64   `json:"delivered"`
@@ -289,15 +253,15 @@ type nocPointValue struct {
 // nocPointKey derives the content address of one noc-synthetic point from
 // every input the measurement depends on (the defaults are resolved first,
 // so an explicit "measure_cycles": 5000 keys identically to the default).
-func nocPointKey(topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed, measure int64) resultcache.Key {
+func nocPointKey(c *NoCConfig, j nocJob, measure int64) resultcache.Key {
 	b := resultcache.NewKey("scenario/noc").
-		Str("topology", topo.Kind().String()).
+		Str("topology", j.topo.Kind().String()).
 		Int("width", int64(c.Width)).
 		Int("height", int64(c.Height)).
-		Str("router", router.String()).
-		Str("pattern", pattern.String()).
-		Float("rate", rate).
-		Int("seed", seed).
+		Str("router", j.router.String()).
+		Str("pattern", j.pattern.String()).
+		Float("rate", j.rate).
+		Int("seed", j.seed).
 		Int("hotspot_node", int64(c.HotspotNode)).
 		Int("queue_cap", int64(c.QueueCap)).
 		Int("warmup_cycles", c.WarmupCycles).
@@ -309,25 +273,24 @@ func nocPointKey(topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern
 }
 
 // nocMeasureConfig assembles the noc.MeasureConfig for one point.
-// Measure is left to the caller (a fixed window, or unset for a
-// measure_windows group).
-func nocMeasureConfig(c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed, measure int64) noc.MeasureConfig {
+// measure is a fixed window, or 0 for a measure_windows group.
+func nocMeasureConfig(c *NoCConfig, j nocJob, measure int64) noc.MeasureConfig {
 	var burst *noc.BurstConfig
 	if c.Burst != nil {
 		burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
 	}
 	return noc.MeasureConfig{
-		Router: router,
+		Router: j.router,
 		Traffic: noc.TrafficConfig{
-			Pattern:     pattern,
-			Rate:        rate,
+			Pattern:     j.pattern,
+			Rate:        j.rate,
 			HotspotNode: c.HotspotNode,
 			QueueCap:    c.QueueCap,
 			Burst:       burst,
 		},
 		Warmup:  c.WarmupCycles,
 		Measure: measure,
-		Seed:    seed,
+		Seed:    j.seed,
 	}
 }
 
@@ -346,40 +309,35 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 	}
 }
 
-// nocResult reattaches the axis labels to a cached point value.
-func nocResult(topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64, m nocPointValue) Result {
-	return Result{
-		Workload:       WorkloadNoC.String(),
-		Topology:       topo.Kind().String(),
-		Router:         router.String(),
-		Pattern:        pattern.String(),
-		Rate:           rate,
-		Seed:           seed,
-		Bursty:         c.Burst != nil,
-		Cycles:         m.Cycles,
-		Delivered:      m.Delivered,
-		Throughput:     m.Throughput,
-		MeanLatency:    m.MeanLatency,
-		P99Latency:     m.P99Latency,
-		DeflectionRate: m.DeflectionRate,
-		PeakBuffer:     m.PeakBuffer,
-	}
-}
-
-// runNoCPoint simulates one (topology, router, pattern, rate, seed) point
-// through noc.MeasureCtx, the execution path shared with
-// dse.RouterAblation, dse.TopologyAblation and cmd/medea-noc, recalling it
-// from the result cache when one is attached.
-func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64) (Result, error) {
+// runNoCPoint simulates one point through noc.MeasureCtx, the execution
+// path shared with cmd/medea-noc, recalling it from the result cache when
+// one is attached. A measure_windows point keys exactly as a plain
+// measure_cycles point with its window length would — warm-snapshot
+// forking is byte-identical to independent simulation
+// (noc.MeasureWindowsCtx's contract, enforced by the differential tests),
+// so the two entry kinds interchange in the store; on a miss the whole
+// group simulates once through the shared windowGroup and this point
+// takes its window's measurement.
+func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, c *NoCConfig, j nocJob) (Result, error) {
 	measure := c.MeasureCycles
 	if measure == 0 {
 		measure = 5000
 	}
-	key := nocPointKey(topo, c, router, pattern, rate, seed, measure)
+	if j.group != nil {
+		measure = c.MeasureWindows[j.window]
+	}
+	key := nocPointKey(c, j, measure)
 	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
-		mc := nocMeasureConfig(c, router, pattern, rate, seed, measure)
+		if j.group != nil {
+			ms, err := j.group.measurements(ctx, j.topo, nocMeasureConfig(c, j, 0), c.MeasureWindows)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(nocValueOf(ms[j.window]))
+		}
+		mc := nocMeasureConfig(c, j, measure)
 		mc.Traffic.Record = rec
-		m, err := noc.MeasureCtx(ctx, topo, mc)
+		m, err := noc.MeasureCtx(ctx, j.topo, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -392,32 +350,20 @@ func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRe
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return Result{}, fmt.Errorf("scenario: decoding cached noc point %s: %w", key, err)
 	}
-	return nocResult(topo, c, router, pattern, rate, seed, m), nil
-}
-
-// runNoCWindowPoint resolves one window of a measure_windows sweep. Its
-// cache key is exactly the key a plain measure_cycles point with this
-// window length would use — warm-snapshot forking is byte-identical to
-// independent simulation (noc.MeasureWindowsCtx's contract, enforced by
-// the differential tests), so the two entry kinds interchange in the
-// store. On a miss, the whole group simulates once through the shared
-// windowGroup and this point takes its window's measurement.
-func runNoCWindowPoint(ctx context.Context, rc *resultcache.Cache, topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64, wi int, g *windowGroup) (Result, error) {
-	windows := c.MeasureWindows
-	key := nocPointKey(topo, c, router, pattern, rate, seed, windows[wi])
-	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
-		ms, err := g.measurements(ctx, topo, nocMeasureConfig(c, router, pattern, rate, seed, 0), windows)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(nocValueOf(ms[wi]))
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	var m nocPointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached noc point %s: %w", key, err)
-	}
-	return nocResult(topo, c, router, pattern, rate, seed, m), nil
+	return Result{
+		Workload:       WorkloadNoC.String(),
+		Topology:       j.topo.Kind().String(),
+		Router:         j.router.String(),
+		Pattern:        j.pattern.String(),
+		Rate:           j.rate,
+		Seed:           j.seed,
+		Bursty:         c.Burst != nil,
+		Cycles:         m.Cycles,
+		Delivered:      m.Delivered,
+		Throughput:     m.Throughput,
+		MeanLatency:    m.MeanLatency,
+		P99Latency:     m.P99Latency,
+		DeflectionRate: m.DeflectionRate,
+		PeakBuffer:     m.PeakBuffer,
+	}, nil
 }

@@ -15,7 +15,7 @@
 // A scenario file names its workloads and sweep axes (variants, cores,
 // cache sizes and write policies for kernels; topologies, routers,
 // patterns, rates and seeds for the bare network) plus the measurement
-// windows; Run executes the cross-product of the axes on a worker pool
+// windows; RunCtx executes the cross-product of the axes on a worker pool
 // and returns one Result per point, renderable as a table, CSV or JSON
 // through each workload's registered schema.
 //
@@ -24,11 +24,14 @@
 // noc.ParseTopology for the network axes), so the format exists without
 // new Go code: any configuration the cmd/ binaries can reach by flags —
 // and sweeps over cross-products of them that the binaries cannot
-// express — is one JSON file away. Kernel points execute through
-// dse.KernelSweep and noc points through noc.Measure, the paths shared
-// with the hand-coded experiments, which is what makes the golden tests
-// (fig8-quick, router-ablation, topology-ablation, kernel-ablation)
-// byte- and point-exact. See examples/scenarios/ for ready-to-run files,
+// express — is one JSON file away. Every workload is an enumeration of
+// jobs in canonical order plus a per-point function handed to par.Sweep,
+// the one sweep loop; kernel points execute through dse.KernelSweepCtx,
+// the path shared with the figure sweeps and cmd/medea-experiments (the
+// fig8-quick and kernel-ablation golden tests are byte- and point-exact
+// for that reason), and noc points through noc.MeasureCtx, the path
+// shared with cmd/medea-noc. TestExampleRootsGolden pins the rows of every
+// shipped file. See examples/scenarios/ for ready-to-run files,
 // REPRODUCING.md for the figure/table map, and cmd/medea-scenarios for
 // the CLI driver.
 package scenario
@@ -160,9 +163,8 @@ type NoCConfig struct {
 	// point runs once per listed window, and all windows of one
 	// (topology, router, pattern, rate, seed) point share a single warmup
 	// prefix via an engine snapshot instead of re-simulating it (see
-	// noc.MeasureWindowsCtx; disable with SetWindowFork or the CLI's
-	// -no-fork). Results are byte-identical to independent runs either
-	// way. Mutually exclusive with MeasureCycles.
+	// noc.MeasureWindowsCtx). Results are byte-identical to independent
+	// runs. Mutually exclusive with MeasureCycles.
 	MeasureWindows []int64 `json:"measure_windows,omitempty"`
 }
 
@@ -214,85 +216,52 @@ func (c *TraceConfig) validate() error {
 	if err != nil {
 		return fmt.Errorf(`"trace.file": %w`, err)
 	}
-	seenT := map[noc.TopologyKind]bool{}
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"trace.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"trace.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		if _, err := noc.NewTopologyOfKind(k, t.Header.Width, t.Header.Height); err != nil {
-			return fmt.Errorf(`"trace.topologies": the trace's %dx%d grid: %w`, t.Header.Width, t.Header.Height, err)
-		}
-	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"trace.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"trace.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
-	}
 	// The default axes come from the recorded provenance; they must
 	// resolve too (a trace hand-built with an exotic header fails here,
 	// not mid-run).
+	if _, err := c.fabrics(t); err != nil {
+		return err
+	}
+	_, err = c.routers(t)
+	return err
+}
+
+// fabrics resolves the replay-topology axis (default: the recorded
+// fabric) and builds every fabric on the trace's endpoint grid.
+func (c *TraceConfig) fabrics(t *trace.Trace) ([]noc.Topology, error) {
+	h := t.Header
 	if len(c.Topologies) == 0 {
-		k, err := noc.ParseTopology(t.Header.Topology)
+		k, err := noc.ParseTopology(h.Topology)
 		if err != nil {
-			return fmt.Errorf(`"trace.file": recorded topology: %w`, err)
+			return nil, fmt.Errorf(`"trace.file": recorded topology: %w`, err)
 		}
-		if _, err := noc.NewTopologyOfKind(k, t.Header.Width, t.Header.Height); err != nil {
-			return fmt.Errorf(`"trace.file": recorded fabric: %w`, err)
+		topos, err := buildKinds([]noc.TopologyKind{k}, h.Width, h.Height)
+		if err != nil {
+			return nil, fmt.Errorf(`"trace.file": recorded fabric: %w`, err)
 		}
+		return topos, nil
 	}
+	kinds, err := parseAxis("trace.topologies", c.Topologies, noc.ParseTopology)
+	if err != nil {
+		return nil, err
+	}
+	topos, err := buildKinds(kinds, h.Width, h.Height)
+	if err != nil {
+		return nil, fmt.Errorf(`"trace.topologies": the trace's %dx%d grid: %w`, h.Width, h.Height, err)
+	}
+	return topos, nil
+}
+
+// routers resolves the replay-router axis (default: the recorded router).
+func (c *TraceConfig) routers(t *trace.Trace) ([]noc.RouterKind, error) {
 	if len(c.Routers) == 0 {
-		if _, err := noc.ParseRouter(t.Header.Router); err != nil {
-			return fmt.Errorf(`"trace.file": recorded router: %w`, err)
-		}
-	}
-	return nil
-}
-
-// topologyList resolves the replay-topology axis (default: the recorded
-// fabric). The scenario must have passed Validate.
-func (c *TraceConfig) topologyList(t *trace.Trace) []noc.TopologyKind {
-	names := c.Topologies
-	if len(names) == 0 {
-		names = []string{t.Header.Topology}
-	}
-	kinds := make([]noc.TopologyKind, len(names))
-	for i, name := range names {
-		k, err := noc.ParseTopology(name)
+		k, err := noc.ParseRouter(t.Header.Router)
 		if err != nil {
-			panic(fmt.Sprintf("scenario: validated replay topology failed to parse: %v", err))
+			return nil, fmt.Errorf(`"trace.file": recorded router: %w`, err)
 		}
-		kinds[i] = k
+		return []noc.RouterKind{k}, nil
 	}
-	return kinds
-}
-
-// routerList resolves the replay-router axis (default: the recorded
-// router). The scenario must have passed Validate.
-func (c *TraceConfig) routerList(t *trace.Trace) []noc.RouterKind {
-	names := c.Routers
-	if len(names) == 0 {
-		names = []string{t.Header.Router}
-	}
-	kinds := make([]noc.RouterKind, len(names))
-	for i, name := range names {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated replay router failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
+	return parseAxis("trace.routers", c.Routers, noc.ParseRouter)
 }
 
 // ServiceConfig describes a request/response service experiment on the
@@ -333,40 +302,12 @@ type ServiceConfig struct {
 }
 
 func (c *ServiceConfig) validate() error {
-	seenT := map[noc.TopologyKind]bool{}
-	topos := make([]noc.Topology, 0, len(c.Topologies)+1)
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"service.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"service.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		topo, err := noc.NewTopologyOfKind(k, c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"service": %w`, err)
-		}
-		topos = append(topos, topo)
+	topos, err := c.fabrics()
+	if err != nil {
+		return err
 	}
-	if len(topos) == 0 {
-		topo, err := noc.NewTopology(c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"service": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"service.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"service.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
+	if _, err := c.routers(); err != nil {
+		return err
 	}
 	if c.Servers < 1 {
 		return fmt.Errorf(`"service.servers" must be >= 1, got %d`, c.Servers)
@@ -410,35 +351,13 @@ func (c *ServiceConfig) validate() error {
 	return nil
 }
 
-// topologyList and routerList mirror NoCConfig's axis resolution.
-func (c *ServiceConfig) topologyList() []noc.TopologyKind {
-	if len(c.Topologies) == 0 {
-		return []noc.TopologyKind{noc.TopoTorus}
-	}
-	kinds := make([]noc.TopologyKind, len(c.Topologies))
-	for i, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated topology failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
+// fabrics and routers resolve the section's topology and router axes.
+func (c *ServiceConfig) fabrics() ([]noc.Topology, error) {
+	return buildFabrics("service", c.Topologies, c.Width, c.Height)
 }
 
-func (c *ServiceConfig) routerList() []noc.RouterKind {
-	if len(c.Routers) == 0 {
-		return []noc.RouterKind{noc.RouterDeflection}
-	}
-	kinds := make([]noc.RouterKind, len(c.Routers))
-	for i, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated router failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
+func (c *ServiceConfig) routers() ([]noc.RouterKind, error) {
+	return routerAxis("service", c.Routers)
 }
 
 // KernelConfig describes a design-space sweep of the kernel workloads
@@ -725,29 +644,9 @@ func hasKind(kinds []WorkloadKind, k WorkloadKind) bool {
 func (c *NoCConfig) validate() error {
 	// Resolve the topology axis first: every listed fabric must build at
 	// this size, and every pattern must be valid on every fabric.
-	seenT := map[noc.TopologyKind]bool{}
-	topos := make([]noc.Topology, 0, len(c.Topologies)+1)
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"noc.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		topo, err := noc.NewTopologyOfKind(k, c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"noc": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	if len(topos) == 0 {
-		topo, err := noc.NewTopology(c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"noc": %w`, err)
-		}
-		topos = append(topos, topo)
+	topos, err := c.fabrics()
+	if err != nil {
+		return err
 	}
 	if len(c.Patterns) == 0 {
 		return fmt.Errorf(`"noc.patterns" must list at least one of: %s`,
@@ -769,16 +668,8 @@ func (c *NoCConfig) validate() error {
 		}
 		seen[p] = true
 	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"noc.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
+	if _, err := c.routers(); err != nil {
+		return err
 	}
 	if len(c.Rates) == 0 {
 		return fmt.Errorf(`"noc.rates" must list at least one offered load in (0, 1]`)
@@ -911,7 +802,7 @@ func (c *KernelConfig) variantList() ([]jacobi.Variant, error) {
 }
 
 // kernelSweepOptions maps the scenario's kernel section onto the shared
-// dse.KernelSweep options for one kernel. The scenario must have passed
+// dse.KernelSweepCtx options for one kernel. The scenario must have passed
 // Validate, so the axis parses cannot fail here.
 func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
 	c := s.kernelConfig()
@@ -977,12 +868,14 @@ func (s *Scenario) NumPoints() int {
 }
 
 // kindPoints returns the number of sweep points one workload kind
-// contributes, matching the canonical point order its Run produces.
+// contributes, matching the canonical point order its Run produces (0 for
+// a scenario that would not pass Validate).
 func (s *Scenario) kindPoints(k WorkloadKind) int {
 	switch k {
 	case WorkloadNoC:
-		n := len(s.NoC.topologyList()) * len(s.NoC.routerList()) *
-			len(s.NoC.Patterns) * len(s.NoC.Rates) * len(s.seedList())
+		topos, _ := s.NoC.fabrics()
+		routers, _ := s.NoC.routers()
+		n := len(topos) * len(routers) * len(s.NoC.Patterns) * len(s.NoC.Rates) * len(s.seedList())
 		if w := len(s.NoC.MeasureWindows); w > 0 {
 			n *= w
 		}
@@ -992,10 +885,13 @@ func (s *Scenario) kindPoints(k WorkloadKind) int {
 		if err != nil {
 			return 0
 		}
-		return len(s.Trace.topologyList(t)) * len(s.Trace.routerList(t))
+		topos, _ := s.Trace.fabrics(t)
+		routers, _ := s.Trace.routers(t)
+		return len(topos) * len(routers)
 	case WorkloadService:
-		return len(s.Service.topologyList()) * len(s.Service.routerList()) *
-			len(s.Service.ArrivalRates) * len(s.seedList())
+		topos, _ := s.Service.fabrics()
+		routers, _ := s.Service.routers()
+		return len(topos) * len(routers) * len(s.Service.ArrivalRates) * len(s.seedList())
 	}
 	c := s.kernelConfig()
 	pols := len(c.Policies)
@@ -1009,40 +905,74 @@ func (s *Scenario) kindPoints(k WorkloadKind) int {
 	return variants * pols * len(c.CacheKB) * len(c.Cores)
 }
 
-// routerList resolves the router axis: the listed routers, or the paper's
-// deflection router when none are named. The scenario must have passed
-// Validate, so ParseRouter cannot fail here.
-func (c *NoCConfig) routerList() []noc.RouterKind {
-	if len(c.Routers) == 0 {
-		return []noc.RouterKind{noc.RouterDeflection}
-	}
-	kinds := make([]noc.RouterKind, len(c.Routers))
-	for i, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated router failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
+// fabrics and routers resolve the section's topology and router axes.
+func (c *NoCConfig) fabrics() ([]noc.Topology, error) {
+	return buildFabrics("noc", c.Topologies, c.Width, c.Height)
 }
 
-// topologyList resolves the topology axis: the listed fabrics, or the
-// paper's folded torus when none are named. The scenario must have passed
-// Validate, so ParseTopology cannot fail here.
-func (c *NoCConfig) topologyList() []noc.TopologyKind {
-	if len(c.Topologies) == 0 {
-		return []noc.TopologyKind{noc.TopoTorus}
-	}
-	kinds := make([]noc.TopologyKind, len(c.Topologies))
-	for i, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
+func (c *NoCConfig) routers() ([]noc.RouterKind, error) {
+	return routerAxis("noc", c.Routers)
+}
+
+// parseAxis resolves one named sweep axis: every name must parse and none
+// may repeat. field is the JSON path the error messages name. Validate
+// and the runners both resolve their axes through it, so a name can never
+// pass one and fail the other.
+func parseAxis[K comparable](field string, names []string, parse func(string) (K, error)) ([]K, error) {
+	seen := map[K]bool{}
+	out := make([]K, 0, len(names))
+	for _, name := range names {
+		k, err := parse(name)
 		if err != nil {
-			panic(fmt.Sprintf("scenario: validated topology failed to parse: %v", err))
+			return nil, fmt.Errorf("%q: %w", field, err)
 		}
-		kinds[i] = k
+		if seen[k] {
+			return nil, fmt.Errorf("%q: %v listed twice", field, k)
+		}
+		seen[k] = true
+		out = append(out, k)
 	}
-	return kinds
+	return out, nil
+}
+
+// buildFabrics resolves a section's topology axis (none named: the
+// paper's folded torus) and builds every fabric on the w x h endpoint
+// grid.
+func buildFabrics(section string, names []string, w, h int) ([]noc.Topology, error) {
+	kinds, err := parseAxis(section+".topologies", names, noc.ParseTopology)
+	if err != nil {
+		return nil, err
+	}
+	if len(kinds) == 0 {
+		kinds = []noc.TopologyKind{noc.TopoTorus}
+	}
+	topos, err := buildKinds(kinds, w, h)
+	if err != nil {
+		return nil, fmt.Errorf("%q: %w", section, err)
+	}
+	return topos, nil
+}
+
+// buildKinds builds one fabric per kind on the w x h endpoint grid.
+func buildKinds(kinds []noc.TopologyKind, w, h int) ([]noc.Topology, error) {
+	topos := make([]noc.Topology, len(kinds))
+	for i, k := range kinds {
+		var err error
+		if topos[i], err = noc.NewTopologyOfKind(k, w, h); err != nil {
+			return nil, err
+		}
+	}
+	return topos, nil
+}
+
+// routerAxis resolves a section's router axis (none named: the paper's
+// deflection router).
+func routerAxis(section string, names []string) ([]noc.RouterKind, error) {
+	routers, err := parseAxis(section+".routers", names, noc.ParseRouter)
+	if err == nil && len(routers) == 0 {
+		routers = []noc.RouterKind{noc.RouterDeflection}
+	}
+	return routers, err
 }
 
 // parseVariant resolves a programming-model variant, defaulting the empty

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -169,12 +170,12 @@ func TestRunNoCDeterministicAndOrdered(t *testing.T) {
 	if s.NumPoints() != 16 {
 		t.Fatalf("NumPoints = %d, want 16", s.NumPoints())
 	}
-	r1, err := Run(s)
+	r1, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Parallelism = 1 // different interleaving must not change anything
-	r2, err := Run(s)
+	r2, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +206,18 @@ func TestRunBurstyScenario(t *testing.T) {
 		"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.4],
 		        "burst": {"mean_on": 25, "mean_off": 75}, "measure_cycles": 4000}
 	}`
-	bursty, err := Run(mustParse(t, src))
+	bursty, err := RunCtx(context.Background(), mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(mustParse(t, src))
+	again, err := RunCtx(context.Background(), mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bursty, again) {
 		t.Error("bursty scenario not deterministic per seed")
 	}
-	plain, err := Run(mustParse(t, strings.Replace(src,
+	plain, err := RunCtx(context.Background(), mustParse(t, strings.Replace(src,
 		`"burst": {"mean_on": 25, "mean_off": 75}, `, "", 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestRunBurstyScenario(t *testing.T) {
 
 func TestRenderFormats(t *testing.T) {
 	s := mustParse(t, validNoC)
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

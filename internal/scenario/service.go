@@ -10,58 +10,41 @@ import (
 	"repro/internal/resultcache"
 )
 
-// runServiceShard expands topologies x routers x arrival_rates x seeds
-// and executes each request/response point on the shared worker pool,
-// mirroring runNoCShard's structure (and its canonical point order for
-// the shard protocol).
-func runServiceShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// serviceJob is one point of the service canonical order.
+type serviceJob struct {
+	topo   noc.Topology
+	router noc.RouterKind
+	rate   float64
+	seed   int64
+}
+
+// Run expands topologies x routers x arrival_rates x seeds in canonical
+// order and executes each request/response point on the sweep pool.
+func (serviceWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	c := s.Service
-	type job struct {
-		idx    int
-		topo   noc.Topology
-		router noc.RouterKind
-		rate   float64
-		seed   int64
+	topos, err := c.fabrics()
+	if err != nil {
+		return nil, err
 	}
-	var jobs []job
-	for _, tk := range c.topologyList() {
-		topo, err := noc.NewTopologyOfKind(tk, c.Width, c.Height)
-		if err != nil {
-			return nil, err
-		}
-		for _, router := range c.routerList() {
+	routers, err := c.routers()
+	if err != nil {
+		return nil, err
+	}
+	var jobs []serviceJob
+	for _, topo := range topos {
+		for _, router := range routers {
 			for _, rate := range c.ArrivalRates {
 				for _, seed := range s.seedList() {
-					jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router, rate: rate, seed: seed})
+					jobs = append(jobs, serviceJob{topo: topo, router: router, rate: rate, seed: seed})
 				}
 			}
 		}
 	}
-	if points != nil {
-		sel := make([]job, len(points))
-		for i, p := range points {
-			if p < 0 || p >= len(jobs) {
-				return nil, fmt.Errorf("scenario: point filter index %d outside the %d-point service sweep", p, len(jobs))
-			}
-			sel[i] = jobs[p]
-			sel[i].idx = i
-		}
-		jobs = sel
-	}
-	results := make([]Result, len(jobs))
-	if err := par.ForEachCtx(ctx, len(jobs), s.Parallelism, func(i int) error {
-		j := jobs[i]
-		r, err := runServicePoint(ctx, s.Cache, j.topo, c, j.router, j.rate, j.seed)
-		if err != nil {
-			return err
-		}
+	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j serviceJob) (Result, error) {
+		r, err := runServicePoint(ctx, s.Cache, c, j)
 		r.Scenario = s.Name
-		results[j.idx] = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
+		return r, err
+	})
 }
 
 // servicePointValue is the cached measurement of one service point; like
@@ -86,19 +69,19 @@ type servicePointValue struct {
 
 // servicePointKey derives the content address of one service point from
 // every input the measurement depends on, defaults resolved first.
-func servicePointKey(topo noc.Topology, c *ServiceConfig, router noc.RouterKind, rate float64, seed, measure int64) resultcache.Key {
+func servicePointKey(c *ServiceConfig, j serviceJob, measure int64) resultcache.Key {
 	b := resultcache.NewKey("scenario/service").
-		Str("topology", topo.Kind().String()).
+		Str("topology", j.topo.Kind().String()).
 		Int("width", int64(c.Width)).
 		Int("height", int64(c.Height)).
-		Str("router", router.String()).
+		Str("router", j.router.String()).
 		Int("servers", int64(c.Servers)).
-		Float("arrival_rate", rate).
+		Float("arrival_rate", j.rate).
 		Int("think_time", c.ThinkTime).
 		Int("response_flits", int64(c.ResponseFlits)).
 		Float("hotspot_skew", c.HotspotSkew).
 		Int("queue_cap", int64(c.QueueCap)).
-		Int("seed", seed).
+		Int("seed", j.seed).
 		Int("warmup_cycles", c.WarmupCycles).
 		Int("measure_cycles", measure)
 	if c.Burst != nil {
@@ -107,24 +90,24 @@ func servicePointKey(topo noc.Topology, c *ServiceConfig, router noc.RouterKind,
 	return b.Sum()
 }
 
-// runServicePoint simulates one (topology, router, rate, seed) service
-// point through noc.MeasureServiceCtx, recalling it from the result cache
-// when one is attached.
-func runServicePoint(ctx context.Context, rc *resultcache.Cache, topo noc.Topology, c *ServiceConfig, router noc.RouterKind, rate float64, seed int64) (Result, error) {
+// runServicePoint simulates one service point through
+// noc.MeasureServiceCtx, recalling it from the result cache when one is
+// attached.
+func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfig, j serviceJob) (Result, error) {
 	measure := c.MeasureCycles
 	if measure == 0 {
 		measure = 5000
 	}
-	key := servicePointKey(topo, c, router, rate, seed, measure)
+	key := servicePointKey(c, j, measure)
 	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
 		var burst *noc.BurstConfig
 		if c.Burst != nil {
 			burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
 		}
-		m, err := noc.MeasureServiceCtx(ctx, topo, noc.ServiceMeasureConfig{
-			Router:        router,
+		m, err := noc.MeasureServiceCtx(ctx, j.topo, noc.ServiceMeasureConfig{
+			Router:        j.router,
 			Servers:       c.Servers,
-			ArrivalRate:   rate,
+			ArrivalRate:   j.rate,
 			ThinkTime:     c.ThinkTime,
 			ResponseFlits: c.ResponseFlits,
 			HotspotSkew:   c.HotspotSkew,
@@ -132,7 +115,7 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, topo noc.Topolo
 			Burst:         burst,
 			Warmup:        c.WarmupCycles,
 			Measure:       measure,
-			Seed:          seed,
+			Seed:          j.seed,
 		})
 		if err != nil {
 			return nil, err
@@ -163,12 +146,12 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, topo noc.Topolo
 	}
 	return Result{
 		Workload:    WorkloadService.String(),
-		Topology:    topo.Kind().String(),
-		Router:      router.String(),
-		Seed:        seed,
+		Topology:    j.topo.Kind().String(),
+		Router:      j.router.String(),
+		Seed:        j.seed,
 		Bursty:      c.Burst != nil,
 		Servers:     c.Servers,
-		ArrivalRate: rate,
+		ArrivalRate: j.rate,
 		HotspotSkew: c.HotspotSkew,
 		Cycles:      m.Cycles,
 		Issued:      m.Issued,

@@ -94,7 +94,7 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 			}
 		}
 		if len(local) > 0 {
-			results, err := ForKind(k).RunShard(ctx, s, local)
+			results, err := ForKind(k).Run(ctx, s, local)
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,8 @@
 package scenario
 
 import (
+	"context"
 	"testing"
-
-	"repro/internal/dse"
 )
 
 // loadTopologyAblation runs the shipped topology-ablation scenario (the
@@ -14,7 +13,7 @@ func loadTopologyAblation(t *testing.T) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +34,7 @@ func pickTopo(t *testing.T, results []Result, topo string, rate float64) Result 
 	return Result{}
 }
 
-// satThroughput reduces a fabric's points to its saturation throughput,
-// mirroring dse.SaturationThroughputByTopology on scenario results.
+// satThroughput reduces a fabric's points to its saturation throughput.
 func satThroughput(results []Result, topo string) float64 {
 	best := 0.0
 	for _, r := range results {
@@ -94,37 +92,6 @@ func TestTopologyAblationOrdering(t *testing.T) {
 		if r.PeakBuffer != 0 {
 			t.Errorf("%s at rate %g reported %d buffered flits; the deflection router stores nothing",
 				r.Topology, r.Rate, r.PeakBuffer)
-		}
-	}
-}
-
-// TestTopologyAblationGolden proves the declarative path is exact for the
-// topology axis, mirroring TestRouterAblationGolden: running
-// topology-ablation.json must reproduce
-// dse.TopologyAblation(DefaultTopologyAblationOptions()) point-for-point,
-// because both delegate to noc.Measure.
-func TestTopologyAblationGolden(t *testing.T) {
-	results := loadTopologyAblation(t)
-
-	o := dse.DefaultTopologyAblationOptions()
-	points, err := dse.TopologyAblation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(results) {
-		t.Fatalf("scenario has %d points, dse sweep %d", len(results), len(points))
-	}
-	for i, p := range points {
-		r := results[i]
-		if r.Topology != p.Topology.String() || r.Rate != p.Rate {
-			t.Fatalf("point %d: scenario (%s, %g) vs dse (%v, %g): axis order diverged",
-				i, r.Topology, r.Rate, p.Topology, p.Rate)
-		}
-		if r.Throughput != p.Throughput || r.MeanLatency != p.MeanLatency ||
-			r.P99Latency != p.P99Latency || r.DeflectionRate != p.DeflectionRate ||
-			r.PeakBuffer != p.PeakBuffer {
-			t.Errorf("point %d (%s @ %g): scenario %+v diverges from dse %+v",
-				i, r.Topology, r.Rate, r, p)
 		}
 	}
 }

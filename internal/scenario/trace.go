@@ -12,18 +12,32 @@ import (
 	"repro/internal/trace"
 )
 
-// runTraceShard expands topologies x routers over one decoded trace and
-// replays each point on the shared worker pool. Replayed rows carry the
-// noc-synthetic schema with the recorded provenance as their axis labels
-// (pattern, rate, seed, bursty come from the trace header; topology and
-// router are the replay axes) — a same-fabric replay therefore renders
+// traceJob is one point of the trace-replay canonical order.
+type traceJob struct {
+	topo   noc.Topology
+	router noc.RouterKind
+}
+
+// Run expands topologies x routers over one decoded trace and replays
+// each point on the sweep pool. Replayed rows carry the noc-synthetic
+// schema with the recorded provenance as their axis labels (pattern,
+// rate, seed, bursty come from the trace header; topology and router are
+// the replay axes) — a same-fabric replay therefore renders
 // byte-identical tables/CSV/JSON and an equal Merkle root to its source
 // run, which the record/replay differential battery asserts.
-func runTraceShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+func (traceWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	c := s.Trace
 	t, err := c.load()
 	if err != nil {
 		return nil, fmt.Errorf(`scenario: "trace.file": %w`, err)
+	}
+	topos, err := c.fabrics(t)
+	if err != nil {
+		return nil, err
+	}
+	routers, err := c.routers(t)
+	if err != nil {
+		return nil, err
 	}
 	events := make([]noc.ReplayEvent, len(t.Events))
 	for i, ev := range t.Events {
@@ -35,46 +49,17 @@ func runTraceShard(ctx context.Context, s *Scenario, points []int) ([]Result, er
 	// Hash() memoizes lazily; force it here, before the fan-out, so the
 	// workers only ever read it.
 	hash := t.Hash()
-	type job struct {
-		idx    int
-		topo   noc.Topology
-		router noc.RouterKind
-	}
-	var jobs []job
-	for _, tk := range c.topologyList(t) {
-		topo, err := noc.NewTopologyOfKind(tk, t.Header.Width, t.Header.Height)
-		if err != nil {
-			return nil, err
-		}
-		for _, router := range c.routerList(t) {
-			jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router})
+	var jobs []traceJob
+	for _, topo := range topos {
+		for _, router := range routers {
+			jobs = append(jobs, traceJob{topo: topo, router: router})
 		}
 	}
-	if points != nil {
-		sel := make([]job, len(points))
-		for i, p := range points {
-			if p < 0 || p >= len(jobs) {
-				return nil, fmt.Errorf("scenario: point filter index %d outside the %d-point trace sweep", p, len(jobs))
-			}
-			sel[i] = jobs[p]
-			sel[i].idx = i
-		}
-		jobs = sel
-	}
-	results := make([]Result, len(jobs))
-	if err := par.ForEachCtx(ctx, len(jobs), s.Parallelism, func(i int) error {
-		j := jobs[i]
-		r, err := runTracePoint(ctx, s.Cache, t, hash, events, j.topo, j.router)
-		if err != nil {
-			return err
-		}
+	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j traceJob) (Result, error) {
+		r, err := runTracePoint(ctx, s.Cache, t, hash, events, j)
 		r.Scenario = s.Name
-		results[j.idx] = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
+		return r, err
+	})
 }
 
 // runTracePoint replays the trace through one (topology, router) point.
@@ -82,15 +67,15 @@ func runTraceShard(ctx context.Context, s *Scenario, points []int) ([]Result, er
 // the file bytes — so a cached replay can never outlive its trace: any
 // byte change (including header provenance) misses, and two identical
 // files share entries.
-func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, hash string, events []noc.ReplayEvent, topo noc.Topology, router noc.RouterKind) (Result, error) {
+func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, hash string, events []noc.ReplayEvent, j traceJob) (Result, error) {
 	key := resultcache.NewKey("scenario/trace").
 		Str("trace_sha256", hash).
-		Str("topology", topo.Kind().String()).
-		Str("router", router.String()).
+		Str("topology", j.topo.Kind().String()).
+		Str("router", j.router.String()).
 		Sum()
 	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
-		m, err := noc.MeasureReplayCtx(ctx, topo, noc.ReplayConfig{
-			Router: router, Events: events,
+		m, err := noc.MeasureReplayCtx(ctx, j.topo, noc.ReplayConfig{
+			Router: j.router, Events: events,
 			Warmup: t.Header.Warmup, Measure: t.Header.Measure,
 		})
 		if err != nil {
@@ -111,8 +96,8 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 		// provenance fills the pattern/rate/seed axes, so a same-fabric
 		// replay row is byte-identical to its source row.
 		Workload:       WorkloadNoC.String(),
-		Topology:       topo.Kind().String(),
-		Router:         router.String(),
+		Topology:       j.topo.Kind().String(),
+		Router:         j.router.String(),
 		Pattern:        h.Pattern,
 		Rate:           h.Rate,
 		Seed:           h.Seed,
@@ -166,17 +151,18 @@ func recordNoC(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
 	if measure == 0 {
 		measure = 5000
 	}
-	p, err := noc.ParsePattern(c.Patterns[0])
+	jobs, err := nocJobs(s)
 	if err != nil {
 		return nil, nil, err
 	}
+	j := jobs[0]
 	t := trace.New(trace.Header{
 		Width: c.Width, Height: c.Height,
-		Topology: c.topologyList()[0].String(),
-		Router:   c.routerList()[0].String(),
-		Pattern:  p.String(),
-		Rate:     c.Rates[0],
-		Seed:     s.seedList()[0],
+		Topology: j.topo.Kind().String(),
+		Router:   j.router.String(),
+		Pattern:  j.pattern.String(),
+		Rate:     j.rate,
+		Seed:     j.seed,
 		Bursty:   c.Burst != nil,
 		QueueCap: c.QueueCap,
 		Warmup:   c.WarmupCycles,

@@ -24,7 +24,7 @@ type WorkloadKind int
 // The six workload implementations. The first three are compute kernels
 // on the full MEDEA system (cores + caches + MPMMU over the NoC), sharing
 // the kernel sweep axes (variants x policies x caches x cores) and the
-// dse.KernelSweep execution path; the rest drive the bare network:
+// dse.KernelSweepCtx execution path; the rest drive the bare network:
 // noc-synthetic with generated traffic, trace with recorded traffic, and
 // service with request/response traffic.
 const (
@@ -130,16 +130,15 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 type Workload interface {
 	// Kind returns the implemented workload kind.
 	Kind() WorkloadKind
-	// Run executes this kind's full sweep cross-product for the (already
-	// validated) scenario, in deterministic axis order. A canceled context
-	// stops dispatching new points and interrupts in-flight simulations.
-	Run(ctx context.Context, s *Scenario) ([]Result, error)
-	// RunShard executes only the listed point indices of this kind's
-	// canonical order (strictly increasing, all in range — RunShardCtx
-	// guarantees this), returning one Result per index in order.
-	// Cross-point figures (kernel Speedup) are NOT attached; MergeShards
-	// recomputes them over the reassembled full series.
-	RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error)
+	// Run executes this kind's sweep for the (already validated)
+	// scenario: the full cross-product in deterministic axis order when
+	// points is nil, otherwise only the listed indices of that canonical
+	// order (strictly increasing and in range), one Result per index. A
+	// canceled context stops dispatching new points and interrupts
+	// in-flight simulations. On a filtered run cross-point figures (kernel
+	// Speedup) are NOT attached; MergeShards recomputes them over the
+	// reassembled full series.
+	Run(ctx context.Context, s *Scenario, points []int) ([]Result, error)
 	// TableInto writes an aligned header + one row per result into w; all
 	// rows are of this kind.
 	TableInto(w *tabwriter.Writer, rows []Result)
@@ -172,9 +171,9 @@ func ForKind(k WorkloadKind) Workload {
 
 // kernelWorkload is the shared execution strategy of the three compute
 // kernels: resolve the scenario's kernel section into dse.KernelOptions
-// and delegate to dse.KernelSweep, the execution path shared with
-// dse.KernelAblation and cmd/medea-experiments (the golden tests depend
-// on this).
+// and delegate to dse.KernelSweepCtx, the execution path shared with
+// dse.KernelAblationCtx and cmd/medea-experiments (the golden tests
+// depend on this).
 type kernelWorkload struct {
 	kind   WorkloadKind
 	kernel dse.Kernel
@@ -182,19 +181,11 @@ type kernelWorkload struct {
 
 func (kw kernelWorkload) Kind() WorkloadKind { return kw.kind }
 
-func (kw kernelWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return kw.run(ctx, s, nil)
-}
-
-func (kw kernelWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return kw.run(ctx, s, points)
-}
-
-// run executes the kernel sweep, restricted to the listed canonical-order
+// Run executes the kernel sweep, restricted to the listed canonical-order
 // indices when points is non-nil (dse.KernelSweepCtx then skips the
 // cross-point Speedup attach; MergeShards reapplies it over reassembled
 // series).
-func (kw kernelWorkload) run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+func (kw kernelWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	o, err := s.kernelSweepOptions(kw.kernel)
 	if err != nil {
 		return nil, err
@@ -246,22 +237,14 @@ type jacobiWorkload struct{ kernelWorkload }
 type matmulWorkload struct{ kernelWorkload }
 type syncbenchWorkload struct{ kernelWorkload }
 
-// nocWorkload drives synthetic traffic on the bare network; its Run body
-// lives in run.go next to the per-point measurement.
+// nocWorkload drives synthetic traffic on the bare network; its Run lives
+// in run.go next to the per-point measurement.
 type nocWorkload struct{}
 
 func (nocWorkload) Kind() WorkloadKind { return WorkloadNoC }
 
-func (nocWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runNoCShard(ctx, s, nil)
-}
-
-func (nocWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runNoCShard(ctx, s, points)
-}
-
 // traceWorkload replays a recorded trace through the replay sweep axes;
-// its Run body lives in trace.go. Replayed rows carry the noc-synthetic
+// its Run lives in trace.go. Replayed rows carry the noc-synthetic
 // schema (a same-fabric replay renders byte-identically to its source
 // run), so the render methods delegate to the noc schema for the rare
 // hand-assembled row that still says "trace".
@@ -269,24 +252,8 @@ type traceWorkload struct{}
 
 func (traceWorkload) Kind() WorkloadKind { return WorkloadTrace }
 
-func (traceWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runTraceShard(ctx, s, nil)
-}
-
-func (traceWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runTraceShard(ctx, s, points)
-}
-
 // serviceWorkload drives request/response traffic on the bare network;
-// its Run body lives in service.go and its schema in output.go.
+// its Run lives in service.go and its schema in output.go.
 type serviceWorkload struct{}
 
 func (serviceWorkload) Kind() WorkloadKind { return WorkloadService }
-
-func (serviceWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runServiceShard(ctx, s, nil)
-}
-
-func (serviceWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runServiceShard(ctx, s, points)
-}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -70,7 +71,7 @@ func TestCrossWorkloadDeterminism(t *testing.T) {
 	for name, src := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			s := mustParse(t, src)
-			first, err := Run(s)
+			first, err := RunCtx(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,14 +79,14 @@ func TestCrossWorkloadDeterminism(t *testing.T) {
 				t.Fatalf("got %d results, scenario declares %d", len(first), s.NumPoints())
 			}
 			s.Parallelism = 1 // different interleaving must not change anything
-			again, err := Run(s)
+			again, err := RunCtx(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(first, again) {
 				t.Errorf("results differ between parallel and serial execution:\n%+v\nvs\n%+v", first, again)
 			}
-			third, err := Run(mustParse(t, src))
+			third, err := RunCtx(context.Background(), mustParse(t, src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestWorkloadBlocksOrdered(t *testing.T) {
 		"kernel": {"n": 8, "cores": [2, 3], "cache_kb": [4],
 		           "variants": ["hybrid-full", "pure-sm"], "rounds": 2}
 	}`)
-	results, err := Run(s)
+	results, err := RunCtx(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,17 +215,9 @@ func (e *Engine) Tick() {
 	e.cycle++
 }
 
-// ErrTimeout is returned by RunUntil when the predicate does not become
+// ErrTimeout is returned by RunUntilCtx when the predicate does not become
 // true within the cycle budget.
 var ErrTimeout = errors.New("sim: cycle budget exhausted")
-
-// RunUntil ticks the engine until done() reports true or maxCycles
-// additional cycles have elapsed, in which case it returns ErrTimeout.
-// done is evaluated before each tick, so a predicate that is already true
-// costs zero cycles.
-func (e *Engine) RunUntil(done func() bool, maxCycles int64) error {
-	return e.RunUntilCtx(context.Background(), done, maxCycles)
-}
 
 // ctxCheckInterval is how many cycles elapse between context polls in the
 // context-aware run loops: frequent enough that a canceled simulation
@@ -250,10 +242,13 @@ func (e *Engine) pollCtx(ctx context.Context) error {
 	return nil
 }
 
-// RunUntilCtx is RunUntil with cooperative cancellation: the context is
-// polled every ctxCheckInterval cycles, so a canceled or deadline-exceeded
-// run stops in bounded time (mid-simulation, not at run granularity) and
-// returns the context's error.
+// RunUntilCtx ticks the engine until done() reports true or maxCycles
+// additional cycles have elapsed, in which case it returns ErrTimeout.
+// done is evaluated before each tick, so a predicate that is already true
+// costs zero cycles. The context is polled every ctxCheckInterval cycles,
+// so a canceled or deadline-exceeded run stops in bounded time
+// (mid-simulation, not at run granularity) and returns the context's
+// error.
 func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles int64) error {
 	defer e.flushSkipped()
 	deadline := e.cycle + maxCycles

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	e.Register(PhaseNode, &FuncComponent{ComponentName: "c", Fn: func(int64) { count++ }})
-	err := e.RunUntil(func() bool { return count >= 10 }, 100)
+	err := e.RunUntilCtx(context.Background(), func() bool { return count >= 10 }, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilTimeout(t *testing.T) {
 	e := NewEngine()
-	err := e.RunUntil(func() bool { return false }, 5)
+	err := e.RunUntilCtx(context.Background(), func() bool { return false }, 5)
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}

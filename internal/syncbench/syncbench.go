@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/empi"
 	"repro/internal/pe"
@@ -64,24 +63,11 @@ type Result struct {
 	CyclesSkipped int64
 }
 
-// Measure runs rounds synchronization episodes on cores compute cores
-// with the package's reference configuration (8 kB write-back L1s) and
-// returns the averaged cost.
-func Measure(kind Kind, cores, rounds int) (Result, error) {
-	return MeasureWith(kind, core.DefaultConfig(cores, 8, cache.WriteBack), rounds)
-}
-
-// MeasureWith runs rounds synchronization episodes on the system described
-// by cfg (cfg.NumCompute cores take part) and returns the averaged cost.
-// It is the configurable entry point behind Measure, shared with the
-// kernel sweeps in internal/dse so the declarative and hand-coded paths
-// measure through one implementation.
-func MeasureWith(kind Kind, cfg core.Config, rounds int) (Result, error) {
-	return MeasureWithCtx(context.Background(), kind, cfg, rounds)
-}
-
-// MeasureWithCtx is MeasureWith with cooperative cancellation: a canceled
-// context stops the simulation mid-run and unwinds the benchmark
+// MeasureWithCtx runs rounds synchronization episodes on the system
+// described by cfg (cfg.NumCompute cores take part) and returns the
+// averaged cost. The kernel sweeps in internal/dse measure through it, so
+// the declarative and hand-coded paths share one implementation. A
+// canceled context stops the simulation mid-run and unwinds the benchmark
 // programs, so a canceled sweep point costs bounded time and leaks
 // nothing. Errors inside the benchmark kernels (e.g. a communicator that
 // fails to build) fail the run with an error rather than panicking.

@@ -1,14 +1,21 @@
 package syncbench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 )
 
+// measure runs on the package's reference configuration: 8 kB write-back
+// L1s.
+func measure(kind Kind, cores, rounds int) (Result, error) {
+	return MeasureWithCtx(context.Background(), kind, core.DefaultConfig(cores, 8, cache.WriteBack), rounds)
+}
+
 func TestMessageBarrierLatency(t *testing.T) {
-	res, err := Measure(MessageBarrier, 4, 10)
+	res, err := measure(MessageBarrier, 4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +31,7 @@ func TestMessageBarrierLatency(t *testing.T) {
 }
 
 func TestLockBarrierLatency(t *testing.T) {
-	res, err := Measure(LockBarrier, 4, 10)
+	res, err := measure(LockBarrier, 4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +47,11 @@ func TestLockBarrierLatency(t *testing.T) {
 // token exchange beats synchronization through the memory hierarchy.
 func TestMessageBarrierCheaper(t *testing.T) {
 	for _, cores := range []int{4, 8} {
-		msg, err := Measure(MessageBarrier, cores, 10)
+		msg, err := measure(MessageBarrier, cores, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lck, err := Measure(LockBarrier, cores, 10)
+		lck, err := measure(LockBarrier, cores, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,10 +71,10 @@ func TestBarrierScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep")
 	}
-	m4, _ := Measure(MessageBarrier, 4, 10)
-	m12, _ := Measure(MessageBarrier, 12, 10)
-	l4, _ := Measure(LockBarrier, 4, 10)
-	l12, _ := Measure(LockBarrier, 12, 10)
+	m4, _ := measure(MessageBarrier, 4, 10)
+	m12, _ := measure(MessageBarrier, 12, 10)
+	l4, _ := measure(LockBarrier, 4, 10)
+	l12, _ := measure(LockBarrier, 12, 10)
 	if m12.CyclesPerRound <= m4.CyclesPerRound {
 		t.Errorf("message barrier did not grow with cores: %d -> %d", m4.CyclesPerRound, m12.CyclesPerRound)
 	}
@@ -80,7 +87,7 @@ func TestBarrierScaling(t *testing.T) {
 }
 
 func TestFlagSignal(t *testing.T) {
-	res, err := Measure(FlagSignal, 2, 10)
+	res, err := measure(FlagSignal, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,32 +98,19 @@ func TestFlagSignal(t *testing.T) {
 }
 
 func TestMeasureValidation(t *testing.T) {
-	if _, err := Measure(FlagSignal, 1, 5); err == nil {
+	if _, err := measure(FlagSignal, 1, 5); err == nil {
 		t.Error("flag signal with one core accepted")
 	}
-	if _, err := Measure(MessageBarrier, 2, 0); err == nil {
+	if _, err := measure(MessageBarrier, 2, 0); err == nil {
 		t.Error("zero rounds accepted")
 	}
 }
 
-// TestMeasureWithMatchesMeasure pins the refactor contract: Measure is
-// exactly MeasureWith on the reference configuration, and MeasureWith
-// honours a different cache configuration (the lock barrier's cost moves
-// with the L1 size because its flag lines live in shared memory).
+// TestMeasureWithMatchesMeasure: MeasureWithCtx honours a cache
+// configuration other than the reference one the rest of this file uses.
 func TestMeasureWithMatchesMeasure(t *testing.T) {
-	short, err := Measure(LockBarrier, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := MeasureWith(LockBarrier, core.DefaultConfig(4, 8, cache.WriteBack), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if short != same {
-		t.Errorf("MeasureWith(reference cfg) = %+v, Measure = %+v", same, short)
-	}
-	if _, err := MeasureWith(LockBarrier, core.DefaultConfig(4, 16, cache.WriteThrough), 5); err != nil {
-		t.Errorf("MeasureWith rejected a non-reference configuration: %v", err)
+	if _, err := MeasureWithCtx(context.Background(), LockBarrier, core.DefaultConfig(4, 16, cache.WriteThrough), 5); err != nil {
+		t.Errorf("MeasureWithCtx rejected a non-reference configuration: %v", err)
 	}
 }
 
@@ -129,11 +123,11 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Measure(MessageBarrier, 6, 8)
+	a, err := measure(MessageBarrier, 6, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(MessageBarrier, 6, 8)
+	b, err := measure(MessageBarrier, 6, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
