@@ -23,7 +23,7 @@
 // cycle-accurate engine for millions of Ticks per configuration (168
 // configurations for the full Fig 6 sweep), so per-cycle overhead
 // multiplies across the whole benchmark suite. The hot path is organized
-// around five ideas:
+// around six ideas:
 //
 //   - Wake-driven stepping (internal/sim/sched.go): a cycle steps only the
 //     components that have work. A component that found nothing to do
@@ -50,15 +50,27 @@
 //
 //   - Two-phase tick with dirty-register commit (internal/sim): each cycle
 //     runs the awake components in phase order (nodes, then switches) and
-//     then commits only the registers written during the cycle. Set enqueues
-//     the register's index on a per-cycle dirty list (a pointer-free int32
-//     slice resolved through a table of pre-bound commit functions — no
-//     interface dispatch, no GC write barriers); registers that were valid
-//     but not rewritten expire lazily through a validity stamp compared
+//     then commits only the registers written during the cycle. A write
+//     enqueues the register's index on a per-cycle dirty list (a
+//     pointer-free int32 slice — no GC write barriers). A register is two
+//     slots picked by the parity of the clock, so the commit moves no
+//     value: it stamps the cycle the written slot is visible in, through
+//     a value-independent header, without a call. Registers that were
+//     valid but not rewritten expire lazily through that stamp compared
 //     against the engine clock, so idle links cost nothing. The
 //     determinism contract — identical cycle counts for identical
 //     configurations — is unchanged and locked in by
 //     internal/jacobi.TestDeterminismGolden.
+//
+//   - The busy tick (internal/noc): a saturated network skips nothing, so
+//     a run costs what one hop of one flit costs. A switch arbitrates on
+//     pointers to flits where they sit (Reg.Read, FIFO.Front) and copies
+//     the winner once, into the output register's next slot (Reg.Write);
+//     routing answers come from a per-switch table read off the Topology
+//     at wiring time; and latencies, being whole cycles, are counted per
+//     value (stats.CycleSample) instead of stored and sorted. DESIGN.md,
+//     "Busy tick: the life of a flit", has the accounting;
+//     noc.TestTickAllocFree holds all four routers to 0 allocations a tick.
 //
 //   - Ring-buffer FIFOs (internal/queue): every hardware queue (TIE ports,
 //     bridge output, MPMMU request/data queues, arbiter FIFOs, traffic
@@ -72,7 +84,9 @@
 //     forms remain as thin wrappers for cold paths and tests.
 //
 // Micro-benchmarks cover each layer: BenchmarkTick (internal/noc, the
-// per-cycle engine cost on the paper's 4x4 mesh at several loads),
+// per-cycle engine cost on the paper's 4x4 mesh, every router at several
+// loads: -bench 'Tick/adaptive/load-0.40' -cpuprofile is one router's
+// profile),
 // BenchmarkHandoff (internal/pe, one operation on each path between a
 // program and its core), BenchmarkFIFOPushPop (internal/queue) and
 // BenchmarkCacheAccess (internal/cache, which must report 0 allocs/op on

@@ -202,7 +202,7 @@ func (c *concentrator) Step(now int64) {
 			// Same-switch traffic turns around in the crossbar.
 			c.turnarounds++
 			c.net.noteInjected()
-			c.net.noteDelivered(f, now)
+			c.net.noteDelivered(&f, now)
 			c.eps[c.topo.LocalIndex(int(f.DstX), int(f.DstY))].Deliver(f, now)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -18,15 +19,10 @@ import (
 // addressed to this node is deflected and will come back. Injection from
 // the local node happens only when an output port is left free after all
 // incoming flits are placed.
-type DeflSwitch struct {
-	routerPorts
+type DeflSwitch struct{ deflector }
 
-	// scratch buffers reused across cycles to avoid allocation.
-	pool  []routedFlit
-	ports []Port
-
-	Stats SwitchStats
-}
+// Name implements sim.Component.
+func (s *DeflSwitch) Name() string { return fmt.Sprintf("sw(%d,%d)", s.x, s.y) }
 
 // SwitchStats counts per-switch routing events.
 type SwitchStats struct {
@@ -38,44 +34,123 @@ type SwitchStats struct {
 	Injected    stats.Counter // flits accepted from the local node
 }
 
-type routedFlit struct {
-	f      flit.Flit
-	inPort int // arrival port, used as deterministic tie-break
-	dx, dy int // destination switch coordinates (resolved once on arrival)
+// deflector is the deflection switch proper, shared by DeflSwitch and
+// AdaptiveSwitch: the two differ only in which free port a flit is given
+// (see pick), so they are one Step.
+type deflector struct {
+	routerPorts
+
+	// nbr is set on the adaptive switch only: the downstream switch behind
+	// every output port, nil where the fabric defines no link (see
+	// wireNeighbors).
+	nbr *[NumPorts]*routerPorts
+
+	Stats SwitchStats
 }
 
-// Name implements sim.Component.
-func (s *DeflSwitch) Name() string { return fmt.Sprintf("sw(%d,%d)", s.x, s.y) }
+// Buffered implements Router; a deflection switch stores nothing.
+func (s *deflector) Buffered() int { return 0 }
 
-// Buffered implements Router; the deflection switch stores nothing.
-func (s *DeflSwitch) Buffered() int { return 0 }
-
-// PeakBuffered implements Router; the deflection switch stores nothing.
-func (s *DeflSwitch) PeakBuffered() int { return 0 }
+// PeakBuffered implements Router; a deflection switch stores nothing.
+func (s *deflector) PeakBuffered() int { return 0 }
 
 // Deflections implements Router.
-func (s *DeflSwitch) Deflections() int64 { return s.Stats.Deflected.Value() }
+func (s *deflector) Deflections() int64 { return s.Stats.Deflected.Value() }
 
 // EjectedCount implements Router.
-func (s *DeflSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
+func (s *deflector) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
-func (s *DeflSwitch) Step(now int64) {
-	pool := s.pool[:0]
-	for p := 0; p < int(NumPorts); p++ {
-		if s.in[p] != nil && s.in[p].Valid() {
-			f, _ := s.in[p].Get()
-			dx, dy := s.dstSwitch(f)
-			pool = append(pool, routedFlit{f: f, inPort: p, dx: dx, dy: dy})
+// NextEvent implements sim.NextEventer; a bufferless switch holds no state
+// across cycles, so it is passive whenever its local port provably has
+// nothing to inject and will wake it when that changes.
+func (s *deflector) NextEvent(now int64) int64 {
+	if !s.localIdle() {
+		return now
+	}
+	return sim.NoEvent
+}
+
+// Snapshot implements sim.Checkpointable.
+func (s *deflector) Snapshot() any { return s.Stats }
+
+// Restore implements sim.Checkpointable.
+func (s *deflector) Restore(snap any) { s.Stats = snap.(SwitchStats) }
+
+// pick returns the port among candidates a flit is given, or ok=false when
+// every candidate is taken. The deflection switch takes the first free one.
+// The adaptive switch takes the free one whose downstream switch has the
+// fewest flits arriving this cycle, ties broken by candidate order — the
+// estimate is one cycle stale, what dedicated congestion wires would carry.
+func (s *deflector) pick(candidates []Port, taken *[NumPorts]bool) (Port, bool) {
+	best, bestLoad, found := Port(0), 0, false
+	for _, p := range candidates {
+		if taken[p] {
+			continue
+		}
+		if s.nbr == nil {
+			return p, true
+		}
+		if load := s.nbr[p].inOccupancy(); !found || load < bestLoad {
+			best, bestLoad, found = p, load, true
 		}
 	}
-	if len(pool) == 0 {
+	return best, found
+}
+
+// place sends f out of port p: the one copy a hop costs, from where the
+// flit sits (an input register, or the caller's frame for an injection)
+// into the slot of the output register the next cycle reads.
+func (s *deflector) place(f *flit.Flit, p Port, productive bool, taken *[NumPorts]bool) {
+	out := s.out[p].Write()
+	*out = *f
+	out.Meta.Hops++
+	if productive {
+		s.Stats.Productive.Inc()
+	} else {
+		out.Meta.Deflections++
+		s.Stats.Deflected.Inc()
+	}
+	taken[p] = true
+	s.Stats.Routed.Inc()
+}
+
+// inject places a flit pulled from the local node: a free productive port
+// if there is one, any free port otherwise (always, for the degenerate
+// self-addressed flit, which has no productive port).
+func (s *deflector) inject(f *flit.Flit, taken *[NumPorts]bool) {
+	s.Stats.Injected.Inc()
+	s.net.noteInjected()
+	if p, ok := s.pick(s.route(f).productive(), taken); ok {
+		s.place(f, p, true, taken)
+	} else if p, ok := s.pick(s.ports, taken); ok {
+		s.place(f, p, false, taken)
+	} else {
+		panic("noc: injected with no free port")
+	}
+}
+
+// Step implements sim.Component; it runs in sim.PhaseSwitch. Arrivals are
+// arbitrated through pointers into the input registers and never copied
+// before they leave.
+func (s *deflector) Step(now int64) {
+	var taken [NumPorts]bool
+	var arr [NumPorts]*flit.Flit // arrivals, in port order
+	n := 0
+	for _, in := range s.in {
+		if in == nil {
+			continue
+		}
+		if f := in.Read(); f != nil {
+			arr[n] = f
+			n++
+		}
+	}
+	if n == 0 {
 		// Idle fast path: no flits in flight through this switch, so every
 		// output port is free and the only possible work is an injection.
-		// This is the common case at the calibrated workloads' loads and
-		// skips the ejection/sort/placement machinery entirely.
+		// This is the common case at the calibrated workloads' loads.
 		if f, ok := s.local.TryPull(); ok {
-			s.injectIntoIdle(f)
+			s.inject(&f, &taken)
 		} else {
 			s.wake.Idle()
 		}
@@ -83,174 +158,73 @@ func (s *DeflSwitch) Step(now int64) {
 	}
 
 	// Ejection: pick the oldest flit addressed to this node.
-	ejectIdx := -1
-	for i := range pool {
-		if pool[i].dx != s.x || pool[i].dy != s.y {
-			continue
-		}
-		if ejectIdx < 0 || older(pool[i], pool[ejectIdx]) {
-			ejectIdx = i
+	eject := -1
+	for i, f := range arr[:n] {
+		if s.route(f).eject && (eject < 0 || older(f, arr[eject])) {
+			eject = i
 		}
 	}
-	if ejectIdx >= 0 {
-		f := pool[ejectIdx].f
+	if eject >= 0 {
+		f := arr[eject]
 		s.Stats.Ejected.Inc()
 		s.net.noteDelivered(f, now)
-		s.local.Deliver(f, now)
-		pool = append(pool[:ejectIdx], pool[ejectIdx+1:]...)
+		s.local.Deliver(*f, now)
+		copy(arr[eject:], arr[eject+1:n])
+		n--
 	}
 
 	// Route the remaining flits, oldest first, through productive ports.
-	// Insertion sort: the pool holds at most four flits and this runs
-	// every cycle, so reflection-based sorting is too expensive.
-	for i := 1; i < len(pool); i++ {
-		for j := i; j > 0 && older(pool[j], pool[j-1]); j-- {
-			pool[j], pool[j-1] = pool[j-1], pool[j]
+	// Insertion sort: at most four pointers, every cycle. It is stable, so
+	// flits of equal age keep arrival-port order — the arbitration's last
+	// tie-break.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && older(arr[j], arr[j-1]); j-- {
+			arr[j], arr[j-1] = arr[j-1], arr[j]
 		}
 	}
-	var taken [NumPorts]bool
-	var assigned [NumPorts]flit.Flit
-	var assignedOK [NumPorts]bool
-	place := func(f flit.Flit, p Port, productive bool) {
-		f.Meta.Hops++
-		if productive {
-			s.Stats.Productive.Inc()
-		} else {
-			f.Meta.Deflections++
-			s.Stats.Deflected.Inc()
-		}
-		taken[p] = true
-		assigned[p], assignedOK[p] = f, true
-		s.Stats.Routed.Inc()
-	}
-
-	deflect := pool[:0] // flits that did not get a productive port
-	for _, rf := range pool {
-		atDst := rf.dx == s.x && rf.dy == s.y
-		if atDst {
+	lost := 0 // arr[:lost] collects the flits that got no productive port
+	for _, f := range arr[:n] {
+		rt := s.route(f)
+		if rt.eject {
 			// Lost the ejection port this cycle; must keep moving.
 			s.Stats.EjectMissed.Inc()
-			deflect = append(deflect, rf)
+		} else if p, ok := s.pick(rt.productive(), &taken); ok {
+			s.place(f, p, true, &taken)
 			continue
 		}
-		s.ports = s.topo.ProductivePorts(s.ports[:0], s.x, s.y, rf.dx, rf.dy)
-		placed := false
-		for _, p := range s.ports {
-			if !taken[p] {
-				place(rf.f, p, true)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			deflect = append(deflect, rf)
-		}
+		arr[lost] = f
+		lost++
 	}
-	for _, rf := range deflect {
-		placed := false
-		for p := Port(0); p < NumPorts; p++ {
-			if s.out[p] == nil || taken[p] {
-				continue
-			}
-			place(rf.f, p, false)
-			placed = true
-			break
-		}
-		if !placed {
+	for _, f := range arr[:lost] {
+		p, ok := s.pick(s.ports, &taken)
+		if !ok {
 			// Cannot happen: arrivals never exceed the switch's real
 			// ports (a mesh corner has two links, so at most two flits
 			// arrive), so every flit finds a free real port.
-			panic("noc: deflection switch dropped a flit")
+			panic("noc: " + s.net.Kind.String() + " switch dropped a flit")
 		}
+		s.place(f, p, false, &taken)
 	}
 
-	// Injection: only when an output slot is left over.
-	free := false
-	for p := Port(0); p < NumPorts; p++ {
-		if s.out[p] != nil && !taken[p] {
-			free = true
-			break
-		}
-	}
-	if free {
+	// Injection: only when an output slot is left over (every arrival that
+	// stayed took one real port).
+	if n < len(s.ports) {
 		if f, ok := s.local.TryPull(); ok {
-			s.Stats.Injected.Inc()
-			s.net.noteInjected()
-			// Prefer a free productive port; fall back to any free port.
-			dx, dy := s.dstSwitch(f)
-			s.ports = s.topo.ProductivePorts(s.ports[:0], s.x, s.y, dx, dy)
-			placed := false
-			for _, p := range s.ports {
-				if !taken[p] {
-					place(f, p, true)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				for p := Port(0); p < NumPorts; p++ {
-					if s.out[p] == nil || taken[p] {
-						continue
-					}
-					place(f, p, false)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				panic("noc: injected with no free port")
-			}
+			s.inject(&f, &taken)
 		}
 	}
-
-	for p := Port(0); p < NumPorts; p++ {
-		if assignedOK[p] {
-			s.out[p].Set(assigned[p])
-		}
-	}
-	s.pool = pool[:0]
-}
-
-// injectIntoIdle places a freshly injected flit when every output port is
-// free. It mirrors the placement the full path would compute: the first
-// productive port, falling back to the first port (deflection) for the
-// degenerate self-addressed case.
-func (s *DeflSwitch) injectIntoIdle(f flit.Flit) {
-	s.Stats.Injected.Inc()
-	s.net.noteInjected()
-	dx, dy := s.dstSwitch(f)
-	s.ports = s.topo.ProductivePorts(s.ports[:0], s.x, s.y, dx, dy)
-	f.Meta.Hops++
-	p := Port(0)
-	if len(s.ports) > 0 {
-		p = s.ports[0]
-		s.Stats.Productive.Inc()
-	} else {
-		for q := Port(0); q < NumPorts; q++ {
-			if s.out[q] != nil {
-				p = q
-				break
-			}
-		}
-		f.Meta.Deflections++
-		s.Stats.Deflected.Inc()
-	}
-	s.Stats.Routed.Inc()
-	s.out[p].Set(f)
 }
 
 // older orders flits for arbitration: oldest injection cycle first, then
-// packet id, then sequence number, then arrival port. The ordering is total
-// and deterministic.
-func older(a, b routedFlit) bool {
-	if a.f.Meta.InjectCycle != b.f.Meta.InjectCycle {
-		return a.f.Meta.InjectCycle < b.f.Meta.InjectCycle
+// packet id, then sequence number. Flits equal in all three are told apart
+// by where they arrived: every caller compares in arrival order and keeps
+// that order on a tie.
+func older(a, b *flit.Flit) bool {
+	if a.Meta.InjectCycle != b.Meta.InjectCycle {
+		return a.Meta.InjectCycle < b.Meta.InjectCycle
 	}
-	if a.f.Meta.PacketID != b.f.Meta.PacketID {
-		return a.f.Meta.PacketID < b.f.Meta.PacketID
+	if a.Meta.PacketID != b.Meta.PacketID {
+		return a.Meta.PacketID < b.Meta.PacketID
 	}
-	if a.f.Seq != b.f.Seq {
-		return a.f.Seq < b.f.Seq
-	}
-	return a.inPort < b.inPort
+	return a.Seq < b.Seq
 }

@@ -47,37 +47,6 @@ func portIdle(p LocalPort) bool {
 	return ok && pr.Pending() == 0
 }
 
-// NextEvent implements sim.NextEventer; the bufferless deflection switch
-// holds no state across cycles, so it is passive whenever its local port
-// provably has nothing to inject and will wake it when that changes.
-func (s *DeflSwitch) NextEvent(now int64) int64 {
-	if !s.localIdle() {
-		return now
-	}
-	return sim.NoEvent
-}
-
-// Snapshot implements sim.Checkpointable.
-func (s *DeflSwitch) Snapshot() any { return s.Stats }
-
-// Restore implements sim.Checkpointable.
-func (s *DeflSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
-
-// NextEvent implements sim.NextEventer; the adaptive switch is bufferless
-// like the deflection switch.
-func (s *AdaptiveSwitch) NextEvent(now int64) int64 {
-	if !s.localIdle() {
-		return now
-	}
-	return sim.NoEvent
-}
-
-// Snapshot implements sim.Checkpointable.
-func (s *AdaptiveSwitch) Snapshot() any { return s.Stats }
-
-// Restore implements sim.Checkpointable.
-func (s *AdaptiveSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
-
 // NextEvent implements sim.NextEventer: buffered flits mean work every
 // cycle; empty queues mean fully passive.
 func (s *XYSwitch) NextEvent(now int64) int64 {

@@ -87,7 +87,7 @@ func newTrafficRig(ctx context.Context, topo Topology, mc MeasureConfig) (*measu
 // inside the window count.
 func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (Measurement, error) {
 	e, n := r.e, r.n
-	sample := &stats.Sample{}
+	sample := &stats.CycleSample{}
 	n.Stats.LatencySample = sample
 	delivered0 := n.Stats.Delivered.Value()
 	deflected0 := n.TotalDeflections()

@@ -36,7 +36,7 @@ type NetStats struct {
 	// LatencySample, when non-nil, additionally records every delivered
 	// flit's latency for exact percentile reporting. The scenario runner
 	// attaches one at the start of its measurement window.
-	LatencySample *stats.Sample
+	LatencySample *stats.CycleSample
 }
 
 // NewNetwork builds a folded torus of the paper's deflection switches. It
@@ -63,7 +63,7 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 	for id := range n.Routers {
 		x, y := topo.Coord(id)
 		n.Routers[id] = newRouter(kind, routerPorts{
-			id: id, x: x, y: y, topo: topo, local: &nullPort{}, net: n,
+			id: id, x: x, y: y, local: &nullPort{}, net: n,
 		})
 	}
 	// Create one register per directed link, shared between the producing
@@ -71,6 +71,7 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 	// fabric defines no link for stay nil, and every router skips them.
 	for id, r := range n.Routers {
 		rp := r.wiring()
+		rp.routeTable = newRouteTable(topo, id)
 		for p := Port(0); p < NumPorts; p++ {
 			nb, ok := topo.Neighbor(id, p)
 			if !ok {
@@ -224,12 +225,12 @@ func (n *Network) TotalDeflections() int64 {
 
 func (n *Network) noteInjected() { n.Stats.Injected.Inc() }
 
-func (n *Network) noteDelivered(f flit.Flit, now int64) {
+func (n *Network) noteDelivered(f *flit.Flit, now int64) {
 	n.Stats.Delivered.Inc()
 	n.Stats.Latency.Observe(float64(now - f.Meta.InjectCycle))
 	n.Stats.Hops.Observe(float64(f.Meta.Hops))
 	n.Stats.Deflects.Observe(float64(f.Meta.Deflections))
 	if n.Stats.LatencySample != nil {
-		n.Stats.LatencySample.Observe(float64(now - f.Meta.InjectCycle))
+		n.Stats.LatencySample.Observe(now - f.Meta.InjectCycle)
 	}
 }

@@ -136,9 +136,10 @@ type Router interface {
 type routerPorts struct {
 	id   int
 	x, y int
-	topo Topology
 	in   [NumPorts]*sim.Reg[flit.Flit]
 	out  [NumPorts]*sim.Reg[flit.Flit]
+	// routeTable is all the switch keeps of the topology.
+	routeTable
 
 	local LocalPort
 	net   *Network
@@ -148,6 +149,60 @@ type routerPorts struct {
 	// which the switch never sleeps.
 	wake       *sim.Handle
 	localWakes bool
+}
+
+// route is what a switch does with flits for one destination endpoint.
+type route struct {
+	eject bool           // the endpoint hangs off this switch
+	nprod uint8          // how many of prod are set
+	prod  [NumPorts]Port // Topology.ProductivePorts, in its order
+	xy    Port           // Topology.XYFirstPort; unset when eject
+}
+
+// productive returns the ports that bring a flit closer.
+func (r *route) productive() []Port { return r.prod[:r.nprod] }
+
+// routeTable is every routing answer a switch's Step needs, asked of the
+// Topology once at wiring time: the fabric is fixed from then on, and the
+// per-flit per-hop path is no place for interface calls and modular
+// arithmetic. The Topology stays the only place routing is defined — the
+// table holds its answers and nothing derived any other way, which
+// TestRouteTableMatchesTopology checks entry by entry.
+type routeTable struct {
+	routes []route // by destination endpoint, row-major over the endpoint grid
+	ew     int     // endpoint grid width
+	ports  []Port  // the ports with a link, ascending
+	wrap   [NumPorts]bool
+}
+
+func newRouteTable(topo Topology, id int) routeTable {
+	x, y := topo.Coord(id)
+	ew, _ := topo.EndpointDims()
+	t := routeTable{routes: make([]route, topo.NumEndpoints()), ew: ew}
+	for e := range t.routes {
+		ex, ey := topo.EndpointCoord(e)
+		dx, dy := topo.SwitchOf(ex, ey)
+		r := &t.routes[ey*ew+ex]
+		r.eject = dx == x && dy == y
+		r.nprod = uint8(len(topo.ProductivePorts(r.prod[:0], x, y, dx, dy)))
+		var ok bool
+		if r.xy, ok = topo.XYFirstPort(x, y, dx, dy); ok == r.eject {
+			panic(fmt.Sprintf("noc: %v topology has no dimension-order hop from switch %d to endpoint %d", topo.Kind(), id, e))
+		}
+	}
+	for p := Port(0); p < NumPorts; p++ {
+		if _, ok := topo.Neighbor(id, p); ok {
+			t.ports = append(t.ports, p)
+			t.wrap[p] = topo.WrapCrossing(x, y, p)
+		}
+	}
+	return t
+}
+
+// route looks up the flit's destination endpoint. Every router resolves a
+// flit through this before routing or ejecting it.
+func (t *routeTable) route(f *flit.Flit) *route {
+	return &t.routes[int(f.DstY)*t.ew+int(f.DstX)]
 }
 
 // ID implements Router.
@@ -171,14 +226,6 @@ func (rp *routerPorts) attachLocal(lp LocalPort) {
 func (rp *routerPorts) localIdle() bool { return rp.localWakes && portIdle(rp.local) }
 
 func (rp *routerPorts) wiring() *routerPorts { return rp }
-
-// dstSwitch maps a flit's destination endpoint coordinates to the
-// coordinates of the switch serving that endpoint (identity except on
-// concentrated topologies). Every router resolves a flit's target switch
-// through this before routing or ejecting.
-func (rp *routerPorts) dstSwitch(f flit.Flit) (int, int) {
-	return rp.topo.SwitchOf(int(f.DstX), int(f.DstY))
-}
 
 // outOccupancy counts output links carrying a flit this cycle.
 func (rp *routerPorts) outOccupancy() int {
@@ -208,11 +255,11 @@ func (rp *routerPorts) inOccupancy() int {
 func newRouter(kind RouterKind, rp routerPorts) Router {
 	switch kind {
 	case RouterDeflection:
-		return &DeflSwitch{routerPorts: rp}
+		return &DeflSwitch{deflector{routerPorts: rp}}
 	case RouterXY:
 		return newXYSwitch(rp)
 	case RouterAdaptive:
-		return &AdaptiveSwitch{routerPorts: rp}
+		return &AdaptiveSwitch{deflector{routerPorts: rp}}
 	case RouterWormhole:
 		return newWormholeSwitch(rp)
 	}

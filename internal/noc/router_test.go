@@ -1,9 +1,11 @@
 package noc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/sim"
 )
 
@@ -207,5 +209,80 @@ func TestWormholeCreditsBounded(t *testing.T) {
 	}
 	if n.Stats.Delivered.Value() == 0 {
 		t.Fatal("saturated wormhole network delivered nothing")
+	}
+}
+
+// TestRouteTableMatchesTopology checks every entry of every switch's route
+// table against the Topology method it was read from: the table is a
+// cache of the fabric's answers, never a second definition of routing. The
+// 5x3 torus has odd rings (no half-way tie on X, none on Y); the 4x4 has
+// both directions productive at distance 2.
+func TestRouteTableMatchesTopology(t *testing.T) {
+	fabrics := []struct {
+		kind TopologyKind
+		w, h int
+	}{{TopoTorus, 4, 4}, {TopoTorus, 5, 3}, {TopoMesh, 4, 4}, {TopoMesh, 5, 3}, {TopoCMesh, 4, 4}, {TopoCMesh, 6, 4}}
+	for _, fab := range fabrics {
+		topo, err := NewTopologyOfKind(fab.kind, fab.w, fab.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := NewRouterNetwork(sim.NewEngine(), topo, RouterDeflection)
+		for id, r := range n.Routers {
+			rp := r.wiring()
+			x, y := topo.Coord(id)
+			for e := 0; e < topo.NumEndpoints(); e++ {
+				ex, ey := topo.EndpointCoord(e)
+				dx, dy := topo.SwitchOf(ex, ey)
+				f := flit.Flit{DstX: uint8(ex), DstY: uint8(ey)}
+				rt := rp.route(&f)
+				if want := topo.EndpointSwitch(e) == id; rt.eject != want {
+					t.Errorf("%v %dx%d switch %d endpoint %d: eject = %v, want %v", fab.kind, fab.w, fab.h, id, e, rt.eject, want)
+				}
+				if got, want := rt.productive(), topo.ProductivePorts(nil, x, y, dx, dy); !slices.Equal(got, want) {
+					t.Errorf("%v %dx%d switch %d endpoint %d: productive = %v, want %v", fab.kind, fab.w, fab.h, id, e, got, want)
+				}
+				if want, ok := topo.XYFirstPort(x, y, dx, dy); ok == rt.eject || (ok && rt.xy != want) {
+					t.Errorf("%v %dx%d switch %d endpoint %d: xy = %v (eject %v), want %v, %v", fab.kind, fab.w, fab.h, id, e, rt.xy, rt.eject, want, ok)
+				}
+			}
+			var ports []Port
+			for p := Port(0); p < NumPorts; p++ {
+				_, linked := topo.Neighbor(id, p)
+				if linked {
+					ports = append(ports, p)
+				}
+				if want := linked && topo.WrapCrossing(x, y, p); rp.wrap[p] != want {
+					t.Errorf("%v %dx%d switch %d port %v: wrap = %v, want %v", fab.kind, fab.w, fab.h, id, p, rp.wrap[p], want)
+				}
+				if (rp.out[p] != nil) != linked {
+					t.Errorf("%v %dx%d switch %d port %v: register and link disagree", fab.kind, fab.w, fab.h, id, p)
+				}
+			}
+			if !slices.Equal(rp.ports, ports) {
+				t.Errorf("%v %dx%d switch %d: ports = %v, want %v", fab.kind, fab.w, fab.h, id, rp.ports, ports)
+			}
+		}
+	}
+}
+
+// Flits of equal age leave in arrival-port order: the arbitration's last
+// tie-break, which the stable sort over arrival order provides.
+func TestDeflectionTieBreakIsArrivalPort(t *testing.T) {
+	topo, _ := NewTopology(4, 4)
+	e := sim.NewEngine()
+	n := NewRouterNetwork(e, topo, RouterDeflection)
+	mid := n.Routers[topo.ID(1, 1)].wiring()
+	// Two flits identical in age, both wanting East only, arrive from the
+	// West and the South inputs; West is the lower port and must win.
+	f := flit.Flit{DstX: 2, DstY: 1}
+	fromWest, fromSouth := f, f
+	fromWest.Data, fromSouth.Data = 1, 2
+	mid.in[West].Set(fromWest)
+	mid.in[South].Set(fromSouth)
+	e.Tick()
+	e.Tick()
+	if got, ok := mid.out[East].Get(); !ok || got.Data != 1 || got.Meta.Deflections != 0 {
+		t.Errorf("East carries %+v, %v; want the flit that arrived on the lower port, undeflected", got, ok)
 	}
 }

@@ -100,11 +100,11 @@ type svcBoard struct {
 	completed stats.Counter
 	throttled stats.Counter
 
-	e2e     *stats.Sample  // end-to-end latency
-	server  *stats.Sample  // server component (p99 wanted)
-	queue   *stats.Running // client-queue component
-	netOut  *stats.Running // request-path network component
-	netBack *stats.Running // response-path network component
+	e2e     *stats.CycleSample // end-to-end latency
+	server  *stats.CycleSample // server component (p99 wanted)
+	queue   *stats.Running     // client-queue component
+	netOut  *stats.Running     // request-path network component
+	netBack *stats.Running     // response-path network component
 
 	// onComplete, when non-nil, sees every completed request's stamps
 	// (the breakdown property tests hook it).
@@ -121,8 +121,8 @@ func (b *svcBoard) complete(id uint32, req *svcRequest, now int64) {
 	delete(b.pending, id)
 	b.completed.Inc()
 	if b.e2e != nil {
-		b.e2e.Observe(float64(req.done - req.create))
-		b.server.Observe(float64(req.respInject - req.arrive))
+		b.e2e.Observe(req.done - req.create)
+		b.server.Observe(req.respInject - req.arrive)
 		b.queue.Observe(float64(req.inject - req.create))
 		b.netOut.Observe(float64(req.arrive - req.inject))
 		b.netBack.Observe(float64(req.done - req.respInject))
@@ -406,7 +406,7 @@ func buildServiceRig(ctx context.Context, topo Topology, sc ServiceMeasureConfig
 // window runs one measurement window on a warmed-up service rig.
 func (r *serviceRig) window(ctx context.Context, topo Topology, sc ServiceMeasureConfig) (ServiceMeasurement, error) {
 	b := r.board
-	b.e2e, b.server = &stats.Sample{}, &stats.Sample{}
+	b.e2e, b.server = &stats.CycleSample{}, &stats.CycleSample{}
 	b.queue, b.netOut, b.netBack = &stats.Running{}, &stats.Running{}, &stats.Running{}
 	issued0 := b.issued.Value()
 	completed0 := b.completed.Value()

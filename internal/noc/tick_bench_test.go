@@ -7,31 +7,58 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkTick measures the per-cycle cost of the engine on a 4x4 folded
-// torus (the paper's mesh: 16 switches, 64 link registers) at three offered
-// loads. At low load almost every link register is idle, which is the
-// common case in the calibrated workloads — the engine must not pay a
-// commit per idle register.
-func BenchmarkTick(b *testing.B) {
+// tickRig builds bench's tick rig: a 4x4 folded torus (the paper's mesh:
+// 16 switches, 64 link registers) of the given router with uniform traffic
+// at the given offered load, every component stepping every cycle, warmed
+// to steady-state occupancy.
+func tickRig(tb testing.TB, kind RouterKind, rate float64) *sim.Engine {
 	topo, err := NewTopology(4, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, rate := range []float64{0, 0.05, 0.4} {
-		b.Run(fmt.Sprintf("load-%.2f", rate), func(b *testing.B) {
-			e := sim.NewEngine()
-			n := NewNetwork(e, topo)
-			for id := 0; id < topo.NumNodes(); id++ {
-				tn := NewTrafficNode(id, topo, TrafficConfig{Pattern: Uniform, Rate: rate}, 1)
-				n.Attach(id, tn)
-				e.Register(sim.PhaseNode, tn)
-			}
-			e.Run(100) // warm up: steady-state occupancy
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Tick()
-			}
-		})
+	e := sim.NewEngine()
+	e.SetFastForward(false)
+	n := NewRouterNetwork(e, topo, kind)
+	for id := 0; id < topo.NumNodes(); id++ {
+		tn := NewTrafficNode(id, topo, TrafficConfig{Pattern: Uniform, Rate: rate}, 1)
+		n.Attach(id, tn)
+		e.Register(sim.PhaseNode, tn)
+	}
+	e.Run(100)
+	return e
+}
+
+// BenchmarkTick measures the per-cycle cost of the engine for every router
+// at three offered loads (the shape of bench's noc.tick_ns.* probes). At
+// low load almost every link register is idle, which is the common case in
+// the calibrated workloads — the engine must not pay a commit per idle
+// register; at 0.40 the cost is the routers' own. For one router's profile:
+//
+//	go test ./internal/noc -run '^$' -bench 'Tick/adaptive/load-0.40' -cpuprofile cpu.out
+func BenchmarkTick(b *testing.B) {
+	for _, kind := range AllRouters() {
+		for _, rate := range []float64{0, 0.05, 0.4} {
+			b.Run(fmt.Sprintf("%v/load-%.2f", kind, rate), func(b *testing.B) {
+				e := tickRig(b, kind, rate)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Tick()
+				}
+			})
+		}
+	}
+}
+
+// TestTickAllocFree holds every router to a tick that allocates nothing
+// once the network has warmed up (queues at their working depth, scratch
+// on the stack), at the load the saturated benchmark runs.
+func TestTickAllocFree(t *testing.T) {
+	for _, kind := range AllRouters() {
+		e := tickRig(t, kind, 0.4)
+		e.Run(2000)
+		if allocs := testing.AllocsPerRun(1000, e.Tick); allocs != 0 {
+			t.Errorf("%v: %v allocations per tick, want 0", kind, allocs)
+		}
 	}
 }

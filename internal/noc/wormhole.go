@@ -96,7 +96,7 @@ func newWormholeSwitch(rp routerPorts) *WormholeSwitch {
 // edges) stay nil; no flit ever arrives there, so no credit ever returns.
 func (s *WormholeSwitch) wireCredits(n *Network) {
 	for p := Port(0); p < NumPorts; p++ {
-		if nb, ok := s.topo.Neighbor(s.id, p); ok {
+		if nb, ok := n.Topo.Neighbor(s.id, p); ok {
 			s.up[p] = n.Routers[nb].(*WormholeSwitch)
 		}
 	}
@@ -166,16 +166,17 @@ func (s *WormholeSwitch) spendCredit(p Port, v uint8) {
 // the VC the flit currently occupies and whether it is turning into a new
 // dimension (or entering the network). Dateline rule: each ring is
 // traversed on VC0 until the hop that crosses the wrap-around link, VC1
-// afterwards. The topology's WrapCrossing capability hook says where the
-// datelines sit; on fabrics whose rings never wrap (mesh, cmesh) it is
-// constantly false and the escape VC is never allocated — dimension-order
-// routing alone is deadlock free there.
+// afterwards. The topology's WrapCrossing capability hook (read into the
+// route table at wiring time) says where the datelines sit; on fabrics
+// whose rings never wrap (mesh, cmesh) it is constantly false and the
+// escape VC is never allocated — dimension-order routing alone is deadlock
+// free there.
 func (s *WormholeSwitch) sendVC(cur uint8, p Port, newDim bool) uint8 {
 	vc := cur
 	if newDim {
 		vc = 0
 	}
-	if s.topo.WrapCrossing(s.x, s.y, p) {
+	if s.wrap[p] {
 		vc = 1
 	}
 	return vc
@@ -188,38 +189,32 @@ func isYPort(p Port) bool { return p == North || p == South }
 // per-link VC buffer, or the local injection queue when port == -1).
 type whHead struct {
 	q    *queue.FIFO[flit.Flit]
-	f    flit.Flit
-	port int // -1 for the injection queue
+	f    *flit.Flit // where it sits in q
+	port int        // -1 for the injection queue
 	vc   uint8
 }
 
-// heads collects the current head flit of every non-empty input queue.
+// heads collects the current head flit of every non-empty input queue:
+// the injection queue first, then the link buffers by port and VC, which
+// is the order the allocator's sort leaves flits of equal age in.
 func (s *WormholeSwitch) heads(scratch []whHead) []whHead {
+	if f := s.injQ.Front(); f != nil {
+		scratch = append(scratch, whHead{q: s.injQ, f: f, port: -1})
+	}
 	for p := 0; p < int(NumPorts); p++ {
 		for v := 0; v < WormholeVCs; v++ {
-			if f, ok := s.bufs[p][v].Peek(); ok {
+			if f := s.bufs[p][v].Front(); f != nil {
 				scratch = append(scratch, whHead{q: s.bufs[p][v], f: f, port: p, vc: uint8(v)})
 			}
 		}
 	}
-	if f, ok := s.injQ.Peek(); ok {
-		scratch = append(scratch, whHead{q: s.injQ, f: f, port: -1})
-	}
 	return scratch
-}
-
-// olderHead orders allocation candidates oldest-first with the same total
-// deterministic ordering the deflection switch uses (inject cycle, packet
-// id, sequence number, then arrival port/VC).
-func olderHead(a, b whHead) bool {
-	return older(routedFlit{f: a.f, inPort: a.port*WormholeVCs + int(a.vc)},
-		routedFlit{f: b.f, inPort: b.port*WormholeVCs + int(b.vc)})
 }
 
 // pop removes the granted head from its queue, returning the freed credit
 // upstream when the flit arrived over a link.
 func (s *WormholeSwitch) pop(h whHead, now int64) {
-	h.q.Pop()
+	h.q.Drop()
 	s.buffered--
 	if h.port >= 0 {
 		s.returnCredit(Port(h.port), h.vc, now)
@@ -237,52 +232,50 @@ func (s *WormholeSwitch) Step(now int64) {
 	// oldest-first order (the same age arbitration as the deflection
 	// switch, which keeps the allocator fair network-wide and starvation
 	// free); a head advances only if its output port is free AND a credit
-	// for its VC is available.
+	// for its VC is available. The sort is a stable insertion sort over at
+	// most nine heads, oldest first by the deflection switch's order.
 	var scratch [NumPorts*WormholeVCs + 1]whHead
 	heads := s.heads(scratch[:0])
 	for i := 1; i < len(heads); i++ {
-		for j := i; j > 0 && olderHead(heads[j], heads[j-1]); j-- {
+		for j := i; j > 0 && older(heads[j].f, heads[j-1].f); j-- {
 			heads[j], heads[j-1] = heads[j-1], heads[j]
 		}
 	}
 	var outTaken [NumPorts]bool
 	ejected := false
 	for _, h := range heads {
-		f := h.f
-		dx, dy := s.dstSwitch(f)
-		if dx == s.x && dy == s.y {
+		rt := s.route(h.f)
+		if rt.eject {
 			// Ejection port: one flit per cycle; younger heads wait.
 			if ejected {
 				continue
 			}
 			ejected = true
-			s.pop(h, now)
 			s.Stats.Ejected.Inc()
-			s.net.noteDelivered(f, now)
-			s.local.Deliver(f, now)
+			s.net.noteDelivered(h.f, now)
+			s.local.Deliver(*h.f, now)
+			s.pop(h, now)
 			continue
 		}
-		p, ok := s.topo.XYFirstPort(s.x, s.y, dx, dy)
-		if !ok {
-			panic("noc: wormhole flit at destination not ejected")
-		}
+		p := rt.xy
 		if outTaken[p] {
 			s.Stats.PortStalls.Inc()
 			continue
 		}
 		// Injected flits and X->Y turns start their ring on VC0.
 		newDim := h.port < 0 || (isYPort(p) && !isYPort(Port(h.port)))
-		vc := s.sendVC(f.Meta.VC, p, newDim)
+		vc := s.sendVC(h.f.Meta.VC, p, newDim)
 		if s.credits[p][vc] == 0 {
 			s.Stats.CreditStalls.Inc()
 			continue
 		}
-		s.pop(h, now)
 		s.spendCredit(p, vc)
-		f.Meta.VC = vc
-		f.Meta.Hops++
+		out := s.out[p].Write()
+		*out = *h.f
+		out.Meta.VC = vc
+		out.Meta.Hops++
 		outTaken[p] = true
-		s.out[p].Set(f)
+		s.pop(h, now)
 		s.Stats.Routed.Inc()
 	}
 
@@ -290,12 +283,12 @@ func (s *WormholeSwitch) Step(now int64) {
 	// buffers. The credit protocol guarantees space; running this after
 	// allocation models the one-cycle buffer-write stage (a flit cannot
 	// cut through the switch in its arrival cycle).
-	for p := 0; p < int(NumPorts); p++ {
-		if s.in[p] == nil {
+	for p, in := range s.in {
+		if in == nil {
 			continue
 		}
-		if f, ok := s.in[p].Get(); ok {
-			if !s.bufs[p][f.Meta.VC].Push(f) {
+		if f := in.Read(); f != nil {
+			if !s.bufs[p][f.Meta.VC].Push(*f) {
 				panic("noc: wormhole input buffer overrun (credit protocol violated)")
 			}
 			s.buffered++

@@ -67,12 +67,12 @@ func (s *XYSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 // Step implements sim.Component; it runs in sim.PhaseSwitch.
 func (s *XYSwitch) Step(now int64) {
 	// Accept arrivals into input queues.
-	for p := 0; p < int(NumPorts); p++ {
-		if s.in[p] == nil {
+	for p, in := range s.in {
+		if in == nil {
 			continue
 		}
-		if f, ok := s.in[p].Get(); ok {
-			s.queues[p].Push(f)
+		if f := in.Read(); f != nil {
+			s.queues[p].Push(*f)
 			s.buffered++
 		}
 	}
@@ -114,30 +114,29 @@ func (s *XYSwitch) forward(now int64) {
 	nq := len(s.queues)
 	for i := 0; i < nq; i++ {
 		q := (s.rrStart + i) % nq
-		f, ok := s.queues[q].Peek()
-		if !ok {
+		f := s.queues[q].Front()
+		if f == nil {
 			continue
 		}
-		dx, dy := s.dstSwitch(f)
-		if dx == s.x && dy == s.y {
+		if rt := s.route(f); rt.eject {
 			if ejectTaken {
 				continue
 			}
 			ejectTaken = true
 			s.Stats.Ejected.Inc()
 			s.net.noteDelivered(f, now)
-			s.local.Deliver(f, now)
+			s.local.Deliver(*f, now)
 		} else {
-			p, ok := s.topo.XYFirstPort(s.x, s.y, dx, dy)
-			if !ok || outTaken[p] {
+			if outTaken[rt.xy] {
 				continue
 			}
-			outTaken[p] = true
-			f.Meta.Hops++
-			s.out[p].Set(f)
+			outTaken[rt.xy] = true
+			out := s.out[rt.xy].Write()
+			*out = *f
+			out.Meta.Hops++
 			s.Stats.Routed.Inc()
 		}
-		s.queues[q].Pop()
+		s.queues[q].Drop()
 		s.buffered--
 	}
 }

@@ -75,27 +75,51 @@ func (q *FIFO[T]) Push(v T) bool {
 
 // Pop removes and returns the oldest element.
 func (q *FIFO[T]) Pop() (T, bool) {
-	var zero T
 	if q.size == 0 {
+		var zero T
 		return zero, false
 	}
 	v := q.buf[q.head]
+	q.drop()
+	return v, true
+}
+
+// Peek returns the oldest element without removing it.
+func (q *FIFO[T]) Peek() (T, bool) {
+	if p := q.Front(); p != nil {
+		return *p, true
+	}
+	var zero T
+	return zero, false
+}
+
+// Front returns the oldest element in place, or nil when the queue is
+// empty. The pointer is good until the next Push or Drop.
+func (q *FIFO[T]) Front() *T {
+	if q.size == 0 {
+		return nil
+	}
+	return &q.buf[q.head]
+}
+
+// Drop removes the oldest element, which must exist; with Front it is Pop
+// for a caller that works on the element where it sits.
+func (q *FIFO[T]) Drop() {
+	if q.size == 0 {
+		panic("queue: Drop on an empty FIFO")
+	}
+	q.drop()
+}
+
+// drop removes the oldest element of a non-empty queue.
+func (q *FIFO[T]) drop() {
+	var zero T
 	q.buf[q.head] = zero // release the reference for GC
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
 	}
 	q.size--
-	return v, true
-}
-
-// Peek returns the oldest element without removing it.
-func (q *FIFO[T]) Peek() (T, bool) {
-	var zero T
-	if q.size == 0 {
-		return zero, false
-	}
-	return q.buf[q.head], true
 }
 
 // Len returns the current occupancy.

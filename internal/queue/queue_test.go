@@ -235,3 +235,38 @@ func TestReserve(t *testing.T) {
 		t.Errorf("Len = %d after 8 pushes", q.Len())
 	}
 }
+
+// Front and Drop are Peek and Pop in place: Front points at the element
+// Pop would return, writes through it land in the queue, and Drop on an
+// empty queue is a bug.
+func TestFIFOFrontDrop(t *testing.T) {
+	q := NewFIFO[int](3)
+	if q.Front() != nil {
+		t.Fatal("Front of an empty queue is not nil")
+	}
+	for round := 0; round < 5; round++ { // wraps the 3-slot ring
+		q.Push(round)
+		q.Push(round + 100)
+		p := q.Front()
+		if p == nil || *p != round {
+			t.Fatalf("round %d: Front() = %v, want %d", round, p, round)
+		}
+		*p = -1
+		if v, _ := q.Peek(); v != -1 {
+			t.Fatalf("round %d: write through Front not seen by Peek: %d", round, v)
+		}
+		q.Drop()
+		if v, ok := q.Pop(); !ok || v != round+100 {
+			t.Fatalf("round %d: Pop after Drop = %d, %v; want %d", round, v, ok, round+100)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len() = %d after equal pushes and removals", q.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Drop on an empty queue did not panic")
+		}
+	}()
+	q.Drop()
+}

@@ -246,7 +246,9 @@ func (e *Engine) CyclesSkipped() int64 { return e.cyclesSkipped }
 // NextEventers — are asked. Called by the run loops before each Tick;
 // while flits are moving it costs one compare.
 func (e *Engine) fastForward(limit int64) {
-	if !e.quiet || e.ffwdOff || e.alwaysOn > 0 {
+	// A write made outside Tick (between run loops) sits in the slot of this
+	// cycle's parity and must commit here, so it rules a jump out too.
+	if !e.quiet || e.ffwdOff || e.alwaysOn > 0 || len(e.dirty) != 0 {
 		return
 	}
 	now := e.cycle

@@ -36,16 +36,20 @@
 // one.
 //
 // The commit pass uses a dirty list instead of scanning all registers:
-// Set enqueues the register's index on the engine's per-cycle dirty list
-// (a pointer-free int32 slice, so the append has no GC write barrier,
-// resolved through a table of pre-bound commit functions rather than an
-// interface dispatch), and Tick commits only the registers written during
-// the cycle. A register that holds a value but is not rewritten must
-// still drain — links do not hold flits across idle cycles — which is
-// implemented lazily: commit stamps the register with the one cycle
-// during which its value is observable, and Valid/Get compare that stamp
-// against the engine clock, so an idle register expires without ever
-// being touched again.
+// a write enqueues the register's index on the engine's per-cycle dirty
+// list (a pointer-free int32 slice, so the append has no GC write
+// barrier), and Tick commits only the registers written during the cycle.
+// A register is two slots picked by the parity of the clock: the cycle's
+// reads see one, its write fills the other, so a commit moves no value —
+// it stamps the register with the one cycle during which the slot just
+// written is observable, through the value-independent header every
+// register starts with, without a call. A register that holds a value but
+// is not rewritten must still drain — links do not hold flits across idle
+// cycles — which is implemented lazily: Valid, Get and Read compare that
+// stamp against the engine clock, so an idle register expires without
+// ever being touched again. Read and Write hand out pointers into the
+// slots, so a consumer of a large value (a switch routing a flit) works
+// on it where it sits and copies it once, into the next register.
 //
 // Run `go test ./internal/noc -bench BenchmarkTick -run '^$'` to measure
 // the per-cycle cost on the paper's 4x4 mesh, `bash bench/run.sh --trace 1`
@@ -77,11 +81,6 @@ const (
 	numPhases   = 2
 )
 
-// commitFunc commits one dirty register, making its value observable during
-// the given cycle. Using a concrete function table instead of an interface
-// keeps the commit loop free of interface dispatch.
-type commitFunc func(visibleAt int64)
-
 // Engine drives a set of components cycle by cycle.
 type Engine struct {
 	// comps holds the registered components in registration order within
@@ -90,17 +89,16 @@ type Engine struct {
 	// same loop an engine without a scheduler would run.
 	comps   [numPhases][]Component
 	handles [numPhases][]*Handle
-	// commitFns holds one pre-bound commit function per register, in
-	// creation order; a register is addressed by its index. The dirty list
-	// stores indices rather than the function values themselves so that
-	// enqueueing a register is a pointer-free int32 append (no GC write
-	// barrier on the per-cycle path).
-	commitFns []commitFunc
+	// regs holds every register's header in creation order; a register is
+	// addressed by its index. The dirty list stores indices rather than
+	// pointers so that enqueueing a register is a pointer-free int32 append
+	// (no GC write barrier on the per-cycle path).
+	regs []*regHeader
 	// regSnaps holds the registers' snapshot/restore closures, parallel to
-	// commitFns; used only by Snapshot/Restore, never on the tick path.
+	// regs; used only by Snapshot/Restore, never on the tick path.
 	regSnaps []regSnapFns
 	// dirty holds the registers written during the current cycle (enqueued
-	// by Reg.Set); only these commit at the end of the cycle. spare
+	// by Reg.Write); only these commit at the end of the cycle. spare
 	// recycles the previous cycle's backing array so steady-state ticking
 	// does not allocate.
 	dirty []int32
@@ -129,12 +127,12 @@ type Engine struct {
 	ctxCheckAt int64
 }
 
-// addReg registers a commit function plus the snapshot/restore pair for
-// the same register and returns the register's index.
-func (e *Engine) addReg(fn commitFunc, snap func() any, restore func(any)) int32 {
-	e.commitFns = append(e.commitFns, fn)
+// addReg registers a register's header plus its snapshot/restore pair and
+// returns the register's index.
+func (e *Engine) addReg(h *regHeader, snap func() any, restore func(any)) int32 {
+	e.regs = append(e.regs, h)
 	e.regSnaps = append(e.regSnaps, regSnapFns{snap: snap, restore: restore})
-	return int32(len(e.commitFns) - 1)
+	return int32(len(e.regs) - 1)
 }
 
 // NewEngine returns an empty engine at cycle 0.
@@ -204,9 +202,15 @@ func (e *Engine) Tick() {
 	// does not affect behaviour. A commit also wakes the register's
 	// declared consumers for the cycle the value is visible in.
 	visibleAt := e.cycle + 1
-	fns := e.commitFns
+	regs := e.regs
 	for _, i := range e.dirty {
-		fns[i](visibleAt)
+		h := regs[i]
+		h.validAt, h.written = visibleAt, false
+		for _, w := range h.wakes {
+			if w.wakeAt > visibleAt {
+				w.wakeAt = visibleAt
+			}
+		}
 	}
 	// An empty dirty list means no register holds an observable value next
 	// cycle — the precondition for a jump (see sched.go).
@@ -303,34 +307,46 @@ func (e *Engine) RunCtx(ctx context.Context, n int64) error {
 	return nil
 }
 
+// regHeader is the part of a register the commit pass touches. It does
+// not depend on the value type, so Tick commits through it directly.
+type regHeader struct {
+	// validAt is the single cycle during which the register is observable:
+	// a write committed at the end of cycle N is visible during cycle N+1
+	// and expires by itself afterwards (links do not hold flits across
+	// idle cycles), without the register ever appearing on a second dirty
+	// list.
+	validAt int64
+	written bool
+	// wakes are the handles of the components that consume this register
+	// (see Wakes); each commit wakes them for the cycle the value shows.
+	wakes []*Handle
+}
+
 // Reg is a single hardware register holding a value of type T with a valid
 // flag. Reads observe the value committed at the end of the previous cycle;
 // writes become visible after the next commit. This gives order-independent
 // semantics between components in the same phase.
 type Reg[T any] struct {
+	regHeader
 	eng *Engine
-	idx int32 // index into the engine's commit-function table
-	// validAt is the single cycle during which cur is observable: a write
-	// committed at the end of cycle N is visible during cycle N+1 and
-	// expires by itself afterwards (links do not hold flits across idle
-	// cycles), without the register ever appearing on a second dirty list.
-	validAt   int64
-	cur, next T
-	written   bool
-	// wakes are the handles of the components that consume this register
-	// (see Wakes); each commit wakes them for the cycle the value shows.
-	wakes []*Handle
-	name  string
+	idx int32 // index into the engine's register table
+	// slot[c&1] is what cycle c reads and slot[(c+1)&1] what it writes, so
+	// the value written during one cycle is in place for the next and a
+	// reader's pointer stays good while the producer fills the other slot.
+	slot [2]T
+	name string
 }
 
 // NewReg creates a register attached to the engine.
 func NewReg[T any](e *Engine, name string) *Reg[T] {
-	r := &Reg[T]{eng: e, name: name, validAt: -1}
-	r.idx = e.addReg(r.commit, r.snapshot, r.restore)
+	r := &Reg[T]{eng: e, name: name}
+	r.validAt = -1
+	r.idx = e.addReg(&r.regHeader, r.snapshot, r.restore)
 	return r
 }
 
-// regSnap is one register's checkpointed state: the committed value and
+// regSnap is one register's checkpointed state: the last committed value
+// (still held by the slot of the cycle it showed in, expired or not) and
 // the single cycle during which it is observable. Pending writes are
 // excluded by construction — Snapshot refuses to run with a non-empty
 // dirty list.
@@ -340,12 +356,12 @@ type regSnap[T any] struct {
 }
 
 // snapshot captures the register for Engine.Snapshot.
-func (r *Reg[T]) snapshot() any { return regSnap[T]{cur: r.cur, validAt: r.validAt} }
+func (r *Reg[T]) snapshot() any { return regSnap[T]{cur: r.slot[r.validAt&1], validAt: r.validAt} }
 
 // restore reinstates a snapshot taken from this same register.
 func (r *Reg[T]) restore(s any) {
 	rs := s.(regSnap[T])
-	r.cur, r.validAt, r.written = rs.cur, rs.validAt, false
+	r.slot[rs.validAt&1], r.validAt, r.written = rs.cur, rs.validAt, false
 }
 
 // Valid reports whether the register currently holds a value.
@@ -353,21 +369,38 @@ func (r *Reg[T]) Valid() bool { return r.validAt == r.eng.cycle }
 
 // Get returns the current value and whether it is valid.
 func (r *Reg[T]) Get() (T, bool) {
-	if r.validAt == r.eng.cycle {
-		return r.cur, true
+	if p := r.Read(); p != nil {
+		return *p, true
 	}
 	var zero T
 	return zero, false
 }
 
+// Read returns the current value in place, or nil when the register holds
+// none. The pointer is good for the rest of the cycle, whatever the
+// producer writes meanwhile; the value is the reader's to look at, not to
+// change.
+func (r *Reg[T]) Read() *T {
+	if now := r.eng.cycle; r.validAt == now {
+		return &r.slot[now&1]
+	}
+	return nil
+}
+
 // Set writes a value that becomes visible after the next commit. Writing a
 // register twice in one cycle is a wiring bug and panics.
-func (r *Reg[T]) Set(v T) {
+func (r *Reg[T]) Set(v T) { *r.Write() = v }
+
+// Write is Set in place: it marks the register written and returns the
+// slot the next cycle reads, for the caller to fill before its Step
+// returns. The slot still holds the value of two cycles ago.
+func (r *Reg[T]) Write() *T {
 	if r.written {
 		panic("sim: register " + r.name + " written twice in one cycle")
 	}
-	r.next, r.written = v, true
+	r.written = true
 	r.eng.dirty = append(r.eng.dirty, r.idx)
+	return &r.slot[(r.eng.cycle+1)&1]
 }
 
 // Wakes declares h's component a consumer of the register: every commit
@@ -375,31 +408,8 @@ func (r *Reg[T]) Set(v T) {
 // only once every register it reads is declared this way; call it once
 // per consumer at wiring time. A nil handle is ignored.
 func (r *Reg[T]) Wakes(h *Handle) {
-	if h == nil {
-		return
-	}
-	r.wakes = append(r.wakes, h)
-	r.eng.commitFns[r.idx] = r.commitAndWake // a register nobody sleeps on keeps the plain commit
-}
-
-// commit latches next into cur and stamps the cycle during which the value
-// is observable. Only written registers are committed; everything else
-// expires lazily through the stamp comparison in Valid/Get.
-func (r *Reg[T]) commit(visibleAt int64) {
-	r.cur = r.next
-	r.validAt = visibleAt
-	r.written = false
-}
-
-// commitAndWake is commit for a register with declared consumers: the
-// wake is part of the commit, so a sleeping consumer steps on exactly the
-// cycle the value shows and an awake one costs a compare.
-func (r *Reg[T]) commitAndWake(visibleAt int64) {
-	r.commit(visibleAt)
-	for _, h := range r.wakes {
-		if h.wakeAt > visibleAt {
-			h.wakeAt = visibleAt
-		}
+	if h != nil {
+		r.wakes = append(r.wakes, h)
 	}
 }
 

@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSample(t *testing.T) {
 	var s Sample
@@ -120,4 +123,68 @@ func TestSamplePercentileRangePanics(t *testing.T) {
 		}
 	}()
 	s.Percentile(101)
+}
+
+// TestCycleSampleAgreesWithSample feeds seeded integer streams to a
+// CycleSample and a Sample side by side: the counting form must return
+// the same mean and the same percentiles, bit for bit, including on the
+// empty and the single-value stream.
+func TestCycleSampleAgreesWithSample(t *testing.T) {
+	streams := map[string][]int64{
+		"empty":  nil,
+		"single": {17},
+		"zeros":  {0, 0, 0},
+	}
+	for seed, n := range map[uint64]int{1: 10, 2: 999, 3: 100000} {
+		x := seed
+		vals := make([]int64, n)
+		for i := range vals {
+			x = x*6364136223846793005 + 1442695040888963407 // a fixed LCG: the streams never change
+			vals[i] = int64(x >> 33 % 5000)
+			if x>>60 == 0 {
+				vals[i] *= 40 // a long tail, as a saturated buffered router has
+			}
+		}
+		streams[fmt.Sprintf("seed-%d", seed)] = vals
+	}
+	for name, vals := range streams {
+		var c CycleSample
+		var s Sample
+		floats := make([]float64, len(vals))
+		for i, v := range vals {
+			c.Observe(v)
+			s.Observe(float64(v))
+			floats[i] = float64(v)
+		}
+		if c.Count() != int64(s.Count()) {
+			t.Errorf("%s: count = %d, want %d", name, c.Count(), s.Count())
+		}
+		if got, want := c.Mean(), s.Mean(); got != want {
+			t.Errorf("%s: mean = %v, want %v", name, got, want)
+		}
+		for _, p := range []float64{0, 50, 99, 100} {
+			if got, want := c.Percentile(p), Percentile(floats, p); got != want {
+				t.Errorf("%s: p%.0f = %v, want %v", name, p, got, want)
+			}
+			if got, want := c.Percentile(p), s.Percentile(p); got != want {
+				t.Errorf("%s: p%.0f = %v, Sample says %v", name, p, got, want)
+			}
+		}
+	}
+}
+
+func TestCycleSampleRejectsBadInput(t *testing.T) {
+	for name, f := range map[string]func(){
+		"negative observation": func() { new(CycleSample).Observe(-1) },
+		"percentile above 100": func() { new(CycleSample).Percentile(101) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }

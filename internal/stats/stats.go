@@ -171,9 +171,12 @@ func Percentile(samples []float64, p float64) float64 {
 	cp := make([]float64, len(samples))
 	copy(cp, samples)
 	sort.Float64s(cp)
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank <= 0 {
-		rank = 1
-	}
-	return cp[rank-1]
+	return cp[nearestRank(p, len(cp))-1]
+}
+
+// nearestRank is the 1-based rank of the p-th percentile among n sorted
+// observations: ceil(p/100 * n), at least 1. Every exact percentile in
+// this package uses it, so they agree on every boundary.
+func nearestRank(p float64, n int) int {
+	return max(int(math.Ceil(p/100*float64(n))), 1)
 }
