@@ -229,7 +229,7 @@ func parseLoads(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad load %q in -loads: %v", part, err)
 		}
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // written positively: ParseFloat accepts "NaN"
 			return nil, fmt.Errorf("load %g in -loads outside (0, 1]: an offered load is a per-node injection probability per cycle", r)
 		}
 		rates = append(rates, r)

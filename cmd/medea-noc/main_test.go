@@ -38,11 +38,13 @@ func TestRouterFlagAcceptsAllNames(t *testing.T) {
 	}
 }
 
-// TestRateValidation pins the -loads fix: negative, zero, >1 and
-// non-numeric offered loads must be rejected with a usage error instead of
-// silently simulating garbage.
+// TestRateValidation pins the -loads fix: negative, zero, >1, non-finite
+// (strconv.ParseFloat reads "NaN" and "Inf") and non-numeric offered loads
+// must be rejected with a usage error instead of silently simulating
+// garbage.
 func TestRateValidation(t *testing.T) {
-	for _, bad := range []string{"-0.2", "0", "1.5", "0.2,2.0", "abc", "0.5x", "", "0.3,,0.4"} {
+	for _, bad := range []string{"-0.2", "0", "1.5", "0.2,2.0", "abc", "0.5x", "", "0.3,,0.4",
+		"NaN", "0.1,nan", "+Inf", "-Inf", "-0"} {
 		var out strings.Builder
 		err := run(context.Background(), []string{"-loads", bad, "-cycles", "100"}, &out)
 		if err == nil {
@@ -70,6 +72,10 @@ func TestCLIErrors(t *testing.T) {
 		{"-burst-on", "5"},   // burst-off missing (< 1 cycle)
 		{"-pattern", "shuffle", "-w", "3", "-h", "3"}, // bit pattern needs pow2 nodes
 		{"positional"}, // stray argument
+
+		// Durations the flag parser reads but no burst can have.
+		{"-burst-on", "NaN", "-burst-off", "5"},
+		{"-burst-on", "5", "-burst-off", "+Inf"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -121,10 +122,10 @@ type BurstConfig struct {
 	MeanOff float64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration (positively: NaN is >= nothing).
 func (c BurstConfig) Validate() error {
-	if c.MeanOn < 1 || c.MeanOff < 1 {
-		return fmt.Errorf("noc: burst mean durations must be >= 1 cycle, got on=%g off=%g",
+	if !(c.MeanOn >= 1 && c.MeanOff >= 1) || math.IsInf(c.MeanOn+c.MeanOff, 1) {
+		return fmt.Errorf("noc: burst mean durations must be >= 1 cycle and finite, got on=%g off=%g",
 			c.MeanOn, c.MeanOff)
 	}
 	return nil
@@ -136,7 +137,9 @@ func (c BurstConfig) Duty() float64 { return c.MeanOn / (c.MeanOn + c.MeanOff) }
 // BurstModulator is the running state of a BurstConfig: call Step once per
 // cycle; it reports whether the source is in its on (bursting) state.
 type BurstModulator struct {
-	cfg     BurstConfig
+	// On at the start; a burst ends (1/MeanOn); a gap ends (1/MeanOff).
+	duty, leaveOn, leaveOff sim.Coin
+
 	rng     *sim.RNG
 	on      bool
 	started bool
@@ -151,18 +154,22 @@ func NewBurstModulator(cfg BurstConfig, seed int64) *BurstModulator {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &BurstModulator{cfg: cfg, rng: sim.NewRNG(seed)}
+	return &BurstModulator{
+		duty:    sim.NewCoin(cfg.Duty()),
+		leaveOn: sim.NewCoin(1 / cfg.MeanOn), leaveOff: sim.NewCoin(1 / cfg.MeanOff),
+		rng: sim.NewRNG(seed),
+	}
 }
 
 // Step advances one cycle and reports whether this cycle is on.
 func (b *BurstModulator) Step() bool {
 	if !b.started {
 		b.started = true
-		b.on = b.rng.Bernoulli(b.cfg.Duty())
+		b.on = b.rng.Flip(b.duty)
 	} else if b.on {
-		b.on = !b.rng.Bernoulli(1 / b.cfg.MeanOn)
+		b.on = !b.rng.Flip(b.leaveOn)
 	} else {
-		b.on = b.rng.Bernoulli(1 / b.cfg.MeanOff)
+		b.on = b.rng.Flip(b.leaveOff)
 	}
 	b.cycles++
 	if b.on {

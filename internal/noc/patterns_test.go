@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -132,11 +133,17 @@ func TestBurstModulatorDutyCycle(t *testing.T) {
 }
 
 func TestBurstConfigValidate(t *testing.T) {
-	if err := (BurstConfig{MeanOn: 0.5, MeanOff: 10}).Validate(); err == nil {
-		t.Error("sub-cycle MeanOn should be rejected")
+	for _, bad := range []float64{0.5, 0, math.Copysign(0, -1), -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []BurstConfig{{MeanOn: bad, MeanOff: 10}, {MeanOn: 10, MeanOff: bad}} {
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "must be >= 1 cycle") {
+				t.Errorf("%+v: got %v, want a \"must be >= 1 cycle\" error", c, err)
+			}
+		}
 	}
-	if err := (BurstConfig{MeanOn: 10, MeanOff: 10}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, c := range []BurstConfig{{MeanOn: 10, MeanOff: 10}, {MeanOn: 1, MeanOff: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", c, err)
+		}
 	}
 }
 

@@ -148,6 +148,7 @@ type svcClient struct {
 	board *svcBoard
 	rng   *sim.RNG
 	inj   injectGate
+	skew  sim.Coin // heads: the request goes to the first server
 	outQ  *queue.FIFO[flit.Flit]
 	now   int64
 	seq   uint32
@@ -162,6 +163,7 @@ func newSvcClient(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoa
 	c := &svcClient{
 		id: id, topo: topo, cfg: cfg, board: board,
 		rng:  sim.NewRNG(cfg.Seed ^ int64(id)*0x9E37),
+		skew: sim.NewCoin(cfg.HotspotSkew),
 		outQ: queue.NewFIFO[flit.Flit](cfg.QueueCap),
 	}
 	var burst *BurstModulator
@@ -180,7 +182,7 @@ func (c *svcClient) Name() string { return fmt.Sprintf("svc-client(%d)", c.id) }
 // client's main RNG, in a fixed order, so the stream is deterministic.
 func (c *svcClient) chooseServer() int {
 	first := c.topo.NumEndpoints() - c.cfg.Servers
-	if c.cfg.HotspotSkew > 0 && c.rng.Bernoulli(c.cfg.HotspotSkew) {
+	if c.skew != 0 && c.rng.Flip(c.skew) {
 		return first
 	}
 	return first + c.rng.Intn(c.cfg.Servers)

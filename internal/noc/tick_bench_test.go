@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,6 +49,33 @@ func BenchmarkTick(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkIdlePoint runs one point of bench's noc-idle workload: the same
+// torus at load 0.001 for 1.5 M cycles, wake-driven, of which some 90 % are
+// jumped over. What is left to pay for is mostly the coin each of the 16
+// sources draws for every cycle it sleeps through (DESIGN.md, "Idle
+// sources"), so ns/source-cycle is that coin's cost from above. For the
+// profile:
+//
+//	go test ./internal/noc -run '^$' -bench IdlePoint -cpuprofile cpu.out
+func BenchmarkIdlePoint(b *testing.B) {
+	topo, err := NewTopology(4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := MeasureConfig{
+		Router:  RouterDeflection,
+		Traffic: TrafficConfig{Pattern: Uniform, Rate: 0.001},
+		Warmup:  1000, Measure: 1_500_000, Seed: 1,
+	}
+	for b.Loop() {
+		if _, err := MeasureCtx(context.Background(), topo, mc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sourceCycles := float64(b.N) * float64(topo.NumEndpoints()) * float64(mc.Warmup+mc.Measure)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sourceCycles, "ns/source-cycle")
 }
 
 // TestTickAllocFree holds every router to a tick that allocates nothing

@@ -120,7 +120,7 @@ type TrafficNode struct {
 
 // injectGate is the pre-drawn injection gating shared by TrafficNode and
 // the service workload's clients: a per-cycle burst-modulator step
-// followed by a Bernoulli injection coin. Gating is always drawn ahead —
+// followed by an injection coin. Gating is always drawn ahead —
 // up to the next cycle that comes up heads — so the owner can say when it
 // next injects and sleep until then. Each cycle's gating is drawn exactly
 // once, in cycle order, and drawing stops at the first heads until that
@@ -133,7 +133,7 @@ type TrafficNode struct {
 type injectGate struct {
 	rng   *sim.RNG // shared with the owner's destination draws
 	burst *BurstModulator
-	rate  float64
+	coin  sim.Coin // heads with probability rate
 	// dense marks a source whose attempts are on average less than
 	// denseGap cycles apart: sleeping through such gaps costs more than
 	// the idle Steps it saves, so the source never asks to, and with
@@ -154,7 +154,7 @@ const denseGap = 16
 
 func newInjectGate(rng *sim.RNG, rate float64, burst *BurstModulator) injectGate {
 	return injectGate{
-		rng: rng, rate: rate, burst: burst,
+		rng: rng, coin: sim.NewCoin(rate), burst: burst,
 		dense:        burst == nil && rate*denseGap >= 1,
 		drawnThrough: -1, nextInject: -1,
 	}
@@ -164,7 +164,7 @@ func newInjectGate(rng *sim.RNG, rate float64, burst *BurstModulator) injectGate
 func (g *injectGate) gate(now int64) bool {
 	if g.dense {
 		g.drawnThrough = now
-		return g.rng.Bernoulli(g.rate)
+		return g.rng.Flip(g.coin)
 	}
 	// The common case inline: an attempt already drawn, for a later cycle.
 	if g.nextInject > now || (g.nextInject < now && g.next(now) != now) {
@@ -187,7 +187,7 @@ func (g *injectGate) next(now int64) int64 {
 	if g.drawnThrough >= now {
 		return g.drawnThrough + 1 // everything drawn so far came up tails
 	}
-	if g.rate <= 0 {
+	if g.coin == 0 {
 		// No injection can ever happen, so the per-cycle gating draws can
 		// never be observed (destinations are drawn only on injection).
 		return sim.NoEvent
@@ -195,22 +195,29 @@ func (g *injectGate) next(now int64) int64 {
 	return g.draw(now + ffwdHorizon)
 }
 
-// draw draws gating forward, one cycle at a time — the burst modulator
-// step first, then (only while on, mirroring the historical
-// short-circuit) the Bernoulli injection coin — up to the first cycle
-// that attempts an injection, or through cycle limit if none does.
+// draw draws gating forward, one cycle at a time, up to the first cycle
+// that attempts an injection, or through cycle limit if none does. A
+// steady source's cycle is one coin, and the gap is drawn as one run (what
+// a slept-through cycle costs: DESIGN.md, "Idle sources"); a bursty one's
+// is the burst modulator step first, then (only while on, mirroring the
+// historical short-circuit) the coin.
 func (g *injectGate) draw(limit int64) int64 {
-	for g.drawnThrough < limit {
-		g.drawnThrough++
-		if g.burst != nil && !g.burst.Step() {
-			continue
-		}
-		if g.rng.Bernoulli(g.rate) {
-			g.nextInject = g.drawnThrough
-			return g.nextInject
+	heads := false
+	if g.burst == nil {
+		var n int64
+		n, heads = g.rng.Tails(g.coin, limit-g.drawnThrough)
+		g.drawnThrough += n
+	} else {
+		for !heads && g.drawnThrough < limit {
+			g.drawnThrough++
+			heads = g.burst.Step() && g.rng.Flip(g.coin)
 		}
 	}
-	return g.drawnThrough + 1
+	if !heads {
+		return g.drawnThrough + 1
+	}
+	g.nextInject = g.drawnThrough
+	return g.nextInject
 }
 
 // NewTrafficNode creates a traffic node for endpoint id (a switch id on

@@ -321,7 +321,7 @@ func (c *ServiceConfig) validate() error {
 		return fmt.Errorf(`"service.arrival_rates" must list at least one per-client rate in (0, 1]`)
 	}
 	for _, r := range c.ArrivalRates {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // written positively: NaN is outside
 			return fmt.Errorf(`"service.arrival_rates": rate %g outside (0, 1]`, r)
 		}
 	}
@@ -675,7 +675,7 @@ func (c *NoCConfig) validate() error {
 		return fmt.Errorf(`"noc.rates" must list at least one offered load in (0, 1]`)
 	}
 	for _, r := range c.Rates {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // written positively: NaN is outside
 			return fmt.Errorf(`"noc.rates": offered load %g outside (0, 1]`, r)
 		}
 	}

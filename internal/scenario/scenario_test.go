@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,6 +33,30 @@ const validNoC = `{
 	"workload": "noc-synthetic",
 	"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}
 }`
+
+// TestRatesRejectNonFinite: JSON cannot carry NaN or Inf, but a Scenario
+// built in Go can, and every rate axis must say "outside (0, 1]" to them
+// as it does to 0 and 1.5.
+func TestRatesRejectNonFinite(t *testing.T) {
+	service := &Scenario{
+		Workload: WorkloadService.String(),
+		Service:  &ServiceConfig{Width: 4, Height: 4, Servers: 4},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+		synthetic := mustParse(t, validNoC)
+		synthetic.NoC.Rates = []float64{0.1, bad}
+		service.Service.ArrivalRates = []float64{0.1, bad}
+		for _, s := range []*Scenario{synthetic, service} {
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+				t.Errorf("%s rate %g: got %v, want an \"outside (0, 1]\" error", s.Workload, bad, err)
+			}
+		}
+	}
+	service.Service.ArrivalRates = []float64{0.1}
+	if err := service.Validate(); err != nil {
+		t.Errorf("the service scenario is invalid without the bad rate: %v", err)
+	}
+}
 
 func TestParseValid(t *testing.T) {
 	s := mustParse(t, validNoC)

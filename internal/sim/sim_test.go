@@ -181,24 +181,15 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-}
-
 func TestBernoulliExtremes(t *testing.T) {
 	r := NewRNG(11)
+	never, always := NewCoin(0), NewCoin(1)
 	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) fired")
+		if r.Flip(never) {
+			t.Fatal("NewCoin(0) came up heads")
 		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) did not fire")
+		if !r.Flip(always) {
+			t.Fatal("NewCoin(1) came up tails")
 		}
 	}
 }
