@@ -117,7 +117,7 @@ func (d *gateDrain) Restore(snap any) { d.got = d.got[:snap.(int)] }
 // injections on the same cycles to the same destinations, the same
 // attempts throttled at a full queue (which draw no destination), and the
 // same generator states once the source has no cycle drawn ahead. Rates
-// cover a sparse source, both sides of the denseGap edge and a dense one;
+// cover sparse sources, both sides of the denseGap edge and a dense one;
 // the steady rows are where draw is a single Tails call. Each TrafficNode
 // row also takes a Snapshot with gating drawn ahead, runs past the next
 // injection, and Restores before running on.
@@ -136,7 +136,13 @@ func TestGateStreamEqualsPerCycleDraw(t *testing.T) {
 	for _, rate := range []float64{0.001, 0.05, 0.0625, 0.4} {
 		rows = append(rows, row{rate: rate}, row{rate: rate, bursty: true})
 	}
-	rows = append(rows, row{rate: 0.05, service: true})
+	// Steady sources either side of the mean gap from which sim.RNG.Tails
+	// walks a gap as jump-ahead chains (its chainGap, 64 coins), and the
+	// rates noc-idle runs, where it does.
+	for _, rate := range []float64{0.025, 0.0125, 0.002} {
+		rows = append(rows, row{rate: rate})
+	}
+	rows = append(rows, row{rate: 0.05, service: true}, row{rate: 0.001, service: true})
 	for _, r := range rows {
 		t.Run(fmt.Sprintf("rate=%g/bursty=%v/service=%v", r.rate, r.bursty, r.service), func(t *testing.T) {
 			var burst *BurstConfig
