@@ -73,8 +73,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	variants := fs.String("variants", "", "-fig kernel only: comma-separated programming models (default hybrid-full,pure-sm)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	benchJSON := fs.String("bench-json", "", "run the fig8-quick cache trajectory (off/cold/warm, byte-identity enforced) and write a BENCH_<date>.json perf snapshot to this path")
-	benchForce := fs.Bool("bench-json-force", false, "overwrite an existing -bench-json snapshot instead of refusing")
 	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
 	parallelism := fs.Int("parallelism", 0, "max concurrent simulations per process (0 = GOMAXPROCS); with -shards, shards x parallelism simulations run fleet-wide")
 	shards := fs.Int("shards", 0, "figs 6|7|8|9: split the sweep into this many shards run by worker processes and merge (0 = single-process; output is byte-identical either way)")
@@ -99,17 +97,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if (*workloads != "" || *variants != "") && *fig != "kernel" {
 		return fmt.Errorf("-workloads/-variants only apply to -fig kernel (got -fig %s)", *fig)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-parallelism", *parallelism}, {"-shards", *shards}, {"-workers", *workers}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
 	if *noFFwd {
 		sim.SetDefaultFastForward(false)
 	}
-	if *parallelism != 0 {
-		dse.SetDefaultParallelism(*parallelism)
-	}
 	if *workerMode {
 		return shard.ServeWorker(ctx, os.Stdin, stdout, nil)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	if *shards > 0 {
 		switch *fig {
@@ -118,10 +118,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("-shards only applies to the sweep figures (-fig 6|7|8|9), got -fig %s", *fig)
 		}
 	}
-	if *benchJSON != "" {
-		return benchTrajectory(ctx, *benchJSON, *benchForce, stdout)
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -161,10 +157,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// worker processes — the merged rows are byte-identical, so the
 	// rendered figures are too.
 	figPoints := func(name string, o dse.Options) ([]dse.Point, error) {
+		o.Parallelism = *parallelism
 		if *shards == 0 {
 			return dse.SweepCtx(ctx, o)
 		}
-		return runShardedSweep(ctx, name, o, *shards, *workers, *parallelism, *workerCmd, *noFFwd)
+		return runShardedSweep(ctx, name, o, *shards, *workers, *workerCmd, *noFFwd)
 	}
 
 	switch *fig {
@@ -193,13 +190,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, dse.Fig9(pts))
 	case "hybrid":
-		t, _, err := dse.HybridComparisonCtx(ctx, fid)
+		t, _, err := dse.HybridComparisonCtx(ctx, fid, *parallelism)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, t)
 	case "sync":
-		t, _, err := dse.SmallCacheComparisonCtx(ctx, fid)
+		t, _, err := dse.SmallCacheComparisonCtx(ctx, fid, *parallelism)
 		if err != nil {
 			return err
 		}
@@ -209,6 +206,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// ablation restricted to the syncbench kernel, one execution path
 		// with -fig kernel and the kernel-ablation scenario.
 		o := dse.DefaultKernelAblationOptions()
+		o.Parallelism = *parallelism
 		o.Kernels = []dse.Kernel{dse.KernelSyncbench}
 		if fid == dse.Quick {
 			o.Cores = []int{2, 4, 8}
@@ -223,6 +221,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "kernel":
 		// K-1: per-kernel speedup vs cores in both programming models.
 		o := dse.DefaultKernelAblationOptions()
+		o.Parallelism = *parallelism
 		if fid == dse.Full {
 			o.Cores = dse.PaperCores()
 		}
@@ -246,7 +245,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, dse.KernelAblationTable(o, points))
 	case "all":
-		t, err := dse.AllExperimentsCtx(ctx, fid)
+		t, err := dse.AllExperimentsCtx(ctx, fid, *parallelism)
 		if err != nil {
 			return err
 		}
@@ -287,8 +286,9 @@ func sweepScenario(name string, o dse.Options) (*scenario.Scenario, error) {
 }
 
 // runShardedSweep distributes one figure sweep across worker processes
-// and returns the merged points in canonical order.
-func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, workers, parallelism int, workerCmd string, noFFwd bool) ([]dse.Point, error) {
+// and returns the merged points in canonical order; each worker runs
+// o.Parallelism simulations at a time.
+func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, workers int, workerCmd string, noFFwd bool) ([]dse.Point, error) {
 	s, err := sweepScenario(name, o)
 	if err != nil {
 		return nil, err
@@ -310,7 +310,7 @@ func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, wo
 		NewWorker:   shard.ProcFactory(shard.ProcSpec{Command: argv}),
 		Shards:      shards,
 		Workers:     workers,
-		Parallelism: parallelism,
+		Parallelism: o.Parallelism,
 		Logf:        log.Printf,
 	}
 	results, _, err := co.Run(ctx, s)

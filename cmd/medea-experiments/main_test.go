@@ -63,6 +63,8 @@ func TestUsageErrors(t *testing.T) {
 		{"duplicate workload", []string{"-fig", "kernel", "-workloads", "matmul,matmul"}, "twice"},
 		{"unknown variant", []string{"-fig", "kernel", "-variants", "mpi"}, "unknown variant"},
 		{"syncbench hybrid-sync", []string{"-fig", "kernel", "-workloads", "syncbench", "-variants", "hybrid-sync"}, "hybrid-sync"},
+		{"negative parallelism", []string{"-fig", "8", "-parallelism", "-2"}, "-parallelism must be >= 0"},
+		{"negative workers", []string{"-fig", "8", "-shards", "2", "-workers", "-2"}, "-workers must be >= 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -94,6 +94,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-parallelism", *par}, {"-shards", *shards}, {"-workers", *workers}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
 	if *noFFwd {
 		sim.SetDefaultFastForward(false)
 	}
@@ -138,9 +146,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *outPath != "" && fs.NArg() > 1 {
 		return fmt.Errorf("-out only works with a single scenario file")
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	if *record != "" {
 		// A trace captures one run: recording is a single-process,

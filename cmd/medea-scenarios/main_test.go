@@ -190,4 +190,15 @@ func TestCLIErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "-format") {
 		t.Errorf("bad -format not rejected up front: %v", err)
 	}
+	// Negative counts are usage errors, not GOMAXPROCS and not a late
+	// failure inside a shard worker.
+	for _, args := range [][]string{
+		{"-parallelism", "-2", "../../examples/scenarios/smoke.json"},
+		{"-parallelism", "-2", "-shards", "2", "../../examples/scenarios/smoke.json"},
+		{"-workers", "-2", "-shards", "2", "../../examples/scenarios/smoke.json"},
+	} {
+		if err := run(context.Background(), args, &out); err == nil || !strings.Contains(err.Error(), args[0]+" must be >= 0") {
+			t.Errorf("%v = %v, want a %s usage error", args, err, args[0])
+		}
+	}
 }

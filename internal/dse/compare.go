@@ -34,9 +34,10 @@ type CompareRow struct {
 
 // CompareCtx runs all three variants for every core count at a fixed
 // cache size and returns one row per configuration, on the same bounded
-// worker pool as the sweeps (see SweepCtx for the error shape).
-func CompareCtx(ctx context.Context, n int, cores []int, cacheKB, warmup, measured int) ([]CompareRow, error) {
-	return par.Sweep(ctx, cores, nil, DefaultParallelism(), func(ctx context.Context, c int) (CompareRow, error) {
+// worker pool as the sweeps, at most parallelism simulations at a time
+// (0 = GOMAXPROCS; see SweepCtx for the error shape).
+func CompareCtx(ctx context.Context, n int, cores []int, cacheKB, warmup, measured, parallelism int) ([]CompareRow, error) {
+	return par.Sweep(ctx, cores, nil, parallelism, func(ctx context.Context, c int) (CompareRow, error) {
 		return compareOne(ctx, n, c, cacheKB, warmup, measured)
 	})
 }

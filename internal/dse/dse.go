@@ -8,36 +8,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/jacobi"
 	"repro/internal/resultcache"
 )
-
-// defaultParallelism is the sweep concurrency applied when an Options
-// leaves Parallelism at 0. It is itself 0 by default, which par.Sweep
-// resolves to runtime.GOMAXPROCS(0) — cmd/medea-experiments exposes it as
-// -parallelism, mirroring cmd/medea-scenarios (which threads the flag
-// through Scenario.Parallelism instead).
-var defaultParallelism atomic.Int64
-
-// SetDefaultParallelism caps concurrent simulations for every sweep whose
-// Options leave Parallelism unset (0 restores the GOMAXPROCS default).
-func SetDefaultParallelism(n int) { defaultParallelism.Store(int64(n)) }
-
-// DefaultParallelism returns the package-wide default sweep concurrency
-// (0 = GOMAXPROCS).
-func DefaultParallelism() int { return int(defaultParallelism.Load()) }
-
-// parallelismOr resolves an Options.Parallelism against the package
-// default.
-func parallelismOr(n int) int {
-	if n != 0 {
-		return n
-	}
-	return DefaultParallelism()
-}
 
 // Point is one evaluated design-space configuration.
 type Point struct {

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,14 @@ func TestPaperGridIs168Points(t *testing.T) {
 	n := len(o.Cores) * len(o.CachesKB) * len(o.Policies)
 	if n != 168 {
 		t.Fatalf("default sweep has %d points, paper ran 168", n)
+	}
+}
+
+// TestFig6FullIsPaperGrid: medea-experiments -fig 6|7 -full is the
+// paper's 168-point 60x60 sweep (what the retired medea-dse ran).
+func TestFig6FullIsPaperGrid(t *testing.T) {
+	if got, want := Fig6Options(Full), DefaultOptions(60); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig6Options(Full) = %+v, want DefaultOptions(60) = %+v", got, want)
 	}
 }
 
@@ -134,7 +143,7 @@ func TestCompareSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compare in short mode")
 	}
-	rows, err := CompareCtx(context.Background(), 16, []int{2, 4}, 8, 1, 1)
+	rows, err := CompareCtx(context.Background(), 16, []int{2, 4}, 8, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

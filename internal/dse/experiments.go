@@ -60,9 +60,13 @@ func Fig8Options(f Fidelity) Options {
 
 // Fig6Ctx reproduces Figure 6: execution time for a 60x60 array varying
 // the number of cores, the cache size and the cache policy. It returns the
-// rendered table and the raw points (which Fig7 reuses).
-func Fig6Ctx(ctx context.Context, f Fidelity) (string, []Point, error) {
-	pts, err := SweepCtx(ctx, Fig6Options(f))
+// rendered table and the raw points (which Fig7 reuses). At most
+// parallelism simulations run at a time (0 = GOMAXPROCS), as in every
+// experiment below.
+func Fig6Ctx(ctx context.Context, f Fidelity, parallelism int) (string, []Point, error) {
+	o := Fig6Options(f)
+	o.Parallelism = parallelism
+	pts, err := SweepCtx(ctx, o)
 	if err != nil {
 		return "", nil, fmt.Errorf("fig6: %w", err)
 	}
@@ -88,8 +92,10 @@ func Fig7(points []Point) string {
 
 // Fig8Ctx reproduces Figure 8: execution time for a 30x30 array,
 // write-back caches only, 2-32 kB.
-func Fig8Ctx(ctx context.Context, f Fidelity) (string, []Point, error) {
-	pts, err := SweepCtx(ctx, Fig8Options(f))
+func Fig8Ctx(ctx context.Context, f Fidelity, parallelism int) (string, []Point, error) {
+	o := Fig8Options(f)
+	o.Parallelism = parallelism
+	pts, err := SweepCtx(ctx, o)
 	if err != nil {
 		return "", nil, fmt.Errorf("fig8: %w", err)
 	}
@@ -109,12 +115,12 @@ func Fig9(points []Point) string {
 // and T-2 in DESIGN.md): the three programming-model variants on a 60x60
 // array with 16 kB caches across core counts, reporting the pure-SM/hybrid
 // and sync-only ratios.
-func HybridComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow, error) {
+func HybridComparisonCtx(ctx context.Context, f Fidelity, parallelism int) (string, []CompareRow, error) {
 	cores := []int{2, 4, 6, 8, 10}
 	if f == Full {
 		cores = []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	}
-	rows, err := CompareCtx(ctx, 60, cores, 16, 1, 1)
+	rows, err := CompareCtx(ctx, 60, cores, 16, 1, 1, parallelism)
 	if err != nil {
 		return "", nil, fmt.Errorf("hybrid comparison: %w", err)
 	}
@@ -125,12 +131,12 @@ func HybridComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow,
 // SmallCacheComparisonCtx runs the variant comparison in the
 // miss-dominated regime (2 kB caches), where the paper reports the
 // sync-only hybrid within 2-20% of the full hybrid.
-func SmallCacheComparisonCtx(ctx context.Context, f Fidelity) (string, []CompareRow, error) {
+func SmallCacheComparisonCtx(ctx context.Context, f Fidelity, parallelism int) (string, []CompareRow, error) {
 	cores := []int{2, 6, 10}
 	if f == Full {
 		cores = []int{2, 4, 6, 8, 10, 12}
 	}
-	rows, err := CompareCtx(ctx, 60, cores, 2, 1, 1)
+	rows, err := CompareCtx(ctx, 60, cores, 2, 1, 1, parallelism)
 	if err != nil {
 		return "", nil, fmt.Errorf("small-cache comparison: %w", err)
 	}
@@ -141,9 +147,9 @@ func SmallCacheComparisonCtx(ctx context.Context, f Fidelity) (string, []Compare
 // AllExperimentsCtx renders every figure and comparison at the given
 // fidelity, in paper order. A canceled context stops the in-flight sweep
 // and returns its error, discarding the partial report.
-func AllExperimentsCtx(ctx context.Context, f Fidelity) (string, error) {
+func AllExperimentsCtx(ctx context.Context, f Fidelity, parallelism int) (string, error) {
 	var b strings.Builder
-	t6, p6, err := Fig6Ctx(ctx, f)
+	t6, p6, err := Fig6Ctx(ctx, f, parallelism)
 	if err != nil {
 		return "", err
 	}
@@ -151,7 +157,7 @@ func AllExperimentsCtx(ctx context.Context, f Fidelity) (string, error) {
 	b.WriteString("\n")
 	b.WriteString(Fig7(p6))
 	b.WriteString("\n")
-	t8, p8, err := Fig8Ctx(ctx, f)
+	t8, p8, err := Fig8Ctx(ctx, f, parallelism)
 	if err != nil {
 		return "", err
 	}
@@ -159,13 +165,13 @@ func AllExperimentsCtx(ctx context.Context, f Fidelity) (string, error) {
 	b.WriteString("\n")
 	b.WriteString(Fig9(p8))
 	b.WriteString("\n")
-	th, _, err := HybridComparisonCtx(ctx, f)
+	th, _, err := HybridComparisonCtx(ctx, f, parallelism)
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(th)
 	b.WriteString("\n")
-	ts, _, err := SmallCacheComparisonCtx(ctx, f)
+	ts, _, err := SmallCacheComparisonCtx(ctx, f, parallelism)
 	if err != nil {
 		return "", err
 	}

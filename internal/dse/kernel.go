@@ -296,7 +296,7 @@ func KernelSweepCtx(ctx context.Context, o KernelOptions) ([]KernelPoint, error)
 	if err := o.withDefaults(); err != nil {
 		return nil, err
 	}
-	pts, err := par.Sweep(ctx, o.enumerate(), o.Points, parallelismOr(o.Parallelism), o.runPoint)
+	pts, err := par.Sweep(ctx, o.enumerate(), o.Points, o.Parallelism, o.runPoint)
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func TestShapeHybridAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := CompareCtx(context.Background(), 60, []int{4, 10}, 16, 1, 1)
+	rows, err := CompareCtx(context.Background(), 60, []int{4, 10}, 16, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestShapeSyncOnlyTracksFullWhenMissBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := CompareCtx(context.Background(), 60, []int{6}, 2, 1, 1)
+	rows, err := CompareCtx(context.Background(), 60, []int{6}, 2, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestShapeParetoKnees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	_, pts, err := Fig6Ctx(context.Background(), Quick)
+	_, pts, err := Fig6Ctx(context.Background(), Quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

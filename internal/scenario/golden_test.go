@@ -25,18 +25,18 @@ func TestFig8QuickGolden(t *testing.T) {
 	// The scenario file must stay in lockstep with dse.Fig8Options(Quick),
 	// otherwise the "reproduces Fig8" claim silently decays.
 	want := dse.Fig8Options(dse.Quick)
-	if s.Jacobi.N != want.N {
-		t.Errorf("fig8-quick.json n = %d, dse says %d", s.Jacobi.N, want.N)
+	if s.Kernel.N != want.N {
+		t.Errorf("fig8-quick.json n = %d, dse says %d", s.Kernel.N, want.N)
 	}
-	if !reflect.DeepEqual(s.Jacobi.Cores, want.Cores) {
-		t.Errorf("fig8-quick.json cores = %v, dse says %v", s.Jacobi.Cores, want.Cores)
+	if !reflect.DeepEqual(s.Kernel.Cores, want.Cores) {
+		t.Errorf("fig8-quick.json cores = %v, dse says %v", s.Kernel.Cores, want.Cores)
 	}
-	if !reflect.DeepEqual(s.Jacobi.CacheKB, want.CachesKB) {
-		t.Errorf("fig8-quick.json cache_kb = %v, dse says %v", s.Jacobi.CacheKB, want.CachesKB)
+	if !reflect.DeepEqual(s.Kernel.CacheKB, want.CachesKB) {
+		t.Errorf("fig8-quick.json cache_kb = %v, dse says %v", s.Kernel.CacheKB, want.CachesKB)
 	}
 	if len(want.Policies) != 1 || want.Policies[0] != cache.WriteBack ||
-		!reflect.DeepEqual(s.Jacobi.Policies, []string{"write-back"}) {
-		t.Errorf("fig8-quick.json policies = %v, dse says %v", s.Jacobi.Policies, want.Policies)
+		!reflect.DeepEqual(s.Kernel.Policies, []string{"write-back"}) {
+		t.Errorf("fig8-quick.json policies = %v, dse says %v", s.Kernel.Policies, want.Policies)
 	}
 
 	results, err := RunCtx(context.Background(), s)

@@ -42,7 +42,7 @@ func TestKernelAblationGolden(t *testing.T) {
 	// dse.DefaultKernelAblationOptions, otherwise the "reproduces K-1"
 	// claim silently decays.
 	want := dse.DefaultKernelAblationOptions()
-	c := s.kernelConfig()
+	c := s.Kernel
 	if c.N != want.N {
 		t.Errorf("kernel-ablation.json n = %d, dse says %d", c.N, want.N)
 	}
@@ -188,7 +188,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	multi := mustParse(t, `{
 		"name": "v",
 		"workload": "jacobi",
-		"jacobi": {"n": 16, "cores": [2, 4], "cache_kb": [8], "variants": ["hybrid-full", "pure-sm"]}
+		"kernel": {"n": 16, "cores": [2, 4], "cache_kb": [8], "variants": ["hybrid-full", "pure-sm"]}
 	}`)
 	if got, want := multi.NumPoints(), 2*2; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
@@ -217,7 +217,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	single, err := RunCtx(context.Background(), mustParse(t, `{
 		"name": "v",
 		"workload": "jacobi",
-		"jacobi": {"n": 16, "cores": [2, 4], "cache_kb": [8]}
+		"kernel": {"n": 16, "cores": [2, 4], "cache_kb": [8]}
 	}`))
 	if err != nil {
 		t.Fatal(err)

@@ -130,7 +130,7 @@ func Summary(s *Scenario) string {
 			max(1, len(s.Service.Topologies)), max(1, len(s.Service.Routers)),
 			len(s.Service.ArrivalRates), len(s.seedList()))
 	default:
-		c := s.kernelConfig()
+		c := s.Kernel
 		axes = fmt.Sprintf("%d workloads x %d variants x %d cores x %d caches x %d policies",
 			len(kinds), max(1, len(c.Variants)), len(c.Cores), len(c.CacheKB), max(1, len(c.Policies)))
 	}

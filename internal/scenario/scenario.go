@@ -84,10 +84,6 @@ type Scenario struct {
 	Service *ServiceConfig `json:"service,omitempty"`
 	// Kernel configures the kernel workloads (required for them).
 	Kernel *KernelConfig `json:"kernel,omitempty"`
-	// Jacobi is the pre-workload-axis alias for Kernel, kept so existing
-	// jacobi scenarios load unchanged; it requires jacobi among the
-	// workloads. Set one of Kernel or Jacobi, not both.
-	Jacobi *KernelConfig `json:"jacobi,omitempty"`
 
 	// Seeds lists explicit RNG seeds; each seed is one replication of
 	// every (pattern, rate) point. Mutually exclusive with Replications.
@@ -496,16 +492,6 @@ func kernelWorkloadNames() []string {
 	return names
 }
 
-// kernelConfig returns the scenario's kernel section (the canonical
-// Kernel field or its Jacobi alias); nil when neither is set. Validate
-// rejects setting both.
-func (s *Scenario) kernelConfig() *KernelConfig {
-	if s.Kernel != nil {
-		return s.Kernel
-	}
-	return s.Jacobi
-}
-
 // Validate checks the scenario for consistency and fills no defaults (the
 // runner applies defaults at execution time, so a validated scenario
 // round-trips through JSON unchanged).
@@ -537,8 +523,8 @@ func (s *Scenario) Validate() error {
 
 	switch kinds[0] {
 	case WorkloadNoC:
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on workload %v; remove it`, WorkloadNoC)
+		if s.Kernel != nil {
+			return fmt.Errorf(`the "kernel" section has no effect on workload %v; remove it`, WorkloadNoC)
 		}
 		if err := s.rejectSections(WorkloadNoC, s.Trace != nil, s.Service != nil); err != nil {
 			return err
@@ -561,8 +547,8 @@ func (s *Scenario) Validate() error {
 			}
 			return fmt.Errorf(`the "noc" section has no effect on the trace workload; remove it (replay axes live under "trace")`)
 		}
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on the trace workload; remove it`)
+		if s.Kernel != nil {
+			return fmt.Errorf(`the "kernel" section has no effect on the trace workload; remove it`)
 		}
 		if s.Service != nil {
 			return fmt.Errorf(`the "service" section has no effect on the trace workload; remove it`)
@@ -582,8 +568,8 @@ func (s *Scenario) Validate() error {
 		if s.NoC != nil {
 			return fmt.Errorf(`the "noc" section has no effect on workload %v; remove it (the sweep axes live under "service")`, WorkloadService)
 		}
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on workload %v; remove it`, WorkloadService)
+		if s.Kernel != nil {
+			return fmt.Errorf(`the "kernel" section has no effect on workload %v; remove it`, WorkloadService)
 		}
 		if s.Service == nil {
 			return fmt.Errorf(`workload %v needs a "service" section`, WorkloadService)
@@ -601,23 +587,13 @@ func (s *Scenario) Validate() error {
 	if s.Service != nil {
 		return fmt.Errorf(`the "service" section has no effect on kernel workloads; remove it`)
 	}
-	if s.Kernel != nil && s.Jacobi != nil {
-		return fmt.Errorf(`set either "kernel" or its "jacobi" alias, not both`)
-	}
-	if s.Jacobi != nil && !hasKind(kinds, WorkloadJacobi) {
-		return fmt.Errorf(`the "jacobi" section is the kernel section's legacy alias; sweeps without the jacobi workload use "kernel"`)
-	}
-	cfg := s.kernelConfig()
-	if cfg == nil {
-		if kinds[0] == WorkloadJacobi && len(kinds) == 1 {
-			return fmt.Errorf(`workload %v needs a "jacobi" section (canonical name: "kernel")`, WorkloadJacobi)
-		}
+	if s.Kernel == nil {
 		return fmt.Errorf(`every kernel workload needs a "kernel" section`)
 	}
 	if len(s.Seeds) > 0 || s.Replications > 1 || s.BaseSeed != 0 {
 		return fmt.Errorf("kernel workloads are fully deterministic: seeds/replications/base_seed have no effect; remove them")
 	}
-	return cfg.validate(kinds)
+	return s.Kernel.validate(kinds)
 }
 
 // rejectSections rejects the trace/service sections for a workload they
@@ -805,7 +781,7 @@ func (c *KernelConfig) variantList() ([]jacobi.Variant, error) {
 // dse.KernelSweepCtx options for one kernel. The scenario must have passed
 // Validate, so the axis parses cannot fail here.
 func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
-	c := s.kernelConfig()
+	c := s.Kernel
 	variants, err := c.variantList()
 	if err != nil {
 		return dse.KernelOptions{}, err
@@ -893,7 +869,7 @@ func (s *Scenario) kindPoints(k WorkloadKind) int {
 		routers, _ := s.Service.routers()
 		return len(topos) * len(routers) * len(s.Service.ArrivalRates) * len(s.seedList())
 	}
-	c := s.kernelConfig()
+	c := s.Kernel
 	pols := len(c.Policies)
 	if pols == 0 {
 		pols = 1

@@ -74,10 +74,10 @@ func TestParseRejects(t *testing.T) {
 		{"missing workload", `{"noc": {}}`, `missing "workload"`},
 		{"bad workload", `{"workload": "fft"}`, "unknown workload"},
 		{"noc without section", `{"workload": "noc-synthetic"}`, `needs a "noc" section`},
-		{"jacobi without section", `{"workload": "jacobi"}`, `needs a "jacobi" section`},
+		{"jacobi without section", `{"workload": "jacobi"}`, `needs a "kernel" section`},
 		{"matmul without section", `{"workload": "matmul"}`, `needs a "kernel" section`},
 		{"wrong section", `{"workload": "jacobi",
-			"jacobi": {"n": 30, "cores": [2], "cache_kb": [16]},
+			"kernel": {"n": 30, "cores": [2], "cache_kb": [16]},
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
 			"no effect"},
 		{"bad pattern", `{"workload": "noc-synthetic",
@@ -103,16 +103,16 @@ func TestParseRejects(t *testing.T) {
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
 			"not both"},
 		{"jacobi with seeds", `{"workload": "jacobi", "seeds": [1, 2],
-			"jacobi": {"n": 30, "cores": [2], "cache_kb": [16]}}`,
+			"kernel": {"n": 30, "cores": [2], "cache_kb": [16]}}`,
 			"deterministic"},
 		{"jacobi bad cores", `{"workload": "jacobi",
-			"jacobi": {"n": 30, "cores": [99], "cache_kb": [16]}}`,
+			"kernel": {"n": 30, "cores": [99], "cache_kb": [16]}}`,
 			"2..15"},
 		{"jacobi bad variant", `{"workload": "jacobi",
-			"jacobi": {"n": 30, "variant": "mpi", "cores": [2], "cache_kb": [16]}}`,
+			"kernel": {"n": 30, "variant": "mpi", "cores": [2], "cache_kb": [16]}}`,
 			"unknown variant"},
 		{"jacobi bad policy", `{"workload": "jacobi",
-			"jacobi": {"n": 30, "cores": [2], "cache_kb": [16], "policies": ["lru"]}}`,
+			"kernel": {"n": 30, "cores": [2], "cache_kb": [16], "policies": ["lru"]}}`,
 			"unknown cache policy"},
 		{"bad output", `{"workload": "noc-synthetic", "output": "xml",
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
@@ -126,21 +126,26 @@ func TestParseRejects(t *testing.T) {
 		{"duplicate workload", `{"workloads": ["matmul", "matmul"],
 			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
 			"twice"},
+		// The pre-workload-axis "jacobi" alias of the kernel section is
+		// gone: the strict decoder rejects the key wherever it appears.
+		{"jacobi section", `{"workload": "jacobi",
+			"jacobi": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
+			`unknown field "jacobi"`},
 		{"kernel and jacobi sections", `{"workload": "jacobi",
 			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]},
 			"jacobi": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
-			"not both"},
+			`unknown field "jacobi"`},
 		{"jacobi alias without jacobi", `{"workload": "matmul",
 			"jacobi": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
-			"alias"},
+			`unknown field "jacobi"`},
 		{"variant and variants", `{"workload": "jacobi",
-			"jacobi": {"n": 16, "variant": "pure-sm", "variants": ["hybrid-full"], "cores": [2], "cache_kb": [8]}}`,
+			"kernel": {"n": 16, "variant": "pure-sm", "variants": ["hybrid-full"], "cores": [2], "cache_kb": [8]}}`,
 			"not both"},
 		{"duplicate variant", `{"workload": "jacobi",
-			"jacobi": {"n": 16, "variants": ["pure-sm", "pure-sm"], "cores": [2], "cache_kb": [8]}}`,
+			"kernel": {"n": 16, "variants": ["pure-sm", "pure-sm"], "cores": [2], "cache_kb": [8]}}`,
 			"twice"},
 		{"bad variant in variants", `{"workload": "jacobi",
-			"jacobi": {"n": 16, "variants": ["mpi"], "cores": [2], "cache_kb": [8]}}`,
+			"kernel": {"n": 16, "variants": ["mpi"], "cores": [2], "cache_kb": [8]}}`,
 			"unknown variant"},
 		{"syncbench hybrid-sync", `{"workloads": ["syncbench"],
 			"kernel": {"variants": ["hybrid-sync"], "cores": [2], "cache_kb": [8]}}`,

@@ -158,7 +158,7 @@ func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
 // baseline choice and float64 division of the single-process path, over
 // the exact same inputs, so the reattached figures are bit-identical.
 func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
-	c := s.kernelConfig()
+	c := s.Kernel
 	variants, err := c.variantList()
 	if err != nil {
 		return err

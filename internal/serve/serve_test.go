@@ -358,7 +358,7 @@ func TestRealSweepWorkerPanicIsolated(t *testing.T) {
 	sc, err := scenario.Parse([]byte(`{
 		"name": "poisoned",
 		"workload": "jacobi",
-		"jacobi": {
+		"kernel": {
 			"n": 400, "variant": "hybrid-full",
 			"cores": [2], "cache_kb": [2], "policies": ["write-back"],
 			"warmup": 0, "measured": 1
