@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -74,6 +75,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	// -concurrency 0 runs one worker and -rate 0 a closed loop; a negative
+	// or non-finite value is a usage error, not another way to say 0.
+	if *concurrency < 0 {
+		return fmt.Errorf("-concurrency must be >= 0, got %d", *concurrency)
+	}
+	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
+		return fmt.Errorf("-rate must be a finite number >= 0, got %v", *rate)
+	}
+	if *jobWait < 0 {
+		return fmt.Errorf("-job-wait must be >= 0, got %v", *jobWait)
 	}
 	if *scenarioPath == "" {
 		fs.Usage()

@@ -93,6 +93,25 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	// 0 picks a default or turns a limit off; a negative value is a usage
+	// error, not another way to say 0.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"-queue", int64(*queue)}, {"-workers", int64(*workers)}, {"-max-body", *maxBody},
+		{"-cache-budget", *cacheBudget}, {"-shard-workers", int64(*shardWorkers)}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"-job-timeout", *jobTimeout}, {"-drain-timeout", *drainTimeout}, {"-retry-after", *retryAfter}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0, got %v", f.name, f.v)
+		}
+	}
 
 	rcache, err := resultcache.Open(*cacheBackend, *cacheDir, *cacheBudget)
 	if err != nil {

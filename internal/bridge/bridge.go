@@ -84,7 +84,9 @@ type Txn struct {
 
 // Result is the outcome of a completed transaction.
 type Result struct {
-	// Data carries 1 word for single reads and 4 words for block reads.
+	// Data carries 1 word for single reads and 4 words for block reads. It
+	// is the bridge's own reorder buffer, valid until the next Start: copy
+	// what must outlive the transaction.
 	Data []uint32
 	// Cycles is the total latency of the transaction.
 	Cycles int64
@@ -128,16 +130,19 @@ type Bridge struct {
 
 	out *queue.FIFO[flit.Flit]
 
-	st        state
-	txn       Txn
-	started   int64
-	result    Result
-	sendQueue []flit.Flit // flits of the current protocol step
-	reorder   [ReorderDepth]uint32
-	gotMask   uint8
-	gotCount  int
-	lastSeq   int
-	nextPktID uint64
+	st      state
+	txn     Txn
+	started int64
+	result  Result
+	// sendQueue holds the flits of the current protocol step (one request,
+	// or a write's data), sendQueue[sent:queued] those not yet fed out.
+	sendQueue    [ReorderDepth]flit.Flit
+	sent, queued int
+	reorder      [ReorderDepth]uint32
+	gotMask      uint8
+	gotCount     int
+	lastSeq      int
+	nextPktID    uint64
 
 	Stats Stats
 }
@@ -182,8 +187,14 @@ func (b *Bridge) Start(t Txn, now int64) {
 	b.result = Result{}
 	b.gotMask, b.gotCount, b.lastSeq = 0, 0, -1
 	b.Stats.Txns.Inc()
-	// The request token: source id, address and type, as per the paper.
-	b.sendQueue = append(b.sendQueue[:0], b.makeFlit(flit.SubAddr, 0, 0, t.Addr, now))
+	b.sendRequest(now)
+}
+
+// sendRequest queues the request token — source id, address and type, as
+// per the paper — as the only flit of the step.
+func (b *Bridge) sendRequest(now int64) {
+	b.sendQueue[0] = b.makeFlit(flit.SubAddr, 0, 0, b.txn.Addr, now)
+	b.sent, b.queued = 0, 1
 	b.st = stSendReq
 }
 
@@ -217,18 +228,18 @@ func (b *Bridge) makeFlit(sub flit.SubType, seq uint8, burst uint8, data uint32,
 func (b *Bridge) Step(now int64) {
 	switch b.st {
 	case stSendReq, stSendData:
-		if len(b.sendQueue) == 0 {
+		if b.sent == b.queued {
 			b.advanceAfterSend(now)
 			return
 		}
-		f := b.sendQueue[0]
+		f := b.sendQueue[b.sent]
 		f.Meta.InjectCycle = now
 		if !b.out.Push(f) {
 			return // arbiter queue full; retry next cycle
 		}
-		b.sendQueue = b.sendQueue[1:]
+		b.sent++
 		b.Stats.FlitsSent.Inc()
-		if len(b.sendQueue) == 0 {
+		if b.sent == b.queued {
 			b.advanceAfterSend(now)
 		}
 	}
@@ -260,8 +271,9 @@ func (b *Bridge) queueWriteData(now int64) {
 		panic(err)
 	}
 	for i, w := range b.txn.Data {
-		b.sendQueue = append(b.sendQueue, b.makeFlit(flit.SubData, uint8(i), code, w, now))
+		b.sendQueue[i] = b.makeFlit(flit.SubData, uint8(i), code, w, now)
 	}
+	b.sent, b.queued = 0, n
 }
 
 // Deliver accepts one shared-memory reply flit ejected by the switch.
@@ -286,8 +298,7 @@ func (b *Bridge) Deliver(f flit.Flit, now int64) {
 		if f.Sub == flit.SubNack {
 			// The MPMMU queues lock waiters, so a NACK is only used by
 			// failure-injection tests; retry by re-sending the request.
-			b.sendQueue = append(b.sendQueue[:0], b.makeFlit(flit.SubAddr, 0, 0, b.txn.Addr, now))
-			b.st = stSendReq
+			b.sendRequest(now)
 			return
 		}
 		b.finish(now)
@@ -313,7 +324,7 @@ func (b *Bridge) Deliver(f flit.Flit, now int64) {
 		b.reorder[f.Seq] = f.Data
 		b.gotCount++
 		if b.gotCount == want {
-			b.result.Data = append([]uint32(nil), b.reorder[:want]...)
+			b.result.Data = b.reorder[:want:want]
 			b.finish(now)
 		}
 	default:

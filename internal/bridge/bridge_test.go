@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/flit"
@@ -237,6 +238,85 @@ func TestDuplicateReadDataPanics(t *testing.T) {
 		}
 	}()
 	b.Deliver(flit.Flit{Type: flit.BlockRead, Sub: flit.SubData, Seq: 1, Burst: 1}, now)
+}
+
+// transact runs one transaction from Start to Done the way a node runs
+// it, with the MPMMU's side played inline: the bridge steps until its
+// flits are out and the arbiter queue takes them, then gets its reply —
+// read data (word i is 100+i), a grant and a completion ack, or a lock
+// ack, after one NACK when nack is set. It allocates nothing itself.
+func transact(b *Bridge, t Txn, nack bool, now *int64) Result {
+	send := func() {
+		for b.Sending() {
+			b.Step(*now)
+			*now++
+			for _, ok := b.Out().Pop(); ok; _, ok = b.Out().Pop() {
+			}
+		}
+	}
+	b.Start(t, *now)
+	send()
+	typ := t.Kind.flitType()
+	switch t.Kind {
+	case TxnSingleRead, TxnBlockRead:
+		words := 1
+		if t.Kind == TxnBlockRead {
+			words = ReorderDepth
+		}
+		for i := words - 1; i >= 0; i-- {
+			b.Deliver(flit.Flit{Type: typ, Sub: flit.SubData, Seq: uint8(i), Data: uint32(100 + i)}, *now)
+		}
+	case TxnSingleWrite, TxnBlockWrite:
+		b.Deliver(ack(typ), *now)
+		send()
+		b.Deliver(ack(typ), *now)
+	case TxnLock, TxnUnlock:
+		if nack {
+			b.Deliver(flit.Flit{Type: typ, Sub: flit.SubNack}, *now)
+			send()
+		}
+		b.Deliver(ack(typ), *now)
+	}
+	res, ok := b.Done()
+	if !ok {
+		panic("bridge: transaction not done after its reply")
+	}
+	return res
+}
+
+// TestTransactionsAllocFree holds the L1-miss path to no allocation: a
+// transaction of every kind, and a NACKed lock retried, runs from Start to
+// Done on the bridge's fixed send buffer and returns its read data in the
+// bridge's own reorder buffer.
+func TestTransactionsAllocFree(t *testing.T) {
+	word, line := []uint32{7}, []uint32{1, 2, 3, 4}
+	cases := []struct {
+		name string
+		txn  Txn
+		nack bool
+		want []uint32
+	}{
+		{"single-read", Txn{Kind: TxnSingleRead, Addr: 0x40}, false, []uint32{100}},
+		{"block-read", Txn{Kind: TxnBlockRead, Addr: 0x80}, false, []uint32{100, 101, 102, 103}},
+		{"single-write", Txn{Kind: TxnSingleWrite, Addr: 0x40, Data: word}, false, nil},
+		{"block-write", Txn{Kind: TxnBlockWrite, Addr: 0x80, Data: line}, false, nil},
+		{"lock", Txn{Kind: TxnLock, Addr: 0x200}, false, nil},
+		{"unlock", Txn{Kind: TxnUnlock, Addr: 0x200}, false, nil},
+		{"lock-nack-retry", Txn{Kind: TxnLock, Addr: 0x200}, true, nil},
+	}
+	b := newBridge()
+	now := int64(0)
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, func() { transact(b, c.txn, c.nack, &now) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per transaction, want 0", c.name, allocs)
+		}
+		if got := transact(b, c.txn, c.nack, &now).Data; !slices.Equal(got, c.want) {
+			t.Errorf("%s: result data %v, want %v", c.name, got, c.want)
+		}
+	}
+	if got, want := b.Stats.Txns.Value(), int64(len(cases)*102); got != want {
+		t.Errorf("%d transactions counted, want %d", got, want)
+	}
 }
 
 func TestTxnKindStrings(t *testing.T) {

@@ -86,7 +86,13 @@ type Unit struct {
 	lineBuf   [4]uint32
 	gotMask   uint8
 	gotCount  int
-	afterBusy func(now int64)
+	// reply is what Step sends to cur's source when busyUntil arrives:
+	// words data flits out of readBuf for a read, one ack when words is 0,
+	// stamped as injected at cycle at.
+	reply struct {
+		words int
+		at    int64
+	}
 
 	// Scratch buffers for the per-request access path. The MPMMU serves
 	// one request at a time, so a single set of buffers is safe and keeps
@@ -94,7 +100,7 @@ type Unit struct {
 	readBuf     [4]uint32
 	lineScratch [cache.LineBytes]byte
 
-	locks     map[uint32]*lockState
+	locks     map[uint32]lockState
 	nextPktID uint64
 
 	// wake is the unit's own scheduling handle; puller is the switch that
@@ -122,7 +128,7 @@ func New(cfg Config, ddr *memory.DDR, coordOf func(int) (int, int)) (*Unit, erro
 		reqQ:    queue.NewFIFO[flit.Flit](cfg.NumCores),
 		dataQ:   queue.NewFIFO[flit.Flit](flit.MaxLogicalPacket),
 		outQ:    queue.NewFIFO[flit.Flit](0),
-		locks:   make(map[uint32]*lockState),
+		locks:   make(map[uint32]lockState),
 	}, nil
 }
 
@@ -178,10 +184,8 @@ func (u *Unit) Step(now int64) {
 	case stBusy:
 		u.Stats.BusyCycles.Inc()
 		if now >= u.busyUntil {
-			fn := u.afterBusy
-			u.afterBusy = nil
 			u.st = stIdle
-			fn(now)
+			u.sendReply()
 		}
 	case stCollect:
 		u.collectData(now)
@@ -224,20 +228,10 @@ func (u *Unit) startNext(now int64) {
 	}
 }
 
-// startRead performs the access and, after the access latency, pushes the
-// reply data into the outgoing FIFO.
+// startRead performs the access into readBuf and, after the access
+// latency, pushes the reply data into the outgoing FIFO.
 func (u *Unit) startRead(now int64, addr uint32, words int) {
-	data, lat := u.readWords(addr, words)
-	dst := int(u.cur.Src)
-	u.becomeBusy(now, lat, func(int64) {
-		code, _ := flit.EncodeBurst(flit.RoundUpBurst(words))
-		if words == 1 {
-			code = 0
-		}
-		for i := 0; i < words; i++ {
-			u.pushOut(dst, u.cur.Type, flit.SubData, uint8(i), code, data[i], now+lat)
-		}
-	})
+	u.becomeBusy(now, u.readWords(addr, words), words)
 }
 
 // startWrite grants the transaction and waits for the data flits.
@@ -275,26 +269,38 @@ func (u *Unit) collectData(now int64) {
 	} else {
 		lat = u.writeWord(addr, u.lineBuf[0])
 	}
-	dst := int(u.cur.Src)
-	u.becomeBusy(now, lat, func(int64) {
-		u.pushOut(dst, u.cur.Type, flit.SubAck, 0, 0, 0, now+lat)
-	})
+	u.becomeBusy(now, lat, 0)
 }
 
-func (u *Unit) becomeBusy(now, lat int64, fn func(now int64)) {
-	if lat <= 0 {
-		lat = 1
-	}
-	u.busyUntil = now + lat
-	u.afterBusy = fn
+// becomeBusy occupies the unit for the access latency lat (at least one
+// cycle) and leaves the reply of words data flits (0: an ack) to Step.
+func (u *Unit) becomeBusy(now, lat int64, words int) {
+	u.reply.words, u.reply.at = words, now+lat
+	u.busyUntil = now + max(lat, 1)
 	u.st = stBusy
+}
+
+// sendReply pushes the reply becomeBusy left pending.
+func (u *Unit) sendReply() {
+	dst, words, at := int(u.cur.Src), u.reply.words, u.reply.at
+	if words == 0 {
+		u.pushOut(dst, u.cur.Type, flit.SubAck, 0, 0, 0, at)
+		return
+	}
+	code := uint8(0)
+	if words > 1 {
+		code, _ = flit.EncodeBurst(flit.RoundUpBurst(words))
+	}
+	for i, w := range u.readBuf[:words] {
+		u.pushOut(dst, u.cur.Type, flit.SubData, uint8(i), code, w, at)
+	}
 }
 
 func (u *Unit) handleLock(req flit.Flit) {
 	addr := req.Data
-	ls := u.locks[addr]
-	if ls == nil {
-		u.locks[addr] = &lockState{owner: int(req.Src)}
+	ls, held := u.locks[addr]
+	if !held {
+		u.locks[addr] = lockState{owner: int(req.Src)}
 		u.pushOut(int(req.Src), flit.Lock, flit.SubAck, 0, 0, addr, 0)
 		return
 	}
@@ -302,12 +308,13 @@ func (u *Unit) handleLock(req flit.Flit) {
 	// queue; a busy lock queues the requester until the unlock arrives.
 	u.Stats.LockWaits.Inc()
 	ls.waiters = append(ls.waiters, int(req.Src))
+	u.locks[addr] = ls
 }
 
 func (u *Unit) handleUnlock(req flit.Flit) {
 	addr := req.Data
-	ls := u.locks[addr]
-	if ls == nil || ls.owner != int(req.Src) {
+	ls, held := u.locks[addr]
+	if !held || ls.owner != int(req.Src) {
 		panic(fmt.Sprintf("mpmmu: node %d unlocking %#x it does not own", req.Src, addr))
 	}
 	u.pushOut(int(req.Src), flit.Unlock, flit.SubAck, 0, 0, addr, 0)
@@ -315,10 +322,10 @@ func (u *Unit) handleUnlock(req flit.Flit) {
 		delete(u.locks, addr)
 		return
 	}
-	next := ls.waiters[0]
+	ls.owner = ls.waiters[0]
 	ls.waiters = ls.waiters[1:]
-	ls.owner = next
-	u.pushOut(next, flit.Lock, flit.SubAck, 0, 0, addr, 0)
+	u.locks[addr] = ls
+	u.pushOut(ls.owner, flit.Lock, flit.SubAck, 0, 0, addr, 0)
 }
 
 // LockedWords returns the number of currently held locks (tests).
@@ -343,20 +350,19 @@ func (u *Unit) pushOut(dstNode int, t flit.Type, sub flit.SubType, seq, burst ui
 }
 
 // readWords reads n (<= 4) 32-bit words at addr through the local cache
-// and returns the data plus the access latency in cycles. The returned
-// slice aliases the unit's scratch buffer; it is consumed before the next
-// request starts (the MPMMU is busy until the reply is enqueued).
-func (u *Unit) readWords(addr uint32, n int) ([]uint32, int64) {
+// into readBuf and returns the access latency in cycles. readBuf is
+// consumed before the next request starts (the MPMMU is busy until the
+// reply is enqueued).
+func (u *Unit) readWords(addr uint32, n int) int64 {
 	lat := u.touchLine(addr)
-	out := u.readBuf[:n]
-	for i := 0; i < n; i++ {
+	for i := range u.readBuf[:n] {
 		a := addr + uint32(4*i)
 		if cache.LineAddr(a) != cache.LineAddr(addr) {
 			lat += u.touchLine(a)
 		}
-		out[i] = u.cache.ReadWord(a)
+		u.readBuf[i] = u.cache.ReadWord(a)
 	}
-	return out, lat
+	return lat
 }
 
 // writeWord writes one word through the local cache (write-allocate).

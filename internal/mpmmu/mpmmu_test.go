@@ -222,6 +222,72 @@ func TestSerializationOfRequests(t *testing.T) {
 	}
 }
 
+// serve runs one request from its request token to its last reply flit,
+// playing the requesting bridge inline (write data follows the grant), and
+// returns the cycle after the last flit left. It allocates nothing itself.
+func serve(u *Unit, src uint8, typ flit.Type, addr uint32, now int64) int64 {
+	pull := func(flits int) {
+		for flits > 0 {
+			if _, ok := u.TryPull(); ok {
+				flits--
+				continue
+			}
+			u.Step(now)
+			now++
+		}
+	}
+	u.Deliver(req(src, typ, addr), now)
+	switch typ {
+	case flit.SingleWrite, flit.BlockWrite:
+		pull(1) // the grant
+		words := 1
+		if typ == flit.BlockWrite {
+			words = 4
+		}
+		for i := range words {
+			u.Deliver(flit.Flit{Type: typ, Sub: flit.SubData, Src: src, Seq: uint8(i), Data: uint32(i)}, now)
+		}
+		pull(1) // the completion
+	case flit.BlockRead:
+		pull(4)
+	default:
+		pull(1)
+	}
+	return now
+}
+
+// TestRequestsAllocFree holds the memory node's side of an L1 miss to no
+// allocation: every request kind, from its token to its reply, with the
+// reply left pending as a value (not a closure) until the access latency
+// has passed, and a lock taken and released without a heap record.
+func TestRequestsAllocFree(t *testing.T) {
+	u, _ := newUnit(t)
+	now := int64(0)
+	for _, c := range []struct {
+		name string
+		typs []flit.Type // served in turn, each from token to reply
+		addr uint32
+	}{
+		{"single-read", []flit.Type{flit.SingleRead}, 0x1000},
+		{"block-read", []flit.Type{flit.BlockRead}, 0x2000},
+		{"single-write", []flit.Type{flit.SingleWrite}, 0x1004},
+		{"block-write", []flit.Type{flit.BlockWrite}, 0x2010},
+		{"lock-unlock", []flit.Type{flit.Lock, flit.Unlock}, 0x6000},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, typ := range c.typs {
+				now = serve(u, 1, typ, c.addr, now)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per request, want 0", c.name, allocs)
+		}
+	}
+	if u.LockedWords() != 0 {
+		t.Errorf("%d words still locked, want 0", u.LockedWords())
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	ddr := memory.NewDDR(memory.DefaultLatency)
 	if _, err := New(Config{NodeID: 0, NumCores: 0, CacheKB: 32, HitCycles: 1}, ddr, coordOf4x4); err == nil {

@@ -14,9 +14,11 @@ import (
 // finishSeq, which updates the cache and produces the result plus the
 // final core-side latency (typically the L1 access cycle).
 type memSeq struct {
-	txns    [2]bridge.Txn
-	data    [2][]uint32 // what each transaction returned
-	n, next int         // planned, started
+	txns [2]bridge.Txn
+	// data holds what each read returned, copied out of the bridge's
+	// buffer, which the next transaction reuses.
+	data    [2][bridge.ReorderDepth]uint32
+	n, next int // planned, started
 	// fill: the last transaction reads the line a cached access missed on;
 	// finishSeq installs it and performs the access.
 	fill bool
@@ -103,7 +105,7 @@ func (p *Proc) finishSeq() int64 {
 	switch {
 	case s.fill:
 		var buf [cache.LineBytes]byte
-		bytesOf(buf[:], s.data[s.n-1])
+		bytesOf(buf[:], s.data[s.n-1][:])
 		p.Cache.Fill(cache.LineAddr(o.addr), buf[:])
 		if o.kind == opLoad {
 			p.stash = result{value: p.Cache.ReadUint(o.addr, o.size)}

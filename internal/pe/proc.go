@@ -270,7 +270,7 @@ func (p *Proc) advance(now int64) {
 			p.Stats.StallCycles.Inc()
 			return
 		}
-		p.seq.data[p.seq.next-1] = res.Data
+		copy(p.seq.data[p.seq.next-1][:], res.Data)
 		p.advanceSeq(now)
 	case stSending:
 		if p.Port.SendBusy() {

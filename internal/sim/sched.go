@@ -41,9 +41,23 @@ package sim
 // steps every cycle. That mode is the oracle the differential batteries
 // in internal/scenario, internal/noc and the kernel packages compare the
 // scheduler against, byte for byte.
+//
+// The stamps are the whole truth, but Tick and fastForward do not read
+// them one handle at a time. Each phase keeps an awake set, a bitset
+// with bit i set when handles[p][i] steps on the next ticked cycle that
+// reaches it, and the engine keeps a min-heap of the finite stamps of
+// the sleepers not yet due, at most one entry per handle. A sleep clears
+// the bit and pushes the stamp; a wake (Wake, a register commit) sets the
+// bit and drops the entry; Tick first moves the stamps that have arrived
+// into the sets. Tick then walks the set bits in registration order,
+// reading the live word at every position and skipping a run of clear
+// bits with one trailing-zero count, so a wake ahead of the cursor steps
+// this cycle and one behind it the next — the rule above, without
+// touching the handle of a component that does not step.
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -104,6 +118,10 @@ type Handle struct {
 	e                      *Engine
 	ev                     NextEventer
 	sk                     Skipper
+	// phase and bit place the handle in the engine's awake sets
+	// (handles[phase][bit]); heapAt is its index in the stamp heap, -1
+	// when it has no entry there.
+	phase, bit, heapAt int32
 }
 
 // Idle reports that the component's Step found nothing to do this cycle.
@@ -154,7 +172,12 @@ func (h *Handle) nap() {
 	t := h.ev.NextEvent(now + 1)
 	if t-now > minNap {
 		h.wakeAt, h.since = t, now+1
-		h.e.asleep++
+		e := h.e
+		e.asleep++
+		e.awake[h.phase][h.bit>>6] &^= 1 << (h.bit & 63)
+		if t != NoEvent {
+			e.pushStamp(h)
+		}
 		return
 	}
 	h.tryAt = max(t, now+1)
@@ -165,7 +188,114 @@ func (h *Handle) nap() {
 // one otherwise. Waking an awake component does nothing.
 func (h *Handle) Wake() {
 	if h != nil && h.wakeAt > h.e.cycle {
-		h.wakeAt = h.e.cycle
+		h.e.wake(h, h.e.cycle)
+	}
+}
+
+// wake sets h's stamp to at, which is no later than the next ticked
+// cycle: its bit goes into the awake set and its heap entry, if it has
+// one, is dropped.
+func (e *Engine) wake(h *Handle, at int64) {
+	h.wakeAt = at
+	if h.heapAt >= 0 {
+		e.dropStamp(h)
+	}
+	e.awake[h.phase][h.bit>>6] |= 1 << (h.bit & 63)
+}
+
+// stamp is one entry of the engine's stamp heap: a sleeper's wake stamp,
+// kept beside the handle so that ordering the heap reads no handle.
+type stamp struct {
+	at int64
+	h  *Handle
+}
+
+// pushStamp adds h's stamp to the heap; h has no entry yet.
+func (e *Engine) pushStamp(h *Handle) {
+	e.stamps = append(e.stamps, stamp{h.wakeAt, h})
+	e.siftUp(len(e.stamps) - 1)
+}
+
+// dropStamp removes h's entry from the heap.
+func (e *Engine) dropStamp(h *Handle) {
+	i, last := int(h.heapAt), len(e.stamps)-1
+	h.heapAt = -1
+	moved := e.stamps[last]
+	e.stamps = e.stamps[:last]
+	if i < last {
+		e.stamps[i] = moved
+		e.siftDown(i)
+		e.siftUp(i)
+	}
+}
+
+// wakeDue moves every stamp that has arrived by cycle now from the heap
+// into the awake sets.
+func (e *Engine) wakeDue(now int64) {
+	for len(e.stamps) > 0 && e.stamps[0].at <= now {
+		h := e.stamps[0].h
+		e.wake(h, h.wakeAt)
+	}
+}
+
+// siftUp and siftDown restore the heap order around position i, keeping
+// every moved entry's heapAt current.
+func (e *Engine) siftUp(i int) {
+	s := e.stamps
+	x := s[i]
+	for i > 0 {
+		up := (i - 1) / 2
+		if s[up].at <= x.at {
+			break
+		}
+		s[i] = s[up]
+		s[i].h.heapAt = int32(i)
+		i = up
+	}
+	s[i] = x
+	x.h.heapAt = int32(i)
+}
+
+func (e *Engine) siftDown(i int) {
+	s := e.stamps
+	x := s[i]
+	for {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1].at < s[c].at {
+			c++
+		}
+		if x.at <= s[c].at {
+			break
+		}
+		s[i] = s[c]
+		s[i].h.heapAt = int32(i)
+		i = c
+	}
+	s[i] = x
+	x.h.heapAt = int32(i)
+}
+
+// rebuildAwake recomputes the awake sets and the stamp heap from the
+// stamps alone, for Restore: a stamp that has arrived is a set bit, a
+// finite one still ahead a heap entry.
+func (e *Engine) rebuildAwake() {
+	for _, s := range e.stamps {
+		s.h.heapAt = -1
+	}
+	e.stamps = e.stamps[:0]
+	for p := range numPhases {
+		clear(e.awake[p])
+		for _, h := range e.handles[p] {
+			switch {
+			case h.wakeAt <= e.cycle:
+				e.wake(h, h.wakeAt)
+			case h.wakeAt != NoEvent:
+				e.pushStamp(h)
+			}
+		}
 	}
 }
 
@@ -242,9 +372,10 @@ func (e *Engine) CyclesSkipped() int64 { return e.cyclesSkipped }
 // fastForward jumps the clock to the earliest cycle anything can happen
 // on (clamped to limit) when no register holds a value and every
 // component is asleep or said Idle from its last Step. The sleeping have
-// their stamps; those awake but idle — the ones backing off, and the plain
-// NextEventers — are asked. Called by the run loops before each Tick;
-// while flits are moving it costs one compare.
+// their stamps, the earliest at the top of the heap; the plain
+// NextEventers and the sleepers still in the awake sets (those backing
+// off) are asked. Called by the run loops before each Tick; while flits
+// are moving it costs one compare.
 func (e *Engine) fastForward(limit int64) {
 	// A write made outside Tick (between run loops) sits in the slot of this
 	// cycle's parity and must commit here, so it rules a jump out too.
@@ -253,28 +384,33 @@ func (e *Engine) fastForward(limit int64) {
 	}
 	now := e.cycle
 	next := limit
-	for _, h := range e.sleepers {
-		t := h.wakeAt
-		if h.since == awake {
-			if h.idleAt != now-1 {
-				return // had work on the last cycle
-			}
-			t = h.ev.NextEvent(now)
+	if len(e.stamps) > 0 {
+		if e.stamps[0].at <= now {
+			return // stamp arrived: tick
 		}
-		if t <= now {
-			return // stamp arrived, woken, or work handed over since it idled: tick
-		}
-		if t < next {
-			next = t
-		}
+		next = min(next, e.stamps[0].at)
 	}
 	for _, h := range e.polled {
 		t := h.ev.NextEvent(now)
 		if t <= now {
 			return // may act this cycle: tick
 		}
-		if t < next {
-			next = t
+		next = min(next, t)
+	}
+	for p := range numPhases {
+		polled := e.polledSet[p]
+		for w, word := range e.awake[p] {
+			for word &^= polled[w]; word != 0; word &= word - 1 {
+				h := e.handles[p][w<<6|bits.TrailingZeros64(word)]
+				if h.since != awake || h.idleAt != now-1 {
+					return // woken, or had work on the last cycle: tick
+				}
+				t := h.ev.NextEvent(now)
+				if t <= now {
+					return // work handed over since it idled: tick
+				}
+				next = min(next, t)
+			}
 		}
 	}
 	if next <= now {
@@ -285,10 +421,13 @@ func (e *Engine) fastForward(limit int64) {
 			h.sk.Skipped(now, next)
 		}
 	}
-	if e.asleep < len(e.sleepers) {
-		for _, h := range e.sleepers {
-			if h.since == awake && h.sk != nil {
-				h.sk.Skipped(now, next)
+	for p := range numPhases {
+		polled := e.polledSet[p]
+		for w, word := range e.awake[p] {
+			for word &^= polled[w]; word != 0; word &= word - 1 {
+				if h := e.handles[p][w<<6|bits.TrailingZeros64(word)]; h.sk != nil {
+					h.sk.Skipped(now, next)
+				}
 			}
 		}
 	}

@@ -27,11 +27,15 @@
 // stepping it until that cycle, until a register it consumes commits
 // (Reg.Wakes, folded into the commit itself), or until whoever hands it
 // work calls Handle.Wake. While nothing is asleep Tick runs the loop an
-// engine without a scheduler would; a system in which one core of twelve
-// has work pays for one Step, not twelve plus sixteen switches. Sleeping
+// engine without a scheduler would. Otherwise it reads no stamp of a
+// component that does not step: each phase keeps an awake set, one bit
+// per component, and the sleepers' stamps wait in a min-heap until they
+// arrive, so a ticked cycle costs the set bits it walks, not the
+// components registered — a system in which one core of twelve has work
+// pays for one Step and one bit, not a check of every handle. Sleeping
 // has to pay for itself, so a component in a loaded network all but stops
-// asking (see minNap). When every stamp lies in
-// the future the run loops jump the clock to the earliest one — idle
+// asking (see minNap). When every stamp lies in the future the run loops
+// jump the clock to the earliest one, the top of the heap — idle
 // fast-forward is the all-asleep case of the same mechanism, not a second
 // one.
 //
@@ -61,6 +65,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Component is a clocked hardware block. Step is called once per cycle with
@@ -107,14 +112,20 @@ type Engine struct {
 
 	// Scheduler state (see sched.go). sleepers are the components that
 	// manage their own sleep (Sleeper), asleep how many of them are
-	// asleep right now; polled are the plain NextEventers, which the
-	// engine itself puts to sleep for the length of a jump; alwaysOn
-	// counts components with neither capability, whose presence rules
-	// jumps out. quiet tracks whether the previous Tick committed
-	// nothing, i.e. no register holds an observable value in the current
-	// cycle.
+	// asleep right now; awake holds each phase's awake set and stamps the
+	// heap of the finite stamps still ahead. polled are the plain
+	// NextEventers, which the engine itself puts to sleep for the length
+	// of a jump; they never leave the awake sets, and polledSet marks
+	// their bits there so that fastForward asks them from this list, not
+	// through the sets. alwaysOn counts components with neither
+	// capability, whose presence rules jumps out. quiet tracks whether
+	// the previous Tick committed nothing, i.e. no register holds an
+	// observable value in the current cycle.
 	sleepers      []*Handle
 	polled        []*Handle
+	polledSet     [numPhases][]uint64
+	awake         [numPhases][]uint64
+	stamps        []stamp
 	asleep        int
 	alwaysOn      int
 	quiet         bool
@@ -147,7 +158,8 @@ func (e *Engine) Register(phase int, c Component) {
 	if phase < 0 || phase >= numPhases {
 		panic(fmt.Sprintf("sim: invalid phase %d", phase))
 	}
-	h := &Handle{e: e, c: c, since: awake, idleAt: -1}
+	h := &Handle{e: e, c: c, since: awake, idleAt: -1,
+		phase: int32(phase), bit: int32(len(e.handles[phase])), heapAt: -1}
 	if e.ffwdOff {
 		h.tryAt = NoEvent
 	}
@@ -155,11 +167,17 @@ func (e *Engine) Register(phase int, c Component) {
 	h.sk, _ = c.(Skipper)
 	e.comps[phase] = append(e.comps[phase], c)
 	e.handles[phase] = append(e.handles[phase], h)
+	if h.bit&63 == 0 {
+		e.awake[phase] = append(e.awake[phase], 0)
+		e.polledSet[phase] = append(e.polledSet[phase], 0)
+	}
+	e.wake(h, 0)
 	if s, ok := c.(Sleeper); ok {
 		e.sleepers = append(e.sleepers, h)
 		s.Bind(h)
 	} else if h.ev != nil {
 		e.polled = append(e.polled, h)
+		e.polledSet[phase][h.bit>>6] |= 1 << (h.bit & 63)
 	} else {
 		e.alwaysOn++
 	}
@@ -182,11 +200,23 @@ func (e *Engine) Tick() {
 			}
 		}
 	} else {
+		if len(e.stamps) > 0 && e.stamps[0].at <= now {
+			e.wakeDue(now)
+		}
 		for p := 0; p < numPhases; p++ {
-			for _, h := range e.handles[p] {
-				if h.wakeAt > now {
-					continue
+			set, hs := e.awake[p], e.handles[p]
+			for i := 0; i < len(hs); i++ {
+				// The word is read again at every position, after the Steps
+				// before it, which may have woken a component further on; a
+				// run of clear bits is skipped in one count.
+				if word := set[i>>6] >> (i & 63); word&1 == 0 {
+					if word == 0 {
+						i |= 63 // nothing awake in the rest of the word
+						continue
+					}
+					i += bits.TrailingZeros64(word)
 				}
+				h := hs[i]
 				if h.since != awake {
 					h.rouse(now)
 				}
@@ -208,7 +238,7 @@ func (e *Engine) Tick() {
 		h.validAt, h.written = visibleAt, false
 		for _, w := range h.wakes {
 			if w.wakeAt > visibleAt {
-				w.wakeAt = visibleAt
+				e.wake(w, visibleAt)
 			}
 		}
 	}

@@ -123,6 +123,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 			i++
 		}
 	}
+	e.rebuildAwake()
 	if e.ffwdOff {
 		e.SetFastForward(false) // nothing stays asleep on an always-step engine
 	}
