@@ -37,7 +37,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/scenario"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -73,7 +72,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	variants := fs.String("variants", "", "-fig kernel only: comma-separated programming models (default hybrid-full,pure-sm)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
 	parallelism := fs.Int("parallelism", 0, "max concurrent simulations per process (0 = GOMAXPROCS); with -shards, shards x parallelism simulations run fleet-wide")
 	shards := fs.Int("shards", 0, "figs 6|7|8|9: split the sweep into this many shards run by worker processes and merge (0 = single-process; output is byte-identical either way)")
 	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard)")
@@ -105,8 +103,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
 	}
-	if *noFFwd {
-		sim.SetDefaultFastForward(false)
+	// The sharding flags without -shards would silently run single-process.
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-workers", *workers != 0}, {"-worker-cmd", *workerCmd != ""}} {
+		if f.set && *shards == 0 {
+			return fmt.Errorf("%s only applies to a sharded run: add -shards N", f.name)
+		}
 	}
 	if *workerMode {
 		return shard.ServeWorker(ctx, os.Stdin, stdout, nil)
@@ -161,7 +165,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *shards == 0 {
 			return dse.SweepCtx(ctx, o)
 		}
-		return runShardedSweep(ctx, name, o, *shards, *workers, *workerCmd, *noFFwd)
+		return runShardedSweep(ctx, name, o, *shards, *workers, *workerCmd)
 	}
 
 	switch *fig {
@@ -288,7 +292,7 @@ func sweepScenario(name string, o dse.Options) (*scenario.Scenario, error) {
 // runShardedSweep distributes one figure sweep across worker processes
 // and returns the merged points in canonical order; each worker runs
 // o.Parallelism simulations at a time.
-func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, workers int, workerCmd string, noFFwd bool) ([]dse.Point, error) {
+func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, workers int, workerCmd string) ([]dse.Point, error) {
 	s, err := sweepScenario(name, o)
 	if err != nil {
 		return nil, err
@@ -302,9 +306,6 @@ func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, wo
 			return nil, err
 		}
 		argv = []string{exe, "-worker"}
-		if noFFwd {
-			argv = append(argv, "-no-ffwd")
-		}
 	}
 	co := &shard.Coordinator{
 		NewWorker:   shard.ProcFactory(shard.ProcSpec{Command: argv}),

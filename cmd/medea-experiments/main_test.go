@@ -65,6 +65,9 @@ func TestUsageErrors(t *testing.T) {
 		{"syncbench hybrid-sync", []string{"-fig", "kernel", "-workloads", "syncbench", "-variants", "hybrid-sync"}, "hybrid-sync"},
 		{"negative parallelism", []string{"-fig", "8", "-parallelism", "-2"}, "-parallelism must be >= 0"},
 		{"negative workers", []string{"-fig", "8", "-shards", "2", "-workers", "-2"}, "-workers must be >= 0"},
+		{"workers without shards", []string{"-fig", "8", "-workers", "2"}, "-workers only applies to a sharded run"},
+		{"worker-cmd without shards", []string{"-fig", "8", "-worker-cmd", "medea-experiments -worker"}, "-worker-cmd only applies to a sharded run"},
+		{"workers with shards 0", []string{"-fig", "8", "-shards", "0", "-workers", "2"}, "-workers only applies to a sharded run"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -38,7 +38,6 @@ import (
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -74,8 +73,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheBackend := fs.String("cache", resultcache.BackendOff, "result cache backend: off | mem | disk (disk persists across runs; output is byte-identical either way)")
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
-	noFFwd := fs.Bool("no-ffwd", false, "disable wake-driven stepping and fast-forward (step every component every cycle; output is byte-identical either way)")
-	shards := fs.Int("shards", 0, `split each sweep into this many shards run by worker processes and merge the rows (0 = the scenario file's "shard" section, else single-process; output is byte-identical either way)`)
+	shards := fs.Int("shards", 0, `split each sweep into this many shards run by worker processes and merge the rows (0 = single-process; output is byte-identical either way)`)
 	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard); each worker runs -parallelism simulations, so shards x parallelism run fleet-wide")
 	workerCmd := fs.String("worker-cmd", "", "worker command for sharded runs, space-separated (default: this binary re-exec'd with -worker and the cache flags)")
 	workerURLs := fs.String("worker-url", "", "comma-separated remote worker URLs (medea-scenarios -worker-listen endpoints) to shard over instead of local processes")
@@ -102,8 +100,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
 	}
-	if *noFFwd {
-		sim.SetDefaultFastForward(false)
+	// The sharding flags without -shards would silently run single-process.
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-workers", *workers != 0}, {"-worker-cmd", *workerCmd != ""}, {"-worker-url", *workerURLs != ""}} {
+		if f.set && *shards == 0 {
+			return fmt.Errorf("%s only applies to a sharded run: add -shards N", f.name)
+		}
 	}
 
 	switch *format {
@@ -167,7 +171,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	newWorker, err := workerFactory(*workerURLs, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget, *noFFwd)
+	newWorker, err := workerFactory(*workerURLs, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget)
 	if err != nil {
 		return err
 	}
@@ -187,22 +191,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		s.Cache = rcache.Scope() // per-file counters over the shared store
 		log.Printf("running %s", scenario.Summary(s))
 
-		// -shards on the command line wins; 0 falls back to the scenario
-		// file's shard section; no section means single-process.
-		nShards, nWorkers := *shards, *workers
-		if nShards == 0 && s.Shard != nil {
-			nShards = s.Shard.Shards
-			if nWorkers == 0 {
-				nWorkers = s.Shard.Workers
-			}
-		}
-
 		var results []scenario.Result
-		if nShards > 0 {
+		if *shards > 0 {
 			co := &shard.Coordinator{
 				NewWorker:   newWorker,
-				Shards:      nShards,
-				Workers:     nWorkers,
+				Shards:      *shards,
+				Workers:     *workers,
 				Parallelism: *par,
 				Logf:        log.Printf,
 			}
@@ -217,7 +211,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			// Stderr via log, so -format csv/json stdout stays machine-clean.
 			// The merged root is always logged for sharded runs: it is the
 			// figure to compare against a single-process run's root.
-			log.Printf("%s: merged %d shards; cache %v; merkle root %s", s.Name, nShards, s.Cache.Stats(), scenario.MerkleRoot(results))
+			log.Printf("%s: merged %d shards; cache %v; merkle root %s", s.Name, *shards, s.Cache.Stats(), scenario.MerkleRoot(results))
 		} else {
 			r, err := scenario.RunCtx(ctx, s)
 			if err != nil {
@@ -297,9 +291,9 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 // workerFactory builds the coordinator's worker source: remote HTTP
 // workers when -worker-url is set, else local processes running
 // -worker-cmd (default: this binary re-exec'd in -worker mode with the
-// run's cache and determinism flags, so -cache disk gives the fleet one
-// shared store and cross-process dedup).
-func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64, noFFwd bool) (func(context.Context) (shard.Worker, error), error) {
+// run's cache flags, so -cache disk gives the fleet one shared store and
+// cross-process dedup).
+func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64) (func(context.Context) (shard.Worker, error), error) {
 	if urls != "" {
 		return shard.HTTPFactory(strings.Split(urls, ",")), nil
 	}
@@ -317,9 +311,6 @@ func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64, 
 		}
 		if cacheBudget != 0 {
 			argv = append(argv, "-cache-budget", strconv.FormatInt(cacheBudget, 10))
-		}
-		if noFFwd {
-			argv = append(argv, "-no-ffwd")
 		}
 	}
 	return shard.ProcFactory(shard.ProcSpec{Command: argv}), nil

@@ -202,3 +202,32 @@ func TestCLIErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestShardingFlagsNeedShards: a sharding flag without -shards would run
+// single-process while the user believes the sweep is sharded, so it is a
+// usage error before anything runs.
+func TestShardingFlagsNeedShards(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-workers", "2"}, "-workers only applies to a sharded run"},
+		{[]string{"-worker-cmd", "medea-scenarios -worker"}, "-worker-cmd only applies to a sharded run"},
+		{[]string{"-worker-url", "http://127.0.0.1:1"}, "-worker-url only applies to a sharded run"},
+		{[]string{"-shards", "0", "-workers", "2"}, "-workers only applies to a sharded run"},
+		{[]string{"-validate"}, ""},
+		{[]string{"-validate", "-workers", "0"}, ""},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var out strings.Builder
+			err := run(context.Background(), append(c.args, "../../examples/scenarios/smoke.json"), &out)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Errorf("%v = %v, want success", c.args, err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Errorf("%v = %v, want an error containing %q", c.args, err, c.wantErr)
+			}
+		})
+	}
+}

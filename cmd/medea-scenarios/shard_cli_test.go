@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,39 +41,6 @@ func TestShardedCLIMatchesSingleProcess(t *testing.T) {
 	}
 	if sharded.String() != direct.String() {
 		t.Errorf("sharded CSV diverges:\n--- sharded ---\n%s--- direct ---\n%s", sharded.String(), direct.String())
-	}
-}
-
-// TestShardSectionDrivesSharding: a scenario file's "shard" section must
-// fan the run out with no flags, and the output must still match the
-// same sweep without the section.
-func TestShardSectionDrivesSharding(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	t.Setenv("MEDEA_WORKER_MAIN", "1")
-	base, err := os.ReadFile("../../examples/scenarios/smoke.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Splice a shard section into the example (every example scenario is
-	// a single JSON object).
-	trimmed := strings.TrimRight(strings.TrimSpace(string(base)), "}")
-	shardy := trimmed + `, "shard": {"shards": 2, "workers": 2}}`
-	path := filepath.Join(t.TempDir(), "smoke-sharded.json")
-	if err := os.WriteFile(path, []byte(shardy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var direct strings.Builder
-	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
-		t.Fatal(err)
-	}
-	var sharded strings.Builder
-	if err := run(context.Background(), []string{"-format", "csv", path}, &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if sharded.String() != direct.String() {
-		t.Errorf("shard-section CSV diverges:\n--- sharded ---\n%s--- direct ---\n%s", sharded.String(), direct.String())
 	}
 }
 

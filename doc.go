@@ -32,11 +32,12 @@
 //     that is one core of twelve and none of the sixteen switches on most
 //     cycles. When everything is asleep the clock jumps to the earliest
 //     wake stamp — idle fast-forward is the same mechanism's all-asleep
-//     case. -no-ffwd on the CLIs steps every component every cycle
-//     instead; the output is byte-identical, which the differential
-//     batteries (scenario, noc, jacobi, matmul, syncbench
-//     Test*FastForwardDifferential*, noc.TestWakeDrivenStateDifferential)
-//     enforce.
+//     case. A run whose context carries sim.WithoutFastForward steps
+//     every component every cycle instead; the output is byte-identical,
+//     which the differential batteries (scenario, noc, jacobi, matmul,
+//     syncbench Test*FastForwardDifferential*,
+//     noc.TestWakeDrivenStateDifferential) enforce with that run as the
+//     reference.
 //
 //   - The PE handoff (internal/pe): a kernel is ordinary Go, run as a
 //     coroutine its core switches to directly (iter.Pull) — no channel and

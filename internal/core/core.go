@@ -56,6 +56,10 @@ type Config struct {
 	Cost pe.CostModel
 	// PortFIFOCap sizes the TIE and bridge output FIFOs (default 4).
 	PortFIFOCap int
+	// Record, when non-nil, observes every message packet a TIE port
+	// starts sending (trace capture; see tie.SendRecorder). Purely
+	// observational, like noc.TrafficConfig.Record.
+	Record tie.SendRecorder
 }
 
 // DefaultConfig returns the baseline configuration used throughout the
@@ -255,7 +259,7 @@ func Build(cfg Config) (*System, error) {
 			return nil, err
 		}
 		brg := bridge.NewRouted(node, route, coordOf, cfg.PortFIFOCap)
-		port := tie.NewPort(node, topo.NumNodes(), coordOf, cfg.PortFIFOCap)
+		port := tie.NewPort(node, topo.NumNodes(), coordOf, cfg.PortFIFOCap, cfg.Record)
 		proc := pe.NewProc(node, rank, l1, brg, port, cfg.Cost)
 		arb := bridge.NewArbiter(fmt.Sprintf("arb%d", node), cfg.Arbiter, port.Out(), brg.Out(), cfg.ArbFIFOCap)
 		proc.Arbiter = arb

@@ -22,6 +22,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/syncbench"
+	"repro/internal/tie"
 )
 
 // Kernel selects a compute kernel for KernelSweepCtx. Kernels are a
@@ -137,6 +138,10 @@ type KernelOptions struct {
 	// Cache content-addresses each point's simulation result; nil means
 	// cache off (see Options.Cache).
 	Cache *resultcache.Cache
+	// Record, when non-nil, observes every message send of every point
+	// (core.Config.Record). Recording bypasses Cache: a hit skips the
+	// simulation and would record nothing.
+	Record tie.SendRecorder
 	// Points restricts the sweep to the listed indices of the canonical
 	// (variant, policy, cache, cores) order, variants outermost — see
 	// Options.Points. Speedup is not attached on a filtered sweep.
@@ -240,6 +245,11 @@ func (o *KernelOptions) enumerate() []kernelJob {
 // runPoint simulates (or recalls from the cache) one point.
 func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint, error) {
 	cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
+	cfg.Record = o.Record
+	rc := o.Cache
+	if o.Record != nil {
+		rc = nil
+	}
 	p := KernelPoint{
 		Kernel: o.Kernel, Variant: j.variant,
 		Compute: j.cores, CacheKB: j.kb, Policy: j.policy,
@@ -248,7 +258,7 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 	switch o.Kernel {
 	case KernelJacobi:
 		spec := jacobi.Spec{N: o.N, Warmup: o.Warmup, Measured: o.Measured}
-		val, skipped, err := jacobiPointValueCached(ctx, o.Cache, cfg, spec, j.variant, j.cores, j.kb, j.policy)
+		val, skipped, err := jacobiPointValueCached(ctx, rc, cfg, spec, j.variant, j.cores, j.kb, j.policy)
 		if err != nil {
 			return p, err
 		}
@@ -258,7 +268,7 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 		p.NoCFlits = val.NoCFlits
 		p.CyclesSkipped = skipped
 	case KernelMatmul:
-		val, skipped, err := matmulPointValueCached(ctx, o.Cache, cfg, o.N, j.variant, j.cores, j.kb, j.policy)
+		val, skipped, err := matmulPointValueCached(ctx, rc, cfg, o.N, j.variant, j.cores, j.kb, j.policy)
 		if err != nil {
 			return p, err
 		}
@@ -272,7 +282,7 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 		if j.variant == jacobi.PureSM {
 			kind = syncbench.LockBarrier
 		}
-		val, skipped, err := syncbenchPointValueCached(ctx, o.Cache, cfg, kind, o.Rounds, j.cores, j.kb, j.policy)
+		val, skipped, err := syncbenchPointValueCached(ctx, rc, cfg, kind, o.Rounds, j.cores, j.kb, j.policy)
 		if err != nil {
 			return p, err
 		}

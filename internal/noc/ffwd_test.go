@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -23,8 +24,9 @@ func lowLoadConfig() MeasureConfig {
 // measure bit-identically with fast-forward on and off, across load
 // levels that exercise both the skipping and the always-busy regimes.
 func TestMeasureFastForwardDifferential(t *testing.T) {
-	defer sim.SetDefaultFastForward(sim.DefaultFastForward())
+	t.Parallel()
 	topo := mustTopo(t, 4, 4)
+	offCtx := sim.WithoutFastForward(context.Background())
 	for _, router := range AllRouters() {
 		for _, rate := range []float64{0.002, 0.1} {
 			mc := lowLoadConfig()
@@ -32,10 +34,11 @@ func TestMeasureFastForwardDifferential(t *testing.T) {
 			mc.Traffic.Rate = rate
 			mc.Measure = 5_000
 
-			sim.SetDefaultFastForward(true)
 			on := mustMeasure(t, topo, mc)
-			sim.SetDefaultFastForward(false)
-			off := mustMeasure(t, topo, mc)
+			off, err := MeasureCtx(offCtx, topo, mc)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if off.CyclesSkipped != 0 {
 				t.Errorf("%v rate %g: CyclesSkipped = %d with fast-forward disabled", router, rate, off.CyclesSkipped)
@@ -45,6 +48,38 @@ func TestMeasureFastForwardDifferential(t *testing.T) {
 				t.Errorf("%v rate %g: results diverge under fast-forward:\n  on:  %+v\n  off: %+v", router, rate, on, off)
 			}
 		}
+	}
+}
+
+// TestFastForwardIsPerRun measures one low-load point twice at the same
+// time, once under sim.WithoutFastForward: the setting belongs to the run
+// whose context carries it, so the concurrent run beside it still skips.
+func TestFastForwardIsPerRun(t *testing.T) {
+	t.Parallel()
+	topo := mustTopo(t, 4, 4)
+	mc := lowLoadConfig()
+	var on, off Measurement
+	var onErr, offErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		on, onErr = MeasureCtx(context.Background(), topo, mc)
+	}()
+	go func() {
+		defer wg.Done()
+		off, offErr = MeasureCtx(sim.WithoutFastForward(context.Background()), topo, mc)
+	}()
+	wg.Wait()
+	if onErr != nil || offErr != nil {
+		t.Fatal(onErr, offErr)
+	}
+	if off.CyclesSkipped != 0 || on.CyclesSkipped <= 0 {
+		t.Errorf("CyclesSkipped = %d with fast-forward off, %d with it on; want 0 and > 0", off.CyclesSkipped, on.CyclesSkipped)
+	}
+	on.CyclesSkipped, off.CyclesSkipped = 0, 0
+	if on != off {
+		t.Errorf("results diverge:\n  on:  %+v\n  off: %+v", on, off)
 	}
 }
 

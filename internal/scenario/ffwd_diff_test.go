@@ -5,9 +5,9 @@ package scenario
 // with a zero-tolerance correctness contract — every example scenario
 // must render byte-identically with fast-forward on and off, a forked
 // window sweep must equal independent runs, and repeated forked runs must
-// reproduce the same Merkle ledger root. These tests toggle a
-// process-wide switch (sim.SetDefaultFastForward), so they run serially —
-// no t.Parallel anywhere in this file.
+// reproduce the same Merkle ledger root. The reference runs take
+// fast-forward off through their context (sim.WithoutFastForward), so
+// nothing here touches a setting another test could see.
 
 import (
 	"context"
@@ -18,12 +18,19 @@ import (
 	"repro/internal/sim"
 )
 
-// runPlain loads path fresh, runs it cache-off, and returns the rendered
-// outputs plus the run ledger root.
-func runPlain(t *testing.T, path string) (map[string]string, string) {
+// runPlain loads path fresh, runs it cache-off under ctx, and returns the
+// rendered outputs plus the run ledger root.
+func runPlain(t *testing.T, ctx context.Context, path string) (map[string]string, string) {
 	t.Helper()
-	out, root, _ := runScoped(t, path, nil)
-	return out, root
+	s, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := RunCtx(ctx, s)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return renderAll(t, results), MerkleRoot(results)
 }
 
 // TestFastForwardDifferentialGolden runs every example scenario with
@@ -33,7 +40,7 @@ func TestFastForwardDifferentialGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every example scenario twice")
 	}
-	defer sim.SetDefaultFastForward(sim.DefaultFastForward())
+	t.Parallel()
 	paths, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil {
 		t.Fatal(err)
@@ -44,10 +51,8 @@ func TestFastForwardDifferentialGolden(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			sim.SetDefaultFastForward(false)
-			want, wantRoot := runPlain(t, path)
-			sim.SetDefaultFastForward(true)
-			got, root := runPlain(t, path)
+			want, wantRoot := runPlain(t, sim.WithoutFastForward(context.Background()), path)
+			got, root := runPlain(t, context.Background(), path)
 			for format, out := range got {
 				if out != want[format] {
 					t.Errorf("%s output differs under fast-forward:\n--- on ---\n%s--- off ---\n%s",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/resultcache"
@@ -124,6 +125,64 @@ func TestRecordedKernelTrace(t *testing.T) {
 	}
 	if results[0].Delivered == 0 {
 		t.Error("kernel-trace replay delivered nothing")
+	}
+}
+
+// TestRecordIsPerRun records a one-point jacobi run while plain runs of
+// another kernel scenario send messages in the same process. The recorder
+// belongs to the recording run alone, so the capture must equal the one
+// recorded with nothing beside it (run with -race).
+func TestRecordIsPerRun(t *testing.T) {
+	ctx := context.Background()
+	const src = `{
+		"name": "kernel-rec",
+		"workload": "jacobi",
+		"kernel": {"n": 12, "cores": [4], "cache_kb": [4], "variants": ["hybrid-full"]}
+	}`
+	alone, _, err := RecordCtx(ctx, mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beside := mustParse(t, `{
+		"name": "beside",
+		"workload": "syncbench",
+		"kernel": {"cores": [4, 6], "cache_kb": [4], "variants": ["hybrid-full"], "rounds": 4}
+	}`)
+	rec := mustParse(t, src)
+
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := RunCtx(ctx, beside); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	got, _, err := RecordCtx(ctx, rec)
+	close(done)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hash() != alone.Hash() {
+		t.Errorf("capture beside concurrent kernel runs has %d events (hash %s), recorded alone %d (hash %s)",
+			len(got.Events), got.Hash(), len(alone.Events), alone.Hash())
 	}
 }
 

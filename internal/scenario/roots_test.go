@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -38,7 +39,7 @@ func TestExampleRootsGolden(t *testing.T) {
 		t.Errorf("%d example scenarios, %d recorded roots", len(files), len(want))
 	}
 	for _, path := range files {
-		_, root := runPlain(t, path)
+		_, root := runPlain(t, context.Background(), path)
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		if root != want[name] {
 			t.Errorf("%s: merkle root %s, recorded %s", name, root, want[name])

@@ -209,12 +209,12 @@ func (nocWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result
 	// Recording bypasses the cache: a hit would skip the simulation and
 	// record nothing (RecordCtx also detaches the cache, this is the
 	// defence in depth for hand-wired scenarios).
-	rcache := s.Cache
-	if s.Record != nil {
-		rcache = nil
+	rcache, rec := s.Cache, noc.InjectionRecorder(nil)
+	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
+		rcache, rec = nil, s.Record
 	}
 	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j nocJob) (Result, error) {
-		r, err := runNoCPoint(ctx, rcache, s.Record, s.NoC, j)
+		r, err := runNoCPoint(ctx, rcache, rec, s.NoC, j)
 		r.Scenario = s.Name
 		return r, err
 	})

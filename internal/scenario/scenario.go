@@ -31,9 +31,17 @@
 // fig8-quick and kernel-ablation golden tests are byte- and point-exact
 // for that reason), and noc points through noc.MeasureCtx, the path
 // shared with cmd/medea-noc. TestExampleRootsGolden pins the rows of every
-// shipped file. See examples/scenarios/ for ready-to-run files,
-// REPRODUCING.md for the figure/table map, and cmd/medea-scenarios for
-// the CLI driver.
+// shipped file.
+//
+// A file declares what to simulate; how a run executes is its caller's,
+// handed down as values by whoever owns the run: the result cache
+// (Scenario.Cache), trace capture (Scenario.Record, through RecordCtx),
+// fast-forward (sim.WithoutFastForward on the context) and sharding
+// (internal/shard's Coordinator, which the CLIs drive from -shards). None
+// of them can change a rendered byte.
+//
+// See examples/scenarios/ for ready-to-run files, REPRODUCING.md for the
+// figure/table map, and cmd/medea-scenarios for the CLI driver.
 package scenario
 
 import (
@@ -99,13 +107,6 @@ type Scenario struct {
 	// Output is the default rendering: "table" (default), "csv" or "json".
 	Output string `json:"output,omitempty"`
 
-	// Shard, when present, asks the driver to partition the sweep across
-	// worker processes (see internal/shard). It carries counts only — how
-	// the workers are launched is the driver's business (and deliberately
-	// not part of the format: a scenario file must never name a command to
-	// exec). Merged results are byte-identical to a single-process run.
-	Shard *ShardConfig `json:"shard,omitempty"`
-
 	// Cache, when non-nil, content-addresses every point's simulation
 	// result (see resultcache): repeated points are served from the store
 	// and concurrent duplicates collapse to one run. It is runtime state,
@@ -114,11 +115,12 @@ type Scenario struct {
 	// output is byte-identical either way.
 	Cache *resultcache.Cache `json:"-"`
 
-	// Record, when non-nil, receives every flit-level injection of the
-	// run (trace capture; see RecordCtx, which is how callers should
-	// record). Runtime state like Cache. Recording bypasses the result
-	// cache: a cache hit skips the simulation and would record nothing.
-	Record noc.InjectionRecorder `json:"-"`
+	// Record, when non-nil, receives every flit-level injection of a
+	// noc-synthetic run and every message send of a kernel run (trace
+	// capture; see RecordCtx, which is how callers should record).
+	// Runtime state like Cache. Recording bypasses the result cache: a
+	// cache hit skips the simulation and would record nothing.
+	Record *trace.Trace `json:"-"`
 }
 
 // NoCConfig describes a synthetic-traffic experiment on the bare network.
@@ -515,11 +517,6 @@ func (s *Scenario) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", s.Parallelism)
 	}
-	if s.Shard != nil {
-		if err := s.Shard.validate(); err != nil {
-			return err
-		}
-	}
 
 	switch kinds[0] {
 	case WorkloadNoC:
@@ -794,7 +791,7 @@ func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
 		}
 		policies = append(policies, p)
 	}
-	return dse.KernelOptions{
+	o := dse.KernelOptions{
 		Kernel:      k,
 		N:           c.N,
 		Rounds:      c.Rounds,
@@ -806,7 +803,11 @@ func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
 		Measured:    c.Measured,
 		Parallelism: s.Parallelism,
 		Cache:       s.Cache,
-	}, nil
+	}
+	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
+		o.Record = s.Record
+	}
+	return o, nil
 }
 
 // seedList resolves the seed axis: explicit Seeds, or Replications seeds

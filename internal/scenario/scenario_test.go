@@ -138,6 +138,10 @@ func TestParseRejects(t *testing.T) {
 		{"jacobi alias without jacobi", `{"workload": "matmul",
 			"jacobi": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
 			`unknown field "jacobi"`},
+		{"shard section", `{"workload": "jacobi",
+			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]},
+			"shard": {"shards": 2}}`,
+			`unknown field "shard"`},
 		{"variant and variants", `{"workload": "jacobi",
 			"kernel": {"n": 16, "variant": "pure-sm", "variants": ["hybrid-full"], "cores": [2], "cache_kb": [8]}}`,
 			"not both"},

@@ -18,28 +18,6 @@ import (
 	"repro/internal/dse"
 )
 
-// ShardConfig is a scenario's optional "shard" section: counts only (how
-// workers are launched is the driver's business and never part of the
-// declarative format — a scenario file submitted to medea-serve must not
-// be able to name a command to exec).
-type ShardConfig struct {
-	// Shards is the number of partitions to split the sweep into (>= 1).
-	Shards int `json:"shards"`
-	// Workers caps concurrently running worker processes; 0 means one per
-	// shard.
-	Workers int `json:"workers,omitempty"`
-}
-
-func (c *ShardConfig) validate() error {
-	if c.Shards < 1 {
-		return fmt.Errorf(`"shard.shards" must be >= 1, got %d`, c.Shards)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf(`"shard.workers" must be >= 0, got %d`, c.Workers)
-	}
-	return nil
-}
-
 // Row is one sweep point tagged with its canonical-order index, the unit
 // a shard worker returns: the index is what lets MergeShards reassemble
 // rows from any shard interleaving into the single-process order.

@@ -156,28 +156,6 @@ func TestMergeShardsErrors(t *testing.T) {
 	}
 }
 
-// TestShardSectionValidation covers the scenario file's "shard" section:
-// counts only, validated at load time.
-func TestShardSectionValidation(t *testing.T) {
-	good := `{"workload": "noc-synthetic", "noc": {"width": 2, "height": 2, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 200},
-	          "shard": {"shards": 4, "workers": 2}}`
-	s, err := Parse([]byte(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shard == nil || s.Shard.Shards != 4 || s.Shard.Workers != 2 {
-		t.Errorf("shard section did not parse: %+v", s.Shard)
-	}
-	for _, bad := range []string{
-		`{"workload": "noc-synthetic", "noc": {"width": 2, "height": 2, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 200}, "shard": {"shards": 0}}`,
-		`{"workload": "noc-synthetic", "noc": {"width": 2, "height": 2, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 200}, "shard": {"shards": 2, "workers": -1}}`,
-	} {
-		if _, err := Parse([]byte(bad)); err == nil {
-			t.Errorf("invalid shard section accepted: %s", bad)
-		}
-	}
-}
-
 // TestNumPointsMatchesRun pins the sharding prerequisite: NumPoints must
 // agree with the number of results a full run produces, for both kernel
 // and noc scenarios — ShardPoints partitions [0, NumPoints).

@@ -8,7 +8,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/par"
 	"repro/internal/resultcache"
-	"repro/internal/tie"
 	"repro/internal/trace"
 )
 
@@ -115,7 +114,9 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 // RecordCtx runs a single-point scenario with trace capture and returns
 // the recorded trace alongside the run's results. NoC-synthetic points
 // record flit-level injections through noc.TrafficConfig.Record; kernel
-// points record eMPI message sends through the tie.SendRecorder hook.
+// points record eMPI message sends through core.Config.Record, which
+// core.Build hands to every TIE port. The recorder belongs to this run
+// alone: concurrent runs in the same process record nothing into it.
 // Recording detaches the result cache (a cache hit skips the simulation
 // and would record nothing); the returned results are byte-identical to a
 // cached run's, which the record/replay differential tests assert.
@@ -168,11 +169,7 @@ func recordNoC(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
 		Warmup:   c.WarmupCycles,
 		Measure:  measure,
 	})
-	run := *s
-	run.Cache = nil
-	run.Shard = nil
-	run.Record = t
-	results, err := RunCtx(ctx, &run)
+	results, err := recordRun(ctx, s, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,12 +194,7 @@ func recordKernel(ctx context.Context, s *Scenario) (*trace.Trace, []Result, err
 		Pattern:  s.Workload,
 		Measure:  1,
 	})
-	prev := tie.SetSendRecorder(t)
-	defer tie.SetSendRecorder(prev)
-	run := *s
-	run.Cache = nil
-	run.Shard = nil
-	results, err := RunCtx(ctx, &run)
+	results, err := recordRun(ctx, s, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,4 +202,14 @@ func recordKernel(ctx context.Context, s *Scenario) (*trace.Trace, []Result, err
 		t.Header.Measure = t.Events[n-1].Cycle + 1
 	}
 	return t, results, nil
+}
+
+// recordRun runs a copy of s with t as its recorder. The copy detaches
+// the result cache: a cache hit skips the simulation and would record
+// nothing.
+func recordRun(ctx context.Context, s *Scenario, t *trace.Trace) ([]Result, error) {
+	run := *s
+	run.Cache = nil
+	run.Record = t
+	return RunCtx(ctx, &run)
 }

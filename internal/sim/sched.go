@@ -36,11 +36,12 @@ package sim
 // NextEventers, which have no wake wiring and so are stepped on every
 // ticked cycle — are asked for their next event at that moment, and only
 // then. A component with neither capability is stepped every cycle and
-// the engine never jumps. With fast-forward off (SetFastForward(false),
-// the CLIs' -no-ffwd) nothing sleeps and nothing jumps: every component
-// steps every cycle. That mode is the oracle the differential batteries
-// in internal/scenario, internal/noc and the kernel packages compare the
-// scheduler against, byte for byte.
+// the engine never jumps. With fast-forward off (SetFastForward(false) on
+// one engine, or a WithoutFastForward context handed to its run loops)
+// nothing sleeps and nothing jumps: every component steps every cycle.
+// That mode is the oracle the differential batteries in internal/scenario,
+// internal/noc and the kernel packages compare the scheduler against,
+// byte for byte. It is a property of the run, never of the process.
 //
 // The stamps are the whole truth, but Tick and fastForward do not read
 // them one handle at a time. Each phase keeps an awake set, a bitset
@@ -56,9 +57,9 @@ package sim
 // touching the handle of a component that does not step.
 
 import (
+	"context"
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // NoEvent is the NextEvent return value meaning "never": the component
@@ -334,20 +335,27 @@ func (e *Engine) flushSkipped() {
 	}
 }
 
-// defaultFFwdOff is the process-wide default for new engines; the CLIs'
-// -no-ffwd escape hatch sets it before any simulation starts, while par
-// and medea-serve worker goroutines read it in NewEngine. Inverted so the
-// zero value means "fast-forward on".
-var defaultFFwdOff atomic.Bool
+// ffwdOffKey is the context key WithoutFastForward sets.
+type ffwdOffKey struct{}
 
-// SetDefaultFastForward sets whether newly created engines sleep idle
-// components and fast-forward idle stretches (default true). Call it
-// before building engines; it is the -no-ffwd escape hatch, not a per-run
-// toggle — use Engine.SetFastForward for that.
-func SetDefaultFastForward(enabled bool) { defaultFFwdOff.Store(!enabled) }
+// WithoutFastForward returns a context under which every engine run loop
+// it reaches (RunCtx, RunUntilCtx) first switches its engine's
+// fast-forward off, so every component steps every cycle. It travels the
+// path cancellation already takes to every engine, which makes it a
+// setting of the run its caller owns: concurrent runs on other contexts
+// keep sleeping and jumping. Results are byte-identical either way.
+func WithoutFastForward(ctx context.Context) context.Context {
+	return context.WithValue(ctx, ffwdOffKey{}, true)
+}
 
-// DefaultFastForward reports the process-wide default.
-func DefaultFastForward() bool { return !defaultFFwdOff.Load() }
+// applyCtx switches fast-forward off when ctx carries WithoutFastForward.
+// A context without it leaves the engine as it is, so an engine switched
+// off through SetFastForward stays off.
+func (e *Engine) applyCtx(ctx context.Context) {
+	if !e.ffwdOff && ctx.Value(ffwdOffKey{}) != nil {
+		e.SetFastForward(false)
+	}
+}
 
 // SetFastForward enables or disables wake-driven stepping and
 // fast-forward on this engine. Disabled, every component steps every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -278,19 +279,46 @@ func TestPolledEventerBesideSleepers(t *testing.T) {
 	}
 }
 
-// The process default is read by NewEngine on worker goroutines while a
-// CLI may still be writing it: it must be race-free (run with -race).
-func TestDefaultFastForwardConcurrent(t *testing.T) {
-	defer SetDefaultFastForward(DefaultFastForward())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			SetDefaultFastForward(i%2 == 0)
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		NewEngine()
+// Fast-forward is a setting of the run: a WithoutFastForward context
+// switches the engine it reaches off, and a plain context neither turns
+// it back on after SetFastForward(false) nor turns it off.
+func TestFastForwardFromContext(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		setOff bool
+		ctx    context.Context
+		off    bool
+	}{
+		{"plain context", false, ctx, false},
+		{"WithoutFastForward", false, WithoutFastForward(ctx), true},
+		{"SetFastForward(false), plain context", true, ctx, true},
+		{"SetFastForward(false), WithoutFastForward", true, WithoutFastForward(ctx), true},
 	}
-	<-done
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			if c.setOff {
+				e.SetFastForward(false)
+			}
+			n := &napper{name: "n", period: 100}
+			e.Register(PhaseNode, n)
+			if err := e.RunCtx(c.ctx, 10); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunUntilCtx(c.ctx, func() bool { return e.Now() >= 20 }, 10); err != nil {
+				t.Fatal(err)
+			}
+			want := 1 // cycle 0; the next event is at 100
+			if c.off {
+				want = 20
+			}
+			if got := len(n.stepped); got != want {
+				t.Errorf("stepped on %d of 20 cycles, want %d (%v)", got, want, n.stepped)
+			}
+			if c.off != (e.CyclesSkipped() == 0) {
+				t.Errorf("fast-forward off = %v but CyclesSkipped = %d", c.off, e.CyclesSkipped())
+			}
+		})
+	}
 }

@@ -148,7 +148,7 @@ func (e *Engine) addReg(h *regHeader, snap func() any, restore func(any)) int32 
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{quiet: true, ffwdOff: !DefaultFastForward()}
+	return &Engine{quiet: true}
 }
 
 // Register adds a component to the given phase. Components in lower phases
@@ -282,8 +282,10 @@ func (e *Engine) pollCtx(ctx context.Context) error {
 // costs zero cycles. The context is polled every ctxCheckInterval cycles,
 // so a canceled or deadline-exceeded run stops in bounded time
 // (mid-simulation, not at run granularity) and returns the context's
-// error.
+// error. A WithoutFastForward context switches the engine's fast-forward
+// off first.
 func (e *Engine) RunUntilCtx(ctx context.Context, done func() bool, maxCycles int64) error {
+	e.applyCtx(ctx)
 	defer e.flushSkipped()
 	deadline := e.cycle + maxCycles
 	for !done() {
@@ -320,8 +322,10 @@ func (e *Engine) Run(n int64) {
 
 // RunCtx ticks the engine for n cycles, polling the context every
 // ctxCheckInterval cycles; it returns the context's error if canceled
-// mid-run, leaving the engine at the cycle it stopped on.
+// mid-run, leaving the engine at the cycle it stopped on. A
+// WithoutFastForward context switches the engine's fast-forward off first.
 func (e *Engine) RunCtx(ctx context.Context, n int64) error {
+	e.applyCtx(ctx)
 	defer e.flushSkipped()
 	end := e.cycle + n
 	for e.cycle < end {

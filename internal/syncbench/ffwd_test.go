@@ -15,17 +15,15 @@ import (
 // performance counter, which must actually fire (these kernels alternate
 // compute skew and waiting, the exact shape fast-forward targets).
 func TestFastForwardDifferential(t *testing.T) {
-	defer sim.SetDefaultFastForward(sim.DefaultFastForward())
+	t.Parallel()
 	for _, kind := range []Kind{MessageBarrier, LockBarrier, FlagSignal} {
 		cfg := core.DefaultConfig(4, 8, cache.WriteBack)
 
-		sim.SetDefaultFastForward(true)
 		on, err := MeasureWithCtx(context.Background(), kind, cfg, 8)
 		if err != nil {
 			t.Fatalf("%v with fast-forward: %v", kind, err)
 		}
-		sim.SetDefaultFastForward(false)
-		off, err := MeasureWithCtx(context.Background(), kind, cfg, 8)
+		off, err := MeasureWithCtx(sim.WithoutFastForward(context.Background()), kind, cfg, 8)
 		if err != nil {
 			t.Fatalf("%v without fast-forward: %v", kind, err)
 		}

@@ -10,7 +10,6 @@ package tie
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/flit"
 	"repro/internal/queue"
@@ -24,27 +23,6 @@ import (
 // Purely observational: results are byte-identical with or without it.
 type SendRecorder interface {
 	RecordMessage(cycle int64, src, dst int, meta uint32)
-}
-
-// sendRecorder is the process-wide recorder hook. Ports are created deep
-// inside kernel rigs with no config path for an observer, so recording a
-// kernel run installs the hook globally for its duration (recording runs
-// are single-point by construction; see scenario.RecordCtx).
-var sendRecorder atomic.Pointer[SendRecorder]
-
-// SetSendRecorder installs (or, with nil, removes) the process-wide send
-// recorder and returns the previous one so callers can restore it.
-func SetSendRecorder(r SendRecorder) SendRecorder {
-	var prev SendRecorder
-	if p := sendRecorder.Load(); p != nil {
-		prev = *p
-	}
-	if r == nil {
-		sendRecorder.Store(nil)
-	} else {
-		sendRecorder.Store(&r)
-	}
-	return prev
 }
 
 // Class distinguishes the two message-packet kinds carried on the port.
@@ -122,6 +100,9 @@ type Port struct {
 	// the receiver's ring buffer can separate consecutive packets.
 	pktIdx map[asmKey]uint8
 
+	// rec, when non-nil, observes every packet this port starts sending.
+	rec SendRecorder
+
 	Stats Stats
 }
 
@@ -133,8 +114,9 @@ type asmKey struct {
 // NewPort creates the TIE port for nodeID. coordOf maps node ids to torus
 // coordinates (the hardware's address LUT); maxNodes bounds the id space
 // for deterministic any-source scans. outCap sizes the output FIFO toward
-// the arbiter.
-func NewPort(nodeID int, maxNodes int, coordOf func(int) (int, int), outCap int) *Port {
+// the arbiter. rec, when non-nil, observes every packet the port starts
+// sending (trace capture).
+func NewPort(nodeID int, maxNodes int, coordOf func(int) (int, int), outCap int, rec SendRecorder) *Port {
 	return &Port{
 		nodeID:   nodeID,
 		coordOf:  coordOf,
@@ -143,6 +125,7 @@ func NewPort(nodeID int, maxNodes int, coordOf func(int) (int, int), outCap int)
 		ready:    make(map[asmKey]*queue.FIFO[Packet]),
 		maxNodes: maxNodes,
 		pktIdx:   make(map[asmKey]uint8),
+		rec:      rec,
 	}
 }
 
@@ -164,8 +147,8 @@ func (p *Port) StartSend(dst int, class Class, words []uint32, now int64) error 
 	if err != nil {
 		return err
 	}
-	if rec := sendRecorder.Load(); rec != nil {
-		(*rec).RecordMessage(now, p.nodeID, dst, uint32(len(words)))
+	if p.rec != nil {
+		p.rec.RecordMessage(now, p.nodeID, dst, uint32(len(words)))
 	}
 	x, y := p.coordOf(dst)
 	p.nextPktID++

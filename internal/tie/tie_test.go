@@ -10,7 +10,7 @@ import (
 func coordOf4x4(node int) (int, int) { return node % 4, node / 4 }
 
 func newPort(node int) *Port {
-	return NewPort(node, 16, coordOf4x4, 4)
+	return NewPort(node, 16, coordOf4x4, 4, nil)
 }
 
 func TestStartSendBuildsFlits(t *testing.T) {
