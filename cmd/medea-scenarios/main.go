@@ -110,12 +110,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	switch *format {
-	case "", scenario.FormatTable, scenario.FormatCSV, scenario.FormatJSON:
-	default:
-		// Catch the typo before hours of sweep, not after.
-		return fmt.Errorf("unknown -format %q (have: %s, %s, %s)",
-			*format, scenario.FormatTable, scenario.FormatCSV, scenario.FormatJSON)
+	// Catch the typo before hours of sweep, not after.
+	if err := scenario.CheckFormat(*format, "-format"); err != nil {
+		return err
 	}
 
 	if *workloads {
@@ -223,11 +220,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				log.Printf("%s: cache %v; merkle root %s", s.Name, s.Cache.Stats(), scenario.MerkleRoot(results))
 			}
 		}
-		f := s.Output
-		if *format != "" {
-			f = *format
-		}
-		rendered, err := scenario.Render(results, f)
+		rendered, err := scenario.Render(results, s.ResolveFormat(*format))
 		if err != nil {
 			return err
 		}
@@ -269,11 +262,7 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 	// same "name").
 	log.Printf("%s: recorded %d events to %s (sha256 %s); merkle root %s",
 		s.Name, len(t.Events), out, t.Hash(), scenario.MerkleRoot(results))
-	f := s.Output
-	if format != "" {
-		f = format
-	}
-	rendered, err := scenario.Render(results, f)
+	rendered, err := scenario.Render(results, s.ResolveFormat(format))
 	if err != nil {
 		return err
 	}

@@ -5,9 +5,9 @@
 //	level 2 (bridge):      TYPE, SUBTYPE, SEQ-NUM  — memory-mapped transactions
 //	level 3 (application): BURST, SRC-ID, DATA     — written/read by software
 //
-// The struct form is what the simulator passes around; Codec packs and
-// unpacks the hardware bit layout so the format is round-trip tested
-// exactly as an RTL implementation would carry it.
+// The simulator passes the struct form around and never packs it: the
+// field-width constants record the layout's bit budget, which bounds the
+// packet length, the source id and the packet-index ring.
 package flit
 
 import "fmt"
@@ -105,8 +105,8 @@ func (s SubType) String() string {
 	return fmt.Sprintf("sub(%d)", uint8(s))
 }
 
-// Field widths of the packed format. X/Y widths depend on network size and
-// are configured in Codec; the remaining widths are fixed by the paper.
+// Field widths of the packed format fixed by the paper (the X/Y widths
+// depend on the network size).
 const (
 	TypeBits   = 3
 	SubBits    = 2
@@ -190,7 +190,7 @@ type Flit struct {
 }
 
 // Meta carries simulation-only bookkeeping. It is not part of the hardware
-// flit format and is ignored by the Codec.
+// flit format.
 type Meta struct {
 	InjectCycle int64  // cycle the flit entered the network
 	Hops        int32  // links traversed so far

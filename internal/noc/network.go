@@ -181,16 +181,6 @@ func (n *Network) InFlight() int {
 	return c
 }
 
-// OnLinks counts only the flits currently travelling on links, excluding
-// buffered ones. For a bufferless network OnLinks == InFlight.
-func (n *Network) OnLinks() int {
-	c := 0
-	for _, r := range n.Routers {
-		c += r.wiring().outOccupancy()
-	}
-	return c
-}
-
 // BufferedNow sums the flits currently stored inside all switches.
 func (n *Network) BufferedNow() int {
 	c := 0

@@ -149,18 +149,6 @@ func (e *Env) StoreWordUncached(addr uint32, v uint32) {
 	e.issue(op{kind: opStoreU, addr: addr, size: 4, value: uint64(v)})
 }
 
-// LoadDoubleUncached loads an 8-byte double with two single-read
-// transactions.
-func (e *Env) LoadDoubleUncached(addr uint32) float64 {
-	return math.Float64frombits(e.issue(op{kind: opLoadU, addr: addr, size: 8}).value)
-}
-
-// StoreDoubleUncached stores an 8-byte double with two single-write
-// transactions.
-func (e *Env) StoreDoubleUncached(addr uint32, v float64) {
-	e.issue(op{kind: opStoreU, addr: addr, size: 8, value: math.Float64bits(v)})
-}
-
 // FlushLine writes the cache line containing addr back to system memory if
 // it is dirty (producer-side software coherency).
 func (e *Env) FlushLine(addr uint32) {

@@ -10,9 +10,9 @@ import (
 
 // memSeq is the micro-sequence implementing the pending memory or lock
 // operation: up to two bridge transactions executed in order (victim
-// write-back then line fill; the two halves of an uncached double), then
-// finishSeq, which updates the cache and produces the result plus the
-// final core-side latency (typically the L1 access cycle).
+// write-back then line fill; the two halves of a write-through double
+// store), then finishSeq, which updates the cache and produces the result
+// plus the final core-side latency (typically the L1 access cycle).
 type memSeq struct {
 	txns [2]bridge.Txn
 	// data holds what each read returned, copied out of the bridge's
@@ -55,9 +55,6 @@ func (p *Proc) planSeq() {
 	case opLoadU:
 		p.Stats.UncachedOps.Inc()
 		s.add(bridge.TxnSingleRead, o.addr, nil)
-		if o.size == 8 {
-			s.add(bridge.TxnSingleRead, o.addr+4, nil)
-		}
 	case opStoreU:
 		p.planStoreThrough()
 	case opLoad, opStore:
@@ -114,11 +111,7 @@ func (p *Proc) finishSeq() int64 {
 		}
 		return p.Cost.CacheHit
 	case o.kind == opLoadU:
-		v := uint64(s.data[0][0])
-		if o.size == 8 {
-			v |= uint64(s.data[1][0]) << 32
-		}
-		p.stash = result{value: v}
+		p.stash = result{value: uint64(s.data[0][0])}
 	}
 	return 1
 }

@@ -4,11 +4,9 @@ import "crypto/sha256"
 
 // Merkle run ledger: a run's result set hashes into a binary Merkle tree
 // whose root is a single content address for the whole run. Two runs
-// with equal roots are byte-identical point-for-point; two runs that
-// differ are diffed in O(d log n) hash comparisons (d differing leaves
-// among n) by descending only into subtrees whose hashes disagree —
-// which is what makes "did this sweep change?" an O(1) root comparison
-// and "where?" a logarithmic walk, instead of an O(n) byte diff.
+// with equal roots are byte-identical point-for-point, which makes "did
+// this sweep change?" an O(1) root comparison instead of an O(n) byte
+// diff.
 
 // Domain-separation prefixes: a leaf hash can never be reinterpreted as
 // an interior node hash (or vice versa), so a forged single-leaf tree
@@ -18,22 +16,19 @@ const (
 	nodePrefix = 0x01
 )
 
-// Tree is an immutable Merkle tree over a sequence of leaf byte strings.
-// Diff records its comparison count on the receiver, so a Tree must not
-// be Diffed from two goroutines at once.
+// Tree is an immutable Merkle tree over a sequence of leaf byte strings;
+// it keeps only its root.
 type Tree struct {
-	// levels[0] holds the leaf hashes; each higher level pairs the one
-	// below (an unpaired last node is promoted unchanged, so the node at
-	// (level, idx) always covers leaves [idx*2^level, (idx+1)*2^level));
-	// the top level has one entry, the root.
-	levels [][]Key
-
-	comparisons int // instrumentation for the O(log n) tests
+	root Key
 }
 
-// NewTree hashes the leaves into a tree. An empty leaf set yields the
-// well-defined empty-tree root (the hash of the empty string).
+// NewTree hashes the leaves into a tree. Each level pairs the one below;
+// an unpaired last node is promoted unchanged. An empty leaf set yields
+// the well-defined empty-tree root (the hash of the empty string).
 func NewTree(leaves [][]byte) *Tree {
+	if len(leaves) == 0 {
+		return &Tree{root: sha256.Sum256(nil)}
+	}
 	level := make([]Key, len(leaves))
 	for i, l := range leaves {
 		h := sha256.New()
@@ -41,7 +36,6 @@ func NewTree(leaves [][]byte) *Tree {
 		h.Write(l)
 		h.Sum(level[i][:0])
 	}
-	t := &Tree{levels: [][]Key{level}}
 	for len(level) > 1 {
 		next := make([]Key, 0, (len(level)+1)/2)
 		for i := 0; i < len(level); i += 2 {
@@ -57,70 +51,11 @@ func NewTree(leaves [][]byte) *Tree {
 			h.Sum(k[:0])
 			next = append(next, k)
 		}
-		t.levels = append(t.levels, next)
 		level = next
 	}
-	return t
+	return &Tree{root: level[0]}
 }
-
-// NumLeaves returns the number of leaves the tree was built over.
-func (t *Tree) NumLeaves() int { return len(t.levels[0]) }
 
 // Root returns the tree's root hash. The empty tree's root is
 // sha256("").
-func (t *Tree) Root() Key {
-	top := t.levels[len(t.levels)-1]
-	if len(top) == 0 {
-		return sha256.Sum256(nil)
-	}
-	return top[0]
-}
-
-// Diff returns the indices of leaves whose hashes differ between the two
-// trees, in increasing order, descending only into subtrees whose node
-// hashes disagree (equal hashes prune the whole subtree; with promotion,
-// an equal hash at matching (level, idx) implies the covered leaf ranges
-// are identical up to hash collision). Leaves present in only one tree
-// (different leaf counts) are all reported. DiffComparisons reports the
-// cost of the last Diff.
-func (t *Tree) Diff(o *Tree) []int {
-	t.comparisons = 0
-	n, m := t.NumLeaves(), o.NumLeaves()
-	common := min(n, m)
-	var out []int
-	if common > 0 {
-		// Start at the tallest level both trees define; every node there
-		// whose span intersects the common range is a diff root.
-		level := min(len(t.levels), len(o.levels)) - 1
-		for idx := 0; idx<<level < common; idx++ {
-			out = t.diffNode(o, level, idx, common, out)
-		}
-	}
-	for i := common; i < max(n, m); i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
-// DiffComparisons reports how many node-hash comparisons the last Diff
-// call on this receiver performed — O(d log n) for d differing leaves.
-func (t *Tree) DiffComparisons() int { return t.comparisons }
-
-func (t *Tree) diffNode(o *Tree, level, idx, common int, out []int) []int {
-	t.comparisons++
-	if t.levels[level][idx] == o.levels[level][idx] {
-		return out
-	}
-	if level == 0 {
-		if idx < common {
-			out = append(out, idx)
-		}
-		return out
-	}
-	for child := 2 * idx; child <= 2*idx+1; child++ {
-		if child<<(level-1) < common {
-			out = t.diffNode(o, level-1, child, common, out)
-		}
-	}
-	return out
-}
+func (t *Tree) Root() Key { return t.root }

@@ -14,9 +14,8 @@
 // mutation changes the key and that a corrupted entry is never served.
 //
 // The package also provides the Merkle run ledger: a result set hashes
-// into a Merkle tree whose root names the entire run, and two runs diff
-// in O(d log n) leaf comparisons (d differing points among n) by
-// descending only the subtrees whose hashes disagree.
+// into a Merkle tree whose root names the entire run, so two runs agree
+// point for point exactly when their roots are equal.
 //
 // A nil *Cache is valid everywhere and means "cache off": lookups miss,
 // computes run directly, nothing is stored. That is what lets the cache

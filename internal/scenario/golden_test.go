@@ -57,8 +57,8 @@ func TestFig8QuickGolden(t *testing.T) {
 	}
 	// The scenario's own CSV renderer must agree byte-for-byte too (same
 	// columns, same verbs), so CLI output is directly comparable.
-	if own := CSV(results); own != wantCSV {
-		t.Errorf("scenario.CSV diverges from dse.PointsCSV:\n--- scenario ---\n%s--- dse ---\n%s",
-			own, wantCSV)
+	if own, err := Render(results, FormatCSV); err != nil || own != wantCSV {
+		t.Errorf("scenario csv diverges from dse.PointsCSV (err %v):\n--- scenario ---\n%s--- dse ---\n%s",
+			err, own, wantCSV)
 	}
 }

@@ -152,13 +152,13 @@ func TestKernelWorkloadsRenderPerSchema(t *testing.T) {
 		t.Fatalf("block order broken: first %s, last %s", results[0].Workload, results[len(results)-1].Workload)
 	}
 
-	table := Table(results)
+	table := renderTable(results)
 	for _, want := range []string{"total-cycles", "xfer-cycles", "cycles/round", "pure-sm"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
-	csv := CSV(results)
+	csv := renderCSV(results)
 	for _, want := range []string{
 		"variant,cores,cache_kb,policy,total_cycles,transfer_cycles,speedup,mpmmu_busy,noc_flits",
 		"variant,cores,cache_kb,policy,cycles_per_round,speedup,mpmmu_busy,noc_flits",
@@ -167,7 +167,7 @@ func TestKernelWorkloadsRenderPerSchema(t *testing.T) {
 			t.Errorf("csv missing header %q:\n%s", want, csv)
 		}
 	}
-	js, err := JSON(results)
+	js, err := renderJSON(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	if results[0].Variant != "hybrid-full" || results[3].Variant != "pure-sm" {
 		t.Fatalf("variant axis order broken: %+v", results)
 	}
-	csv := CSV(results)
+	csv := renderCSV(results)
 	if !strings.Contains(csv, "speedup,variant") || !strings.Contains(csv, ",pure-sm") {
 		t.Errorf("multi-variant jacobi csv lacks the variant column:\n%s", csv)
 	}
-	if !strings.Contains(Table(results), "variant") {
+	if !strings.Contains(renderTable(results), "variant") {
 		t.Errorf("multi-variant jacobi table lacks the variant column")
 	}
 	// Speedup baselines are per variant: each variant's two-core point is
@@ -222,7 +222,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CSV(single); strings.Contains(got, "variant") {
+	if got := renderCSV(single); strings.Contains(got, "variant") {
 		t.Errorf("single-variant jacobi csv must keep the pinned dse.PointsCSV schema:\n%s", got)
 	}
 }

@@ -10,27 +10,23 @@ import (
 // tree whose root is one content address for the whole run. Equal roots
 // mean point-for-point identical results (the serve daemon surfaces the
 // root in job status, so "did the resubmit reproduce?" is one string
-// comparison); unequal roots localize to the differing points in
-// O(d log n) comparisons via resultcache.Tree.Diff.
+// comparison).
 
-// MerkleTree hashes the results, in their deterministic sweep order, into
-// a ledger tree. Each leaf is the row's canonical JSON encoding — the
-// same bytes Render's json format emits per row — so the tree commits to
-// exactly what a consumer of the run would see.
-func MerkleTree(results []Result) *resultcache.Tree {
+// MerkleRoot returns the hex root of the ledger tree over the results, in
+// their deterministic sweep order. Each leaf is json.Marshal of the whole
+// Result (every field, omitempty tags), not the bytes Render's json
+// format prints: those are a per-kind projection with zeros kept, in
+// their own key order.
+func MerkleRoot(results []Result) string {
 	leaves := make([][]byte, len(results))
 	for i, r := range results {
 		b, err := json.Marshal(r)
 		if err != nil {
-			// A Result is a flat struct of scalars; Marshal cannot fail.
+			// A Result is a flat struct of scalars; Marshal fails only on a
+			// NaN or infinite float, which no measurement produces.
 			panic("scenario: marshaling result row: " + err.Error())
 		}
 		leaves[i] = b
 	}
-	return resultcache.NewTree(leaves)
-}
-
-// MerkleRoot returns the hex root of MerkleTree(results).
-func MerkleRoot(results []Result) string {
-	return MerkleTree(results).Root().String()
+	return resultcache.NewTree(leaves).Root().String()
 }

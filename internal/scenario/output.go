@@ -1,28 +1,195 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"text/tabwriter"
 )
 
-// Render formats results in the named format (FormatTable, FormatCSV or
-// FormatJSON; "" means table). Rendering dispatches through the workload
-// registry: each row is formatted by its kind's registered schema, and a
-// result set spanning several workloads (the "workloads" sweep axis)
-// renders as one block per workload.
-func Render(results []Result, format string) (string, error) {
+// Output format names for Scenario.Output, the CLI -format flag and the
+// serve ?format= query.
+const (
+	FormatTable = "table"
+	FormatCSV   = "csv"
+	FormatJSON  = "json"
+)
+
+// CheckFormat returns nil for a format Render knows ("" is the default)
+// and otherwise an error that calls the value what ("output format",
+// "-format") and lists the known names.
+func CheckFormat(format, what string) error {
 	switch format {
-	case "", FormatTable:
-		return Table(results), nil
-	case FormatCSV:
-		return CSV(results), nil
-	case FormatJSON:
-		return JSON(results)
+	case "", FormatTable, FormatCSV, FormatJSON:
+		return nil
 	}
-	return "", fmt.Errorf("scenario: unknown output format %q (have: %s, %s, %s)",
-		format, FormatTable, FormatCSV, FormatJSON)
+	return fmt.Errorf("unknown %s %q (have: %s, %s, %s)", what, format, FormatTable, FormatCSV, FormatJSON)
+}
+
+// ResolveFormat returns the format a run of s renders in: the caller's
+// choice (a -format flag, a ?format= query) over the file's "output",
+// else table.
+func (s *Scenario) ResolveFormat(choice string) string {
+	switch {
+	case choice != "":
+		return choice
+	case s.Output != "":
+		return s.Output
+	}
+	return FormatTable
+}
+
+// Render formats results in the named format (FormatTable, FormatCSV or
+// FormatJSON; "" means table). Each row prints through its kind's column
+// lists (schemas), and a result set spanning several workloads (the
+// "workloads" sweep axis) renders as one block per workload.
+func Render(results []Result, format string) (string, error) {
+	if err := CheckFormat(format, "output format"); err != nil {
+		return "", fmt.Errorf("scenario: %w", err)
+	}
+	switch format {
+	case FormatCSV:
+		return renderCSV(results), nil
+	case FormatJSON:
+		return renderJSON(results)
+	}
+	return renderTable(results), nil
+}
+
+// column is one rendered field of a Result: name is its CSV header and
+// JSON key (for a table-only column, just its key in columns), head its
+// table header, csv and table the fmt verbs it prints with — empty where
+// no schema shows it in that format. A field prints the same way in every
+// schema that shows it.
+type column struct {
+	name, head string
+	csv, table string
+	get        func(*Result) any
+}
+
+// columns is the one column table every schema draws from.
+var columns = []column{
+	{"scenario", "", "", "", func(r *Result) any { return r.Scenario }},
+	{"workload", "", "", "", func(r *Result) any { return r.Workload }},
+	{"topology", "topo", "%s", "%s", func(r *Result) any { return r.Topology }},
+	{"router", "router", "%s", "%s", func(r *Result) any { return r.Router }},
+	{"pattern", "", "%s", "", func(r *Result) any { return r.Pattern }},
+	{"bursty_pattern", "pattern", "", "%s", func(r *Result) any {
+		if r.Bursty {
+			return "bursty+" + r.Pattern
+		}
+		return r.Pattern
+	}},
+	{"rate", "rate", "%g", "%.2f", func(r *Result) any { return r.Rate }},
+	{"seed", "seed", "%d", "%d", func(r *Result) any { return r.Seed }},
+	{"bursty", "", "%t", "", func(r *Result) any { return r.Bursty }},
+	{"cycles", "cycles", "%d", "%d", func(r *Result) any { return r.Cycles }},
+	{"delivered", "delivered", "%d", "%d", func(r *Result) any { return r.Delivered }},
+	{"throughput", "throughput", "%.6f", "%.3f", func(r *Result) any { return r.Throughput }},
+	{"mean_latency", "mean-lat", "%.3f", "%.1f", func(r *Result) any { return r.MeanLatency }},
+	{"p99_latency", "p99-lat", "%g", "%.0f", func(r *Result) any { return r.P99Latency }},
+	{"deflection_rate", "defl/flit", "%.4f", "%.2f", func(r *Result) any { return r.DeflectionRate }},
+	{"peak_buffer", "peak-buf", "%d", "%d", func(r *Result) any { return r.PeakBuffer }},
+	{"cores", "cores", "%d", "%d", func(r *Result) any { return r.Cores }},
+	// The jacobi CSV's name for cores, pinned to dse.PointsCSV.
+	{"compute", "", "%d", "", func(r *Result) any { return r.Cores }},
+	{"cache_kb", "cache", "%d", "%dkB", func(r *Result) any { return r.CacheKB }},
+	{"policy", "policy", "%s", "%s", func(r *Result) any { return r.Policy }},
+	{"variant", "variant", "%s", "%s", func(r *Result) any { return r.Variant }},
+	{"cycles_per_iter", "cycles/iter", "%d", "%d", func(r *Result) any { return r.CyclesPerIter }},
+	{"miss_rate", "", "%.6f", "", func(r *Result) any { return r.MissRate }},
+	{"miss_pct", "miss%", "", "%.1f", func(r *Result) any { return 100 * r.MissRate }},
+	{"area_mm2", "area(mm2)", "%.3f", "%.2f", func(r *Result) any { return r.AreaMM2 }},
+	{"speedup", "speedup", "%.3f", "%.2f", func(r *Result) any { return r.Speedup }},
+	{"total_cycles", "total-cycles", "%d", "%d", func(r *Result) any { return r.TotalCycles }},
+	{"transfer_cycles", "xfer-cycles", "%d", "%d", func(r *Result) any { return r.TransferCycles }},
+	{"cycles_per_round", "cycles/round", "%d", "%d", func(r *Result) any { return r.CyclesPerRound }},
+	{"mpmmu_busy", "mpmmu-busy", "%d", "%d", func(r *Result) any { return r.MPMMUBusy }},
+	{"noc_flits", "noc-flits", "%d", "%d", func(r *Result) any { return r.NoCFlits }},
+	{"servers", "servers", "%d", "%d", func(r *Result) any { return r.Servers }},
+	{"arrival_rate", "rate", "%g", "%.3f", func(r *Result) any { return r.ArrivalRate }},
+	{"hotspot_skew", "skew", "%g", "%.2f", func(r *Result) any { return r.HotspotSkew }},
+	{"issued", "issued", "%d", "%d", func(r *Result) any { return r.Issued }},
+	{"completed", "done", "%d", "%d", func(r *Result) any { return r.Completed }},
+	{"in_flight", "", "%d", "", func(r *Result) any { return r.InFlight }},
+	{"throttled", "", "%d", "", func(r *Result) any { return r.Throttled }},
+	{"mean_queue", "queue", "%.3f", "%.1f", func(r *Result) any { return r.MeanQueue }},
+	{"mean_net_out", "net-out", "%.3f", "%.1f", func(r *Result) any { return r.MeanNetOut }},
+	{"mean_server", "server", "%.3f", "%.1f", func(r *Result) any { return r.MeanServer }},
+	{"mean_net_back", "net-back", "%.3f", "%.1f", func(r *Result) any { return r.MeanNetBack }},
+	{"p99_server", "p99-srv", "%g", "%.0f", func(r *Result) any { return r.P99Server }},
+}
+
+// cols returns the columns named in a space-separated list, in order.
+func cols(names string) []column {
+	var out []column
+	for _, name := range strings.Fields(names) {
+		i := slices.IndexFunc(columns, func(c column) bool { return c.name == name })
+		if i < 0 {
+			panic("scenario: no column " + name)
+		}
+		out = append(out, columns[i])
+	}
+	return out
+}
+
+// schema is one kind's ordered column lists, one per format.
+type schema struct {
+	table, csv, json []column
+	// variantTail appends the variant column to the table and CSV of a
+	// block whose rows span several variants. Only jacobi sets it: its
+	// single-variant CSV is pinned to dse.PointsCSV (the fig8-quick golden
+	// tests hold this), so the variants axis may only add a column at the
+	// end.
+	variantTail bool
+}
+
+// schemas holds every kind's column lists. Replay rows come back labeled
+// noc-synthetic (a same-fabric replay renders byte-identically to its
+// source run), so the trace entry only serves hand-built rows that say
+// "trace": they wear the noc schema, as do rows of an unknown workload
+// (workloadOfRow).
+var schemas = func() (s [numWorkloads]schema) {
+	const (
+		matmul    = "variant cores cache_kb policy total_cycles transfer_cycles speedup mpmmu_busy noc_flits"
+		syncbench = "variant cores cache_kb policy cycles_per_round speedup mpmmu_busy noc_flits"
+		service   = "topology router servers arrival_rate hotspot_skew seed bursty cycles issued completed in_flight throttled throughput mean_queue mean_net_out mean_server mean_net_back mean_latency p99_latency p99_server peak_buffer"
+	)
+	s[WorkloadJacobi] = schema{
+		table:       cols("cores cache_kb policy cycles_per_iter miss_pct area_mm2 speedup"),
+		csv:         cols("compute cache_kb policy cycles_per_iter miss_rate area_mm2 speedup"),
+		json:        cols("scenario workload cores cache_kb policy variant cycles_per_iter miss_rate area_mm2 speedup"),
+		variantTail: true,
+	}
+	s[WorkloadMatmul] = schema{table: cols(matmul), csv: cols(matmul), json: cols("scenario workload " + matmul)}
+	s[WorkloadSyncbench] = schema{table: cols(syncbench), csv: cols(syncbench), json: cols("scenario workload " + syncbench)}
+	s[WorkloadNoC] = schema{
+		table: cols("topology router bursty_pattern rate seed cycles throughput mean_latency p99_latency deflection_rate peak_buffer delivered"),
+		csv:   cols("pattern rate seed topology router bursty cycles delivered throughput mean_latency p99_latency deflection_rate peak_buffer"),
+		json:  cols("scenario workload topology router pattern rate seed bursty cycles delivered throughput mean_latency p99_latency deflection_rate peak_buffer"),
+	}
+	s[WorkloadTrace] = s[WorkloadNoC]
+	s[WorkloadService] = schema{
+		table: cols("topology router servers arrival_rate hotspot_skew seed cycles issued completed mean_latency p99_latency mean_queue mean_net_out mean_server mean_net_back p99_server peak_buffer"),
+		csv:   cols(service),
+		json:  cols("scenario workload " + service),
+	}
+	return s
+}()
+
+// block returns the columns a block of rows prints: list, plus the
+// variant column if the schema takes one and the rows span several
+// variants.
+func (s schema) block(list []column, rows []Result) []column {
+	for _, r := range rows {
+		if s.variantTail && r.Variant != rows[0].Variant {
+			return append(list[:len(list):len(list)], cols("variant")...)
+		}
+	}
+	return list
 }
 
 // renderGroup is a maximal run of consecutive results of one workload
@@ -30,24 +197,25 @@ func Render(results []Result, format string) (string, error) {
 // group per workload comes back; hand-assembled interleavings still
 // render correctly, with repeated headers.
 type renderGroup struct {
-	impl Workload
+	kind WorkloadKind
 	rows []Result
 }
 
 func renderGroups(results []Result) []renderGroup {
 	var groups []renderGroup
-	for _, r := range results {
+	for i, r := range results {
 		k := workloadOfRow(r)
-		if n := len(groups); n > 0 && groups[n-1].impl.Kind() == k {
-			groups[n-1].rows = append(groups[n-1].rows, r)
+		if n := len(groups); n > 0 && groups[n-1].kind == k {
+			// rows is the window of results ending just before i.
+			groups[n-1].rows = groups[n-1].rows[:len(groups[n-1].rows)+1]
 			continue
 		}
-		groups = append(groups, renderGroup{impl: ForKind(k), rows: []Result{r}})
+		groups = append(groups, renderGroup{kind: k, rows: results[i : i+1]})
 	}
 	return groups
 }
 
-// workloadOfRow resolves a row's renderer; rows with an unknown workload
+// workloadOfRow resolves a row's schema; rows with an unknown workload
 // string (hand-built Results) fall back to the noc-synthetic schema,
 // which was the pre-registry behaviour.
 func workloadOfRow(r Result) WorkloadKind {
@@ -58,9 +226,36 @@ func workloadOfRow(r Result) WorkloadKind {
 	return k
 }
 
-// Table renders results as an aligned text table, one row per point, one
-// header block per workload.
-func Table(results []Result) string {
+// writeBlock prints a header line and one line per row. A table line is
+// every column's head (table verb) followed by a tab; a CSV line joins
+// the columns' names (CSV verbs) with commas.
+func writeBlock(w io.Writer, rows []Result, list []column, table bool) {
+	heads := make([]string, len(list))
+	verbs := make([]string, len(list))
+	for i, c := range list {
+		heads[i], verbs[i] = c.name, c.csv
+		if table {
+			heads[i], verbs[i] = c.head, c.table
+		}
+	}
+	sep, end := ",", "\n"
+	if table {
+		sep, end = "\t", "\t\n"
+	}
+	io.WriteString(w, strings.Join(heads, sep)+end)
+	format := strings.Join(verbs, sep) + end
+	args := make([]any, len(list))
+	for i := range rows {
+		for j, c := range list {
+			args[j] = c.get(&rows[i])
+		}
+		fmt.Fprintf(w, format, args...)
+	}
+}
+
+// renderTable renders results as an aligned text table, one row per
+// point, one header block per workload.
+func renderTable(results []Result) string {
 	if len(results) == 0 {
 		return "(no points)\n"
 	}
@@ -70,39 +265,61 @@ func Table(results []Result) string {
 			b.WriteByte('\n')
 		}
 		w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
-		g.impl.TableInto(w, g.rows)
+		s := schemas[g.kind]
+		writeBlock(w, g.rows, s.block(s.table, g.rows), true)
 		w.Flush()
 	}
 	return b.String()
 }
 
-// CSV renders results as CSV with a uniform header per workload block.
-func CSV(results []Result) string {
-	var b strings.Builder
-	if len(results) == 0 {
-		// Headers only, so empty sweeps still yield parseable output (the
-		// noc schema, matching the pre-registry behaviour).
-		nocWorkload{}.CSVInto(&b, nil)
-		return b.String()
+// renderCSV renders results as CSV with a uniform header per workload
+// block. No results still print a header, the noc schema's (the
+// pre-registry behaviour), so empty sweeps yield parseable output.
+func renderCSV(results []Result) string {
+	groups := renderGroups(results)
+	if len(groups) == 0 {
+		groups = []renderGroup{{kind: WorkloadNoC}}
 	}
-	for _, g := range renderGroups(results) {
-		g.impl.CSVInto(&b, g.rows)
+	var b strings.Builder
+	for _, g := range groups {
+		s := schemas[g.kind]
+		writeBlock(&b, g.rows, s.block(s.csv, g.rows), false)
 	}
 	return b.String()
 }
 
-// JSON renders results as an indented JSON array, one object per point
-// with the full field set of its workload.
-func JSON(results []Result) (string, error) {
-	rows := make([]any, len(results))
-	for i, r := range results {
-		rows[i] = ForKind(workloadOfRow(r)).JSONRow(r)
+// renderJSON renders results as an indented JSON array, one object per
+// point holding every column of its kind's JSON list in order: zeros
+// included, nothing from other kinds.
+func renderJSON(results []Result) (string, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	b.WriteByte('[')
+	for i := range results {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('{')
+		for j, c := range schemas[workloadOfRow(results[i])].json {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('"')
+			b.WriteString(c.name)
+			b.WriteString(`":`)
+			if err := enc.Encode(c.get(&results[i])); err != nil {
+				return "", fmt.Errorf("scenario: rendering json: %w", err)
+			}
+			b.Truncate(b.Len() - 1) // Encode ends every value with a newline
+		}
+		b.WriteByte('}')
 	}
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("scenario: rendering json: %w", err)
-	}
-	return string(out) + "\n", nil
+	b.WriteByte(']')
+	var out bytes.Buffer
+	// b is valid JSON assembled from Encode output: Indent cannot fail.
+	json.Indent(&out, b.Bytes(), "", "  ")
+	out.WriteByte('\n')
+	return out.String(), nil
 }
 
 // Summary renders a one-line header describing the scenario and its sweep
@@ -144,295 +361,4 @@ func Summary(s *Scenario) string {
 	}
 	return fmt.Sprintf("%s: %s %s, %s = %d points",
 		s.Name, strings.Join(names, "+"), plural, axes, s.NumPoints())
-}
-
-// multiVariant reports whether the rows span more than one programming-
-// model variant — the trigger for the jacobi schema's extra column.
-func multiVariant(rows []Result) bool {
-	for _, r := range rows {
-		if r.Variant != rows[0].Variant {
-			return true
-		}
-	}
-	return false
-}
-
-// ---- jacobi schema ----------------------------------------------------
-//
-// The single-variant schema is pinned: its CSV columns and verbs match
-// dse.PointsCSV exactly, so a scenario that mirrors a figure sweep emits
-// byte-identical numbers (the fig8-quick golden tests hold this). The
-// variants axis appends a variant column without disturbing the pinned
-// prefix.
-
-func (jacobiWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
-	multi := multiVariant(rows)
-	head := "cores\tcache\tpolicy\tcycles/iter\tmiss%\tarea(mm2)\tspeedup\t"
-	if multi {
-		head += "variant\t"
-	}
-	fmt.Fprintln(w, head)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%dkB\t%s\t%d\t%.1f\t%.2f\t%.2f\t",
-			r.Cores, r.CacheKB, r.Policy, r.CyclesPerIter, 100*r.MissRate, r.AreaMM2, r.Speedup)
-		if multi {
-			fmt.Fprintf(w, "%s\t", r.Variant)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-func (jacobiWorkload) CSVInto(b *strings.Builder, rows []Result) {
-	multi := multiVariant(rows)
-	head := "compute,cache_kb,policy,cycles_per_iter,miss_rate,area_mm2,speedup"
-	if multi {
-		head += ",variant"
-	}
-	b.WriteString(head + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%d,%d,%v,%d,%.6f,%.3f,%.3f",
-			r.Cores, r.CacheKB, r.Policy, r.CyclesPerIter, r.MissRate, r.AreaMM2, r.Speedup)
-		if multi {
-			fmt.Fprintf(b, ",%s", r.Variant)
-		}
-		b.WriteByte('\n')
-	}
-}
-
-// jacobiJSON is the jacobi projection of Result: every field always
-// emitted — including legitimate zeros omitempty would drop — and nothing
-// from other workloads leaking in. The noc, matmul and syncbench structs
-// below serve the same purpose for their kinds.
-type jacobiJSON struct {
-	Scenario      string  `json:"scenario"`
-	Workload      string  `json:"workload"`
-	Cores         int     `json:"cores"`
-	CacheKB       int     `json:"cache_kb"`
-	Policy        string  `json:"policy"`
-	Variant       string  `json:"variant"`
-	CyclesPerIter int64   `json:"cycles_per_iter"`
-	MissRate      float64 `json:"miss_rate"`
-	AreaMM2       float64 `json:"area_mm2"`
-	Speedup       float64 `json:"speedup"`
-}
-
-func (jacobiWorkload) JSONRow(r Result) any {
-	return jacobiJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy, Variant: r.Variant,
-		CyclesPerIter: r.CyclesPerIter, MissRate: r.MissRate,
-		AreaMM2: r.AreaMM2, Speedup: r.Speedup,
-	}
-}
-
-// ---- matmul schema ----------------------------------------------------
-
-func (matmulWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
-	fmt.Fprintln(w, "variant\tcores\tcache\tpolicy\ttotal-cycles\txfer-cycles\tspeedup\tmpmmu-busy\tnoc-flits\t")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%dkB\t%s\t%d\t%d\t%.2f\t%d\t%d\t\n",
-			r.Variant, r.Cores, r.CacheKB, r.Policy,
-			r.TotalCycles, r.TransferCycles, r.Speedup, r.MPMMUBusy, r.NoCFlits)
-	}
-}
-
-func (matmulWorkload) CSVInto(b *strings.Builder, rows []Result) {
-	b.WriteString("variant,cores,cache_kb,policy,total_cycles,transfer_cycles,speedup,mpmmu_busy,noc_flits\n")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%s,%d,%d,%s,%d,%d,%.3f,%d,%d\n",
-			r.Variant, r.Cores, r.CacheKB, r.Policy,
-			r.TotalCycles, r.TransferCycles, r.Speedup, r.MPMMUBusy, r.NoCFlits)
-	}
-}
-
-type matmulJSON struct {
-	Scenario       string  `json:"scenario"`
-	Workload       string  `json:"workload"`
-	Variant        string  `json:"variant"`
-	Cores          int     `json:"cores"`
-	CacheKB        int     `json:"cache_kb"`
-	Policy         string  `json:"policy"`
-	TotalCycles    int64   `json:"total_cycles"`
-	TransferCycles int64   `json:"transfer_cycles"`
-	Speedup        float64 `json:"speedup"`
-	MPMMUBusy      int64   `json:"mpmmu_busy"`
-	NoCFlits       int64   `json:"noc_flits"`
-}
-
-func (matmulWorkload) JSONRow(r Result) any {
-	return matmulJSON{
-		Scenario: r.Scenario, Workload: r.Workload, Variant: r.Variant,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy,
-		TotalCycles: r.TotalCycles, TransferCycles: r.TransferCycles,
-		Speedup: r.Speedup, MPMMUBusy: r.MPMMUBusy, NoCFlits: r.NoCFlits,
-	}
-}
-
-// ---- syncbench schema -------------------------------------------------
-
-func (syncbenchWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
-	fmt.Fprintln(w, "variant\tcores\tcache\tpolicy\tcycles/round\tspeedup\tmpmmu-busy\tnoc-flits\t")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%dkB\t%s\t%d\t%.2f\t%d\t%d\t\n",
-			r.Variant, r.Cores, r.CacheKB, r.Policy,
-			r.CyclesPerRound, r.Speedup, r.MPMMUBusy, r.NoCFlits)
-	}
-}
-
-func (syncbenchWorkload) CSVInto(b *strings.Builder, rows []Result) {
-	b.WriteString("variant,cores,cache_kb,policy,cycles_per_round,speedup,mpmmu_busy,noc_flits\n")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%s,%d,%d,%s,%d,%.3f,%d,%d\n",
-			r.Variant, r.Cores, r.CacheKB, r.Policy,
-			r.CyclesPerRound, r.Speedup, r.MPMMUBusy, r.NoCFlits)
-	}
-}
-
-type syncbenchJSON struct {
-	Scenario       string  `json:"scenario"`
-	Workload       string  `json:"workload"`
-	Variant        string  `json:"variant"`
-	Cores          int     `json:"cores"`
-	CacheKB        int     `json:"cache_kb"`
-	Policy         string  `json:"policy"`
-	CyclesPerRound int64   `json:"cycles_per_round"`
-	Speedup        float64 `json:"speedup"`
-	MPMMUBusy      int64   `json:"mpmmu_busy"`
-	NoCFlits       int64   `json:"noc_flits"`
-}
-
-func (syncbenchWorkload) JSONRow(r Result) any {
-	return syncbenchJSON{
-		Scenario: r.Scenario, Workload: r.Workload, Variant: r.Variant,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy,
-		CyclesPerRound: r.CyclesPerRound, Speedup: r.Speedup,
-		MPMMUBusy: r.MPMMUBusy, NoCFlits: r.NoCFlits,
-	}
-}
-
-// ---- noc-synthetic schema ---------------------------------------------
-
-func (nocWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
-	fmt.Fprintln(w, "topo\trouter\tpattern\trate\tseed\tcycles\tthroughput\tmean-lat\tp99-lat\tdefl/flit\tpeak-buf\tdelivered\t")
-	for _, r := range rows {
-		name := r.Pattern
-		if r.Bursty {
-			name = "bursty+" + name
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%.2f\t%d\t%d\t%.3f\t%.1f\t%.0f\t%.2f\t%d\t%d\t\n",
-			r.Topology, r.Router, name, r.Rate, r.Seed, r.Cycles, r.Throughput, r.MeanLatency, r.P99Latency,
-			r.DeflectionRate, r.PeakBuffer, r.Delivered)
-	}
-}
-
-func (nocWorkload) CSVInto(b *strings.Builder, rows []Result) {
-	b.WriteString("pattern,rate,seed,topology,router,bursty,cycles,delivered,throughput,mean_latency,p99_latency,deflection_rate,peak_buffer\n")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%s,%g,%d,%s,%s,%t,%d,%d,%.6f,%.3f,%g,%.4f,%d\n",
-			r.Pattern, r.Rate, r.Seed, r.Topology, r.Router, r.Bursty, r.Cycles, r.Delivered,
-			r.Throughput, r.MeanLatency, r.P99Latency, r.DeflectionRate, r.PeakBuffer)
-	}
-}
-
-type nocJSON struct {
-	Scenario       string  `json:"scenario"`
-	Workload       string  `json:"workload"`
-	Topology       string  `json:"topology"`
-	Router         string  `json:"router"`
-	Pattern        string  `json:"pattern"`
-	Rate           float64 `json:"rate"`
-	Seed           int64   `json:"seed"`
-	Bursty         bool    `json:"bursty"`
-	Cycles         int64   `json:"cycles"`
-	Delivered      int64   `json:"delivered"`
-	Throughput     float64 `json:"throughput"`
-	MeanLatency    float64 `json:"mean_latency"`
-	P99Latency     float64 `json:"p99_latency"`
-	DeflectionRate float64 `json:"deflection_rate"`
-	PeakBuffer     int     `json:"peak_buffer"`
-}
-
-func (nocWorkload) JSONRow(r Result) any {
-	return nocJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Topology: r.Topology, Router: r.Router, Pattern: r.Pattern, Rate: r.Rate, Seed: r.Seed, Bursty: r.Bursty,
-		Cycles: r.Cycles, Delivered: r.Delivered, Throughput: r.Throughput,
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
-		DeflectionRate: r.DeflectionRate, PeakBuffer: r.PeakBuffer,
-	}
-}
-
-// ---- trace schema -------------------------------------------------------
-//
-// Replay rows come back labeled noc-synthetic (runTracePoint's contract:
-// a same-fabric replay renders byte-identically to its source run), so
-// these methods only serve hand-assembled rows that literally say
-// "trace"; they delegate to the noc schema those rows would have worn.
-
-func (traceWorkload) TableInto(w *tabwriter.Writer, rows []Result) { nocWorkload{}.TableInto(w, rows) }
-func (traceWorkload) CSVInto(b *strings.Builder, rows []Result)    { nocWorkload{}.CSVInto(b, rows) }
-func (traceWorkload) JSONRow(r Result) any                         { return nocWorkload{}.JSONRow(r) }
-
-// ---- service schema -----------------------------------------------------
-
-func (serviceWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
-	fmt.Fprintln(w, "topo\trouter\tservers\trate\tskew\tseed\tcycles\tissued\tdone\tmean-lat\tp99-lat\tqueue\tnet-out\tserver\tnet-back\tp99-srv\tpeak-buf\t")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.3f\t%.2f\t%d\t%d\t%d\t%d\t%.1f\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t\n",
-			r.Topology, r.Router, r.Servers, r.ArrivalRate, r.HotspotSkew, r.Seed, r.Cycles,
-			r.Issued, r.Completed, r.MeanLatency, r.P99Latency,
-			r.MeanQueue, r.MeanNetOut, r.MeanServer, r.MeanNetBack, r.P99Server, r.PeakBuffer)
-	}
-}
-
-func (serviceWorkload) CSVInto(b *strings.Builder, rows []Result) {
-	b.WriteString("topology,router,servers,arrival_rate,hotspot_skew,seed,bursty,cycles,issued,completed,in_flight,throttled,throughput,mean_queue,mean_net_out,mean_server,mean_net_back,mean_latency,p99_latency,p99_server,peak_buffer\n")
-	for _, r := range rows {
-		fmt.Fprintf(b, "%s,%s,%d,%g,%g,%d,%t,%d,%d,%d,%d,%d,%.6f,%.3f,%.3f,%.3f,%.3f,%.3f,%g,%g,%d\n",
-			r.Topology, r.Router, r.Servers, r.ArrivalRate, r.HotspotSkew, r.Seed, r.Bursty, r.Cycles,
-			r.Issued, r.Completed, r.InFlight, r.Throttled, r.Throughput,
-			r.MeanQueue, r.MeanNetOut, r.MeanServer, r.MeanNetBack,
-			r.MeanLatency, r.P99Latency, r.P99Server, r.PeakBuffer)
-	}
-}
-
-type serviceJSON struct {
-	Scenario    string  `json:"scenario"`
-	Workload    string  `json:"workload"`
-	Topology    string  `json:"topology"`
-	Router      string  `json:"router"`
-	Servers     int     `json:"servers"`
-	ArrivalRate float64 `json:"arrival_rate"`
-	HotspotSkew float64 `json:"hotspot_skew"`
-	Seed        int64   `json:"seed"`
-	Bursty      bool    `json:"bursty"`
-	Cycles      int64   `json:"cycles"`
-	Issued      int64   `json:"issued"`
-	Completed   int64   `json:"completed"`
-	InFlight    int64   `json:"in_flight"`
-	Throttled   int64   `json:"throttled"`
-	Throughput  float64 `json:"throughput"`
-	MeanQueue   float64 `json:"mean_queue"`
-	MeanNetOut  float64 `json:"mean_net_out"`
-	MeanServer  float64 `json:"mean_server"`
-	MeanNetBack float64 `json:"mean_net_back"`
-	MeanLatency float64 `json:"mean_latency"`
-	P99Latency  float64 `json:"p99_latency"`
-	P99Server   float64 `json:"p99_server"`
-	PeakBuffer  int     `json:"peak_buffer"`
-}
-
-func (serviceWorkload) JSONRow(r Result) any {
-	return serviceJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Topology: r.Topology, Router: r.Router,
-		Servers: r.Servers, ArrivalRate: r.ArrivalRate, HotspotSkew: r.HotspotSkew,
-		Seed: r.Seed, Bursty: r.Bursty, Cycles: r.Cycles,
-		Issued: r.Issued, Completed: r.Completed, InFlight: r.InFlight, Throttled: r.Throttled,
-		Throughput: r.Throughput,
-		MeanQueue:  r.MeanQueue, MeanNetOut: r.MeanNetOut,
-		MeanServer: r.MeanServer, MeanNetBack: r.MeanNetBack,
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency, P99Server: r.P99Server,
-		PeakBuffer: r.PeakBuffer,
-	}
 }

@@ -17,7 +17,7 @@
 // patterns, rates and seeds for the bare network) plus the measurement
 // windows; RunCtx executes the cross-product of the axes on a worker pool
 // and returns one Result per point, renderable as a table, CSV or JSON
-// through each workload's registered schema.
+// through each workload's column lists (Render).
 //
 // Every axis is resolved by name through the same registry idiom
 // (ParseWorkload here; noc.ParsePattern, noc.ParseRouter and
@@ -57,13 +57,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/resultcache"
 	"repro/internal/trace"
-)
-
-// Output format names for Scenario.Output and the CLI -format flag.
-const (
-	FormatTable = "table"
-	FormatCSV   = "csv"
-	FormatJSON  = "json"
 )
 
 // Scenario is the top-level declarative experiment description.
@@ -502,11 +495,8 @@ func (s *Scenario) Validate() error {
 	if err != nil {
 		return err
 	}
-	switch s.Output {
-	case "", FormatTable, FormatCSV, FormatJSON:
-	default:
-		return fmt.Errorf("unknown output format %q (have: %s, %s, %s)",
-			s.Output, FormatTable, FormatCSV, FormatJSON)
+	if err := CheckFormat(s.Output, "output format"); err != nil {
+		return err
 	}
 	if len(s.Seeds) > 0 && s.Replications > 0 {
 		return fmt.Errorf(`set either "seeds" or "replications", not both`)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 
 	"repro/internal/dse"
 )
@@ -121,12 +120,10 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 }
 
 // Workload is one pluggable workload implementation: it executes its
-// kind's share of a scenario sweep and renders its result rows. The
-// renderer methods are block-level (they see every row of their kind at
-// once) so a schema can adapt to the axes actually swept — the jacobi
-// implementation keeps its figure-golden legacy schema for single-variant
-// sweeps and only then adds a variant column. Implementations live behind
-// ForKind; the set is closed inside this package.
+// kind's share of a scenario sweep. Its rows render through the kind's
+// column lists in output.go (schemas), not through the implementation.
+// Implementations live behind ForKind; the set is closed inside this
+// package.
 type Workload interface {
 	// Kind returns the implemented workload kind.
 	Kind() WorkloadKind
@@ -139,27 +136,17 @@ type Workload interface {
 	// Speedup) are NOT attached; MergeShards recomputes them over the
 	// reassembled full series.
 	Run(ctx context.Context, s *Scenario, points []int) ([]Result, error)
-	// TableInto writes an aligned header + one row per result into w; all
-	// rows are of this kind.
-	TableInto(w *tabwriter.Writer, rows []Result)
-	// CSVInto writes a CSV header + one line per result into b.
-	CSVInto(b *strings.Builder, rows []Result)
-	// JSONRow returns the row's full-field JSON projection (every field
-	// of the kind always emitted, nothing from other kinds leaking in).
-	JSONRow(r Result) any
 }
 
 // workloadImpls is the registry; ForKind dispatches through it.
-var workloadImpls = func() [numWorkloads]Workload {
-	var impls [numWorkloads]Workload
-	impls[WorkloadJacobi] = jacobiWorkload{kernelWorkload{WorkloadJacobi, dse.KernelJacobi}}
-	impls[WorkloadMatmul] = matmulWorkload{kernelWorkload{WorkloadMatmul, dse.KernelMatmul}}
-	impls[WorkloadSyncbench] = syncbenchWorkload{kernelWorkload{WorkloadSyncbench, dse.KernelSyncbench}}
-	impls[WorkloadNoC] = nocWorkload{}
-	impls[WorkloadTrace] = traceWorkload{}
-	impls[WorkloadService] = serviceWorkload{}
-	return impls
-}()
+var workloadImpls = [numWorkloads]Workload{
+	WorkloadJacobi:    kernelWorkload{WorkloadJacobi, dse.KernelJacobi},
+	WorkloadMatmul:    kernelWorkload{WorkloadMatmul, dse.KernelMatmul},
+	WorkloadSyncbench: kernelWorkload{WorkloadSyncbench, dse.KernelSyncbench},
+	WorkloadNoC:       nocWorkload{},
+	WorkloadTrace:     traceWorkload{},
+	WorkloadService:   serviceWorkload{},
+}
 
 // ForKind returns the singleton implementation of the kind.
 func ForKind(k WorkloadKind) Workload {
@@ -231,12 +218,6 @@ func (kw kernelWorkload) resultOf(s *Scenario, p dse.KernelPoint) Result {
 	return r
 }
 
-// The three kernel kinds share kernelWorkload's Kind/Run and differ only
-// in their render schemas (defined in output.go).
-type jacobiWorkload struct{ kernelWorkload }
-type matmulWorkload struct{ kernelWorkload }
-type syncbenchWorkload struct{ kernelWorkload }
-
 // nocWorkload drives synthetic traffic on the bare network; its Run lives
 // in run.go next to the per-point measurement.
 type nocWorkload struct{}
@@ -246,14 +227,13 @@ func (nocWorkload) Kind() WorkloadKind { return WorkloadNoC }
 // traceWorkload replays a recorded trace through the replay sweep axes;
 // its Run lives in trace.go. Replayed rows carry the noc-synthetic
 // schema (a same-fabric replay renders byte-identically to its source
-// run), so the render methods delegate to the noc schema for the rare
-// hand-assembled row that still says "trace".
+// run).
 type traceWorkload struct{}
 
 func (traceWorkload) Kind() WorkloadKind { return WorkloadTrace }
 
 // serviceWorkload drives request/response traffic on the bare network;
-// its Run lives in service.go and its schema in output.go.
+// its Run lives in service.go.
 type serviceWorkload struct{}
 
 func (serviceWorkload) Kind() WorkloadKind { return WorkloadService }

@@ -116,7 +116,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	out, st, err := s.Result(r.PathValue("id"), r.URL.Query().Get("format"))
+	out, format, st, err := s.result(r.PathValue("id"), r.URL.Query().Get("format"))
 	switch {
 	case errors.Is(err, ErrNotFound):
 		writeError(w, http.StatusNotFound, err)
@@ -133,14 +133,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// Render error (unknown format) on a done job.
 		writeError(w, http.StatusBadRequest, err)
 	default:
-		w.Header().Set("Content-Type", contentTypeFor(r.URL.Query().Get("format")))
+		w.Header().Set("Content-Type", contentTypeFor(format))
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, out)
 	}
 }
 
-// contentTypeFor picks the response media type from the explicit render
-// format (text unless JSON was requested).
+// contentTypeFor picks the response media type from the resolved render
+// format (text unless the bytes are JSON).
 func contentTypeFor(format string) string {
 	if format == scenario.FormatJSON {
 		return "application/json"

@@ -76,19 +76,26 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 		t.Fatalf("poll state = %s, want done", got.State)
 	}
 
-	resp = get(t, ts, "/v1/jobs/"+st.ID+"/result")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result status = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("default-format content type = %q", ct)
-	}
+	// A second job whose scenario says "output": "json".
+	jsonJob := decodeStatus(t, post(t, ts, strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "json"`, 1)))
+	waitState(t, s, jsonJob.ID, StateDone)
 
-	resp = get(t, ts, "/v1/jobs/"+st.ID+"/result?format=json")
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("json-format content type = %q", ct)
+	// The content type follows the format the bytes are in: ?format= over
+	// the scenario's "output", else table.
+	for _, tc := range []struct{ id, query, want string }{
+		{st.ID, "", "text/plain; charset=utf-8"},
+		{st.ID, "?format=json", "application/json"},
+		{jsonJob.ID, "", "application/json"},
+		{jsonJob.ID, "?format=table", "text/plain; charset=utf-8"},
+	} {
+		resp = get(t, ts, "/v1/jobs/"+tc.id+"/result"+tc.query)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s result%s: status = %d, want 200", tc.id, tc.query, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != tc.want {
+			t.Errorf("%s result%s: content type = %q, want %q", tc.id, tc.query, ct, tc.want)
+		}
 	}
 
 	// The list endpoint reports submission order.
@@ -98,7 +105,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 1 || list[0].ID != "job-000001" {
+	if len(list) != 2 || list[0].ID != "job-000001" || list[1].ID != jsonJob.ID {
 		t.Errorf("list = %+v", list)
 	}
 }

@@ -282,28 +282,32 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 // precedence). Non-terminal or unsuccessful jobs return ErrNotFinished or
 // the job's own failure alongside the status snapshot.
 func (s *Server) Result(id, format string) (string, JobStatus, error) {
+	out, _, st, err := s.result(id, format)
+	return out, st, err
+}
+
+// result is Result that also returns the format it resolved, which the
+// HTTP handler labels the response with.
+func (s *Server) result(id, format string) (out, resolved string, st JobStatus, err error) {
 	s.mu.Lock()
 	j := s.jobs[id]
 	if j == nil {
 		s.mu.Unlock()
-		return "", JobStatus{}, ErrNotFound
+		return "", "", JobStatus{}, ErrNotFound
 	}
-	st := j.status()
+	st = j.status()
 	if j.state != StateDone {
 		s.mu.Unlock()
 		if st.State.Terminal() {
-			return "", st, fmt.Errorf("serve: job %s %s: %s", id, st.State, st.Error)
+			return "", "", st, fmt.Errorf("serve: job %s %s: %s", id, st.State, st.Error)
 		}
-		return "", st, ErrNotFinished
+		return "", "", st, ErrNotFinished
 	}
 	results := j.results
-	f := j.scenario.Output
+	resolved = j.scenario.ResolveFormat(format)
 	s.mu.Unlock()
-	if format != "" {
-		f = format
-	}
-	out, err := scenario.Render(results, f)
-	return out, st, err
+	out, err = scenario.Render(results, resolved)
+	return out, resolved, st, err
 }
 
 // Draining reports whether Shutdown has been called (readiness turns

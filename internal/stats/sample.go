@@ -3,10 +3,10 @@ package stats
 import "sort"
 
 // Sample collects raw observations for exact (nearest-rank) percentile
-// computation, unlike Histogram which trades accuracy for fixed memory.
+// computation, so its memory grows with the number of observations (for
+// whole cycle counts CycleSample grows with the largest value instead).
 // The zero value is ready to use. Use it for bounded measurement windows
-// (e.g. the scenario runner's per-point latency samples) where the exact
-// p99 matters more than constant memory.
+// where the exact p99 matters more than constant memory.
 type Sample struct {
 	vals   []float64
 	sorted bool

@@ -76,70 +76,6 @@ func TestRunningQuick(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 10) // buckets [0,10) .. [90,100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 10 {
-			t.Errorf("bucket %d: %d, want 10", i, h.Bucket(i))
-		}
-	}
-	h.Observe(1e9)
-	if h.Overflow() != 1 {
-		t.Errorf("overflow %d, want 1", h.Overflow())
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 40 || p50 > 60 {
-		t.Errorf("p50 = %v, want ~50", p50)
-	}
-	if h.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	h := NewHistogram(4, 1)
-	h.Observe(-5)
-	if h.Bucket(0) != 1 {
-		t.Error("negative observations should land in bucket 0")
-	}
-}
-
-func TestHistogramBadConstruction(t *testing.T) {
-	for _, c := range []struct {
-		n int
-		w float64
-	}{{0, 1}, {1, 0}, {-1, 1}} {
-		func() {
-			defer func() { _ = recover() }()
-			NewHistogram(c.n, c.w)
-			t.Errorf("NewHistogram(%d, %v) should panic", c.n, c.w)
-		}()
-	}
-}
-
-func TestQuantileEmpty(t *testing.T) {
-	h := NewHistogram(4, 1)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
-
-func TestQuantileRangePanics(t *testing.T) {
-	h := NewHistogram(4, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Quantile(2) should panic")
-		}
-	}()
-	h.Quantile(2)
-}
-
 func TestPercentile(t *testing.T) {
 	s := []float64{5, 1, 3, 2, 4}
 	if got := Percentile(s, 50); got != 3 {
