@@ -1,15 +1,12 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus the architecture ablations no scenario file
-// covers. Each Benchmark corresponds to one experiment in DESIGN.md's
-// index; the rendered tables land in the benchmark log (-v), and key
-// scalar results are reported as custom metrics so -benchmem runs record
-// them. Absolute cycle counts are not comparable to the authors' Xtensa
-// testbed; the shapes are the reproduction target (DESIGN.md's experiment
-// index records what must hold). How fast the simulator runs is bench/'s
-// job, not these benchmarks'.
-//
-// The benchmarks use the Quick fidelity grid; run cmd/medea-experiments
-// -full for the complete 168-point sweeps.
+// Benchmarks for the architecture ablations no scenario file or
+// medea-experiments figure covers. Each Benchmark corresponds to one
+// experiment in DESIGN.md's index; key scalar results are reported as
+// custom metrics so -benchmem runs record them. Absolute cycle counts are
+// not comparable to the authors' Xtensa testbed; the shapes are the
+// reproduction target (DESIGN.md's experiment index records what must
+// hold). How fast the simulator runs is bench/'s job, not these
+// benchmarks'. The paper's figures are cmd/medea-experiments, whose Quick
+// tables testdata/*.golden pins byte for byte.
 package medea_test
 
 import (
@@ -20,7 +17,6 @@ import (
 	"repro/internal/bridge"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/jacobi"
 	"repro/internal/matmul"
 	"repro/internal/noc"
@@ -28,101 +24,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/syncbench"
 )
-
-// BenchmarkFig6 regenerates Figure 6: execution time of one 60x60 Jacobi
-// iteration across core counts, cache sizes and write policies.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig6Ctx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table)
-			reportSpread(b, pts)
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7: the Pareto/kill-rule speedup-vs-area
-// curve for the 60x60 array.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig6Ctx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table := dse.Fig7(pts)
-		if i == 0 {
-			b.Log("\n" + table)
-			front := dse.ParetoFront(pts)
-			knee := dse.KillRuleKnee(front)
-			b.ReportMetric(front[knee].Speedup, "optimal-speedup")
-			b.ReportMetric(front[knee].AreaMM2, "optimal-mm2")
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: the 30x30 array, write-back only.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig8Ctx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table)
-			reportSpread(b, pts)
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates Figure 9: speedup vs area for the 30x30 array.
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig8Ctx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table := dse.Fig9(pts)
-		if i == 0 {
-			b.Log("\n" + table)
-		}
-	}
-}
-
-// BenchmarkHybridVsSharedMemory regenerates the paper's headline prose
-// claim (T-1): hybrid vs pure shared memory, 2x below the cache knee
-// growing to >5x at 10 cores / 16 kB.
-func BenchmarkHybridVsSharedMemory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.HybridComparisonCtx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table)
-			last := rows[len(rows)-1]
-			b.ReportMetric(last.FullVsSM, "full-vs-sm-at-max-cores")
-			b.ReportMetric(rows[0].FullVsSM, "full-vs-sm-at-2-cores")
-		}
-	}
-}
-
-// BenchmarkSyncVsFullMessagePassing regenerates T-2: in the miss-dominated
-// regime the sync-only hybrid tracks the full hybrid within 2-20%.
-func BenchmarkSyncVsFullMessagePassing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.SmallCacheComparisonCtx(context.Background(), dse.Quick, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table)
-			b.ReportMetric(rows[len(rows)-1].FullVsSync, "full-vs-sync")
-		}
-	}
-}
 
 // BenchmarkDeflectionVsXY is the ablation A-1: deflection routing against
 // a buffered XY router on adversarial transpose traffic.
@@ -322,18 +223,4 @@ func BenchmarkMultiMPMMU(b *testing.B) {
 			b.ReportMetric(float64(cyc), "cycles/iter")
 		})
 	}
-}
-
-func reportSpread(b *testing.B, pts []dse.Point) {
-	var min, max int64
-	for i, p := range pts {
-		if i == 0 || p.CyclesPerIter < min {
-			min = p.CyclesPerIter
-		}
-		if p.CyclesPerIter > max {
-			max = p.CyclesPerIter
-		}
-	}
-	b.ReportMetric(float64(min), "best-cycles/iter")
-	b.ReportMetric(float64(max), "worst-cycles/iter")
 }

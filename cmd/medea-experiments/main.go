@@ -6,10 +6,13 @@
 // (see DESIGN.md's experiment index and REPRODUCING.md for the full
 // figure/table -> command map).
 //
-// Every experiment runs through the same execution paths as the
-// declarative scenario runner (dse.SweepCtx, dse.KernelSweepCtx), so the
-// hand-coded tables here and the JSON scenarios under examples/scenarios/
-// cannot drift apart.
+// The command is a table of figures: each names the dse.KernelOptions
+// sweeps behind it at a fidelity and the table it renders from their
+// points. Every sweep runs through dse.KernelSweepCtx, the execution path
+// of the declarative scenario runner, so the tables here and the JSON
+// scenarios under examples/scenarios/ cannot drift apart. A figure grid
+// split over worker processes is a jacobi scenario file run by
+// medea-scenarios -shards N (or -worker-url).
 //
 // Examples:
 //
@@ -27,6 +30,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -35,8 +39,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/jacobi"
 	"repro/internal/par"
-	"repro/internal/scenario"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -60,6 +62,68 @@ func main() {
 	}
 }
 
+// figure is one experiment: the sweeps behind it at a fidelity, run one
+// after another, and the table it renders from their concatenated points.
+type figure struct {
+	name   string
+	sweeps func(dse.Fidelity) []dse.KernelOptions
+	render func([]dse.KernelPoint) string
+}
+
+// paperFigures is the paper's evaluation in paper order, what -fig all
+// renders. Figs 7 and 9 share the sweeps of Figs 6 and 8.
+var paperFigures = []figure{
+	{"6", one(dse.Fig6Options), func(p []dse.KernelPoint) string { return dse.Fig6Table(p, dse.Fig6Title) }},
+	{"7", one(dse.Fig6Options), dse.Fig7},
+	{"8", one(dse.Fig8Options), func(p []dse.KernelPoint) string { return dse.Fig6Table(p, dse.Fig8Title) }},
+	{"9", one(dse.Fig8Options), dse.Fig9},
+	{"hybrid", one(dse.HybridComparisonOptions), func(p []dse.KernelPoint) string {
+		return dse.CompareTable(dse.CompareRows(p), dse.HybridTitle)
+	}},
+	{"sync", one(dse.SmallCacheComparisonOptions), func(p []dse.KernelPoint) string {
+		return dse.CompareTable(dse.CompareRows(p), dse.SmallCacheTitle)
+	}},
+}
+
+// figures adds the beyond-paper experiments: S-1, the synchronization
+// primitives in isolation (the K-1 sweep of syncbench alone), and K-1,
+// per-kernel speedup vs cores in both programming models.
+var figures = append(paperFigures,
+	figure{"barrier", func(f dse.Fidelity) []dse.KernelOptions {
+		o := dse.K1Options(dse.KernelSyncbench)
+		o.Cores = []int{2, 4, 8}
+		if f == dse.Full {
+			o.Cores = []int{2, 4, 6, 8, 10, 12, 15}
+		}
+		return []dse.KernelOptions{o}
+	}, kernelTable},
+	figure{"kernel", func(f dse.Fidelity) []dse.KernelOptions { return k1(f, dse.AllKernels()) }, kernelTable},
+)
+
+// one adapts a single-sweep experiment to the figure table.
+func one(sweep func(dse.Fidelity) dse.KernelOptions) func(dse.Fidelity) []dse.KernelOptions {
+	return func(f dse.Fidelity) []dse.KernelOptions { return []dse.KernelOptions{sweep(f)} }
+}
+
+// k1 returns the K-1 sweeps of the listed kernels, in that order: the
+// Quick core range of dse.K1Options, or the paper's at Full.
+func k1(f dse.Fidelity, kernels []dse.Kernel) []dse.KernelOptions {
+	out := make([]dse.KernelOptions, len(kernels))
+	for i, k := range kernels {
+		out[i] = dse.K1Options(k)
+		if f == dse.Full {
+			out[i].Cores = dse.PaperCores()
+		}
+	}
+	return out
+}
+
+// kernelTable renders K-1 and S-1; every kernel's K-1 sweep shares the
+// problem size and cache size its caption names.
+func kernelTable(p []dse.KernelPoint) string {
+	return dse.KernelAblationTable(dse.K1Options(dse.KernelJacobi), p)
+}
+
 // run executes the CLI against args, writing tables to stdout. Errors
 // propagate back here instead of os.Exit-ing in place so the profile
 // defers still flush (a profile of a failing run is exactly the one worth
@@ -72,11 +136,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	variants := fs.String("variants", "", "-fig kernel only: comma-separated programming models (default hybrid-full,pure-sm)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	parallelism := fs.Int("parallelism", 0, "max concurrent simulations per process (0 = GOMAXPROCS); with -shards, shards x parallelism simulations run fleet-wide")
-	shards := fs.Int("shards", 0, "figs 6|7|8|9: split the sweep into this many shards run by worker processes and merge (0 = single-process; output is byte-identical either way)")
-	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard)")
-	workerCmd := fs.String("worker-cmd", "", "worker command for sharded runs, space-separated (default: this binary re-exec'd with -worker)")
-	workerMode := fs.Bool("worker", false, "serve the shard worker protocol on stdin/stdout (started by a coordinator, not by hand)")
+	parallelism := fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: medea-experiments [flags]\n\n")
 		fmt.Fprintf(fs.Output(), "Regenerates the paper's figures and the beyond-paper kernel ablation\n")
@@ -95,33 +155,62 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if (*workloads != "" || *variants != "") && *fig != "kernel" {
 		return fmt.Errorf("-workloads/-variants only apply to -fig kernel (got -fig %s)", *fig)
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"-parallelism", *parallelism}, {"-shards", *shards}, {"-workers", *workers}} {
-		if f.v < 0 {
-			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
+	if *parallelism < 0 {
+		return fmt.Errorf("-parallelism must be >= 0, got %d", *parallelism)
+	}
+	fid := dse.Quick
+	if *full {
+		fid = dse.Full
+	}
+
+	figs := paperFigures
+	if *fig != "all" {
+		figs = nil
+		for _, f := range figures {
+			if f.name == *fig {
+				figs = []figure{f}
+			}
+		}
+		if figs == nil {
+			return fmt.Errorf("unknown -fig %q", *fig)
 		}
 	}
-	// The sharding flags without -shards would silently run single-process.
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{{"-workers", *workers != 0}, {"-worker-cmd", *workerCmd != ""}} {
-		if f.set && *shards == 0 {
-			return fmt.Errorf("%s only applies to a sharded run: add -shards N", f.name)
+	// Resolve every sweep, with the -fig kernel filters applied, and
+	// check it before the first one runs.
+	plan := make([][]dse.KernelOptions, len(figs))
+	for i, f := range figs {
+		plan[i] = f.sweeps(fid)
+	}
+	if *fig == "kernel" {
+		kernels, err := parseList("-workloads", *workloads, dse.ParseKernel)
+		if err != nil {
+			return err
+		}
+		if kernels != nil {
+			plan[0] = k1(fid, kernels)
+		}
+		vars, err := parseList("-variants", *variants, jacobi.ParseVariant)
+		if err != nil {
+			return err
+		}
+		if vars != nil {
+			for i := range plan[0] {
+				plan[0][i].Variants = vars
+			}
 		}
 	}
-	if *workerMode {
-		return shard.ServeWorker(ctx, os.Stdin, stdout, nil)
-	}
-	if *shards > 0 {
-		switch *fig {
-		case "6", "7", "8", "9":
-		default:
-			return fmt.Errorf("-shards only applies to the sweep figures (-fig 6|7|8|9), got -fig %s", *fig)
+	for _, sweeps := range plan {
+		for i := range sweeps {
+			sweeps[i].Parallelism = *parallelism
+			for _, v := range sweeps[i].Variants {
+				if k := sweeps[i].Kernel; !k.Supports(v) {
+					return fmt.Errorf("-variants: the %v kernel has no %v variant (use %v or %v)",
+						k, v, jacobi.HybridFull, jacobi.PureSM)
+				}
+			}
 		}
 	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -151,175 +240,28 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}()
 	}
 
-	fid := dse.Quick
-	if *full {
-		fid = dse.Full
+	// A figure whose sweeps equal the previous figure's (7 after 6, 9
+	// after 8) renders the points already in hand. The report is written
+	// only once every figure rendered: an error discards it whole.
+	var report strings.Builder
+	var last []dse.KernelOptions
+	var points []dse.KernelPoint
+	for i, f := range figs {
+		if !reflect.DeepEqual(plan[i], last) {
+			points = nil
+			for _, o := range plan[i] {
+				pts, err := dse.KernelSweepCtx(ctx, o)
+				if err != nil {
+					return fmt.Errorf("-fig %s: %w", f.name, err)
+				}
+				points = append(points, pts...)
+			}
+			last = plan[i]
+		}
+		fmt.Fprintln(&report, f.render(points))
 	}
-
-	// figPoints runs a figure's sweep grid: single-process through
-	// dse.SweepCtx (the exact Fig6Ctx/Fig8Ctx path), or sharded across
-	// worker processes — the merged rows are byte-identical, so the
-	// rendered figures are too.
-	figPoints := func(name string, o dse.Options) ([]dse.Point, error) {
-		o.Parallelism = *parallelism
-		if *shards == 0 {
-			return dse.SweepCtx(ctx, o)
-		}
-		return runShardedSweep(ctx, name, o, *shards, *workers, *workerCmd)
-	}
-
-	switch *fig {
-	case "6":
-		pts, err := figPoints("fig6", dse.Fig6Options(fid))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.Fig6Table(pts, dse.Fig6Title))
-	case "7":
-		pts, err := figPoints("fig7", dse.Fig6Options(fid))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.Fig7(pts))
-	case "8":
-		pts, err := figPoints("fig8", dse.Fig8Options(fid))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.Fig6Table(pts, dse.Fig8Title))
-	case "9":
-		pts, err := figPoints("fig9", dse.Fig8Options(fid))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.Fig9(pts))
-	case "hybrid":
-		t, _, err := dse.HybridComparisonCtx(ctx, fid, *parallelism)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, t)
-	case "sync":
-		t, _, err := dse.SmallCacheComparisonCtx(ctx, fid, *parallelism)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, t)
-	case "barrier":
-		// S-1: the synchronization primitives in isolation — the kernel
-		// ablation restricted to the syncbench kernel, one execution path
-		// with -fig kernel and the kernel-ablation scenario.
-		o := dse.DefaultKernelAblationOptions()
-		o.Parallelism = *parallelism
-		o.Kernels = []dse.Kernel{dse.KernelSyncbench}
-		if fid == dse.Quick {
-			o.Cores = []int{2, 4, 8}
-		} else {
-			o.Cores = []int{2, 4, 6, 8, 10, 12, 15}
-		}
-		points, err := dse.KernelAblationCtx(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.KernelAblationTable(o, points))
-	case "kernel":
-		// K-1: per-kernel speedup vs cores in both programming models.
-		o := dse.DefaultKernelAblationOptions()
-		o.Parallelism = *parallelism
-		if fid == dse.Full {
-			o.Cores = dse.PaperCores()
-		}
-		kernels, err := parseKernels(*workloads)
-		if err != nil {
-			return err
-		}
-		if kernels != nil {
-			o.Kernels = kernels
-		}
-		vars, err := parseVariants(*variants)
-		if err != nil {
-			return err
-		}
-		if vars != nil {
-			o.Variants = vars
-		}
-		points, err := dse.KernelAblationCtx(ctx, o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, dse.KernelAblationTable(o, points))
-	case "all":
-		t, err := dse.AllExperimentsCtx(ctx, fid, *parallelism)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, t)
-	default:
-		return fmt.Errorf("unknown -fig %q", *fig)
-	}
-	return nil
-}
-
-// sweepScenario expresses a figure's dse.Options as the equivalent
-// declarative scenario, the unit the shard coordinator distributes. The
-// two run the same execution path (scenario kernel workloads delegate to
-// dse.SweepCtx), so the round-trip is byte-exact — the golden tests
-// already hold the scenario and dse paths in lockstep.
-func sweepScenario(name string, o dse.Options) (*scenario.Scenario, error) {
-	pols := make([]string, len(o.Policies))
-	for i, p := range o.Policies {
-		pols[i] = p.String()
-	}
-	s := &scenario.Scenario{
-		Name:     name,
-		Workload: "jacobi",
-		Kernel: &scenario.KernelConfig{
-			N:        o.N,
-			Variant:  o.Variant.String(),
-			Cores:    o.Cores,
-			CacheKB:  o.CachesKB,
-			Policies: pols,
-			Warmup:   o.Warmup,
-			Measured: o.Measured,
-		},
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("sharded sweep: %w", err)
-	}
-	return s, nil
-}
-
-// runShardedSweep distributes one figure sweep across worker processes
-// and returns the merged points in canonical order; each worker runs
-// o.Parallelism simulations at a time.
-func runShardedSweep(ctx context.Context, name string, o dse.Options, shards, workers int, workerCmd string) ([]dse.Point, error) {
-	s, err := sweepScenario(name, o)
-	if err != nil {
-		return nil, err
-	}
-	var argv []string
-	if workerCmd != "" {
-		argv = strings.Fields(workerCmd)
-	} else {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		argv = []string{exe, "-worker"}
-	}
-	co := &shard.Coordinator{
-		NewWorker:   shard.ProcFactory(shard.ProcSpec{Command: argv}),
-		Shards:      shards,
-		Workers:     workers,
-		Parallelism: o.Parallelism,
-		Logf:        log.Printf,
-	}
-	results, _, err := co.Run(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("%s: merged %d shards; merkle root %s", name, shards, scenario.MerkleRoot(results))
-	return scenario.DSEPoints(results), nil
+	_, err := io.WriteString(stdout, report.String())
+	return err
 }
 
 // parseList resolves a comma-separated axis filter through the axis's
@@ -343,15 +285,4 @@ func parseList[T comparable](flagName, s string, parse func(string) (T, error)) 
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// parseKernels resolves the -workloads filter; empty means every kernel.
-func parseKernels(s string) ([]dse.Kernel, error) {
-	return parseList("-workloads", s, dse.ParseKernel)
-}
-
-// parseVariants resolves the -variants filter; empty keeps the default
-// hybrid-full vs pure-sm comparison.
-func parseVariants(s string) ([]jacobi.Variant, error) {
-	return parseList("-variants", s, jacobi.ParseVariant)
 }

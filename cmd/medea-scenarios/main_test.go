@@ -7,28 +7,30 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dse"
 	"repro/internal/noc"
 	"repro/internal/scenario"
 )
 
 // TestGoldenFig8ViaCLI is the acceptance check for the scenario runner:
 // the shipped fig8-quick.json, run through the CLI in CSV mode, must
-// reproduce the Quick-fidelity Figure 8 sweep byte-identically.
+// reproduce the Quick-fidelity Figure 8 sweep byte-identically. The file
+// resolves to dse.Fig8Options(Quick) (scenario.TestFig8QuickGolden);
+// testdata/fig8-quick.csv.golden holds the rows the hand-coded sweep
+// rendered.
 func TestGoldenFig8ViaCLI(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full Fig8 sweeps")
+		t.Skip("runs the Fig8 sweep")
+	}
+	want, err := os.ReadFile("testdata/fig8-quick.csv.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out strings.Builder
 	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/fig8-quick.json"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := dse.SweepCtx(context.Background(), dse.Fig8Options(dse.Quick))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := dse.PointsCSV(pts); out.String() != want {
-		t.Errorf("CLI output diverges from dse.Fig8(Quick):\n--- cli ---\n%s--- dse ---\n%s",
+	if out.String() != string(want) {
+		t.Errorf("CLI output diverges from testdata/fig8-quick.csv.golden:\n--- cli ---\n%s--- golden ---\n%s",
 			out.String(), want)
 	}
 }

@@ -16,18 +16,19 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	o := dse.Options{
+	o := dse.KernelOptions{
+		Kernel:   dse.KernelJacobi,
 		N:        16,
 		Cores:    []int{2, 4, 6, 8, 10, 12, 14},
 		CachesKB: []int{2, 4, 8, 16},
 		Policies: []cache.Policy{cache.WriteBack},
-		Variant:  jacobi.HybridFull,
+		Variants: []jacobi.Variant{jacobi.HybridFull},
 		Warmup:   1,
 		Measured: 1,
 	}
 	fmt.Printf("sweeping %d configurations of a 16x16 Jacobi problem...\n\n",
 		len(o.Cores)*len(o.CachesKB))
-	points, err := dse.SweepCtx(context.Background(), o)
+	points, err := dse.KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,6 +38,6 @@ func main() {
 	knee := dse.KillRuleKnee(front)
 	fmt.Println(dse.ParetoTable(front, knee, "Pareto front with kill-rule choice"))
 	best := front[knee]
-	fmt.Printf("area-optimal design: %s — %.2f mm2, speedup %.1fx over the smallest system\n",
-		best.Label, best.AreaMM2, best.Speedup)
+	fmt.Printf("area-optimal design: %dP_%dk$ — %.2f mm2, speedup %.1fx over the smallest system\n",
+		best.Compute, best.CacheKB, best.AreaMM2, best.Speedup)
 }

@@ -1,11 +1,8 @@
 package dse
 
 import (
-	"context"
-
-	"repro/internal/core"
+	"repro/internal/cache"
 	"repro/internal/jacobi"
-	"repro/internal/par"
 )
 
 // CompareRow holds the three programming-model variants evaluated on one
@@ -32,37 +29,40 @@ type CompareRow struct {
 	FullVsSync float64
 }
 
-// CompareCtx runs all three variants for every core count at a fixed
-// cache size and returns one row per configuration, on the same bounded
-// worker pool as the sweeps, at most parallelism simulations at a time
-// (0 = GOMAXPROCS; see SweepCtx for the error shape).
-func CompareCtx(ctx context.Context, n int, cores []int, cacheKB, warmup, measured, parallelism int) ([]CompareRow, error) {
-	return par.Sweep(ctx, cores, nil, parallelism, func(ctx context.Context, c int) (CompareRow, error) {
-		return compareOne(ctx, n, c, cacheKB, warmup, measured)
-	})
-}
-
-func compareOne(ctx context.Context, n, cores, cacheKB, warmup, measured int) (CompareRow, error) {
-	spec := jacobi.Spec{N: n, Warmup: warmup, Measured: measured}
-	row := CompareRow{Compute: cores, CacheKB: cacheKB}
-	for _, v := range []jacobi.Variant{jacobi.HybridFull, jacobi.HybridSync, jacobi.PureSM} {
-		cfg := core.DefaultConfig(cores, cacheKB, 0)
-		res, err := jacobi.RunCtx(ctx, cfg, spec, v)
-		if err != nil {
-			return row, err
+// CompareRows pairs the hybrid-full, hybrid-sync and pure-sm series of a
+// jacobi sweep (HybridComparisonOptions, SmallCacheComparisonOptions) into
+// one row per configuration, in the order the configurations first
+// appear.
+func CompareRows(points []KernelPoint) []CompareRow {
+	type config struct {
+		cores, kb int
+		policy    cache.Policy
+	}
+	var rows []CompareRow
+	at := map[config]int{}
+	for _, p := range points {
+		c := config{p.Compute, p.CacheKB, p.Policy}
+		i, ok := at[c]
+		if !ok {
+			i = len(rows)
+			at[c] = i
+			rows = append(rows, CompareRow{Compute: p.Compute, CacheKB: p.CacheKB})
 		}
-		switch v {
+		switch r := &rows[i]; p.Variant {
 		case jacobi.HybridFull:
-			row.HybridFull = res.CyclesPerIteration
-			row.MissRate = res.MissRate
+			r.HybridFull = p.Cycles
+			r.MissRate = p.MissRate
 		case jacobi.HybridSync:
-			row.HybridSync = res.CyclesPerIteration
+			r.HybridSync = p.Cycles
 		case jacobi.PureSM:
-			row.PureSM = res.CyclesPerIteration
+			r.PureSM = p.Cycles
 		}
 	}
-	row.FullVsSM = float64(row.PureSM) / float64(row.HybridFull)
-	row.SyncVsSM = float64(row.PureSM) / float64(row.HybridSync)
-	row.FullVsSync = float64(row.HybridSync) / float64(row.HybridFull)
-	return row, nil
+	for i := range rows {
+		r := &rows[i]
+		r.FullVsSM = float64(r.PureSM) / float64(r.HybridFull)
+		r.SyncVsSM = float64(r.PureSM) / float64(r.HybridSync)
+		r.FullVsSync = float64(r.HybridSync) / float64(r.HybridFull)
+	}
+	return rows
 }

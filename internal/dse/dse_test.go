@@ -11,18 +11,28 @@ import (
 )
 
 func TestPaperGridIs168Points(t *testing.T) {
-	o := DefaultOptions(60)
-	n := len(o.Cores) * len(o.CachesKB) * len(o.Policies)
+	o := Fig6Options(Full)
+	n := len(o.Cores) * len(o.CachesKB) * len(o.Policies) * len(o.Variants)
 	if n != 168 {
-		t.Fatalf("default sweep has %d points, paper ran 168", n)
+		t.Fatalf("full Fig. 6 sweep has %d points, paper ran 168", n)
 	}
 }
 
 // TestFig6FullIsPaperGrid: medea-experiments -fig 6|7 -full is the
 // paper's 168-point 60x60 sweep (what the retired medea-dse ran).
 func TestFig6FullIsPaperGrid(t *testing.T) {
-	if got, want := Fig6Options(Full), DefaultOptions(60); !reflect.DeepEqual(got, want) {
-		t.Errorf("Fig6Options(Full) = %+v, want DefaultOptions(60) = %+v", got, want)
+	want := KernelOptions{
+		Kernel:   KernelJacobi,
+		N:        60,
+		Cores:    PaperCores(),
+		CachesKB: PaperCaches(),
+		Policies: []cache.Policy{cache.WriteBack, cache.WriteThrough},
+		Variants: []jacobi.Variant{jacobi.HybridFull},
+		Warmup:   1,
+		Measured: 1,
+	}
+	if got := Fig6Options(Full); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig6Options(Full) = %+v, want %+v", got, want)
 	}
 }
 
@@ -62,21 +72,22 @@ func TestAttachSpeedup(t *testing.T) {
 }
 
 func TestParetoFront(t *testing.T) {
-	pts := []Point{
-		{AreaMM2: 2, Speedup: 1, Label: "a"},
-		{AreaMM2: 3, Speedup: 0.5, Label: "dominated"}, // slower and bigger
-		{AreaMM2: 4, Speedup: 3, Label: "b"},
-		{AreaMM2: 4, Speedup: 2, Label: "equal-area-slower"},
-		{AreaMM2: 6, Speedup: 2.5, Label: "dominated2"},
-		{AreaMM2: 8, Speedup: 5, Label: "c"},
+	// Compute numbers the points; 0 marks the ones that must be pruned.
+	pts := []KernelPoint{
+		{AreaMM2: 2, Speedup: 1, Compute: 1},
+		{AreaMM2: 3, Speedup: 0.5}, // slower and bigger
+		{AreaMM2: 4, Speedup: 3, Compute: 2},
+		{AreaMM2: 4, Speedup: 2}, // equal area, slower
+		{AreaMM2: 6, Speedup: 2.5},
+		{AreaMM2: 8, Speedup: 5, Compute: 3},
 	}
 	front := ParetoFront(pts)
 	if len(front) != 3 {
 		t.Fatalf("front: %+v", front)
 	}
-	for i, want := range []string{"a", "b", "c"} {
-		if front[i].Label != want {
-			t.Errorf("front[%d] = %s, want %s", i, front[i].Label, want)
+	for i, p := range front {
+		if p.Compute != i+1 {
+			t.Errorf("front[%d] = %+v, want point %d", i, p, i+1)
 		}
 	}
 }
@@ -84,7 +95,7 @@ func TestParetoFront(t *testing.T) {
 func TestKillRuleKnee(t *testing.T) {
 	// Speedup grows superlinearly to point 2, then sublinearly: the knee
 	// is index 2.
-	front := []Point{
+	front := []KernelPoint{
 		{AreaMM2: 2, Speedup: 1},
 		{AreaMM2: 3, Speedup: 2},   // +100% perf for +50% area: keep
 		{AreaMM2: 4, Speedup: 3},   // +50% perf for +33% area: keep
@@ -99,20 +110,24 @@ func TestKillRuleKnee(t *testing.T) {
 	}
 }
 
+// smallJacobi is a cheap 16x16 jacobi grid at one write-back cache size.
+func smallJacobi(cores, cachesKB []int) KernelOptions {
+	return KernelOptions{
+		Kernel:   KernelJacobi,
+		N:        16,
+		Cores:    cores,
+		CachesKB: cachesKB,
+		Policies: []cache.Policy{cache.WriteBack},
+		Warmup:   1,
+		Measured: 1,
+	}
+}
+
 func TestSmallSweepAndTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	o := Options{
-		N:        16,
-		Cores:    []int{2, 4},
-		CachesKB: []int{2, 8},
-		Policies: []cache.Policy{cache.WriteBack},
-		Variant:  jacobi.HybridFull,
-		Warmup:   1,
-		Measured: 1,
-	}
-	pts, err := SweepCtx(context.Background(), o)
+	pts, err := KernelSweepCtx(context.Background(), smallJacobi([]int{2, 4}, []int{2, 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +135,7 @@ func TestSmallSweepAndTables(t *testing.T) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for _, p := range pts {
-		if p.CyclesPerIter <= 0 || p.AreaMM2 <= 0 || p.Speedup <= 0 {
+		if p.Cycles <= 0 || p.AreaMM2 <= 0 || p.Speedup <= 0 {
 			t.Errorf("bad point %+v", p)
 		}
 	}
@@ -130,12 +145,8 @@ func TestSmallSweepAndTables(t *testing.T) {
 	}
 	front := ParetoFront(pts)
 	pt := ParetoTable(front, KillRuleKnee(front), "pareto")
-	if !strings.Contains(pt, "P_") {
+	if !strings.Contains(pt, "2P_2k$") {
 		t.Errorf("pareto table missing labels:\n%s", pt)
-	}
-	csv := PointsCSV(pts)
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 5 {
-		t.Errorf("csv rows wrong:\n%s", csv)
 	}
 }
 
@@ -143,9 +154,15 @@ func TestCompareSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compare in short mode")
 	}
-	rows, err := CompareCtx(context.Background(), 16, []int{2, 4}, 8, 1, 1, 0)
+	o := smallJacobi([]int{2, 4}, []int{8})
+	o.Variants = []jacobi.Variant{jacobi.HybridFull, jacobi.HybridSync, jacobi.PureSM}
+	pts, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rows := CompareRows(pts)
+	if len(rows) != 2 || rows[0].Compute != 2 || rows[1].Compute != 4 {
+		t.Fatalf("rows %+v, want one per core count in sweep order", rows)
 	}
 	for _, r := range rows {
 		if r.HybridFull <= 0 || r.HybridSync <= 0 || r.PureSM <= 0 {
@@ -165,20 +182,16 @@ func TestSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	o := Options{
-		N: 16, Cores: []int{3}, CachesKB: []int{4},
-		Policies: []cache.Policy{cache.WriteBack},
-		Variant:  jacobi.HybridFull, Warmup: 1, Measured: 1,
-	}
-	a, err := SweepCtx(context.Background(), o)
+	o := smallJacobi([]int{3}, []int{4})
+	a, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepCtx(context.Background(), o)
+	b, err := KernelSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].CyclesPerIter != b[0].CyclesPerIter {
-		t.Fatalf("sweep not deterministic: %d vs %d", a[0].CyclesPerIter, b[0].CyclesPerIter)
+	if a[0].Cycles != b[0].Cycles {
+		t.Fatalf("sweep not deterministic: %d vs %d", a[0].Cycles, b[0].Cycles)
 	}
 }

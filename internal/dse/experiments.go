@@ -1,11 +1,8 @@
 package dse
 
 import (
-	"context"
-	"fmt"
-	"strings"
-
 	"repro/internal/cache"
+	"repro/internal/jacobi"
 )
 
 // Experiment fidelity: Quick keeps the qualitative shape with a reduced
@@ -34,48 +31,43 @@ func cachesFor(f Fidelity) []int {
 	return []int{2, 8, 16, 64}
 }
 
-// Fig6Options returns the exact sweep options behind Figure 6 at the
-// given fidelity, so other drivers (e.g. the scenario runner's golden
-// tests) can reproduce the figure numbers from a single source of truth.
-func Fig6Options(f Fidelity) Options {
-	o := DefaultOptions(60)
-	o.Cores = coresFor(f)
-	o.CachesKB = cachesFor(f)
+// jacobiSweep is the one-iteration jacobi sweep every figure and
+// comparison runs: write-back only and hybrid-full unless the caller
+// widens those axes.
+func jacobiSweep(n int, cores, cachesKB []int) KernelOptions {
+	return KernelOptions{
+		Kernel:   KernelJacobi,
+		N:        n,
+		Cores:    cores,
+		CachesKB: cachesKB,
+		Policies: []cache.Policy{cache.WriteBack},
+		Variants: []jacobi.Variant{jacobi.HybridFull},
+		Warmup:   1,
+		Measured: 1,
+	}
+}
+
+// Fig6Options returns the sweep behind Figures 6 and 7 (60x60 array,
+// both write policies) at the given fidelity; at Full it is the paper's
+// 168-point grid.
+func Fig6Options(f Fidelity) KernelOptions {
+	o := jacobiSweep(60, coresFor(f), cachesFor(f))
+	o.Policies = []cache.Policy{cache.WriteBack, cache.WriteThrough}
 	return o
 }
 
-// Fig8Options returns the exact sweep options behind Figure 8 at the
-// given fidelity.
-func Fig8Options(f Fidelity) Options {
-	o := DefaultOptions(30)
-	o.Cores = coresFor(f)
-	o.Policies = []cache.Policy{cache.WriteBack}
+// Fig8Options returns the sweep behind Figures 8 and 9 (30x30 array,
+// write-back caches of 2-32 kB) at the given fidelity.
+// examples/scenarios/fig8-quick.json is Fig8Options(Quick) as a file.
+func Fig8Options(f Fidelity) KernelOptions {
+	caches := []int{2, 4, 16, 32}
 	if f == Full {
-		o.CachesKB = []int{2, 4, 8, 16, 32}
-	} else {
-		o.CachesKB = []int{2, 4, 16, 32}
+		caches = []int{2, 4, 8, 16, 32}
 	}
-	return o
+	return jacobiSweep(30, coresFor(f), caches)
 }
 
-// Fig6Ctx reproduces Figure 6: execution time for a 60x60 array varying
-// the number of cores, the cache size and the cache policy. It returns the
-// rendered table and the raw points (which Fig7 reuses). At most
-// parallelism simulations run at a time (0 = GOMAXPROCS), as in every
-// experiment below.
-func Fig6Ctx(ctx context.Context, f Fidelity, parallelism int) (string, []Point, error) {
-	o := Fig6Options(f)
-	o.Parallelism = parallelism
-	pts, err := SweepCtx(ctx, o)
-	if err != nil {
-		return "", nil, fmt.Errorf("fig6: %w", err)
-	}
-	return Fig6Table(pts, Fig6Title), pts, nil
-}
-
-// Fig6Title and Fig8Title caption the execution-time tables. Exported so
-// the sharded driver in cmd/medea-experiments renders merged results with
-// the exact captions of the single-process path.
+// Captions of the execution-time tables (Fig6Table).
 const (
 	Fig6Title = "Fig. 6 — Execution time (cycles/iteration), 60x60 array"
 	Fig8Title = "Fig. 8 — Execution time (cycles/iteration), 30x30 array, write-back"
@@ -84,97 +76,49 @@ const (
 // Fig7 reproduces Figure 7: optimal speedup and corresponding
 // configuration versus chip area for the 60x60 array, from the Fig. 6
 // sweep points.
-func Fig7(points []Point) string {
+func Fig7(points []KernelPoint) string {
 	front := ParetoFront(points)
-	knee := KillRuleKnee(front)
-	return ParetoTable(front, knee, "Fig. 7 — Optimal speedup vs chip area, 60x60 array")
-}
-
-// Fig8Ctx reproduces Figure 8: execution time for a 30x30 array,
-// write-back caches only, 2-32 kB.
-func Fig8Ctx(ctx context.Context, f Fidelity, parallelism int) (string, []Point, error) {
-	o := Fig8Options(f)
-	o.Parallelism = parallelism
-	pts, err := SweepCtx(ctx, o)
-	if err != nil {
-		return "", nil, fmt.Errorf("fig8: %w", err)
-	}
-	return Fig6Table(pts, Fig8Title), pts, nil
+	return ParetoTable(front, KillRuleKnee(front), "Fig. 7 — Optimal speedup vs chip area, 60x60 array")
 }
 
 // Fig9 reproduces Figure 9: optimal speedup versus chip area for the
 // 30x30 array, from the Fig. 8 sweep points (write-back, as the labelled
 // optimal configurations in the paper all are).
-func Fig9(points []Point) string {
+func Fig9(points []KernelPoint) string {
 	front := ParetoFront(points)
-	knee := KillRuleKnee(front)
-	return ParetoTable(front, knee, "Fig. 9 — Optimal speedup vs chip area, 30x30 array")
+	return ParetoTable(front, KillRuleKnee(front), "Fig. 9 — Optimal speedup vs chip area, 30x30 array")
 }
 
-// HybridComparisonCtx reproduces the prose analysis of Section III (T-1
-// and T-2 in DESIGN.md): the three programming-model variants on a 60x60
-// array with 16 kB caches across core counts, reporting the pure-SM/hybrid
-// and sync-only ratios.
-func HybridComparisonCtx(ctx context.Context, f Fidelity, parallelism int) (string, []CompareRow, error) {
-	cores := []int{2, 4, 6, 8, 10}
+// comparisonSweep runs the three programming-model variants of jacobi on
+// a 60x60 array at one write-back cache size (CompareRows pairs them).
+func comparisonSweep(cores []int, cacheKB int) KernelOptions {
+	o := jacobiSweep(60, cores, []int{cacheKB})
+	o.Variants = []jacobi.Variant{jacobi.HybridFull, jacobi.HybridSync, jacobi.PureSM}
+	return o
+}
+
+// HybridComparisonOptions returns the sweep behind the prose analysis of
+// Section III (T-1 in DESIGN.md): the three variants with 16 kB caches
+// across core counts, reporting the pure-SM/hybrid and sync-only ratios.
+func HybridComparisonOptions(f Fidelity) KernelOptions {
 	if f == Full {
-		cores = []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+		return comparisonSweep([]int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 16)
 	}
-	rows, err := CompareCtx(ctx, 60, cores, 16, 1, 1, parallelism)
-	if err != nil {
-		return "", nil, fmt.Errorf("hybrid comparison: %w", err)
-	}
-	return CompareTable(rows,
-		"Hybrid vs shared-memory (60x60, 16 kB WB): paper reports 2x below the knee, up to >5x at 10 cores"), rows, nil
+	return comparisonSweep([]int{2, 4, 6, 8, 10}, 16)
 }
 
-// SmallCacheComparisonCtx runs the variant comparison in the
-// miss-dominated regime (2 kB caches), where the paper reports the
+// SmallCacheComparisonOptions returns T-2's sweep: the variant comparison
+// in the miss-dominated regime (2 kB caches), where the paper reports the
 // sync-only hybrid within 2-20% of the full hybrid.
-func SmallCacheComparisonCtx(ctx context.Context, f Fidelity, parallelism int) (string, []CompareRow, error) {
-	cores := []int{2, 6, 10}
+func SmallCacheComparisonOptions(f Fidelity) KernelOptions {
 	if f == Full {
-		cores = []int{2, 4, 6, 8, 10, 12}
+		return comparisonSweep([]int{2, 4, 6, 8, 10, 12}, 2)
 	}
-	rows, err := CompareCtx(ctx, 60, cores, 2, 1, 1, parallelism)
-	if err != nil {
-		return "", nil, fmt.Errorf("small-cache comparison: %w", err)
-	}
-	return CompareTable(rows,
-		"Miss-dominated regime (60x60, 2 kB WB): sync-only hybrid should track the full hybrid within 2-20%"), rows, nil
+	return comparisonSweep([]int{2, 6, 10}, 2)
 }
 
-// AllExperimentsCtx renders every figure and comparison at the given
-// fidelity, in paper order. A canceled context stops the in-flight sweep
-// and returns its error, discarding the partial report.
-func AllExperimentsCtx(ctx context.Context, f Fidelity, parallelism int) (string, error) {
-	var b strings.Builder
-	t6, p6, err := Fig6Ctx(ctx, f, parallelism)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t6)
-	b.WriteString("\n")
-	b.WriteString(Fig7(p6))
-	b.WriteString("\n")
-	t8, p8, err := Fig8Ctx(ctx, f, parallelism)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t8)
-	b.WriteString("\n")
-	b.WriteString(Fig9(p8))
-	b.WriteString("\n")
-	th, _, err := HybridComparisonCtx(ctx, f, parallelism)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(th)
-	b.WriteString("\n")
-	ts, _, err := SmallCacheComparisonCtx(ctx, f, parallelism)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(ts)
-	return b.String(), nil
-}
+// Captions of the comparison tables (CompareTable).
+const (
+	HybridTitle     = "Hybrid vs shared-memory (60x60, 16 kB WB): paper reports 2x below the knee, up to >5x at 10 cores"
+	SmallCacheTitle = "Miss-dominated regime (60x60, 2 kB WB): sync-only hybrid should track the full hybrid within 2-20%"
+)

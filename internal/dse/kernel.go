@@ -5,9 +5,9 @@ package dse
 // in both of the paper's programming models — message passing
 // (hybrid-full) against pure shared memory — across core counts, from one
 // execution path. KernelSweepCtx is that path: the scenario runner's
-// kernel workloads, the figure sweeps (SweepCtx) and the hand-coded K-1
-// table all delegate here, so the declarative and programmatic results are
-// golden-comparable point-for-point.
+// kernel workloads and every experiment of this package (Figs 6-9, T-1,
+// T-2, K-1) are KernelOptions values it runs, so the declarative and
+// programmatic results are golden-comparable point-for-point.
 
 import (
 	"context"
@@ -120,8 +120,9 @@ type KernelOptions struct {
 	// Rounds is the number of synchronization episodes syncbench averages
 	// over (default 20); the other kernels ignore it.
 	Rounds int
-	// Cores, CachesKB and Policies are the design-space axes, exactly as
-	// in Options. Policies defaults to write-back.
+	// Cores, CachesKB and Policies are the design-space axes (compute
+	// cores, per-core L1 kB, write policy). Policies defaults to
+	// write-back.
 	Cores    []int
 	CachesKB []int
 	Policies []cache.Policy
@@ -135,16 +136,22 @@ type KernelOptions struct {
 	Measured int
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache content-addresses each point's simulation result; nil means
-	// cache off (see Options.Cache).
+	// Cache, when non-nil, content-addresses each point's simulation
+	// result: a repeated point is served from the store instead of
+	// resimulated, and concurrent evaluations of the same point collapse
+	// to one run. nil means cache off; results are byte-identical either
+	// way (the differential battery in internal/scenario enforces this).
 	Cache *resultcache.Cache
 	// Record, when non-nil, observes every message send of every point
 	// (core.Config.Record). Recording bypasses Cache: a hit skips the
 	// simulation and would record nothing.
 	Record tie.SendRecorder
-	// Points restricts the sweep to the listed indices of the canonical
-	// (variant, policy, cache, cores) order, variants outermost — see
-	// Options.Points. Speedup is not attached on a filtered sweep.
+	// Points, when non-nil, restricts the sweep to the listed indices of
+	// the canonical (variant, policy, cache, cores) order, variants
+	// outermost — the shard layer's hook. Indices must be strictly
+	// increasing and in range; the result slice follows Points order.
+	// Speedup is not attached (it is a cross-point figure the merger
+	// recomputes over the full grid).
 	Points []int
 }
 
@@ -174,8 +181,10 @@ type KernelPoint struct {
 	// (kernel, variant) series (see AttachKernelSpeedup).
 	Speedup float64
 	// CyclesSkipped counts cycles the engine fast-forwarded over while
-	// simulating this point (0 when recalled from the result cache; never
-	// rendered — see Point.CyclesSkipped).
+	// simulating this point. A pure performance counter: it is 0 when the
+	// point was recalled from the result cache, and it never enters a
+	// table, CSV, JSON row or cache value — measured figures are
+	// byte-identical whatever it holds.
 	CyclesSkipped int64
 }
 
@@ -298,10 +307,14 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 // cross-product of one kernel and returns the points in deterministic
 // axis order (variants outermost, then policy, cache, cores). Speedup is
 // attached per variant series on an unfiltered sweep. This is the single
-// execution path behind scenario kernel workloads, the figure sweeps,
-// KernelAblationCtx and cmd/medea-experiments. A canceled context stops
-// dispatching new points and interrupts in-flight simulations (see
-// SweepCtx for the error shape).
+// execution path behind scenario kernel workloads and every experiment
+// of cmd/medea-experiments. Runs execute concurrently; each simulation is
+// independently deterministic, so the result set is reproducible. A
+// canceled context stops dispatching new points, interrupts in-flight
+// simulations, and returns the context's error (wrapped in a
+// par.CanceledError recording how many points had finished). A panic
+// inside one point is isolated to that point and surfaces as a
+// *par.PanicError instead of crashing the sweep.
 func KernelSweepCtx(ctx context.Context, o KernelOptions) ([]KernelPoint, error) {
 	if err := o.withDefaults(); err != nil {
 		return nil, err
@@ -344,77 +357,23 @@ func AttachKernelSpeedup(points []KernelPoint) {
 	}
 }
 
-// KernelAblationOptions parameterizes KernelAblationCtx. The zero value is
-// not runnable; use DefaultKernelAblationOptions.
-type KernelAblationOptions struct {
-	// N is the problem size shared by jacobi and matmul.
-	N int
-	// CacheKB fixes the L1 size (the ablation varies cores, not caches).
-	CacheKB int
-	// Rounds is the syncbench episode count.
-	Rounds int
-	Cores  []int
-	// Kernels defaults to every defined kernel.
-	Kernels []Kernel
-	// Variants defaults to the paper's core comparison: hybrid-full
-	// (message passing) against pure-sm (shared memory).
-	Variants []jacobi.Variant
-	// Warmup and Measured are jacobi iteration counts.
-	Warmup   int
-	Measured int
-	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
-	Parallelism int
-}
-
-// DefaultKernelAblationOptions returns the calibrated K-1 configuration:
-// all three kernels at the paper's 30x30 problem size with 16 kB
-// write-back L1s (the T-1 sweet spot, where caches hold the working set
-// and the communication paths dominate), in both programming models,
-// across the Quick core range. examples/scenarios/kernel-ablation.json
-// mirrors these values; the golden test holds the two in lockstep.
-func DefaultKernelAblationOptions() KernelAblationOptions {
-	return KernelAblationOptions{
+// K1Options returns the calibrated K-1 sweep of one kernel: the paper's
+// 30x30 problem size with 16 kB write-back L1s (the T-1 sweet spot, where
+// caches hold the working set and the communication paths dominate), in
+// both programming models, across the Quick core range. The ablation is
+// one such sweep per kernel; examples/scenarios/kernel-ablation.json is
+// the same three values as a file.
+func K1Options(k Kernel) KernelOptions {
+	return KernelOptions{
+		Kernel:   k,
 		N:        30,
-		CacheKB:  16,
 		Rounds:   20,
 		Cores:    []int{2, 4, 6, 8, 10, 12},
+		CachesKB: []int{16},
 		Variants: []jacobi.Variant{jacobi.HybridFull, jacobi.PureSM},
 		Warmup:   1,
 		Measured: 1,
 	}
-}
-
-// KernelAblationCtx sweeps kernels x variants x cores and returns one
-// point per combination, kernels outermost, in deterministic order. Each
-// kernel's share is one KernelSweepCtx, the execution path shared with the
-// scenario runner.
-func KernelAblationCtx(ctx context.Context, o KernelAblationOptions) ([]KernelPoint, error) {
-	kernels := o.Kernels
-	if len(kernels) == 0 {
-		kernels = AllKernels()
-	}
-	if len(o.Variants) == 0 {
-		o.Variants = []jacobi.Variant{jacobi.HybridFull, jacobi.PureSM}
-	}
-	var out []KernelPoint
-	for _, k := range kernels {
-		pts, err := KernelSweepCtx(ctx, KernelOptions{
-			Kernel:      k,
-			N:           o.N,
-			Rounds:      o.Rounds,
-			Cores:       o.Cores,
-			CachesKB:    []int{o.CacheKB},
-			Variants:    o.Variants,
-			Warmup:      o.Warmup,
-			Measured:    o.Measured,
-			Parallelism: o.Parallelism,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("kernel ablation: %w", err)
-		}
-		out = append(out, pts...)
-	}
-	return out, nil
 }
 
 // MessagingAdvantageByKernel reduces ablation points to the paper's
@@ -468,8 +427,10 @@ func PeakSpeedupByKernel(points []KernelPoint) map[Kernel]float64 {
 
 // KernelAblationTable renders the ablation as an aligned table, one row
 // per (kernel, variant, cores) with a per-kernel summary row of the best
-// message-over-shared-memory ratio and the peak message-path speedup.
-func KernelAblationTable(o KernelAblationOptions, points []KernelPoint) string {
+// message-over-shared-memory ratio and the peak message-path speedup. o
+// is the K1Options value of any swept kernel: the caption takes its
+// problem size and its one cache size, which every kernel's sweep shares.
+func KernelAblationTable(o KernelOptions, points []KernelPoint) string {
 	var b strings.Builder
 	// N only means something when a kernel with a problem size is swept;
 	// a syncbench-only table (cmd/medea-experiments -fig barrier) omits it.
@@ -481,7 +442,7 @@ func KernelAblationTable(o KernelAblationOptions, points []KernelPoint) string {
 		}
 	}
 	fmt.Fprintf(&b, "K-1 kernel ablation: %s%d kB write-back L1s, message passing vs shared memory\n",
-		size, o.CacheKB)
+		size, o.CachesKB[0])
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "kernel\tvariant\tcores\tcycles\tspeedup\tmpmmu-busy\tnoc-flits\t")
 	adv := MessagingAdvantageByKernel(points)

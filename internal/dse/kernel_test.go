@@ -74,11 +74,16 @@ func TestKernelAblationShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the kernel ablation grid")
 	}
-	o := DefaultKernelAblationOptions()
-	o.Cores = []int{2, 6, 12}
-	points, err := KernelAblationCtx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
+	var points []KernelPoint
+	var o KernelOptions
+	for _, k := range AllKernels() {
+		o = K1Options(k)
+		o.Cores = []int{2, 6, 12}
+		pts, err := KernelSweepCtx(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pts...)
 	}
 	if len(points) != 3*2*3 {
 		t.Fatalf("got %d points, want 18", len(points))

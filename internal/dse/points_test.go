@@ -9,42 +9,10 @@ import (
 	"repro/internal/jacobi"
 )
 
-func pointsTestOptions() Options {
-	return Options{
-		N:        16,
-		Cores:    []int{2, 4},
-		CachesKB: []int{4, 8},
-		Policies: []cache.Policy{cache.WriteBack, cache.WriteThrough},
-		Variant:  jacobi.HybridFull,
-		Warmup:   1,
-		Measured: 1,
-	}
-}
-
-// TestSweepPointsFilter: a Points-filtered sweep must return exactly the
-// selected slice of the full sweep, in filter order, with every measured
-// column identical — only the cross-point Speedup is left for the merger.
-func TestSweepPointsFilter(t *testing.T) {
-	full, err := SweepCtx(context.Background(), pointsTestOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := pointsTestOptions()
-	o.Points = []int{1, 3, 6}
-	sub, err := SweepCtx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub) != len(o.Points) {
-		t.Fatalf("filtered sweep returned %d points for %d indices", len(sub), len(o.Points))
-	}
-	for i, p := range o.Points {
-		want := full[p]
-		want.Speedup = 0 // cross-point: not attached on filtered sweeps
-		if sub[i] != want {
-			t.Errorf("point %d: filtered %+v, full-sweep %+v", p, sub[i], want)
-		}
-	}
+func pointsTestOptions() KernelOptions {
+	o := smallJacobi([]int{2, 4}, []int{4, 8})
+	o.Policies = []cache.Policy{cache.WriteBack, cache.WriteThrough}
+	return o
 }
 
 // TestSweepPointsValidation: malformed filters fail before any simulation.
@@ -60,7 +28,7 @@ func TestSweepPointsValidation(t *testing.T) {
 	} {
 		o := pointsTestOptions()
 		o.Points = tc.points
-		_, err := SweepCtx(context.Background(), o)
+		_, err := KernelSweepCtx(context.Background(), o)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("Points=%v: err = %v, want mention of %q", tc.points, err, tc.wantSub)
 		}

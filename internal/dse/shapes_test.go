@@ -23,6 +23,17 @@ func runPoint(t *testing.T, n, cores, kb int, pol cache.Policy) int64 {
 	return res.CyclesPerIteration
 }
 
+// compareRows runs the three variants on a 60x60 array at one cache size
+// (the T-1/T-2 sweep) and pairs them into rows.
+func compareRows(t *testing.T, cores []int, cacheKB int) []CompareRow {
+	t.Helper()
+	pts, err := KernelSweepCtx(context.Background(), comparisonSweep(cores, cacheKB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CompareRows(pts)
+}
+
 // TestShapeFig6WriteThroughWorse: the WT policy must be substantially
 // slower than WB once several cores generate store traffic.
 func TestShapeFig6WriteThroughWorse(t *testing.T) {
@@ -90,10 +101,7 @@ func TestShapeHybridAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := CompareCtx(context.Background(), 60, []int{4, 10}, 16, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := compareRows(t, []int{4, 10}, 16)
 	if rows[0].FullVsSM < 1.5 {
 		t.Errorf("4 cores: hybrid advantage %.2fx < 1.5x", rows[0].FullVsSM)
 	}
@@ -113,10 +121,7 @@ func TestShapeSyncOnlyTracksFullWhenMissBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := CompareCtx(context.Background(), 60, []int{6}, 2, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := compareRows(t, []int{6}, 2)
 	if r := rows[0].FullVsSync; r > 1.35 {
 		t.Errorf("miss-bound full-vs-sync = %.2fx, want <= ~1.2x", r)
 	}
@@ -129,7 +134,7 @@ func TestShapeParetoKnees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	_, pts, err := Fig6Ctx(context.Background(), Quick, 0)
+	pts, err := KernelSweepCtx(context.Background(), Fig6Options(Quick))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // Fig6Table renders the execution-time-vs-cores table behind Figure 6/8:
 // one row per core count, one column per (cache size, policy) series,
 // values in clock cycles per Jacobi iteration.
-func Fig6Table(points []Point, title string) string {
+func Fig6Table(points []KernelPoint, title string) string {
 	caches := map[int]bool{}
 	cores := map[int]bool{}
 	policies := map[cache.Policy]bool{}
@@ -21,7 +21,7 @@ func Fig6Table(points []Point, title string) string {
 		caches[p.CacheKB] = true
 		cores[p.Compute] = true
 		policies[p.Policy] = true
-		byKey[[3]int{p.Compute, p.CacheKB, int(p.Policy)}] = p.CyclesPerIter
+		byKey[[3]int{p.Compute, p.CacheKB, int(p.Policy)}] = p.Cycles
 	}
 	cacheList := sortedKeys(caches)
 	coreList := sortedKeys(cores)
@@ -62,7 +62,7 @@ func Fig6Table(points []Point, title string) string {
 // ParetoTable renders the optimal speedup-vs-area curve of Figures 7/9:
 // the Pareto front with the paper-style configuration labels and the
 // kill-rule knee marked.
-func ParetoTable(front []Point, knee int, title string) string {
+func ParetoTable(front []KernelPoint, knee int, title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
@@ -72,7 +72,7 @@ func ParetoTable(front []Point, knee int, title string) string {
 		if i == knee {
 			mark = "<= optimal (kill rule)"
 		}
-		fmt.Fprintf(w, "%.2f\t%.2f\t%s\t%s\t\n", p.AreaMM2, p.Speedup, p.Label, mark)
+		fmt.Fprintf(w, "%.2f\t%.2f\t%dP_%dk$\t%s\t\n", p.AreaMM2, p.Speedup, p.Compute, p.CacheKB, mark)
 	}
 	w.Flush()
 	return b.String()
@@ -91,17 +91,6 @@ func CompareTable(rows []CompareRow, title string) string {
 			r.FullVsSM, r.SyncVsSM, r.FullVsSync)
 	}
 	w.Flush()
-	return b.String()
-}
-
-// PointsCSV renders sweep points as CSV for external plotting.
-func PointsCSV(points []Point) string {
-	var b strings.Builder
-	b.WriteString("compute,cache_kb,policy,cycles_per_iter,miss_rate,area_mm2,speedup\n")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%d,%d,%v,%d,%.6f,%.3f,%.3f\n",
-			p.Compute, p.CacheKB, p.Policy, p.CyclesPerIter, p.MissRate, p.AreaMM2, p.Speedup)
-	}
 	return b.String()
 }
 

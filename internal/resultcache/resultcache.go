@@ -19,7 +19,7 @@
 //
 // A nil *Cache is valid everywhere and means "cache off": lookups miss,
 // computes run directly, nothing is stored. That is what lets the cache
-// thread through dse.SweepCtx, the scenario runner and internal/serve
+// thread through dse.KernelSweepCtx, the scenario runner and internal/serve
 // without forking any execution path.
 package resultcache
 

@@ -28,70 +28,26 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 }
 
 // TestKernelAblationGolden proves the declarative path is exact for the
-// workload axis, mirroring TestTopologyAblationGolden: running
-// kernel-ablation.json must reproduce
-// dse.KernelAblation(DefaultKernelAblationOptions()) point-for-point,
-// because both delegate to dse.KernelSweepCtx.
+// workload axis, mirroring TestTopologyAblationGolden: kernel-ablation.json
+// resolves, kernel by kernel, to dse.K1Options, so it runs the very sweeps
+// behind medea-experiments -fig kernel.
 func TestKernelAblationGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full kernel ablations")
+		t.Skip("runs the kernel ablation")
 	}
 	s, results := loadKernelAblation(t)
 
-	// The scenario file must stay in lockstep with
-	// dse.DefaultKernelAblationOptions, otherwise the "reproduces K-1"
-	// claim silently decays.
-	want := dse.DefaultKernelAblationOptions()
-	c := s.Kernel
-	if c.N != want.N {
-		t.Errorf("kernel-ablation.json n = %d, dse says %d", c.N, want.N)
-	}
-	if !reflect.DeepEqual(c.Cores, want.Cores) {
-		t.Errorf("kernel-ablation.json cores = %v, dse says %v", c.Cores, want.Cores)
-	}
-	if !reflect.DeepEqual(c.CacheKB, []int{want.CacheKB}) {
-		t.Errorf("kernel-ablation.json cache_kb = %v, dse says %v", c.CacheKB, want.CacheKB)
-	}
-	if c.Rounds != want.Rounds {
-		t.Errorf("kernel-ablation.json rounds = %d, dse says %d", c.Rounds, want.Rounds)
-	}
 	if !reflect.DeepEqual(s.Workloads, []string{"jacobi", "matmul", "syncbench"}) {
 		t.Errorf("kernel-ablation.json workloads = %v, want every kernel", s.Workloads)
 	}
-	variants, err := c.variantList()
-	if err != nil || !reflect.DeepEqual(variants, want.Variants) {
-		t.Errorf("kernel-ablation.json variants = %v (%v), dse says %v", variants, err, want.Variants)
-	}
-
-	points, err := dse.KernelAblationCtx(context.Background(), want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(results) {
-		t.Fatalf("scenario has %d points, dse sweep %d", len(results), len(points))
-	}
-	for i, p := range points {
-		r := results[i]
-		if r.Workload != p.Kernel.String() || r.Variant != p.Variant.String() ||
-			r.Cores != p.Compute || r.CacheKB != p.CacheKB {
-			t.Fatalf("point %d: scenario (%s %s %dP) vs dse (%v %v %dP): axis order diverged",
-				i, r.Workload, r.Variant, r.Cores, p.Kernel, p.Variant, p.Compute)
+	for _, k := range dse.AllKernels() {
+		got, err := s.kernelSweepOptions(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cycles := r.CyclesPerIter
-		switch p.Kernel {
-		case dse.KernelMatmul:
-			cycles = r.TotalCycles
-		case dse.KernelSyncbench:
-			cycles = r.CyclesPerRound
-		}
-		if cycles != p.Cycles || r.Speedup != p.Speedup {
-			t.Errorf("point %d (%v %v @ %dP): scenario cycles/speedup %d/%.4f diverge from dse %d/%.4f",
-				i, p.Kernel, p.Variant, p.Compute, cycles, r.Speedup, p.Cycles, p.Speedup)
-		}
-		if p.Kernel != dse.KernelJacobi &&
-			(r.MPMMUBusy != p.MPMMUBusy || r.NoCFlits != p.NoCFlits || r.TransferCycles != p.TransferCycles) {
-			t.Errorf("point %d (%v %v @ %dP): scenario counters %+v diverge from dse %+v",
-				i, p.Kernel, p.Variant, p.Compute, r, p)
+		got.Parallelism, got.Cache = 0, nil
+		if want := dse.K1Options(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("kernel-ablation.json resolves for %v to\n%+v\ndse.K1Options is\n%+v", k, got, want)
 		}
 	}
 
@@ -223,6 +179,6 @@ func TestJacobiVariantsAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := renderCSV(single); strings.Contains(got, "variant") {
-		t.Errorf("single-variant jacobi csv must keep the pinned dse.PointsCSV schema:\n%s", got)
+		t.Errorf("single-variant jacobi csv must keep the pinned fig8-quick CSV schema:\n%s", got)
 	}
 }

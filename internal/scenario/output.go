@@ -94,7 +94,7 @@ var columns = []column{
 	{"deflection_rate", "defl/flit", "%.4f", "%.2f", func(r *Result) any { return r.DeflectionRate }},
 	{"peak_buffer", "peak-buf", "%d", "%d", func(r *Result) any { return r.PeakBuffer }},
 	{"cores", "cores", "%d", "%d", func(r *Result) any { return r.Cores }},
-	// The jacobi CSV's name for cores, pinned to dse.PointsCSV.
+	// The jacobi CSV's name for cores (the fig8-quick CSV golden).
 	{"compute", "", "%d", "", func(r *Result) any { return r.Cores }},
 	{"cache_kb", "cache", "%d", "%dkB", func(r *Result) any { return r.CacheKB }},
 	{"policy", "policy", "%s", "%s", func(r *Result) any { return r.Policy }},
@@ -141,9 +141,9 @@ type schema struct {
 	table, csv, json []column
 	// variantTail appends the variant column to the table and CSV of a
 	// block whose rows span several variants. Only jacobi sets it: its
-	// single-variant CSV is pinned to dse.PointsCSV (the fig8-quick golden
-	// tests hold this), so the variants axis may only add a column at the
-	// end.
+	// single-variant CSV is pinned byte for byte (medea-scenarios'
+	// TestGoldenFig8ViaCLI holds this), so the variants axis may only add
+	// a column at the end.
 	variantTail bool
 }
 

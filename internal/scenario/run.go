@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/cache"
-	"repro/internal/dse"
 	"repro/internal/noc"
 	"repro/internal/par"
 	"repro/internal/resultcache"
@@ -106,31 +104,6 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 		all = append(all, results...)
 	}
 	return all, nil
-}
-
-// DSEPoints converts Jacobi results back to dse.Point rows, so scenario
-// output can reuse the dse table renderers and golden tests can compare
-// against dse.SweepCtx byte-for-byte.
-func DSEPoints(results []Result) []dse.Point {
-	points := make([]dse.Point, 0, len(results))
-	for _, r := range results {
-		if r.Workload != WorkloadJacobi.String() {
-			continue
-		}
-		pol := cache.WriteBack
-		if r.Policy == cache.WriteThrough.String() {
-			pol = cache.WriteThrough
-		}
-		points = append(points, dse.Point{
-			Compute: r.Cores, CacheKB: r.CacheKB, Policy: pol,
-			CyclesPerIter: r.CyclesPerIter,
-			MissRate:      r.MissRate,
-			AreaMM2:       r.AreaMM2,
-			Speedup:       r.Speedup,
-			Label:         fmt.Sprintf("%dP_%dk$", r.Cores, r.CacheKB),
-		})
-	}
-	return points
 }
 
 // nocJob is one point of the noc-synthetic canonical order.

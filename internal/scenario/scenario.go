@@ -773,7 +773,7 @@ func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
 	if err != nil {
 		return dse.KernelOptions{}, err
 	}
-	policies := make([]cache.Policy, 0, len(c.Policies))
+	var policies []cache.Policy // nil when unset, as in dse's own options
 	for _, ps := range c.Policies {
 		p, err := parsePolicy(ps)
 		if err != nil {

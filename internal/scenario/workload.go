@@ -159,8 +159,8 @@ func ForKind(k WorkloadKind) Workload {
 // kernelWorkload is the shared execution strategy of the three compute
 // kernels: resolve the scenario's kernel section into dse.KernelOptions
 // and delegate to dse.KernelSweepCtx, the execution path shared with
-// dse.KernelAblationCtx and cmd/medea-experiments (the golden tests
-// depend on this).
+// every experiment of cmd/medea-experiments (the golden tests depend on
+// this).
 type kernelWorkload struct {
 	kind   WorkloadKind
 	kernel dse.Kernel
