@@ -34,7 +34,7 @@ func BenchmarkDeflectionVsXY(b *testing.B) {
 		var lat float64
 		for i := 0; i < b.N; i++ {
 			e := sim.NewEngine()
-			n := noc.NewNetwork(e, topo)
+			n := noc.NewRouterNetwork(e, topo, noc.RouterDeflection)
 			for id := 0; id < topo.NumNodes(); id++ {
 				tn := noc.NewTrafficNode(id, topo, noc.TrafficConfig{Pattern: noc.Transpose, Rate: rate}, 1)
 				n.Attach(id, tn)
@@ -51,7 +51,7 @@ func BenchmarkDeflectionVsXY(b *testing.B) {
 		var peak int
 		for i := 0; i < b.N; i++ {
 			e := sim.NewEngine()
-			n := noc.NewXYNetwork(e, topo)
+			n := noc.NewRouterNetwork(e, topo, noc.RouterXY)
 			for id := 0; id < topo.NumNodes(); id++ {
 				tn := noc.NewTrafficNode(id, topo, noc.TrafficConfig{Pattern: noc.Transpose, Rate: rate}, 1)
 				n.Attach(id, tn)

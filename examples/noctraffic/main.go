@@ -43,7 +43,7 @@ func main() {
 
 func runDeflection(topo noc.Topology, p noc.Pattern, rate float64) (meanLat float64, deflections int64) {
 	e := sim.NewEngine()
-	n := noc.NewNetwork(e, topo)
+	n := noc.NewRouterNetwork(e, topo, noc.RouterDeflection)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := noc.NewTrafficNode(i, topo, noc.TrafficConfig{Pattern: p, Rate: rate}, seed)
 		n.Attach(i, tn)
@@ -55,7 +55,7 @@ func runDeflection(topo noc.Topology, p noc.Pattern, rate float64) (meanLat floa
 
 func runXY(topo noc.Topology, p noc.Pattern, rate float64) (meanLat float64, peakQueue int) {
 	e := sim.NewEngine()
-	n := noc.NewXYNetwork(e, topo)
+	n := noc.NewRouterNetwork(e, topo, noc.RouterXY)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := noc.NewTrafficNode(i, topo, noc.TrafficConfig{Pattern: p, Rate: rate}, seed)
 		n.Attach(i, tn)

@@ -208,7 +208,7 @@ func Build(cfg Config) (*System, error) {
 	}
 	topo, _ := noc.NewTopology(cfg.TorusW, cfg.TorusH)
 	engine := sim.NewEngine()
-	net := noc.NewNetwork(engine, topo)
+	net := noc.NewRouterNetwork(engine, topo, noc.RouterDeflection)
 	ddr := memory.NewDDR(cfg.DDR)
 
 	coordOf := func(node int) (int, int) { return topo.Coord(node) }

@@ -10,7 +10,10 @@
 // packet length, the source id and the packet-index ring.
 package flit
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Type is the 3-bit transaction type field (level 2). Seven values are
 // defined by the paper: six shared-memory transaction types plus one for
@@ -125,6 +128,10 @@ const (
 	// MaxSrc is the largest encodable source id (4 bits), which bounds the
 	// system to 16 nodes, matching the paper's 4x4 folded torus.
 	MaxSrc = 1<<SrcBits - 1
+	// MaxCoord is the largest destination coordinate a flit can carry
+	// (DstX and DstY are uint8), which bounds an endpoint grid to
+	// MaxCoord+1 = 256 a side.
+	MaxCoord = math.MaxUint8
 	// NumPktIdx is the size of the receive-side packet-buffer ring
 	// addressed by the packet-index field.
 	NumPktIdx = 1 << PktIdxBits

@@ -1,6 +1,9 @@
 package flit
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTypeStrings(t *testing.T) {
 	cases := map[Type]string{
@@ -82,5 +85,15 @@ func TestFlitString(t *testing.T) {
 	f := Flit{DstX: 1, DstY: 2, Type: Message, Sub: SubMsgData, Src: 3}
 	if s := f.String(); s == "" {
 		t.Error("String() should not be empty")
+	}
+}
+
+// TestMaxCoordFitsDst pins MaxCoord to the destination fields: it is the
+// largest value DstX and DstY hold, so a wider field must move it too.
+func TestMaxCoordFitsDst(t *testing.T) {
+	for _, field := range []any{Flit{}.DstX, Flit{}.DstY} {
+		if bits := reflect.TypeOf(field).Bits(); MaxCoord != 1<<bits-1 {
+			t.Errorf("MaxCoord = %d, but a %d-bit destination field holds up to %d", MaxCoord, bits, 1<<bits-1)
+		}
 	}
 }

@@ -7,104 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// CMeshConcentration is the concentrated mesh's concentration factor:
-// each switch serves a 2x2 tile of four endpoints through a local
-// crossbar stage.
-const CMeshConcentration = 4
-
-// CMesh is a concentrated mesh: a W x H endpoint grid folded onto a
-// (W/2) x (H/2) non-wrapping mesh of switches, each serving the 2x2
-// endpoint tile above it through a local crossbar. Concentration trades
-// bisection bandwidth per endpoint for a quarter of the switches and
-// links — the classic area/throughput knob on the topology axis. Flit
-// destination coordinates stay in the endpoint grid; SwitchOf and
-// LocalIndex fold them onto the switch fabric and the crossbar slot.
-type CMesh struct {
-	// W, H are the endpoint grid dimensions (both even, >= 4).
-	W, H int
-}
-
-// switchGrid returns the switch fabric as the Mesh it is; every
-// switch-space Topology method delegates to it, so the mesh routing
-// functions have exactly one implementation.
-func (t CMesh) switchGrid() Mesh { return Mesh{W: t.W / 2, H: t.H / 2} }
-
-// Kind implements Topology.
-func (t CMesh) Kind() TopologyKind { return TopoCMesh }
-
-// Dims implements Topology; the switch grid, a quarter of the endpoints.
-func (t CMesh) Dims() (int, int) { return t.switchGrid().Dims() }
-
-// NumNodes returns the number of switches.
-func (t CMesh) NumNodes() int { return t.switchGrid().NumNodes() }
-
-// Coord maps a switch id to its (x, y) switch-grid coordinate.
-func (t CMesh) Coord(id int) (x, y int) { return t.switchGrid().Coord(id) }
-
-// ID maps a switch coordinate to a switch id, wrapping modularly (an
-// addressing helper, like Mesh.ID).
-func (t CMesh) ID(x, y int) int { return t.switchGrid().ID(x, y) }
-
-// Neighbor returns the switch one hop through port p, and ok=false at the
-// mesh boundary.
-func (t CMesh) Neighbor(id int, p Port) (int, bool) { return t.switchGrid().Neighbor(id, p) }
-
-// Dist returns the Manhattan distance between two switches.
-func (t CMesh) Dist(a, b int) int { return t.switchGrid().Dist(a, b) }
-
-// ProductivePorts implements Topology over the switch grid.
-func (t CMesh) ProductivePorts(dst []Port, x, y, dstX, dstY int) []Port {
-	return t.switchGrid().ProductivePorts(dst, x, y, dstX, dstY)
-}
-
-// XYFirstPort implements Topology over the switch grid.
-func (t CMesh) XYFirstPort(x, y, dstX, dstY int) (Port, bool) {
-	return t.switchGrid().XYFirstPort(x, y, dstX, dstY)
-}
-
-// WrapCrossing implements Topology; the cmesh switch fabric never wraps.
-func (t CMesh) WrapCrossing(x, y int, p Port) bool { return false }
-
-// Concentration implements Topology.
-func (t CMesh) Concentration() int { return CMeshConcentration }
-
-// NumEndpoints implements Topology.
-func (t CMesh) NumEndpoints() int { return t.W * t.H }
-
-// EndpointDims implements Topology.
-func (t CMesh) EndpointDims() (int, int) { return t.W, t.H }
-
-// EndpointCoord maps an endpoint id to its endpoint-grid coordinate.
-func (t CMesh) EndpointCoord(e int) (int, int) {
-	if e < 0 || e >= t.NumEndpoints() {
-		panic(fmt.Sprintf("noc: endpoint id %d out of range", e))
-	}
-	return e % t.W, e / t.W
-}
-
-// EndpointID maps an endpoint coordinate to an endpoint id, wrapping
-// modularly.
-func (t CMesh) EndpointID(ex, ey int) int {
-	ex = ((ex % t.W) + t.W) % t.W
-	ey = ((ey % t.H) + t.H) % t.H
-	return ey*t.W + ex
-}
-
-// EndpointSwitch returns the switch serving endpoint e.
-func (t CMesh) EndpointSwitch(e int) int {
-	ex, ey := t.EndpointCoord(e)
-	x, y := t.SwitchOf(ex, ey)
-	w, _ := t.Dims()
-	return y*w + x
-}
-
-// SwitchOf folds an endpoint coordinate onto its 2x2 tile's switch.
-func (t CMesh) SwitchOf(ex, ey int) (int, int) { return ex / 2, ey / 2 }
-
-// LocalIndex returns the endpoint's slot on its switch's crossbar: the
-// position inside the 2x2 tile, row-major.
-func (t CMesh) LocalIndex(ex, ey int) int { return (ex & 1) | (ey&1)<<1 }
-
 // concentrator is the concentrated mesh's local crossbar stage: it
 // multiplexes a switch's Concentration() endpoints onto the switch's
 // single LocalPort. On the injection side it pulls at most one flit per

@@ -20,7 +20,7 @@ func newHarness(t *testing.T) *switchHarness {
 	t.Helper()
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	cols := make([]*collector, topo.NumNodes())
 	for i := range cols {
 		cols[i] = &collector{}
@@ -81,7 +81,7 @@ func TestInjectionGatedBySaturation(t *testing.T) {
 	// and half the streams would route around it).
 	topo, _ := NewTopology(5, 5)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	// Saturate node (1,1)'s switch with crossing traffic from all four
 	// neighbours addressed beyond it.
 	mid := topo.ID(1, 1)
@@ -167,7 +167,7 @@ func TestRandomToposDeliverEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := sim.NewEngine()
-		n := NewNetwork(e, topo)
+		n := NewRouterNetwork(e, topo, RouterDeflection)
 		nodes := make([]*TrafficNode, topo.NumNodes())
 		for i := range nodes {
 			nodes[i] = NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 0.6}, int64(dims[0]*100+dims[1]))

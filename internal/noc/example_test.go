@@ -17,7 +17,7 @@ func Example() {
 		panic(err)
 	}
 	e := sim.NewEngine()
-	network := noc.NewNetwork(e, topo)
+	network := noc.NewRouterNetwork(e, topo, noc.RouterDeflection)
 	for id := 0; id < topo.NumNodes(); id++ {
 		t := noc.NewTrafficNode(id, topo, noc.TrafficConfig{
 			Pattern: noc.Tornado,

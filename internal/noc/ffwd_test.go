@@ -25,7 +25,7 @@ func lowLoadConfig() MeasureConfig {
 // levels that exercise both the skipping and the always-busy regimes.
 func TestMeasureFastForwardDifferential(t *testing.T) {
 	t.Parallel()
-	topo := mustTopo(t, 4, 4)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	offCtx := sim.WithoutFastForward(context.Background())
 	for _, router := range AllRouters() {
 		for _, rate := range []float64{0.002, 0.1} {
@@ -56,7 +56,7 @@ func TestMeasureFastForwardDifferential(t *testing.T) {
 // whose context carries it, so the concurrent run beside it still skips.
 func TestFastForwardIsPerRun(t *testing.T) {
 	t.Parallel()
-	topo := mustTopo(t, 4, 4)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	mc := lowLoadConfig()
 	var on, off Measurement
 	var onErr, offErr error
@@ -87,7 +87,7 @@ func TestFastForwardIsPerRun(t *testing.T) {
 // actually fires where it should: a near-idle fabric must skip most of
 // its cycles.
 func TestMeasureFastForwardEngagesAtLowLoad(t *testing.T) {
-	topo := mustTopo(t, 4, 4)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	m := mustMeasure(t, topo, lowLoadConfig())
 	if m.CyclesSkipped <= m.Cycles/2 {
 		t.Errorf("CyclesSkipped = %d of %d measured cycles; expected a mostly-skipped window at rate %g",
@@ -143,13 +143,4 @@ func mustMeasure(t *testing.T, topo Topology, mc MeasureConfig) Measurement {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func mustTopo(t *testing.T, w, h int) Topology {
-	t.Helper()
-	topo, err := NewTopology(w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
 }

@@ -13,7 +13,7 @@ import (
 func TestLatencyTailUnderSaturation(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	nodes := make([]*TrafficNode, topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = NewTrafficNode(i, topo, TrafficConfig{Pattern: Hotspot, HotspotNode: 0, Rate: 0.8}, 21)
@@ -45,7 +45,7 @@ func TestLatencyTailUnderSaturation(t *testing.T) {
 func TestOldestFirstPreventsStarvation(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	// Saturating background traffic among nodes 1..15.
 	for i := 1; i < topo.NumNodes(); i++ {
 		tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 1.0}, 31)

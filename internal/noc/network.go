@@ -39,19 +39,6 @@ type NetStats struct {
 	LatencySample *stats.CycleSample
 }
 
-// NewNetwork builds a folded torus of the paper's deflection switches. It
-// is shorthand for NewRouterNetwork(e, topo, RouterDeflection) and remains
-// the constructor used by the full MEDEA system.
-func NewNetwork(e *sim.Engine, topo Topology) *Network {
-	return NewRouterNetwork(e, topo, RouterDeflection)
-}
-
-// NewXYNetwork builds a torus of buffered XY switches, the ablation
-// baseline. Shorthand for NewRouterNetwork(e, topo, RouterXY).
-func NewXYNetwork(e *sim.Engine, topo Topology) *Network {
-	return NewRouterNetwork(e, topo, RouterXY)
-}
-
 // NewRouterNetwork builds the topology's switch grid with switches of the
 // given kind, wires every link the fabric defines (mesh edges have none),
 // registers everything with the engine (sim.PhaseSwitch; local crossbars

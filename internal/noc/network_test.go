@@ -46,7 +46,7 @@ func buildNet(t *testing.T, w, h int) (*sim.Engine, *Network, []*collector) {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	cols := make([]*collector, topo.NumNodes())
 	for i := range cols {
 		cols[i] = &collector{}
@@ -102,7 +102,7 @@ func TestSelfAddressedNearestDelivery(t *testing.T) {
 func TestFlitConservation(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	nodes := make([]*TrafficNode, topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 0.9}, 42)
@@ -126,7 +126,7 @@ func TestFlitConservation(t *testing.T) {
 func TestAllFlitsEventuallyDrain(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	nodes := make([]*TrafficNode, topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 1.0}, 7)
@@ -162,7 +162,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, float64, int64) {
 		topo, _ := NewTopology(4, 4)
 		e := sim.NewEngine()
-		n := NewNetwork(e, topo)
+		n := NewRouterNetwork(e, topo, RouterDeflection)
 		for i := 0; i < topo.NumNodes(); i++ {
 			tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 0.5}, 99)
 			n.Attach(i, tn)
@@ -183,7 +183,7 @@ func TestDeterminism(t *testing.T) {
 func TestHotspotDeliversToTarget(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	hot := 5
 	nodes := make([]*TrafficNode, topo.NumNodes())
 	for i := range nodes {
@@ -209,7 +209,7 @@ func TestHotspotDeliversToTarget(t *testing.T) {
 func TestDeflectionsHappenUnderLoad(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Hotspot, HotspotNode: 0, Rate: 1.0}, 5)
 		n.Attach(i, tn)
@@ -228,7 +228,7 @@ func TestDeflectionsHappenUnderLoad(t *testing.T) {
 func TestSwitchNeverStoresFlits(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 1.0}, 17)
 		n.Attach(i, tn)
@@ -248,7 +248,7 @@ func TestEjectMissedIsCounted(t *testing.T) {
 	// deflected and the EjectMissed counter must record it eventually.
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	cols := make([]*collector, topo.NumNodes())
 	for i := range cols {
 		cols[i] = &collector{}

@@ -19,18 +19,15 @@ func permutationPatterns() []Pattern {
 }
 
 // TestPermutationPatternsBijective checks that every permutation pattern
-// maps the node-id set onto itself with no collisions, on both a
-// power-of-two torus and (for the coordinate patterns) a non-power-of-two
-// one.
-// TestPermutationPatternsBijective checks that every permutation pattern
 // maps the endpoint-id set onto itself with no collisions, across all
 // three topology kinds (on the cmesh the endpoint grid is 2x denser than
 // the switch grid, so it exercises the endpoint-space addressing).
 func TestPermutationPatternsBijective(t *testing.T) {
 	topos := []Topology{
-		Torus{W: 4, H: 4}, Torus{W: 8, H: 4}, Torus{W: 5, H: 3}, Torus{W: 2, H: 2},
-		Mesh{W: 4, H: 4}, Mesh{W: 5, H: 3},
-		CMesh{W: 4, H: 4}, CMesh{W: 8, H: 4},
+		mustKind(t, TopoTorus, 4, 4), mustKind(t, TopoTorus, 8, 4),
+		mustKind(t, TopoTorus, 5, 3), mustKind(t, TopoTorus, 2, 2),
+		mustKind(t, TopoMesh, 4, 4), mustKind(t, TopoMesh, 5, 3),
+		mustKind(t, TopoCMesh, 4, 4), mustKind(t, TopoCMesh, 8, 4),
 	}
 	for _, topo := range topos {
 		ew, eh := topo.EndpointDims()
@@ -57,13 +54,13 @@ func TestPermutationPatternsBijective(t *testing.T) {
 }
 
 func TestValidatePattern(t *testing.T) {
-	odd := Torus{W: 5, H: 3}
+	odd := mustKind(t, TopoTorus, 5, 3)
 	for _, p := range []Pattern{BitReversal, Shuffle} {
 		if err := ValidatePattern(p, odd); err == nil {
 			t.Errorf("%v on 5x3 should be rejected", p)
 		}
 	}
-	pow2 := Torus{W: 4, H: 4}
+	pow2 := mustKind(t, TopoTorus, 4, 4)
 	for _, p := range AllPatterns() {
 		if err := ValidatePattern(p, pow2); err != nil {
 			t.Errorf("%v on 4x4: %v", p, err)
@@ -75,11 +72,11 @@ func TestValidatePattern(t *testing.T) {
 	// Per-topology validation: the same pattern can be legal on one kind
 	// and not another at the same W x H (the cmesh endpoint grid is the
 	// full W x H even though its switch grid is a quarter of it).
-	if err := ValidatePattern(Transpose, Mesh{W: 4, H: 3}); err == nil {
+	if err := ValidatePattern(Transpose, mustKind(t, TopoMesh, 4, 3)); err == nil {
 		t.Error("transpose on a 4x3 mesh should be rejected")
 	}
 	for _, p := range AllPatterns() {
-		if err := ValidatePattern(p, CMesh{W: 4, H: 4}); err != nil {
+		if err := ValidatePattern(p, mustKind(t, TopoCMesh, 4, 4)); err != nil {
 			t.Errorf("%v on 4x4 cmesh: %v", p, err)
 		}
 	}
@@ -159,7 +156,7 @@ func runPatternSim(t *testing.T, p Pattern, burst *BurstConfig, seed int64) (int
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: p, Rate: 0.2, Burst: burst}, seed)
 		n.Attach(i, tn)

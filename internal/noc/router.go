@@ -164,10 +164,10 @@ func (r *route) productive() []Port { return r.prod[:r.nprod] }
 
 // routeTable is every routing answer a switch's Step needs, asked of the
 // Topology once at wiring time: the fabric is fixed from then on, and the
-// per-flit per-hop path is no place for interface calls and modular
-// arithmetic. The Topology stays the only place routing is defined — the
-// table holds its answers and nothing derived any other way, which
-// TestRouteTableMatchesTopology checks entry by entry.
+// per-flit per-hop path is no place for modular arithmetic. The Topology
+// stays the only place routing is defined — the table holds its answers
+// and nothing derived any other way, which TestRouteTableMatchesTopology
+// checks entry by entry.
 type routeTable struct {
 	routes []route // by destination endpoint, row-major over the endpoint grid
 	ew     int     // endpoint grid width

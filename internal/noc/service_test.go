@@ -17,21 +17,12 @@ func svcConfig() ServiceMeasureConfig {
 	}
 }
 
-func mustTorus(t *testing.T) Topology {
-	t.Helper()
-	topo, err := NewTopologyOfKind(TopoTorus, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
-}
-
 // TestServiceRequestConservation: with no warmup, every issued request is
 // either completed or still in flight when the window ends — exactly.
 // Throttled arrivals never enter the pending set, so they are excluded on
 // both sides of the ledger.
 func TestServiceRequestConservation(t *testing.T) {
-	topo := mustTorus(t)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	for _, sc := range []ServiceMeasureConfig{
 		svcConfig(),
 		{Router: RouterDeflection, Servers: 1, ArrivalRate: 0.2, ThinkTime: 20, Measure: 3000, Seed: 9, QueueCap: 4},
@@ -58,7 +49,7 @@ func TestServiceRequestConservation(t *testing.T) {
 // components sum exactly to the end-to-end latency (they are differences
 // of the same five stamps), and every stamp is set and ordered.
 func TestServiceBreakdownSums(t *testing.T) {
-	topo := mustTorus(t)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	sc := svcConfig()
 	rig, err := buildServiceRig(context.Background(), topo, sc)
 	if err != nil {
@@ -109,7 +100,7 @@ func approxEq(a, b float64) bool {
 // identical measurements run to run (run under -race in CI: the rig is
 // single-threaded per point by construction).
 func TestServiceDeterminismPerSeed(t *testing.T) {
-	topo := mustTorus(t)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	for _, seed := range []int64{1, 7, 42} {
 		sc := svcConfig()
 		sc.Seed = seed
@@ -147,7 +138,7 @@ func TestServiceDeterminismPerSeed(t *testing.T) {
 // the server-side p99 over the uniform placement — the queueing-theory
 // shape the S-2 ablation plots.
 func TestServiceHotspotShape(t *testing.T) {
-	topo := mustTorus(t)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	base := ServiceMeasureConfig{
 		Router:      RouterDeflection,
 		Servers:     4,
@@ -177,7 +168,7 @@ func TestServiceHotspotShape(t *testing.T) {
 // TestServiceValidation: impossible service configurations are rejected
 // with the reason named.
 func TestServiceValidation(t *testing.T) {
-	topo := mustTorus(t)
+	topo := mustKind(t, TopoTorus, 4, 4)
 	ctx := context.Background()
 	for name, mut := range map[string]func(*ServiceMeasureConfig){
 		"no-servers":   func(sc *ServiceMeasureConfig) { sc.Servers = 0 },

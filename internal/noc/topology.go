@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/flit"
 )
 
 // Port identifies one of the four inter-switch directions.
@@ -81,7 +83,7 @@ const (
 	TopoMesh
 	// TopoCMesh is a concentrated mesh: a (W/2) x (H/2) non-wrapping mesh
 	// of switches, each serving a 2x2 tile of four endpoints through a
-	// local crossbar stage (concentration factor CMeshConcentration).
+	// local crossbar stage.
 	TopoCMesh
 
 	// numTopologies counts the defined topology kinds (keep it last).
@@ -140,276 +142,239 @@ func ParseTopology(s string) (TopologyKind, error) {
 	return 0, fmt.Errorf("noc: unknown topology %q (have: %s)", s, strings.Join(TopologyNames(), ", "))
 }
 
-// Topology describes a fabric of switches on a 2-D grid and the endpoints
-// attached to them. Implementations are small value types (Torus, Mesh,
-// CMesh) safe to copy and compare.
+// Topology is a fabric of switches on a 2-D grid and the endpoints
+// attached to them. It is a small comparable value, built only by
+// NewTopologyOfKind (or NewTopology), and every kind is the same grid with
+// two properties set: whether the rings wrap (the torus) and the side of
+// the endpoint tile behind each switch (2 on the cmesh, else 1). Each
+// method is one formula over those two properties.
 //
 // Two coordinate spaces coexist. The switch space is the grid the routers
 // live on: Dims/NumNodes/Coord/ID/Neighbor/Dist and the routing functions
 // (ProductivePorts, XYFirstPort) all speak switch coordinates. The
 // endpoint space is the grid the attached nodes (traffic generators, PEs)
 // live on: flit destination coordinates (Flit.DstX/DstY) are endpoint
-// coordinates, and NumEndpoints/EndpointCoord/EndpointID address it. For
-// the torus and the mesh the two spaces coincide (Concentration() == 1);
-// the concentrated mesh packs a 2x2 endpoint tile behind each switch, and
-// SwitchOf/LocalIndex translate between the spaces.
-type Topology interface {
-	// Kind returns the fabric's kind on the topology axis.
-	Kind() TopologyKind
-	// Dims returns the switch grid dimensions.
-	Dims() (w, h int)
-	// NumNodes returns the number of switches.
-	NumNodes() int
-	// Coord maps a switch id to its (x, y) grid coordinate.
-	Coord(id int) (x, y int)
-	// ID maps a coordinate to a switch id. It wraps modularly on every
-	// kind — it is an addressing helper, not a link function; whether a
-	// physical link crosses the boundary is Neighbor's business.
-	ID(x, y int) int
-	// Neighbor returns the switch one hop from id through port p, and
-	// ok=false when the fabric has no link there (mesh and cmesh edges).
-	Neighbor(id int, p Port) (nb int, ok bool)
-	// Dist returns the minimal hop count between two switches.
-	Dist(a, b int) int
-	// ProductivePorts appends to dst the ports that strictly reduce the
-	// fabric distance from switch (x, y) to switch (dstX, dstY) and
-	// returns the extended slice. Every returned port is a real link.
-	ProductivePorts(dst []Port, x, y, dstX, dstY int) []Port
-	// XYFirstPort returns the dimension-order (X then Y) routing port from
-	// switch (x, y) towards switch (dstX, dstY), and ok=false when already
-	// there. The returned port is always a real link.
-	XYFirstPort(x, y, dstX, dstY int) (Port, bool)
-	// WrapCrossing reports whether the hop out of switch (x, y) through
-	// port p crosses a wrap-around link. It is the capability hook the
-	// wormhole router queries for dateline VC allocation: only wrapping
-	// rings (the torus) need the VC-1 escape; mesh fabrics never wrap and
-	// always return false.
-	WrapCrossing(x, y int, p Port) bool
-
-	// Concentration returns the number of endpoints attached to each
-	// switch (1 except for the concentrated mesh).
-	Concentration() int
-	// NumEndpoints returns the number of attachable endpoints.
-	NumEndpoints() int
-	// EndpointDims returns the endpoint grid dimensions.
-	EndpointDims() (ew, eh int)
-	// EndpointCoord maps an endpoint id to its endpoint-grid coordinate
-	// (the coordinate carried in Flit.DstX/DstY).
-	EndpointCoord(e int) (ex, ey int)
-	// EndpointID maps an endpoint coordinate to an endpoint id, wrapping
-	// modularly (an addressing helper, like ID).
-	EndpointID(ex, ey int) int
-	// EndpointSwitch returns the switch an endpoint hangs off.
-	EndpointSwitch(e int) int
-	// SwitchOf maps an endpoint coordinate to the coordinates of the
-	// switch serving it (identity unless concentrated).
-	SwitchOf(ex, ey int) (x, y int)
-	// LocalIndex returns the endpoint's slot on its switch's local
-	// crossbar, in [0, Concentration()).
-	LocalIndex(ex, ey int) int
+// coordinates, and NumEndpoints/EndpointCoord/EndpointID address it. With
+// a tile side of 1 the two spaces coincide; the concentrated mesh packs a
+// 2x2 endpoint tile behind each switch, and SwitchOf/LocalIndex translate
+// between the spaces.
+type Topology struct {
+	kind TopologyKind
+	w, h int // switch grid
+	tile int // endpoint tile side
 }
 
 // NewTopology validates and returns the paper's folded-torus topology. It
 // is shorthand for NewTopologyOfKind(TopoTorus, w, h) and remains the
 // constructor used by the full MEDEA system.
-func NewTopology(w, h int) (Topology, error) {
-	if w < 2 || h < 2 {
-		return nil, fmt.Errorf("noc: torus must be at least 2x2, got %dx%d", w, h)
-	}
-	return Torus{W: w, H: h}, nil
-}
+func NewTopology(w, h int) (Topology, error) { return NewTopologyOfKind(TopoTorus, w, h) }
 
 // NewTopologyOfKind validates and returns a topology of the given kind
 // with a w x h endpoint grid. For the torus and the mesh the switch grid
 // is the endpoint grid; the concentrated mesh folds the endpoints into a
 // (w/2) x (h/2) switch grid, so w and h must both be even multiples of
-// the 2x2 concentration tile and at least 4.
+// the 2x2 concentration tile and at least 4. No side may exceed what a
+// flit's destination coordinate can address (flit.MaxCoord+1).
 func NewTopologyOfKind(kind TopologyKind, w, h int) (Topology, error) {
+	tile := 1
 	switch kind {
-	case TopoTorus:
-		return NewTopology(w, h)
-	case TopoMesh:
+	case TopoTorus, TopoMesh:
 		if w < 2 || h < 2 {
-			return nil, fmt.Errorf("noc: mesh must be at least 2x2, got %dx%d", w, h)
+			return Topology{}, fmt.Errorf("noc: %v must be at least 2x2, got %dx%d", kind, w, h)
 		}
-		return Mesh{W: w, H: h}, nil
 	case TopoCMesh:
 		if w%2 != 0 || h%2 != 0 {
-			return nil, fmt.Errorf("noc: cmesh endpoint grid must be divisible by the 2x2 concentration tile, got %dx%d", w, h)
+			return Topology{}, fmt.Errorf("noc: cmesh endpoint grid must be divisible by the 2x2 concentration tile, got %dx%d", w, h)
 		}
 		if w < 4 || h < 4 {
-			return nil, fmt.Errorf("noc: cmesh needs at least a 4x4 endpoint grid (a 2x2 switch grid), got %dx%d", w, h)
+			return Topology{}, fmt.Errorf("noc: cmesh needs at least a 4x4 endpoint grid (a 2x2 switch grid), got %dx%d", w, h)
 		}
-		return CMesh{W: w, H: h}, nil
+		tile = 2
+	default:
+		return Topology{}, fmt.Errorf("noc: unknown topology kind %d", int(kind))
 	}
-	return nil, fmt.Errorf("noc: unknown topology kind %d", int(kind))
+	if w > flit.MaxCoord+1 || h > flit.MaxCoord+1 {
+		return Topology{}, fmt.Errorf("noc: %v endpoint grid %dx%d exceeds %d a side, the most a flit's coordinates address", kind, w, h, flit.MaxCoord+1)
+	}
+	return Topology{kind: kind, w: w / tile, h: h / tile, tile: tile}, nil
 }
 
-// Torus is the paper's W x H folded torus. A folded torus is physically
-// laid out with interleaved nodes so all links have equal length;
-// logically it is a torus, so routing uses plain modular distances. One
-// endpoint attaches to every switch.
-type Torus struct {
-	W, H int
-}
+// wraps reports whether every ring closes on itself (the torus). A torus
+// link out of the last switch of a ring leads to the first; a mesh has no
+// link there, so edge switches lack the ports that would cross the
+// boundary and corner switches keep only two.
+func (t Topology) wraps() bool { return t.kind == TopoTorus }
 
-// Kind implements Topology.
-func (t Torus) Kind() TopologyKind { return TopoTorus }
+// Kind returns the fabric's kind on the topology axis.
+func (t Topology) Kind() TopologyKind { return t.kind }
 
-// Dims implements Topology.
-func (t Torus) Dims() (int, int) { return t.W, t.H }
+// Dims returns the switch grid dimensions.
+func (t Topology) Dims() (w, h int) { return t.w, t.h }
 
 // NumNodes returns the number of switches.
-func (t Torus) NumNodes() int { return t.W * t.H }
+func (t Topology) NumNodes() int { return t.w * t.h }
 
-// Coord maps a switch id to its (x, y) coordinate.
-func (t Torus) Coord(id int) (x, y int) {
+// Coord maps a switch id to its (x, y) grid coordinate.
+func (t Topology) Coord(id int) (x, y int) {
 	if id < 0 || id >= t.NumNodes() {
 		panic(fmt.Sprintf("noc: node id %d out of range", id))
 	}
-	return id % t.W, id / t.W
+	return id % t.w, id / t.w
 }
 
-// ID maps a coordinate to a switch id, wrapping around the torus.
-func (t Torus) ID(x, y int) int {
-	x = ((x % t.W) + t.W) % t.W
-	y = ((y % t.H) + t.H) % t.H
-	return y*t.W + x
-}
+// ID maps a coordinate to a switch id. It wraps modularly on every kind —
+// it is an addressing helper, not a link function; whether a physical link
+// crosses the boundary is Neighbor's business.
+func (t Topology) ID(x, y int) int { return mod(y, t.h)*t.w + mod(x, t.w) }
 
-// Neighbor returns the switch one hop from id through port p; every torus
-// link exists, so ok is always true.
-func (t Torus) Neighbor(id int, p Port) (int, bool) {
+func mod(a, n int) int { return (a%n + n) % n }
+
+// Neighbor returns the switch one hop from id through port p, and
+// ok=false when the fabric has no link there (mesh and cmesh edges).
+func (t Topology) Neighbor(id int, p Port) (nb int, ok bool) {
 	x, y := t.Coord(id)
 	switch p {
 	case East:
-		return t.ID(x+1, y), true
+		x++
 	case West:
-		return t.ID(x-1, y), true
+		x--
 	case North:
-		return t.ID(x, y+1), true
+		y++
 	case South:
-		return t.ID(x, y-1), true
+		y--
+	default:
+		panic("noc: invalid port")
 	}
-	panic("noc: invalid port")
+	if !t.wraps() && (x < 0 || x >= t.w || y < 0 || y >= t.h) {
+		return 0, false
+	}
+	return t.ID(x, y), true
 }
 
-// Dist returns the minimal hop count between two switches on the torus.
-func (t Torus) Dist(a, b int) int {
+// Dist returns the minimal hop count between two switches.
+func (t Topology) Dist(a, b int) int {
 	ax, ay := t.Coord(a)
 	bx, by := t.Coord(b)
-	return axisDist(ax, bx, t.W) + axisDist(ay, by, t.H)
+	return t.axisDist(ax, bx, t.w) + t.axisDist(ay, by, t.h)
 }
 
-func axisDist(a, b, n int) int {
-	d := ((b-a)%n + n) % n
-	if n-d < d {
-		return n - d
+// axisDist is the hop count from a to b along one ring of n switches:
+// the shorter way round when it wraps, the straight line when it does not.
+func (t Topology) axisDist(a, b, n int) int {
+	if !t.wraps() {
+		return max(b-a, a-b)
 	}
-	return d
+	d := mod(b-a, n)
+	return min(d, n-d)
 }
 
-// ProductivePorts appends to dst the ports that strictly reduce the torus
-// distance from (x, y) to (dstX, dstY) and returns the extended slice.
-// When the destination is equidistant in both directions of an axis (even
-// torus, exactly half-way) both directions are productive.
-func (t Torus) ProductivePorts(dst []Port, x, y, dstX, dstY int) []Port {
-	// This runs once per routed flit per cycle; coordinates are in range
-	// in every caller, so wrap with a subtraction and keep the div-based
-	// modulo as a fallback for out-of-range inputs only.
-	de := dstX - x
-	if de < 0 {
-		de += t.W
+// toward reports which directions along one ring of n switches strictly
+// shorten the way from a to b: up (East or North) and down (West or
+// South). Only a wrapping ring can tie, when b is exactly half-way round;
+// then both do.
+func (t Topology) toward(a, b, n int) (up, down bool) {
+	if !t.wraps() {
+		return b > a, b < a
 	}
-	if de < 0 || de >= t.W {
-		de = ((dstX-x)%t.W + t.W) % t.W
+	d := mod(b-a, n)
+	return d != 0 && d <= n-d, d != 0 && n-d <= d
+}
+
+// ProductivePorts appends to dst the ports that strictly reduce the
+// fabric distance from switch (x, y) to switch (dstX, dstY) and returns
+// the extended slice: X before Y, the positive direction first. Every
+// returned port is a real link.
+func (t Topology) ProductivePorts(dst []Port, x, y, dstX, dstY int) []Port {
+	up, down := t.toward(x, dstX, t.w)
+	if up {
+		dst = append(dst, East)
 	}
-	if de != 0 {
-		dw := t.W - de
-		if de <= dw {
-			dst = append(dst, East)
-		}
-		if dw <= de {
-			dst = append(dst, West)
-		}
+	if down {
+		dst = append(dst, West)
 	}
-	dn := dstY - y
-	if dn < 0 {
-		dn += t.H
+	up, down = t.toward(y, dstY, t.h)
+	if up {
+		dst = append(dst, North)
 	}
-	if dn < 0 || dn >= t.H {
-		dn = ((dstY-y)%t.H + t.H) % t.H
-	}
-	if dn != 0 {
-		ds := t.H - dn
-		if dn <= ds {
-			dst = append(dst, North)
-		}
-		if ds <= dn {
-			dst = append(dst, South)
-		}
+	if down {
+		dst = append(dst, South)
 	}
 	return dst
 }
 
 // XYFirstPort returns the dimension-order (X then Y) routing port from
-// (x, y) towards (dstX, dstY), choosing the shorter wrap direction, and
-// ok=false when already at the destination.
-func (t Torus) XYFirstPort(x, y, dstX, dstY int) (Port, bool) {
-	if x != dstX {
-		de := ((dstX-x)%t.W + t.W) % t.W
-		if de <= t.W-de {
-			return East, true
-		}
-		return West, true
-	}
-	if y != dstY {
-		dn := ((dstY-y)%t.H + t.H) % t.H
-		if dn <= t.H-dn {
-			return North, true
-		}
-		return South, true
+// switch (x, y) towards switch (dstX, dstY) — the first productive port,
+// East on a torus tie — and ok=false when already there. The returned
+// port is always a real link.
+func (t Topology) XYFirstPort(x, y, dstX, dstY int) (Port, bool) {
+	var buf [NumPorts]Port
+	if ports := t.ProductivePorts(buf[:0], x, y, dstX, dstY); len(ports) > 0 {
+		return ports[0], true
 	}
 	return 0, false
 }
 
-// WrapCrossing implements Topology: the hop crosses a wrap-around link
-// exactly when it leaves the last switch of its ring, which is where the
-// wormhole router's dateline moves packets to the escape VC.
-func (t Torus) WrapCrossing(x, y int, p Port) bool {
+// WrapCrossing reports whether the hop out of switch (x, y) through port
+// p crosses a wrap-around link: on the torus, exactly when it leaves the
+// last switch of its ring. It is the capability hook the wormhole router
+// queries for dateline VC allocation; a mesh never wraps.
+func (t Topology) WrapCrossing(x, y int, p Port) bool {
+	if !t.wraps() {
+		return false
+	}
 	switch p {
 	case East:
-		return x == t.W-1
+		return x == t.w-1
 	case West:
 		return x == 0
 	case North:
-		return y == t.H-1
+		return y == t.h-1
 	case South:
 		return y == 0
 	}
 	return false
 }
 
-// Concentration implements Topology; one endpoint per torus switch.
-func (t Torus) Concentration() int { return 1 }
+// Concentration returns the number of endpoints attached to each switch
+// (4 on the concentrated mesh, else 1).
+func (t Topology) Concentration() int { return t.tile * t.tile }
 
-// NumEndpoints implements Topology.
-func (t Torus) NumEndpoints() int { return t.NumNodes() }
+// NumEndpoints returns the number of attachable endpoints.
+func (t Topology) NumEndpoints() int { return t.NumNodes() * t.Concentration() }
 
-// EndpointDims implements Topology.
-func (t Torus) EndpointDims() (int, int) { return t.W, t.H }
+// EndpointDims returns the endpoint grid dimensions.
+func (t Topology) EndpointDims() (ew, eh int) { return t.w * t.tile, t.h * t.tile }
 
-// EndpointCoord implements Topology; endpoint space is switch space.
-func (t Torus) EndpointCoord(e int) (int, int) { return t.Coord(e) }
+// EndpointCoord maps an endpoint id to its endpoint-grid coordinate (the
+// coordinate carried in Flit.DstX/DstY).
+func (t Topology) EndpointCoord(e int) (ex, ey int) {
+	if e < 0 || e >= t.NumEndpoints() {
+		panic(fmt.Sprintf("noc: endpoint id %d out of range", e))
+	}
+	ew, _ := t.EndpointDims()
+	return e % ew, e / ew
+}
 
-// EndpointID implements Topology.
-func (t Torus) EndpointID(ex, ey int) int { return t.ID(ex, ey) }
+// EndpointID maps an endpoint coordinate to an endpoint id, wrapping
+// modularly (an addressing helper, like ID).
+func (t Topology) EndpointID(ex, ey int) int {
+	ew, eh := t.EndpointDims()
+	return mod(ey, eh)*ew + mod(ex, ew)
+}
 
-// EndpointSwitch implements Topology.
-func (t Torus) EndpointSwitch(e int) int { return e }
+// EndpointSwitch returns the switch an endpoint hangs off.
+func (t Topology) EndpointSwitch(e int) int {
+	x, y := t.SwitchOf(t.EndpointCoord(e))
+	return y*t.w + x
+}
 
-// SwitchOf implements Topology.
-func (t Torus) SwitchOf(ex, ey int) (int, int) { return ex, ey }
+// SwitchOf maps an endpoint coordinate to the coordinates of the switch
+// serving it: the switch of its tile.
+func (t Topology) SwitchOf(ex, ey int) (x, y int) { return ex / t.tile, ey / t.tile }
 
-// LocalIndex implements Topology.
-func (t Torus) LocalIndex(ex, ey int) int { return 0 }
+// LocalIndex returns the endpoint's slot on its switch's local crossbar,
+// in [0, Concentration()): its position inside the tile, row-major.
+func (t Topology) LocalIndex(ex, ey int) int {
+	m := t.tile - 1 // the tile side is a power of two
+	return ex&m + (ey&m)*t.tile
+}

@@ -1,10 +1,21 @@
 package noc
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+func mustKind(t testing.TB, kind TopologyKind, w, h int) Topology {
+	t.Helper()
+	topo, err := NewTopologyOfKind(kind, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
 
 func TestTopologyBasics(t *testing.T) {
 	topo, err := NewTopology(4, 4)
@@ -48,6 +59,14 @@ func TestNewTopologyOfKindValidation(t *testing.T) {
 		{TopoCMesh, 4, 6, true},
 		{TopoCMesh, 2, 4, false}, // switch grid would be 1 wide
 		{TopoCMesh, 2, 2, false},
+		// A flit's DstX/DstY address 256 endpoints a side.
+		{TopoTorus, 256, 2, true},
+		{TopoMesh, 2, 256, true},
+		{TopoCMesh, 256, 256, true},
+		{TopoTorus, 2, 257, false},
+		{TopoMesh, 257, 2, false},
+		{TopoCMesh, 258, 4, false},
+		{TopoCMesh, 4, 1024, false},
 	}
 	for _, c := range cases {
 		topo, err := NewTopologyOfKind(c.kind, c.w, c.h)
@@ -99,7 +118,7 @@ func TestParseTopology(t *testing.T) {
 }
 
 func TestIDWrapsAround(t *testing.T) {
-	for _, topo := range []Topology{Torus{W: 4, H: 4}, Mesh{W: 4, H: 4}} {
+	for _, topo := range []Topology{mustKind(t, TopoTorus, 4, 4), mustKind(t, TopoMesh, 4, 4)} {
 		if topo.ID(-1, 0) != topo.ID(3, 0) {
 			t.Errorf("%v: negative x should wrap in address space", topo.Kind())
 		}
@@ -110,7 +129,7 @@ func TestIDWrapsAround(t *testing.T) {
 }
 
 func TestNeighborsAreSymmetric(t *testing.T) {
-	topos := []Topology{Torus{W: 4, H: 3}, Mesh{W: 4, H: 3}, CMesh{W: 8, H: 6}}
+	topos := []Topology{mustKind(t, TopoTorus, 4, 3), mustKind(t, TopoMesh, 4, 3), mustKind(t, TopoCMesh, 8, 6)}
 	for _, topo := range topos {
 		for id := 0; id < topo.NumNodes(); id++ {
 			for p := Port(0); p < NumPorts; p++ {
@@ -131,7 +150,7 @@ func TestNeighborsAreSymmetric(t *testing.T) {
 // TestMeshEdgeLinks pins the defining difference from the torus: boundary
 // ports have no link, corners keep exactly two.
 func TestMeshEdgeLinks(t *testing.T) {
-	topo := Mesh{W: 4, H: 4}
+	topo := mustKind(t, TopoMesh, 4, 4)
 	if _, ok := topo.Neighbor(topo.ID(3, 0), East); ok {
 		t.Error("east edge should have no east link")
 	}
@@ -157,7 +176,7 @@ func TestMeshEdgeLinks(t *testing.T) {
 	}
 	// The torus keeps all four everywhere; the cmesh switch grid behaves
 	// like a mesh.
-	torus := Torus{W: 4, H: 4}
+	torus := mustKind(t, TopoTorus, 4, 4)
 	for id := 0; id < torus.NumNodes(); id++ {
 		for p := Port(0); p < NumPorts; p++ {
 			if _, ok := torus.Neighbor(id, p); !ok {
@@ -184,7 +203,7 @@ func TestDist(t *testing.T) {
 		}
 	}
 	// The mesh pays the full Manhattan distance where the torus wraps.
-	mesh := Mesh{W: 4, H: 4}
+	mesh := mustKind(t, TopoMesh, 4, 4)
 	if got := mesh.Dist(mesh.ID(0, 0), mesh.ID(3, 0)); got != 3 {
 		t.Errorf("mesh Dist corner-to-corner along x = %d, want 3", got)
 	}
@@ -196,7 +215,7 @@ func TestDist(t *testing.T) {
 // TestDistSymmetricQuick property-tests distance symmetry and the triangle
 // inequality over random node pairs, on every kind.
 func TestDistSymmetricQuick(t *testing.T) {
-	for _, topo := range []Topology{Torus{W: 5, H: 3}, Mesh{W: 5, H: 3}, CMesh{W: 10, H: 6}} {
+	for _, topo := range []Topology{mustKind(t, TopoTorus, 5, 3), mustKind(t, TopoMesh, 5, 3), mustKind(t, TopoCMesh, 10, 6)} {
 		n := topo.NumNodes()
 		fn := func(a, b, c uint8) bool {
 			x, y, z := int(a)%n, int(b)%n, int(c)%n
@@ -215,7 +234,7 @@ func TestDistSymmetricQuick(t *testing.T) {
 // a real link that strictly reduces fabric distance and that a non-empty
 // set exists whenever source != destination — on every kind.
 func TestProductivePortsReduceDistance(t *testing.T) {
-	for _, topo := range []Topology{Torus{W: 4, H: 4}, Mesh{W: 4, H: 4}, CMesh{W: 8, H: 8}} {
+	for _, topo := range []Topology{mustKind(t, TopoTorus, 4, 4), mustKind(t, TopoMesh, 4, 4), mustKind(t, TopoCMesh, 8, 8)} {
 		for src := 0; src < topo.NumNodes(); src++ {
 			for dst := 0; dst < topo.NumNodes(); dst++ {
 				if src == dst {
@@ -246,7 +265,7 @@ func TestProductivePortsReduceDistance(t *testing.T) {
 // terminate at the destination within the fabric distance, never needing
 // a missing link.
 func TestXYFirstPortRoute(t *testing.T) {
-	for _, topo := range []Topology{Torus{W: 4, H: 4}, Mesh{W: 4, H: 4}, CMesh{W: 8, H: 6}} {
+	for _, topo := range []Topology{mustKind(t, TopoTorus, 4, 4), mustKind(t, TopoMesh, 4, 4), mustKind(t, TopoCMesh, 8, 6)} {
 		for src := 0; src < topo.NumNodes(); src++ {
 			for dst := 0; dst < topo.NumNodes(); dst++ {
 				cur := src
@@ -279,7 +298,7 @@ func TestXYFirstPortRoute(t *testing.T) {
 // TestWrapCrossing pins the dateline capability hook: only the torus has
 // wrap-around links, exactly at its ring boundaries.
 func TestWrapCrossing(t *testing.T) {
-	torus := Torus{W: 4, H: 4}
+	torus := mustKind(t, TopoTorus, 4, 4)
 	if !torus.WrapCrossing(3, 1, East) || !torus.WrapCrossing(0, 1, West) ||
 		!torus.WrapCrossing(1, 3, North) || !torus.WrapCrossing(1, 0, South) {
 		t.Error("torus boundary hops should cross the dateline")
@@ -287,7 +306,7 @@ func TestWrapCrossing(t *testing.T) {
 	if torus.WrapCrossing(1, 1, East) || torus.WrapCrossing(2, 2, North) {
 		t.Error("torus interior hops should not cross the dateline")
 	}
-	for _, topo := range []Topology{Mesh{W: 4, H: 4}, CMesh{W: 8, H: 8}} {
+	for _, topo := range []Topology{mustKind(t, TopoMesh, 4, 4), mustKind(t, TopoCMesh, 8, 8)} {
 		w, h := topo.Dims()
 		for x := 0; x < w; x++ {
 			for y := 0; y < h; y++ {
@@ -305,11 +324,11 @@ func TestWrapCrossing(t *testing.T) {
 // endpoint grid over a (W/2) x (H/2) switch grid, 2x2 tiles, distinct
 // crossbar slots per tile.
 func TestCMeshEndpointMapping(t *testing.T) {
-	topo := CMesh{W: 8, H: 6}
+	topo := mustKind(t, TopoCMesh, 8, 6)
 	if topo.NumEndpoints() != 48 || topo.NumNodes() != 12 {
 		t.Fatalf("8x6 cmesh: %d endpoints on %d switches", topo.NumEndpoints(), topo.NumNodes())
 	}
-	if topo.Concentration() != CMeshConcentration {
+	if topo.Concentration() != 4 {
 		t.Fatalf("concentration = %d", topo.Concentration())
 	}
 	perSwitch := make(map[int]map[int]bool)
@@ -340,12 +359,12 @@ func TestCMeshEndpointMapping(t *testing.T) {
 		perSwitch[sw][slot] = true
 	}
 	for sw, slots := range perSwitch {
-		if len(slots) != CMeshConcentration {
-			t.Errorf("switch %d serves %d endpoints, want %d", sw, len(slots), CMeshConcentration)
+		if len(slots) != 4 {
+			t.Errorf("switch %d serves %d endpoints, want %d", sw, len(slots), 4)
 		}
 	}
 	// Torus and mesh keep endpoint space == switch space.
-	for _, flat := range []Topology{Torus{W: 4, H: 4}, Mesh{W: 4, H: 4}} {
+	for _, flat := range []Topology{mustKind(t, TopoTorus, 4, 4), mustKind(t, TopoMesh, 4, 4)} {
 		if flat.Concentration() != 1 || flat.NumEndpoints() != flat.NumNodes() {
 			t.Errorf("%v: unexpected concentration", flat.Kind())
 		}
@@ -371,3 +390,161 @@ func TestPortStringsAndOpposite(t *testing.T) {
 		}
 	}
 }
+
+// TestTopologyMatchesReference holds every Topology method to the
+// per-fabric types it replaced (topology_ref_test.go) on every kind and
+// every w, h in 2..9 that builds: on every switch, switch pair, port and
+// endpoint, and for ID/EndpointID on every coordinate up to one grid out
+// of range in each direction.
+func TestTopologyMatchesReference(t *testing.T) {
+	for _, kind := range AllTopologies() {
+		for w := 2; w <= 9; w++ {
+			for h := 2; h <= 9; h++ {
+				topo, err := NewTopologyOfKind(kind, w, h)
+				if err != nil {
+					continue
+				}
+				c := refCheck{t, topo, refOf(kind, w, h)}
+				c.shape()
+				for a := 0; a < topo.NumNodes(); a++ {
+					c.switchAt(a)
+					for b := 0; b < topo.NumNodes(); b++ {
+						c.routes(a, b)
+					}
+				}
+				for e := 0; e < topo.NumEndpoints(); e++ {
+					c.endpoint(e)
+				}
+				ew, eh := topo.EndpointDims()
+				for x := -ew; x < 2*ew; x++ {
+					for y := -eh; y < 2*eh; y++ {
+						c.address(x, y)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTopology widens TestTopologyMatchesReference to every grid a flit
+// can address (up to 256 a side): a fuzzed kind and w x h endpoint grid,
+// one switch pair, one endpoint and one coordinate pair for ID/EndpointID.
+func FuzzTopology(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(3), uint16(0), uint16(10), uint16(7), int16(-4), int16(9))
+	f.Add(uint8(1), uint8(255), uint8(1), uint16(511), uint16(0), uint16(300), int16(256), int16(-1))
+	f.Add(uint8(2), uint8(7), uint8(5), uint16(3), uint16(11), uint16(47), int16(-8), int16(6))
+	f.Add(uint8(2), uint8(255), uint8(255), uint16(65535), uint16(1), uint16(65535), int16(32767), int16(-32768))
+	f.Fuzz(func(t *testing.T, kind, w1, h1 uint8, a, b, e uint16, x, y int16) {
+		k := TopologyKind(kind % uint8(numTopologies))
+		w, h := int(w1)+1, int(h1)+1
+		topo, err := NewTopologyOfKind(k, w, h)
+		if err != nil {
+			return
+		}
+		c := refCheck{t, topo, refOf(k, w, h)}
+		c.shape()
+		sa, sb := int(a)%topo.NumNodes(), int(b)%topo.NumNodes()
+		c.switchAt(sa)
+		c.routes(sa, sb)
+		c.endpoint(int(e) % topo.NumEndpoints())
+		c.address(int(x), int(y))
+	})
+}
+
+// refOf returns the reference type of a kind over a w x h endpoint grid.
+func refOf(kind TopologyKind, w, h int) refTopology {
+	switch kind {
+	case TopoTorus:
+		return refTorus{W: w, H: h}
+	case TopoMesh:
+		return refMesh{W: w, H: h}
+	}
+	return refCMesh{W: w, H: h}
+}
+
+// refCheck compares a Topology with its reference type method by method.
+type refCheck struct {
+	t    testing.TB
+	topo Topology
+	ref  refTopology
+}
+
+func (c refCheck) eq(got, want any, format string, args ...any) {
+	c.t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		ew, eh := c.topo.EndpointDims()
+		c.t.Fatalf("%dx%d %v: %s = %v, reference %v", ew, eh, c.topo.Kind(), fmt.Sprintf(format, args...), got, want)
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// shape compares the grid-wide answers, and which out-of-range ids and
+// ports panic.
+func (c refCheck) shape() {
+	c.t.Helper()
+	topo, ref := c.topo, c.ref
+	c.eq(topo.Kind(), ref.Kind(), "Kind")
+	c.eq(pair(topo.Dims()), pair(ref.Dims()), "Dims")
+	c.eq(topo.NumNodes(), ref.NumNodes(), "NumNodes")
+	c.eq(topo.Concentration(), ref.Concentration(), "Concentration")
+	c.eq(topo.NumEndpoints(), ref.NumEndpoints(), "NumEndpoints")
+	c.eq(pair(topo.EndpointDims()), pair(ref.EndpointDims()), "EndpointDims")
+	for _, id := range []int{-1, topo.NumNodes()} {
+		c.eq(panics(func() { topo.Coord(id) }), panics(func() { ref.Coord(id) }), "Coord(%d) panics", id)
+	}
+	for _, e := range []int{-1, topo.NumEndpoints()} {
+		c.eq(panics(func() { topo.EndpointCoord(e) }), panics(func() { ref.EndpointCoord(e) }), "EndpointCoord(%d) panics", e)
+	}
+	c.eq(panics(func() { topo.Neighbor(0, NumPorts) }), panics(func() { ref.Neighbor(0, NumPorts) }), "Neighbor(0, %v) panics", NumPorts)
+}
+
+// switchAt compares one switch's coordinate, links and wrap crossings.
+func (c refCheck) switchAt(id int) {
+	c.t.Helper()
+	x, y := c.topo.Coord(id)
+	c.eq(pair(x, y), pair(c.ref.Coord(id)), "Coord(%d)", id)
+	for p := Port(0); p <= NumPorts; p++ {
+		if p < NumPorts {
+			nb, ok := c.topo.Neighbor(id, p)
+			rnb, rok := c.ref.Neighbor(id, p)
+			c.eq([2]any{nb, ok}, [2]any{rnb, rok}, "Neighbor(%d, %v)", id, p)
+		}
+		c.eq(c.topo.WrapCrossing(x, y, p), c.ref.WrapCrossing(x, y, p), "WrapCrossing(%d, %d, %v)", x, y, p)
+	}
+}
+
+// routes compares the routing answers between two switches.
+func (c refCheck) routes(a, b int) {
+	c.t.Helper()
+	x, y := c.topo.Coord(a)
+	dx, dy := c.topo.Coord(b)
+	c.eq(c.topo.Dist(a, b), c.ref.Dist(a, b), "Dist(%d, %d)", a, b)
+	c.eq(c.topo.ProductivePorts(nil, x, y, dx, dy), c.ref.ProductivePorts(nil, x, y, dx, dy), "ProductivePorts(%d, %d, %d, %d)", x, y, dx, dy)
+	p, ok := c.topo.XYFirstPort(x, y, dx, dy)
+	rp, rok := c.ref.XYFirstPort(x, y, dx, dy)
+	c.eq([2]any{p, ok}, [2]any{rp, rok}, "XYFirstPort(%d, %d, %d, %d)", x, y, dx, dy)
+}
+
+// endpoint compares one endpoint's coordinate, switch and crossbar slot.
+func (c refCheck) endpoint(e int) {
+	c.t.Helper()
+	ex, ey := c.topo.EndpointCoord(e)
+	c.eq(pair(ex, ey), pair(c.ref.EndpointCoord(e)), "EndpointCoord(%d)", e)
+	c.eq(c.topo.EndpointSwitch(e), c.ref.EndpointSwitch(e), "EndpointSwitch(%d)", e)
+	c.eq(pair(c.topo.SwitchOf(ex, ey)), pair(c.ref.SwitchOf(ex, ey)), "SwitchOf(%d, %d)", ex, ey)
+	c.eq(c.topo.LocalIndex(ex, ey), c.ref.LocalIndex(ex, ey), "LocalIndex(%d, %d)", ex, ey)
+}
+
+// address compares the wrapping address helpers at any coordinate.
+func (c refCheck) address(x, y int) {
+	c.t.Helper()
+	c.eq(c.topo.ID(x, y), c.ref.ID(x, y), "ID(%d, %d)", x, y)
+	c.eq(c.topo.EndpointID(x, y), c.ref.EndpointID(x, y), "EndpointID(%d, %d)", x, y)
+}
+
+func pair(a, b int) [2]int { return [2]int{a, b} }

@@ -10,7 +10,7 @@ import (
 func TestVCDTracerProducesWaveform(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	for i := 0; i < topo.NumNodes(); i++ {
 		tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 0.4}, 5)
 		n.Attach(i, tn)
@@ -42,7 +42,7 @@ func TestVCDTracerProducesWaveform(t *testing.T) {
 func TestVCDTracerQuietNetwork(t *testing.T) {
 	topo, _ := NewTopology(2, 2)
 	e := sim.NewEngine()
-	n := NewNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterDeflection)
 	var b strings.Builder
 	tr, err := NewVCDTracer(n, &b)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 func TestXYSingleFlitDelivery(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewXYNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterXY)
 	cols := make([]*collector, topo.NumNodes())
 	for i := range cols {
 		cols[i] = &collector{}
@@ -35,7 +35,7 @@ func TestXYAllPairs(t *testing.T) {
 				continue
 			}
 			e := sim.NewEngine()
-			n := NewXYNetwork(e, topo)
+			n := NewRouterNetwork(e, topo, RouterXY)
 			cols := make([]*collector, topo.NumNodes())
 			for i := range cols {
 				cols[i] = &collector{}
@@ -54,7 +54,7 @@ func TestXYInOrderPerPath(t *testing.T) {
 	// XY routing with FIFO queues preserves flit order between one pair.
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewXYNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterXY)
 	cols := make([]*collector, topo.NumNodes())
 	for i := range cols {
 		cols[i] = &collector{}
@@ -80,7 +80,7 @@ func TestXYInOrderPerPath(t *testing.T) {
 func TestXYConservationUnderLoad(t *testing.T) {
 	topo, _ := NewTopology(4, 4)
 	e := sim.NewEngine()
-	n := NewXYNetwork(e, topo)
+	n := NewRouterNetwork(e, topo, RouterXY)
 	nodes := make([]*TrafficNode, topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = NewTrafficNode(i, topo, TrafficConfig{Pattern: Transpose, Rate: 0.7}, 13)
@@ -110,7 +110,7 @@ func TestXYDeterminism(t *testing.T) {
 	run := func() (int64, float64) {
 		topo, _ := NewTopology(4, 4)
 		e := sim.NewEngine()
-		n := NewXYNetwork(e, topo)
+		n := NewRouterNetwork(e, topo, RouterXY)
 		for i := 0; i < topo.NumNodes(); i++ {
 			tn := NewTrafficNode(i, topo, TrafficConfig{Pattern: Uniform, Rate: 0.5}, 99)
 			n.Attach(i, tn)

@@ -112,6 +112,11 @@ func TestTopologySweepValidation(t *testing.T) {
 		{"cmesh too small", `{"workload":"noc-synthetic","noc":{"width":2,"height":2,"patterns":["uniform"],"topologies":["cmesh"],"rates":[0.1]}}`, false},
 		{"transpose on non-square grid", `{"workload":"noc-synthetic","noc":{"width":4,"height":3,"patterns":["transpose"],"topologies":["mesh"],"rates":[0.1]}}`, false},
 		{"torus default still works", `{"workload":"noc-synthetic","noc":{"width":4,"height":4,"patterns":["transpose"],"rates":[0.1]}}`, true},
+		// A flit's DstX/DstY address 256 endpoints a side; trace headers
+		// reach the same check through buildKinds.
+		{"widest addressable grid", `{"workload":"noc-synthetic","noc":{"width":256,"height":2,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, true},
+		{"noc grid wider than a flit addresses", `{"workload":"noc-synthetic","noc":{"width":257,"height":2,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, false},
+		{"service grid taller than a flit addresses", `{"workload":"service","service":{"width":4,"height":257,"servers":4,"arrival_rates":[0.03]}}`, false},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.json))
