@@ -74,10 +74,19 @@ func newRig(ctx context.Context, topo Topology, router RouterKind, warmup int64,
 	return &measureRig{e: e, n: n}, nil
 }
 
-// newTrafficRig is newRig with one synthetic traffic node per endpoint.
-func newTrafficRig(ctx context.Context, topo Topology, mc MeasureConfig) (*measureRig, error) {
+// newTrafficRig is newRig with one synthetic traffic node per endpoint,
+// each replaying its shared schedule from s over a run of length cycles
+// when s has one for it.
+func (s *Schedules) newTrafficRig(ctx context.Context, topo Topology, mc MeasureConfig, length int64) (*measureRig, error) {
+	shared, err := s.group(ctx, topo, mc, length)
+	if err != nil {
+		return nil, err
+	}
 	return newRig(ctx, topo, mc.Router, mc.Warmup, func(i int) (LocalPort, sim.Component) {
 		tn := NewTrafficNode(i, topo, mc.Traffic, mc.Seed)
+		if shared != nil {
+			tn.inj.sched = &shared[i]
+		}
 		return tn, tn
 	})
 }
@@ -128,7 +137,13 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 // simulated cycles, so a canceled measurement stops in bounded wall time
 // and returns the context's error with a zero-value Measurement.
 func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
-	r, err := newTrafficRig(ctx, topo, mc)
+	return (*Schedules)(nil).MeasureCtx(ctx, topo, mc)
+}
+
+// MeasureCtx is the package-level MeasureCtx with the sources' injection
+// streams shared through s; the Measurement is byte-identical.
+func (s *Schedules) MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
+	r, err := s.newTrafficRig(ctx, topo, mc, mc.Warmup+mc.Measure)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -143,7 +158,19 @@ func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measureme
 // MeasureCtx call with the same warmup and that window, which the
 // differential tests assert.
 func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
-	r, err := newTrafficRig(ctx, topo, mc)
+	return (*Schedules)(nil).MeasureWindowsCtx(ctx, topo, mc, windows)
+}
+
+// MeasureWindowsCtx is the package-level MeasureWindowsCtx with the
+// sources' injection streams shared through s; the cursor into a schedule
+// is part of a source's snapshot, so each window replays from the warm
+// one.
+func (s *Schedules) MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
+	var longest int64
+	for _, w := range windows {
+		longest = max(longest, w)
+	}
+	r, err := s.newTrafficRig(ctx, topo, mc, mc.Warmup+longest)
 	if err != nil {
 		return nil, err
 	}

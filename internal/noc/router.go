@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/flit"
 	"repro/internal/sim"
@@ -161,6 +162,16 @@ type route struct {
 
 // productive returns the ports that bring a flit closer.
 func (r *route) productive() []Port { return r.prod[:r.nprod] }
+
+// RouteBytes is the size of one switch's route to one endpoint.
+const RouteBytes = int64(unsafe.Sizeof(route{}))
+
+// RouteTableBytes is what the route tables of one network on t take:
+// every switch keeps a route to every endpoint, so they grow as the square
+// of the grid.
+func (t Topology) RouteTableBytes() int64 {
+	return int64(t.NumNodes()) * int64(t.NumEndpoints()) * RouteBytes
+}
 
 // routeTable is every routing answer a switch's Step needs, asked of the
 // Topology once at wiring time: the fabric is fixed from then on, and the

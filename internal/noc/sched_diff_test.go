@@ -71,7 +71,7 @@ func TestWakeDrivenStateDifferential(t *testing.T) {
 // warmup), so the caller can set its stepping mode before the first cycle.
 func mustRig(t *testing.T, topo Topology, mc MeasureConfig) *measureRig {
 	t.Helper()
-	r, err := newTrafficRig(context.Background(), topo, mc)
+	r, err := (*Schedules)(nil).newTrafficRig(context.Background(), topo, mc, mc.Warmup+mc.Measure)
 	if err != nil {
 		t.Fatal(err)
 	}

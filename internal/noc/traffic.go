@@ -141,6 +141,10 @@ type injectGate struct {
 	// (one straight-line draw per Step, which is what a loaded network's
 	// tick is made of).
 	dense bool
+	// sched, when non-nil, is this source's shared recorded stream, read
+	// at cursor instead of drawing (schedule.go).
+	sched  *schedule
+	cursor int
 
 	drawnThrough int64
 	nextInject   int64
@@ -202,6 +206,11 @@ func (g *injectGate) next(now int64) int64 {
 // is the burst modulator step first, then (only while on, mirroring the
 // historical short-circuit) the coin.
 func (g *injectGate) draw(limit int64) int64 {
+	if g.sched != nil {
+		if c, ok := g.replay(limit); ok {
+			return c
+		}
+	}
 	heads := false
 	if g.burst == nil {
 		var n int64
@@ -256,6 +265,7 @@ func (t *TrafficNode) Step(now int64) {
 	}
 	if t.outQ.Full() {
 		t.Throttled.Inc()
+		t.inj.detach() // the record drew a destination here
 		return
 	}
 	dst := t.destination()
@@ -350,6 +360,8 @@ type trafficSnap struct {
 	pktID        uint64
 	drawnThrough int64
 	nextInject   int64
+	sched        *schedule
+	cursor       int
 	sent         stats.Counter
 	recv         stats.Counter
 	throttled    stats.Counter
@@ -362,6 +374,7 @@ func (t *TrafficNode) Snapshot() any {
 		rng: *t.rng, outQ: t.outQ.Snapshot(),
 		pktID:        t.pktID,
 		drawnThrough: t.inj.drawnThrough, nextInject: t.inj.nextInject,
+		sched: t.inj.sched, cursor: t.inj.cursor,
 		sent: t.Sent, recv: t.Recv, throttled: t.Throttled, queueLat: t.QueueLat,
 	}
 	if t.inj.burst != nil {
@@ -380,5 +393,6 @@ func (t *TrafficNode) Restore(snap any) {
 	t.outQ.Restore(s.outQ)
 	t.pktID = s.pktID
 	t.inj.drawnThrough, t.inj.nextInject = s.drawnThrough, s.nextInject
+	t.inj.sched, t.inj.cursor = s.sched, s.cursor
 	t.Sent, t.Recv, t.Throttled, t.QueueLat = s.sent, s.recv, s.throttled, s.queueLat
 }

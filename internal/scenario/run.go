@@ -186,8 +186,12 @@ func (nocWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result
 	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
 		rcache, rec = nil, s.Record
 	}
+	// The points of one call share their sources' injection streams: a
+	// sparse stream is drawn once per (seed, rate, pattern, run length),
+	// not once per router and fabric. Byte-identical to private draws.
+	shared := noc.NewSchedules()
 	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j nocJob) (Result, error) {
-		r, err := runNoCPoint(ctx, rcache, rec, s.NoC, j)
+		r, err := runNoCPoint(ctx, rcache, rec, shared, s.NoC, j)
 		r.Scenario = s.Name
 		return r, err
 	})
@@ -204,9 +208,9 @@ type windowGroup struct {
 	err  error
 }
 
-func (g *windowGroup) measurements(ctx context.Context, topo noc.Topology, mc noc.MeasureConfig, windows []int64) ([]noc.Measurement, error) {
+func (g *windowGroup) measurements(ctx context.Context, shared *noc.Schedules, topo noc.Topology, mc noc.MeasureConfig, windows []int64) ([]noc.Measurement, error) {
 	g.once.Do(func() {
-		g.ms, g.err = noc.MeasureWindowsCtx(ctx, topo, mc, windows)
+		g.ms, g.err = shared.MeasureWindowsCtx(ctx, topo, mc, windows)
 	})
 	return g.ms, g.err
 }
@@ -282,16 +286,16 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 	}
 }
 
-// runNoCPoint simulates one point through noc.MeasureCtx, the execution
-// path shared with cmd/medea-noc, recalling it from the result cache when
-// one is attached. A measure_windows point keys exactly as a plain
+// runNoCPoint simulates one point through the sweep's schedule store
+// (noc.MeasureCtx's execution path, shared with cmd/medea-noc), recalling
+// it from the result cache when one is attached. A measure_windows point keys exactly as a plain
 // measure_cycles point with its window length would — warm-snapshot
 // forking is byte-identical to independent simulation
 // (noc.MeasureWindowsCtx's contract, enforced by the differential tests),
 // so the two entry kinds interchange in the store; on a miss the whole
 // group simulates once through the shared windowGroup and this point
 // takes its window's measurement.
-func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, c *NoCConfig, j nocJob) (Result, error) {
+func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, shared *noc.Schedules, c *NoCConfig, j nocJob) (Result, error) {
 	measure := c.MeasureCycles
 	if measure == 0 {
 		measure = 5000
@@ -302,7 +306,7 @@ func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRe
 	key := nocPointKey(c, j, measure)
 	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
 		if j.group != nil {
-			ms, err := j.group.measurements(ctx, j.topo, nocMeasureConfig(c, j, 0), c.MeasureWindows)
+			ms, err := j.group.measurements(ctx, shared, j.topo, nocMeasureConfig(c, j, 0), c.MeasureWindows)
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +314,7 @@ func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRe
 		}
 		mc := nocMeasureConfig(c, j, measure)
 		mc.Traffic.Record = rec
-		m, err := noc.MeasureCtx(ctx, j.topo, mc)
+		m, err := shared.MeasureCtx(ctx, j.topo, mc)
 		if err != nil {
 			return nil, err
 		}

@@ -29,9 +29,10 @@
 // the one sweep loop; kernel points execute through dse.KernelSweepCtx,
 // the path shared with the figure sweeps and cmd/medea-experiments (the
 // fig8-quick and kernel-ablation golden tests are byte- and point-exact
-// for that reason), and noc points through noc.MeasureCtx, the path
-// shared with cmd/medea-noc. TestExampleRootsGolden pins the rows of every
-// shipped file.
+// for that reason), and noc points through noc.MeasureCtx's path, shared
+// with cmd/medea-noc (one sweep call's points share a noc.Schedules store
+// of their sources' injection streams, byte-identically).
+// TestExampleRootsGolden pins the rows of every shipped file.
 //
 // A file declares what to simulate; how a run executes is its caller's,
 // handed down as values by whoever owns the run: the result cache
@@ -920,14 +921,27 @@ func buildFabrics(section string, names []string, w, h int) ([]noc.Topology, err
 	return topos, nil
 }
 
-// buildKinds builds one fabric per kind on the w x h endpoint grid.
+// maxRouteTableBytes bounds the route tables one point of a scenario
+// builds. They grow as switches x endpoints, so a grid a constructor
+// accepts (up to 256 a side) could otherwise ask a served job for
+// hundreds of gigabytes.
+const maxRouteTableBytes = 64 << 20
+
+// buildKinds builds one fabric per kind on the w x h endpoint grid, each
+// within the route-table bound.
 func buildKinds(kinds []noc.TopologyKind, w, h int) ([]noc.Topology, error) {
 	topos := make([]noc.Topology, len(kinds))
 	for i, k := range kinds {
-		var err error
-		if topos[i], err = noc.NewTopologyOfKind(k, w, h); err != nil {
+		topo, err := noc.NewTopologyOfKind(k, w, h)
+		if err != nil {
 			return nil, err
 		}
+		if b := topo.RouteTableBytes(); b > maxRouteTableBytes {
+			sw, sh := topo.Dims()
+			return nil, fmt.Errorf("a %dx%d %v grid needs %d switches x %d endpoints x %d B = %d MiB of route tables per point, over the %d MiB limit",
+				w, h, k, sw*sh, topo.NumEndpoints(), noc.RouteBytes, b>>20, maxRouteTableBytes>>20)
+		}
+		topos[i] = topo
 	}
 	return topos, nil
 }

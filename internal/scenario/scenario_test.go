@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func mustParse(t *testing.T, src string) *Scenario {
@@ -285,5 +289,33 @@ func TestRenderFormats(t *testing.T) {
 	}
 	if _, err := Render(results, "xml"); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestRouteTableBound holds every section that builds a fabric — noc,
+// service and trace — to the route-table bound: a 100x100 grid (4.5 GiB
+// of routes per point) and the first square grid over 64 MiB (35x35) are
+// rejected with the arithmetic, while 34x34 and the 8x8 example parse.
+func TestRouteTableBound(t *testing.T) {
+	nocGrid := func(w, h int) string {
+		return fmt.Sprintf(`{"workload": "noc-synthetic",
+			"noc": {"width": %d, "height": %d, "patterns": ["uniform"], "rates": [0.01]}}`, w, h)
+	}
+	const want = "10000 switches x 10000 endpoints x 48 B = 4577 MiB of route tables per point, over the 64 MiB limit"
+	parseErr(t, nocGrid(100, 100), want)
+	parseErr(t, nocGrid(35, 35), "route tables")
+	mustParse(t, nocGrid(34, 34))
+	parseErr(t, `{"workload": "service",
+		"service": {"width": 100, "height": 100, "servers": 1, "arrival_rates": [0.01]}}`, want)
+
+	path := filepath.Join(t.TempDir(), "wide.trace")
+	if err := trace.New(trace.Header{Width: 100, Height: 100, Topology: "torus", Router: "deflection", Measure: 1}).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	parseErr(t, `{"workload": "trace", "trace": {"file": "`+path+`"}}`, want)
+	parseErr(t, `{"workload": "trace", "trace": {"file": "`+path+`", "topologies": ["mesh"]}}`, "route tables")
+
+	if _, err := Load("../../examples/scenarios/topology-ablation.json"); err != nil {
+		t.Errorf("the 8x8 example: %v", err)
 	}
 }

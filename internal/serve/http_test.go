@@ -124,6 +124,10 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 	}{
 		{"malformed json", `{"name": "broken", "workload":`, http.StatusBadRequest},
 		{"unknown field", `{"name": "x", "workload": "noc-synthetic", "bogus": 1}`, http.StatusBadRequest},
+		// 100x100 parses as JSON, but its route tables would take 4.5 GiB
+		// a point: the grid bound turns it away before any job exists.
+		{"grid over the route-table bound", `{"name": "x", "workload": "noc-synthetic",
+			"noc": {"width": 100, "height": 100, "patterns": ["uniform"], "rates": [0.01]}}`, http.StatusBadRequest},
 		{"oversized", string(bytes.Repeat([]byte("x"), 8192)), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
