@@ -37,6 +37,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
+	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
@@ -313,7 +314,7 @@ func serveWorkerHTTP(ctx context.Context, addr string, rcache *resultcache.Cache
 		return err
 	}
 	log.Printf("worker listening on %s", ln.Addr())
-	srv := &http.Server{Handler: shard.Handler(rcache)}
+	srv := serve.NewHTTPServer(shard.Handler(rcache))
 	go func() {
 		<-ctx.Done()
 		srv.Shutdown(context.Background())

@@ -37,7 +37,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -141,7 +140,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,10 +6,9 @@ package noc
 // traffic.go).
 //
 // Every switch is a sim.Sleeper. Its input paths, each of which wakes it:
-// the link registers it reads (declared consumers, NewRouterNetwork), its
-// local port (InjectWaker: the port wakes the switch whenever a flit
-// becomes available to pull) and, for the wormhole switch, the credit
-// wires (returnCredit). What "nothing to do" means per router kind:
+// the link registers it reads (declared consumers, NewRouterNetwork) and
+// its local port (InjectWaker: the port wakes the switch whenever a flit
+// becomes available to pull). What "nothing to do" means per router kind:
 //
 //   - Deflection and adaptive switches store nothing between cycles, so
 //     with no flit on any input link and a local port that has nothing
@@ -17,10 +16,11 @@ package noc
 //   - The XY switch is passive when its input queues are empty; its
 //     round-robin pointer advances every cycle regardless, which Skipped
 //     makes up for.
-//   - The wormhole switch is passive only when its buffers are empty AND
-//     no returned credit is awaiting collection: a pending credit folds on
-//     a parity the next Step derives from the clock, so sleeping over one
-//     would fold it on the wrong cycle.
+//   - The wormhole switch is passive when its buffers are empty. A
+//     returned credit does not wake it: the credit is stamped with the
+//     cycle it was returned on and folds at the switch's next Step, and
+//     Skipped folds the ones the missed Steps would have, so a snapshot
+//     of a sleeping switch equals one of a switch stepped every cycle.
 //   - The concentrator is passive unless its output latch is occupied
 //     (the switch must drain it) or an endpoint holds flits for it.
 
@@ -92,30 +92,27 @@ func (s *XYSwitch) Restore(snap any) {
 }
 
 // NextEvent implements sim.NextEventer: the wormhole switch acts whenever
-// it holds flits (input buffers or injection queue) or a returned credit
-// is awaiting its parity-scheduled collection.
+// it holds flits (input buffers or injection queue).
 func (s *WormholeSwitch) NextEvent(now int64) int64 {
 	if s.buffered > 0 || !s.localIdle() {
 		return now
 	}
-	for par := range s.pending {
-		for p := range s.pending[par] {
-			for v := range s.pending[par][p] {
-				if s.pending[par][p][v] != 0 {
-					return now
-				}
-			}
-		}
-	}
 	return sim.NoEvent
 }
+
+// Skipped implements sim.Skipper: the Step of cycle to-1, the last one
+// missed, would have folded the credits returned before it. Credits
+// returned on to-1 itself stay owed, as they would have.
+func (s *WormholeSwitch) Skipped(from, to int64) { s.collectCredits(to - 1) }
 
 // whSnap is the checkpointed state of a WormholeSwitch.
 type whSnap struct {
 	bufs      [NumPorts][WormholeVCs]fifoSnap
 	injQ      fifoSnap
 	credits   [NumPorts][WormholeVCs]int
-	pending   [2][NumPorts][WormholeVCs]int
+	pending   [NumPorts][WormholeVCs]int
+	freshAt   int64
+	owed      int
 	buffered  int
 	peakBuf   int
 	minCredit int
@@ -127,7 +124,7 @@ type fifoSnap = queue.Snap[flit.Flit]
 // Snapshot implements sim.Checkpointable.
 func (s *WormholeSwitch) Snapshot() any {
 	snap := whSnap{
-		credits: s.credits, pending: s.pending,
+		credits: s.credits, pending: s.pending, freshAt: s.freshAt, owed: s.owed,
 		buffered: s.buffered, peakBuf: s.peakBuf, minCredit: s.minCredit,
 		stats: s.Stats,
 		injQ:  s.injQ.Snapshot(),
@@ -149,7 +146,7 @@ func (s *WormholeSwitch) Restore(snap any) {
 		}
 	}
 	s.injQ.Restore(sn.injQ)
-	s.credits, s.pending = sn.credits, sn.pending
+	s.credits, s.pending, s.freshAt, s.owed = sn.credits, sn.pending, sn.freshAt, sn.owed
 	s.buffered, s.peakBuf, s.minCredit = sn.buffered, sn.peakBuf, sn.minCredit
 	s.Stats = sn.stats
 }

@@ -220,9 +220,10 @@ func (t *routeTable) route(f *flit.Flit) *route {
 func (rp *routerPorts) ID() int { return rp.id }
 
 // Bind implements sim.Sleeper for every router kind. The switch's input
-// paths are its link registers (declared consumers in NewRouterNetwork),
-// its local port (InjectWaker) and, for the wormhole router, the credit
-// wires (returnCredit wakes the upstream switch).
+// paths are its link registers (declared consumers in NewRouterNetwork)
+// and its local port (InjectWaker). A wormhole switch's returned credits
+// wake nothing: each is stamped with its cycle and waits for the switch's
+// next Step.
 func (rp *routerPorts) Bind(h *sim.Handle) { rp.wake = h }
 
 // attachLocal connects the local port and asks it to wake this switch on

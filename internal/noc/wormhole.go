@@ -37,11 +37,12 @@ type WormholeStats struct {
 //     same path function as XYSwitch.
 //   - Each input link has WormholeVCs small FIFOs; a flit advances only
 //     when the downstream buffer for its VC has a free slot, tracked by
-//     credits. A returned credit travels one cycle on a dedicated wire
-//     (the same two-phase discipline flit links get from sim.Reg, so
-//     turnaround never depends on engine stepping order); credits can
-//     never go negative (sending is gated on a credit) and the
-//     conformance tests assert it.
+//     credits. A returned credit takes one cycle to become spendable
+//     (it is stamped with the cycle it was returned on, the same
+//     two-phase discipline flit links get from sim.Reg, so turnaround
+//     never depends on engine stepping order); credits can never go
+//     negative (sending is gated on a credit) and the conformance tests
+//     assert it.
 //   - Deadlock freedom on the torus rings comes from dateline VC
 //     allocation: a packet travels a ring on VC0 until it crosses the
 //     wrap-around link, then switches to VC1; turning into the Y dimension
@@ -62,12 +63,14 @@ type WormholeSwitch struct {
 	// credits[p][v] counts free slots in the downstream switch's input
 	// buffer reached through port p, VC v.
 	credits [NumPorts][WormholeVCs]int
-	// pending[c&1][p][v] accumulates credits returned by the downstream
-	// switch during cycle c; they fold into credits at this switch's next
-	// Step. The parity split gives every returned credit exactly one
-	// cycle of wire latency regardless of engine stepping order, the same
-	// two-phase discipline sim.Reg enforces for flits.
-	pending [2][NumPorts][WormholeVCs]int
+	// pending[p][v] holds the owed credits returned by the downstream
+	// switches, all on cycle freshAt. They fold into credits on the first
+	// Step (or returnCredit, or Skipped) that sees a later cycle, so every
+	// returned credit has exactly one cycle of latency whatever the
+	// stepping order, and a sleeping switch is never woken to collect one.
+	pending [NumPorts][WormholeVCs]int
+	freshAt int64
+	owed    int
 	// up[p] is the upstream switch feeding in[p]; draining a flit that
 	// arrived there returns one credit to it.
 	up [NumPorts]*WormholeSwitch
@@ -123,32 +126,37 @@ func (s *WormholeSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 func (s *WormholeSwitch) MinCredit() int { return s.minCredit }
 
 // returnCredit hands one credit back to the upstream switch feeding input
-// port q for VC v, i.e. the slot just drained is free again. The credit
-// travels on a dedicated wire: it lands in the upstream switch's pending
-// accumulator for the current cycle and becomes spendable at its next
-// Step, so turnaround time does not depend on the order switches step in.
+// port q for VC v, i.e. the slot just drained is free again. The credit is
+// stamped with the current cycle and becomes spendable on the upstream
+// switch's first Step of a later cycle, so turnaround time does not depend
+// on the order switches step in. A slot still holding credits of an
+// earlier cycle folds first: those are spendable already, and the slot
+// holds one cycle's credits at a time. The upstream switch is not woken;
+// with nothing buffered it has no use for a credit.
 func (s *WormholeSwitch) returnCredit(q Port, v uint8, now int64) {
 	up := s.up[q]
-	up.pending[now&1][q.Opposite()][v]++
-	up.wake.Wake() // the credit wire is an input path of the upstream switch
+	up.collectCredits(now)
+	up.pending[q.Opposite()][v]++
+	up.freshAt = now
+	up.owed++
 }
 
-// collectCredits folds the credits returned during the previous cycle
-// into the spendable counters; runs first in Step.
+// collectCredits folds the owed credits returned before cycle now into the
+// spendable counters; runs first in Step. An empty slot always reads
+// freshAt 0, so equal states snapshot equal.
 func (s *WormholeSwitch) collectCredits(now int64) {
-	prev := &s.pending[(now+1)&1] // parity of cycle now-1
-	for p := 0; p < int(NumPorts); p++ {
-		for v := 0; v < WormholeVCs; v++ {
-			if prev[p][v] == 0 {
-				continue
-			}
-			s.credits[p][v] += prev[p][v]
-			prev[p][v] = 0
+	if s.owed == 0 || s.freshAt >= now {
+		return
+	}
+	for p := range s.pending {
+		for v, n := range s.pending[p] {
+			s.credits[p][v] += n
 			if s.credits[p][v] > WormholeVCDepth {
 				panic("noc: wormhole credit overflow (more credits than buffer slots)")
 			}
 		}
 	}
+	s.pending, s.freshAt, s.owed = [NumPorts][WormholeVCs]int{}, 0, 0
 }
 
 // spendCredit consumes one credit for sending out port p on VC v.
@@ -221,19 +229,15 @@ func (s *WormholeSwitch) pop(h whHead, now int64) {
 	}
 }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
-func (s *WormholeSwitch) Step(now int64) {
-	// 0. Collect the credits the downstream switches returned last cycle.
-	s.collectCredits(now)
-
-	// 1. Switch allocation over the flits buffered in previous cycles:
-	// each output port carries at most one flit per cycle, each input FIFO
-	// advances at most its head, and one flit may eject. Grants go in
-	// oldest-first order (the same age arbitration as the deflection
-	// switch, which keeps the allocator fair network-wide and starvation
-	// free); a head advances only if its output port is free AND a credit
-	// for its VC is available. The sort is a stable insertion sort over at
-	// most nine heads, oldest first by the deflection switch's order.
+// allocate is switch allocation over the flits buffered in previous
+// cycles: each output port carries at most one flit per cycle, each input
+// FIFO advances at most its head, and one flit may eject. Grants go in
+// oldest-first order (the same age arbitration as the deflection switch,
+// which keeps the allocator fair network-wide and starvation free); a
+// head advances only if its output port is free AND a credit for its VC
+// is available. The sort is a stable insertion sort over at most nine
+// heads, oldest first by the deflection switch's order.
+func (s *WormholeSwitch) allocate(now int64) {
 	var scratch [NumPorts*WormholeVCs + 1]whHead
 	heads := s.heads(scratch[:0])
 	for i := 1; i < len(heads); i++ {
@@ -278,6 +282,19 @@ func (s *WormholeSwitch) Step(now int64) {
 		s.pop(h, now)
 		s.Stats.Routed.Inc()
 	}
+}
+
+// Step implements sim.Component; it runs in sim.PhaseSwitch.
+func (s *WormholeSwitch) Step(now int64) {
+	// 0. Collect the credits the downstream switches returned before this
+	// cycle.
+	s.collectCredits(now)
+
+	// 1. Switch allocation; with nothing buffered there is nothing to
+	// allocate.
+	if s.buffered > 0 {
+		s.allocate(now)
+	}
 
 	// 2. Buffer writes: accept link arrivals into the per-VC input
 	// buffers. The credit protocol guarantees space; running this after
@@ -310,6 +327,6 @@ func (s *WormholeSwitch) Step(now int64) {
 		s.peakBuf = s.buffered
 	}
 	if s.buffered == 0 {
-		s.wake.Idle() // NextEvent keeps it awake while a credit is in flight
+		s.wake.Idle()
 	}
 }

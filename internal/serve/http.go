@@ -13,6 +13,23 @@ import (
 	"repro/internal/scenario"
 )
 
+// Connection bounds of the HTTP servers the binaries run (medea-serve and
+// medea-scenarios -worker-listen). A client that never finishes its
+// request header is dropped after readHeaderTimeout, and an idle
+// keep-alive connection after idleTimeout, so neither holds a goroutine
+// and a file descriptor forever. There is no write deadline: a shard
+// response streams for as long as the shard runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the server every binary serves h with, carrying
+// the connection bounds above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Handler returns the daemon's HTTP API:
 //
 //	POST   /v1/jobs             submit a scenario (JSON body) -> 202 JobStatus
