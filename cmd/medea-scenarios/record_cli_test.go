@@ -63,7 +63,7 @@ func TestInvalidTraceServiceCombosViaCLI(t *testing.T) {
 		{
 			"trace file missing",
 			`{"workload": "trace", "trace": {"file": ""}}`,
-			"record one with medea-scenarios -record or medea-noc -record",
+			"record one with medea-scenarios -record",
 		},
 		{
 			"service with every endpoint a server",

@@ -38,8 +38,8 @@ func Example() {
 	// mean latency 2.0 cycles over 2.0 hops
 }
 
-// ExampleParsePattern resolves patterns from user-facing names, as the
-// cmd/medea-noc and cmd/medea-scenarios flags do.
+// ExampleParsePattern resolves patterns from user-facing names, as a
+// scenario file's "patterns" list does.
 func ExampleParsePattern() {
 	for _, name := range []string{"uniform", "Bit_Complement", "7"} {
 		p, err := noc.ParsePattern(name)

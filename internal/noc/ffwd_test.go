@@ -117,7 +117,7 @@ func TestMeasureWindowsForkDifferential(t *testing.T) {
 					Warmup:  2_000,
 					Seed:    7,
 				}
-				forked, err := MeasureWindowsCtx(context.Background(), topo, mc, windows)
+				forked, err := (*Schedules)(nil).MeasureWindowsCtx(context.Background(), topo, mc, windows)
 				if err != nil {
 					t.Fatalf("%v/%v forked: %v", kind, router, err)
 				}

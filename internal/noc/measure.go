@@ -11,8 +11,8 @@ import (
 // MeasureConfig parameterizes one synthetic-traffic measurement point: a
 // router kind, a traffic configuration applied to every node, a warmup
 // window that runs unmeasured, and a measurement window. It is the single
-// execution path shared by the scenario runner, the dse router-ablation
-// experiment and cmd/medea-noc, so their numbers are directly comparable.
+// execution path of the scenario runner's noc-synthetic points and of the
+// benchmark's reference points, so their numbers are directly comparable.
 type MeasureConfig struct {
 	Router  RouterKind
 	Traffic TrafficConfig
@@ -35,7 +35,6 @@ type Measurement struct {
 	Throughput  float64
 	MeanLatency float64
 	P99Latency  float64
-	MeanHops    float64
 	// DeflectionRate is deflections per delivered flit (0 for buffered
 	// routers, which never deflect).
 	DeflectionRate float64
@@ -100,7 +99,6 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 	n.Stats.LatencySample = sample
 	delivered0 := n.Stats.Delivered.Value()
 	deflected0 := n.TotalDeflections()
-	hopsN0, hopsSum := n.Stats.Hops.Count(), n.Stats.Hops.Sum()
 	skipped0 := e.CyclesSkipped()
 	if err := e.RunCtx(ctx, measure); err != nil {
 		return Measurement{}, err
@@ -118,9 +116,6 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 		P99Latency:    sample.Percentile(99),
 		PeakBuffer:    n.PeakBuffer(),
 		CyclesSkipped: e.CyclesSkipped() - skipped0,
-	}
-	if dn := n.Stats.Hops.Count() - hopsN0; dn > 0 {
-		m.MeanHops = (n.Stats.Hops.Sum() - hopsSum) / float64(dn)
 	}
 	if delivered > 0 {
 		m.DeflectionRate = float64(deflected) / float64(delivered)
@@ -156,15 +151,9 @@ func (s *Schedules) MeasureCtx(ctx context.Context, topo Topology, mc MeasureCon
 // complete engine state, and restores that warm snapshot before each
 // window. Every returned Measurement is byte-identical to an independent
 // MeasureCtx call with the same warmup and that window, which the
-// differential tests assert.
-func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
-	return (*Schedules)(nil).MeasureWindowsCtx(ctx, topo, mc, windows)
-}
-
-// MeasureWindowsCtx is the package-level MeasureWindowsCtx with the
-// sources' injection streams shared through s; the cursor into a schedule
-// is part of a source's snapshot, so each window replays from the warm
-// one.
+// differential tests assert. The sources' injection streams are shared
+// through s (a nil s draws them privately); the cursor into a schedule is
+// part of a source's snapshot, so each window replays from the warm one.
 func (s *Schedules) MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
 	var longest int64
 	for _, w := range windows {

@@ -139,7 +139,7 @@ func TestReplayCrossTopology(t *testing.T) {
 	if first.Delivered == 0 {
 		t.Error("cross-topology replay delivered nothing")
 	}
-	if first.MeanHops == srcOnTorus.MeanHops && first.MeanLatency == srcOnTorus.MeanLatency {
+	if first.MeanLatency == srcOnTorus.MeanLatency {
 		t.Log("torus and mesh replays coincide exactly (possible but unexpected at rate 0.2)")
 	}
 }

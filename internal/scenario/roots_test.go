@@ -22,6 +22,7 @@ func TestExampleRootsGolden(t *testing.T) {
 		"bursty-hotspot":     "383537068fc8961ffceae70f19f365c376b5b06a718d455e237f32558691ea3c",
 		"fig8-quick":         "10dfe7df4f704f962d5cc9fa43426ca1f30f3ce238601f7fc170aae34ec0f573",
 		"kernel-ablation":    "35edbff9123bc8eb9f9515ee001509d72411a62897c6fa67845ec3c1f5cf2e55",
+		"noc-load-sweep":     "ddf9e314a8a6307f5e0aea4075bcbc3afcce7471ef3970b50f58d6d0156e7ed6",
 		"patterns-sweep":     "aa6eed44027c998e980a7e605bd1c8823b3a8002b88f31f2c09b089645e78680",
 		"router-ablation":    "7587b91cd06ddc36d24461613842f347ac44354fae12dd41f1bba33f0985be88",
 		"service-hotspot":    "74452418a197792489b0d76a97ed09df0a8b26e052d41c2215ef309080415e6a",

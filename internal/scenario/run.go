@@ -199,9 +199,9 @@ func (nocWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result
 
 // windowGroup computes one warm-prefix group of a measure_windows sweep
 // exactly once: however many of its windows miss the result cache, the
-// first to need data runs noc.MeasureWindowsCtx for the whole group and
-// the rest share the measurements. A fully cache-served group never
-// simulates at all.
+// first to need data runs noc.Schedules.MeasureWindowsCtx for the whole
+// group and the rest share the measurements. A fully cache-served group
+// never simulates at all.
 type windowGroup struct {
 	once sync.Once
 	ms   []noc.Measurement
@@ -287,14 +287,14 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 }
 
 // runNoCPoint simulates one point through the sweep's schedule store
-// (noc.MeasureCtx's execution path, shared with cmd/medea-noc), recalling
-// it from the result cache when one is attached. A measure_windows point keys exactly as a plain
+// (noc.MeasureCtx's execution path), recalling it from the result cache
+// when one is attached. A measure_windows point keys exactly as a plain
 // measure_cycles point with its window length would — warm-snapshot
 // forking is byte-identical to independent simulation
-// (noc.MeasureWindowsCtx's contract, enforced by the differential tests),
-// so the two entry kinds interchange in the store; on a miss the whole
-// group simulates once through the shared windowGroup and this point
-// takes its window's measurement.
+// (noc.Schedules.MeasureWindowsCtx's contract, enforced by the
+// differential tests), so the two entry kinds interchange in the store;
+// on a miss the whole group simulates once through the shared
+// windowGroup and this point takes its window's measurement.
 func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, shared *noc.Schedules, c *NoCConfig, j nocJob) (Result, error) {
 	measure := c.MeasureCycles
 	if measure == 0 {

@@ -29,9 +29,10 @@
 // the one sweep loop; kernel points execute through dse.KernelSweepCtx,
 // the path shared with the figure sweeps and cmd/medea-experiments (the
 // fig8-quick and kernel-ablation golden tests are byte- and point-exact
-// for that reason), and noc points through noc.MeasureCtx's path, shared
-// with cmd/medea-noc (one sweep call's points share a noc.Schedules store
-// of their sources' injection streams, byte-identically).
+// for that reason), and noc points through noc.MeasureCtx's path (one
+// sweep call's points share a noc.Schedules store of their sources'
+// injection streams, byte-identically; noc-load-sweep.json is the bare
+// network's load sweep, held to recorded CSVs by TestNoCLoadSweepGolden).
 // TestExampleRootsGolden pins the rows of every shipped file.
 //
 // A file declares what to simulate; how a run executes is its caller's,
@@ -155,8 +156,8 @@ type NoCConfig struct {
 	// point runs once per listed window, and all windows of one
 	// (topology, router, pattern, rate, seed) point share a single warmup
 	// prefix via an engine snapshot instead of re-simulating it (see
-	// noc.MeasureWindowsCtx). Results are byte-identical to independent
-	// runs. Mutually exclusive with MeasureCycles.
+	// noc.Schedules.MeasureWindowsCtx). Results are byte-identical to
+	// independent runs. Mutually exclusive with MeasureCycles.
 	MeasureWindows []int64 `json:"measure_windows,omitempty"`
 }
 
@@ -202,7 +203,7 @@ func (c *TraceConfig) load() (*trace.Trace, error) {
 
 func (c *TraceConfig) validate() error {
 	if c.File == "" {
-		return fmt.Errorf(`"trace.file" must name a recorded trace (record one with medea-scenarios -record or medea-noc -record)`)
+		return fmt.Errorf(`"trace.file" must name a recorded trace (record one with medea-scenarios -record)`)
 	}
 	t, err := c.load()
 	if err != nil {

@@ -100,11 +100,7 @@ func TestTopologyAblationOrdering(t *testing.T) {
 // a pattern legal on one listed fabric but not another must be rejected
 // at load time, as must invalid topology/size combinations.
 func TestTopologySweepValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		json string
-		ok   bool
-	}{
+	checkParse(t, []parseCase{
 		{"all kinds, uniform", `{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["uniform"],"topologies":["torus","mesh","cmesh"],"rates":[0.1]}}`, true},
 		{"unknown topology", `{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["uniform"],"topologies":["hypercube"],"rates":[0.1]}}`, false},
 		{"duplicate topology", `{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["uniform"],"topologies":["mesh","mesh"],"rates":[0.1]}}`, false},
@@ -117,7 +113,49 @@ func TestTopologySweepValidation(t *testing.T) {
 		{"widest addressable grid", `{"workload":"noc-synthetic","noc":{"width":256,"height":2,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, true},
 		{"noc grid wider than a flit addresses", `{"workload":"noc-synthetic","noc":{"width":257,"height":2,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, false},
 		{"service grid taller than a flit addresses", `{"workload":"service","service":{"width":4,"height":257,"servers":4,"arrival_rates":[0.03]}}`, false},
+	})
+	// NumPoints multiplies the topology axis in.
+	s, err := Parse([]byte(`{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["uniform","hotspot"],"topologies":["torus","mesh","cmesh"],"routers":["deflection","xy"],"rates":[0.1,0.2]},"seeds":[1]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got, want := s.NumPoints(), 3*2*2*2*1; got != want {
+		t.Errorf("NumPoints = %d, want %d", got, want)
+	}
+}
+
+// TestTopologyGridLimits pins the grid shapes and hotspots a fabric
+// cannot take: a mesh needs two switches a side, and a cmesh addresses
+// endpoints, not switches — an 8x8 grid has 64 endpoints on 16
+// switches, so 63 is the last hotspot and 70 is off it.
+func TestTopologyGridLimits(t *testing.T) {
+	checkParse(t, []parseCase{
+		{"mesh 1x8 line", `{"workload":"noc-synthetic","noc":{"width":1,"height":8,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, false},
+		{"mesh 8x1 line", `{"workload":"noc-synthetic","noc":{"width":8,"height":1,"patterns":["uniform"],"topologies":["mesh"],"rates":[0.1]}}`, false},
+		{"cmesh hotspot past the endpoints", `{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["hotspot"],"topologies":["cmesh"],"hotspot_node":70,"rates":[0.05]}}`, false},
+		{"cmesh hotspot on the last endpoint", `{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["hotspot"],"topologies":["cmesh"],"hotspot_node":63,"rates":[0.05]}}`, true},
+	})
+}
+
+// TestBitPatternNeedsPowerOfTwoGrid pins that a bit-permutation pattern
+// is rejected at load time on a grid whose endpoint count is not a power
+// of two, and accepted on one that is.
+func TestBitPatternNeedsPowerOfTwoGrid(t *testing.T) {
+	checkParse(t, []parseCase{
+		{"shuffle on a 3x3 grid", `{"workload":"noc-synthetic","noc":{"width":3,"height":3,"patterns":["shuffle"],"rates":[0.1]}}`, false},
+		{"shuffle on a 4x4 grid", `{"workload":"noc-synthetic","noc":{"width":4,"height":4,"patterns":["shuffle"],"rates":[0.1]}}`, true},
+	})
+}
+
+// parseCase is one scenario document and whether Parse must accept it.
+type parseCase struct {
+	name string
+	json string
+	ok   bool
+}
+
+func checkParse(t *testing.T, cases []parseCase) {
+	t.Helper()
 	for _, c := range cases {
 		_, err := Parse([]byte(c.json))
 		if c.ok && err != nil {
@@ -126,13 +164,5 @@ func TestTopologySweepValidation(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("%s: accepted; want error", c.name)
 		}
-	}
-	// NumPoints multiplies the topology axis in.
-	s, err := Parse([]byte(`{"workload":"noc-synthetic","noc":{"width":8,"height":8,"patterns":["uniform","hotspot"],"topologies":["torus","mesh","cmesh"],"routers":["deflection","xy"],"rates":[0.1,0.2]},"seeds":[1]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.NumPoints(), 3*2*2*2*1; got != want {
-		t.Errorf("NumPoints = %d, want %d", got, want)
 	}
 }
