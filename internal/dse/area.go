@@ -18,9 +18,12 @@ const (
 
 // Area estimates the chip area in mm² of a configuration with the given
 // number of compute cores, per-core L1 capacity and MPMMU cache capacity.
+// Every product is rounded by an explicit float64 conversion, which the
+// Go spec forbids fusing into a multiply-add (even across statements):
+// the area reaches rendered rows, so it must not depend on GOARCH.
 func Area(computeCores, cacheKB, mmuCacheKB int) float64 {
 	nodeLogic := CoreLogicMM2 * (1 + NoCOverhead)
-	compute := float64(computeCores) * (nodeLogic + float64(cacheKB)*CacheMM2PerKB)
-	mmu := nodeLogic + float64(mmuCacheKB)*CacheMM2PerKB
+	compute := float64(float64(computeCores) * (nodeLogic + float64(float64(cacheKB)*CacheMM2PerKB)))
+	mmu := nodeLogic + float64(float64(mmuCacheKB)*CacheMM2PerKB)
 	return compute + mmu
 }

@@ -8,17 +8,6 @@ import (
 	"repro/internal/resultcache"
 )
 
-// measured strips the one field a recalled point legitimately changes:
-// CyclesSkipped counts simulation work, and a recalled point did not
-// simulate (it is excluded from every rendering for exactly this reason).
-func measured(pts []KernelPoint) []KernelPoint {
-	out := append([]KernelPoint(nil), pts...)
-	for i := range out {
-		out[i].CyclesSkipped = 0
-	}
-	return out
-}
-
 // TestSweepOverlappingGridsDedup proves the cache is content-addressed,
 // not run-scoped: two different sweeps sharing one cache hit on exactly
 // their overlapping points. The second grid shares cores {4} x caches
@@ -56,14 +45,14 @@ func TestSweepOverlappingGridsDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := measured(pts), measured(off); !reflect.DeepEqual(got, want) {
-		t.Errorf("cached overlapping sweep differs from cache-off:\n%+v\nvs\n%+v", got, want)
+	if !reflect.DeepEqual(pts, off) {
+		t.Errorf("cached overlapping sweep differs from cache-off:\n%+v\nvs\n%+v", pts, off)
 	}
 }
 
 // TestKernelSweepCacheByteIdentical extends the contract to the kernel
-// sweep path: matmul and syncbench go through their own cached helpers
-// and key domains, so each kernel is exercised separately.
+// sweep path: matmul and syncbench store under their own key domains and
+// value encodings, so each kernel is exercised separately.
 func TestKernelSweepCacheByteIdentical(t *testing.T) {
 	for _, k := range AllKernels() {
 		k := k
@@ -85,13 +74,8 @@ func TestKernelSweepCacheByteIdentical(t *testing.T) {
 			if len(warm) != len(off) {
 				t.Fatalf("warm sweep returned %d points, want %d", len(warm), len(off))
 			}
-			if got, want := measured(warm), measured(off); !reflect.DeepEqual(got, want) {
-				t.Errorf("warm sweep differs from cache-off:\n%+v\nvs\n%+v", got, want)
-			}
-			for i := range warm {
-				if warm[i].CyclesSkipped != 0 {
-					t.Errorf("point %d: recalled point claims %d skipped cycles", i, warm[i].CyclesSkipped)
-				}
+			if !reflect.DeepEqual(warm, off) {
+				t.Errorf("warm sweep differs from cache-off:\n%+v\nvs\n%+v", warm, off)
 			}
 			if st := o.Cache.Stats(); st.Hits < uint64(len(off)) {
 				t.Errorf("warm sweep hits = %d, want >= %d (%v)", st.Hits, len(off), st)

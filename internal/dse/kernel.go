@@ -19,6 +19,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/jacobi"
+	"repro/internal/matmul"
 	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/syncbench"
@@ -180,12 +181,6 @@ type KernelPoint struct {
 	// Speedup is relative to the smallest-area configuration of the same
 	// (kernel, variant) series (see AttachKernelSpeedup).
 	Speedup float64
-	// CyclesSkipped counts cycles the engine fast-forwarded over while
-	// simulating this point. A pure performance counter: it is 0 when the
-	// point was recalled from the result cache, and it never enters a
-	// table, CSV, JSON row or cache value — measured figures are
-	// byte-identical whatever it holds.
-	CyclesSkipped int64
 }
 
 func (o *KernelOptions) withDefaults() error {
@@ -267,38 +262,44 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 	switch o.Kernel {
 	case KernelJacobi:
 		spec := jacobi.Spec{N: o.N, Warmup: o.Warmup, Measured: o.Measured}
-		val, skipped, err := jacobiPointValueCached(ctx, rc, cfg, spec, j.variant, j.cores, j.kb, j.policy)
-		if err != nil {
-			return p, err
-		}
-		p.Cycles = val.CyclesPerIter
-		p.MissRate = val.MissRate
-		p.MPMMUBusy = val.MPMMUBusy
-		p.NoCFlits = val.NoCFlits
-		p.CyclesSkipped = skipped
+		val, err := resultcache.Fetch(rc, jacobiPointKey(spec, j.variant, j.cores, j.kb, j.policy), func() (jacobiPointValue, error) {
+			res, err := jacobi.RunCtx(ctx, cfg, spec, j.variant)
+			return jacobiPointValue{
+				CyclesPerIter: res.CyclesPerIteration,
+				MissRate:      res.MissRate,
+				MPMMUBusy:     res.MPMMUBusy,
+				NoCFlits:      res.NoCFlits,
+			}, err
+		})
+		p.Cycles, p.MissRate, p.MPMMUBusy, p.NoCFlits = val.CyclesPerIter, val.MissRate, val.MPMMUBusy, val.NoCFlits
+		return p, err
 	case KernelMatmul:
-		val, skipped, err := matmulPointValueCached(ctx, rc, cfg, o.N, j.variant, j.cores, j.kb, j.policy)
-		if err != nil {
-			return p, err
-		}
-		p.Cycles = val.Cycles
-		p.TransferCycles = val.TransferCycles
-		p.MPMMUBusy = val.MPMMUBusy
-		p.NoCFlits = val.NoCFlits
-		p.CyclesSkipped = skipped
+		val, err := resultcache.Fetch(rc, matmulPointKey(o.N, j.variant, j.cores, j.kb, j.policy), func() (kernelPointValue, error) {
+			res, err := matmul.RunCtx(ctx, cfg, matmul.Spec{N: o.N}, j.variant)
+			return kernelPointValue{
+				Cycles:         res.TotalCycles,
+				TransferCycles: res.TransferCycles,
+				MPMMUBusy:      res.MPMMUBusy,
+				NoCFlits:       res.NoCFlits,
+			}, err
+		})
+		p.Cycles, p.TransferCycles, p.MPMMUBusy, p.NoCFlits = val.Cycles, val.TransferCycles, val.MPMMUBusy, val.NoCFlits
+		return p, err
 	case KernelSyncbench:
 		kind := syncbench.MessageBarrier
 		if j.variant == jacobi.PureSM {
 			kind = syncbench.LockBarrier
 		}
-		val, skipped, err := syncbenchPointValueCached(ctx, rc, cfg, kind, o.Rounds, j.cores, j.kb, j.policy)
-		if err != nil {
-			return p, err
-		}
-		p.Cycles = val.Cycles
-		p.MPMMUBusy = val.MPMMUBusy
-		p.NoCFlits = val.NoCFlits
-		p.CyclesSkipped = skipped
+		val, err := resultcache.Fetch(rc, syncbenchPointKey(kind, o.Rounds, j.cores, j.kb, j.policy), func() (kernelPointValue, error) {
+			res, err := syncbench.MeasureWithCtx(ctx, kind, cfg, o.Rounds)
+			return kernelPointValue{
+				Cycles:    res.CyclesPerRound,
+				MPMMUBusy: res.MPMMUBusy,
+				NoCFlits:  res.NoCFlits,
+			}, err
+		})
+		p.Cycles, p.MPMMUBusy, p.NoCFlits = val.Cycles, val.MPMMUBusy, val.NoCFlits
+		return p, err
 	}
 	return p, nil
 }

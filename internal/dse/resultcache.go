@@ -1,28 +1,24 @@
 package dse
 
-// Cache plumbing for the sweep engines: canonical key derivations and the
-// JSON value encodings stored under them. A cached value holds only what
-// the simulator produced — derived quantities (area, labels, speedups)
-// recompute deterministically from the configuration and never enter the
-// store, so a cache hit and a fresh run are indistinguishable byte-for-
-// byte in every rendering.
+// Cache plumbing for the sweep engine: canonical key derivations and the
+// JSON value encodings stored under them; resultcache.Fetch is the one
+// path between them. A cached value holds only what the simulator
+// produced — derived quantities (area, labels, speedups) recompute
+// deterministically from the configuration and never enter the store, so
+// a cache hit and a fresh run are indistinguishable byte-for-byte in
+// every rendering.
 //
 // Key domains partition the store by execution path ("dse/jacobi",
-// "dse/matmul", "dse/syncbench", and "scenario/noc" in internal/scenario);
-// each key carries every option the simulation result depends on, and
-// nothing it does not (matmul ignores jacobi's warmup/measured iteration
-// counts, syncbench ignores the problem size), so equivalent points
-// requested through different front doors share one entry.
+// "dse/matmul" and "dse/syncbench" here; "scenario/noc",
+// "scenario/service" and "scenario/trace" in internal/scenario); each key
+// carries every option the simulation result depends on, and nothing it
+// does not (matmul ignores jacobi's warmup/measured iteration counts,
+// syncbench ignores the problem size), so equivalent points requested
+// through different front doors share one entry.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/jacobi"
-	"repro/internal/matmul"
 	"repro/internal/resultcache"
 	"repro/internal/syncbench"
 )
@@ -57,101 +53,24 @@ func jacobiPointKey(spec jacobi.Spec, variant jacobi.Variant, cores, kb int, pol
 		Sum()
 }
 
-// jacobiPointValueCached runs (or recalls) one jacobi point through the
-// cache; a nil cache computes directly. The second return is the fresh
-// run's CyclesSkipped performance counter — deliberately outside the
-// cached value (a recalled point did not simulate, so it skipped
-// nothing), and excluded from every rendering for the same reason.
-func jacobiPointValueCached(ctx context.Context, c *resultcache.Cache, cfg core.Config, spec jacobi.Spec, variant jacobi.Variant, cores, kb int, policy cache.Policy) (jacobiPointValue, int64, error) {
-	key := jacobiPointKey(spec, variant, cores, kb, policy)
-	var skipped int64
-	buf, _, err := c.GetOrCompute(key, func() ([]byte, error) {
-		res, err := jacobi.RunCtx(ctx, cfg, spec, variant)
-		if err != nil {
-			return nil, err
-		}
-		skipped = res.CyclesSkipped
-		return json.Marshal(jacobiPointValue{
-			CyclesPerIter: res.CyclesPerIteration,
-			MissRate:      res.MissRate,
-			MPMMUBusy:     res.MPMMUBusy,
-			NoCFlits:      res.NoCFlits,
-		})
-	})
-	var val jacobiPointValue
-	if err != nil {
-		return val, 0, err
-	}
-	if err := json.Unmarshal(buf, &val); err != nil {
-		return val, 0, fmt.Errorf("dse: decoding cached jacobi point %s: %w", key, err)
-	}
-	return val, skipped, nil
-}
-
-// matmulPointValueCached runs (or recalls) one matmul point. The second
-// return is the fresh run's CyclesSkipped (see jacobiPointValueCached).
-func matmulPointValueCached(ctx context.Context, c *resultcache.Cache, cfg core.Config, n int, variant jacobi.Variant, cores, kb int, policy cache.Policy) (kernelPointValue, int64, error) {
-	key := resultcache.NewKey("dse/matmul").
+// matmulPointKey derives the content address of one matmul sweep point.
+func matmulPointKey(n int, variant jacobi.Variant, cores, kb int, policy cache.Policy) resultcache.Key {
+	return resultcache.NewKey("dse/matmul").
 		Int("n", int64(n)).
 		Str("variant", variant.String()).
 		Int("cores", int64(cores)).
 		Int("cache_kb", int64(kb)).
 		Str("policy", policy.String()).
 		Sum()
-	var skipped int64
-	buf, _, err := c.GetOrCompute(key, func() ([]byte, error) {
-		res, err := matmul.RunCtx(ctx, cfg, matmul.Spec{N: n}, variant)
-		if err != nil {
-			return nil, err
-		}
-		skipped = res.CyclesSkipped
-		return json.Marshal(kernelPointValue{
-			Cycles:         res.TotalCycles,
-			TransferCycles: res.TransferCycles,
-			MPMMUBusy:      res.MPMMUBusy,
-			NoCFlits:       res.NoCFlits,
-		})
-	})
-	var val kernelPointValue
-	if err != nil {
-		return val, 0, err
-	}
-	if err := json.Unmarshal(buf, &val); err != nil {
-		return val, 0, fmt.Errorf("dse: decoding cached matmul point %s: %w", key, err)
-	}
-	return val, skipped, nil
 }
 
-// syncbenchPointValueCached runs (or recalls) one syncbench point. The
-// second return is the fresh run's CyclesSkipped (see
-// jacobiPointValueCached).
-func syncbenchPointValueCached(ctx context.Context, c *resultcache.Cache, cfg core.Config, kind syncbench.Kind, rounds, cores, kb int, policy cache.Policy) (kernelPointValue, int64, error) {
-	key := resultcache.NewKey("dse/syncbench").
+// syncbenchPointKey derives the content address of one syncbench point.
+func syncbenchPointKey(kind syncbench.Kind, rounds, cores, kb int, policy cache.Policy) resultcache.Key {
+	return resultcache.NewKey("dse/syncbench").
 		Str("kind", kind.String()).
 		Int("rounds", int64(rounds)).
 		Int("cores", int64(cores)).
 		Int("cache_kb", int64(kb)).
 		Str("policy", policy.String()).
 		Sum()
-	var skipped int64
-	buf, _, err := c.GetOrCompute(key, func() ([]byte, error) {
-		res, err := syncbench.MeasureWithCtx(ctx, kind, cfg, rounds)
-		if err != nil {
-			return nil, err
-		}
-		skipped = res.CyclesSkipped
-		return json.Marshal(kernelPointValue{
-			Cycles:    res.CyclesPerRound,
-			MPMMUBusy: res.MPMMUBusy,
-			NoCFlits:  res.NoCFlits,
-		})
-	})
-	var val kernelPointValue
-	if err != nil {
-		return val, 0, err
-	}
-	if err := json.Unmarshal(buf, &val); err != nil {
-		return val, 0, fmt.Errorf("dse: decoding cached syncbench point %s: %w", key, err)
-	}
-	return val, skipped, nil
 }

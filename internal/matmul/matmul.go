@@ -91,7 +91,7 @@ func InitB(n int) [][]float64 {
 	for i := range b {
 		b[i] = make([]float64, n)
 		for j := range b[i] {
-			b[i][j] = float64(j+1)*0.5 - float64(i%5)
+			b[i][j] = float64(float64(j+1)*0.5) - float64(i%5) // unfused on every GOARCH
 		}
 	}
 	return b
@@ -107,7 +107,7 @@ func Reference(n int) [][]float64 {
 		for j := 0; j < n; j++ {
 			sum := 0.0
 			for k := 0; k < n; k++ {
-				sum += a[i][k] * bm[k][j]
+				sum += float64(a[i][k] * bm[k][j]) // unfused, as in compute
 			}
 			c[i][j] = sum
 		}

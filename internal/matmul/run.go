@@ -209,7 +209,7 @@ func (k *mmKernel) compute() {
 				a := env.LoadDouble(k.lay.AAddr(lr, kk))
 				b := env.LoadDouble(k.lay.BAddr(kk, j))
 				env.ComputeFP(1, 1, 3)
-				sum += a * b
+				sum += float64(a * b) // unfused on every GOARCH, as in Reference
 			}
 			env.StoreDouble(k.lay.CAddr(lr, j), sum)
 		}

@@ -112,8 +112,9 @@ func (s *Schedules) group(ctx context.Context, topo Topology, mc MeasureConfig, 
 // sources plus six standard deviations. Should a group draw more, its last
 // sources' records end early and they finish privately.
 func expectedAttempts(k scheduleKey) float64 {
-	mean := k.rate * float64(k.horizon+1) * float64(k.endpoints)
-	return math.Ceil(mean+6*math.Sqrt(mean)) + 1
+	// The float64 conversions keep the products unfused on every GOARCH.
+	mean := float64(k.rate * float64(k.horizon+1) * float64(k.endpoints))
+	return math.Ceil(mean+float64(6*math.Sqrt(mean))) + 1
 }
 
 // record draws every source of key k through k.horizon with the traffic

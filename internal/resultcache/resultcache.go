@@ -17,6 +17,10 @@
 // into a Merkle tree whose root names the entire run, so two runs agree
 // point for point exactly when their roots are equal.
 //
+// Fetch is the one path from a sweep point to its cached value: it
+// stores the value's JSON encoding and decodes the stored bytes on every
+// call, so a recalled value and a fresh one are equal by construction.
+//
 // A nil *Cache is valid everywhere and means "cache off": lookups miss,
 // computes run directly, nothing is stored. That is what lets the cache
 // thread through dse.KernelSweepCtx, the scenario runner and internal/serve
@@ -24,6 +28,7 @@
 package resultcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -216,4 +221,28 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, b
 	}
 	c.count(func(n *Cache) { n.misses.Add(1); n.computes.Add(1) })
 	return cl.val, false, nil
+}
+
+// Fetch is the one path from a point to its cached value: it returns the
+// value stored under key, computing and storing its JSON encoding on a
+// miss. The stored bytes are decoded on a hit and on a miss alike, so a
+// recalled value always equals a fresh one (a field the encoding drops is
+// dropped both times). A nil cache computes, encodes and decodes, and
+// stores nothing.
+func Fetch[V any](c *Cache, key Key, compute func() (V, error)) (V, error) {
+	var v V
+	buf, _, err := c.GetOrCompute(key, func() ([]byte, error) {
+		fresh, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(fresh)
+	})
+	if err != nil {
+		return v, err
+	}
+	if err := json.Unmarshal(buf, &v); err != nil {
+		return v, fmt.Errorf("resultcache: decoding %T under %s: %w", v, key, err)
+	}
+	return v, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,6 +123,48 @@ func TestNilCacheIsOff(t *testing.T) {
 	}
 	if c.Stats() != (Stats{}) {
 		t.Fatal("Stats of nil cache must be zero")
+	}
+}
+
+// TestFetchDecodesEveryTime: Fetch stores a value's JSON encoding and
+// decodes the stored bytes on a miss as on a hit, so a field the encoding
+// drops is dropped from the fresh value too; a nil cache does the same
+// without storing; a compute error is returned and not stored; stored
+// bytes that do not decode are an error naming the key.
+func TestFetchDecodesEveryTime(t *testing.T) {
+	type value struct {
+		Cycles  int64 `json:"cycles"`
+		Skipped int64 `json:"-"` // a work counter, never stored
+	}
+	computes := 0
+	compute := func() (value, error) { computes++; return value{Cycles: 7, Skipped: 3}, nil }
+	store := NewMemoryStore(0)
+	for name, c := range map[string]*Cache{"nil": nil, "mem": New(store)} {
+		for i := 0; i < 2; i++ {
+			v, err := Fetch(c, testKey(1), compute)
+			if err != nil || v != (value{Cycles: 7}) {
+				t.Fatalf("%s cache, call %d: %+v, %v; want {Cycles:7} with the unstored field zero", name, i, v, err)
+			}
+		}
+	}
+	if computes != 3 {
+		t.Errorf("%d computes, want 3 (two with the nil cache, one miss)", computes)
+	}
+	if got, _ := store.Get(testKey(1)); string(got) != `{"cycles":7}` {
+		t.Errorf("stored %q, want the JSON encoding", got)
+	}
+
+	boom := errors.New("boom")
+	c := New(store)
+	if _, err := Fetch(c, testKey(2), func() (value, error) { return value{}, boom }); !errors.Is(err, boom) {
+		t.Fatalf("compute error: got %v, want boom", err)
+	}
+	if _, ok := store.Get(testKey(2)); ok {
+		t.Fatal("a failed compute was stored")
+	}
+	store.Put(testKey(3), []byte("not json"))
+	if _, err := Fetch(c, testKey(3), compute); err == nil || !strings.Contains(err.Error(), testKey(3).String()) {
+		t.Fatalf("undecodable entry: got %v, want an error naming the key", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -83,12 +82,12 @@ type Result struct {
 
 // RunCtx executes the scenario's full sweep cross-product and returns one
 // Result per point, in deterministic axis order (independent of the
-// execution interleaving): one block per workload, each produced by its
-// registered Workload implementation. The scenario must have passed
-// Validate (Load and Parse guarantee this). A canceled context stops
-// dispatching new sweep points, interrupts in-flight simulations within a
-// few thousand simulated cycles, and returns the context's error (wrapped
-// in a par.CanceledError recording completed-point counts). The sweep is
+// execution interleaving): one block per workload, each produced by
+// runKind. The scenario must have passed Validate (Load and Parse
+// guarantee this). A canceled context stops dispatching new sweep points,
+// interrupts in-flight simulations within a few thousand simulated
+// cycles, and returns the context's error (wrapped in a
+// par.CanceledError recording completed-point counts). The sweep is
 // all-or-nothing either way: on any error no results are returned.
 func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 	kinds, err := s.workloadKinds()
@@ -97,7 +96,7 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 	}
 	var all []Result
 	for _, k := range kinds {
-		results, err := ForKind(k).Run(ctx, s, nil)
+		results, err := runKind(ctx, s, k, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -172,9 +171,9 @@ func nocJobs(s *Scenario) ([]nocJob, error) {
 	return jobs, nil
 }
 
-// Run executes the noc-synthetic sweep: every point is an independent
+// runNoC executes the noc-synthetic sweep: every point is an independent
 // deterministic simulation, so the whole set is reproducible.
-func (nocWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+func runNoC(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	jobs, err := nocJobs(s)
 	if err != nil {
 		return nil, err
@@ -303,38 +302,33 @@ func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRe
 	if j.group != nil {
 		measure = c.MeasureWindows[j.window]
 	}
-	key := nocPointKey(c, j, measure)
-	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
+	m, err := resultcache.Fetch(rc, nocPointKey(c, j, measure), func() (nocPointValue, error) {
 		if j.group != nil {
 			ms, err := j.group.measurements(ctx, shared, j.topo, nocMeasureConfig(c, j, 0), c.MeasureWindows)
 			if err != nil {
-				return nil, err
+				return nocPointValue{}, err
 			}
-			return json.Marshal(nocValueOf(ms[j.window]))
+			return nocValueOf(ms[j.window]), nil
 		}
 		mc := nocMeasureConfig(c, j, measure)
 		mc.Traffic.Record = rec
 		m, err := shared.MeasureCtx(ctx, j.topo, mc)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(nocValueOf(m))
+		return nocValueOf(m), err
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	var m nocPointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached noc point %s: %w", key, err)
-	}
+	return nocRow(m, j.topo, j.router, j.pattern.String(), j.rate, j.seed, c.Burst != nil), err
+}
+
+// nocRow is the noc-synthetic schema's row: a measured value under its
+// axis labels. Synthetic and replayed points both render through it.
+func nocRow(m nocPointValue, topo noc.Topology, router noc.RouterKind, pattern string, rate float64, seed int64, bursty bool) Result {
 	return Result{
 		Workload:       WorkloadNoC.String(),
-		Topology:       j.topo.Kind().String(),
-		Router:         j.router.String(),
-		Pattern:        j.pattern.String(),
-		Rate:           j.rate,
-		Seed:           j.seed,
-		Bursty:         c.Burst != nil,
+		Topology:       topo.Kind().String(),
+		Router:         router.String(),
+		Pattern:        pattern,
+		Rate:           rate,
+		Seed:           seed,
+		Bursty:         bursty,
 		Cycles:         m.Cycles,
 		Delivered:      m.Delivered,
 		Throughput:     m.Throughput,
@@ -342,5 +336,5 @@ func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRe
 		P99Latency:     m.P99Latency,
 		DeflectionRate: m.DeflectionRate,
 		PeakBuffer:     m.PeakBuffer,
-	}, nil
+	}
 }

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"repro/internal/noc"
 	"repro/internal/par"
@@ -18,9 +16,10 @@ type serviceJob struct {
 	seed   int64
 }
 
-// Run expands topologies x routers x arrival_rates x seeds in canonical
-// order and executes each request/response point on the sweep pool.
-func (serviceWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// runService expands topologies x routers x arrival_rates x seeds in
+// canonical order and executes each request/response point on the sweep
+// pool.
+func runService(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	c := s.Service
 	topos, err := c.fabrics()
 	if err != nil {
@@ -98,8 +97,7 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfi
 	if measure == 0 {
 		measure = 5000
 	}
-	key := servicePointKey(c, j, measure)
-	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
+	m, err := resultcache.Fetch(rc, servicePointKey(c, j, measure), func() (servicePointValue, error) {
 		var burst *noc.BurstConfig
 		if c.Burst != nil {
 			burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
@@ -117,10 +115,7 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfi
 			Measure:       measure,
 			Seed:          j.seed,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(servicePointValue{
+		return servicePointValue{
 			Cycles:      m.Cycles,
 			Issued:      m.Issued,
 			Completed:   m.Completed,
@@ -135,15 +130,8 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfi
 			P99Latency:  m.P99Latency,
 			P99Server:   m.P99Server,
 			PeakBuffer:  m.PeakBuffer,
-		})
+		}, err
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	var m servicePointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached service point %s: %w", key, err)
-	}
 	return Result{
 		Workload:    WorkloadService.String(),
 		Topology:    j.topo.Kind().String(),
@@ -167,5 +155,5 @@ func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfi
 		P99Latency:  m.P99Latency,
 		P99Server:   m.P99Server,
 		PeakBuffer:  m.PeakBuffer,
-	}, nil
+	}, err
 }

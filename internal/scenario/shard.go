@@ -72,7 +72,7 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 			}
 		}
 		if len(local) > 0 {
-			results, err := ForKind(k).Run(ctx, s, local)
+			results, err := runKind(ctx, s, k, local)
 			if err != nil {
 				return nil, err
 			}

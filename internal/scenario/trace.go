@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/noc"
@@ -17,14 +16,14 @@ type traceJob struct {
 	router noc.RouterKind
 }
 
-// Run expands topologies x routers over one decoded trace and replays
-// each point on the sweep pool. Replayed rows carry the noc-synthetic
-// schema with the recorded provenance as their axis labels (pattern,
-// rate, seed, bursty come from the trace header; topology and router are
-// the replay axes) — a same-fabric replay therefore renders
+// runTrace expands topologies x routers over one decoded trace and
+// replays each point on the sweep pool. Replayed rows carry the
+// noc-synthetic schema with the recorded provenance as their axis labels
+// (pattern, rate, seed, bursty come from the trace header; topology and
+// router are the replay axes) — a same-fabric replay therefore renders
 // byte-identical tables/CSV/JSON and an equal Merkle root to its source
 // run, which the record/replay differential battery asserts.
-func (traceWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+func runTrace(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
 	c := s.Trace
 	t, err := c.load()
 	if err != nil {
@@ -72,43 +71,18 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 		Str("topology", j.topo.Kind().String()).
 		Str("router", j.router.String()).
 		Sum()
-	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
+	m, err := resultcache.Fetch(rc, key, func() (nocPointValue, error) {
 		m, err := noc.MeasureReplayCtx(ctx, j.topo, noc.ReplayConfig{
 			Router: j.router, Events: events,
 			Warmup: t.Header.Warmup, Measure: t.Header.Measure,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(nocValueOf(m))
+		return nocValueOf(m), err
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	var m nocPointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached trace point %s: %w", key, err)
-	}
+	// Replay rows carry the noc-synthetic schema: the recorded provenance
+	// fills the pattern/rate/seed axes, so a same-fabric replay row is
+	// byte-identical to its source row.
 	h := t.Header
-	return Result{
-		// Replay rows carry the noc-synthetic schema: the recorded
-		// provenance fills the pattern/rate/seed axes, so a same-fabric
-		// replay row is byte-identical to its source row.
-		Workload:       WorkloadNoC.String(),
-		Topology:       j.topo.Kind().String(),
-		Router:         j.router.String(),
-		Pattern:        h.Pattern,
-		Rate:           h.Rate,
-		Seed:           h.Seed,
-		Bursty:         h.Bursty,
-		Cycles:         m.Cycles,
-		Delivered:      m.Delivered,
-		Throughput:     m.Throughput,
-		MeanLatency:    m.MeanLatency,
-		P99Latency:     m.P99Latency,
-		DeflectionRate: m.DeflectionRate,
-		PeakBuffer:     m.PeakBuffer,
-	}, nil
+	return nocRow(m, j.topo, j.router, h.Pattern, h.Rate, h.Seed, h.Bursty), err
 }
 
 // RecordCtx runs a single-point scenario with trace capture and returns

@@ -10,17 +10,17 @@ import (
 )
 
 // WorkloadKind selects what a scenario point simulates. The workload is
-// the fourth pluggable sweep axis, next to the network's topology, router
-// and pattern axes: every kind is resolved by name through ParseWorkload
-// (mirroring noc.ParseRouter/ParseTopology), executes through one
-// registry-dispatched path, and renders through its own schema. The set
-// of implementations is closed inside this package (like noc.Router);
-// adding a kind means adding a Workload implementation and a constant
-// here, and every listing flag, validation message and fuzz corpus picks
-// it up through the registry.
+// the fourth sweep axis, next to the network's topology, router and
+// pattern axes: every kind is resolved by name through ParseWorkload
+// (mirroring noc.ParseRouter/ParseTopology), executes through one switch
+// (runKind), and renders through its own schema (the kind's column list
+// in output.go). The set of kinds is closed inside this package (like
+// noc.Router); adding one means a constant here, a case in runKind and a
+// column list, and every listing flag, validation message and fuzz
+// corpus picks it up through WorkloadNames.
 type WorkloadKind int
 
-// The six workload implementations. The first three are compute kernels
+// The six workload kinds. The first three are compute kernels
 // on the full MEDEA system (cores + caches + MPMMU over the NoC), sharing
 // the kernel sweep axes (variants x policies x caches x cores) and the
 // dse.KernelSweepCtx execution path; the rest drive the bare network:
@@ -119,61 +119,38 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 	return 0, fmt.Errorf("scenario: unknown workload %q (have: %s)", s, strings.Join(WorkloadNames(), ", "))
 }
 
-// Workload is one pluggable workload implementation: it executes its
-// kind's share of a scenario sweep. Its rows render through the kind's
-// column lists in output.go (schemas), not through the implementation.
-// Implementations live behind ForKind; the set is closed inside this
-// package.
-type Workload interface {
-	// Kind returns the implemented workload kind.
-	Kind() WorkloadKind
-	// Run executes this kind's sweep for the (already validated)
-	// scenario: the full cross-product in deterministic axis order when
-	// points is nil, otherwise only the listed indices of that canonical
-	// order (strictly increasing and in range), one Result per index. A
-	// canceled context stops dispatching new points and interrupts
-	// in-flight simulations. On a filtered run cross-point figures (kernel
-	// Speedup) are NOT attached; MergeShards recomputes them over the
-	// reassembled full series.
-	Run(ctx context.Context, s *Scenario, points []int) ([]Result, error)
-}
-
-// workloadImpls is the registry; ForKind dispatches through it.
-var workloadImpls = [numWorkloads]Workload{
-	WorkloadJacobi:    kernelWorkload{WorkloadJacobi, dse.KernelJacobi},
-	WorkloadMatmul:    kernelWorkload{WorkloadMatmul, dse.KernelMatmul},
-	WorkloadSyncbench: kernelWorkload{WorkloadSyncbench, dse.KernelSyncbench},
-	WorkloadNoC:       nocWorkload{},
-	WorkloadTrace:     traceWorkload{},
-	WorkloadService:   serviceWorkload{},
-}
-
-// ForKind returns the singleton implementation of the kind.
-func ForKind(k WorkloadKind) Workload {
-	if k < 0 || k >= numWorkloads {
-		panic(fmt.Sprintf("scenario: no implementation for workload kind %d", int(k)))
+// runKind executes kind k's share of a scenario sweep for the (already
+// validated) scenario: the full cross-product in deterministic axis order
+// when points is nil, otherwise only the listed indices of that canonical
+// order (strictly increasing and in range), one Result per index. A
+// canceled context stops dispatching new points and interrupts in-flight
+// simulations. On a filtered run cross-point figures (kernel Speedup) are
+// NOT attached; MergeShards recomputes them over the reassembled full
+// series.
+func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
+	switch k {
+	case WorkloadJacobi:
+		return runKernel(ctx, s, k, dse.KernelJacobi, points)
+	case WorkloadMatmul:
+		return runKernel(ctx, s, k, dse.KernelMatmul, points)
+	case WorkloadSyncbench:
+		return runKernel(ctx, s, k, dse.KernelSyncbench, points)
+	case WorkloadNoC:
+		return runNoC(ctx, s, points)
+	case WorkloadTrace:
+		return runTrace(ctx, s, points)
+	case WorkloadService:
+		return runService(ctx, s, points)
 	}
-	return workloadImpls[k]
+	return nil, fmt.Errorf("scenario: no implementation for workload kind %d", int(k))
 }
 
-// kernelWorkload is the shared execution strategy of the three compute
-// kernels: resolve the scenario's kernel section into dse.KernelOptions
-// and delegate to dse.KernelSweepCtx, the execution path shared with
-// every experiment of cmd/medea-experiments (the golden tests depend on
-// this).
-type kernelWorkload struct {
-	kind   WorkloadKind
-	kernel dse.Kernel
-}
-
-func (kw kernelWorkload) Kind() WorkloadKind { return kw.kind }
-
-// Run executes the kernel sweep, restricted to the listed canonical-order
-// indices when points is non-nil (dse.KernelSweepCtx then skips the
-// cross-point Speedup attach; MergeShards reapplies it over reassembled
-// series).
-func (kw kernelWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	o, err := s.kernelSweepOptions(kw.kernel)
+// runKernel is the shared execution path of the three compute kernels:
+// resolve the scenario's kernel section into dse.KernelOptions and
+// delegate to dse.KernelSweepCtx, the execution path shared with every
+// experiment of cmd/medea-experiments (the golden tests depend on this).
+func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, kernel dse.Kernel, points []int) ([]Result, error) {
+	o, err := s.kernelSweepOptions(kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -184,23 +161,23 @@ func (kw kernelWorkload) Run(ctx context.Context, s *Scenario, points []int) ([]
 	}
 	results := make([]Result, len(pts))
 	for i, p := range pts {
-		results[i] = kw.resultOf(s, p)
+		results[i] = kernelRow(s, k, p)
 	}
 	return results, nil
 }
 
-// resultOf projects one kernel sweep point onto the kind's Result schema.
-func (kw kernelWorkload) resultOf(s *Scenario, p dse.KernelPoint) Result {
+// kernelRow projects one kernel sweep point onto the kind's Result schema.
+func kernelRow(s *Scenario, k WorkloadKind, p dse.KernelPoint) Result {
 	r := Result{
 		Scenario: s.Name,
-		Workload: kw.kind.String(),
+		Workload: k.String(),
 		Variant:  p.Variant.String(),
 		Cores:    p.Compute,
 		CacheKB:  p.CacheKB,
 		Policy:   p.Policy.String(),
 		Speedup:  p.Speedup,
 	}
-	switch kw.kind {
+	switch k {
 	case WorkloadJacobi:
 		r.CyclesPerIter = p.Cycles
 		r.MissRate = p.MissRate
@@ -217,23 +194,3 @@ func (kw kernelWorkload) resultOf(s *Scenario, p dse.KernelPoint) Result {
 	}
 	return r
 }
-
-// nocWorkload drives synthetic traffic on the bare network; its Run lives
-// in run.go next to the per-point measurement.
-type nocWorkload struct{}
-
-func (nocWorkload) Kind() WorkloadKind { return WorkloadNoC }
-
-// traceWorkload replays a recorded trace through the replay sweep axes;
-// its Run lives in trace.go. Replayed rows carry the noc-synthetic
-// schema (a same-fabric replay renders byte-identically to its source
-// run).
-type traceWorkload struct{}
-
-func (traceWorkload) Kind() WorkloadKind { return WorkloadTrace }
-
-// serviceWorkload drives request/response traffic on the bare network;
-// its Run lives in service.go.
-type serviceWorkload struct{}
-
-func (serviceWorkload) Kind() WorkloadKind { return WorkloadService }

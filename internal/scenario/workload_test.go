@@ -17,9 +17,6 @@ func TestParseWorkloadRoundTrip(t *testing.T) {
 		if got, err := ParseWorkload("  " + strings.ToUpper(k.String()) + " "); err != nil || got != k {
 			t.Errorf("ParseWorkload upper(%q) = %v, %v", k, got, err)
 		}
-		if ForKind(k).Kind() != k {
-			t.Errorf("registry impl for %v reports kind %v", k, ForKind(k).Kind())
-		}
 	}
 	if got, err := ParseWorkload("noc_synthetic"); err != nil || got != WorkloadNoC {
 		t.Errorf("ParseWorkload(noc_synthetic) = %v, %v", got, err)
