@@ -12,6 +12,8 @@
 //	medea-scenarios examples/scenarios/kernel-ablation.json
 //	medea-scenarios -format csv -out fig8.csv examples/scenarios/fig8-quick.json
 //	medea-scenarios -validate examples/scenarios/*.json
+//	medea-scenarios -worker-listen :9000   # on each worker host
+//	medea-scenarios -shards 4 -worker-url http://host1:9000,http://host2:9000 examples/scenarios/fig8-quick.json
 //	medea-scenarios -workloads
 //	medea-scenarios -patterns
 //	medea-scenarios -routers
@@ -27,9 +29,9 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -74,11 +76,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheBackend := fs.String("cache", resultcache.BackendOff, "result cache backend: off | mem | disk (disk persists across runs; output is byte-identical either way)")
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
-	shards := fs.Int("shards", 0, `split each sweep into this many shards run by worker processes and merge the rows (0 = single-process; output is byte-identical either way)`)
-	workers := fs.Int("workers", 0, "max concurrently running shard workers (0 = one per shard); each worker runs -parallelism simulations, so shards x parallelism run fleet-wide")
-	workerCmd := fs.String("worker-cmd", "", "worker command for sharded runs, space-separated (default: this binary re-exec'd with -worker and the cache flags)")
-	workerURLs := fs.String("worker-url", "", "comma-separated remote worker URLs (medea-scenarios -worker-listen endpoints) to shard over instead of local processes")
-	workerMode := fs.Bool("worker", false, "serve the shard worker protocol on stdin/stdout (started by a coordinator, not by hand)")
+	shards := fs.Int("shards", 0, `split each sweep into this many shards run on the -worker-url workers and merge the rows (0 = single-process; output is byte-identical either way)`)
+	workerURLs := fs.String("worker-url", "", "comma-separated http:// or https:// URLs of -worker-listen workers to run the -shards on (required with -shards)")
 	workerListen := fs.String("worker-listen", "", "serve the shard worker protocol over HTTP on this address (for -worker-url coordinators)")
 	workloads := fs.Bool("workloads", false, "list the available workloads and exit")
 	patterns := fs.Bool("patterns", false, "list the available traffic patterns and exit")
@@ -96,19 +95,22 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"-parallelism", *par}, {"-shards", *shards}, {"-workers", *workers}} {
+	}{{"-parallelism", *par}, {"-shards", *shards}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
 	}
-	// The sharding flags without -shards would silently run single-process.
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{{"-workers", *workers != 0}, {"-worker-cmd", *workerCmd != ""}, {"-worker-url", *workerURLs != ""}} {
-		if f.set && *shards == 0 {
-			return fmt.Errorf("%s only applies to a sharded run: add -shards N", f.name)
-		}
+	// Shards run only on -worker-url workers, and worker URLs without
+	// -shards would silently run single-process.
+	switch {
+	case *workerURLs != "" && *shards == 0:
+		return fmt.Errorf("-worker-url only applies to a sharded run: add -shards N")
+	case *shards != 0 && *workerURLs == "":
+		return fmt.Errorf("-shards needs -worker-url: shards run on -worker-listen workers")
+	}
+	urls, err := parseWorkerURLs(*workerURLs)
+	if err != nil {
+		return err
 	}
 
 	// Catch the typo before hours of sweep, not after.
@@ -132,13 +134,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%s\n", strings.Join(noc.TopologyNames(), "\n"))
 		return nil
 	}
-	if *workerMode || *workerListen != "" {
+	if *workerListen != "" {
 		rcache, err := resultcache.Open(*cacheBackend, *cacheDir, *cacheBudget)
 		if err != nil {
 			return err
-		}
-		if *workerMode {
-			return shard.ServeWorker(ctx, os.Stdin, stdout, rcache)
 		}
 		return serveWorkerHTTP(ctx, *workerListen, rcache)
 	}
@@ -169,10 +168,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	newWorker, err := workerFactory(*workerURLs, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget)
-	if err != nil {
-		return err
-	}
 
 	for _, path := range fs.Args() {
 		s, err := scenario.Load(path)
@@ -192,9 +187,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		var results []scenario.Result
 		if *shards > 0 {
 			co := &shard.Coordinator{
-				NewWorker:   newWorker,
+				NewWorker:   shard.HTTPFactory(urls),
 				Shards:      *shards,
-				Workers:     *workers,
 				Parallelism: *par,
 				Logf:        log.Printf,
 			}
@@ -278,32 +272,21 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 	return err
 }
 
-// workerFactory builds the coordinator's worker source: remote HTTP
-// workers when -worker-url is set, else local processes running
-// -worker-cmd (default: this binary re-exec'd in -worker mode with the
-// run's cache flags, so -cache disk gives the fleet one shared store and
-// cross-process dedup).
-func workerFactory(urls, cmd, cacheBackend, cacheDir string, cacheBudget int64) (func(context.Context) (shard.Worker, error), error) {
-	if urls != "" {
-		return shard.HTTPFactory(strings.Split(urls, ",")), nil
+// parseWorkerURLs splits -worker-url (nil when unset). Every entry must
+// be an absolute http or https URL with a host: a malformed one is a
+// usage error before anything runs, not a failure on every retry.
+func parseWorkerURLs(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
 	}
-	var argv []string
-	if cmd != "" {
-		argv = strings.Fields(cmd)
-	} else {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		argv = []string{exe, "-worker", "-cache", cacheBackend}
-		if cacheDir != "" {
-			argv = append(argv, "-cache-dir", cacheDir)
-		}
-		if cacheBudget != 0 {
-			argv = append(argv, "-cache-budget", strconv.FormatInt(cacheBudget, 10))
+	urls := strings.Split(list, ",")
+	for _, u := range urls {
+		p, err := url.Parse(u)
+		if err != nil || (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" {
+			return nil, fmt.Errorf("-worker-url entry %q is not an http:// or https:// URL with a host", u)
 		}
 	}
-	return shard.ProcFactory(shard.ProcSpec{Command: argv}), nil
+	return urls, nil
 }
 
 // serveWorkerHTTP serves the shard worker protocol over HTTP until the

@@ -197,7 +197,6 @@ func TestCLIErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-parallelism", "-2", "../../examples/scenarios/smoke.json"},
 		{"-parallelism", "-2", "-shards", "2", "../../examples/scenarios/smoke.json"},
-		{"-workers", "-2", "-shards", "2", "../../examples/scenarios/smoke.json"},
 	} {
 		if err := run(context.Background(), args, &out); err == nil || !strings.Contains(err.Error(), args[0]+" must be >= 0") {
 			t.Errorf("%v = %v, want a %s usage error", args, err, args[0])
@@ -205,20 +204,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestShardingFlagsNeedShards: a sharding flag without -shards would run
-// single-process while the user believes the sweep is sharded, so it is a
+// TestShardingFlagsNeedShards: -worker-url without -shards would run
+// single-process while the user believes the sweep is sharded, and
+// -shards without -worker-url has nowhere to run its shards, so each is a
 // usage error before anything runs.
 func TestShardingFlagsNeedShards(t *testing.T) {
 	cases := []struct {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-workers", "2"}, "-workers only applies to a sharded run"},
-		{[]string{"-worker-cmd", "medea-scenarios -worker"}, "-worker-cmd only applies to a sharded run"},
 		{[]string{"-worker-url", "http://127.0.0.1:1"}, "-worker-url only applies to a sharded run"},
-		{[]string{"-shards", "0", "-workers", "2"}, "-workers only applies to a sharded run"},
+		{[]string{"-shards", "2"}, "-shards needs -worker-url"},
 		{[]string{"-validate"}, ""},
-		{[]string{"-validate", "-workers", "0"}, ""},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {

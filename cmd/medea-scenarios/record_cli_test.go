@@ -123,10 +123,10 @@ func TestRecordFlagValidation(t *testing.T) {
 	}
 	out := filepath.Join(dir, "out.trace")
 	bad := [][]string{
-		{"-record", out, "-validate", single},    // record xor validate
-		{"-record", out, "-shards", "2", single}, // record is in-process
-		{"-record", out, single, single},         // one file only
-		{"-record", out, multi},                  // one point only
+		{"-record", out, "-validate", single},                                         // record xor validate
+		{"-record", out, "-shards", "2", "-worker-url", "http://127.0.0.1:1", single}, // record is in-process
+		{"-record", out, single, single},                                              // one file only
+		{"-record", out, multi},                                                       // one point only
 	}
 	for _, args := range bad {
 		var sb strings.Builder

@@ -2,41 +2,26 @@ package main
 
 import (
 	"context"
-	"fmt"
-	"os"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/shard"
 )
 
-// TestMain doubles as the worker entrypoint for the sharded CLI tests:
-// the coordinator's default worker command re-execs this test binary
-// (os.Executable) with -worker, and MEDEA_WORKER_MAIN routes that
-// invocation into the real CLI instead of the test runner.
-func TestMain(m *testing.M) {
-	if os.Getenv("MEDEA_WORKER_MAIN") == "1" {
-		if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// TestShardedCLIMatchesSingleProcess: -shards N through the full CLI
-// (worker processes included) must produce byte-identical stdout to the
+// TestShardedCLIMatchesSingleProcess: -shards N over an HTTP worker
+// through the full CLI must produce byte-identical stdout to the
 // single-process run.
 func TestShardedCLIMatchesSingleProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	t.Setenv("MEDEA_WORKER_MAIN", "1")
+	srv := httptest.NewServer(shard.Handler(nil))
+	defer srv.Close()
 	var direct strings.Builder
 	if err := run(context.Background(), []string{"-format", "csv", "../../examples/scenarios/smoke.json"}, &direct); err != nil {
 		t.Fatal(err)
 	}
 	var sharded strings.Builder
-	if err := run(context.Background(), []string{"-format", "csv", "-shards", "3", "../../examples/scenarios/smoke.json"}, &sharded); err != nil {
+	if err := run(context.Background(), []string{"-format", "csv", "-shards", "3", "-worker-url", srv.URL, "../../examples/scenarios/smoke.json"}, &sharded); err != nil {
 		t.Fatal(err)
 	}
 	if sharded.String() != direct.String() {
@@ -49,5 +34,41 @@ func TestShardFlagValidation(t *testing.T) {
 	err := run(context.Background(), []string{"-shards", "-1", "../../examples/scenarios/smoke.json"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Errorf("-shards -1 = %v, want a flag error", err)
+	}
+}
+
+// TestWorkerURLValidation: every -worker-url entry must be an absolute
+// http or https URL with a host. A bad entry is a usage error naming it,
+// raised before any shard is tried, not a failure on every retry.
+func TestWorkerURLValidation(t *testing.T) {
+	cases := []struct {
+		list    string
+		want    []string
+		wantBad string
+	}{
+		{"http://host1:9000,https://host2:9000", []string{"http://host1:9000", "https://host2:9000"}, ""},
+		{"http://host1:9000,,http://host2:9000", nil, `""`},
+		{"http://host1:9000,", nil, `""`},
+		{"127.0.0.1:9000", nil, `"127.0.0.1:9000"`},
+		{"host1:9000", nil, `"host1:9000"`},
+		{"ftp://host1:9000", nil, `"ftp://host1:9000"`},
+		{"http://", nil, `"http://"`},
+		{"/worker", nil, `"/worker"`},
+	}
+	for _, c := range cases {
+		got, err := parseWorkerURLs(c.list)
+		switch {
+		case c.wantBad == "" && (err != nil || !reflect.DeepEqual(got, c.want)):
+			t.Errorf("%q = %q, %v; want %q", c.list, got, err, c.want)
+		case c.wantBad != "" && (err == nil || !strings.Contains(err.Error(), "-worker-url entry "+c.wantBad)):
+			t.Errorf("%q = %v, want a usage error naming %s", c.list, err, c.wantBad)
+		}
+	}
+	// Through the CLI the error comes before any shard runs: no worker
+	// listens here, yet the message is the usage error, not a retry.
+	var out strings.Builder
+	err := run(context.Background(), []string{"-shards", "2", "-worker-url", "127.0.0.1:1", "../../examples/scenarios/smoke.json"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `-worker-url entry "127.0.0.1:1"`) {
+		t.Errorf("scheme-less -worker-url = %v, want a usage error naming the entry", err)
 	}
 }

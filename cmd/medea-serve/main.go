@@ -39,15 +39,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/resultcache"
-	"repro/internal/scenario"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -74,9 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	cacheBackend := fs.String("cache", resultcache.BackendMemory, "result cache backend: off | mem | disk; resubmitted scenarios become cache hits, surfaced in job status")
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk (survives daemon restarts)")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
-	shardWorkers := fs.Int("shard-workers", 0, "fan each accepted job out over this many shard worker processes (0 = run jobs in-process); results are byte-identical either way")
-	workerCmd := fs.String("worker-cmd", "", "worker command for -shard-workers, space-separated (default: this binary re-exec'd with -worker; -cache disk gives the fleet one shared store)")
-	workerMode := fs.Bool("worker", false, "serve the shard worker protocol on stdin/stdout (started by a coordinator, not by hand)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: medea-serve [flags]\n\n")
 		fmt.Fprintf(fs.Output(), "Serves scenario simulations over HTTP/JSON (see internal/serve for\n")
@@ -97,8 +90,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"-queue", int64(*queue)}, {"-workers", int64(*workers)}, {"-max-body", *maxBody},
-		{"-cache-budget", *cacheBudget}, {"-shard-workers", int64(*shardWorkers)}} {
+	}{{"-queue", int64(*queue)}, {"-workers", int64(*workers)}, {"-max-body", *maxBody}, {"-cache-budget", *cacheBudget}} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must be >= 0, got %d", f.name, f.v)
 		}
@@ -116,25 +108,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *workerMode {
-		return shard.ServeWorker(context.Background(), os.Stdin, stdout, rcache)
-	}
-	cfg := serve.Config{
+	srv := serve.New(serve.Config{
 		QueueDepth:   *queue,
 		Workers:      *workers,
 		JobTimeout:   *jobTimeout,
 		RetryAfter:   *retryAfter,
 		MaxBodyBytes: *maxBody,
 		Cache:        rcache,
-	}
-	if *shardWorkers > 0 {
-		runner, err := shardRunner(*shardWorkers, *workerCmd, *cacheBackend, *cacheDir, *cacheBudget)
-		if err != nil {
-			return err
-		}
-		cfg.Runner = runner
-	}
-	srv := serve.New(cfg)
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -168,45 +149,4 @@ func run(args []string, stdout io.Writer) error {
 	}
 	log.Printf("drained; exiting")
 	return nil
-}
-
-// shardRunner builds the serve.Runner that fans each accepted job out
-// over n fresh worker processes. Workers run under the job's context, so
-// job cancellation (timeout, client cancel, drain) kills them; fresh
-// processes per job keep worker lifetime inside job lifetime — cross-job
-// caching is the disk store's business (-cache disk is shared by the
-// daemon and every worker it spawns). The fleet's cache counters bubble
-// into the job's scope, so job status reports hits exactly as an
-// in-process run would.
-func shardRunner(n int, workerCmd, cacheBackend, cacheDir string, cacheBudget int64) (serve.Runner, error) {
-	var argv []string
-	if workerCmd != "" {
-		argv = strings.Fields(workerCmd)
-	} else {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		argv = []string{exe, "-worker", "-cache", cacheBackend}
-		if cacheDir != "" {
-			argv = append(argv, "-cache-dir", cacheDir)
-		}
-		if cacheBudget != 0 {
-			argv = append(argv, "-cache-budget", strconv.FormatInt(cacheBudget, 10))
-		}
-	}
-	return func(ctx context.Context, s *scenario.Scenario) ([]scenario.Result, error) {
-		co := &shard.Coordinator{
-			NewWorker: shard.ProcFactory(shard.ProcSpec{Command: argv}),
-			Shards:    n,
-			Workers:   n,
-			Logf:      log.Printf,
-		}
-		results, stats, err := co.Run(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		s.Cache.AddExternal(stats)
-		return results, nil
-	}, nil
 }

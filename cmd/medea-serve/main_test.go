@@ -15,7 +15,6 @@ func TestNegativeFlagsAreUsageErrors(t *testing.T) {
 		{"-queue", "-1"},
 		{"-max-body", "-5"},
 		{"-cache-budget", "-1"},
-		{"-shard-workers", "-2"},
 		{"-job-timeout", "-1s"},
 		{"-drain-timeout", "-1s"},
 		{"-retry-after", "-1s"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/resultcache"
@@ -14,17 +15,17 @@ import (
 // worker after transport failures before the run is abandoned.
 const DefaultRetries = 2
 
-// Coordinator fans one scenario sweep out over worker processes and
-// merges the rows back into canonical order. The zero value is not
-// runnable: NewWorker and Shards are required.
+// Coordinator fans one scenario sweep out over workers and merges the
+// rows back into canonical order. The zero value is not runnable:
+// NewWorker and Shards are required.
 type Coordinator struct {
-	// NewWorker launches one worker under the given context (canceled
-	// when the run ends, which kills process workers). ProcFactory and
-	// HTTPFactory build the common cases.
+	// NewWorker starts one worker under the given context (canceled when
+	// the run ends). HTTPFactory builds it from worker URLs.
 	NewWorker func(ctx context.Context) (Worker, error)
 	// Shards is the number of partitions (>= 1).
 	Shards int
 	// Workers caps concurrently running workers; 0 means one per shard.
+	// Only bench/'s stdio probes set it; ROADMAP item 6 deletes it.
 	Workers int
 	// Retries is the per-shard transport-failure retry budget; < 0 means
 	// none, 0 means DefaultRetries.
@@ -62,6 +63,14 @@ func (c *Coordinator) Run(ctx context.Context, s *scenario.Scenario) ([]scenario
 	if err != nil {
 		return nil, zero, fmt.Errorf("shard: marshaling scenario: %w", err)
 	}
+	// A request over the workers' MaxRequest bound would get a 413 on
+	// every retry, so measure the largest one this run sends up front
+	// (marshaling cannot fail: raw is json.Marshal's own output).
+	largest, _ := json.Marshal(&Request{Version: ProtocolVersion, ID: math.MaxInt64, Scenario: raw,
+		Shard: c.Shards, Shards: c.Shards, Parallelism: c.Parallelism, CodeVersion: resultcache.CodeVersion})
+	if len(largest) > MaxRequest {
+		return nil, zero, fmt.Errorf("shard: a request for this scenario takes %d bytes, over the workers' %d-byte bound", len(largest), MaxRequest)
+	}
 	retries := c.Retries
 	switch {
 	case retries == 0:
@@ -75,7 +84,7 @@ func (c *Coordinator) Run(ctx context.Context, s *scenario.Scenario) ([]scenario
 	}
 
 	// runCtx scopes the whole fleet: it is canceled when Run returns, so
-	// worker processes never outlive the run, and fail() cancels it to
+	// no worker request outlives the run, and fail() cancels it to
 	// wake workers blocked on the queue or mid-exchange.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,42 +12,36 @@ import (
 	"repro/internal/resultcache"
 )
 
-// Handler serves the worker protocol over HTTP for remote workers
-// (medea-scenarios -worker-listen): POST a JSON Request, receive the
-// frame stream — progress frames flushed as they happen, then the
-// terminal frame — as the response body. One request per HTTP exchange.
+// Handler serves the worker protocol over HTTP (medea-scenarios
+// -worker-listen): POST a JSON Request of at most MaxRequest bytes
+// (larger gets 413), receive the frame stream — progress frames flushed
+// as they happen, then the terminal frame — as the response body. One
+// request per HTTP exchange.
 func Handler(cache *resultcache.Cache) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST a shard request", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrame+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequest+1))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if len(body) > MaxFrame {
-			http.Error(w, fmt.Sprintf("request exceeds the %d-byte bound", MaxFrame), http.StatusRequestEntityTooLarge)
+		if len(body) > MaxRequest {
+			http.Error(w, fmt.Sprintf("request exceeds the %d-byte bound", MaxRequest), http.StatusRequestEntityTooLarge)
 			return
 		}
 		var req Request
-		if err := ReadFrame(io.MultiReader(lenPrefix(len(body)), bytes.NewReader(body)), &req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		crashIfRequested()
 		w.Header().Set("Content-Type", "application/octet-stream")
 		fw := &flushWriter{w: w}
 		resp := handleRequest(r.Context(), &req, fw, cache)
 		_ = WriteFrame(fw, resp)
 	})
-}
-
-// lenPrefix renders a 4-byte big-endian frame header, so the HTTP body
-// (bare JSON) can be fed through the same ReadFrame as the stdio path.
-func lenPrefix(n int) io.Reader {
-	return bytes.NewReader([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)})
 }
 
 // flushWriter flushes after every write so progress frames stream to the
@@ -61,14 +56,12 @@ func (f *flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// HTTPWorker runs shards on a remote worker over HTTP.
+// HTTPWorker runs shards on a worker over HTTP. No client timeout is
+// set: a Full-fidelity shard legitimately runs for minutes, and
+// cancellation flows through the request context.
 type HTTPWorker struct {
 	// URL is the worker endpoint (the -worker-listen address).
 	URL string
-	// Client defaults to http.DefaultClient. No timeout is set here: a
-	// Full-fidelity shard legitimately runs for minutes, and cancellation
-	// flows through the request context.
-	Client *http.Client
 
 	nextID int64
 }
@@ -78,20 +71,16 @@ func (h *HTTPWorker) Run(ctx context.Context, req *Request, progress func(*Respo
 	h.nextID++
 	req.ID = h.nextID
 	req.Version = ProtocolVersion
-	var body bytes.Buffer
-	if err := WriteFrame(&body, req); err != nil {
+	body, err := json.Marshal(req)
+	if err != nil {
 		return nil, err
 	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(body.Bytes()[4:]))
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	hr.Header.Set("Content-Type", "application/json")
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(hr)
+	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		return nil, err
 	}
@@ -100,28 +89,11 @@ func (h *HTTPWorker) Run(ctx context.Context, req *Request, progress func(*Respo
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("shard: worker %s: %s: %s", h.URL, resp.Status, bytes.TrimSpace(msg))
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var fr Response
-		if err := ReadFrame(resp.Body, &fr); err != nil {
-			return nil, fmt.Errorf("shard: worker %s: %w", h.URL, err)
-		}
-		if fr.ID != req.ID {
-			return nil, fmt.Errorf("shard: worker %s: response for request %d while waiting on %d", h.URL, fr.ID, req.ID)
-		}
-		switch fr.Type {
-		case TypeProgress:
-			if progress != nil {
-				progress(&fr)
-			}
-		case TypeResult, TypeError:
-			return &fr, nil
-		default:
-			return nil, fmt.Errorf("shard: worker %s: unknown frame type %q", h.URL, fr.Type)
-		}
+	fr, err := readReply(ctx, resp.Body, req.ID, progress)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", h.URL, err)
 	}
+	return fr, nil
 }
 
 // Close implements Worker; HTTP workers hold no local resources.

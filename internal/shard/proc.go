@@ -1,33 +1,27 @@
 package shard
 
+// The stdio transports (ProcWorker, PipeWorker, ServeWorker) stay only
+// because bench/'s shard.proc_spawn_ms and shard.pipe_overhead_ms probes
+// call them; ROADMAP item 6 deletes this file with Coordinator.Workers.
+
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"time"
-)
 
-// Worker executes shard requests. Run returning an error means the
-// worker itself is unusable — it crashed, its pipe broke, its stream
-// desynchronized — and the coordinator replaces it and retries the shard
-// elsewhere. A TypeError Response, by contrast, is an application
-// failure: the worker is healthy, the request can never succeed (the
-// simulator is deterministic), and the coordinator fails fast.
-type Worker interface {
-	Run(ctx context.Context, req *Request, progress func(*Response)) (*Response, error)
-	Close() error
-}
+	"repro/internal/resultcache"
+)
 
 // ProcSpec describes how to launch a local worker process.
 type ProcSpec struct {
-	// Command is the argv, typically the current binary re-exec'd in
-	// -worker mode: {os.Executable(), "-worker", ...cache flags}.
+	// Command is the argv of a process that runs ServeWorker on its
+	// stdin/stdout.
 	Command []string
-	// Env entries are appended to the parent's environment.
-	Env []string
 }
 
 // ProcWorker is a worker subprocess speaking the frame protocol on its
@@ -47,7 +41,6 @@ func StartProc(ctx context.Context, spec ProcSpec) (*ProcWorker, error) {
 		return nil, fmt.Errorf("shard: empty worker command")
 	}
 	cmd := exec.CommandContext(ctx, spec.Command[0], spec.Command[1:]...)
-	cmd.Env = append(os.Environ(), spec.Env...)
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -89,4 +82,77 @@ func (p *ProcWorker) Close() error {
 // per spec.
 func ProcFactory(spec ProcSpec) func(ctx context.Context) (Worker, error) {
 	return func(ctx context.Context) (Worker, error) { return StartProc(ctx, spec) }
+}
+
+// ServeWorker runs the worker side of the protocol on a byte stream:
+// read a Request frame, execute it, stream progress, write the terminal
+// Response, repeat until the stream closes. Application failures produce
+// TypeError frames and the loop continues; only a broken stream or a
+// canceled context ends it.
+func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, cache *resultcache.Cache) error {
+	for {
+		var req Request
+		if err := ReadFrame(r, &req); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		resp := handleRequest(ctx, &req, w, cache)
+		if err := WriteFrame(w, resp); err != nil {
+			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+	}
+}
+
+// PipeWorker is an in-process Worker speaking the full frame protocol
+// over io.Pipe pairs, so protocol encode/decode runs without process
+// spawn cost.
+type PipeWorker struct {
+	w      *io.PipeWriter
+	r      *io.PipeReader
+	done   chan error
+	nextID int64
+}
+
+// StartPipe starts a ServeWorker goroutine wired to a PipeWorker.
+func StartPipe(ctx context.Context, cache *resultcache.Cache) *PipeWorker {
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	p := &PipeWorker{w: reqW, r: respR, done: make(chan error, 1)}
+	go func() {
+		err := ServeWorker(ctx, reqR, respW, cache)
+		respW.CloseWithError(err)
+		p.done <- err
+	}()
+	return p
+}
+
+// Run implements Worker.
+func (p *PipeWorker) Run(ctx context.Context, req *Request, progress func(*Response)) (*Response, error) {
+	p.nextID++
+	req.ID = p.nextID
+	return exchange(ctx, p.w, p.r, req, progress)
+}
+
+// Close implements Worker. Both pipe ends are closed: the request end so
+// an idle serve loop sees EOF, and the response end so a serve loop
+// blocked writing a frame the coordinator abandoned mid-exchange (e.g.
+// after cancellation) fails out instead of deadlocking the close.
+func (p *PipeWorker) Close() error {
+	p.w.Close()
+	p.r.CloseWithError(errors.New("shard: worker closed"))
+	return <-p.done
+}
+
+// exchange writes one request frame and reads its reply.
+func exchange(ctx context.Context, w io.Writer, r io.Reader, req *Request, progress func(*Response)) (*Response, error) {
+	req.Version = ProtocolVersion
+	if err := WriteFrame(w, req); err != nil {
+		return nil, err
+	}
+	return readReply(ctx, r, req.ID, progress)
 }

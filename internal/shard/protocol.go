@@ -1,9 +1,9 @@
-// Package shard distributes a scenario sweep across worker processes: a
+// Package shard distributes a scenario sweep across workers: a
 // Coordinator deterministically partitions the sweep's canonical point
 // order into N shards (scenario.ShardPoints), farms each shard to a
-// worker — the same binary re-exec'd in -worker mode speaking
-// length-prefixed JSON over stdio, or a remote worker over HTTP — and
-// merges the rows back into canonical order (scenario.MergeShards).
+// worker over HTTP — a medea-scenarios -worker-listen process serving
+// Handler, on this host or another — and merges the rows back into
+// canonical order (scenario.MergeShards).
 //
 // The determinism contract does the heavy lifting: every point is a pure
 // function of (config, seed, CodeVersion), so a merged sharded run must
@@ -12,12 +12,12 @@
 // sub-root of its rows (transport integrity), and the golden tests
 // compare the merged root against the single-process root end to end.
 //
-// Failure handling follows the same contract: a worker that dies
-// mid-shard (crash, pipe break, protocol desync) is replaced and its
-// shard retried on a fresh worker — the rerun provably computes the same
-// rows. An application error, by contrast, is fatal immediately: the
-// simulator is deterministic, so retrying an invalid scenario would fail
-// identically.
+// Failure handling follows the same contract: a worker that fails
+// mid-shard (unreachable, connection dropped, protocol desync) is
+// replaced and its shard retried on a fresh worker — the rerun provably
+// computes the same rows. An application error, by contrast, is fatal
+// immediately: the simulator is deterministic, so retrying an invalid
+// scenario would fail identically.
 package shard
 
 import (
@@ -39,6 +39,11 @@ const ProtocolVersion = 1
 // under 1 MiB; the bound exists so a desynchronized or hostile stream
 // cannot make a reader allocate an absurd buffer.
 const MaxFrame = 64 << 20
+
+// MaxRequest bounds one request (1 MiB), which is one scenario plus shard
+// indices: Handler answers 413 above it, and Coordinator.Run refuses a
+// scenario that would exceed it before starting any worker.
+const MaxRequest = 1 << 20
 
 // Request asks a worker to execute one shard of a sweep.
 type Request struct {

@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,12 +18,13 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestMain doubles as the worker entrypoint for the process-worker tests:
-// the test binary re-exec'd with MEDEA_SHARD_WORKER=1 serves the frame
+// TestMain doubles as the worker entrypoint for TestProcWorkerSharded,
+// which lives as long as ProcWorker does (proc.go): the test binary
+// re-exec'd with the one argument "shard-worker" serves the frame
 // protocol on stdio and exits, so worker processes need no separate
 // binary to be built.
 func TestMain(m *testing.M) {
-	if os.Getenv("MEDEA_SHARD_WORKER") == "1" {
+	if len(os.Args) == 2 && os.Args[1] == "shard-worker" {
 		cache := resultcache.New(resultcache.NewMemoryStore(0))
 		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, cache); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -39,7 +42,7 @@ func testProcFactory(t *testing.T) func(ctx context.Context) (Worker, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ProcFactory(ProcSpec{Command: []string{exe}, Env: []string{"MEDEA_SHARD_WORKER=1"}})
+	return ProcFactory(ProcSpec{Command: []string{exe, "shard-worker"}})
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -107,11 +110,12 @@ func exampleScenarios(t *testing.T) []string {
 }
 
 // TestShardedSweepGolden is the acceptance test for the shard layer:
-// every shipped example scenario, run sharded at several shard counts,
-// must render byte-identically to the single-process run in every output
-// format and carry the same Merkle root. One in-memory cache is shared
-// across the direct run and all shard counts, both to keep the test fast
-// and to exercise the cache through the worker path.
+// every shipped example scenario, run sharded at several shard counts
+// over an in-process HTTP worker, must render byte-identically to the
+// single-process run in every output format and carry the same Merkle
+// root. One in-memory cache is shared across the direct run and all
+// shard counts, both to keep the test fast and to exercise the cache
+// through the worker path.
 func TestShardedSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every example scenario at 5 shard counts")
@@ -120,6 +124,8 @@ func TestShardedSweepGolden(t *testing.T) {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			cache := resultcache.New(resultcache.NewMemoryStore(0))
+			srv := httptest.NewServer(Handler(cache))
+			defer srv.Close()
 			direct, err := scenario.Load(path)
 			if err != nil {
 				t.Fatal(err)
@@ -136,12 +142,7 @@ func TestShardedSweepGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					co := &Coordinator{
-						NewWorker: func(ctx context.Context) (Worker, error) {
-							return StartPipe(ctx, cache), nil
-						},
-						Shards: shards,
-					}
+					co := &Coordinator{NewWorker: HTTPFactory([]string{srv.URL}), Shards: shards}
 					got, stats, err := co.Run(context.Background(), s)
 					if err != nil {
 						t.Fatal(err)
@@ -188,41 +189,72 @@ func TestProcWorkerSharded(t *testing.T) {
 	assertSameResults(t, got, want)
 }
 
-// TestWorkerCrashRetry kills exactly one worker mid-shard (the crash-once
-// hook) and verifies the coordinator replaces it, reruns the shard, and
+// abortingHandler serves Handler(cache) but drops the connection after
+// the progress frame, the way a worker killed mid-shard does, whenever
+// abort returns true.
+func abortingHandler(cache *resultcache.Cache, abort func() bool) http.Handler {
+	h := Handler(cache)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if abort() {
+			w = &abortAfterProgress{ResponseWriter: w}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// abortAfterProgress passes the progress frame's two writes (header and
+// body) through and aborts the handler on the next one.
+type abortAfterProgress struct {
+	http.ResponseWriter
+	writes int
+}
+
+func (a *abortAfterProgress) Write(p []byte) (int, error) {
+	if a.writes++; a.writes > 2 {
+		panic(http.ErrAbortHandler)
+	}
+	return a.ResponseWriter.Write(p)
+}
+
+func (a *abortAfterProgress) Flush() { a.ResponseWriter.(http.Flusher).Flush() }
+
+// TestWorkerCrashRetry drops exactly one worker connection mid-shard and
+// verifies the coordinator replaces the worker, reruns the shard, and
 // still merges a byte-identical result.
 func TestWorkerCrashRetry(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker processes")
+		t.Skip("runs the smoke sweep twice")
 	}
-	marker := filepath.Join(t.TempDir(), "crash-claimed")
-	t.Setenv(EnvCrashOnce, marker)
+	var crashed atomic.Bool
+	srv := httptest.NewServer(abortingHandler(nil, func() bool { return crashed.CompareAndSwap(false, true) }))
+	defer srv.Close()
 	want := directSmokeRun(t)
 	s := loadSmoke(t)
-	co := &Coordinator{NewWorker: testProcFactory(t), Shards: 4, Workers: 2, Logf: t.Logf}
+	co := &Coordinator{NewWorker: HTTPFactory([]string{srv.URL}), Shards: 2, Logf: t.Logf}
 	got, _, err := co.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(marker); err != nil {
-		t.Errorf("no worker claimed the crash marker: %v", err)
+	if !crashed.Load() {
+		t.Error("no request was aborted")
 	}
 	assertSameResults(t, got, want)
 }
 
-// TestRetryBudgetExhausted: when every worker crashes on every request
-// (the crash-always hook), the run must fail after the retry budget, not
-// spin forever.
+// TestRetryBudgetExhausted: when every worker drops every request, the
+// run must fail after the retry budget, not spin forever.
 func TestRetryBudgetExhausted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	t.Setenv(EnvCrashAlways, "1")
+	var attempts atomic.Int32
+	srv := httptest.NewServer(abortingHandler(nil, func() bool { attempts.Add(1); return true }))
+	defer srv.Close()
 	s := loadSmoke(t)
-	co := &Coordinator{NewWorker: testProcFactory(t), Shards: 2, Retries: 1, Logf: t.Logf}
+	co := &Coordinator{NewWorker: HTTPFactory([]string{srv.URL}), Shards: 2, Retries: 1, Logf: t.Logf}
 	_, _, err := co.Run(context.Background(), s)
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
-		t.Errorf("crash-always run = %v, want a giving-up error", err)
+		t.Errorf("always-aborting run = %v, want a giving-up error", err)
+	}
+	if n := attempts.Load(); n > 4 {
+		t.Errorf("%d requests for 2 shards with 1 retry each, want at most 4", n)
 	}
 }
 
@@ -250,8 +282,9 @@ func TestHTTPWorkerSharded(t *testing.T) {
 // code-version-skewed requests with a TypeError (fatal, no retry) rather
 // than contribute rows computed by different semantics.
 func TestWorkerRejectsVersionSkew(t *testing.T) {
-	w := StartPipe(context.Background(), nil)
-	defer w.Close()
+	srv := httptest.NewServer(Handler(nil))
+	defer srv.Close()
+	w := &HTTPWorker{URL: srv.URL}
 	raw := []byte(`{"workload": "noc-synthetic", "noc": {"width": 2, "height": 2, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 200}}`)
 	resp, err := w.Run(context.Background(), &Request{Scenario: raw, Shard: 0, Shards: 1, CodeVersion: "not-this-build"}, nil)
 	if err != nil {
@@ -295,15 +328,52 @@ func (errorWorker) Close() error { return nil }
 // promptly with the context's error.
 func TestCoordinatorCancellation(t *testing.T) {
 	s := loadSmoke(t)
+	srv := httptest.NewServer(Handler(nil))
+	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	co := &Coordinator{
-		NewWorker: func(ctx context.Context) (Worker, error) { return StartPipe(ctx, nil), nil },
-		Shards:    4,
-	}
+	co := &Coordinator{NewWorker: HTTPFactory([]string{srv.URL}), Shards: 4}
 	_, _, err := co.Run(ctx, s)
-	if err == nil {
-		t.Fatal("canceled run returned nil error")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run = %v, want context.Canceled", err)
+	}
+}
+
+// TestHandlerBoundsRequest: a request body one byte over MaxRequest is
+// refused with 413 before it is decoded.
+func TestHandlerBoundsRequest(t *testing.T) {
+	srv := httptest.NewServer(Handler(nil))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL, "application/json", bytes.NewReader(make([]byte, MaxRequest+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte request answered %s, want 413", MaxRequest+1, resp.Status)
+	}
+}
+
+// TestCoordinatorRefusesOversizedScenario: a scenario whose request would
+// exceed MaxRequest fails before any worker starts, instead of burning
+// the retry budget on a deterministic 413.
+func TestCoordinatorRefusesOversizedScenario(t *testing.T) {
+	s := loadSmoke(t)
+	s.Name = strings.Repeat("x", MaxRequest)
+	var started atomic.Int32
+	co := &Coordinator{
+		NewWorker: func(ctx context.Context) (Worker, error) {
+			started.Add(1)
+			return errorWorker{}, nil
+		},
+		Shards: 2,
+	}
+	_, _, err := co.Run(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), "byte bound") {
+		t.Errorf("oversized scenario = %v, want a request-bound error", err)
+	}
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d workers started for an oversized scenario, want 0", n)
 	}
 }
 

@@ -5,72 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
 )
 
-// Crash-injection hooks for the retry path's tests and CI smoke: set
-// EnvCrashOnce to a file path and exactly one worker process (the first
-// to claim the path with O_EXCL) exits mid-request with status 3;
-// EnvCrashAlways makes every worker exit on its first request, which is
-// how the retry-budget-exhaustion path is exercised. Both are inert
-// unless set.
-const (
-	EnvCrashOnce   = "MEDEA_SHARD_CRASH_ONCE"
-	EnvCrashAlways = "MEDEA_SHARD_CRASH_ALWAYS"
-)
-
-// crashIfRequested implements the injection hooks; called after a request
-// is read and before it executes, the window where a crash loses a whole
-// claimed shard.
-func crashIfRequested() {
-	if os.Getenv(EnvCrashAlways) != "" {
-		os.Exit(3)
-	}
-	marker := os.Getenv(EnvCrashOnce)
-	if marker == "" {
-		return
-	}
-	f, err := os.OpenFile(marker, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return // another worker claimed the crash
-	}
-	f.Close()
-	os.Exit(3)
+// Worker executes shard requests. Run returning an error means the
+// worker itself is unusable — it crashed, its stream broke or
+// desynchronized — and the coordinator replaces it and retries the shard
+// elsewhere. A TypeError Response, by contrast, is an application
+// failure: the worker is healthy, the request can never succeed (the
+// simulator is deterministic), and the coordinator fails fast.
+type Worker interface {
+	Run(ctx context.Context, req *Request, progress func(*Response)) (*Response, error)
+	Close() error
 }
 
-// ServeWorker runs the worker side of the protocol on a byte stream:
-// read a Request frame, execute the shard through the full scenario
-// stack (result cache scope, fast-forward, checkpoint/fork — everything
-// a single-process run uses), stream progress, write the terminal
-// Response, repeat until the stream closes. Application failures produce
-// TypeError frames and the loop continues; only a broken stream or a
-// canceled context ends it. A nil cache runs uncached; a non-nil one is
-// scoped per request so its counters can be reported per shard.
-func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, cache *resultcache.Cache) error {
-	for {
-		var req Request
-		if err := ReadFrame(r, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		crashIfRequested()
-		resp := handleRequest(ctx, &req, w, cache)
-		if err := WriteFrame(w, resp); err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-}
-
-// handleRequest executes one shard request, streaming progress frames to
-// w, and returns the terminal frame (never nil).
+// handleRequest executes one shard request through the full scenario
+// stack, streaming progress frames to w, and returns the terminal frame
+// (never nil). A non-nil cache is scoped per request for its counters.
 func handleRequest(ctx context.Context, req *Request, w io.Writer, cache *resultcache.Cache) *Response {
 	fail := func(format string, args ...any) *Response {
 		return &Response{ID: req.ID, Type: TypeError, Error: fmt.Sprintf(format, args...)}
@@ -112,54 +65,10 @@ func handleRequest(ctx context.Context, req *Request, w io.Writer, cache *result
 	}
 }
 
-// PipeWorker is an in-process Worker speaking the full frame protocol
-// over io.Pipe pairs — the exec-free harness the golden tests drive, so
-// protocol encode/decode is exercised without process spawn cost.
-type PipeWorker struct {
-	w      *io.PipeWriter
-	r      *io.PipeReader
-	done   chan error
-	nextID int64
-}
-
-// StartPipe starts a ServeWorker goroutine wired to a PipeWorker.
-func StartPipe(ctx context.Context, cache *resultcache.Cache) *PipeWorker {
-	reqR, reqW := io.Pipe()
-	respR, respW := io.Pipe()
-	p := &PipeWorker{w: reqW, r: respR, done: make(chan error, 1)}
-	go func() {
-		err := ServeWorker(ctx, reqR, respW, cache)
-		respW.CloseWithError(err)
-		p.done <- err
-	}()
-	return p
-}
-
-// Run implements Worker.
-func (p *PipeWorker) Run(ctx context.Context, req *Request, progress func(*Response)) (*Response, error) {
-	p.nextID++
-	req.ID = p.nextID
-	return exchange(ctx, p.w, p.r, req, progress)
-}
-
-// Close implements Worker. Both pipe ends are closed: the request end so
-// an idle serve loop sees EOF, and the response end so a serve loop
-// blocked writing a frame the coordinator abandoned mid-exchange (e.g.
-// after cancellation) fails out instead of deadlocking the close.
-func (p *PipeWorker) Close() error {
-	p.w.Close()
-	p.r.CloseWithError(errors.New("shard: worker closed"))
-	return <-p.done
-}
-
-// exchange writes one request and reads frames to the terminal response,
-// invoking progress for each progress frame. Shared by the pipe, process
-// and HTTP workers.
-func exchange(ctx context.Context, w io.Writer, r io.Reader, req *Request, progress func(*Response)) (*Response, error) {
-	req.Version = ProtocolVersion
-	if err := WriteFrame(w, req); err != nil {
-		return nil, err
-	}
+// readReply reads the reply frames to request id up to the terminal one,
+// handing each progress frame to progress. Every transport reads its
+// replies through it.
+func readReply(ctx context.Context, r io.Reader, id int64, progress func(*Response)) (*Response, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -171,8 +80,8 @@ func exchange(ctx context.Context, w io.Writer, r io.Reader, req *Request, progr
 			}
 			return nil, err
 		}
-		if resp.ID != req.ID {
-			return nil, fmt.Errorf("shard: response for request %d while waiting on %d (stream desynchronized)", resp.ID, req.ID)
+		if resp.ID != id {
+			return nil, fmt.Errorf("shard: response for request %d while waiting on %d (stream desynchronized)", resp.ID, id)
 		}
 		switch resp.Type {
 		case TypeProgress:
