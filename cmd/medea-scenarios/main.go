@@ -101,8 +101,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	// Shards run only on -worker-url workers, and worker URLs without
-	// -shards would silently run single-process.
+	// -shards would silently run single-process. A worker runs each shard
+	// at the parallelism its coordinator sends, so its own -parallelism
+	// would be silently ignored.
 	switch {
+	case *workerListen != "" && *par != 0:
+		return fmt.Errorf("-parallelism does not apply to -worker-listen: a worker runs each shard at the coordinator's -parallelism")
 	case *workerURLs != "" && *shards == 0:
 		return fmt.Errorf("-worker-url only applies to a sharded run: add -shards N")
 	case *shards != 0 && *workerURLs == "":

@@ -30,10 +30,20 @@ func TestShardedCLIMatchesSingleProcess(t *testing.T) {
 }
 
 func TestShardFlagValidation(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-shards", "-1", "../../examples/scenarios/smoke.json"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("-shards -1 = %v, want a flag error", err)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "-1", "../../examples/scenarios/smoke.json"}, "-shards must be >= 0"},
+		// The address cannot be listened on, so a run that accepted the
+		// pair would fail with another message.
+		{[]string{"-worker-listen", "no port", "-parallelism", "2"}, "-parallelism does not apply to -worker-listen"},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q = %v, want a usage error %q", c.args, err, c.want)
+		}
 	}
 }
 

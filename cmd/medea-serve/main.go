@@ -27,6 +27,9 @@
 //	medea-serve -addr 127.0.0.1:0 -workers 4 -queue 32 -job-timeout 5m
 //	curl -s -XPOST --data-binary @examples/scenarios/smoke.json localhost:8080/v1/jobs
 //	curl -s localhost:8080/v1/jobs/job-000001/result
+//	curl -s localhost:8080/metrics
+//
+// serve.Client is the Go client of the same API.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -49,16 +53,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("medea-serve: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// run starts the daemon and blocks until a termination signal has been
-// drained or the listener fails. The bound address is printed to stdout
-// first ("listening on host:port"), so scripts can use -addr with port 0
-// and scrape the port.
-func run(args []string, stdout io.Writer) error {
+// run starts the daemon and blocks until ctx is canceled (main cancels it
+// on SIGTERM/SIGINT) and the daemon has drained, or the listener fails.
+// The bound address is printed to stdout first ("listening on
+// host:port"), so a caller can use -addr with port 0 and read the port.
+// The drain is logged through log/slog.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("medea-serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port, printed on stdout)")
 	queue := fs.Int("queue", 16, "queued-job bound; a full queue rejects submissions with 429 + Retry-After")
@@ -123,9 +131,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
 	httpSrv := serve.NewHTTPServer(srv.Handler())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -133,20 +138,19 @@ func run(args []string, stdout io.Writer) error {
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
-		stop() // a second signal kills the process the default way
 	}
 
-	log.Printf("signal received; draining (budget %s)", *drainTimeout)
+	slog.Info("draining", "budget", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	// Drain jobs first — polling endpoints stay up so clients can fetch
 	// the results of jobs that finish during the drain window.
 	if err := srv.Shutdown(dctx); err != nil {
-		log.Printf("drain deadline reached; in-flight jobs canceled")
+		slog.Warn("drain deadline reached; in-flight jobs canceled", "budget", *drainTimeout)
 	}
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		httpSrv.Close()
 	}
-	log.Printf("drained; exiting")
+	slog.Info("drained; exiting")
 	return nil
 }

@@ -20,7 +20,7 @@ func TestNegativeFlagsAreUsageErrors(t *testing.T) {
 		{"-retry-after", "-1s"},
 	} {
 		var out strings.Builder
-		err := run([]string{"-addr", "no port", c.flag, c.value}, &out)
+		err := run(t.Context(), []string{"-addr", "no port", c.flag, c.value}, &out)
 		if want := c.flag + " must be >= 0"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s %s: err = %v, want %q", c.flag, c.value, err, want)
 		}

@@ -127,6 +127,19 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
+// Evictions returns how many entries the store's byte budget has pushed
+// out: a MemoryStore's count, 0 for a nil cache or a store without a
+// budget.
+func (c *Cache) Evictions() uint64 {
+	if c == nil {
+		return 0
+	}
+	if s, ok := c.store.(interface{ Evictions() uint64 }); ok {
+		return s.Evictions()
+	}
+	return 0
+}
+
 func (c *Cache) count(f func(*Cache)) {
 	for n := c; n != nil; n = n.parent {
 		f(n)

@@ -3,9 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,7 +17,8 @@ import (
 // prints for the same file. Both sides run scenario.RunCtx and render
 // through scenario.Render, and the simulations themselves are seeded and
 // deterministic, so any divergence is a real regression in the serve
-// path (result caching, rendering, or state handling).
+// path (result caching, rendering, or state handling). The job's Merkle
+// root must equal the CLI run's too.
 //
 // The scenario files used here are already golden-pinned against the
 // hand-coded dse sweeps by internal/scenario's golden tests, which closes
@@ -41,8 +39,7 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, _ := serveHTTP(t, s)
 
 	for _, name := range files {
 		t.Run(name, func(t *testing.T) {
@@ -68,39 +65,22 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			ctx, cancel := context.WithTimeout(t.Context(), 5*time.Minute)
+			defer cancel()
+			st, err := c.Submit(ctx, bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := decodeStatus(t, resp)
-			deadline := time.Now().Add(5 * time.Minute)
-			for {
-				cur, err := s.Status(st.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cur.State == StateDone {
-					break
-				}
-				if cur.State.Terminal() {
-					t.Fatalf("job %s ended %s: %s", st.ID, cur.State, cur.Error)
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("job %s still %s after 5m", st.ID, cur.State)
-				}
-				time.Sleep(50 * time.Millisecond)
+			if st, err = c.Wait(ctx, st.ID); err != nil || st.State != StateDone {
+				t.Fatalf("job %s ended %s (%q), %v", st.ID, st.State, st.Error, err)
 			}
-			rr, err := ts.Client().Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+			got, err := c.Result(ctx, st.ID, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer rr.Body.Close()
-			if rr.StatusCode != http.StatusOK {
-				t.Fatalf("result status = %d", rr.StatusCode)
-			}
-			got, err := io.ReadAll(rr.Body)
-			if err != nil {
-				t.Fatal(err)
+			// The timeline is status only: the run ledger root is the CLI's.
+			if root := scenario.MerkleRoot(results); st.MerkleRoot != root {
+				t.Errorf("served merkle root %s, CLI %s", st.MerkleRoot, root)
 			}
 			if string(got) != want {
 				t.Errorf("served output differs from CLI output for %s:\nserved %d bytes, CLI %d bytes\nserved:\n%s\nCLI:\n%s",

@@ -42,6 +42,9 @@ func NewHTTPServer(h http.Handler) *http.Server {
 //	                            409 until done, 404 unknown id
 //	GET    /healthz             process liveness (always 200 while serving)
 //	GET    /readyz              admission readiness (503 once draining)
+//	GET    /metrics             Prometheus text: queue depth, jobs by state,
+//	                            429s, cache hits/misses/evictions, goroutines,
+//	                            heap in use
 //
 // Error responses are JSON: {"error": "..."} plus the job's state where
 // one exists.
@@ -62,6 +65,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -85,11 +89,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, err := s.Submit(sc)
+	var full *QueueFullError
 	switch {
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	case errors.As(err, &full):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(full.RetryAfter)))
 		writeError(w, http.StatusTooManyRequests, err)
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)

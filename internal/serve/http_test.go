@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,32 +25,37 @@ const smallScenarioJSON = `{
 	"output": "csv"
 }`
 
-func post(t *testing.T, ts *httptest.Server, body string) *http.Response {
+// serveHTTP serves s on a loopback test server, closed when the test
+// ends, and returns a Client for it.
+func serveHTTP(t *testing.T, s *Server) (*Client, *httptest.Server) {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
-	}
-	return resp
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return NewClient(ts.URL, ts.Client()), ts
 }
 
-func get(t *testing.T, ts *httptest.Server, path string) *http.Response {
+// submit sends body through the client and fails the test unless the job
+// was accepted.
+func submit(t *testing.T, c *Client, body string) JobStatus {
+	t.Helper()
+	st, err := c.Submit(t.Context(), strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return st
+}
+
+// wantCode fails the test unless path answers code.
+func wantCode(t *testing.T, ts *httptest.Server, path string, code int) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
-	return resp
-}
-
-func decodeStatus(t *testing.T, resp *http.Response) JobStatus {
-	t.Helper()
-	defer resp.Body.Close()
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding JobStatus: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != code {
+		t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, code)
 	}
-	return st
 }
 
 func TestHTTPSubmitPollResult(t *testing.T) {
@@ -58,37 +63,35 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 		return []scenario.Result{}, nil
 	}})
 	defer shutdownAll(t, s, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, ts := serveHTTP(t, s)
 
-	resp := post(t, ts, smallScenarioJSON)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
-	}
-	st := decodeStatus(t, resp)
+	st := submit(t, c, smallScenarioJSON)
 	if st.ID != "job-000001" || st.Scenario != "http-test" || st.Points != 1 {
 		t.Fatalf("submit returned %+v", st)
 	}
-
-	waitState(t, s, st.ID, StateDone)
-	resp = get(t, ts, "/v1/jobs/"+st.ID)
-	if got := decodeStatus(t, resp); got.State != StateDone {
-		t.Fatalf("poll state = %s, want done", got.State)
+	if got, err := c.Wait(t.Context(), st.ID); err != nil || got.State != StateDone {
+		t.Fatalf("Wait = %+v, %v; want done", got, err)
 	}
 
 	// A second job whose scenario says "output": "json".
-	jsonJob := decodeStatus(t, post(t, ts, strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "json"`, 1)))
-	waitState(t, s, jsonJob.ID, StateDone)
+	jsonJob := submit(t, c, strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "json"`, 1))
+	if _, err := c.Wait(t.Context(), jsonJob.ID); err != nil {
+		t.Fatal(err)
+	}
 
 	// The content type follows the format the bytes are in: ?format= over
-	// the scenario's "output", else table.
+	// the scenario's "output", else table. It is a header, so this reads
+	// the reply itself.
 	for _, tc := range []struct{ id, query, want string }{
 		{st.ID, "", "text/plain; charset=utf-8"},
 		{st.ID, "?format=json", "application/json"},
 		{jsonJob.ID, "", "application/json"},
 		{jsonJob.ID, "?format=table", "text/plain; charset=utf-8"},
 	} {
-		resp = get(t, ts, "/v1/jobs/"+tc.id+"/result"+tc.query)
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + tc.id + "/result" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s result%s: status = %d, want 200", tc.id, tc.query, resp.StatusCode)
@@ -97,12 +100,13 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 			t.Errorf("%s result%s: content type = %q, want %q", tc.id, tc.query, ct, tc.want)
 		}
 	}
+	if out, err := c.Result(t.Context(), jsonJob.ID, ""); err != nil || !strings.HasPrefix(strings.TrimSpace(out), "[") {
+		t.Errorf("Result(%s) = %q, %v; want a JSON array", jsonJob.ID, out, err)
+	}
 
 	// The list endpoint reports submission order.
-	resp = get(t, ts, "/v1/jobs")
-	defer resp.Body.Close()
-	var list []JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+	list, err := c.List(t.Context())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 2 || list[0].ID != "job-000001" || list[1].ID != jsonJob.ID {
@@ -115,8 +119,7 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		return nil, nil
 	}})
 	defer shutdownAll(t, s, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, _ := serveHTTP(t, s)
 
 	cases := []struct {
 		name, body string
@@ -131,10 +134,10 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		{"oversized", string(bytes.Repeat([]byte("x"), 8192)), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		resp := post(t, ts, tc.body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		_, err := c.Submit(t.Context(), strings.NewReader(tc.body))
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != tc.want || se.Msg == "" {
+			t.Errorf("%s: err = %v, want HTTP %d with a message", tc.name, err, tc.want)
 		}
 	}
 	// None of the rejects may have created a job.
@@ -142,11 +145,24 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		t.Errorf("%d jobs exist after rejected submissions", len(jobs))
 	}
 
-	resp := get(t, ts, "/v1/jobs/job-404/result")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown-job result status = %d, want 404", resp.StatusCode)
+	if _, err := c.Result(t.Context(), "job-404", ""); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown-job result: %v, want ErrNotFound", err)
 	}
+	if _, err := c.Status(t.Context(), "job-404"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown-job status: %v, want ErrNotFound", err)
+	}
+}
+
+// fillQueue occupies the lone worker and the one queue slot of a
+// Workers: 1, QueueDepth: 1 server running blockingRunner, then returns
+// the error of one more submission.
+func fillQueue(t *testing.T, c *Client, started <-chan string) error {
+	t.Helper()
+	submit(t, c, smallScenarioJSON)
+	<-started
+	submit(t, c, smallScenarioJSON)
+	_, err := c.Submit(t.Context(), strings.NewReader(smallScenarioJSON))
+	return err
 }
 
 func TestHTTPQueueFull429(t *testing.T) {
@@ -157,21 +173,22 @@ func TestHTTPQueueFull429(t *testing.T) {
 		Runner: blockingRunner(started, release),
 	})
 	defer shutdownAll(t, s, release)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, ts := serveHTTP(t, s)
 
-	// Fill the worker, then the queue.
-	for i := 0; i < 2; i++ {
-		resp := post(t, ts, smallScenarioJSON)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("warm-up submit %d: status %d", i, resp.StatusCode)
-		}
-		if i == 0 {
-			<-started
-		}
+	err := fillQueue(t, c, started)
+	var full *QueueFullError
+	if !errors.Is(err, ErrQueueFull) || !errors.As(err, &full) {
+		t.Fatalf("full-queue submit: %v, want a *QueueFullError", err)
 	}
-	resp := post(t, ts, smallScenarioJSON)
+	if full.RetryAfter != 2*time.Second {
+		t.Errorf("Retry-After = %v, want 2s", full.RetryAfter)
+	}
+	// The reply itself, as any other client sees it: 429, the header in
+	// whole seconds and an {"error": ...} body.
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(smallScenarioJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full-queue status = %d, want 429", resp.StatusCode)
@@ -182,6 +199,11 @@ func TestHTTPQueueFull429(t *testing.T) {
 	var e map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
 		t.Errorf("429 body = %v, %v; want an error message", e, err)
+	}
+	// The Server returns the same error value in process.
+	_, err = s.Submit(testScenario(t, "in-process"))
+	if !errors.As(err, &full) || full.RetryAfter != 2*time.Second {
+		t.Errorf("Server.Submit into a full queue: %v, want a *QueueFullError with the 2s hint", err)
 	}
 }
 
@@ -221,26 +243,14 @@ func TestHTTPRetryAfterSubSecond(t *testing.T) {
 		Runner: blockingRunner(started, release),
 	})
 	defer shutdownAll(t, s, release)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, _ := serveHTTP(t, s)
 
-	for i := 0; i < 2; i++ {
-		resp := post(t, ts, smallScenarioJSON)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("warm-up submit %d: status %d", i, resp.StatusCode)
-		}
-		if i == 0 {
-			<-started
-		}
+	var full *QueueFullError
+	if err := fillQueue(t, c, started); !errors.As(err, &full) {
+		t.Fatalf("full-queue submit: %v, want a *QueueFullError", err)
 	}
-	resp := post(t, ts, smallScenarioJSON)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full-queue status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want %q (clamped up from 100ms)", ra, "1")
+	if full.RetryAfter != time.Second {
+		t.Errorf("Retry-After = %v, want 1s (clamped up from 100ms)", full.RetryAfter)
 	}
 }
 
@@ -252,30 +262,25 @@ func TestHTTPResultConflictStates(t *testing.T) {
 		Runner: blockingRunner(started, release),
 	})
 	defer shutdownAll(t, s, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, _ := serveHTTP(t, s)
 
-	st := decodeStatus(t, post(t, ts, smallScenarioJSON))
+	st := submit(t, c, smallScenarioJSON)
 	<-started
 	// Still running: the result endpoint must say so, not block.
-	resp := get(t, ts, "/v1/jobs/"+st.ID+"/result")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("result of running job: status %d, want 409", resp.StatusCode)
+	if _, err := c.Result(t.Context(), st.ID, ""); !errors.Is(err, ErrNotFinished) {
+		t.Fatalf("result of running job: %v, want ErrNotFinished", err)
 	}
 	// Once the deadline kills it, the conflict carries the cause.
-	waitState(t, s, st.ID, StateCanceled)
-	resp = get(t, ts, "/v1/jobs/"+st.ID+"/result")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("result of canceled job: status %d, want 409", resp.StatusCode)
+	if got, err := c.Wait(t.Context(), st.ID); err != nil || got.State != StateCanceled {
+		t.Fatalf("Wait = %+v, %v; want canceled", got, err)
 	}
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
+	_, err := c.Result(t.Context(), st.ID, "")
+	if err == nil || errors.Is(err, ErrNotFinished) || !strings.Contains(err.Error(), string(StateCanceled)) {
+		t.Errorf("result of canceled job: %v, want its cancellation cause", err)
 	}
-	if body["state"] != string(StateCanceled) {
-		t.Errorf("conflict body = %v, want state canceled", body)
+	// The same job through the Server in process reads the same.
+	if _, _, serr := s.Result(st.ID, ""); serr == nil || serr.Error() != err.Error() {
+		t.Errorf("in-process result error %v, over HTTP %v", serr, err)
 	}
 }
 
@@ -283,16 +288,10 @@ func TestHTTPHealthAndReadiness(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, Runner: func(ctx context.Context, sc *scenario.Scenario) ([]scenario.Result, error) {
 		return nil, nil
 	}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, ts := serveHTTP(t, s)
 
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp := get(t, ts, path)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s = %d before drain, want 200", path, resp.StatusCode)
-		}
-	}
+	wantCode(t, ts, "/healthz", http.StatusOK)
+	wantCode(t, ts, "/readyz", http.StatusOK)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -302,20 +301,10 @@ func TestHTTPHealthAndReadiness(t *testing.T) {
 
 	// Draining: liveness stays green (the process is healthy), readiness
 	// flips so load balancers stop routing new work, and submissions 503.
-	resp := get(t, ts, "/healthz")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz while draining = %d, want 200", resp.StatusCode)
-	}
-	resp = get(t, ts, "/readyz")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while draining = %d, want 503", resp.StatusCode)
-	}
-	resp = post(t, ts, smallScenarioJSON)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("submit while draining = %d, want 503", resp.StatusCode)
+	wantCode(t, ts, "/healthz", http.StatusOK)
+	wantCode(t, ts, "/readyz", http.StatusServiceUnavailable)
+	if _, err := c.Submit(t.Context(), strings.NewReader(smallScenarioJSON)); !errors.Is(err, ErrDraining) {
+		t.Errorf("submit while draining: %v, want ErrDraining", err)
 	}
 }
 
@@ -324,22 +313,17 @@ func TestHTTPCancelEndpoint(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{Workers: 1, QueueDepth: 4, Runner: blockingRunner(started, release)})
 	defer shutdownAll(t, s, release)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	c, _ := serveHTTP(t, s)
 
-	st := decodeStatus(t, post(t, ts, smallScenarioJSON))
+	st := submit(t, c, smallScenarioJSON)
 	<-started
-	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%s", ts.URL, st.ID), nil)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := c.Cancel(t.Context(), st.ID); err != nil || got.ID != st.ID {
+		t.Fatalf("Cancel = %+v, %v", got, err)
 	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := c.Wait(t.Context(), st.ID); err != nil || got.State != StateCanceled {
+		t.Fatalf("Wait = %+v, %v; want canceled", got, err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE status = %d, want 200", resp.StatusCode)
+	if _, err := c.Cancel(t.Context(), "job-999999"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("cancel unknown: %v, want ErrNotFound", err)
 	}
-	waitState(t, s, st.ID, StateCanceled)
 }

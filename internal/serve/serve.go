@@ -111,7 +111,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Sentinel errors of the job API; the HTTP layer maps them to status
-// codes (429, 503, 404, 409).
+// codes (429, 503, 404, 409) and the Client maps the codes back. A full
+// queue is reported as a *QueueFullError, which unwraps to ErrQueueFull.
 var (
 	ErrQueueFull   = errors.New("serve: job queue full")
 	ErrDraining    = errors.New("serve: server is draining")
@@ -138,6 +139,13 @@ type JobStatus struct {
 	// once done: one content address for the whole run, equal roots mean
 	// point-for-point identical results.
 	MerkleRoot string `json:"merkle_root,omitempty"`
+	// QueuedAt, StartedAt and FinishedAt are the job's timeline: accepted,
+	// picked up by a worker, settled. Each is absent until the job gets
+	// there (a job canceled in the queue never starts). They are status
+	// only: no rendered result or Merkle root sees them.
+	QueuedAt   time.Time `json:"queued_at,omitzero"`
+	StartedAt  time.Time `json:"started_at,omitzero"`
+	FinishedAt time.Time `json:"finished_at,omitzero"`
 }
 
 // job is the server-internal record; all fields below mu-guarded state
@@ -151,6 +159,8 @@ type job struct {
 	cancel     context.CancelFunc // non-nil exactly while running
 	cache      *resultcache.Cache // per-job scope; nil when the daemon has no cache
 	merkleRoot string             // set with StateDone
+
+	queuedAt, startedAt, finishedAt time.Time
 }
 
 func (j *job) status() JobStatus {
@@ -161,6 +171,9 @@ func (j *job) status() JobStatus {
 		Points:     j.scenario.NumPoints(),
 		Error:      j.err,
 		MerkleRoot: j.merkleRoot,
+		QueuedAt:   j.queuedAt,
+		StartedAt:  j.startedAt,
+		FinishedAt: j.finishedAt,
 	}
 	if j.cache != nil {
 		stats := j.cache.Stats()
@@ -183,6 +196,9 @@ type Server struct {
 	order    []string // submission order, for List
 	seq      int
 	draining bool
+	// queueFull counts submissions turned away by a full queue (the
+	// 429s), for /metrics.
+	queueFull int
 }
 
 // New builds a Server and starts its worker pool. Call Shutdown to drain
@@ -205,8 +221,9 @@ func New(cfg Config) *Server {
 }
 
 // Submit enqueues a validated scenario and returns the new job's status.
-// It never blocks: a full queue returns ErrQueueFull (backpressure) and a
-// draining server returns ErrDraining.
+// It never blocks: a full queue returns a *QueueFullError (backpressure;
+// errors.Is(err, ErrQueueFull) holds) and a draining server returns
+// ErrDraining.
 func (s *Server) Submit(sc *scenario.Scenario) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,12 +235,14 @@ func (s *Server) Submit(sc *scenario.Scenario) (JobStatus, error) {
 		id:       fmt.Sprintf("job-%06d", s.seq),
 		scenario: sc,
 		state:    StateQueued,
+		queuedAt: time.Now(),
 	}
 	select {
 	case s.queue <- j:
 	default:
 		s.seq-- // the id was never exposed; keep the sequence dense
-		return JobStatus{}, ErrQueueFull
+		s.queueFull++
+		return JobStatus{}, &QueueFullError{RetryAfter: s.cfg.RetryAfter}
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -269,6 +288,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	case StateQueued:
 		j.state = StateCanceled
 		j.err = "canceled before start"
+		j.finishedAt = time.Now()
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel()
@@ -377,6 +397,7 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	j.state = StateRunning
+	j.startedAt = time.Now()
 	j.cancel = cancel
 	// The job gets its own scope of the daemon cache: shared store and
 	// in-flight table (cross-job deduplication), per-job counters for the
@@ -392,6 +413,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.cancel = nil
+	j.finishedAt = time.Now()
 	switch {
 	case err == nil:
 		j.state = StateDone

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -381,4 +382,61 @@ func TestRealSweepWorkerPanicIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, "job-000002", StateDone)
+}
+
+// TestJobTimeline checks the status timeline: each stamp appears when the
+// job reaches that point, the wire omits the ones not reached yet, and the
+// stamps of one worker's jobs are ordered.
+func TestJobTimeline(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	s := New(Config{Workers: 1, QueueDepth: 4, Runner: blockingRunner(started, release)})
+	defer shutdownAll(t, s, release)
+
+	for _, name := range []string{"first", "second", "third"} {
+		if _, err := s.Submit(testScenario(t, name)); err != nil {
+			t.Fatal(err)
+		}
+		if name == "first" {
+			<-started
+		}
+	}
+	if _, err := s.Cancel("job-000003"); err != nil {
+		t.Fatal(err)
+	}
+	// The wire carries exactly the stamps each job has reached.
+	for _, c := range []struct {
+		id   string
+		want []bool // queued_at, started_at, finished_at present
+	}{
+		{"job-000001", []bool{true, true, false}},  // running
+		{"job-000002", []bool{true, false, false}}, // queued
+		{"job-000003", []bool{true, false, true}},  // canceled in the queue
+	} {
+		st, err := s.Status(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range []string{`"queued_at"`, `"started_at"`, `"finished_at"`} {
+			if got := strings.Contains(string(wire), key); got != c.want[i] {
+				t.Errorf("%s (%s): %s present = %v, want %v\n%s", c.id, st.State, key, got, c.want[i], wire)
+			}
+		}
+	}
+
+	close(release)
+	first := waitState(t, s, "job-000001", StateDone)
+	second := waitState(t, s, "job-000002", StateDone)
+	// The second job was submitted once the first had started, and the
+	// lone worker picks it up only after the first has finished.
+	ordered := []time.Time{first.QueuedAt, first.StartedAt, second.QueuedAt, first.FinishedAt, second.StartedAt, second.FinishedAt}
+	for i := 1; i < len(ordered); i++ {
+		if ordered[i].Before(ordered[i-1]) {
+			t.Errorf("timeline out of order at step %d: %v", i, ordered)
+		}
+	}
 }
