@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // AdaptiveSwitch is an age-weighted adaptive deflection router. It keeps
 // every minimal-storage property of DeflSwitch — nothing is buffered,
@@ -12,9 +16,10 @@ import "fmt"
 //   - Port selection is congestion-aware: among the free productive ports
 //     (and, for deflected flits, among the free unproductive ports) the
 //     switch picks the one whose downstream switch currently has the
-//     fewest flits arriving, read from the neighbour's input links. The
-//     estimate is one cycle stale, exactly the information a hardware
-//     implementation could carry on dedicated congestion wires.
+//     fewest flits arriving, a count its upstream switches keep as they
+//     place flits towards it. The estimate is one cycle stale, exactly the
+//     information a hardware implementation could carry on dedicated
+//     congestion wires.
 //
 // Under skewed traffic this spreads load across the two productive
 // directions of a torus hop instead of always preferring the first one,
@@ -24,13 +29,14 @@ type AdaptiveSwitch struct{ deflector }
 // Name implements sim.Component.
 func (s *AdaptiveSwitch) Name() string { return fmt.Sprintf("adsw(%d,%d)", s.x, s.y) }
 
-// wireNeighbors resolves the downstream switch behind every output port;
-// called by NewRouterNetwork after all switches exist. Ports the fabric
-// defines no link for stay nil, and no candidate list offers them.
-func (s *AdaptiveSwitch) wireNeighbors(n *Network) {
-	s.nbr = new([NumPorts]*routerPorts)
+// wireNeighbors resolves the arrival count of the downstream switch behind
+// every output port; called by NewRouterNetwork after all switches exist.
+// Ports the fabric defines no link for stay nil, and no candidate mask
+// offers them.
+func (s *AdaptiveSwitch) wireNeighbors(e *sim.Engine, n *Network) {
+	s.nbr, s.clock = new([NumPorts]*arrivalCount), e
 	for _, p := range s.ports {
 		nb, _ := n.Topo.Neighbor(s.id, p)
-		s.nbr[p] = n.Routers[nb].wiring()
+		s.nbr[p] = &n.Routers[nb].(*AdaptiveSwitch).arrivals
 	}
 }

@@ -27,6 +27,7 @@ import (
 //     capacity for buffered kinds)
 //   - bufferless kinds additionally store nothing, ever
 //   - the wormhole kind additionally never drives a credit negative
+//   - the adaptive kind's arrival counts equal a scan of the input links
 //
 // After injection stops the network must drain completely: every injected
 // flit delivered, nothing in flight, nothing latched in a concentrator —
@@ -102,6 +103,9 @@ func checkInvariants(t *testing.T, n *Network, cycle int) {
 		if buf := n.BufferedNow(); buf != 0 {
 			t.Fatalf("cycle %d: bufferless %v router stores %d flits", cycle, n.Kind, buf)
 		}
+	}
+	if n.Kind == RouterAdaptive {
+		checkArrivals(t, n, int64(cycle))
 	}
 	if n.Kind == RouterWormhole {
 		for _, r := range n.Routers {

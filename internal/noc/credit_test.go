@@ -39,16 +39,16 @@ func (d deliveryLog) Restore(snap any) {
 	*d.at = (*d.at)[:sn.delivered]
 }
 
-// replayRig builds a wormhole network fed by replay nodes that record
-// every delivery cycle, with fast-forward on or off.
-func replayRig(t *testing.T, topo Topology, events []ReplayEvent, ffwd bool) (*measureRig, *[]int64) {
+// replayRig builds a network of the given router kind fed by replay nodes
+// that record every delivery cycle, with fast-forward on or off.
+func replayRig(t *testing.T, topo Topology, kind RouterKind, events []ReplayEvent, ffwd bool) (*measureRig, *[]int64) {
 	t.Helper()
 	per := make([][]ReplayEvent, topo.NumEndpoints())
 	for _, ev := range events {
 		per[ev.Src] = append(per[ev.Src], ev)
 	}
 	delivered := new([]int64)
-	r, err := newRig(context.Background(), topo, RouterWormhole, 0, func(i int) (LocalPort, sim.Component) {
+	r, err := newRig(context.Background(), topo, kind, 0, func(i int) (LocalPort, sim.Component) {
 		d := deliveryLog{newReplayNode(i, topo, per[i]), delivered}
 		return d, d
 	})
@@ -83,8 +83,8 @@ func TestWormholeCreditWakesNobody(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := []ReplayEvent{{Cycle: 50, Src: 0, Dst: tc.dst}}
-		all, allAt := replayRig(t, topo, events, false)
-		woken, wokenAt := replayRig(t, topo, events, true)
+		all, allAt := replayRig(t, topo, RouterWormhole, events, false)
+		woken, wokenAt := replayRig(t, topo, RouterWormhole, events, true)
 		all.e.Run(horizon)
 		woken.e.Run(horizon)
 		if want := []int64{tc.delivered}; !slices.Equal(*allAt, want) || !slices.Equal(*wokenAt, want) {
@@ -207,8 +207,8 @@ func FuzzWormholeCredits(f *testing.F) {
 		}
 		ew, eh := topo.EndpointDims()
 		name := fmt.Sprintf("%v %dx%d", topo.Kind(), ew, eh)
-		all, _ := replayRig(t, topo, events, false)
-		woken, _ := replayRig(t, topo, events, true)
+		all, _ := replayRig(t, topo, RouterWormhole, events, false)
+		woken, _ := replayRig(t, topo, RouterWormhole, events, true)
 		for range 4*64 + 64 {
 			all.e.Run(1)
 			woken.e.Run(1)

@@ -146,6 +146,7 @@ func (s *WormholeSwitch) Restore(snap any) {
 		}
 	}
 	s.injQ.Restore(sn.injQ)
+	s.rebuildOcc()
 	s.credits, s.pending, s.freshAt, s.owed = sn.credits, sn.pending, sn.freshAt, sn.owed
 	s.buffered, s.peakBuf, s.minCredit = sn.buffered, sn.peakBuf, sn.minCredit
 	s.Stats = sn.stats

@@ -31,7 +31,6 @@ type NetStats struct {
 	Delivered stats.Counter
 	Latency   stats.Running // inject-to-eject cycles
 	Hops      stats.Running
-	Deflects  stats.Running // deflections per delivered flit
 
 	// LatencySample, when non-nil, additionally records every delivered
 	// flit's latency for exact percentile reporting. The scenario runner
@@ -78,7 +77,7 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 		}
 	case RouterAdaptive:
 		for _, r := range n.Routers {
-			r.(*AdaptiveSwitch).wireNeighbors(n)
+			r.(*AdaptiveSwitch).wireNeighbors(e, n)
 		}
 	}
 	// Concentrated topologies put a local crossbar between each switch
@@ -206,7 +205,6 @@ func (n *Network) noteDelivered(f *flit.Flit, now int64) {
 	n.Stats.Delivered.Inc()
 	n.Stats.Latency.Observe(float64(now - f.Meta.InjectCycle))
 	n.Stats.Hops.Observe(float64(f.Meta.Hops))
-	n.Stats.Deflects.Observe(float64(f.Meta.Deflections))
 	if n.Stats.LatencySample != nil {
 		n.Stats.LatencySample.Observe(now - f.Meta.InjectCycle)
 	}

@@ -154,10 +154,11 @@ type routerPorts struct {
 
 // route is what a switch does with flits for one destination endpoint.
 type route struct {
-	eject bool           // the endpoint hangs off this switch
-	nprod uint8          // how many of prod are set
-	prod  [NumPorts]Port // Topology.ProductivePorts, in its order
-	xy    Port           // Topology.XYFirstPort; unset when eject
+	eject    bool           // the endpoint hangs off this switch
+	nprod    uint8          // how many of prod are set
+	prodMask uint8          // prod as a set: bit p for Port p
+	prod     [NumPorts]Port // Topology.ProductivePorts, in its (ascending) order
+	xy       Port           // Topology.XYFirstPort; unset when eject
 }
 
 // productive returns the ports that bring a flit closer.
@@ -180,10 +181,11 @@ func (t Topology) RouteTableBytes() int64 {
 // and nothing derived any other way, which TestRouteTableMatchesTopology
 // checks entry by entry.
 type routeTable struct {
-	routes []route // by destination endpoint, row-major over the endpoint grid
-	ew     int     // endpoint grid width
-	ports  []Port  // the ports with a link, ascending
-	wrap   [NumPorts]bool
+	routes   []route // by destination endpoint, row-major over the endpoint grid
+	ew       int     // endpoint grid width
+	ports    []Port  // the ports with a link, ascending
+	linkMask uint8   // ports as a set: bit p for Port p
+	wrap     [NumPorts]bool
 }
 
 func newRouteTable(topo Topology, id int) routeTable {
@@ -196,6 +198,9 @@ func newRouteTable(topo Topology, id int) routeTable {
 		r := &t.routes[ey*ew+ex]
 		r.eject = dx == x && dy == y
 		r.nprod = uint8(len(topo.ProductivePorts(r.prod[:0], x, y, dx, dy)))
+		for _, p := range r.productive() {
+			r.prodMask |= 1 << p
+		}
 		var ok bool
 		if r.xy, ok = topo.XYFirstPort(x, y, dx, dy); ok == r.eject {
 			panic(fmt.Sprintf("noc: %v topology has no dimension-order hop from switch %d to endpoint %d", topo.Kind(), id, e))
@@ -204,6 +209,7 @@ func newRouteTable(topo Topology, id int) routeTable {
 	for p := Port(0); p < NumPorts; p++ {
 		if _, ok := topo.Neighbor(id, p); ok {
 			t.ports = append(t.ports, p)
+			t.linkMask |= 1 << p
 			t.wrap[p] = topo.WrapCrossing(x, y, p)
 		}
 	}
@@ -244,19 +250,6 @@ func (rp *routerPorts) outOccupancy() int {
 	c := 0
 	for p := Port(0); p < NumPorts; p++ {
 		if rp.out[p] != nil && rp.out[p].Valid() {
-			c++
-		}
-	}
-	return c
-}
-
-// inOccupancy counts input links delivering a flit this cycle; the
-// adaptive router reads its neighbours' value as the downstream
-// contention estimate.
-func (rp *routerPorts) inOccupancy() int {
-	c := 0
-	for p := Port(0); p < NumPorts; p++ {
-		if rp.in[p] != nil && rp.in[p].Valid() {
 			c++
 		}
 	}

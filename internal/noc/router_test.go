@@ -239,8 +239,14 @@ func TestRouteTableMatchesTopology(t *testing.T) {
 				if want := topo.EndpointSwitch(e) == id; rt.eject != want {
 					t.Errorf("%v %dx%d switch %d endpoint %d: eject = %v, want %v", fab.kind, fab.w, fab.h, id, e, rt.eject, want)
 				}
-				if got, want := rt.productive(), topo.ProductivePorts(nil, x, y, dx, dy); !slices.Equal(got, want) {
+				want := topo.ProductivePorts(nil, x, y, dx, dy)
+				if got := rt.productive(); !slices.Equal(got, want) {
 					t.Errorf("%v %dx%d switch %d endpoint %d: productive = %v, want %v", fab.kind, fab.w, fab.h, id, e, got, want)
+				}
+				// The deflector's first-free pick over the mask is the old
+				// first-free pick over the list only if the list ascends.
+				if got := maskPorts(rt.prodMask); !slices.Equal(got, want) {
+					t.Errorf("%v %dx%d switch %d endpoint %d: prodMask ports = %v, want %v in that order", fab.kind, fab.w, fab.h, id, e, got, want)
 				}
 				if want, ok := topo.XYFirstPort(x, y, dx, dy); ok == rt.eject || (ok && rt.xy != want) {
 					t.Errorf("%v %dx%d switch %d endpoint %d: xy = %v (eject %v), want %v, %v", fab.kind, fab.w, fab.h, id, e, rt.xy, rt.eject, want, ok)
@@ -262,8 +268,22 @@ func TestRouteTableMatchesTopology(t *testing.T) {
 			if !slices.Equal(rp.ports, ports) {
 				t.Errorf("%v %dx%d switch %d: ports = %v, want %v", fab.kind, fab.w, fab.h, id, rp.ports, ports)
 			}
+			if got := maskPorts(rp.linkMask); !slices.Equal(got, ports) {
+				t.Errorf("%v %dx%d switch %d: linkMask ports = %v, want %v", fab.kind, fab.w, fab.h, id, got, ports)
+			}
 		}
 	}
+}
+
+// maskPorts lists the ports set in a port mask, ascending.
+func maskPorts(m uint8) []Port {
+	var ports []Port
+	for p := Port(0); p < 8; p++ {
+		if m&(1<<p) != 0 {
+			ports = append(ports, p)
+		}
+	}
+	return ports
 }
 
 // Flits of equal age leave in arrival-port order: the arbitration's last

@@ -104,7 +104,6 @@ type TrafficNode struct {
 	cfg   TrafficConfig
 	rng   *sim.RNG
 	outQ  *queue.FIFO[flit.Flit]
-	now   int64
 	pktID uint64
 	inj   injectGate
 
@@ -115,7 +114,6 @@ type TrafficNode struct {
 	Sent      stats.Counter
 	Recv      stats.Counter
 	Throttled stats.Counter
-	QueueLat  stats.Running // cycles spent in the source queue
 }
 
 // injectGate is the pre-drawn injection gating shared by TrafficNode and
@@ -256,7 +254,6 @@ func (t *TrafficNode) Name() string { return fmt.Sprintf("traffic(%d)", t.id) }
 
 // Step implements sim.Component.
 func (t *TrafficNode) Step(now int64) {
-	t.now = now
 	if !t.inj.gate(now) {
 		if t.outQ.Len() == 0 && !t.inj.dense {
 			t.wake.Idle()
@@ -319,14 +316,7 @@ func (t *TrafficNode) destination() int {
 }
 
 // TryPull implements LocalPort.
-func (t *TrafficNode) TryPull() (flit.Flit, bool) {
-	f, ok := t.outQ.Pop()
-	if !ok {
-		return f, false
-	}
-	t.QueueLat.Observe(float64(t.now - f.Meta.InjectCycle))
-	return f, true
-}
+func (t *TrafficNode) TryPull() (flit.Flit, bool) { return t.outQ.Pop() }
 
 // Deliver implements LocalPort.
 func (t *TrafficNode) Deliver(flit.Flit, int64) { t.Recv.Inc() }
@@ -365,7 +355,6 @@ type trafficSnap struct {
 	sent         stats.Counter
 	recv         stats.Counter
 	throttled    stats.Counter
-	queueLat     stats.Running
 }
 
 // Snapshot implements sim.Checkpointable.
@@ -375,7 +364,7 @@ func (t *TrafficNode) Snapshot() any {
 		pktID:        t.pktID,
 		drawnThrough: t.inj.drawnThrough, nextInject: t.inj.nextInject,
 		sched: t.inj.sched, cursor: t.inj.cursor,
-		sent: t.Sent, recv: t.Recv, throttled: t.Throttled, queueLat: t.QueueLat,
+		sent: t.Sent, recv: t.Recv, throttled: t.Throttled,
 	}
 	if t.inj.burst != nil {
 		s.burst, s.hasBurst = t.inj.burst.snapshot(), true
@@ -394,5 +383,5 @@ func (t *TrafficNode) Restore(snap any) {
 	t.pktID = s.pktID
 	t.inj.drawnThrough, t.inj.nextInject = s.drawnThrough, s.nextInject
 	t.inj.sched, t.inj.cursor = s.sched, s.cursor
-	t.Sent, t.Recv, t.Throttled, t.QueueLat = s.sent, s.recv, s.throttled, s.queueLat
+	t.Sent, t.Recv, t.Throttled = s.sent, s.recv, s.throttled
 }

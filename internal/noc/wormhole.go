@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/flit"
 	"repro/internal/queue"
@@ -57,8 +58,11 @@ type WormholeStats struct {
 type WormholeSwitch struct {
 	routerPorts
 
-	bufs [NumPorts][WormholeVCs]*queue.FIFO[flit.Flit]
-	injQ *queue.FIFO[flit.Flit]
+	bufs [NumPorts][WormholeVCs]queue.FIFO[flit.Flit]
+	injQ queue.FIFO[flit.Flit]
+	// occ has a bit set for every non-empty queue, numbered as occBit
+	// numbers them, so heads visits only those.
+	occ uint16
 
 	// credits[p][v] counts free slots in the downstream switch's input
 	// buffer reached through port p, VC v.
@@ -83,10 +87,10 @@ type WormholeSwitch struct {
 }
 
 func newWormholeSwitch(rp routerPorts) *WormholeSwitch {
-	s := &WormholeSwitch{routerPorts: rp, injQ: queue.NewFIFO[flit.Flit](WormholeVCDepth)}
+	s := &WormholeSwitch{routerPorts: rp, injQ: *queue.NewFIFO[flit.Flit](WormholeVCDepth)}
 	for p := 0; p < int(NumPorts); p++ {
 		for v := 0; v < WormholeVCs; v++ {
-			s.bufs[p][v] = queue.NewFIFO[flit.Flit](WormholeVCDepth)
+			s.bufs[p][v] = *queue.NewFIFO[flit.Flit](WormholeVCDepth)
 			s.credits[p][v] = WormholeVCDepth
 		}
 	}
@@ -200,21 +204,45 @@ type whHead struct {
 	f    *flit.Flit // where it sits in q
 	port int        // -1 for the injection queue
 	vc   uint8
+	bit  uint16 // q's bit in the occupancy mask
+}
+
+// The occupancy mask's bits: bit 0 for the injection queue, then one bit
+// per link buffer by port and VC (occBit).
+const occInj uint16 = 1
+
+func occBit(port int, vc uint8) uint16 { return occInj << (1 + port*WormholeVCs + int(vc)) }
+
+// rebuildOcc recomputes the occupancy mask from the queues.
+func (s *WormholeSwitch) rebuildOcc() {
+	s.occ = 0
+	if s.injQ.Len() > 0 {
+		s.occ |= occInj
+	}
+	for p := range s.bufs {
+		for v := range s.bufs[p] {
+			if s.bufs[p][v].Len() > 0 {
+				s.occ |= occBit(p, uint8(v))
+			}
+		}
+	}
 }
 
 // heads collects the current head flit of every non-empty input queue:
 // the injection queue first, then the link buffers by port and VC, which
-// is the order the allocator's sort leaves flits of equal age in.
+// is the order the allocator's sort leaves flits of equal age in (and the
+// order of the occupancy mask's bits).
 func (s *WormholeSwitch) heads(scratch []whHead) []whHead {
-	if f := s.injQ.Front(); f != nil {
-		scratch = append(scratch, whHead{q: s.injQ, f: f, port: -1})
-	}
-	for p := 0; p < int(NumPorts); p++ {
-		for v := 0; v < WormholeVCs; v++ {
-			if f := s.bufs[p][v].Front(); f != nil {
-				scratch = append(scratch, whHead{q: s.bufs[p][v], f: f, port: p, vc: uint8(v)})
-			}
+	for m := s.occ; m != 0; m &= m - 1 {
+		bit := m & -m
+		if bit == occInj {
+			scratch = append(scratch, whHead{q: &s.injQ, f: s.injQ.Front(), port: -1, bit: bit})
+			continue
 		}
+		i := bits.TrailingZeros16(m) - 1
+		p, v := i/WormholeVCs, uint8(i%WormholeVCs)
+		q := &s.bufs[p][v]
+		scratch = append(scratch, whHead{q: q, f: q.Front(), port: p, vc: v, bit: bit})
 	}
 	return scratch
 }
@@ -223,6 +251,9 @@ func (s *WormholeSwitch) heads(scratch []whHead) []whHead {
 // upstream when the flit arrived over a link.
 func (s *WormholeSwitch) pop(h whHead, now int64) {
 	h.q.Drop()
+	if h.q.Len() == 0 {
+		s.occ &^= h.bit
+	}
 	s.buffered--
 	if h.port >= 0 {
 		s.returnCredit(Port(h.port), h.vc, now)
@@ -308,6 +339,7 @@ func (s *WormholeSwitch) Step(now int64) {
 			if !s.bufs[p][f.Meta.VC].Push(*f) {
 				panic("noc: wormhole input buffer overrun (credit protocol violated)")
 			}
+			s.occ |= occBit(p, f.Meta.VC)
 			s.buffered++
 		}
 	}
@@ -320,6 +352,7 @@ func (s *WormholeSwitch) Step(now int64) {
 			s.Stats.Injected.Inc()
 			s.net.noteInjected()
 			s.injQ.Push(f)
+			s.occ |= occInj
 			s.buffered++
 		}
 	}
