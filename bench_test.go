@@ -21,7 +21,6 @@ import (
 	"repro/internal/matmul"
 	"repro/internal/noc"
 	"repro/internal/pe"
-	"repro/internal/sim"
 	"repro/internal/syncbench"
 )
 
@@ -29,41 +28,28 @@ import (
 // a buffered XY router on adversarial transpose traffic.
 func BenchmarkDeflectionVsXY(b *testing.B) {
 	topo, _ := noc.NewTopology(4, 4)
-	const rate, cycles = 0.4, 5000
-	b.Run("deflection", func(b *testing.B) {
-		var lat float64
-		for i := 0; i < b.N; i++ {
-			e := sim.NewEngine()
-			n := noc.NewRouterNetwork(e, topo, noc.RouterDeflection)
-			for id := 0; id < topo.NumNodes(); id++ {
-				tn := noc.NewTrafficNode(id, topo, noc.TrafficConfig{Pattern: noc.Transpose, Rate: rate}, 1)
-				n.Attach(id, tn)
-				e.Register(sim.PhaseNode, tn)
+	for _, r := range []struct {
+		name   string
+		router noc.RouterKind
+	}{{"deflection", noc.RouterDeflection}, {"xy-buffered", noc.RouterXY}} {
+		b.Run(r.name, func(b *testing.B) {
+			var m noc.Measurement
+			for i := 0; i < b.N; i++ {
+				var err error
+				m, err = noc.MeasureCtx(context.Background(), topo, noc.MeasureConfig{
+					Router:  r.router,
+					Traffic: noc.TrafficConfig{Pattern: noc.Transpose, Rate: 0.4},
+					Measure: 5000,
+					Seed:    1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-			e.Run(cycles)
-			lat = n.Stats.Latency.Mean()
-		}
-		b.ReportMetric(lat, "flit-latency-cycles")
-		b.ReportMetric(0, "buffer-flits")
-	})
-	b.Run("xy-buffered", func(b *testing.B) {
-		var lat float64
-		var peak int
-		for i := 0; i < b.N; i++ {
-			e := sim.NewEngine()
-			n := noc.NewRouterNetwork(e, topo, noc.RouterXY)
-			for id := 0; id < topo.NumNodes(); id++ {
-				tn := noc.NewTrafficNode(id, topo, noc.TrafficConfig{Pattern: noc.Transpose, Rate: rate}, 1)
-				n.Attach(id, tn)
-				e.Register(sim.PhaseNode, tn)
-			}
-			e.Run(cycles)
-			lat = n.Stats.Latency.Mean()
-			peak = n.PeakBuffer()
-		}
-		b.ReportMetric(lat, "flit-latency-cycles")
-		b.ReportMetric(float64(peak), "buffer-flits")
-	})
+			b.ReportMetric(m.MeanLatency, "flit-latency-cycles")
+			b.ReportMetric(float64(m.PeakBuffer), "buffer-flits")
+		})
+	}
 }
 
 // BenchmarkArbiterVariants is the ablation A-2: the three NoC-access

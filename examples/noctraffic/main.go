@@ -7,16 +7,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
 )
 
 const (
-	warmCycles = 2000
-	seed       = 20100308 // DATE 2010 conference date
+	pointCycles = 2000
+	seed        = 20100308 // DATE 2010 conference date
 )
 
 func main() {
@@ -27,13 +27,13 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, pattern := range []noc.Pattern{noc.Uniform, noc.Transpose} {
-		fmt.Printf("pattern: %v (4x4 folded torus, %d cycles per point)\n", pattern, warmCycles)
+		fmt.Printf("pattern: %v (4x4 folded torus, %d cycles per point)\n", pattern, pointCycles)
 		fmt.Printf("  %-8s %-22s %-22s\n", "load", "deflection (lat/defl)", "XY buffered (lat/peak-buf)")
 		for _, rate := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
-			dLat, defl := runDeflection(topo, pattern, rate)
-			xLat, peak := runXY(topo, pattern, rate)
+			d := measure(topo, noc.RouterDeflection, pattern, rate)
+			x := measure(topo, noc.RouterXY, pattern, rate)
 			fmt.Printf("  %-8.2f %6.1f cyc %6d      %6.1f cyc %4d flits\n",
-				rate, dLat, defl, xLat, peak)
+				rate, d.MeanLatency, d.Deflections, x.MeanLatency, x.PeakBuffer)
 		}
 		fmt.Println()
 	}
@@ -41,26 +41,16 @@ func main() {
 	fmt.Println("peak queue column is the buffering a real implementation needs.")
 }
 
-func runDeflection(topo noc.Topology, p noc.Pattern, rate float64) (meanLat float64, deflections int64) {
-	e := sim.NewEngine()
-	n := noc.NewRouterNetwork(e, topo, noc.RouterDeflection)
-	for i := 0; i < topo.NumNodes(); i++ {
-		tn := noc.NewTrafficNode(i, topo, noc.TrafficConfig{Pattern: p, Rate: rate}, seed)
-		n.Attach(i, tn)
-		e.Register(sim.PhaseNode, tn)
+// measure runs one point with no warmup: its window is the whole run.
+func measure(topo noc.Topology, router noc.RouterKind, p noc.Pattern, rate float64) noc.Measurement {
+	m, err := noc.MeasureCtx(context.Background(), topo, noc.MeasureConfig{
+		Router:  router,
+		Traffic: noc.TrafficConfig{Pattern: p, Rate: rate},
+		Measure: pointCycles,
+		Seed:    seed,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	e.Run(warmCycles)
-	return n.Stats.Latency.Mean(), n.TotalDeflections()
-}
-
-func runXY(topo noc.Topology, p noc.Pattern, rate float64) (meanLat float64, peakQueue int) {
-	e := sim.NewEngine()
-	n := noc.NewRouterNetwork(e, topo, noc.RouterXY)
-	for i := 0; i < topo.NumNodes(); i++ {
-		tn := noc.NewTrafficNode(i, topo, noc.TrafficConfig{Pattern: p, Rate: rate}, seed)
-		n.Attach(i, tn)
-		e.Register(sim.PhaseNode, tn)
-	}
-	e.Run(warmCycles)
-	return n.Stats.Latency.Mean(), n.PeakBuffer()
+	return m
 }

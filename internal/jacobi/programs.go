@@ -17,7 +17,7 @@ type shared struct {
 
 // kernel holds everything one rank's program needs.
 type kernel struct {
-	env     *Envish
+	env     *pe.Env
 	spec    Spec
 	variant Variant
 	blocks  []Block
@@ -30,10 +30,6 @@ type kernel struct {
 	old   int // buffer index read this iteration
 	nw    int // buffer index written this iteration
 }
-
-// Envish is the subset alias for pe.Env used by the kernels; declared for
-// documentation purposes.
-type Envish = pe.Env
 
 // Programs builds one program per rank implementing the requested variant.
 // nodeOf maps ranks to NoC node ids (from core.System.RankNodes). The
@@ -219,44 +215,8 @@ func (k *kernel) copyRowFromShared(localRow int, slot func(col int) uint32) {
 // barrier dispatches to the variant's synchronization primitive.
 func (k *kernel) barrier() {
 	if k.variant == PureSM {
-		k.smBarrier()
+		k.env.SharedBarrier(k.lay.BarrierCountAddr(), k.lay.BarrierSenseAddr(), len(k.blocks), &k.phase)
 		return
 	}
 	k.comm.Barrier()
-}
-
-// smBarrier is the sense-reversing centralized barrier in shared memory:
-// a lock-protected counter at the MPMMU plus a spin on the sense word.
-// Following the paper's programming model, shared data is cacheable with
-// software coherency: the counter read-modify-write invalidates (DII),
-// loads, stores and flushes the counter line inside the lock, and each
-// sense poll is a DII followed by a cached load — i.e. a full block-read
-// transaction. Every arrival and every poll therefore serializes at the
-// MPMMU, which is exactly the synchronization overhead the paper measures
-// the hybrid approach against.
-func (k *kernel) smBarrier() {
-	env := k.env
-	count := k.lay.BarrierCountAddr()
-	sense := k.lay.BarrierSenseAddr()
-	k.phase ^= 1
-	env.Lock(count)
-	env.InvalidateLine(count)
-	c := env.LoadWord(count)
-	if int(c+1) == len(k.blocks) {
-		env.StoreWord(count, 0)
-		env.FlushLine(count)
-		env.InvalidateLine(sense)
-		env.StoreWord(sense, k.phase)
-		env.FlushLine(sense)
-	} else {
-		env.StoreWord(count, c+1)
-		env.FlushLine(count)
-	}
-	env.Unlock(count)
-	for {
-		env.InvalidateLine(sense)
-		if env.LoadWord(sense) == k.phase {
-			return
-		}
-	}
 }

@@ -221,27 +221,5 @@ func (k *mmKernel) barrier() {
 		k.comm.Barrier()
 		return
 	}
-	env := k.env
-	count, sense := k.lay.BarrierCountAddr(), k.lay.BarrierSenseAddr()
-	k.phase ^= 1
-	env.Lock(count)
-	env.InvalidateLine(count)
-	c := env.LoadWord(count)
-	if int(c+1) == len(k.blocks) {
-		env.StoreWord(count, 0)
-		env.FlushLine(count)
-		env.InvalidateLine(sense)
-		env.StoreWord(sense, k.phase)
-		env.FlushLine(sense)
-	} else {
-		env.StoreWord(count, c+1)
-		env.FlushLine(count)
-	}
-	env.Unlock(count)
-	for {
-		env.InvalidateLine(sense)
-		if env.LoadWord(sense) == k.phase {
-			return
-		}
-	}
+	k.env.SharedBarrier(k.lay.BarrierCountAddr(), k.lay.BarrierSenseAddr(), len(k.blocks), &k.phase)
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"repro/internal/flit"
+	"repro/internal/queue"
 	"repro/internal/sim"
 )
 
@@ -42,17 +43,51 @@ func bindInject(p LocalPort, h *sim.Handle) bool {
 	return ok
 }
 
-// portWakes is the wake wiring every traffic endpoint in this package
-// embeds: its own scheduling handle (sim.Sleeper's Bind) and the handle of
-// the switch or crossbar that drains its source queue (InjectWaker), which
-// it wakes on every push.
-type portWakes struct{ wake, puller *sim.Handle }
+// source is the injection side every traffic endpoint in this package
+// embeds: the endpoint id, its queue and packet-id sequence, its own
+// handle (sim.Sleeper's Bind) and the queue's puller's (InjectWaker).
+type source struct {
+	id           int
+	topo         Topology
+	outQ         *queue.FIFO[flit.Flit]
+	pktID        uint64
+	wake, puller *sim.Handle
+}
+
+// newSource makes endpoint id's source; a queueCap of 0 is unbounded.
+func newSource(id int, topo Topology, queueCap int) source {
+	return source{id: id, topo: topo, outQ: queue.NewFIFO[flit.Flit](queueCap)}
+}
+
+// emit is the one constructor of an injected flit: it queues a message
+// flit for endpoint dst, stamped with the cycle and the endpoint's next
+// packet id (id<<40 | sequence), and wakes the puller.
+func (s *source) emit(dst int, sub flit.SubType, data uint32, now int64) {
+	dx, dy := s.topo.EndpointCoord(dst)
+	s.pktID++
+	f := flit.Flit{
+		DstX: uint8(dx), DstY: uint8(dy),
+		Type: flit.Message, Sub: sub,
+		Src:  uint8(s.id & flit.MaxSrc),
+		Data: data,
+	}
+	f.Meta.InjectCycle = now
+	f.Meta.PacketID = uint64(s.id)<<40 | s.pktID
+	s.outQ.Push(f)
+	s.puller.Wake()
+}
+
+// TryPull implements LocalPort.
+func (s *source) TryPull() (flit.Flit, bool) { return s.outQ.Pop() }
+
+// Pending returns the current source-queue occupancy.
+func (s *source) Pending() int { return s.outQ.Len() }
 
 // Bind implements sim.Sleeper.
-func (w *portWakes) Bind(h *sim.Handle) { w.wake = h }
+func (s *source) Bind(h *sim.Handle) { s.wake = h }
 
 // WakeOnInject implements InjectWaker.
-func (w *portWakes) WakeOnInject(h *sim.Handle) { w.puller = h }
+func (s *source) WakeOnInject(h *sim.Handle) { s.puller = h }
 
 // nullPort is attached to switches with no node; it never injects and
 // counts (in tests, via the network stats) any stray delivery.

@@ -174,7 +174,7 @@ func TestGateStreamEqualsPerCycleDraw(t *testing.T) {
 				}
 				board := newSvcBoard()
 				c := newSvcClient(id, topo, cfg, board)
-				src, gate, rng, throttled = c, &c.inj, c.rng, board.throttled.Value
+				src, gate, rng, throttled = c, &c.inj, c.inj.rng, board.throttled.Value
 				first := topo.NumEndpoints() - cfg.Servers
 				ref.dest = func(rng *sim.RNG) int {
 					if floatCoin(rng, cfg.HotspotSkew) {
@@ -184,7 +184,7 @@ func TestGateStreamEqualsPerCycleDraw(t *testing.T) {
 				}
 			} else {
 				tn = NewTrafficNode(id, topo, TrafficConfig{Pattern: Uniform, Rate: r.rate, QueueCap: 1, Burst: burst}, seed)
-				src, gate, rng, throttled = tn, &tn.inj, tn.rng, tn.Throttled.Value
+				src, gate, rng, throttled = tn, &tn.inj, tn.inj.rng, tn.Throttled.Value
 				ref.dest = func(rng *sim.RNG) int {
 					d := rng.Intn(topo.NumEndpoints() - 1)
 					if d >= id {

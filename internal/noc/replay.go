@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/flit"
-	"repro/internal/queue"
 	"repro/internal/sim"
 )
 
@@ -36,23 +35,16 @@ type ReplayConfig struct {
 }
 
 // replayNode is the replaying TrafficNode-analogue: instead of drawing
-// injections from an RNG it injects its endpoint's recorded events at
-// their recorded cycles. On the fabric the trace was recorded on this
-// reproduces the source run's flit stream exactly — same cycles, same
-// destinations, same per-node packet-id sequences — so every measured
-// statistic matches the source run (the record/replay differential tests
-// assert byte-identity). The pre-scheduled events give NextEvent exact
-// bounds, so a replay node sleeps from one recorded injection to the next.
+// injections from an RNG it emits its endpoint's recorded events at their
+// recorded cycles, so on the recording fabric every measured statistic
+// matches the source run (the record/replay differential tests assert
+// byte-identity). The pre-scheduled events give NextEvent exact bounds,
+// so a replay node sleeps from one recorded injection to the next.
 type replayNode struct {
-	id     int
-	topo   Topology
 	events []ReplayEvent // this endpoint's events, cycle-ordered
 	next   int
-	outQ   *queue.FIFO[flit.Flit]
-	now    int64
-	pktID  uint64
 
-	portWakes // the schedule is the node's only input
+	source // the schedule is the node's only input
 }
 
 // newReplayNode creates the replay source/sink for endpoint id. The
@@ -60,50 +52,31 @@ type replayNode struct {
 // source run's throttling, and a cross-fabric replay may need more
 // in-queue slack than the recording fabric did.
 func newReplayNode(id int, topo Topology, events []ReplayEvent) *replayNode {
-	return &replayNode{id: id, topo: topo, events: events, outQ: queue.NewFIFO[flit.Flit](0)}
+	return &replayNode{events: events, source: newSource(id, topo, 0)}
 }
 
 // Name implements sim.Component.
 func (r *replayNode) Name() string { return fmt.Sprintf("replay(%d)", r.id) }
 
-// Step implements sim.Component: inject every event scheduled for this
-// cycle. The flit fields mirror TrafficNode.Step exactly (same Src
-// truncation, same per-node packet-id sequence) so a same-fabric replay
-// is indistinguishable from its source run.
+// Step implements sim.Component: emit every event scheduled for this
+// cycle, through the same source.emit as TrafficNode.Step's.
 func (r *replayNode) Step(now int64) {
-	r.now = now
 	for r.next < len(r.events) && r.events[r.next].Cycle == now {
 		ev := r.events[r.next]
 		r.next++
-		dx, dy := r.topo.EndpointCoord(ev.Dst)
-		r.pktID++
-		f := flit.Flit{
-			DstX: uint8(dx), DstY: uint8(dy),
-			Type: flit.Message, Sub: flit.SubMsgData,
-			Src:  uint8(r.id & flit.MaxSrc),
-			Data: ev.Meta,
-		}
+		sub := flit.SubMsgData
 		if ev.Req {
-			f.Sub = flit.SubMsgReq
+			sub = flit.SubMsgReq
 		}
-		f.Meta.InjectCycle = now
-		f.Meta.PacketID = uint64(r.id)<<40 | r.pktID
-		r.outQ.Push(f)
-		r.puller.Wake()
+		r.emit(ev.Dst, sub, ev.Meta, now)
 	}
 	if r.outQ.Len() == 0 {
 		r.wake.Idle()
 	}
 }
 
-// TryPull implements LocalPort.
-func (r *replayNode) TryPull() (flit.Flit, bool) { return r.outQ.Pop() }
-
 // Deliver implements LocalPort (the network tallies delivery stats).
 func (r *replayNode) Deliver(flit.Flit, int64) {}
-
-// Pending returns the current source-queue occupancy.
-func (r *replayNode) Pending() int { return r.outQ.Len() }
 
 // NextEvent implements sim.NextEventer. The schedule is known ahead of
 // time, so the bound is exact: the engine can jump straight to the next

@@ -127,7 +127,7 @@ func (s *Schedules) record(ctx context.Context, topo Topology, tc TrafficConfig,
 		t := NewTrafficNode(id, topo, tc, k.seed)
 		g := &t.inj
 		start := len(slab)
-		sc := schedule{end: -1, rng: *t.rng, store: s}
+		sc := schedule{end: -1, rng: *g.rng, store: s}
 		var poll int64
 		for {
 			if g.drawnThrough >= poll {
@@ -141,16 +141,16 @@ func (s *Schedules) record(ctx context.Context, topo Topology, tc TrafficConfig,
 				if g.drawnThrough < k.horizon {
 					continue
 				}
-				sc.end, sc.rng = g.drawnThrough, *t.rng
+				sc.end, sc.rng = g.drawnThrough, *g.rng
 				break
 			}
 			if len(slab) == cap(slab) {
 				break // budget spent: the record ends at its last attempt
 			}
-			slab = append(slab, attempt{c, *t.rng})
+			slab = append(slab, attempt{c, *g.rng})
 			g.nextInject = -1
 			t.destination()
-			sc.end, sc.rng = c, *t.rng
+			sc.end, sc.rng = c, *g.rng
 		}
 		sc.attempts = slab[start:len(slab):len(slab)]
 		out[id] = sc

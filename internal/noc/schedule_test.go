@@ -319,7 +319,7 @@ func TestScheduleReplayEqualsPrivateGate(t *testing.T) {
 						priv.destination()
 						shared.destination()
 					}
-					if *priv.rng != *shared.rng {
+					if *priv.inj.rng != *shared.inj.rng {
 						t.Fatalf("horizon %d source %d: generator state differs after the attempt at %d", horizon, id, now)
 					}
 				}
@@ -415,7 +415,7 @@ func TestScheduleSnapshotRestoresSchedule(t *testing.T) {
 		now = attempt(now)
 		priv.destination()
 		shared.destination()
-		if *priv.rng != *shared.rng {
+		if *priv.inj.rng != *shared.inj.rng {
 			t.Fatalf("generator state differs after the attempt at %d", now)
 		}
 	}

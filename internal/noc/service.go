@@ -142,36 +142,25 @@ const reqIDSeqBits = 20
 // the same pre-drawn injectGate as TrafficNode, so it sleeps from one
 // arrival to the next) and the sink for its own responses.
 type svcClient struct {
-	id    int
-	topo  Topology
 	cfg   ServiceMeasureConfig
 	board *svcBoard
-	rng   *sim.RNG
 	inj   injectGate
 	skew  sim.Coin // heads: the request goes to the first server
-	outQ  *queue.FIFO[flit.Flit]
 	now   int64
 	seq   uint32
-	pktID uint64
 
 	// The arrival gate is the client's only input: returning responses
 	// only update the board.
-	portWakes
+	source
 }
 
 func newSvcClient(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoard) *svcClient {
-	c := &svcClient{
-		id: id, topo: topo, cfg: cfg, board: board,
-		rng:  sim.NewRNG(cfg.Seed ^ int64(id)*0x9E37),
-		skew: sim.NewCoin(cfg.HotspotSkew),
-		outQ: queue.NewFIFO[flit.Flit](cfg.QueueCap),
+	return &svcClient{
+		cfg: cfg, board: board,
+		inj:    newInjectGate(id, cfg.Seed, cfg.ArrivalRate, cfg.Burst),
+		skew:   sim.NewCoin(cfg.HotspotSkew),
+		source: newSource(id, topo, cfg.QueueCap),
 	}
-	var burst *BurstModulator
-	if cfg.Burst != nil {
-		burst = NewBurstModulator(*cfg.Burst, cfg.Seed^int64(id)*0x9E37^0x5B75)
-	}
-	c.inj = newInjectGate(c.rng, cfg.ArrivalRate, burst)
-	return c
 }
 
 // Name implements sim.Component.
@@ -182,10 +171,10 @@ func (c *svcClient) Name() string { return fmt.Sprintf("svc-client(%d)", c.id) }
 // client's main RNG, in a fixed order, so the stream is deterministic.
 func (c *svcClient) chooseServer() int {
 	first := c.topo.NumEndpoints() - c.cfg.Servers
-	if c.skew != 0 && c.rng.Flip(c.skew) {
+	if c.skew != 0 && c.inj.rng.Flip(c.skew) {
 		return first
 	}
-	return first + c.rng.Intn(c.cfg.Servers)
+	return first + c.inj.rng.Intn(c.cfg.Servers)
 }
 
 // Step implements sim.Component: one open-loop arrival attempt per cycle.
@@ -201,21 +190,9 @@ func (c *svcClient) Step(now int64) {
 		c.board.throttled.Inc()
 		return
 	}
-	dst := c.chooseServer()
-	dx, dy := c.topo.EndpointCoord(dst)
 	c.seq++
 	id := uint32(c.id)<<reqIDSeqBits | c.seq&(1<<reqIDSeqBits-1)
-	c.pktID++
-	f := flit.Flit{
-		DstX: uint8(dx), DstY: uint8(dy),
-		Type: flit.Message, Sub: flit.SubMsgReq,
-		Src:  uint8(c.id & flit.MaxSrc),
-		Data: id,
-	}
-	f.Meta.InjectCycle = now
-	f.Meta.PacketID = uint64(c.id)<<40 | c.pktID
-	c.outQ.Push(f)
-	c.puller.Wake()
+	c.emit(c.chooseServer(), flit.SubMsgReq, id, now)
 	c.board.pending[id] = &svcRequest{create: now, inject: -1, arrive: -1, respInject: -1, done: -1}
 	c.board.issued.Inc()
 }
@@ -245,9 +222,6 @@ func (c *svcClient) Deliver(f flit.Flit, now int64) {
 	}
 }
 
-// Pending returns the current source-queue occupancy.
-func (c *svcClient) Pending() int { return c.outQ.Len() }
-
 // NextEvent implements sim.NextEventer (exact, via the pre-drawn gate).
 func (c *svcClient) NextEvent(now int64) int64 {
 	if c.outQ.Len() > 0 {
@@ -262,27 +236,23 @@ func (c *svcClient) NextEvent(now int64) int64 {
 // up as latency (the hotspot-skew shape test measures exactly that), not
 // as silent drops.
 type svcServer struct {
-	id    int
-	topo  Topology
 	cfg   ServiceMeasureConfig
 	board *svcBoard
 	workQ *queue.FIFO[uint32]
-	outQ  *queue.FIFO[flit.Flit]
 	busy  bool
 	cur   uint32
 	until int64
-	pktID uint64
 
 	// Requests arrive through Deliver, which wakes the server; the
 	// think-time deadline is its own stamp.
-	portWakes
+	source
 }
 
 func newSvcServer(id int, topo Topology, cfg ServiceMeasureConfig, board *svcBoard) *svcServer {
 	return &svcServer{
-		id: id, topo: topo, cfg: cfg, board: board,
-		workQ: queue.NewFIFO[uint32](0),
-		outQ:  queue.NewFIFO[flit.Flit](0),
+		cfg: cfg, board: board,
+		workQ:  queue.NewFIFO[uint32](0),
+		source: newSource(id, topo, 0),
 	}
 }
 
@@ -297,20 +267,9 @@ func (s *svcServer) Step(now int64) {
 	if s.busy && now >= s.until {
 		req := s.board.pending[s.cur]
 		req.respInject = now
-		cx, cy := s.topo.EndpointCoord(int(s.cur >> reqIDSeqBits))
 		for i := 0; i < s.cfg.ResponseFlits; i++ {
-			s.pktID++
-			f := flit.Flit{
-				DstX: uint8(cx), DstY: uint8(cy),
-				Type: flit.Message, Sub: flit.SubMsgData,
-				Src:  uint8(s.id & flit.MaxSrc),
-				Data: s.cur,
-			}
-			f.Meta.InjectCycle = now
-			f.Meta.PacketID = uint64(s.id)<<40 | s.pktID
-			s.outQ.Push(f)
+			s.emit(int(s.cur>>reqIDSeqBits), flit.SubMsgData, s.cur, now)
 		}
-		s.puller.Wake()
 		s.busy = false
 	}
 	if !s.busy {
@@ -323,9 +282,6 @@ func (s *svcServer) Step(now int64) {
 	}
 }
 
-// TryPull implements LocalPort.
-func (s *svcServer) TryPull() (flit.Flit, bool) { return s.outQ.Pop() }
-
 // Deliver implements LocalPort: a request flit arrives.
 func (s *svcServer) Deliver(f flit.Flit, now int64) {
 	if req, ok := s.board.pending[f.Data]; ok {
@@ -334,9 +290,6 @@ func (s *svcServer) Deliver(f flit.Flit, now int64) {
 	s.workQ.Push(f.Data)
 	s.wake.Wake()
 }
-
-// Pending returns the current response-queue occupancy.
-func (s *svcServer) Pending() int { return s.outQ.Len() }
 
 // NextEvent implements sim.NextEventer. The service completion time is
 // known exactly, so an otherwise-quiet fabric can jump straight to it.

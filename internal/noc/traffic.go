@@ -99,17 +99,12 @@ type TrafficConfig struct {
 // TrafficNode is a synthetic traffic source/sink implementing LocalPort.
 // It is also a sim.Component (register it in sim.PhaseNode).
 type TrafficNode struct {
-	id    int
-	topo  Topology
-	cfg   TrafficConfig
-	rng   *sim.RNG
-	outQ  *queue.FIFO[flit.Flit]
-	pktID uint64
-	inj   injectGate
+	cfg TrafficConfig
+	inj injectGate
 
 	// The source's only input is its own clock (the pre-drawn gate):
 	// deliveries are merely counted, so nothing else need wake it.
-	portWakes
+	source
 
 	Sent      stats.Counter
 	Recv      stats.Counter
@@ -129,7 +124,7 @@ type TrafficNode struct {
 // been drawn; nextInject is the earliest drawn cycle that came up heads
 // (-1 when none has), consumed by the gate call that injects it.
 type injectGate struct {
-	rng   *sim.RNG // shared with the owner's destination draws
+	rng   *sim.RNG // also the owner's destination draws
 	burst *BurstModulator
 	coin  sim.Coin // heads with probability rate
 	// dense marks a source whose attempts are on average less than
@@ -154,12 +149,22 @@ type injectGate struct {
 // it takes on the order of ten Steps saved to pay for one.
 const denseGap = 16
 
-func newInjectGate(rng *sim.RNG, rate float64, burst *BurstModulator) injectGate {
-	return injectGate{
-		rng: rng, coin: sim.NewCoin(rate), burst: burst,
+// newInjectGate makes endpoint id's gate for a source run on seed: the
+// one place a gated source's streams are derived. The burst modulator,
+// when burst is set, draws from a stream of its own beside the
+// destination/injection stream, so enabling bursts does not perturb the
+// base stream beyond the gating itself.
+func newInjectGate(id int, seed int64, rate float64, burst *BurstConfig) injectGate {
+	stream := seed ^ int64(id)*0x9E37
+	g := injectGate{
+		rng: sim.NewRNG(stream), coin: sim.NewCoin(rate),
 		dense:        burst == nil && rate*denseGap >= 1,
 		drawnThrough: -1, nextInject: -1,
 	}
+	if burst != nil {
+		g.burst = NewBurstModulator(*burst, stream^0x5B75)
+	}
+	return g
 }
 
 // gate reports whether cycle now attempts an injection, consuming it.
@@ -233,20 +238,11 @@ func NewTrafficNode(id int, topo Topology, cfg TrafficConfig, seed int64) *Traff
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
-	t := &TrafficNode{
-		id: id, topo: topo, cfg: cfg,
-		rng:  sim.NewRNG(seed ^ int64(id)*0x9E37),
-		outQ: queue.NewFIFO[flit.Flit](cfg.QueueCap),
+	return &TrafficNode{
+		cfg:    cfg,
+		inj:    newInjectGate(id, seed, cfg.Rate, cfg.Burst),
+		source: newSource(id, topo, cfg.QueueCap),
 	}
-	var burst *BurstModulator
-	if cfg.Burst != nil {
-		// The modulator draws from its own RNG stream so enabling bursts
-		// does not perturb the destination/injection stream of the base
-		// pattern beyond the gating itself.
-		burst = NewBurstModulator(*cfg.Burst, seed^int64(id)*0x9E37^0x5B75)
-	}
-	t.inj = newInjectGate(t.rng, cfg.Rate, burst)
-	return t
 }
 
 // Name implements sim.Component.
@@ -269,21 +265,10 @@ func (t *TrafficNode) Step(now int64) {
 	if dst == t.id {
 		return
 	}
-	dx, dy := t.topo.EndpointCoord(dst)
-	t.pktID++
-	f := flit.Flit{
-		DstX: uint8(dx), DstY: uint8(dy),
-		Type: flit.Message, Sub: flit.SubMsgData,
-		Src:  uint8(t.id & flit.MaxSrc),
-		Data: uint32(now),
-	}
-	f.Meta.InjectCycle = now
-	f.Meta.PacketID = uint64(t.id)<<40 | t.pktID
-	t.outQ.Push(f)
-	t.puller.Wake()
+	t.emit(dst, flit.SubMsgData, uint32(now), now)
 	t.Sent.Inc()
 	if t.cfg.Record != nil {
-		t.cfg.Record.RecordInjection(now, t.id, dst, f.Data)
+		t.cfg.Record.RecordInjection(now, t.id, dst, uint32(now))
 	}
 }
 
@@ -294,7 +279,7 @@ func (t *TrafficNode) Step(now int64) {
 func (t *TrafficNode) destination() int {
 	switch t.cfg.Pattern {
 	case Uniform:
-		d := t.rng.Intn(t.topo.NumEndpoints() - 1)
+		d := t.inj.rng.Intn(t.topo.NumEndpoints() - 1)
 		if d >= t.id {
 			d++
 		}
@@ -315,14 +300,8 @@ func (t *TrafficNode) destination() int {
 	panic("noc: unknown traffic pattern")
 }
 
-// TryPull implements LocalPort.
-func (t *TrafficNode) TryPull() (flit.Flit, bool) { return t.outQ.Pop() }
-
 // Deliver implements LocalPort.
 func (t *TrafficNode) Deliver(flit.Flit, int64) { t.Recv.Inc() }
-
-// Pending returns the current source-queue occupancy.
-func (t *TrafficNode) Pending() int { return t.outQ.Len() }
 
 // ffwdHorizon bounds how many cycles of gating one call pre-draws. When no
 // injection lands inside the horizon the owner sleeps at most this far
@@ -360,7 +339,7 @@ type trafficSnap struct {
 // Snapshot implements sim.Checkpointable.
 func (t *TrafficNode) Snapshot() any {
 	s := trafficSnap{
-		rng: *t.rng, outQ: t.outQ.Snapshot(),
+		rng: *t.inj.rng, outQ: t.outQ.Snapshot(),
 		pktID:        t.pktID,
 		drawnThrough: t.inj.drawnThrough, nextInject: t.inj.nextInject,
 		sched: t.inj.sched, cursor: t.inj.cursor,
@@ -375,7 +354,7 @@ func (t *TrafficNode) Snapshot() any {
 // Restore implements sim.Checkpointable.
 func (t *TrafficNode) Restore(snap any) {
 	s := snap.(trafficSnap)
-	*t.rng = s.rng
+	*t.inj.rng = s.rng
 	if s.hasBurst {
 		t.inj.burst.restore(s.burst)
 	}

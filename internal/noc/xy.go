@@ -13,8 +13,10 @@ import (
 // against: it needs per-input storage where the deflection switch needs
 // none. Input queues are unbounded and their peak occupancy is recorded, so
 // the storage cost of buffered routing can be compared directly with the
-// deflection switch's theoretical-minimum storage (see
-// BenchmarkDeflectionVsXY).
+// deflection switch's theoretical-minimum storage (the peak_buffer column
+// of examples/scenarios/router-ablation.json, and the buffer-flits metric
+// of the repository root's BenchmarkDeflectionVsXY, which measures through
+// MeasureCtx).
 type XYSwitch struct {
 	routerPorts
 

@@ -174,6 +174,40 @@ func (e *Env) Unlock(addr uint32) {
 	e.issue(op{kind: opUnlock, addr: addr})
 }
 
+// SharedBarrier is the pure shared-memory model's barrier over cores
+// ranks, sense-reversing and centralized: a lock-protected counter at
+// count plus a spin on the sense word at sense, with *phase the caller's
+// sense, flipped on every call. Following the paper's programming model,
+// shared data is cacheable with software coherency: the counter
+// read-modify-write invalidates (DII), loads, stores and flushes the
+// counter line inside the lock, and each sense poll is a DII followed by
+// a cached load — a full block-read transaction. Every arrival and every
+// poll therefore serializes at the MPMMU, which is the synchronization
+// overhead the paper measures the hybrid approach against.
+func (e *Env) SharedBarrier(count, sense uint32, cores int, phase *uint32) {
+	*phase ^= 1
+	e.Lock(count)
+	e.InvalidateLine(count)
+	c := e.LoadWord(count)
+	if int(c+1) == cores {
+		e.StoreWord(count, 0)
+		e.FlushLine(count)
+		e.InvalidateLine(sense)
+		e.StoreWord(sense, *phase)
+		e.FlushLine(sense)
+	} else {
+		e.StoreWord(count, c+1)
+		e.FlushLine(count)
+	}
+	e.Unlock(count)
+	for {
+		e.InvalidateLine(sense)
+		if e.LoadWord(sense) == *phase {
+			return
+		}
+	}
+}
+
 // Send transmits one logical packet (1..16 words) to the node dst over the
 // TIE message-passing port. It returns when the last flit has entered the
 // injection path (fire-and-forget, as in hardware).

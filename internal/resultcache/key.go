@@ -76,7 +76,10 @@ func (b *KeyBuilder) Bool(name string, v bool) *KeyBuilder {
 
 // Sum derives the key. The builder can be reused afterwards (appending
 // more fields derives a new, different key).
-func (b *KeyBuilder) Sum() Key {
+func (b *KeyBuilder) Sum() Key { return b.sum(CodeVersion) }
+
+// sum derives the key under the given code version.
+func (b *KeyBuilder) sum(version string) Key {
 	sorted := append([]field(nil), b.fields...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
 	for i := 1; i < len(sorted); i++ {
@@ -91,7 +94,7 @@ func (b *KeyBuilder) Sum() Key {
 		h.Write(n[:])
 		h.Write([]byte(s))
 	}
-	writeFrame(CodeVersion)
+	writeFrame(version)
 	writeFrame(b.domain)
 	for _, f := range sorted {
 		writeFrame(f.name)

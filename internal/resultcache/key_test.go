@@ -65,12 +65,11 @@ func TestKeyOrderStable(t *testing.T) {
 // change every key, so stale entries from older simulation semantics can
 // never be served.
 func TestKeyCodeVersionInvalidates(t *testing.T) {
-	old := CodeVersion
-	defer func() { CodeVersion = old }()
-	a := sampleKey(nil)
-	CodeVersion = old + "-next"
-	b := sampleKey(nil)
-	if a == b {
+	b := NewKey("dse/jacobi").Int("n", 30).Str("variant", "hybrid-full")
+	if b.Sum() != b.sum(CodeVersion) {
+		t.Fatal("Sum does not hash the build's CodeVersion")
+	}
+	if b.Sum() == b.sum(CodeVersion+"-next") {
 		t.Fatal("CodeVersion bump did not change the key")
 	}
 }

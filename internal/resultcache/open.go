@@ -13,13 +13,14 @@ const (
 // a nil cache (every path treats nil as cache-off), "mem" an in-memory
 // LRU bounded by budget bytes (<= 0 means DefaultMemoryBudget), "disk"
 // an on-disk store rooted at dir. This is the single place the binaries
-// (medea-scenarios, medea-serve, medea-experiments) resolve their cache
-// flags, so the vocabulary cannot drift between them.
+// with cache flags (medea-scenarios and medea-serve) resolve them, so
+// the vocabulary cannot drift between them; any other name is an error
+// that lists the three.
 func Open(backend, dir string, budget int64) (*Cache, error) {
 	switch backend {
 	case "", BackendOff:
 		return nil, nil
-	case BackendMemory, "memory":
+	case BackendMemory:
 		return New(NewMemoryStore(budget)), nil
 	case BackendDisk:
 		if dir == "" {

@@ -303,8 +303,11 @@ func TestOpenVocabulary(t *testing.T) {
 	if _, err := Open("disk", "", 0); err == nil {
 		t.Fatal("disk without dir must error")
 	}
-	if _, err := Open("floppy", "", 0); err == nil {
-		t.Fatal("unknown backend must error")
+	for _, name := range []string{"floppy", "memory"} {
+		_, err := Open(name, "", 0)
+		if want := fmt.Sprintf("resultcache: unknown cache backend %q (have: off, mem, disk)", name); err == nil || err.Error() != want {
+			t.Fatalf("%s: err = %v, want %q", name, err, want)
+		}
 	}
 }
 

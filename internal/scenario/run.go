@@ -226,9 +226,18 @@ type nocPointValue struct {
 	PeakBuffer     int     `json:"peak_buffer"`
 }
 
+// measureCycles resolves a noc or service section's "measure_cycles": 0
+// runs the default window of 5000 cycles. Keys take the resolved value,
+// so an explicit 5000 keys identically to the default.
+func measureCycles(n int64) int64 {
+	if n == 0 {
+		return 5000
+	}
+	return n
+}
+
 // nocPointKey derives the content address of one noc-synthetic point from
-// every input the measurement depends on (the defaults are resolved first,
-// so an explicit "measure_cycles": 5000 keys identically to the default).
+// every input the measurement depends on, defaults resolved first.
 func nocPointKey(c *NoCConfig, j nocJob, measure int64) resultcache.Key {
 	b := resultcache.NewKey("scenario/noc").
 		Str("topology", j.topo.Kind().String()).
@@ -295,10 +304,7 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 // on a miss the whole group simulates once through the shared
 // windowGroup and this point takes its window's measurement.
 func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, shared *noc.Schedules, c *NoCConfig, j nocJob) (Result, error) {
-	measure := c.MeasureCycles
-	if measure == 0 {
-		measure = 5000
-	}
+	measure := measureCycles(c.MeasureCycles)
 	if j.group != nil {
 		measure = c.MeasureWindows[j.window]
 	}

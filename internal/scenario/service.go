@@ -93,10 +93,7 @@ func servicePointKey(c *ServiceConfig, j serviceJob, measure int64) resultcache.
 // noc.MeasureServiceCtx, recalling it from the result cache when one is
 // attached.
 func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfig, j serviceJob) (Result, error) {
-	measure := c.MeasureCycles
-	if measure == 0 {
-		measure = 5000
-	}
+	measure := measureCycles(c.MeasureCycles)
 	m, err := resultcache.Fetch(rc, servicePointKey(c, j, measure), func() (servicePointValue, error) {
 		var burst *noc.BurstConfig
 		if c.Burst != nil {

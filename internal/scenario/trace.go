@@ -122,10 +122,7 @@ func recordNoC(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
 	if n := s.NumPoints(); n != 1 {
 		return nil, nil, fmt.Errorf("scenario: recording needs a single-point scenario (one topology, router, pattern, rate and seed), got %d points", n)
 	}
-	measure := c.MeasureCycles
-	if measure == 0 {
-		measure = 5000
-	}
+	measure := measureCycles(c.MeasureCycles)
 	jobs, err := nocJobs(s)
 	if err != nil {
 		return nil, nil, err

@@ -132,16 +132,13 @@ func runKernel(env *pe.Env, kind Kind, sys *core.System, nodes []int, rank, roun
 		}
 		t1[rank] = env.Now()
 	case LockBarrier:
-		b := lockBarrier{
-			env: env, cores: len(nodes),
-			count: sys.Map.SharedAddr(0x40),
-			sense: sys.Map.SharedAddr(0x80),
-		}
-		b.wait()
+		count, sense := sys.Map.SharedAddr(0x40), sys.Map.SharedAddr(0x80)
+		var phase uint32
+		env.SharedBarrier(count, sense, len(nodes), &phase)
 		t0[rank] = env.Now()
 		for k := 0; k < rounds; k++ {
 			env.Compute(int64((rank*13+k*7)%50) + 1)
-			b.wait()
+			env.SharedBarrier(count, sense, len(nodes), &phase)
 		}
 		t1[rank] = env.Now()
 	case FlagSignal:
@@ -162,40 +159,6 @@ func runKernel(env *pe.Env, kind Kind, sys *core.System, nodes []int, rank, roun
 				}
 				env.StoreWordUncached(flag, uint32(2*k+2))
 			}
-		}
-	}
-}
-
-// lockBarrier is the same sense-reversing construction the Jacobi pure-SM
-// kernel uses.
-type lockBarrier struct {
-	env          *pe.Env
-	cores        int
-	count, sense uint32
-	phase        uint32
-}
-
-func (b *lockBarrier) wait() {
-	env := b.env
-	b.phase ^= 1
-	env.Lock(b.count)
-	env.InvalidateLine(b.count)
-	c := env.LoadWord(b.count)
-	if int(c+1) == b.cores {
-		env.StoreWord(b.count, 0)
-		env.FlushLine(b.count)
-		env.InvalidateLine(b.sense)
-		env.StoreWord(b.sense, b.phase)
-		env.FlushLine(b.sense)
-	} else {
-		env.StoreWord(b.count, c+1)
-		env.FlushLine(b.count)
-	}
-	env.Unlock(b.count)
-	for {
-		env.InvalidateLine(b.sense)
-		if env.LoadWord(b.sense) == b.phase {
-			return
 		}
 	}
 }
