@@ -63,7 +63,7 @@ type Arbiter struct {
 	name       string
 
 	// wake is the arbiter's own scheduling handle; puller is the switch
-	// that calls TryPull, woken while any flit is queued here.
+	// that drains it, woken while any flit is queued here.
 	wake, puller *sim.Handle
 
 	Stats ArbiterStats
@@ -108,13 +108,10 @@ func (a *Arbiter) WakeOnInject(h *sim.Handle) { a.puller = h }
 func (a *Arbiter) Step(now int64) {
 	switch a.mode {
 	case ArbMux:
-		// Nothing to do: TryPull reads the sources directly.
+		// Nothing to do: Front reads the sources directly.
 	case ArbSingleFIFO:
 		// Round-robin the single staging port between the two sources.
-		first, second := a.brg, a.tie
-		if a.rrTIEFirst {
-			first, second = a.tie, a.brg
-		}
+		first, second := a.muxOrder()
 		if !a.stageInto(a.single, first) {
 			a.stageInto(a.single, second)
 		}
@@ -142,46 +139,64 @@ func (a *Arbiter) stageInto(dst, src *queue.FIFO[flit.Flit]) bool {
 	return true
 }
 
-// TryPull hands the switch the next flit to inject.
-func (a *Arbiter) TryPull() (flit.Flit, bool) {
+// Front shows the switch the next flit to inject, in place (noc.LocalPort).
+// It moves nothing: the round-robin turn and the source counts move in
+// Drop.
+func (a *Arbiter) Front() *flit.Flit {
 	switch a.mode {
 	case ArbMux:
-		first, second := a.brg, a.tie
-		firstIsTIE := a.rrTIEFirst
-		if a.rrTIEFirst {
-			first, second = a.tie, a.brg
+		first, second := a.muxOrder()
+		if f := first.Front(); f != nil {
+			return f
 		}
-		if f, ok := first.Pop(); ok {
-			a.rrTIEFirst = !a.rrTIEFirst
-			a.note(firstIsTIE)
-			return f, true
-		}
-		if f, ok := second.Pop(); ok {
-			a.rrTIEFirst = !a.rrTIEFirst
-			a.note(!firstIsTIE)
-			return f, true
-		}
-		return flit.Flit{}, false
+		return second.Front()
 	case ArbSingleFIFO:
-		f, ok := a.single.Pop()
-		if ok {
-			a.note(f.Type == flit.Message)
-		}
-		return f, ok
+		return a.single.Front()
 	case ArbDualFIFO:
-		if f, ok := a.hp.Pop(); ok {
-			a.note(true)
-			return f, true
+		if f := a.hp.Front(); f != nil {
+			return f
 		}
-		if a.hp.Len() == 0 {
-			if f, ok := a.be.Pop(); ok {
-				a.note(false)
-				return f, true
-			}
-		}
-		return flit.Flit{}, false
+		return a.be.Front()
 	}
-	return flit.Flit{}, false
+	return nil
+}
+
+// Drop consumes the flit Front showed (noc.LocalPort): it leaves its
+// queue, counts against its source and, on the multiplexer, passes the
+// turn to the other interface.
+func (a *Arbiter) Drop() {
+	switch a.mode {
+	case ArbMux:
+		first, second := a.muxOrder()
+		if first.Len() > 0 {
+			first.Drop()
+			a.note(a.rrTIEFirst)
+		} else {
+			second.Drop()
+			a.note(!a.rrTIEFirst)
+		}
+		a.rrTIEFirst = !a.rrTIEFirst
+	case ArbSingleFIFO:
+		a.note(a.single.Front().Type == flit.Message)
+		a.single.Drop()
+	case ArbDualFIFO:
+		if a.hp.Len() > 0 {
+			a.hp.Drop()
+			a.note(true)
+		} else {
+			a.be.Drop()
+			a.note(false)
+		}
+	}
+}
+
+// muxOrder returns the multiplexer's two sources, the one whose turn it
+// is first.
+func (a *Arbiter) muxOrder() (first, second *queue.FIFO[flit.Flit]) {
+	if a.rrTIEFirst {
+		return a.tie, a.brg
+	}
+	return a.brg, a.tie
 }
 
 func (a *Arbiter) note(fromTIE bool) {

@@ -11,6 +11,18 @@ func mkQueues() (*queue.FIFO[flit.Flit], *queue.FIFO[flit.Flit]) {
 	return queue.NewFIFO[flit.Flit](8), queue.NewFIFO[flit.Flit](8)
 }
 
+// pull is one handoff to the switch: the arbiter's Front, copied, then
+// dropped.
+func pull(a *Arbiter) (flit.Flit, bool) {
+	f := a.Front()
+	if f == nil {
+		return flit.Flit{}, false
+	}
+	g := *f
+	a.Drop()
+	return g, true
+}
+
 func msgFlit(data uint32) flit.Flit {
 	return flit.Flit{Type: flit.Message, Sub: flit.SubMsgData, Data: data}
 }
@@ -29,7 +41,7 @@ func TestMuxRoundRobin(t *testing.T) {
 	var got []uint32
 	for {
 		a.Step(0)
-		f, ok := a.TryPull()
+		f, ok := pull(a)
 		if !ok {
 			break
 		}
@@ -55,10 +67,10 @@ func TestMuxFallsThroughToOtherSource(t *testing.T) {
 	brgQ.Push(smFlit(1))
 	brgQ.Push(smFlit(2))
 	// TIE queue empty: both pulls must come from the bridge.
-	if f, ok := a.TryPull(); !ok || f.Data != 1 {
+	if f, ok := pull(a); !ok || f.Data != 1 {
 		t.Fatal("first pull failed")
 	}
-	if f, ok := a.TryPull(); !ok || f.Data != 2 {
+	if f, ok := pull(a); !ok || f.Data != 2 {
 		t.Fatal("second pull failed")
 	}
 }
@@ -70,14 +82,14 @@ func TestSingleFIFOStagesOnePerCycle(t *testing.T) {
 	brgQ.Push(smFlit(2))
 	a.Step(0)
 	// Only one flit may be staged per cycle.
-	if f, ok := a.TryPull(); !ok || f.Data != 1 {
+	if f, ok := pull(a); !ok || f.Data != 1 {
 		t.Fatalf("cycle 0: want TIE flit first (round robin starts at TIE)")
 	}
-	if _, ok := a.TryPull(); ok {
+	if _, ok := pull(a); ok {
 		t.Fatal("second flit staged in the same cycle")
 	}
 	a.Step(1)
-	if f, ok := a.TryPull(); !ok || f.Data != 2 {
+	if f, ok := pull(a); !ok || f.Data != 2 {
 		t.Fatal("cycle 1: bridge flit not staged")
 	}
 }
@@ -91,11 +103,11 @@ func TestDualFIFOPriority(t *testing.T) {
 	a.Step(0)
 	tieQ.Push(msgFlit(1))
 	a.Step(1)
-	f, ok := a.TryPull()
+	f, ok := pull(a)
 	if !ok || f.Type != flit.Message {
 		t.Fatalf("high-priority flit did not win: %v", f)
 	}
-	f, ok = a.TryPull()
+	f, ok = pull(a)
 	if !ok || f.Type != flit.SingleRead {
 		t.Fatalf("best-effort flit lost: %v", f)
 	}
@@ -115,7 +127,7 @@ func TestDualFIFOBestEffortStarvesWhileHPBusy(t *testing.T) {
 	// flit.
 	var order []flit.Type
 	for {
-		f, ok := a.TryPull()
+		f, ok := pull(a)
 		if !ok {
 			break
 		}

@@ -182,7 +182,8 @@ type nodeIface struct {
 	proc *pe.Proc
 }
 
-func (ni *nodeIface) TryPull() (flit.Flit, bool) { return ni.arb.TryPull() }
+func (ni *nodeIface) Front() *flit.Flit { return ni.arb.Front() }
+func (ni *nodeIface) Drop()             { ni.arb.Drop() }
 
 // Pending exposes the arbiter's queued-flit count so the node's switch
 // can tell whether injection work remains before it goes to sleep.
@@ -191,11 +192,11 @@ func (ni *nodeIface) Pending() int { return ni.arb.Pending() }
 // WakeOnInject implements noc.InjectWaker through the arbiter.
 func (ni *nodeIface) WakeOnInject(h *sim.Handle) { ni.arb.WakeOnInject(h) }
 
-func (ni *nodeIface) Deliver(f flit.Flit, now int64) {
+func (ni *nodeIface) Deliver(f *flit.Flit, now int64) {
 	if f.Type == flit.Message {
-		ni.proc.Port.Deliver(f)
+		ni.proc.Port.Deliver(*f)
 	} else {
-		ni.proc.Bridge.Deliver(f, now)
+		ni.proc.Bridge.Deliver(*f, now)
 	}
 	ni.proc.Wake()
 }

@@ -6,7 +6,10 @@ import (
 
 	"repro/internal/bridge"
 	"repro/internal/cache"
+	"repro/internal/flit"
+	"repro/internal/noc/noctest"
 	"repro/internal/pe"
+	"repro/internal/queue"
 )
 
 func build(t *testing.T, numCompute, cacheKB int, policy cache.Policy) *System {
@@ -299,5 +302,23 @@ func TestArbiterModesAllWork(t *testing.T) {
 		if ok != 7 {
 			t.Errorf("arbiter mode %v lost the message", mode)
 		}
+	}
+}
+
+// TestNodeIfaceHandoff checks the compute node's LocalPort injection half
+// under the contract every port keeps (noc's TestLocalPortContract): it is
+// its arbiter's, shown in place and consumed by Drop.
+func TestNodeIfaceHandoff(t *testing.T) {
+	for _, mode := range []bridge.ArbiterMode{bridge.ArbMux, bridge.ArbSingleFIFO, bridge.ArbDualFIFO} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tie, brg := queue.NewFIFO[flit.Flit](4), queue.NewFIFO[flit.Flit](4)
+			tie.Push(flit.Flit{Type: flit.Message, Data: 1})
+			brg.Push(flit.Flit{Type: flit.SingleRead, Data: 2})
+			arb := bridge.NewArbiter("arb", mode, tie, brg, 4)
+			arb.Step(0)
+			arb.Step(1)
+			ni := &nodeIface{arb: arb}
+			noctest.CheckHandoff(t, ni, []uint32{1, 2}, func() any { return *arb })
+		})
 	}
 }

@@ -67,7 +67,7 @@ type lockState struct {
 	waiters []int
 }
 
-// Unit is the MPMMU node. It implements noc.LocalPort (TryPull/Deliver)
+// Unit is the MPMMU node. It implements noc.LocalPort (Front/Drop/Deliver)
 // and sim.Component (Step in sim.PhaseNode).
 type Unit struct {
 	cfg     Config
@@ -149,10 +149,10 @@ func (u *Unit) WakeOnInject(h *sim.Handle) { u.puller = h }
 // Deliver implements noc.LocalPort: incoming flits are demultiplexed into
 // the Pif-Request/Control queue (request tokens) and the Pif-Data queue
 // (granted write data), as in the paper.
-func (u *Unit) Deliver(f flit.Flit, now int64) {
+func (u *Unit) Deliver(f *flit.Flit, now int64) {
 	switch f.Sub {
 	case flit.SubAddr:
-		if !u.reqQ.Push(f) {
+		if !u.reqQ.Push(*f) {
 			// Each core has at most one outstanding request, so the
 			// request queue (depth = number of cores) can never overflow.
 			panic("mpmmu: request queue overflow")
@@ -161,22 +161,23 @@ func (u *Unit) Deliver(f flit.Flit, now int64) {
 			u.Stats.ReqQPeak = u.reqQ.Len()
 		}
 	case flit.SubData:
-		if !u.dataQ.Push(f) {
+		if !u.dataQ.Push(*f) {
 			// Data only arrives after a grant; the protocol bounds it to
 			// one line.
 			panic("mpmmu: data queue overflow")
 		}
 	default:
-		panic(fmt.Sprintf("mpmmu: unexpected flit %v", f))
+		panic(fmt.Sprintf("mpmmu: unexpected flit %v", *f))
 	}
 	u.wake.Wake()
 }
 
-// TryPull implements noc.LocalPort: the switch drains the outgoing FIFO at
+// Front implements noc.LocalPort: the switch drains the outgoing FIFO at
 // one flit per cycle.
-func (u *Unit) TryPull() (flit.Flit, bool) {
-	return u.outQ.Pop()
-}
+func (u *Unit) Front() *flit.Flit { return u.outQ.Front() }
+
+// Drop implements noc.LocalPort.
+func (u *Unit) Drop() { u.outQ.Drop() }
 
 // Step implements sim.Component.
 func (u *Unit) Step(now int64) {

@@ -23,7 +23,7 @@ func newUnit(t *testing.T) (*Unit, *memory.DDR) {
 func pull(t *testing.T, u *Unit, now *int64, bound int) flit.Flit {
 	t.Helper()
 	for i := 0; i < bound; i++ {
-		if f, ok := u.TryPull(); ok {
+		if f, ok := take(u); ok {
 			return f
 		}
 		u.Step(*now)
@@ -33,6 +33,21 @@ func pull(t *testing.T, u *Unit, now *int64, bound int) flit.Flit {
 	return flit.Flit{}
 }
 
+// take is one handoff to the switch: the unit's Front, copied, then
+// dropped.
+func take(u *Unit) (flit.Flit, bool) {
+	f := u.Front()
+	if f == nil {
+		return flit.Flit{}, false
+	}
+	g := *f
+	u.Drop()
+	return g, true
+}
+
+// deliver hands the unit f as the switch does, by pointer.
+func deliver(u *Unit, f flit.Flit, now int64) { u.Deliver(&f, now) }
+
 func req(src uint8, typ flit.Type, addr uint32) flit.Flit {
 	return flit.Flit{Type: typ, Sub: flit.SubAddr, Src: src, Data: addr}
 }
@@ -41,7 +56,7 @@ func TestSingleReadServesData(t *testing.T) {
 	u, ddr := newUnit(t)
 	ddr.WriteWord(0x1000, 0xFEEDFACE)
 	now := int64(0)
-	u.Deliver(req(3, flit.SingleRead, 0x1000), now)
+	deliver(u, req(3, flit.SingleRead, 0x1000), now)
 	f := pull(t, u, &now, 200)
 	if f.Type != flit.SingleRead || f.Sub != flit.SubData || f.Data != 0xFEEDFACE {
 		t.Fatalf("reply %v", f)
@@ -60,7 +75,7 @@ func TestBlockReadServesFourWords(t *testing.T) {
 		ddr.WriteWord(0x2000+4*i, 0x40+i)
 	}
 	now := int64(0)
-	u.Deliver(req(1, flit.BlockRead, 0x2004), now) // unaligned within line
+	deliver(u, req(1, flit.BlockRead, 0x2004), now) // unaligned within line
 	var words [4]uint32
 	for i := 0; i < 4; i++ {
 		f := pull(t, u, &now, 300)
@@ -79,12 +94,12 @@ func TestBlockReadServesFourWords(t *testing.T) {
 func TestCacheHitFasterThanMiss(t *testing.T) {
 	u, _ := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(1, flit.SingleRead, 0x3000), now)
+	deliver(u, req(1, flit.SingleRead, 0x3000), now)
 	start := now
 	pull(t, u, &now, 300)
 	missLat := now - start
 
-	u.Deliver(req(1, flit.SingleRead, 0x3000), now)
+	deliver(u, req(1, flit.SingleRead, 0x3000), now)
 	start = now
 	pull(t, u, &now, 300)
 	hitLat := now - start
@@ -96,12 +111,12 @@ func TestCacheHitFasterThanMiss(t *testing.T) {
 func TestWriteProtocol(t *testing.T) {
 	u, ddr := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(2, flit.SingleWrite, 0x4000), now)
+	deliver(u, req(2, flit.SingleWrite, 0x4000), now)
 	grant := pull(t, u, &now, 100)
 	if grant.Sub != flit.SubAck {
 		t.Fatalf("want grant, got %v", grant)
 	}
-	u.Deliver(flit.Flit{Type: flit.SingleWrite, Sub: flit.SubData, Src: 2, Seq: 0, Data: 0xAB}, now)
+	deliver(u, flit.Flit{Type: flit.SingleWrite, Sub: flit.SubData, Src: 2, Seq: 0, Data: 0xAB}, now)
 	done := pull(t, u, &now, 300)
 	if done.Sub != flit.SubAck {
 		t.Fatalf("want completion, got %v", done)
@@ -115,10 +130,10 @@ func TestWriteProtocol(t *testing.T) {
 func TestBlockWriteOutOfOrderData(t *testing.T) {
 	u, ddr := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(2, flit.BlockWrite, 0x5000), now)
+	deliver(u, req(2, flit.BlockWrite, 0x5000), now)
 	pull(t, u, &now, 100) // grant
 	for _, seq := range []uint8{3, 1, 0, 2} {
-		u.Deliver(flit.Flit{Type: flit.BlockWrite, Sub: flit.SubData, Src: 2, Seq: seq, Data: uint32(10 + seq)}, now)
+		deliver(u, flit.Flit{Type: flit.BlockWrite, Sub: flit.SubData, Src: 2, Seq: seq, Data: uint32(10 + seq)}, now)
 	}
 	pull(t, u, &now, 300) // completion
 	u.FlushCache()
@@ -132,26 +147,26 @@ func TestBlockWriteOutOfOrderData(t *testing.T) {
 func TestLockExclusivityAndFIFOGrant(t *testing.T) {
 	u, _ := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(1, flit.Lock, 0x6000), now)
+	deliver(u, req(1, flit.Lock, 0x6000), now)
 	g1 := pull(t, u, &now, 50)
 	if g1.Type != flit.Lock || g1.Sub != flit.SubAck || int(g1.DstX) != 1 {
 		t.Fatalf("first lock grant %v", g1)
 	}
 	// Two more requesters queue up.
-	u.Deliver(req(2, flit.Lock, 0x6000), now)
-	u.Deliver(req(3, flit.Lock, 0x6000), now)
+	deliver(u, req(2, flit.Lock, 0x6000), now)
+	deliver(u, req(3, flit.Lock, 0x6000), now)
 	for i := 0; i < 20; i++ {
 		u.Step(now)
 		now++
 	}
-	if _, ok := u.TryPull(); ok {
+	if _, ok := take(u); ok {
 		t.Fatal("lock granted while held")
 	}
 	if u.Stats.LockWaits.Value() != 2 {
 		t.Errorf("lock waits = %d", u.Stats.LockWaits.Value())
 	}
 	// Unlock by owner: node 2 (FIFO head) must be granted next.
-	u.Deliver(req(1, flit.Unlock, 0x6000), now)
+	deliver(u, req(1, flit.Unlock, 0x6000), now)
 	a1 := pull(t, u, &now, 50) // unlock ack to node 1
 	if a1.Type != flit.Unlock || int(a1.DstX) != 1 {
 		t.Fatalf("unlock ack %v", a1)
@@ -161,13 +176,13 @@ func TestLockExclusivityAndFIFOGrant(t *testing.T) {
 		t.Fatalf("second grant to wrong node: %v", g2)
 	}
 	// Chain: unlock by 2 grants 3.
-	u.Deliver(req(2, flit.Unlock, 0x6000), now)
+	deliver(u, req(2, flit.Unlock, 0x6000), now)
 	pull(t, u, &now, 50) // unlock ack to 2
 	g3 := pull(t, u, &now, 50)
 	if g3.Type != flit.Lock || int(g3.DstX)+4*int(g3.DstY) != 3 {
 		t.Fatalf("third grant to wrong node: %v", g3)
 	}
-	u.Deliver(req(3, flit.Unlock, 0x6000), now)
+	deliver(u, req(3, flit.Unlock, 0x6000), now)
 	pull(t, u, &now, 50)
 	if u.LockedWords() != 0 {
 		t.Error("lock table not empty at the end")
@@ -177,8 +192,8 @@ func TestLockExclusivityAndFIFOGrant(t *testing.T) {
 func TestDistinctWordsLockIndependently(t *testing.T) {
 	u, _ := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(1, flit.Lock, 0x6000), now)
-	u.Deliver(req(2, flit.Lock, 0x6004), now)
+	deliver(u, req(1, flit.Lock, 0x6000), now)
+	deliver(u, req(2, flit.Lock, 0x6004), now)
 	pull(t, u, &now, 50)
 	pull(t, u, &now, 50)
 	if u.LockedWords() != 2 {
@@ -189,9 +204,9 @@ func TestDistinctWordsLockIndependently(t *testing.T) {
 func TestUnlockByNonOwnerPanics(t *testing.T) {
 	u, _ := newUnit(t)
 	now := int64(0)
-	u.Deliver(req(1, flit.Lock, 0x6000), now)
+	deliver(u, req(1, flit.Lock, 0x6000), now)
 	pull(t, u, &now, 50)
-	u.Deliver(req(2, flit.Unlock, 0x6000), now)
+	deliver(u, req(2, flit.Unlock, 0x6000), now)
 	defer func() {
 		if recover() == nil {
 			t.Error("unlock by non-owner should panic")
@@ -210,8 +225,8 @@ func TestSerializationOfRequests(t *testing.T) {
 	ddr.WriteWord(0x100, 1)
 	ddr.WriteWord(0x7000, 2)
 	now := int64(0)
-	u.Deliver(req(1, flit.SingleRead, 0x100), now)
-	u.Deliver(req(2, flit.SingleRead, 0x7000), now)
+	deliver(u, req(1, flit.SingleRead, 0x100), now)
+	deliver(u, req(2, flit.SingleRead, 0x7000), now)
 	f1 := pull(t, u, &now, 300)
 	f2 := pull(t, u, &now, 300)
 	if f1.Data != 1 || f2.Data != 2 {
@@ -228,7 +243,7 @@ func TestSerializationOfRequests(t *testing.T) {
 func serve(u *Unit, src uint8, typ flit.Type, addr uint32, now int64) int64 {
 	pull := func(flits int) {
 		for flits > 0 {
-			if _, ok := u.TryPull(); ok {
+			if _, ok := take(u); ok {
 				flits--
 				continue
 			}
@@ -236,7 +251,7 @@ func serve(u *Unit, src uint8, typ flit.Type, addr uint32, now int64) int64 {
 			now++
 		}
 	}
-	u.Deliver(req(src, typ, addr), now)
+	deliver(u, req(src, typ, addr), now)
 	switch typ {
 	case flit.SingleWrite, flit.BlockWrite:
 		pull(1) // the grant
@@ -245,7 +260,7 @@ func serve(u *Unit, src uint8, typ flit.Type, addr uint32, now int64) int64 {
 			words = 4
 		}
 		for i := range words {
-			u.Deliver(flit.Flit{Type: typ, Sub: flit.SubData, Src: src, Seq: uint8(i), Data: uint32(i)}, now)
+			deliver(u, flit.Flit{Type: typ, Sub: flit.SubData, Src: src, Seq: uint8(i), Data: uint32(i)}, now)
 		}
 		pull(1) // the completion
 	case flit.BlockRead:

@@ -11,7 +11,7 @@ import (
 // multiplexes a switch's Concentration() endpoints onto the switch's
 // single LocalPort. On the injection side it pulls at most one flit per
 // cycle, round-robin across the endpoints, into a one-flit output latch
-// the switch drains through TryPull — the latch is source-side storage
+// the switch drains through Front and Drop — the latch is source-side storage
 // (like the endpoints' own injection queues), so the bufferless routers'
 // zero-storage property is untouched. Traffic between two endpoints of
 // the same switch turns around inside the crossbar without ever entering
@@ -94,39 +94,46 @@ func (c *concentrator) Step(now int64) {
 	}
 	for i := 0; i < len(c.eps); i++ {
 		slot := (c.rr + i) % len(c.eps)
-		f, ok := c.eps[slot].TryPull()
-		if !ok {
+		ep := c.eps[slot]
+		f := ep.Front()
+		if f == nil {
 			continue
 		}
 		c.rr = (slot + 1) % len(c.eps)
-		dx, dy := c.topo.SwitchOf(int(f.DstX), int(f.DstY))
+		// The latch takes the flit either way: a turnaround is delivered
+		// from it, as the endpoint's Front is not good past its Drop.
+		c.latch = *f
+		ep.Drop()
+		dx, dy := c.topo.SwitchOf(int(c.latch.DstX), int(c.latch.DstY))
 		if dx == c.x && dy == c.y {
 			// Same-switch traffic turns around in the crossbar.
 			c.turnarounds++
 			c.net.noteInjected()
-			c.net.noteDelivered(&f, now)
-			c.eps[c.topo.LocalIndex(int(f.DstX), int(f.DstY))].Deliver(f, now)
+			c.net.noteDelivered(&c.latch, now)
+			c.Deliver(&c.latch, now)
 			return
 		}
-		c.latch, c.hasLatch = f, true
+		c.hasLatch = true
 		c.sw.Wake()
 		return
 	}
 	c.wake.Idle()
 }
 
-// TryPull implements LocalPort for the switch side.
-func (c *concentrator) TryPull() (flit.Flit, bool) {
+// Front implements LocalPort for the switch side.
+func (c *concentrator) Front() *flit.Flit {
 	if !c.hasLatch {
-		return flit.Flit{}, false
+		return nil
 	}
-	c.hasLatch = false
-	return c.latch, true
+	return &c.latch
 }
+
+// Drop implements LocalPort for the switch side, releasing the latch.
+func (c *concentrator) Drop() { c.hasLatch = false }
 
 // Deliver implements LocalPort for the switch side, demultiplexing the
 // ejected flit to the addressed endpoint.
-func (c *concentrator) Deliver(f flit.Flit, now int64) {
+func (c *concentrator) Deliver(f *flit.Flit, now int64) {
 	c.eps[c.topo.LocalIndex(int(f.DstX), int(f.DstY))].Deliver(f, now)
 }
 

@@ -45,9 +45,10 @@ type checkedPort struct {
 	seen map[uint64]bool // shared across all ports of one network
 }
 
-func (c *checkedPort) TryPull() (flit.Flit, bool) { return c.node.TryPull() }
+func (c *checkedPort) Front() *flit.Flit { return c.node.Front() }
+func (c *checkedPort) Drop()             { c.node.Drop() }
 
-func (c *checkedPort) Deliver(f flit.Flit, now int64) {
+func (c *checkedPort) Deliver(f *flit.Flit, now int64) {
 	if int(f.DstX) != c.x || int(f.DstY) != c.y {
 		c.t.Errorf("flit for (%d,%d) delivered at (%d,%d)", f.DstX, f.DstY, c.x, c.y)
 	}

@@ -18,7 +18,7 @@ type deliveryLog struct {
 	at *[]int64
 }
 
-func (d deliveryLog) Deliver(_ flit.Flit, now int64) { *d.at = append(*d.at, now) }
+func (d deliveryLog) Deliver(_ *flit.Flit, now int64) { *d.at = append(*d.at, now) }
 
 // replaySnap is the checkpointed state of a deliveryLog. The node's
 // clock copy is left out: nothing reads it, and a sleeping node's lags.

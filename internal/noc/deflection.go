@@ -160,7 +160,7 @@ func (s *deflector) pick(candidates, taken uint8, now int64) (Port, bool) {
 }
 
 // place sends f out of port p: the one copy a hop costs, from where the
-// flit sits (an input register, or the caller's frame for an injection)
+// flit sits (an input register, or the local node's queue for an injection)
 // into the slot of the output register the next cycle reads. On the
 // adaptive switch it also counts the flit at the downstream switch, which
 // sees it arrive next cycle.
@@ -181,9 +181,10 @@ func (s *deflector) place(f *flit.Flit, p Port, productive bool, taken *uint8, n
 	s.Stats.Routed.Inc()
 }
 
-// inject places a flit pulled from the local node: a free productive port
-// if there is one, any free port otherwise (always, for the degenerate
-// self-addressed flit, which has no productive port).
+// inject places the local node's Front, f: a free productive port if
+// there is one, any free port otherwise (always, for the degenerate
+// self-addressed flit, which has no productive port). The placement is
+// the flit's one copy; the node's slot is dropped after it.
 func (s *deflector) inject(f *flit.Flit, taken *uint8, now int64) {
 	s.Stats.Injected.Inc()
 	s.net.noteInjected()
@@ -194,6 +195,7 @@ func (s *deflector) inject(f *flit.Flit, taken *uint8, now int64) {
 	} else {
 		panic("noc: injected with no free port")
 	}
+	s.local.Drop()
 }
 
 // arrival is one flit being arbitrated and its route, looked up once.
@@ -222,8 +224,8 @@ func (s *deflector) Step(now int64) {
 		// Idle fast path: no flits in flight through this switch, so every
 		// output port is free and the only possible work is an injection.
 		// This is the common case at the calibrated workloads' loads.
-		if f, ok := s.local.TryPull(); ok {
-			s.inject(&f, &taken, now)
+		if f := s.local.Front(); f != nil {
+			s.inject(f, &taken, now)
 		} else {
 			s.wake.Idle()
 		}
@@ -243,7 +245,7 @@ func (s *deflector) Step(now int64) {
 		f := arr[eject].f
 		s.Stats.Ejected.Inc()
 		s.net.noteDelivered(f, now)
-		s.local.Deliver(*f, now)
+		s.local.Deliver(f, now)
 		copy(arr[eject:], arr[eject+1:n])
 		n--
 	}
@@ -283,8 +285,8 @@ func (s *deflector) Step(now int64) {
 	// Injection: only when an output slot is left over (every arrival that
 	// stayed took one real port).
 	if n < len(s.ports) {
-		if f, ok := s.local.TryPull(); ok {
-			s.inject(&f, &taken, now)
+		if f := s.local.Front(); f != nil {
+			s.inject(f, &taken, now)
 		}
 	}
 }

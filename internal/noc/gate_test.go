@@ -65,9 +65,10 @@ func (s *perCycleSource) Step(now int64) {
 	s.outQ.Push(f)
 }
 
-func (s *perCycleSource) TryPull() (flit.Flit, bool) { return s.outQ.Pop() }
-func (s *perCycleSource) Deliver(flit.Flit, int64)   {}
-func (s *perCycleSource) Pending() int               { return s.outQ.Len() }
+func (s *perCycleSource) Front() *flit.Flit         { return s.outQ.Front() }
+func (s *perCycleSource) Drop()                     { s.outQ.Drop() }
+func (s *perCycleSource) Deliver(*flit.Flit, int64) {}
+func (s *perCycleSource) Pending() int              { return s.outQ.Len() }
 
 // injection is what the network sees of one injection.
 type injection struct {
@@ -93,8 +94,9 @@ func (d *gateDrain) Bind(h *sim.Handle) { d.wake = h }
 
 func (d *gateDrain) Step(now int64) {
 	if now%d.period == 0 {
-		if f, ok := d.src.TryPull(); ok {
+		if f := d.src.Front(); f != nil {
 			d.got = append(d.got, injection{f.Meta.InjectCycle, f.DstX, f.DstY})
+			d.src.Drop()
 			return
 		}
 	}
@@ -224,7 +226,7 @@ func TestGateStreamEqualsPerCycleDraw(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for sent := tn.Sent.Value(); tn.Sent.Value() == sent; {
+				for sent := tn.pktID; tn.pktID == sent; {
 					woken.Run(1)
 				}
 				midGap()

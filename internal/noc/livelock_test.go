@@ -22,7 +22,7 @@ func TestLatencyTailUnderSaturation(t *testing.T) {
 	}
 	e.Run(5000)
 	mean := n.Stats.Latency.Mean()
-	max := n.Stats.Latency.Max()
+	max := float64(n.Stats.Latency.Max())
 	if n.Stats.Delivered.Value() < 1000 {
 		t.Fatalf("only %d flits delivered under saturation", n.Stats.Delivered.Value())
 	}

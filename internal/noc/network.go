@@ -29,8 +29,8 @@ type Network struct {
 type NetStats struct {
 	Injected  stats.Counter
 	Delivered stats.Counter
-	Latency   stats.Running // inject-to-eject cycles
-	Hops      stats.Running
+	Latency   stats.IntRunning // inject-to-eject cycles
+	Hops      stats.IntRunning
 
 	// LatencySample, when non-nil, additionally records every delivered
 	// flit's latency for exact percentile reporting. The scenario runner
@@ -203,9 +203,10 @@ func (n *Network) noteInjected() { n.Stats.Injected.Inc() }
 
 func (n *Network) noteDelivered(f *flit.Flit, now int64) {
 	n.Stats.Delivered.Inc()
-	n.Stats.Latency.Observe(float64(now - f.Meta.InjectCycle))
-	n.Stats.Hops.Observe(float64(f.Meta.Hops))
+	lat := now - f.Meta.InjectCycle
+	n.Stats.Latency.Observe(lat)
+	n.Stats.Hops.Observe(int64(f.Meta.Hops))
 	if n.Stats.LatencySample != nil {
-		n.Stats.LatencySample.Observe(now - f.Meta.InjectCycle)
+		n.Stats.LatencySample.Observe(lat)
 	}
 }

@@ -15,17 +15,17 @@ type collector struct {
 	when []int64
 }
 
-func (c *collector) TryPull() (flit.Flit, bool) {
+func (c *collector) Front() *flit.Flit {
 	if len(c.out) == 0 {
-		return flit.Flit{}, false
+		return nil
 	}
-	f := c.out[0]
-	c.out = c.out[1:]
-	return f, true
+	return &c.out[0]
 }
 
-func (c *collector) Deliver(f flit.Flit, now int64) {
-	c.got = append(c.got, f)
+func (c *collector) Drop() { c.out = c.out[1:] }
+
+func (c *collector) Deliver(f *flit.Flit, now int64) {
+	c.got = append(c.got, *f)
 	c.when = append(c.when, now)
 }
 

@@ -76,7 +76,7 @@ func (r *replayNode) Step(now int64) {
 }
 
 // Deliver implements LocalPort (the network tallies delivery stats).
-func (r *replayNode) Deliver(flit.Flit, int64) {}
+func (r *replayNode) Deliver(*flit.Flit, int64) {}
 
 // NextEvent implements sim.NextEventer. The schedule is known ahead of
 // time, so the bound is exact: the engine can jump straight to the next

@@ -197,21 +197,17 @@ func (c *svcClient) Step(now int64) {
 	c.board.issued.Inc()
 }
 
-// TryPull implements LocalPort, stamping the queue→network handoff.
-func (c *svcClient) TryPull() (flit.Flit, bool) {
-	f, ok := c.outQ.Pop()
-	if !ok {
-		return f, false
-	}
-	if req, ok := c.board.pending[f.Data]; ok {
+// Drop implements LocalPort, stamping the queue→network handoff.
+func (c *svcClient) Drop() {
+	if req, ok := c.board.pending[c.outQ.Front().Data]; ok {
 		req.inject = c.now
 	}
-	return f, true
+	c.outQ.Drop()
 }
 
 // Deliver implements LocalPort: response flits come home. The request
 // completes when its last response flit lands.
-func (c *svcClient) Deliver(f flit.Flit, now int64) {
+func (c *svcClient) Deliver(f *flit.Flit, now int64) {
 	req, ok := c.board.pending[f.Data]
 	if !ok {
 		return
@@ -283,7 +279,7 @@ func (s *svcServer) Step(now int64) {
 }
 
 // Deliver implements LocalPort: a request flit arrives.
-func (s *svcServer) Deliver(f flit.Flit, now int64) {
+func (s *svcServer) Deliver(f *flit.Flit, now int64) {
 	if req, ok := s.board.pending[f.Data]; ok {
 		req.arrive = now
 	}

@@ -101,12 +101,15 @@ type TrafficConfig struct {
 type TrafficNode struct {
 	cfg TrafficConfig
 	inj injectGate
+	// dst is the destination of every pattern but Uniform, which draws
+	// one per injection: the others are a function of the source endpoint
+	// and the topology alone, so they are asked once.
+	dst int
 
 	// The source's only input is its own clock (the pre-drawn gate):
 	// deliveries are merely counted, so nothing else need wake it.
 	source
 
-	Sent      stats.Counter
 	Recv      stats.Counter
 	Throttled stats.Counter
 }
@@ -241,6 +244,7 @@ func NewTrafficNode(id int, topo Topology, cfg TrafficConfig, seed int64) *Traff
 	return &TrafficNode{
 		cfg:    cfg,
 		inj:    newInjectGate(id, seed, cfg.Rate, cfg.Burst),
+		dst:    fixedDest(cfg, topo, id),
 		source: newSource(id, topo, cfg.QueueCap),
 	}
 }
@@ -266,42 +270,48 @@ func (t *TrafficNode) Step(now int64) {
 		return
 	}
 	t.emit(dst, flit.SubMsgData, uint32(now), now)
-	t.Sent.Inc()
 	if t.cfg.Record != nil {
 		t.cfg.Record.RecordInjection(now, t.id, dst, uint32(now))
 	}
 }
 
-// destination picks this cycle's destination endpoint. All patterns are
-// defined on the endpoint grid, so they are the same address streams on
-// every topology serving the same endpoint count; only the fabric beneath
-// them changes.
+// destination picks this cycle's destination endpoint: a draw under
+// Uniform, the fixed destination under every other pattern.
 func (t *TrafficNode) destination() int {
-	switch t.cfg.Pattern {
-	case Uniform:
-		d := t.inj.rng.Intn(t.topo.NumEndpoints() - 1)
-		if d >= t.id {
-			d++
-		}
-		return d
-	case Transpose:
-		return PermutationDest(Transpose, t.topo, t.id)
-	case Hotspot:
-		return t.cfg.HotspotNode
-	case Neighbor:
+	if t.cfg.Pattern != Uniform {
+		return t.dst
+	}
+	d := t.inj.rng.Intn(t.topo.NumEndpoints() - 1)
+	if d >= t.id {
+		d++
+	}
+	return d
+}
+
+// fixedDest is endpoint id's destination under every pattern but Uniform
+// (for which it returns -1). All patterns are defined on the endpoint
+// grid, so they are the same address streams on every topology serving
+// the same endpoint count; only the fabric beneath them changes.
+func fixedDest(cfg TrafficConfig, topo Topology, id int) int {
+	switch p := cfg.Pattern; {
+	case p == Uniform:
+		return -1
+	case p == Hotspot:
+		return cfg.HotspotNode
+	case p == Neighbor:
 		// The east neighbour on the endpoint grid, wrapping in address
 		// space (on a mesh the wrap destination is routed the long way
 		// through the fabric — the addressing is topology-independent).
-		ex, ey := t.topo.EndpointCoord(t.id)
-		return t.topo.EndpointID(ex+1, ey)
-	case BitComplement, BitReversal, Shuffle, Tornado:
-		return PermutationDest(t.cfg.Pattern, t.topo, t.id)
+		ex, ey := topo.EndpointCoord(id)
+		return topo.EndpointID(ex+1, ey)
+	case p.IsPermutation():
+		return PermutationDest(p, topo, id)
 	}
 	panic("noc: unknown traffic pattern")
 }
 
 // Deliver implements LocalPort.
-func (t *TrafficNode) Deliver(flit.Flit, int64) { t.Recv.Inc() }
+func (t *TrafficNode) Deliver(*flit.Flit, int64) { t.Recv.Inc() }
 
 // ffwdHorizon bounds how many cycles of gating one call pre-draws. When no
 // injection lands inside the horizon the owner sleeps at most this far
@@ -331,7 +341,6 @@ type trafficSnap struct {
 	nextInject   int64
 	sched        *schedule
 	cursor       int
-	sent         stats.Counter
 	recv         stats.Counter
 	throttled    stats.Counter
 }
@@ -343,7 +352,7 @@ func (t *TrafficNode) Snapshot() any {
 		pktID:        t.pktID,
 		drawnThrough: t.inj.drawnThrough, nextInject: t.inj.nextInject,
 		sched: t.inj.sched, cursor: t.inj.cursor,
-		sent: t.Sent, recv: t.Recv, throttled: t.Throttled,
+		recv: t.Recv, throttled: t.Throttled,
 	}
 	if t.inj.burst != nil {
 		s.burst, s.hasBurst = t.inj.burst.snapshot(), true
@@ -362,5 +371,5 @@ func (t *TrafficNode) Restore(snap any) {
 	t.pktID = s.pktID
 	t.inj.drawnThrough, t.inj.nextInject = s.drawnThrough, s.nextInject
 	t.inj.sched, t.inj.cursor = s.sched, s.cursor
-	t.Sent, t.Recv, t.Throttled = s.sent, s.recv, s.throttled
+	t.Recv, t.Throttled = s.recv, s.throttled
 }

@@ -288,7 +288,7 @@ func (s *WormholeSwitch) allocate(now int64) {
 			ejected = true
 			s.Stats.Ejected.Inc()
 			s.net.noteDelivered(h.f, now)
-			s.local.Deliver(*h.f, now)
+			s.local.Deliver(h.f, now)
 			s.pop(h, now)
 			continue
 		}
@@ -345,13 +345,16 @@ func (s *WormholeSwitch) Step(now int64) {
 	}
 	// 3. Local injection: accept at most one flit per cycle into the
 	// injection queue; when it is full the node keeps the flit (the same
-	// backpressure contract every router applies through TryPull).
+	// backpressure contract every router applies by leaving Front
+	// undropped).
 	if !s.injQ.Full() {
-		if f, ok := s.local.TryPull(); ok {
-			f.Meta.VC = 0
+		if f := s.local.Front(); f != nil {
+			slot := s.injQ.PushSlot()
+			*slot = *f
+			slot.Meta.VC = 0
+			s.local.Drop()
 			s.Stats.Injected.Inc()
 			s.net.noteInjected()
-			s.injQ.Push(f)
 			s.occ |= occInj
 			s.buffered++
 		}

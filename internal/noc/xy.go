@@ -20,7 +20,7 @@ import (
 type XYSwitch struct {
 	routerPorts
 
-	queues  [NumPorts + 1]queue.FIFO[flit.Flit] // unbounded rings; +1: local injection queue
+	queues  [xyLocal + 1]queue.FIFO[flit.Flit] // unbounded rings, one per link port and the local one
 	rrStart int
 
 	buffered int // total occupancy across all queues
@@ -28,6 +28,10 @@ type XYSwitch struct {
 
 	Stats XYStats
 }
+
+// xyLocal indexes the XY switch's local injection queue, after the link
+// ports'.
+const xyLocal = int(NumPorts)
 
 // xyQueueReserve is the ring each input queue starts with. The queues are
 // unbounded, but at the loads the router is measured at a single one
@@ -66,70 +70,115 @@ func (s *XYSwitch) Deflections() int64 { return 0 }
 // EjectedCount implements Router.
 func (s *XYSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
+// Step implements sim.Component; it runs in sim.PhaseSwitch. A flit
+// that arrives at an empty input queue (a link arrival, or the local
+// port's Front) competes from where it sits and is buffered only if it
+// loses, the empty-buffer bypass of input-queued routers; one that finds
+// its queue occupied joins the tail at once.
 func (s *XYSwitch) Step(now int64) {
-	// Accept arrivals into input queues.
+	// cand[q] is input q's flit outside its queue, competing in place.
+	var cand [xyLocal + 1]*flit.Flit
+	n := 0
 	for p, in := range s.in {
 		if in == nil {
 			continue
 		}
 		if f := in.Read(); f != nil {
-			s.queues[p].Push(*f)
-			s.buffered++
+			if s.queues[p].Len() == 0 {
+				cand[p] = f
+				n++
+			} else {
+				s.enqueue(p, f)
+			}
 		}
 	}
 	// Accept one local injection per cycle.
-	if f, ok := s.local.TryPull(); ok {
+	if f := s.local.Front(); f != nil {
 		s.Stats.Injected.Inc()
 		s.net.noteInjected()
-		s.queues[NumPorts].Push(f)
-		s.buffered++
+		if s.queues[xyLocal].Len() == 0 {
+			cand[xyLocal] = f
+			n++
+		} else {
+			s.enqueue(xyLocal, f)
+			s.local.Drop()
+		}
 	}
-	if s.buffered > 0 {
-		s.forward(now)
+	if n > 0 || s.buffered > 0 {
+		s.forward(&cand, n, now)
 	} else {
 		s.wake.Idle()
 	}
 	// The round-robin pointer moves every cycle, busy or not; Skipped owes
 	// a sleeper exactly that.
-	s.rrStart = (s.rrStart + 1) % len(s.queues)
+	if s.rrStart++; s.rrStart == len(s.queues) {
+		s.rrStart = 0
+	}
 }
 
-// forward records the occupancy watermarks and moves the queue heads on.
-func (s *XYSwitch) forward(now int64) {
-	for q := range s.queues {
-		if n := s.queues[q].Len(); n > s.Stats.PeakQ {
-			s.Stats.PeakQ = n
-		}
+// enqueue buffers f at the tail of input q's queue, recording the queue's
+// occupancy watermark where it grows.
+func (s *XYSwitch) enqueue(q int, f *flit.Flit) {
+	*s.queues[q].PushSlot() = *f
+	s.buffered++
+	if n := s.queues[q].Len(); n > s.Stats.PeakQ {
+		s.Stats.PeakQ = n
 	}
-	if s.buffered > s.peakBuf {
-		s.peakBuf = s.buffered
+}
+
+// forward moves the inputs' heads on: each input's flit in place in cand,
+// or else its queue's head. n counts the flits in cand, which a buffered
+// switch would have queued this cycle, so they count towards the
+// watermarks (each alone in its queue) and a loser is buffered.
+func (s *XYSwitch) forward(cand *[xyLocal + 1]*flit.Flit, n int, now int64) {
+	if n > 0 && s.Stats.PeakQ == 0 {
+		s.Stats.PeakQ = 1
+	}
+	if b := s.buffered + n; b > s.peakBuf {
+		s.peakBuf = b
 	}
 
 	// Each output port (and the ejection port) forwards at most one flit
 	// per cycle. Round-robin over input queues for fairness; only the
 	// head of each queue competes (FIFO order per input preserves
 	// in-order delivery per path, the property wormhole/XY designs rely
-	// on).
+	// on). The ejection is delivered last, once the local port's Front
+	// is copied or dropped, and from a queue before its head is dropped.
 	var outTaken [NumPorts]bool
-	ejectTaken := false
+	var eject *flit.Flit
+	ejectQ := -1 // the queue eject is the head of, if any
 	nq := len(s.queues)
-	for i := 0; i < nq; i++ {
-		q := (s.rrStart + i) % nq
-		f := s.queues[q].Front()
-		if f == nil {
-			continue
+	for i := range nq {
+		q := s.rrStart + i
+		if q >= nq {
+			q -= nq
 		}
-		if rt := s.route(f); rt.eject {
-			if ejectTaken {
+		f, queued := cand[q], false
+		if f == nil {
+			if f, queued = s.queues[q].Front(), true; f == nil {
 				continue
 			}
-			ejectTaken = true
-			s.Stats.Ejected.Inc()
-			s.net.noteDelivered(f, now)
-			s.local.Deliver(*f, now)
+		}
+		if rt := s.route(f); rt.eject {
+			if eject != nil {
+				s.lose(q, f, queued)
+				continue
+			}
+			eject = f
+			if q == xyLocal && !queued {
+				// A self-addressed local flit: the port's Front is not
+				// good past a Deliver to that port, so it ejects from
+				// the local queue instead.
+				s.enqueue(q, f)
+				s.local.Drop()
+				eject, queued = s.queues[q].Front(), true
+			}
+			if queued {
+				ejectQ = q
+			}
 		} else {
 			if outTaken[rt.xy] {
+				s.lose(q, f, queued)
 				continue
 			}
 			outTaken[rt.xy] = true
@@ -137,8 +186,40 @@ func (s *XYSwitch) forward(now int64) {
 			*out = *f
 			out.Meta.Hops++
 			s.Stats.Routed.Inc()
+			s.leave(q, queued)
 		}
+	}
+	if eject != nil {
+		s.Stats.Ejected.Inc()
+		s.net.noteDelivered(eject, now)
+		s.local.Deliver(eject, now)
+		if ejectQ >= 0 {
+			s.leave(ejectQ, true)
+		}
+	}
+}
+
+// leave removes input q's flit that won its output: a queue head, or the
+// local port's flit in place (an arrival in place needs nothing: its
+// register moves on at the commit).
+func (s *XYSwitch) leave(q int, queued bool) {
+	switch {
+	case queued:
 		s.queues[q].Drop()
 		s.buffered--
+	case q == xyLocal:
+		s.local.Drop()
+	}
+}
+
+// lose keeps input q's flit that found its output taken: a queue head
+// stays, a flit in place is buffered.
+func (s *XYSwitch) lose(q int, f *flit.Flit, queued bool) {
+	if queued {
+		return
+	}
+	s.enqueue(q, f)
+	if q == xyLocal {
+		s.local.Drop()
 	}
 }

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/sim"
 )
 
@@ -153,5 +155,50 @@ func TestTrafficThrottlesWhenQueueFull(t *testing.T) {
 	}
 	if tn.Throttled.Value() == 0 {
 		t.Error("throttling not counted")
+	}
+}
+
+// TestXYBypassLoserIsBuffered has two flits reach switch (2,2) on one
+// cycle, each into an empty input queue, both for its North output: A
+// from the West, B from the South. They compete where they arrived; the
+// round-robin pointer (at West on cycle 1) gives A the port and B is
+// buffered. A third flit C reaches the South input on cycle 2, behind B:
+// B leaves first, C a cycle later. The watermarks are what buffering
+// every arrival gives: two flits in the switch on cycles 1 and 2, and two
+// in the South queue on cycle 2.
+func TestXYBypassLoserIsBuffered(t *testing.T) {
+	topo, _ := NewTopology(4, 4)
+	e := sim.NewEngine()
+	n := NewRouterNetwork(e, topo, RouterXY)
+	cols := make([]*collector, topo.NumNodes())
+	for i := range cols {
+		cols[i] = &collector{}
+		n.Attach(i, cols[i])
+	}
+	west, south, sw, dst := topo.ID(1, 2), topo.ID(2, 1), topo.ID(2, 2), topo.ID(2, 3)
+	cols[west].out = []flit.Flit{mkFlit(topo, west, dst, 'A')}
+	cols[south].out = []flit.Flit{mkFlit(topo, south, dst, 'B'), mkFlit(topo, south, dst, 'C')}
+	s := n.Routers[sw].(*XYSwitch)
+
+	e.Run(2) // cycle 0 injects A and B; cycle 1 arbitrates them at (2,2)
+	if got := s.queues[South].Len(); got != 1 || s.Buffered() != 1 {
+		t.Fatalf("after the contention: %d flits in the South queue, %d buffered, want the loser alone", got, s.Buffered())
+	}
+	if got := s.queues[West].Len(); got != 0 {
+		t.Fatalf("the winner was buffered: West queue holds %d", got)
+	}
+	e.Run(4)
+	var order []uint64
+	for _, f := range cols[dst].got {
+		order = append(order, f.Meta.PacketID)
+	}
+	if want := []uint64{'A', 'B', 'C'}; !slices.Equal(order, want) || !slices.Equal(cols[dst].when, []int64{2, 3, 4}) {
+		t.Fatalf("delivered %q on cycles %v, want %q on cycles [2 3 4]", order, cols[dst].when, want)
+	}
+	if s.Stats.PeakQ != 2 || n.PeakBuffer() != 2 {
+		t.Errorf("PeakQ %d, peak_buffer %d; want 2 and 2", s.Stats.PeakQ, n.PeakBuffer())
+	}
+	if s.Buffered() != 0 {
+		t.Errorf("%d flits left in the switch", s.Buffered())
 	}
 }

@@ -55,8 +55,21 @@ func (q *FIFO[T]) resize(n int) {
 
 // Push appends v and reports whether there was room.
 func (q *FIFO[T]) Push(v T) bool {
-	if q.cap > 0 && q.size >= q.cap {
+	p := q.PushSlot()
+	if p == nil {
 		return false
+	}
+	*p = v
+	return true
+}
+
+// PushSlot appends a zero element and returns it in place, for a caller
+// that fills it there instead of building a value to copy in; nil when
+// the queue is full. The pointer is good until the next Push, PushSlot or
+// Drop.
+func (q *FIFO[T]) PushSlot() *T {
+	if q.cap > 0 && q.size >= q.cap {
+		return nil
 	}
 	if q.size == len(q.buf) {
 		q.grow()
@@ -65,12 +78,11 @@ func (q *FIFO[T]) Push(v T) bool {
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
-	q.buf[i] = v
 	q.size++
 	if q.size > q.peak {
 		q.peak = q.size
 	}
-	return true
+	return &q.buf[i]
 }
 
 // Pop removes and returns the oldest element.
@@ -94,7 +106,7 @@ func (q *FIFO[T]) Peek() (T, bool) {
 }
 
 // Front returns the oldest element in place, or nil when the queue is
-// empty. The pointer is good until the next Push or Drop.
+// empty. The pointer is good until the next Push, PushSlot or Drop.
 func (q *FIFO[T]) Front() *T {
 	if q.size == 0 {
 		return nil

@@ -80,6 +80,49 @@ func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%.0f max=%.0f", r.count, r.Mean(), r.min, r.max)
 }
 
+// IntRunning is Running for whole-number observations (cycle and hop
+// counts): it accumulates an integer sum, so an observation is an add and
+// two compares, with no conversion. Mean is the float64 quotient of the
+// integer sum and count, which equals Running's for the same stream while
+// the sum stays below 2^53 (every integer up to there is exact in a
+// float64). The zero value is ready to use.
+type IntRunning struct {
+	count, sum int64
+	min, max   int64
+}
+
+// Observe adds one observation.
+func (r *IntRunning) Observe(v int64) {
+	if r.count == 0 || v < r.min {
+		r.min = v
+	}
+	if r.count == 0 || v > r.max {
+		r.max = v
+	}
+	r.count++
+	r.sum += v
+}
+
+// Count returns the number of observations.
+func (r *IntRunning) Count() int64 { return r.count }
+
+// Sum returns the sum of all observations.
+func (r *IntRunning) Sum() int64 { return r.sum }
+
+// Mean returns the arithmetic mean, or 0 with no observations.
+func (r *IntRunning) Mean() float64 {
+	if r.count == 0 {
+		return 0
+	}
+	return float64(r.sum) / float64(r.count)
+}
+
+// Min returns the smallest observation, or 0 with no observations.
+func (r *IntRunning) Min() int64 { return r.min }
+
+// Max returns the largest observation, or 0 with no observations.
+func (r *IntRunning) Max() int64 { return r.max }
+
 // Percentile computes the p-th percentile (0-100) of a sample slice using
 // nearest-rank. It does not modify the input.
 func Percentile(samples []float64, p float64) float64 {

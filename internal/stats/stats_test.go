@@ -45,6 +45,30 @@ func TestRunning(t *testing.T) {
 	}
 }
 
+// TestIntRunningEqualsRunning checks that the integer accumulator reports
+// what Running reports for the same whole-number stream, bit for bit:
+// NetStats' latency and hop means moved from one to the other and every
+// rendered figure that prints them must keep its bytes.
+func TestIntRunningEqualsRunning(t *testing.T) {
+	fn := func(vals []uint32) bool {
+		var r Running
+		var ir IntRunning
+		for _, v := range vals {
+			r.Observe(float64(v))
+			ir.Observe(int64(v))
+		}
+		return ir.Count() == r.Count() && float64(ir.Sum()) == r.Sum() && ir.Mean() == r.Mean() &&
+			float64(ir.Min()) == r.Min() && float64(ir.Max()) == r.Max()
+	}
+	if err := quick.Check(fn, nil); err != nil {
+		t.Error(err)
+	}
+	var ir IntRunning
+	if ir.Mean() != 0 || ir.Min() != 0 || ir.Max() != 0 {
+		t.Error("empty IntRunning should report zeros")
+	}
+}
+
 // TestRunningQuick checks that Running matches a naive computation for
 // random inputs.
 func TestRunningQuick(t *testing.T) {
