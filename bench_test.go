@@ -1,12 +1,13 @@
-// Benchmarks for the architecture ablations no scenario file or
-// medea-experiments figure covers. Each Benchmark corresponds to one
-// experiment in DESIGN.md's index; key scalar results are reported as
-// custom metrics so -benchmem runs record them. Absolute cycle counts are
+// Benchmarks for the architecture ablations no scenario file or figure
+// covers. Each Benchmark corresponds to one experiment in DESIGN.md's
+// index; key scalar results are reported as custom metrics so -benchmem
+// runs record them. Absolute cycle counts are
 // not comparable to the authors' Xtensa testbed; the shapes are the
 // reproduction target (DESIGN.md's experiment index records what must
 // hold). How fast the simulator runs is bench/'s job, not these
-// benchmarks'. The paper's figures are cmd/medea-experiments, whose Quick
-// tables testdata/*.golden pins byte for byte.
+// benchmarks'. The paper's figures are render formats of scenario files
+// (examples/figures/), whose Quick tables scenario.TestFigsGolden pins
+// byte for byte.
 package medea_test
 
 import (

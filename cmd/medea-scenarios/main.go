@@ -2,15 +2,18 @@
 // names its workloads (the jacobi, matmul and syncbench kernels, or
 // synthetic noc traffic) and sweep axes, and the runner executes the
 // cross-product in parallel and prints one row per point as a table, CSV
-// or JSON. Ready-to-run files live in examples/scenarios/; the format is
-// documented in internal/scenario and the figure/table map in
-// REPRODUCING.md.
+// or JSON, or draws one of the paper's figures from the rows (-format
+// fig6 ... kernel). Ready-to-run files live in examples/scenarios/ and,
+// one per figure, examples/figures/; the format is documented in
+// internal/scenario and the figure/table map in REPRODUCING.md.
 //
 // Examples:
 //
 //	medea-scenarios examples/scenarios/patterns-sweep.json
 //	medea-scenarios examples/scenarios/kernel-ablation.json
 //	medea-scenarios -format csv -out fig8.csv examples/scenarios/fig8-quick.json
+//	medea-scenarios -format fig9 examples/scenarios/fig8-quick.json
+//	medea-scenarios examples/figures/fig6-full.json
 //	medea-scenarios -validate examples/scenarios/*.json
 //	medea-scenarios -worker-listen :9000   # on each worker host
 //	medea-scenarios -shards 4 -worker-url http://host1:9000,http://host2:9000 examples/scenarios/fig8-quick.json
@@ -68,7 +71,7 @@ func main() {
 // stays machine-clean. main wires Ctrl-C into ctx.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("medea-scenarios", flag.ContinueOnError)
-	format := fs.String("format", "", `output format: table | csv | json (default: the scenario file's "output", else table)`)
+	format := fs.String("format", "", "output format: "+strings.Join(scenario.FormatNames(), " | ")+` (default: the scenario file's "output", else table; a figure format draws the paper's figure or table of that name from a kernel scenario's rows)`)
 	outPath := fs.String("out", "", "write results to this file instead of stdout (single scenario only)")
 	par := fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS); overrides the scenario file")
 	validate := fs.Bool("validate", false, "load and validate the scenario files without running them")
@@ -173,15 +176,26 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	for _, path := range fs.Args() {
+	// Load every file and resolve its format first: a figure format that
+	// does not fit a file's workload fails before any point runs.
+	scenarios := make([]*scenario.Scenario, fs.NArg())
+	for i, path := range fs.Args() {
 		s, err := scenario.Load(path)
 		if err != nil {
 			return err
 		}
+		if _, err := s.ResolveFormat(*format); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 		if *validate {
 			log.Printf("%s: OK (%s)", path, scenario.Summary(s))
-			continue
 		}
+		scenarios[i] = s
+	}
+	if *validate {
+		return nil
+	}
+	for _, s := range scenarios {
 		if *par != 0 {
 			s.Parallelism = *par
 		}
@@ -219,7 +233,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				log.Printf("%s: cache %v; merkle root %s", s.Name, s.Cache.Stats(), scenario.MerkleRoot(results))
 			}
 		}
-		rendered, err := scenario.Render(results, s.ResolveFormat(*format))
+		rendered, err := s.Render(results, *format)
 		if err != nil {
 			return err
 		}
@@ -248,6 +262,9 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 	if parallelism != 0 {
 		s.Parallelism = parallelism
 	}
+	if _, err := s.ResolveFormat(format); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	log.Printf("recording %s", scenario.Summary(s))
 	t, results, err := scenario.RecordCtx(ctx, s)
 	if err != nil {
@@ -261,7 +278,7 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 	// same "name").
 	log.Printf("%s: recorded %d events to %s (sha256 %s); merkle root %s",
 		s.Name, len(t.Events), out, t.Hash(), scenario.MerkleRoot(results))
-	rendered, err := scenario.Render(results, s.ResolveFormat(format))
+	rendered, err := s.Render(results, format)
 	if err != nil {
 		return err
 	}

@@ -35,12 +35,18 @@ func TestGoldenFig8ViaCLI(t *testing.T) {
 	}
 }
 
-// TestValidateAllExamples keeps every shipped scenario file loadable.
+// TestValidateAllExamples keeps every shipped scenario and figure file
+// loadable.
 func TestValidateAllExamples(t *testing.T) {
 	files, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil || len(files) < 4 {
 		t.Fatalf("expected at least 4 example scenarios, got %v (%v)", files, err)
 	}
+	figures, err := filepath.Glob("../../examples/figures/*.json")
+	if err != nil || len(figures) < 4 {
+		t.Fatalf("expected at least 4 figure files, got %v (%v)", figures, err)
+	}
+	files = append(files, figures...)
 	var out strings.Builder
 	if err := run(context.Background(), append([]string{"-validate"}, files...), &out); err != nil {
 		t.Fatal(err)
@@ -191,6 +197,21 @@ func TestCLIErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-format", "xml", "../../examples/scenarios/smoke.json"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-format") {
 		t.Errorf("bad -format not rejected up front: %v", err)
+	}
+	// A figure format the workload cannot draw fails before any point
+	// runs: the context is canceled, so a sweep that started would fail
+	// with a cancellation instead. With several files, the misfit in the
+	// last one stops the first from running too.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-format", "fig6", "../../examples/scenarios/smoke.json"},
+		{"-format", "kernel", "../../examples/scenarios/fig8-quick.json", "../../examples/scenarios/smoke.json"},
+		{"-validate", "-format", "barrier", "../../examples/scenarios/kernel-ablation.json"},
+	} {
+		if err := run(canceled, args, &out); err == nil || !strings.Contains(err.Error(), "draws") {
+			t.Errorf("%v = %v, want the figure format refused", args, err)
+		}
 	}
 	// Negative counts are usage errors, not GOMAXPROCS and not a late
 	// failure inside a shard worker.

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,6 +27,31 @@ func TestShardedCLIMatchesSingleProcess(t *testing.T) {
 	}
 	if sharded.String() != direct.String() {
 		t.Errorf("sharded CSV diverges:\n--- sharded ---\n%s--- direct ---\n%s", sharded.String(), direct.String())
+	}
+}
+
+// TestShardedFigureMatchesGolden: a figure format renders a sharded run
+// byte for byte as the unsharded run pinned by scenario.TestFigsGolden.
+// K-1 prints the kernel counters of jacobi rows, which only the figure
+// formats show, so they must survive the trip over the wire.
+func TestShardedFigureMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the kernel ablation")
+	}
+	srv := httptest.NewServer(shard.Handler(nil))
+	defer srv.Close()
+	want, err := os.ReadFile("../../internal/scenario/testdata/figures/fig-kernel.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sharded strings.Builder
+	if err := run(context.Background(), []string{"-format", "kernel", "-shards", "3", "-worker-url", srv.URL, "../../examples/scenarios/kernel-ablation.json"}, &sharded); err != nil {
+		t.Fatal(err)
+	}
+	// The golden ends in the blank line its recording command printed
+	// after each figure.
+	if sharded.String()+"\n" != string(want) {
+		t.Errorf("sharded K-1 diverges from the golden:\n--- sharded ---\n%s--- golden ---\n%s", sharded.String(), want)
 	}
 }
 

@@ -6,13 +6,15 @@
 // internal/ (see DESIGN.md for the system inventory and experiment
 // index, README.md for the quickstart, and REPRODUCING.md for the
 // figure/table-to-command map with expected golden values); runnable
-// entry points are in cmd/ and examples/; bench_test.go regenerates
-// every table and figure of the paper's evaluation. Arbitrary experiment
-// sweeps are described declaratively as JSON scenario files
-// (internal/scenario, cmd/medea-scenarios, examples/scenarios/) rather
-// than by writing new driver code, across four pluggable axes: workload
-// (jacobi, matmul, syncbench, noc-synthetic) x programming-model variant
-// x network topology x router. Every sweep — the figures, the kernel
+// entry points are in cmd/ and examples/. Every experiment sweep is
+// described declaratively as a JSON scenario file (internal/scenario,
+// cmd/medea-scenarios, examples/scenarios/) rather than by writing new
+// driver code, and each table and figure of the paper's evaluation is a
+// render format of one (medea-scenarios -format fig6 ... kernel, over the
+// files in examples/figures/); bench_test.go holds the architecture
+// ablations no scenario covers. Scenarios sweep four pluggable axes:
+// workload (jacobi, matmul, syncbench, noc-synthetic) x programming-model
+// variant x network topology x router. Every sweep — the figures, the kernel
 // ablation, each scenario workload, one shard's subset of any of them —
 // is a canonical job list plus a per-point function handed to one loop,
 // par.Sweep (internal/par).
@@ -95,9 +97,9 @@
 //
 //	go test ./internal/... -bench . -run '^$' -benchmem
 //
-// and the end-to-end figure benchmarks with
+// and the architecture ablations of bench_test.go with
 //
-//	go test -bench 'BenchmarkFig' -run '^$' -benchtime 1x -benchmem
+//	go test -bench . -run '^$' -benchtime 1x -benchmem
 //
 // The repository's benchmark proper — four workloads, end-to-end metrics
 // and a per-layer probe for every package named above — is bench/:
@@ -105,8 +107,9 @@
 //	bash bench/run.sh --workload kernel-sweep --trace 0   # end to end
 //	bash bench/run.sh --workload kernel-sweep --trace 1   # per layer
 //
-// To profile the full experiment driver without editing code:
+// To profile the paper's figures without editing code, profile the test
+// that runs every figure sweep once (Figs 6-9, T-1, T-2, S-1, K-1):
 //
-//	go run ./cmd/medea-experiments -fig 8 -cpuprofile cpu.out -memprofile mem.out
-//	go tool pprof cpu.out
+//	go test ./internal/scenario -run '^TestFigsGolden$' -cpuprofile cpu.prof -memprofile mem.prof
+//	go tool pprof cpu.prof
 package medea

@@ -110,7 +110,6 @@ type Stats struct {
 	Txns       stats.Counter
 	FlitsSent  stats.Counter
 	FlitsRecv  stats.Counter
-	TxnLatency stats.Running
 	OutOfOrder stats.Counter // block-read data flits that arrived out of order
 }
 
@@ -334,6 +333,5 @@ func (b *Bridge) Deliver(f flit.Flit, now int64) {
 
 func (b *Bridge) finish(now int64) {
 	b.result.Cycles = now - b.started
-	b.Stats.TxnLatency.Observe(float64(b.result.Cycles))
 	b.st = stDone
 }

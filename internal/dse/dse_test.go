@@ -18,8 +18,9 @@ func TestPaperGridIs168Points(t *testing.T) {
 	}
 }
 
-// TestFig6FullIsPaperGrid: medea-experiments -fig 6|7 -full is the
-// paper's 168-point 60x60 sweep (what the retired medea-dse ran).
+// TestFig6FullIsPaperGrid: Fig6Options(Full), the sweep of
+// examples/figures/fig6-full.json, is the paper's 168-point 60x60 sweep
+// (what the retired medea-dse ran).
 func TestFig6FullIsPaperGrid(t *testing.T) {
 	want := KernelOptions{
 		Kernel:   KernelJacobi,

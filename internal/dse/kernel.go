@@ -308,8 +308,9 @@ func (o *KernelOptions) runPoint(ctx context.Context, j kernelJob) (KernelPoint,
 // cross-product of one kernel and returns the points in deterministic
 // axis order (variants outermost, then policy, cache, cores). Speedup is
 // attached per variant series on an unfiltered sweep. This is the single
-// execution path behind scenario kernel workloads and every experiment
-// of cmd/medea-experiments. Runs execute concurrently; each simulation is
+// execution path behind scenario kernel workloads, and so behind every
+// figure (a render format of a kernel scenario's rows). Runs execute
+// concurrently; each simulation is
 // independently deterministic, so the result set is reproducible. A
 // canceled context stops dispatching new points, interrupts in-flight
 // simulations, and returns the context's error (wrapped in a
@@ -428,13 +429,13 @@ func PeakSpeedupByKernel(points []KernelPoint) map[Kernel]float64 {
 
 // KernelAblationTable renders the ablation as an aligned table, one row
 // per (kernel, variant, cores) with a per-kernel summary row of the best
-// message-over-shared-memory ratio and the peak message-path speedup. o
-// is the K1Options value of any swept kernel: the caption takes its
-// problem size and its one cache size, which every kernel's sweep shares.
+// message-over-shared-memory ratio and the peak message-path speedup. The
+// caption takes o's problem size and first cache size: those of any
+// kernel's K1Options sweep, which every kernel shares.
 func KernelAblationTable(o KernelOptions, points []KernelPoint) string {
 	var b strings.Builder
 	// N only means something when a kernel with a problem size is swept;
-	// a syncbench-only table (cmd/medea-experiments -fig barrier) omits it.
+	// a syncbench-only table (S-1, examples/figures/barrier.json) omits it.
 	size := ""
 	for _, p := range points {
 		if p.Kernel != KernelSyncbench {

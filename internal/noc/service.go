@@ -102,9 +102,9 @@ type svcBoard struct {
 
 	e2e     *stats.CycleSample // end-to-end latency
 	server  *stats.CycleSample // server component (p99 wanted)
-	queue   *stats.Running     // client-queue component
-	netOut  *stats.Running     // request-path network component
-	netBack *stats.Running     // response-path network component
+	queue   *stats.IntRunning  // client-queue component
+	netOut  *stats.IntRunning  // request-path network component
+	netBack *stats.IntRunning  // response-path network component
 
 	// onComplete, when non-nil, sees every completed request's stamps
 	// (the breakdown property tests hook it).
@@ -123,9 +123,9 @@ func (b *svcBoard) complete(id uint32, req *svcRequest, now int64) {
 	if b.e2e != nil {
 		b.e2e.Observe(req.done - req.create)
 		b.server.Observe(req.respInject - req.arrive)
-		b.queue.Observe(float64(req.inject - req.create))
-		b.netOut.Observe(float64(req.arrive - req.inject))
-		b.netBack.Observe(float64(req.done - req.respInject))
+		b.queue.Observe(req.inject - req.create)
+		b.netOut.Observe(req.arrive - req.inject)
+		b.netBack.Observe(req.done - req.respInject)
 	}
 	if b.onComplete != nil {
 		b.onComplete(*req)
@@ -358,7 +358,7 @@ func buildServiceRig(ctx context.Context, topo Topology, sc ServiceMeasureConfig
 func (r *serviceRig) window(ctx context.Context, topo Topology, sc ServiceMeasureConfig) (ServiceMeasurement, error) {
 	b := r.board
 	b.e2e, b.server = &stats.CycleSample{}, &stats.CycleSample{}
-	b.queue, b.netOut, b.netBack = &stats.Running{}, &stats.Running{}, &stats.Running{}
+	b.queue, b.netOut, b.netBack = &stats.IntRunning{}, &stats.IntRunning{}, &stats.IntRunning{}
 	issued0 := b.issued.Value()
 	completed0 := b.completed.Value()
 	throttled0 := b.throttled.Value()

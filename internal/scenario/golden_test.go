@@ -19,8 +19,7 @@ import (
 // examples/scenarios/fig8-quick.json resolves to dse.Fig8Options(Quick),
 // so it runs the very sweep behind the Quick-fidelity Figure 8. Its rows
 // are pinned by TestExampleRootsGolden, its CSV by medea-scenarios'
-// TestGoldenFig8ViaCLI and the figure by medea-experiments'
-// TestFigsGolden.
+// TestGoldenFig8ViaCLI and its fig8 and fig9 formats by TestFigsGolden.
 func TestFig8QuickGolden(t *testing.T) {
 	s, err := Load("../../examples/scenarios/fig8-quick.json")
 	if err != nil {

@@ -29,8 +29,8 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 
 // TestKernelAblationGolden proves the declarative path is exact for the
 // workload axis, mirroring TestTopologyAblationGolden: kernel-ablation.json
-// resolves, kernel by kernel, to dse.K1Options, so it runs the very sweeps
-// behind medea-experiments -fig kernel.
+// resolves, kernel by kernel, to dse.K1Options, the K-1 sweeps whose
+// -format kernel table TestFigsGolden pins.
 func TestKernelAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the kernel ablation")

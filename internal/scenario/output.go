@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,52 +12,72 @@ import (
 )
 
 // Output format names for Scenario.Output, the CLI -format flag and the
-// serve ?format= query.
+// serve ?format= query: the three row formats. The figure formats
+// (figures.go) draw one of the paper's figures from the rows instead.
 const (
 	FormatTable = "table"
 	FormatCSV   = "csv"
 	FormatJSON  = "json"
 )
 
-// CheckFormat returns nil for a format Render knows ("" is the default)
-// and otherwise an error that calls the value what ("output format",
+// FormatNames lists every format: the row formats, then the figure
+// formats in paper order.
+func FormatNames() []string {
+	names := []string{FormatTable, FormatCSV, FormatJSON}
+	for _, f := range figures {
+		names = append(names, f.format)
+	}
+	return names
+}
+
+// CheckFormat returns nil for a known format ("" is the default) and
+// otherwise an error that calls the value what ("output format",
 // "-format") and lists the known names.
 func CheckFormat(format, what string) error {
-	switch format {
-	case "", FormatTable, FormatCSV, FormatJSON:
+	if format == "" || slices.Contains(FormatNames(), format) {
 		return nil
 	}
-	return fmt.Errorf("unknown %s %q (have: %s, %s, %s)", what, format, FormatTable, FormatCSV, FormatJSON)
+	return fmt.Errorf("unknown %s %q (have: %s)", what, format, strings.Join(FormatNames(), ", "))
 }
 
 // ResolveFormat returns the format a run of s renders in: the caller's
 // choice (a -format flag, a ?format= query) over the file's "output",
-// else table.
-func (s *Scenario) ResolveFormat(choice string) string {
-	switch {
-	case choice != "":
-		return choice
-	case s.Output != "":
-		return s.Output
-	}
-	return FormatTable
-}
-
-// Render formats results in the named format (FormatTable, FormatCSV or
-// FormatJSON; "" means table). Each row prints through its kind's column
-// lists (schemas), and a result set spanning several workloads (the
-// "workloads" sweep axis) renders as one block per workload.
-func Render(results []Result, format string) (string, error) {
-	if err := CheckFormat(format, "output format"); err != nil {
+// else table. An unknown format, or a figure format that cannot draw the
+// scenario's workloads, is an error, so a caller can refuse it before any
+// point runs.
+func (s *Scenario) ResolveFormat(choice string) (string, error) {
+	format := cmp.Or(choice, s.Output, FormatTable)
+	if err := CheckFormat(format, "format"); err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
+	kinds, err := s.workloadKinds()
+	if err != nil {
+		return "", fmt.Errorf("scenario: %w", err)
+	}
+	if err := fitFigure(format, kinds); err != nil {
+		return "", fmt.Errorf("scenario: %w", err)
+	}
+	return format, nil
+}
+
+// Render formats results in a row format (FormatTable, FormatCSV or
+// FormatJSON; "" means table). Each row prints through its kind's column
+// lists (schemas), and a result set spanning several workloads (the
+// "workloads" sweep axis) renders as one block per workload. A figure
+// format needs the scenario the rows came from: Scenario.Render draws it.
+func Render(results []Result, format string) (string, error) {
 	switch format {
+	case "", FormatTable:
+		return renderTable(results), nil
 	case FormatCSV:
 		return renderCSV(results), nil
 	case FormatJSON:
 		return renderJSON(results)
 	}
-	return renderTable(results), nil
+	if figureOf(format) != nil {
+		return "", fmt.Errorf("scenario: format %q draws a figure from a scenario's rows: render it with Scenario.Render", format)
+	}
+	return "", fmt.Errorf("scenario: %w", CheckFormat(format, "output format"))
 }
 
 // column is one rendered field of a Result: name is its CSV header and

@@ -17,7 +17,8 @@
 // patterns, rates and seeds for the bare network) plus the measurement
 // windows; RunCtx executes the cross-product of the axes on a worker pool
 // and returns one Result per point, renderable as a table, CSV or JSON
-// through each workload's column lists (Render).
+// through each workload's column lists (Render), or as a figure
+// (Scenario.Render).
 //
 // Every axis is resolved by name through the same registry idiom
 // (ParseWorkload here; noc.ParsePattern, noc.ParseRouter and
@@ -27,12 +28,13 @@
 // express — is one JSON file away. Every workload is an enumeration of
 // jobs in canonical order plus a per-point function handed to par.Sweep,
 // the one sweep loop; kernel points execute through dse.KernelSweepCtx,
-// the path shared with the figure sweeps and cmd/medea-experiments (the
-// fig8-quick and kernel-ablation golden tests are byte- and point-exact
-// for that reason), and noc points through noc.MeasureCtx's path (one
-// sweep call's points share a noc.Schedules store of their sources'
-// injection streams, byte-identically; noc-load-sweep.json is the bare
-// network's load sweep, held to recorded CSVs by TestNoCLoadSweepGolden).
+// the path of every figure: the paper's figures and tables are render
+// formats of kernel scenarios' rows (figures.go; examples/figures/ holds
+// one file per figure, TestFigsGolden pins each byte for byte), and noc
+// points through noc.MeasureCtx's path (one sweep call's points share a
+// noc.Schedules store of their sources' injection streams,
+// byte-identically; noc-load-sweep.json is the bare network's load sweep,
+// held to recorded CSVs by TestNoCLoadSweepGolden).
 // TestExampleRootsGolden pins the rows of every shipped file.
 //
 // A file declares what to simulate; how a run executes is its caller's,
@@ -42,8 +44,9 @@
 // (internal/shard's Coordinator, which the CLIs drive from -shards). None
 // of them can change a rendered byte.
 //
-// See examples/scenarios/ for ready-to-run files, REPRODUCING.md for the
-// figure/table map, and cmd/medea-scenarios for the CLI driver.
+// See examples/scenarios/ and examples/figures/ for ready-to-run files,
+// REPRODUCING.md for the figure/table map, and cmd/medea-scenarios for the
+// CLI driver.
 package scenario
 
 import (
@@ -99,7 +102,8 @@ type Scenario struct {
 
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Output is the default rendering: "table" (default), "csv" or "json".
+	// Output is the default rendering: "table" (default), "csv", "json"
+	// or a figure format that fits the workloads (see FormatNames).
 	Output string `json:"output,omitempty"`
 
 	// Cache, when non-nil, content-addresses every point's simulation
@@ -499,6 +503,9 @@ func (s *Scenario) Validate() error {
 	}
 	if err := CheckFormat(s.Output, "output format"); err != nil {
 		return err
+	}
+	if err := fitFigure(s.Output, kinds); err != nil {
+		return fmt.Errorf(`"output": %w`, err)
 	}
 	if len(s.Seeds) > 0 && s.Replications > 0 {
 		return fmt.Errorf(`set either "seeds" or "replications", not both`)

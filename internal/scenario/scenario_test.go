@@ -121,6 +121,12 @@ func TestParseRejects(t *testing.T) {
 		{"bad output", `{"workload": "noc-synthetic", "output": "xml",
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
 			"output format"},
+		{"figure output on noc", `{"workload": "noc-synthetic", "output": "fig6",
+			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
+			`"output": format "fig6" draws jacobi rows`},
+		{"barrier output on jacobi", `{"workload": "jacobi", "output": "barrier",
+			"kernel": {"n": 8, "cores": [2], "cache_kb": [4]}}`,
+			`draws syncbench rows`},
 		{"workload and workloads", `{"workload": "jacobi", "workloads": ["matmul"],
 			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
 			"not both"},

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dse"
 )
 
@@ -149,15 +148,11 @@ func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
 		series := block[vi*per : (vi+1)*per]
 		pts := make([]dse.KernelPoint, len(series))
 		for i, r := range series {
-			pol, err := parsePolicy(r.Policy)
+			p, err := kernelPoint(r)
 			if err != nil {
 				return fmt.Errorf("scenario: merge: %w", err)
 			}
-			cfg := core.DefaultConfig(r.Cores, r.CacheKB, pol)
-			pts[i] = dse.KernelPoint{
-				Cycles:  kernelHeadlineCycles(k, r),
-				AreaMM2: dse.Area(r.Cores, r.CacheKB, cfg.MPMMUCacheKB),
-			}
+			pts[i] = p
 		}
 		dse.AttachKernelSpeedup(pts)
 		for i := range series {
@@ -165,19 +160,4 @@ func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
 		}
 	}
 	return nil
-}
-
-// kernelHeadlineCycles returns the metric a kind's Speedup is computed
-// over — the same field dse.KernelPoint.Cycles carried before projection
-// onto the Result schema.
-func kernelHeadlineCycles(k WorkloadKind, r Result) int64 {
-	switch k {
-	case WorkloadJacobi:
-		return r.CyclesPerIter
-	case WorkloadMatmul:
-		return r.TotalCycles
-	case WorkloadSyncbench:
-		return r.CyclesPerRound
-	}
-	return 0
 }

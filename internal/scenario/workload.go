@@ -6,7 +6,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/jacobi"
 )
 
 // WorkloadKind selects what a scenario point simulates. The workload is
@@ -129,12 +131,8 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 // series.
 func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
 	switch k {
-	case WorkloadJacobi:
-		return runKernel(ctx, s, k, dse.KernelJacobi, points)
-	case WorkloadMatmul:
-		return runKernel(ctx, s, k, dse.KernelMatmul, points)
-	case WorkloadSyncbench:
-		return runKernel(ctx, s, k, dse.KernelSyncbench, points)
+	case WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench:
+		return runKernel(ctx, s, k, points)
 	case WorkloadNoC:
 		return runNoC(ctx, s, points)
 	case WorkloadTrace:
@@ -145,12 +143,23 @@ func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]
 	return nil, fmt.Errorf("scenario: no implementation for workload kind %d", int(k))
 }
 
+// kernel returns the dse kernel a kernel workload runs.
+func (k WorkloadKind) kernel() dse.Kernel {
+	switch k {
+	case WorkloadMatmul:
+		return dse.KernelMatmul
+	case WorkloadSyncbench:
+		return dse.KernelSyncbench
+	}
+	return dse.KernelJacobi
+}
+
 // runKernel is the shared execution path of the three compute kernels:
 // resolve the scenario's kernel section into dse.KernelOptions and
-// delegate to dse.KernelSweepCtx, the execution path shared with every
-// experiment of cmd/medea-experiments (the golden tests depend on this).
-func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, kernel dse.Kernel, points []int) ([]Result, error) {
-	o, err := s.kernelSweepOptions(kernel)
+// delegate to dse.KernelSweepCtx, the execution path of every figure
+// (the figure formats read the points back from the rows).
+func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
+	o, err := s.kernelSweepOptions(k.kernel())
 	if err != nil {
 		return nil, err
 	}
@@ -167,15 +176,19 @@ func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, kernel dse.Kern
 }
 
 // kernelRow projects one kernel sweep point onto the kind's Result schema.
+// Every kind keeps the kernel counters, which only the K-1 figure format
+// prints for jacobi rows (see MerkleRoot for their leaf).
 func kernelRow(s *Scenario, k WorkloadKind, p dse.KernelPoint) Result {
 	r := Result{
-		Scenario: s.Name,
-		Workload: k.String(),
-		Variant:  p.Variant.String(),
-		Cores:    p.Compute,
-		CacheKB:  p.CacheKB,
-		Policy:   p.Policy.String(),
-		Speedup:  p.Speedup,
+		Scenario:  s.Name,
+		Workload:  k.String(),
+		Variant:   p.Variant.String(),
+		Cores:     p.Compute,
+		CacheKB:   p.CacheKB,
+		Policy:    p.Policy.String(),
+		Speedup:   p.Speedup,
+		MPMMUBusy: p.MPMMUBusy,
+		NoCFlits:  p.NoCFlits,
 	}
 	switch k {
 	case WorkloadJacobi:
@@ -185,12 +198,49 @@ func kernelRow(s *Scenario, k WorkloadKind, p dse.KernelPoint) Result {
 	case WorkloadMatmul:
 		r.TotalCycles = p.Cycles
 		r.TransferCycles = p.TransferCycles
-		r.MPMMUBusy = p.MPMMUBusy
-		r.NoCFlits = p.NoCFlits
 	case WorkloadSyncbench:
 		r.CyclesPerRound = p.Cycles
-		r.MPMMUBusy = p.MPMMUBusy
-		r.NoCFlits = p.NoCFlits
 	}
 	return r
+}
+
+// kernelPoint is kernelRow's inverse: the sweep point a kernel row was
+// projected from. The area is recomputed from the row's axes with the
+// model dse applies to every point (only jacobi rows print it).
+func kernelPoint(r Result) (dse.KernelPoint, error) {
+	k, err := ParseWorkload(r.Workload)
+	if err != nil {
+		return dse.KernelPoint{}, err
+	}
+	if !k.IsKernel() {
+		return dse.KernelPoint{}, fmt.Errorf("a %v row is not a kernel sweep point", k)
+	}
+	v, err := jacobi.ParseVariant(r.Variant)
+	if err != nil {
+		return dse.KernelPoint{}, err
+	}
+	pol, err := parsePolicy(r.Policy)
+	if err != nil {
+		return dse.KernelPoint{}, err
+	}
+	p := dse.KernelPoint{
+		Kernel:    k.kernel(),
+		Variant:   v,
+		Compute:   r.Cores,
+		CacheKB:   r.CacheKB,
+		Policy:    pol,
+		AreaMM2:   dse.Area(r.Cores, r.CacheKB, core.DefaultConfig(r.Cores, r.CacheKB, pol).MPMMUCacheKB),
+		MPMMUBusy: r.MPMMUBusy,
+		NoCFlits:  r.NoCFlits,
+		Speedup:   r.Speedup,
+	}
+	switch k {
+	case WorkloadJacobi:
+		p.Cycles, p.MissRate = r.CyclesPerIter, r.MissRate
+	case WorkloadMatmul:
+		p.Cycles, p.TransferCycles = r.TotalCycles, r.TransferCycles
+	case WorkloadSyncbench:
+		p.Cycles = r.CyclesPerRound
+	}
+	return p, nil
 }

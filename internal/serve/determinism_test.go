@@ -14,8 +14,10 @@ import (
 // TestServePathMatchesCLIByteForByte pins the determinism contract of the
 // daemon: for the shipped example scenarios, the bytes a client fetches
 // from /v1/jobs/{id}/result are identical to what cmd/medea-scenarios
-// prints for the same file. Both sides run scenario.RunCtx and render
-// through scenario.Render, and the simulations themselves are seeded and
+// prints for the same file, in the file's own format and in the figure
+// formats it serves (Fig 9 from fig8-quick, K-1 from kernel-ablation).
+// Both sides run scenario.RunCtx and render through Scenario.Render,
+// and the simulations themselves are seeded and
 // deterministic, so any divergence is a real regression in the serve
 // path (result caching, rendering, or state handling). The job's Merkle
 // root must equal the CLI run's too.
@@ -27,10 +29,13 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulations; skipped with -short")
 	}
-	files := []string{
-		"fig8-quick.json",
-		"router-ablation.json",
-		"kernel-ablation.json",
+	files := []struct {
+		name    string
+		formats []string // beside the file's own
+	}{
+		{"fig8-quick.json", []string{"fig9"}},
+		{"router-ablation.json", nil},
+		{"kernel-ablation.json", []string{"kernel"}},
 	}
 
 	s := New(Config{Workers: 2, QueueDepth: len(files)})
@@ -41,7 +46,8 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 	}()
 	c, _ := serveHTTP(t, s)
 
-	for _, name := range files {
+	for _, f := range files {
+		name := f.name
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("..", "..", "examples", "scenarios", name)
 
@@ -54,13 +60,8 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := scenario.Render(results, sc.Output)
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			// Served: the same file over HTTP, default format (which must
-			// resolve to the scenario's own "output" setting, like the CLI).
+			// Served: the same file over HTTP.
 			body, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -74,17 +75,24 @@ func TestServePathMatchesCLIByteForByte(t *testing.T) {
 			if st, err = c.Wait(ctx, st.ID); err != nil || st.State != StateDone {
 				t.Fatalf("job %s ended %s (%q), %v", st.ID, st.State, st.Error, err)
 			}
-			got, err := c.Result(ctx, st.ID, "")
-			if err != nil {
-				t.Fatal(err)
-			}
 			// The timeline is status only: the run ledger root is the CLI's.
 			if root := scenario.MerkleRoot(results); st.MerkleRoot != root {
 				t.Errorf("served merkle root %s, CLI %s", st.MerkleRoot, root)
 			}
-			if string(got) != want {
-				t.Errorf("served output differs from CLI output for %s:\nserved %d bytes, CLI %d bytes\nserved:\n%s\nCLI:\n%s",
-					name, len(got), len(want), got, want)
+			// "" resolves to the scenario's own "output", like the CLI.
+			for _, format := range append([]string{""}, f.formats...) {
+				want, err := sc.Render(results, format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Result(ctx, st.ID, format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("served output differs from CLI output for %s -format %q:\nserved %d bytes, CLI %d bytes\nserved:\n%s\nCLI:\n%s",
+						name, format, len(got), len(want), got, want)
+				}
 			}
 		})
 	}

@@ -38,8 +38,10 @@ func NewHTTPServer(h http.Handler) *http.Server {
 //	GET    /v1/jobs             list jobs in submission order
 //	GET    /v1/jobs/{id}        one job's status
 //	DELETE /v1/jobs/{id}        cancel (idempotent; terminal jobs unchanged)
-//	GET    /v1/jobs/{id}/result rendered results (?format=table|csv|json);
-//	                            409 until done, 404 unknown id
+//	GET    /v1/jobs/{id}/result rendered results (?format=table|csv|json or
+//	                            a figure, e.g. fig9); 409 until done, 404
+//	                            unknown id, 400 for a format the job's
+//	                            workload cannot draw
 //	GET    /healthz             process liveness (always 200 while serving)
 //	GET    /readyz              admission readiness (503 once draining)
 //	GET    /metrics             Prometheus text: queue depth, jobs by state,

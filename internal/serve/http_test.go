@@ -103,6 +103,11 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	if out, err := c.Result(t.Context(), jsonJob.ID, ""); err != nil || !strings.HasPrefix(strings.TrimSpace(out), "[") {
 		t.Errorf("Result(%s) = %q, %v; want a JSON array", jsonJob.ID, out, err)
 	}
+	// A figure format draws kernel rows: on a noc job it is a bad request.
+	var se *StatusError
+	if _, err := c.Result(t.Context(), st.ID, "fig9"); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Errorf("?format=fig9 of a noc job: %v, want HTTP 400", err)
+	}
 
 	// The list endpoint reports submission order.
 	list, err := c.List(t.Context())
@@ -132,6 +137,8 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		{"grid over the route-table bound", `{"name": "x", "workload": "noc-synthetic",
 			"noc": {"width": 100, "height": 100, "patterns": ["uniform"], "rates": [0.01]}}`, http.StatusBadRequest},
 		{"oversized", string(bytes.Repeat([]byte("x"), 8192)), http.StatusRequestEntityTooLarge},
+		// A figure format the workload cannot draw is refused at submit.
+		{"figure format on a noc scenario", strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "fig6"`, 1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		_, err := c.Submit(t.Context(), strings.NewReader(tc.body))

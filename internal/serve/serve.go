@@ -23,7 +23,7 @@
 //     jobs finish, and past the drain deadline cancels what is left;
 //     every accepted job ends in a terminal state, none are lost.
 //
-// Results render through scenario.Render, the exact path the CLI uses, so
+// Results render through Scenario.Render, the exact path the CLI uses, so
 // serve-path output is byte-identical to cmd/medea-scenarios for the same
 // scenario (the determinism tests pin this).
 package serve
@@ -299,7 +299,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 
 // Result renders a finished job's results in the given format ("" means
 // the scenario's own output setting, else table — exactly the CLI's
-// precedence). Non-terminal or unsuccessful jobs return ErrNotFinished or
+// precedence; a figure format that does not fit the job's workload is an
+// error). Non-terminal or unsuccessful jobs return ErrNotFinished or
 // the job's own failure alongside the status snapshot.
 func (s *Server) Result(id, format string) (string, JobStatus, error) {
 	out, _, st, err := s.result(id, format)
@@ -323,10 +324,12 @@ func (s *Server) result(id, format string) (out, resolved string, st JobStatus, 
 		}
 		return "", "", st, ErrNotFinished
 	}
-	results := j.results
-	resolved = j.scenario.ResolveFormat(format)
+	results, sc := j.results, j.scenario
 	s.mu.Unlock()
-	out, err = scenario.Render(results, resolved)
+	if resolved, err = sc.ResolveFormat(format); err != nil {
+		return "", "", st, err
+	}
+	out, err = sc.Render(results, resolved)
 	return out, resolved, st, err
 }
 

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -31,61 +30,13 @@ func (c *Counter) Value() int64 { return c.n }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Running accumulates a stream of observations and exposes count, sum,
-// mean, min and max. The zero value is ready to use.
-type Running struct {
-	count    int64
-	sum      float64
-	min, max float64
-}
-
-// Observe adds one observation.
-func (r *Running) Observe(v float64) {
-	if r.count == 0 {
-		r.min, r.max = v, v
-	} else {
-		if v < r.min {
-			r.min = v
-		}
-		if v > r.max {
-			r.max = v
-		}
-	}
-	r.count++
-	r.sum += v
-}
-
-// Count returns the number of observations.
-func (r *Running) Count() int64 { return r.count }
-
-// Sum returns the sum of all observations.
-func (r *Running) Sum() float64 { return r.sum }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (r *Running) Mean() float64 {
-	if r.count == 0 {
-		return 0
-	}
-	return r.sum / float64(r.count)
-}
-
-// Min returns the smallest observation, or 0 with no observations.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (r *Running) Max() float64 { return r.max }
-
-// String renders a compact summary.
-func (r *Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f min=%.0f max=%.0f", r.count, r.Mean(), r.min, r.max)
-}
-
-// IntRunning is Running for whole-number observations (cycle and hop
-// counts): it accumulates an integer sum, so an observation is an add and
-// two compares, with no conversion. Mean is the float64 quotient of the
-// integer sum and count, which equals Running's for the same stream while
-// the sum stays below 2^53 (every integer up to there is exact in a
-// float64). The zero value is ready to use.
+// IntRunning accumulates a stream of whole-number observations (cycle
+// and hop counts) and exposes count, sum, mean, min and max: an
+// observation is an add and two compares, with no conversion. Mean is the
+// float64 quotient of the integer sum and count, which equals a float
+// accumulator's for the same stream while the sum stays below 2^53 (every
+// integer up to there is exact in a float64; TestIntRunningEqualsRunning
+// holds it to one). The zero value is ready to use.
 type IntRunning struct {
 	count, sum int64
 	min, max   int64

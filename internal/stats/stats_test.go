@@ -32,6 +32,51 @@ func TestCounterNegativePanics(t *testing.T) {
 	c.Add(-1)
 }
 
+// Running is the float accumulator IntRunning replaced, kept as its
+// reference: it accumulates a stream of observations and exposes count,
+// sum, mean, min and max. The zero value is ready to use.
+type Running struct {
+	count    int64
+	sum      float64
+	min, max float64
+}
+
+// Observe adds one observation.
+func (r *Running) Observe(v float64) {
+	if r.count == 0 {
+		r.min, r.max = v, v
+	} else {
+		if v < r.min {
+			r.min = v
+		}
+		if v > r.max {
+			r.max = v
+		}
+	}
+	r.count++
+	r.sum += v
+}
+
+// Count returns the number of observations.
+func (r *Running) Count() int64 { return r.count }
+
+// Sum returns the sum of all observations.
+func (r *Running) Sum() float64 { return r.sum }
+
+// Mean returns the arithmetic mean, or 0 with no observations.
+func (r *Running) Mean() float64 {
+	if r.count == 0 {
+		return 0
+	}
+	return r.sum / float64(r.count)
+}
+
+// Min returns the smallest observation, or 0 with no observations.
+func (r *Running) Min() float64 { return r.min }
+
+// Max returns the largest observation, or 0 with no observations.
+func (r *Running) Max() float64 { return r.max }
+
 func TestRunning(t *testing.T) {
 	var r Running
 	if r.Mean() != 0 {
@@ -41,14 +86,15 @@ func TestRunning(t *testing.T) {
 		r.Observe(v)
 	}
 	if r.Count() != 3 || r.Sum() != 12 || r.Mean() != 4 || r.Min() != 2 || r.Max() != 6 {
-		t.Errorf("unexpected aggregates: %v", r.String())
+		t.Errorf("unexpected aggregates: %+v", r)
 	}
 }
 
 // TestIntRunningEqualsRunning checks that the integer accumulator reports
 // what Running reports for the same whole-number stream, bit for bit:
-// NetStats' latency and hop means moved from one to the other and every
-// rendered figure that prints them must keep its bytes.
+// NetStats' latency and hop means and the service board's latency
+// components moved from one to the other, and every rendered figure that
+// prints them must keep its bytes.
 func TestIntRunningEqualsRunning(t *testing.T) {
 	fn := func(vals []uint32) bool {
 		var r Running
