@@ -13,8 +13,8 @@ import (
 
 // TestGoldenFig8ViaCLI is the acceptance check for the scenario runner:
 // the shipped fig8-quick.json, run through the CLI in CSV mode, must
-// reproduce the Quick-fidelity Figure 8 sweep byte-identically. The file
-// resolves to dse.Fig8Options(Quick) (scenario.TestFig8QuickGolden);
+// reproduce the Quick-fidelity Figure 8 sweep byte-identically
+// (scenario.TestFig8QuickGolden pins the file's axes);
 // testdata/fig8-quick.csv.golden holds the rows the hand-coded sweep
 // rendered.
 func TestGoldenFig8ViaCLI(t *testing.T) {
@@ -210,6 +210,16 @@ func TestCLIErrors(t *testing.T) {
 		{"-validate", "-format", "barrier", "../../examples/scenarios/kernel-ablation.json"},
 	} {
 		if err := run(canceled, args, &out); err == nil || !strings.Contains(err.Error(), "draws") {
+			t.Errorf("%v = %v, want the figure format refused", args, err)
+		}
+	}
+	// So does one whose caption or table the file contradicts: Fig 8's
+	// one-variant 30x30 sweep drawn as T-1, T-1's three variants as Fig 6.
+	for _, args := range [][]string{
+		{"-format", "hybrid", "../../examples/scenarios/fig8-quick.json"},
+		{"-format", "fig6", "../../examples/figures/hybrid.json"},
+	} {
+		if err := run(canceled, args, &out); err == nil || !strings.Contains(err.Error(), "variant series") {
 			t.Errorf("%v = %v, want the figure format refused", args, err)
 		}
 	}

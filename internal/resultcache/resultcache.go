@@ -23,8 +23,8 @@
 //
 // A nil *Cache is valid everywhere and means "cache off": lookups miss,
 // computes run directly, nothing is stored. That is what lets the cache
-// thread through dse.KernelSweepCtx, the scenario runner and internal/serve
-// without forking any execution path.
+// thread through the scenario runner (every workload's sweep, kernels
+// included) and internal/serve without forking any execution path.
 package resultcache
 
 import (

@@ -6,74 +6,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dse"
+	"repro/internal/jacobi"
+	"repro/internal/resultcache"
 )
 
-// loadKernelAblation runs the shipped kernel-ablation scenario (36
-// simulations across three kernels x two variants x six core counts).
-func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
-	t.Helper()
-	s, err := Load("../../examples/scenarios/kernel-ablation.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := RunCtx(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != s.NumPoints() {
-		t.Fatalf("got %d results, scenario declares %d points", len(results), s.NumPoints())
-	}
-	return s, results
-}
-
-// TestKernelAblationGolden proves the declarative path is exact for the
-// workload axis, mirroring TestTopologyAblationGolden: kernel-ablation.json
-// resolves, kernel by kernel, to dse.K1Options, the K-1 sweeps whose
-// -format kernel table TestFigsGolden pins.
+// TestKernelAblationGolden holds kernel-ablation.json, the K-1 sweep whose
+// -format kernel table TestFigsGolden pins, to its line of
+// figureFileAxes, and asserts the K-1 reproduction targets on its rows
+// (deterministic, so exact comparisons): message passing beats pure
+// shared memory on every kernel past two cores, and the bare message
+// barrier never occupies the memory node.
 func TestKernelAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the kernel ablation")
 	}
-	s, results := loadKernelAblation(t)
-
-	if !reflect.DeepEqual(s.Workloads, []string{"jacobi", "matmul", "syncbench"}) {
-		t.Errorf("kernel-ablation.json workloads = %v, want every kernel", s.Workloads)
-	}
-	for _, k := range dse.AllKernels() {
-		got, err := s.kernelSweepOptions(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Parallelism, got.Cache = 0, nil
-		if want := dse.K1Options(k); !reflect.DeepEqual(got, want) {
-			t.Errorf("kernel-ablation.json resolves for %v to\n%+v\ndse.K1Options is\n%+v", k, got, want)
-		}
-	}
-
-	// The K-1 reproduction targets, asserted on the declarative results
-	// (deterministic, so exact comparisons): message passing beats pure
-	// shared memory on every kernel past two cores, and the bare message
-	// barrier never occupies the memory node.
-	cycles := func(workload, variant string, cores int) int64 {
-		for _, r := range results {
-			if r.Workload == workload && r.Variant == variant && r.Cores == cores {
-				switch workload {
-				case "matmul":
-					return r.TotalCycles
-				case "syncbench":
-					return r.CyclesPerRound
-				}
-				return r.CyclesPerIter
-			}
-		}
-		t.Fatalf("no result for %s %s at %d cores", workload, variant, cores)
-		return 0
-	}
+	checkFigureAxes(t, "../../examples/scenarios/kernel-ablation.json")
+	_, results := runFigureFile(t, "scenarios/kernel-ablation.json")
 	for _, w := range []string{"jacobi", "matmul", "syncbench"} {
 		for _, cores := range []int{4, 6, 8, 10, 12} {
-			mp := cycles(w, "hybrid-full", cores)
-			sm := cycles(w, "pure-sm", cores)
+			mp := ablationCycles(t, results, w, "hybrid-full", cores)
+			sm := ablationCycles(t, results, w, "pure-sm", cores)
 			if sm <= mp {
 				t.Errorf("%s at %d cores: pure-sm (%d) not slower than hybrid-full (%d)", w, cores, sm, mp)
 			}
@@ -84,6 +36,19 @@ func TestKernelAblationGolden(t *testing.T) {
 			t.Errorf("message barrier at %d cores occupied the memory node for %d cycles", r.Cores, r.MPMMUBusy)
 		}
 	}
+}
+
+// ablationCycles returns the headline cycles of one kernel-ablation row.
+func ablationCycles(t *testing.T, results []Result, workload, variant string, cores int) int64 {
+	t.Helper()
+	for i := range results {
+		if r := &results[i]; r.Workload == workload && r.Variant == variant && r.Cores == cores {
+			cycles, _ := kernelCycles(r)
+			return cycles
+		}
+	}
+	t.Fatalf("no result for %s %s at %d cores", workload, variant, cores)
+	return 0
 }
 
 // TestKernelWorkloadsRenderPerSchema: a multi-workload sweep renders one
@@ -180,5 +145,230 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	}
 	if got := renderCSV(single); strings.Contains(got, "variant") {
 		t.Errorf("single-variant jacobi csv must keep the pinned fig8-quick CSV schema:\n%s", got)
+	}
+}
+
+func TestAreaModelCalibration(t *testing.T) {
+	// The 168 configurations must span roughly the 2-22 mm2 x-axis of
+	// Figures 7/9.
+	min := area(2, 2, 32)
+	max := area(15, 64, 32)
+	if min < 1 || min > 4 {
+		t.Errorf("smallest config area %.2f outside 1-4 mm2", min)
+	}
+	if max < 18 || max > 45 {
+		t.Errorf("largest config area %.2f outside 18-45 mm2", max)
+	}
+	// Monotonicity.
+	if area(5, 8, 32) >= area(6, 8, 32) {
+		t.Error("area must grow with cores")
+	}
+	if area(5, 8, 32) >= area(5, 16, 32) {
+		t.Error("area must grow with cache")
+	}
+}
+
+func TestAttachSpeedup(t *testing.T) {
+	rows := []Result{
+		{Workload: "matmul", Variant: "hybrid-full", Cores: 2, CacheKB: 2, TotalCycles: 1000},
+		{Workload: "matmul", Variant: "hybrid-full", Cores: 4, CacheKB: 2, TotalCycles: 500},
+		{Workload: "matmul", Variant: "hybrid-full", Cores: 8, CacheKB: 2, TotalCycles: 200},
+	}
+	attachSpeedup(rows)
+	if rows[0].Speedup != 1 {
+		t.Errorf("base speedup %v, want 1", rows[0].Speedup)
+	}
+	if rows[1].Speedup != 2 || rows[2].Speedup != 5 {
+		t.Errorf("speedups %v %v", rows[1].Speedup, rows[2].Speedup)
+	}
+}
+
+// TestKernelSupports: every kernel runs every variant except syncbench's
+// hybrid-sync, which measures no barrier of its own.
+func TestKernelSupports(t *testing.T) {
+	for _, k := range kernelWorkloadNames() {
+		for _, v := range jacobi.AllVariants() {
+			n := `"n": 8, `
+			if k == "syncbench" {
+				n = ""
+			}
+			_, err := Parse([]byte(`{"workload": "` + k + `", "kernel": {` + n + `"variant": "` + v.String() + `", "cores": [2], "cache_kb": [4]}}`))
+			if want := !(k == "syncbench" && v == jacobi.HybridSync); (err == nil) != want {
+				t.Errorf("%s %v: Parse = %v, want supported=%t", k, v, err, want)
+			}
+		}
+	}
+}
+
+func TestSweepDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep in short mode")
+	}
+	s := smallJacobi(t, "[3]", "[4]")
+	a, err := RunCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[0].CyclesPerIter != b[0].CyclesPerIter {
+		t.Fatalf("sweep not deterministic: %d vs %d", a[0].CyclesPerIter, b[0].CyclesPerIter)
+	}
+}
+
+// TestKernelSweepDeterministic: kernel runs take no seed, so the whole
+// sweep must be bit-identical across executions and parallelism levels.
+func TestKernelSweepDeterministic(t *testing.T) {
+	s := mustParse(t, `{"name": "det", "workload": "matmul",
+		"kernel": {"n": 8, "cores": [2, 3], "cache_kb": [4], "variants": ["hybrid-full", "pure-sm"]}}`)
+	a, err := RunCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Parallelism = 1
+	b, err := RunCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatal("length mismatch")
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("point %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSweepPointsValidation: malformed filters fail before any simulation.
+func TestSweepPointsValidation(t *testing.T) {
+	s := mustParse(t, `{"name": "pts", "workload": "jacobi",
+		"kernel": {"n": 16, "cores": [2, 4], "cache_kb": [4, 8], "policies": ["wb", "wt"]}}`)
+	for _, tc := range []struct {
+		points  []int
+		wantSub string
+	}{
+		{[]int{3, 1}, "increasing"},
+		{[]int{2, 2}, "increasing"},
+		{[]int{0, 99}, "outside"},
+		{[]int{-1}, "increasing"}, // -1 <= prev(-1) trips the order check first
+	} {
+		_, err := runKind(context.Background(), s, WorkloadJacobi, tc.points)
+		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("points=%v: err = %v, want mention of %q", tc.points, err, tc.wantSub)
+		}
+	}
+}
+
+// TestKernelSweepPointsFilter covers the kernel grid under a points
+// filter: indices spanning variant series map onto the right
+// per-variant jobs, and Speedup is left to the merge.
+func TestKernelSweepPointsFilter(t *testing.T) {
+	s := mustParse(t, `{"name": "pts", "workload": "jacobi",
+		"kernel": {"n": 16, "cores": [2, 4], "cache_kb": [4], "policies": ["wb"],
+		           "variants": ["hybrid-full", "pure-sm"], "warmup": 1, "measured": 1}}`)
+	full, err := RunCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 4 {
+		t.Fatalf("full kernel sweep has %d points, want 4", len(full))
+	}
+	// One index in each variant's series.
+	points := []int{1, 2}
+	sub, err := runKind(context.Background(), s, WorkloadJacobi, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sub) != 2 {
+		t.Fatalf("filtered kernel sweep returned %d points", len(sub))
+	}
+	for i, p := range points {
+		want := full[p]
+		want.Speedup = 0
+		if sub[i] != want {
+			t.Errorf("kernel point %d: filtered %+v, full-sweep %+v", p, sub[i], want)
+		}
+	}
+}
+
+// TestSweepOverlappingGridsDedup proves the cache is content-addressed,
+// not run-scoped: two different sweeps sharing one cache hit on exactly
+// their overlapping points. The second grid shares cores {4} x caches
+// {4,16} with the first (2 points) and adds cores {8} (2 fresh points).
+func TestSweepOverlappingGridsDedup(t *testing.T) {
+	rc := resultcache.New(resultcache.NewMemoryStore(0))
+
+	first := smallJacobi(t, "[2, 4]", "[4, 16]")
+	first.Cache = rc.Scope()
+	if _, err := RunCtx(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	if st := first.Cache.Stats(); st.Hits != 0 || st.Computes != 4 {
+		t.Fatalf("first sweep stats %v, want 4 computes, 0 hits", st)
+	}
+
+	second := smallJacobi(t, "[4, 8]", "[4, 16]")
+	second.Cache = rc.Scope()
+	rows, err := RunCtx(context.Background(), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("second sweep returned %d points, want 4", len(rows))
+	}
+	st := second.Cache.Stats()
+	if st.Hits != 2 || st.Computes != 2 {
+		t.Errorf("second sweep stats %v, want exactly the 2 overlapping points hit and the 2 fresh ones computed", st)
+	}
+
+	// The overlap must be invisible in the results: the cached cores=4
+	// points equal a cache-off evaluation of the same grid.
+	second.Cache = nil
+	off, err := RunCtx(context.Background(), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, off) {
+		t.Errorf("cached overlapping sweep differs from cache-off:\n%+v\nvs\n%+v", rows, off)
+	}
+}
+
+// TestKernelSweepCacheByteIdentical extends the contract to every kernel:
+// matmul and syncbench store under their own key domains and value
+// encodings, so each kernel is exercised separately.
+func TestKernelSweepCacheByteIdentical(t *testing.T) {
+	for _, k := range kernelWorkloadNames() {
+		t.Run(k, func(t *testing.T) {
+			t.Parallel()
+			n := `"n": 16, `
+			if k == "syncbench" {
+				n = ""
+			}
+			s := mustParse(t, `{"name": "c", "workload": "`+k+`", "kernel": {`+n+`"cores": [2, 4], "cache_kb": [8]}}`)
+			off, err := RunCtx(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Cache = resultcache.New(resultcache.NewMemoryStore(0))
+			if _, err := RunCtx(context.Background(), s); err != nil { // cold
+				t.Fatal(err)
+			}
+			warm, err := RunCtx(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(warm) != len(off) {
+				t.Fatalf("warm sweep returned %d points, want %d", len(warm), len(off))
+			}
+			if !reflect.DeepEqual(warm, off) {
+				t.Errorf("warm sweep differs from cache-off:\n%+v\nvs\n%+v", warm, off)
+			}
+			if st := s.Cache.Stats(); st.Hits < uint64(len(off)) {
+				t.Errorf("warm sweep hits = %d, want >= %d (%v)", st.Hits, len(off), st)
+			}
+		})
 	}
 }

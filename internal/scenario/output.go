@@ -54,7 +54,7 @@ func (s *Scenario) ResolveFormat(choice string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
-	if err := fitFigure(format, kinds); err != nil {
+	if err := fitFigure(format, kinds, s.Kernel); err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
 	return format, nil

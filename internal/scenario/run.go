@@ -83,8 +83,9 @@ type Result struct {
 // RunCtx executes the scenario's full sweep cross-product and returns one
 // Result per point, in deterministic axis order (independent of the
 // execution interleaving): one block per workload, each produced by
-// runKind. The scenario must have passed Validate (Load and Parse
-// guarantee this). A canceled context stops dispatching new sweep points,
+// runKind, with the kernel Speedup attached over the whole run. The
+// scenario must have passed Validate (Load and Parse guarantee this). A
+// canceled context stops dispatching new sweep points,
 // interrupts in-flight simulations within a few thousand simulated
 // cycles, and returns the context's error (wrapped in a
 // par.CanceledError recording completed-point counts). The sweep is
@@ -102,6 +103,7 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 		}
 		all = append(all, results...)
 	}
+	attachSpeedup(all)
 	return all, nil
 }
 

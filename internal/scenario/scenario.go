@@ -27,11 +27,13 @@
 // and sweeps over cross-products of them that the binaries cannot
 // express — is one JSON file away. Every workload is an enumeration of
 // jobs in canonical order plus a per-point function handed to par.Sweep,
-// the one sweep loop; kernel points execute through dse.KernelSweepCtx,
-// the path of every figure: the paper's figures and tables are render
-// formats of kernel scenarios' rows (figures.go; examples/figures/ holds
-// one file per figure, TestFigsGolden pins each byte for byte), and noc
-// points through noc.MeasureCtx's path (one sweep call's points share a
+// the one sweep loop. Kernel points run the paper's design-space
+// exploration (kernel.go: the area model and the speedup over the
+// smallest configuration), and the paper's figures and tables are render
+// formats of kernel scenarios' rows (figures.go: the Pareto front, the
+// kill rule and each table; examples/figures/ holds one file per figure,
+// TestFigsGolden pins each byte for byte). Noc points run through
+// noc.MeasureCtx's path (one sweep call's points share a
 // noc.Schedules store of their sources' injection streams,
 // byte-identically; noc-load-sweep.json is the bare network's load sweep,
 // held to recorded CSVs by TestNoCLoadSweepGolden).
@@ -50,6 +52,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -57,7 +60,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/dse"
 	"repro/internal/jacobi"
 	"repro/internal/noc"
 	"repro/internal/resultcache"
@@ -504,9 +506,6 @@ func (s *Scenario) Validate() error {
 	if err := CheckFormat(s.Output, "output format"); err != nil {
 		return err
 	}
-	if err := fitFigure(s.Output, kinds); err != nil {
-		return fmt.Errorf(`"output": %w`, err)
-	}
 	if len(s.Seeds) > 0 && s.Replications > 0 {
 		return fmt.Errorf(`set either "seeds" or "replications", not both`)
 	}
@@ -516,7 +515,18 @@ func (s *Scenario) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", s.Parallelism)
 	}
+	if err := s.validateSections(kinds); err != nil {
+		return err
+	}
+	if err := fitFigure(s.Output, kinds, s.Kernel); err != nil {
+		return fmt.Errorf(`"output": %w`, err)
+	}
+	return nil
+}
 
+// validateSections checks the section of the scenario's workloads and
+// rejects every section that cannot apply to them.
+func (s *Scenario) validateSections(kinds []WorkloadKind) error {
 	switch kinds[0] {
 	case WorkloadNoC:
 		if s.Kernel != nil {
@@ -773,40 +783,40 @@ func (c *KernelConfig) variantList() ([]jacobi.Variant, error) {
 	return []jacobi.Variant{v}, nil
 }
 
-// kernelSweepOptions maps the scenario's kernel section onto the shared
-// dse.KernelSweepCtx options for one kernel. The scenario must have passed
-// Validate, so the axis parses cannot fail here.
-func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
-	c := s.Kernel
+// sweep resolves the section's defaults once for every kernel it drives:
+// hybrid-full, write-back, 20 syncbench rounds, and one warmup and one
+// measured jacobi iteration (a measured count alone keeps warmup 0; a
+// warmup alone measures one). The section must have passed validate, so
+// the axis parses cannot fail here.
+func (c *KernelConfig) sweep() (kernelSweep, error) {
 	variants, err := c.variantList()
 	if err != nil {
-		return dse.KernelOptions{}, err
+		return kernelSweep{}, err
 	}
-	var policies []cache.Policy // nil when unset, as in dse's own options
-	for _, ps := range c.Policies {
-		p, err := parsePolicy(ps)
-		if err != nil {
-			return dse.KernelOptions{}, err
+	policies := []cache.Policy{cache.WriteBack}
+	if len(c.Policies) > 0 {
+		policies = make([]cache.Policy, len(c.Policies))
+		for i, name := range c.Policies {
+			if policies[i], err = parsePolicy(name); err != nil {
+				return kernelSweep{}, err
+			}
 		}
-		policies = append(policies, p)
 	}
-	o := dse.KernelOptions{
-		Kernel:      k,
-		N:           c.N,
-		Rounds:      c.Rounds,
-		Cores:       c.Cores,
-		CachesKB:    c.CacheKB,
-		Policies:    policies,
-		Variants:    variants,
-		Warmup:      c.Warmup,
-		Measured:    c.Measured,
-		Parallelism: s.Parallelism,
-		Cache:       s.Cache,
+	ks := kernelSweep{
+		n:        c.N,
+		variants: variants,
+		policies: policies,
+		cachesKB: c.CacheKB,
+		cores:    c.Cores,
+		rounds:   cmp.Or(c.Rounds, 20),
+		warmup:   c.Warmup,
+		measured: c.Measured,
 	}
-	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
-		o.Record = s.Record
+	if ks.warmup == 0 && ks.measured == 0 {
+		ks.warmup = 1
 	}
-	return o, nil
+	ks.measured = cmp.Or(ks.measured, 1)
+	return ks, nil
 }
 
 // seedList resolves the seed axis: explicit Seeds, or Replications seeds
@@ -869,16 +879,11 @@ func (s *Scenario) kindPoints(k WorkloadKind) int {
 		routers, _ := s.Service.routers()
 		return len(topos) * len(routers) * len(s.Service.ArrivalRates) * len(s.seedList())
 	}
-	c := s.Kernel
-	pols := len(c.Policies)
-	if pols == 0 {
-		pols = 1
+	ks, err := s.Kernel.sweep()
+	if err != nil {
+		return 0
 	}
-	variants := len(c.Variants)
-	if variants == 0 {
-		variants = 1
-	}
-	return variants * pols * len(c.CacheKB) * len(c.Cores)
+	return len(ks.variants) * len(ks.policies) * len(ks.cachesKB) * len(ks.cores)
 }
 
 // fabrics and routers resolve the section's topology and router axes.

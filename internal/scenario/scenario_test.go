@@ -109,6 +109,15 @@ func TestParseRejects(t *testing.T) {
 		{"jacobi with seeds", `{"workload": "jacobi", "seeds": [1, 2],
 			"kernel": {"n": 30, "cores": [2], "cache_kb": [16]}}`,
 			"deterministic"},
+		{"jacobi without cores", `{"workload": "jacobi",
+			"kernel": {"n": 30, "cores": [], "cache_kb": [16]}}`,
+			"at least one compute-core count"},
+		{"jacobi without caches", `{"workload": "jacobi",
+			"kernel": {"n": 30, "cores": [2]}}`,
+			"at least one L1 size"},
+		{"jacobi without n", `{"workload": "jacobi",
+			"kernel": {"cores": [2], "cache_kb": [16]}}`,
+			`"kernel.n" must be >= 3`},
 		{"jacobi bad cores", `{"workload": "jacobi",
 			"kernel": {"n": 30, "cores": [99], "cache_kb": [16]}}`,
 			"2..15"},
@@ -127,6 +136,12 @@ func TestParseRejects(t *testing.T) {
 		{"barrier output on jacobi", `{"workload": "jacobi", "output": "barrier",
 			"kernel": {"n": 8, "cores": [2], "cache_kb": [4]}}`,
 			`draws syncbench rows`},
+		{"one variant as T-1", `{"workload": "jacobi", "output": "hybrid",
+			"kernel": {"n": 60, "cores": [2], "cache_kb": [16]}}`,
+			`"output": format "hybrid" draws 3 variant series`},
+		{"three variants as Fig 6", `{"workload": "jacobi", "output": "fig6",
+			"kernel": {"n": 60, "cores": [2], "cache_kb": [16], "variants": ["hybrid-full", "hybrid-sync", "pure-sm"]}}`,
+			`"output": format "fig6" draws 1 variant series`},
 		{"workload and workloads", `{"workload": "jacobi", "workloads": ["matmul"],
 			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
 			"not both"},

@@ -7,14 +7,12 @@ package scenario
 // for a given shard count, RunShardCtx executes one shard's points through
 // the exact per-point paths a single-process run uses, and MergeShards
 // reassembles the canonical order and reattaches the one cross-point
-// figure (kernel Speedup) with the exact single-process algorithm — so a
+// figure (kernel Speedup) with RunCtx's own attachSpeedup — so a
 // merged run is byte-identical, Merkle-root-equal, to an unsharded one.
 
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/dse"
 )
 
 // Row is one sweep point tagged with its canonical-order index, the unit
@@ -117,47 +115,6 @@ func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
 	if len(rows) != total {
 		return nil, fmt.Errorf("scenario: merge: points missing (%d of %d rows delivered)", len(rows), total)
 	}
-	offset := 0
-	for _, k := range kinds {
-		n := s.kindPoints(k)
-		if k.IsKernel() {
-			if err := attachSpeedupSeries(s, k, results[offset:offset+n]); err != nil {
-				return nil, err
-			}
-		}
-		offset += n
-	}
+	attachSpeedup(results)
 	return results, nil
-}
-
-// attachSpeedupSeries recomputes Speedup over one kernel kind's merged
-// block, per (variant) series, with dse.AttachKernelSpeedup — the exact
-// baseline choice and float64 division of the single-process path, over
-// the exact same inputs, so the reattached figures are bit-identical.
-func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
-	c := s.Kernel
-	variants, err := c.variantList()
-	if err != nil {
-		return err
-	}
-	if len(block)%len(variants) != 0 {
-		return fmt.Errorf("scenario: merge: %v block of %d rows does not divide into %d variant series", k, len(block), len(variants))
-	}
-	per := len(block) / len(variants)
-	for vi := range variants {
-		series := block[vi*per : (vi+1)*per]
-		pts := make([]dse.KernelPoint, len(series))
-		for i, r := range series {
-			p, err := kernelPoint(r)
-			if err != nil {
-				return fmt.Errorf("scenario: merge: %w", err)
-			}
-			pts[i] = p
-		}
-		dse.AttachKernelSpeedup(pts)
-		for i := range series {
-			series[i].Speedup = pts[i].Speedup
-		}
-	}
-	return nil
 }

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/dse"
-	"repro/internal/jacobi"
 )
 
 // WorkloadKind selects what a scenario point simulates. The workload is
@@ -24,8 +20,8 @@ type WorkloadKind int
 
 // The six workload kinds. The first three are compute kernels
 // on the full MEDEA system (cores + caches + MPMMU over the NoC), sharing
-// the kernel sweep axes (variants x policies x caches x cores) and the
-// dse.KernelSweepCtx execution path; the rest drive the bare network:
+// the kernel sweep axes (variants x policies x caches x cores) and one
+// execution path (runKernel); the rest drive the bare network:
 // noc-synthetic with generated traffic, trace with recorded traffic, and
 // service with request/response traffic.
 const (
@@ -126,9 +122,9 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 // when points is nil, otherwise only the listed indices of that canonical
 // order (strictly increasing and in range), one Result per index. A
 // canceled context stops dispatching new points and interrupts in-flight
-// simulations. On a filtered run cross-point figures (kernel Speedup) are
-// NOT attached; MergeShards recomputes them over the reassembled full
-// series.
+// simulations. Cross-point figures (kernel Speedup) are not attached
+// here: RunCtx attaches them over the whole run, and MergeShards over the
+// reassembled one.
 func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
 	switch k {
 	case WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench:
@@ -141,106 +137,4 @@ func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]
 		return runService(ctx, s, points)
 	}
 	return nil, fmt.Errorf("scenario: no implementation for workload kind %d", int(k))
-}
-
-// kernel returns the dse kernel a kernel workload runs.
-func (k WorkloadKind) kernel() dse.Kernel {
-	switch k {
-	case WorkloadMatmul:
-		return dse.KernelMatmul
-	case WorkloadSyncbench:
-		return dse.KernelSyncbench
-	}
-	return dse.KernelJacobi
-}
-
-// runKernel is the shared execution path of the three compute kernels:
-// resolve the scenario's kernel section into dse.KernelOptions and
-// delegate to dse.KernelSweepCtx, the execution path of every figure
-// (the figure formats read the points back from the rows).
-func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
-	o, err := s.kernelSweepOptions(k.kernel())
-	if err != nil {
-		return nil, err
-	}
-	o.Points = points
-	pts, err := dse.KernelSweepCtx(ctx, o)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	results := make([]Result, len(pts))
-	for i, p := range pts {
-		results[i] = kernelRow(s, k, p)
-	}
-	return results, nil
-}
-
-// kernelRow projects one kernel sweep point onto the kind's Result schema.
-// Every kind keeps the kernel counters, which only the K-1 figure format
-// prints for jacobi rows (see MerkleRoot for their leaf).
-func kernelRow(s *Scenario, k WorkloadKind, p dse.KernelPoint) Result {
-	r := Result{
-		Scenario:  s.Name,
-		Workload:  k.String(),
-		Variant:   p.Variant.String(),
-		Cores:     p.Compute,
-		CacheKB:   p.CacheKB,
-		Policy:    p.Policy.String(),
-		Speedup:   p.Speedup,
-		MPMMUBusy: p.MPMMUBusy,
-		NoCFlits:  p.NoCFlits,
-	}
-	switch k {
-	case WorkloadJacobi:
-		r.CyclesPerIter = p.Cycles
-		r.MissRate = p.MissRate
-		r.AreaMM2 = p.AreaMM2
-	case WorkloadMatmul:
-		r.TotalCycles = p.Cycles
-		r.TransferCycles = p.TransferCycles
-	case WorkloadSyncbench:
-		r.CyclesPerRound = p.Cycles
-	}
-	return r
-}
-
-// kernelPoint is kernelRow's inverse: the sweep point a kernel row was
-// projected from. The area is recomputed from the row's axes with the
-// model dse applies to every point (only jacobi rows print it).
-func kernelPoint(r Result) (dse.KernelPoint, error) {
-	k, err := ParseWorkload(r.Workload)
-	if err != nil {
-		return dse.KernelPoint{}, err
-	}
-	if !k.IsKernel() {
-		return dse.KernelPoint{}, fmt.Errorf("a %v row is not a kernel sweep point", k)
-	}
-	v, err := jacobi.ParseVariant(r.Variant)
-	if err != nil {
-		return dse.KernelPoint{}, err
-	}
-	pol, err := parsePolicy(r.Policy)
-	if err != nil {
-		return dse.KernelPoint{}, err
-	}
-	p := dse.KernelPoint{
-		Kernel:    k.kernel(),
-		Variant:   v,
-		Compute:   r.Cores,
-		CacheKB:   r.CacheKB,
-		Policy:    pol,
-		AreaMM2:   dse.Area(r.Cores, r.CacheKB, core.DefaultConfig(r.Cores, r.CacheKB, pol).MPMMUCacheKB),
-		MPMMUBusy: r.MPMMUBusy,
-		NoCFlits:  r.NoCFlits,
-		Speedup:   r.Speedup,
-	}
-	switch k {
-	case WorkloadJacobi:
-		p.Cycles, p.MissRate = r.CyclesPerIter, r.MissRate
-	case WorkloadMatmul:
-		p.Cycles, p.TransferCycles = r.TotalCycles, r.TransferCycles
-	case WorkloadSyncbench:
-		p.Cycles = r.CyclesPerRound
-	}
-	return p, nil
 }

@@ -22,9 +22,9 @@ import (
 // path (result caching, rendering, or state handling). The job's Merkle
 // root must equal the CLI run's too.
 //
-// The scenario files used here are already golden-pinned against the
-// hand-coded dse sweeps by internal/scenario's golden tests, which closes
-// the chain: paper tables == CLI output == served output.
+// The scenario files used here are already golden-pinned to the paper's
+// tables by internal/scenario's golden tests, which closes the chain:
+// paper tables == CLI output == served output.
 func TestServePathMatchesCLIByteForByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulations; skipped with -short")

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +142,18 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		// A figure format the workload cannot draw is refused at submit.
 		{"figure format on a noc scenario", strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "fig6"`, 1), http.StatusBadRequest},
 	}
+	// So is one whose caption or table the file contradicts: Fig 8's
+	// one-variant 30x30 sweep drawn as T-1, T-1's three variants as Fig 6.
+	misfits := []struct{ file, format string }{
+		{"scenarios/fig8-quick.json", "hybrid"},
+		{"figures/hybrid.json", "fig6"},
+	}
+	for _, m := range misfits {
+		cases = append(cases, struct {
+			name, body string
+			want       int
+		}{"output " + m.format + " of " + m.file, withOutput(t, exampleJSON(t, m.file), m.format), http.StatusBadRequest})
+	}
 	for _, tc := range cases {
 		_, err := c.Submit(t.Context(), strings.NewReader(tc.body))
 		var se *StatusError
@@ -152,12 +166,48 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		t.Errorf("%d jobs exist after rejected submissions", len(jobs))
 	}
 
+	// The same misfits asked of finished jobs through ?format=.
+	for _, m := range misfits {
+		st := submit(t, c, exampleJSON(t, m.file))
+		waitState(t, s, st.ID, StateDone)
+		var se *StatusError
+		if _, err := c.Result(t.Context(), st.ID, m.format); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("?format=%s of %s: %v, want HTTP 400", m.format, m.file, err)
+		}
+	}
+
 	if _, err := c.Result(t.Context(), "job-404", ""); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown-job result: %v, want ErrNotFound", err)
 	}
 	if _, err := c.Status(t.Context(), "job-404"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown-job status: %v, want ErrNotFound", err)
 	}
+}
+
+// exampleJSON returns the bytes of examples/<file>.
+func exampleJSON(t *testing.T, file string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "examples", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// withOutput returns the scenario JSON body with its "output" set to
+// format.
+func withOutput(t *testing.T, body, format string) string {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatal(err)
+	}
+	m["output"] = format
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // fillQueue occupies the lone worker and the one queue slot of a

@@ -65,8 +65,8 @@ type Result struct {
 
 // MeasureWithCtx runs rounds synchronization episodes on the system
 // described by cfg (cfg.NumCompute cores take part) and returns the
-// averaged cost. The kernel sweeps in internal/dse measure through it, so
-// the declarative and hand-coded paths share one implementation. A
+// averaged cost. The scenario runner's syncbench points measure through
+// it. A
 // canceled context stops the simulation mid-run and unwinds the benchmark
 // programs, so a canceled sweep point costs bounded time and leaks
 // nothing. Errors inside the benchmark kernels (e.g. a communicator that
