@@ -13,6 +13,7 @@
 //	medea-scenarios examples/scenarios/kernel-ablation.json
 //	medea-scenarios -format csv -out fig8.csv examples/scenarios/fig8-quick.json
 //	medea-scenarios -format fig9 examples/scenarios/fig8-quick.json
+//	medea-scenarios -vcd noc.vcd examples/figures/detail.json
 //	medea-scenarios examples/figures/fig6-full.json
 //	medea-scenarios -validate examples/scenarios/*.json
 //	medea-scenarios -worker-listen :9000   # on each worker host
@@ -24,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -76,6 +78,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	par := fs.Int("parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS); overrides the scenario file")
 	validate := fs.Bool("validate", false, "load and validate the scenario files without running them")
 	record := fs.String("record", "", `record the scenario's single run to this trace file (one single-point scenario; replay it with a "trace" workload scenario)`)
+	vcdPath := fs.String("vcd", "", "write the NoC activity waveform (VCD) of the scenario's single run to this file (one single-point jacobi scenario)")
 	cacheBackend := fs.String("cache", resultcache.BackendOff, "result cache backend: off | mem | disk (disk persists across runs; output is byte-identical either way)")
 	cacheDir := fs.String("cache-dir", "", "directory for -cache disk")
 	cacheBudget := fs.Int64("cache-budget", 0, "byte budget for -cache mem (0 = 64 MiB default)")
@@ -155,18 +158,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *outPath != "" && fs.NArg() > 1 {
 		return fmt.Errorf("-out only works with a single scenario file")
 	}
-	if *record != "" {
-		// A trace captures one run: recording is a single-process,
-		// single-file, uncached mode of its own.
+	if *record != "" || *vcdPath != "" {
+		// A trace or a waveform captures one run: capturing is a
+		// single-process, single-file, uncached mode of its own.
 		switch {
+		case *record != "" && *vcdPath != "":
+			return fmt.Errorf("-record and -vcd are mutually exclusive")
 		case fs.NArg() > 1:
-			return fmt.Errorf("-record captures a single run: got %d scenario files, want one", fs.NArg())
+			return fmt.Errorf("-record and -vcd capture a single run: got %d scenario files, want one", fs.NArg())
 		case *validate:
-			return fmt.Errorf("-record and -validate are mutually exclusive")
+			return fmt.Errorf("-record and -vcd do not apply to -validate")
 		case *shards != 0:
-			return fmt.Errorf("-record needs a single in-process run; drop -shards")
+			return fmt.Errorf("-record and -vcd need a single in-process run; drop -shards")
 		}
-		return recordTrace(ctx, fs.Arg(0), *record, *par, *format, *outPath, stdout)
+		return captureRun(ctx, fs.Arg(0), *record, *vcdPath, *par, *format, *outPath, stdout)
 	}
 	// One cache across every scenario on the command line, so a batch that
 	// revisits points (overlapping grids, repeated files) dedups across
@@ -233,28 +238,36 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				log.Printf("%s: cache %v; merkle root %s", s.Name, s.Cache.Stats(), scenario.MerkleRoot(results))
 			}
 		}
-		rendered, err := s.Render(results, *format)
-		if err != nil {
-			return err
-		}
-		if *outPath != "" {
-			if err := os.WriteFile(*outPath, []byte(rendered), 0o644); err != nil {
-				return err
-			}
-			log.Printf("wrote %s", *outPath)
-			continue
-		}
-		if _, err := io.WriteString(stdout, rendered); err != nil {
+		if err := writeRendered(s, results, *format, *outPath, stdout); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recordTrace runs one single-point scenario with a trace recorder
-// attached, saves the capture, and renders the source run's rows so the
-// logged merkle root can be compared against a later replay's.
-func recordTrace(ctx context.Context, path, out string, parallelism int, format, outPath string, stdout io.Writer) error {
+// writeRendered renders the results of a run of s in format to the file
+// at outPath, or to stdout when outPath is empty.
+func writeRendered(s *scenario.Scenario, results []scenario.Result, format, outPath string, stdout io.Writer) error {
+	rendered, err := s.Render(results, format)
+	if err != nil {
+		return err
+	}
+	if outPath == "" {
+		_, err = io.WriteString(stdout, rendered)
+		return err
+	}
+	if err := os.WriteFile(outPath, []byte(rendered), 0o644); err != nil {
+		return err
+	}
+	log.Printf("wrote %s", outPath)
+	return nil
+}
+
+// captureRun runs one single-point scenario with a trace recorder (to
+// tracePath) or a waveform writer (to vcdPath) attached, saves the
+// capture, and renders the run's rows, so the logged merkle root can be
+// compared against a later replay's or an uncaptured run's.
+func captureRun(ctx context.Context, path, tracePath, vcdPath string, parallelism int, format, outPath string, stdout io.Writer) error {
 	s, err := scenario.Load(path)
 	if err != nil {
 		return err
@@ -265,32 +278,41 @@ func recordTrace(ctx context.Context, path, out string, parallelism int, format,
 	if _, err := s.ResolveFormat(format); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	log.Printf("recording %s", scenario.Summary(s))
-	t, results, err := scenario.RecordCtx(ctx, s)
-	if err != nil {
-		return err
-	}
-	if err := t.Save(out); err != nil {
-		return err
-	}
-	// The root is the replay contract: a same-fabric replay of this trace
-	// must merge to the same merkle root (give the replay scenario the
-	// same "name").
-	log.Printf("%s: recorded %d events to %s (sha256 %s); merkle root %s",
-		s.Name, len(t.Events), out, t.Hash(), scenario.MerkleRoot(results))
-	rendered, err := s.Render(results, format)
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(rendered), 0o644); err != nil {
+	log.Printf("capturing %s", scenario.Summary(s))
+	var results []scenario.Result
+	if tracePath != "" {
+		t, r, err := scenario.RecordCtx(ctx, s)
+		if err != nil {
 			return err
 		}
-		log.Printf("wrote %s", outPath)
-		return nil
+		if err := t.Save(tracePath); err != nil {
+			return err
+		}
+		results = r
+		// The root is the replay contract: a same-fabric replay of this
+		// trace must merge to the same merkle root (give the replay
+		// scenario the same "name").
+		log.Printf("%s: recorded %d events to %s (sha256 %s); merkle root %s",
+			s.Name, len(t.Events), tracePath, t.Hash(), scenario.MerkleRoot(results))
+	} else {
+		f, err := os.Create(vcdPath)
+		if err != nil {
+			return err
+		}
+		w := bufio.NewWriter(f)
+		if results, err = scenario.WaveformCtx(ctx, s, w); err == nil {
+			err = w.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(vcdPath)
+			return err
+		}
+		log.Printf("%s: wrote the NoC waveform to %s; merkle root %s", s.Name, vcdPath, scenario.MerkleRoot(results))
 	}
-	_, err = io.WriteString(stdout, rendered)
-	return err
+	return writeRendered(s, results, format, outPath, stdout)
 }
 
 // parseWorkerURLs splits -worker-url (nil when unset). Every entry must

@@ -206,7 +206,7 @@ func TestCLIErrors(t *testing.T) {
 	cancel()
 	for _, args := range [][]string{
 		{"-format", "fig6", "../../examples/scenarios/smoke.json"},
-		{"-format", "kernel", "../../examples/scenarios/fig8-quick.json", "../../examples/scenarios/smoke.json"},
+		{"-format", "kernel", "../../examples/scenarios/kernel-ablation.json", "../../examples/scenarios/smoke.json"},
 		{"-validate", "-format", "barrier", "../../examples/scenarios/kernel-ablation.json"},
 	} {
 		if err := run(canceled, args, &out); err == nil || !strings.Contains(err.Error(), "draws") {

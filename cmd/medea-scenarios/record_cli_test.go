@@ -103,35 +103,53 @@ func TestInvalidTraceServiceCombosViaCLI(t *testing.T) {
 	}
 }
 
-// TestRecordFlagValidation: -record is a single-run mode; conflicting
-// flags and multi-point scenarios are rejected before anything executes.
+// TestRecordFlagValidation: -record and -vcd are single-run modes;
+// conflicting flags, a second file and scenarios they cannot capture
+// (several points; a waveform of anything but jacobi) are rejected, and
+// leave no capture file behind.
 func TestRecordFlagValidation(t *testing.T) {
 	dir := t.TempDir()
-	single := filepath.Join(dir, "single.json")
-	if err := os.WriteFile(single, []byte(`{
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	single := write("single.json", `{
 		"name": "rec", "workload": "noc-synthetic",
 		"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1],
-		        "measure_cycles": 300}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	multi := filepath.Join(dir, "multi.json")
-	if err := os.WriteFile(multi, []byte(`{
+		        "measure_cycles": 300}}`)
+	multi := write("multi.json", `{
 		"name": "multi", "workload": "noc-synthetic",
 		"noc": {"width": 4, "height": 4, "patterns": ["uniform", "tornado"], "rates": [0.1],
-		        "measure_cycles": 300}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "out.trace")
+		        "measure_cycles": 300}}`)
+	jac := write("jacobi.json", `{"name": "one", "workload": "jacobi", "kernel": {"n": 16, "cores": [2], "cache_kb": [4]}}`)
+	jacMulti := write("jacobi-multi.json", `{"name": "two", "workload": "jacobi", "kernel": {"n": 16, "cores": [2, 4], "cache_kb": [4]}}`)
+	matmul := write("matmul.json", `{"name": "mm", "workload": "matmul", "kernel": {"n": 8, "cores": [2], "cache_kb": [4]}}`)
+	out, vcd := filepath.Join(dir, "out.trace"), filepath.Join(dir, "out.vcd")
 	bad := [][]string{
 		{"-record", out, "-validate", single},                                         // record xor validate
 		{"-record", out, "-shards", "2", "-worker-url", "http://127.0.0.1:1", single}, // record is in-process
 		{"-record", out, single, single},                                              // one file only
 		{"-record", out, multi},                                                       // one point only
+		{"-vcd", vcd, "-validate", jac},
+		{"-vcd", vcd, "-shards", "2", "-worker-url", "http://127.0.0.1:1", jac},
+		{"-vcd", vcd, jac, jac},
+		{"-vcd", vcd, "-record", out, jac}, // one capture at a time
+		{"-vcd", vcd, jacMulti},
+		{"-vcd", vcd, matmul}, // the waveform hook is jacobi's
 	}
 	for _, args := range bad {
 		var sb strings.Builder
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Errorf("args %v accepted; want error", args)
+		}
+		for _, f := range []string{out, vcd} {
+			if _, err := os.Stat(f); err == nil {
+				t.Errorf("args %v left %s behind", args, f)
+				os.Remove(f)
+			}
 		}
 	}
 }

@@ -11,8 +11,10 @@
 // cmd/medea-scenarios, examples/scenarios/) rather than by writing new
 // driver code, and each table and figure of the paper's evaluation is a
 // render format of one (medea-scenarios -format fig6 ... kernel, over the
-// files in examples/figures/); bench_test.go holds the architecture
-// ablations no scenario covers. Scenarios sweep four pluggable axes:
+// files in examples/figures/; -format detail prints one simulation in
+// full). The architecture ablations no scenario axis reaches are one
+// table test, internal/jacobi's TestArchitectureAblations. Scenarios
+// sweep four pluggable axes:
 // workload (jacobi, matmul, syncbench, noc-synthetic) x programming-model
 // variant x network topology x router. Every sweep — the figures, the kernel
 // ablation, each scenario workload, one shard's subset of any of them —
@@ -96,10 +98,6 @@
 // reads). Run them with
 //
 //	go test ./internal/... -bench . -run '^$' -benchmem
-//
-// and the architecture ablations of bench_test.go with
-//
-//	go test -bench . -run '^$' -benchtime 1x -benchmem
 //
 // The repository's benchmark proper — four workloads, end-to-end metrics
 // and a per-layer probe for every package named above — is bench/:

@@ -44,7 +44,6 @@ func (m ArbiterMode) String() string {
 type ArbiterStats struct {
 	FromTIE    stats.Counter
 	FromBridge stats.Counter
-	HPOccupied stats.Counter // cycles the BE queue waited behind HP traffic
 }
 
 // Arbiter merges the TIE port's and the bridge's output FIFOs into the

@@ -154,3 +154,38 @@ func TestGoldenModelAssociative(t *testing.T) {
 		}
 	}
 }
+
+// TestLRULoopThrashes: a loop over more data than the cache holds is the
+// access pattern where associativity costs hits. Sweeping 10 kB line by
+// line through 8 kB, a direct-mapped cache keeps the 6 kB whose sets only
+// one line of the loop maps to and misses on the rest; LRU evicts each
+// line of an overfull set just before the loop comes back to it, so
+// 2-way keeps only the sets the loop fills exactly and 4-way keeps
+// nothing. This is why 4-way L1s miss more often than direct-mapped ones
+// in the A-5 Jacobi ablation (internal/jacobi), where each core sweeps
+// about 11.5 kB through 8 kB.
+func TestLRULoopThrashes(t *testing.T) {
+	const footprint = 10 << 10
+	for _, c := range []struct{ ways, misses int }{
+		{1, 256}, // the 4 kB of 0-2 kB and 8-10 kB, which share sets
+		{2, 384}, // the sets holding three of the loop's lines
+		{4, 640}, // every line: five per set, four ways
+	} {
+		cc := mustNewWays(t, 8, c.ways, WriteBack)
+		misses := 0
+		for pass := 0; pass < 3; pass++ {
+			misses = 0
+			for addr := uint32(0); addr < footprint; addr += LineBytes {
+				if cc.Lookup(addr) {
+					cc.ReadWord(addr) // a hit is a use
+				} else {
+					misses++
+					cc.Fill(addr, line16(0))
+				}
+			}
+		}
+		if misses != c.misses {
+			t.Errorf("%d-way: %d of %d lines missed on a warm pass, want %d", c.ways, misses, footprint/LineBytes, c.misses)
+		}
+	}
+}

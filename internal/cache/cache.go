@@ -45,7 +45,8 @@ type Config struct {
 	// direct-mapped (the reproduction's default — the paper does not
 	// state the Xtensa configuration's associativity, and all calibrated
 	// experiments use direct-mapped). Higher associativity is provided
-	// for architecture exploration (see BenchmarkAssociativity).
+	// for architecture exploration (A-5, internal/jacobi's
+	// TestArchitectureAblations).
 	Ways int
 }
 

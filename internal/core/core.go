@@ -48,7 +48,8 @@ type Config struct {
 	// shared-memory lines interleaved across them by the bridges'
 	// configuration memories).
 	NumMPMMUs int
-	// MPMMUCacheKB sizes each MPMMU's local cache (default 32).
+	// MPMMUCacheKB sizes each MPMMU's local cache (default
+	// DefaultMPMMUCacheKB).
 	MPMMUCacheKB int
 	// DDR is the backing-store latency model.
 	DDR memory.LatencyModel
@@ -61,6 +62,10 @@ type Config struct {
 	// observational, like noc.TrafficConfig.Record.
 	Record tie.SendRecorder
 }
+
+// DefaultMPMMUCacheKB is the MPMMU cache size a Config that leaves
+// MPMMUCacheKB zero gets, and the one the chip-area model counts.
+const DefaultMPMMUCacheKB = 32
 
 // DefaultConfig returns the baseline configuration used throughout the
 // experiments: a 4x4 folded torus, write-back caches and the plain
@@ -88,7 +93,7 @@ func (c Config) withDefaults() Config {
 		c.NumMPMMUs = 1
 	}
 	if c.MPMMUCacheKB == 0 {
-		c.MPMMUCacheKB = 32
+		c.MPMMUCacheKB = DefaultMPMMUCacheKB
 	}
 	if c.DDR == (memory.LatencyModel{}) {
 		c.DDR = memory.DefaultLatency

@@ -14,9 +14,7 @@ import (
 // none. Input queues are unbounded and their peak occupancy is recorded, so
 // the storage cost of buffered routing can be compared directly with the
 // deflection switch's theoretical-minimum storage (the peak_buffer column
-// of examples/scenarios/router-ablation.json, and the buffer-flits metric
-// of the repository root's BenchmarkDeflectionVsXY, which measures through
-// MeasureCtx).
+// of examples/scenarios/router-ablation.json).
 type XYSwitch struct {
 	routerPorts
 

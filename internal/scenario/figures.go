@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/jacobi"
 )
 
@@ -19,26 +20,26 @@ import (
 
 // figure is one figure format: its name, the workloads whose rows it
 // draws, what its caption and table assume of the kernel section, and
-// its renderer. The renderer gets the section for the K-1 caption's
-// problem size and L1 size, which no row carries.
+// its renderer. The renderer gets the section for the captions' problem
+// size, L1 size and iteration counts, which no row carries.
 type figure struct {
 	format    string
 	workloads []WorkloadKind
-	// variants is the number of variant series the table draws (one
-	// column set, or all three side by side); n and cacheKB are the
-	// problem size and the one L1 size the caption names; writeBack is
-	// set where the caption names write-back caches. Zero assumes
-	// nothing.
-	variants, n, cacheKB int
-	writeBack            bool
-	draw                 func(c *KernelConfig, rows []Result) string
+	// variants is the number of variant series the table draws; n and
+	// cacheKB are the problem size and L1 size the caption names;
+	// oneCache, writeBack and onePoint mark a caption that names the one
+	// L1 size swept, write-back caches, or one configuration.
+	variants, n, cacheKB          int
+	oneCache, writeBack, onePoint bool
+	draw                          func(c *KernelConfig, rows []Result) string
 }
 
 var jacobiOnly = []WorkloadKind{WorkloadJacobi}
 
 // figures lists the figure formats in paper order: Figs 6-9 and T-1/T-2
 // draw a jacobi sweep (Figs 7 and 9 read the sweeps of Figs 6 and 8), S-1
-// a syncbench sweep and K-1 any mix of the kernels.
+// a syncbench sweep and K-1 any mix of the kernels; detail prints every
+// measured figure of one jacobi point.
 var figures = []figure{
 	{format: "fig6", workloads: jacobiOnly, variants: 1, n: 60,
 		draw: timeTable("Fig. 6 — Execution time (cycles/iteration), 60x60 array")},
@@ -52,8 +53,9 @@ var figures = []figure{
 		draw: comparison("Hybrid vs shared-memory (60x60, 16 kB WB): paper reports 2x below the knee, up to >5x at 10 cores")},
 	{format: "sync", workloads: jacobiOnly, variants: len(jacobi.AllVariants()), n: 60, cacheKB: 2, writeBack: true,
 		draw: comparison("Miss-dominated regime (60x60, 2 kB WB): sync-only hybrid should track the full hybrid within 2-20%")},
-	{format: "barrier", workloads: []WorkloadKind{WorkloadSyncbench}, draw: ablationTable},
-	{format: "kernel", workloads: []WorkloadKind{WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench}, draw: ablationTable},
+	{format: "barrier", workloads: []WorkloadKind{WorkloadSyncbench}, oneCache: true, writeBack: true, draw: ablationTable},
+	{format: "kernel", workloads: []WorkloadKind{WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench}, oneCache: true, writeBack: true, draw: ablationTable},
+	{format: "detail", workloads: jacobiOnly, onePoint: true, draw: detail},
 }
 
 // figureOf returns the figure format named format, or nil.
@@ -99,8 +101,14 @@ func fitFigure(format string, kinds []WorkloadKind, c *KernelConfig) error {
 	if f.cacheKB > 0 && !slices.Equal(ks.cachesKB, []int{f.cacheKB}) {
 		return fmt.Errorf("format %q is captioned %d kB, and this scenario's kernel.cache_kb is %v", format, f.cacheKB, ks.cachesKB)
 	}
+	if f.oneCache && len(ks.cachesKB) != 1 {
+		return fmt.Errorf("format %q is captioned with one L1 size, and this scenario's kernel.cache_kb is %v", format, ks.cachesKB)
+	}
 	if f.writeBack && !slices.Equal(ks.policies, []cache.Policy{cache.WriteBack}) {
 		return fmt.Errorf("format %q is captioned write-back, and this scenario sweeps the policies %v", format, ks.policies)
+	}
+	if n := len(kinds) * len(ks.jobs()); f.onePoint && n != 1 {
+		return fmt.Errorf("format %q describes one point, and this scenario has %d", format, n)
 	}
 	return nil
 }
@@ -178,11 +186,10 @@ func timeTable(title string) func(*KernelConfig, []Result) string {
 }
 
 // paretoFigure draws Figures 7 and 9: the optimal speedup-vs-area curve
-// of the Fig. 6 or Fig. 8 sweep, with the kill-rule knee marked.
+// of the Fig. 6 or Fig. 8 sweep, with the kill rule's margins and knee.
 func paretoFigure(title string) func(*KernelConfig, []Result) string {
 	return func(_ *KernelConfig, rows []Result) string {
-		front := paretoFront(rows)
-		return paretoTable(front, killRuleKnee(front), title)
+		return paretoTable(paretoFront(rows), title)
 	}
 }
 
@@ -208,41 +215,59 @@ func paretoFront(rows []Result) []Result {
 	return front
 }
 
-// killRuleKnee applies the paper's "kill if less than linear" rule ([19])
-// to a Pareto front: walking up the front, a step is worth taking only if
+// killStep is one step up a Pareto front under the kill rule: the
+// relative performance gain and relative area increase over the last
+// configuration the rule kept, and whether the rule keeps this one.
+type killStep struct {
+	dPerf, dArea float64
+	kept         bool
+}
+
+// killRule applies the paper's "kill if less than linear" rule ([19]) to
+// a Pareto front: walking up the front, a step is worth taking only if
 // the relative performance gain is at least the relative area increase.
 // It returns the index (into front) of the last configuration that still
 // satisfies the rule — the paper's optimal design point — or -1 for an
-// empty front.
-func killRuleKnee(front []Result) int {
+// empty front, and one step per configuration after the first.
+func killRule(front []Result) (knee int, steps []killStep) {
 	if len(front) == 0 {
-		return -1
+		return -1, nil
 	}
-	knee := 0
 	for i := 1; i < len(front); i++ {
 		prev, cur := front[knee], front[i]
 		dPerf := (cur.Speedup - prev.Speedup) / prev.Speedup
 		dArea := (cur.AreaMM2 - prev.AreaMM2) / prev.AreaMM2
-		if dArea <= 0 || dPerf >= dArea {
+		kept := dArea <= 0 || dPerf >= dArea
+		if kept {
 			knee = i
 		}
+		steps = append(steps, killStep{dPerf, dArea, kept})
 	}
-	return knee
+	return knee, steps
 }
 
 // paretoTable renders a Pareto front with the paper-style configuration
-// labels and the kill-rule knee marked.
-func paretoTable(front []Result, knee int, title string) string {
+// labels, each step's kill-rule margin (dPerf against dArea, over the
+// last configuration kept) and the knee marked.
+func paretoTable(front []Result, title string) string {
+	knee, steps := killRule(front)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "area(mm2)\tspeedup\tconfig\tkill-rule\t\n")
+	fmt.Fprintf(w, "area(mm2)\tspeedup\tconfig\tdPerf\tdArea\tkill-rule\t\n")
 	for i, r := range front {
-		mark := ""
+		dPerf, dArea, mark := "-", "-", ""
+		if i > 0 {
+			s := steps[i-1]
+			dPerf, dArea = fmt.Sprintf("%.3f", s.dPerf), fmt.Sprintf("%.3f", s.dArea)
+			if !s.kept {
+				mark = "killed"
+			}
+		}
 		if i == knee {
 			mark = "<= optimal (kill rule)"
 		}
-		fmt.Fprintf(w, "%.2f\t%.2f\t%dP_%dk$\t%s\t\n", r.AreaMM2, r.Speedup, r.Cores, r.CacheKB, mark)
+		fmt.Fprintf(w, "%.2f\t%.2f\t%dP_%dk$\t%s\t%s\t%s\t\n", r.AreaMM2, r.Speedup, r.Cores, r.CacheKB, dPerf, dArea, mark)
 	}
 	w.Flush()
 	return b.String()
@@ -425,5 +450,34 @@ func ablationTable(c *KernelConfig, rows []Result) string {
 		summary(last)
 	}
 	w.Flush()
+	return b.String()
+}
+
+// detail prints every measured figure of a one-point jacobi run: the
+// configuration, then cycles per iteration, the whole run's cycles, the
+// L1 miss rate, and the network's flits, mean flit latency and
+// deflections beside the memory node's busy cycles.
+func detail(c *KernelConfig, rows []Result) string {
+	ks, _ := c.sweep() // fitFigure resolved it before any point ran
+	// The fabric and the arbiter every kernel point runs on.
+	fabric := core.DefaultConfig(0, 0, cache.WriteBack)
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, `MEDEA %dx%d folded torus, %d compute cores + MPMMU
+L1: %d kB %s, arbiter: %v
+workload: %dx%d Jacobi, %s, %d warm-up + %d measured iterations
+verified against the sequential reference: OK
+
+cycles/iteration (after warm-up): %d
+total cycles:                     %d
+mean L1 miss rate:                %.2f%%
+NoC flits delivered:              %d
+mean flit latency:                %.1f cycles
+deflections:                      %d
+MPMMU busy cycles:                %d
+`, fabric.TorusW, fabric.TorusH, r.Cores, r.CacheKB, r.Policy, fabric.Arbiter,
+			ks.n, ks.n, r.Variant, ks.warmup, ks.measured,
+			r.CyclesPerIter, r.TotalCycles, 100*r.MissRate, r.NoCFlits, r.MeanLatency, r.Deflections, r.MPMMUBusy)
+	}
 	return b.String()
 }

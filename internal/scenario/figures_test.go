@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,7 +68,9 @@ func runFigureFile(t *testing.T, file string) (*Scenario, []Result) {
 // before they were formats; it ended each figure with a blank line
 // (Fprintln of a table that ends in a newline). A figure format prints
 // the table alone, so each golden is compared with the render plus that
-// "\n".
+// "\n". The two detail goldens are the printout of the one-simulation
+// command the detail format replaced, for the same configurations, plus
+// the same "\n".
 func TestFigsGolden(t *testing.T) {
 	used := map[string]bool{}
 	for _, c := range []struct {
@@ -81,6 +84,8 @@ func TestFigsGolden(t *testing.T) {
 		{"scenarios/kernel-ablation.json", [][2]string{{"kernel", "fig-kernel"}}},
 		{"figures/barrier.json", [][2]string{{"barrier", "fig-barrier"}}},
 		{"figures/kernel-jacobi-matmul-3variants.json", [][2]string{{"kernel", "kernel-jacobi-matmul-3variants"}}},
+		{"figures/detail.json", [][2]string{{"detail", "detail"}}},
+		{"figures/detail-pure-sm.json", [][2]string{{"detail", "detail-pure-sm"}}},
 	} {
 		s, results := runFigureFile(t, c.file)
 		for _, r := range c.renders {
@@ -152,6 +157,8 @@ var figureFileAxes = func() map[string]figureAxes {
 		"kernel-ablation":                axes(kernels, 30, mpsm, wb, []int{16}, k1Cores, 36),
 		"kernel-full":                    axes(kernels, 30, mpsm, wb, []int{16}, paperCores, 84),
 		"kernel-jacobi-matmul-3variants": axes(jm, 30, all3, wb, []int{16}, k1Cores, 36),
+		"detail":                         axes(jac, 60, hf, wb, []int{16}, []int{4}, 1),
+		"detail-pure-sm":                 axes(jac, 30, []jacobi.Variant{jacobi.PureSM}, wb, []int{4}, []int{8}, 1),
 	}
 }()
 
@@ -268,6 +275,10 @@ func TestFigureFormatFitsWorkload(t *testing.T) {
 		"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`)
 	matmul := mustParse(t, `{"name": "m", "workload": "matmul", "kernel": {"n": 8, "cores": [2], "cache_kb": [4]}}`)
 	jac := mustParse(t, `{"name": "j", "workload": "jacobi", "kernel": {"n": 8, "cores": [2], "cache_kb": [4]}}`)
+	// Four matmul rows the K-1 table cannot tell apart, under a one-cache
+	// write-back caption.
+	matmul2x2 := mustParse(t, `{"name": "m2x2", "workload": "matmul",
+		"kernel": {"n": 8, "cores": [2], "cache_kb": [4, 8], "policies": ["wb", "wt"]}}`)
 	jac60 := mustParse(t, `{"name": "j60", "workload": "jacobi", "kernel": {"n": 60, "cores": [2], "cache_kb": [4]}}`)
 	jac30wt := mustParse(t, `{"name": "j30wt", "workload": "jacobi", "kernel": {"n": 30, "cores": [2], "cache_kb": [4], "policies": ["wt"]}}`)
 	three := func(n, kb int) *Scenario {
@@ -288,6 +299,9 @@ func TestFigureFormatFitsWorkload(t *testing.T) {
 		{three(60, 16), "fig6", "draws 1 variant series"}, {jac60, "hybrid", "draws 3 variant series"},
 		{matmul, "fig9", "draws jacobi rows"}, {matmul, "hybrid", "draws jacobi rows"}, {matmul, "kernel", ""},
 		{noc, "table", ""}, {noc, "kernel", "draws jacobi/matmul/syncbench rows"},
+		{matmul2x2, "kernel", "captioned with one L1 size"}, {jac30wt, "kernel", "captioned write-back"},
+		{jac, "detail", ""}, {jac30wt, "detail", ""}, {matmul, "detail", "draws jacobi rows"},
+		{three(60, 16), "detail", "describes one point, and this scenario has 3"},
 	} {
 		_, err := c.s.ResolveFormat(c.format)
 		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
@@ -363,7 +377,7 @@ func TestParetoFront(t *testing.T) {
 
 func TestKillRuleKnee(t *testing.T) {
 	// Speedup grows superlinearly to row 2, then sublinearly: the knee is
-	// index 2.
+	// index 2, and the two later steps are measured against it.
 	front := []Result{
 		{AreaMM2: 2, Speedup: 1},
 		{AreaMM2: 3, Speedup: 2},   // +100% perf for +50% area: keep
@@ -371,10 +385,20 @@ func TestKillRuleKnee(t *testing.T) {
 		{AreaMM2: 8, Speedup: 3.5}, // +17% perf for +100% area: kill
 		{AreaMM2: 12, Speedup: 3.6},
 	}
-	if knee := killRuleKnee(front); knee != 2 {
+	knee, steps := killRule(front)
+	if knee != 2 {
 		t.Errorf("knee = %d, want 2", knee)
 	}
-	if killRuleKnee(nil) != -1 {
+	want := []killStep{{1, 0.5, true}, {0.5, 1.0 / 3, true}, {1.0 / 6, 1, false}, {0.2, 2, false}}
+	for i, s := range steps {
+		if math.Abs(s.dPerf-want[i].dPerf) > 1e-12 || math.Abs(s.dArea-want[i].dArea) > 1e-12 || s.kept != want[i].kept {
+			t.Errorf("step %d = %+v, want %+v", i+1, s, want[i])
+		}
+	}
+	if len(steps) != len(want) {
+		t.Errorf("%d steps, want %d", len(steps), len(want))
+	}
+	if knee, _ := killRule(nil); knee != -1 {
 		t.Error("empty front should return -1")
 	}
 }
@@ -399,8 +423,7 @@ func TestSmallSweepAndTables(t *testing.T) {
 	if !strings.Contains(tbl, "2kB$WB") || !strings.Contains(tbl, "8kB$WB") {
 		t.Errorf("table missing columns:\n%s", tbl)
 	}
-	front := paretoFront(rows)
-	pt := paretoTable(front, killRuleKnee(front), "pareto")
+	pt := paretoTable(paretoFront(rows), "pareto")
 	if !strings.Contains(pt, "2P_2k$") {
 		t.Errorf("pareto table missing labels:\n%s", pt)
 	}

@@ -23,11 +23,14 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/jacobi"
 	"repro/internal/matmul"
+	"repro/internal/noc"
 	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/syncbench"
@@ -78,14 +81,17 @@ func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, points []int) (
 	if err != nil {
 		return nil, err
 	}
-	// Recording bypasses the cache: a hit would skip the simulation and
-	// record nothing.
-	rc, rec := s.Cache, tie.SendRecorder(nil)
+	// Recording and the waveform bypass the cache: a hit would skip the
+	// simulation and record nothing.
+	rc, rec, wave := s.Cache, tie.SendRecorder(nil), s.Waveform
 	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
 		rc, rec = nil, s.Record
 	}
+	if wave != nil {
+		rc = nil
+	}
 	results, err := par.Sweep(ctx, ks.jobs(), points, s.Parallelism, func(ctx context.Context, j kernelJob) (Result, error) {
-		r, err := runKernelPoint(ctx, rc, rec, k, ks, j)
+		r, err := runKernelPoint(ctx, rc, rec, wave, k, ks, j)
 		r.Scenario = s.Name
 		return r, err
 	})
@@ -97,9 +103,10 @@ func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, points []int) (
 
 // runKernelPoint simulates (or recalls from the cache) one point and
 // returns its row. Every kind keeps the kernel counters, which only the
-// K-1 figure format prints for jacobi rows (see MerkleRoot for their
-// leaf); only jacobi rows carry the area, which Figs 7 and 9 print.
-func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendRecorder, k WorkloadKind, ks kernelSweep, j kernelJob) (Result, error) {
+// K-1 and detail figure formats print for jacobi rows; only jacobi rows
+// carry the area, which Figs 7 and 9 print. A non-nil wave receives a
+// jacobi point's NoC waveform.
+func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendRecorder, wave io.Writer, k WorkloadKind, ks kernelSweep, j kernelJob) (Result, error) {
 	cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
 	cfg.Record = rec
 	r := Result{
@@ -113,16 +120,30 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 	case WorkloadJacobi:
 		spec := jacobi.Spec{N: ks.n, Warmup: ks.warmup, Measured: ks.measured}
 		val, err := resultcache.Fetch(rc, jacobiPointKey(spec, j), func() (jacobiPointValue, error) {
-			res, err := jacobi.RunCtx(ctx, cfg, spec, j.variant)
+			var opts []jacobi.RunOption
+			if wave != nil {
+				opts = append(opts, jacobi.WithSystemHook(func(sys *core.System) error {
+					tr, err := noc.NewVCDTracer(sys.Net, wave)
+					if err == nil {
+						tr.Attach(sys.Engine)
+					}
+					return err
+				}))
+			}
+			res, err := jacobi.RunCtx(ctx, cfg, spec, j.variant, opts...)
 			return jacobiPointValue{
 				CyclesPerIter: res.CyclesPerIteration,
 				MissRate:      res.MissRate,
 				MPMMUBusy:     res.MPMMUBusy,
 				NoCFlits:      res.NoCFlits,
+				TotalCycles:   res.TotalCycles,
+				FlitLatency:   res.AvgFlitLatency,
+				Deflections:   res.Deflections,
 			}, err
 		})
 		r.CyclesPerIter, r.MissRate, r.MPMMUBusy, r.NoCFlits = val.CyclesPerIter, val.MissRate, val.MPMMUBusy, val.NoCFlits
-		r.AreaMM2 = pointArea(j.cores, j.kb)
+		r.TotalCycles, r.MeanLatency, r.Deflections = val.TotalCycles, val.FlitLatency, val.Deflections
+		r.AreaMM2 = paperArea.area(j.cores, j.kb)
 		return r, err
 	case WorkloadMatmul:
 		val, err := resultcache.Fetch(rc, matmulPointKey(ks.n, j), func() (kernelPointValue, error) {
@@ -156,11 +177,16 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 }
 
 // jacobiPointValue is the cached simulation output of one jacobi point.
+// The last three fields are the whole run's, which only the detail
+// format prints.
 type jacobiPointValue struct {
 	CyclesPerIter int64   `json:"cycles_per_iter"`
 	MissRate      float64 `json:"miss_rate"`
 	MPMMUBusy     int64   `json:"mpmmu_busy"`
 	NoCFlits      int64   `json:"noc_flits"`
+	TotalCycles   int64   `json:"total_cycles"`
+	FlitLatency   float64 `json:"flit_latency"`
+	Deflections   int64   `json:"deflections"`
 }
 
 // kernelPointValue is the cached simulation output of one matmul or
@@ -223,23 +249,42 @@ const (
 	cacheMM2PerKB = 0.02
 )
 
+// areaModel is the chip-area model's four terms: the logic of one node,
+// its network overhead, the SRAM per kilobyte, and the MPMMU's cache in
+// kilobytes.
+type areaModel struct {
+	coreLogicMM2, nocOverhead, cacheMM2PerKB, mmuCacheKB float64
+}
+
+// paperArea is the model every rendered area uses. The MPMMU cache is the
+// one every kernel point runs with (core.DefaultMPMMUCacheKB).
+var paperArea = areaModel{coreLogicMM2, nocOverhead, cacheMM2PerKB, core.DefaultMPMMUCacheKB}
+
 // area estimates the chip area in mm² of a configuration with the given
-// number of compute cores, per-core L1 capacity and MPMMU cache capacity.
-// Every product is rounded by an explicit float64 conversion, which the
-// Go spec forbids fusing into a multiply-add (even across statements):
-// the area reaches rendered rows, so it must not depend on GOARCH.
-func area(computeCores, cacheKB, mmuCacheKB int) float64 {
-	nodeLogic := coreLogicMM2 * (1 + nocOverhead)
-	compute := float64(float64(computeCores) * (nodeLogic + float64(float64(cacheKB)*cacheMM2PerKB)))
-	mmu := nodeLogic + float64(float64(mmuCacheKB)*cacheMM2PerKB)
+// number of compute cores and per-core L1 capacity. Every product is
+// rounded by an explicit float64 conversion, which the Go spec forbids
+// fusing into a multiply-add (even across statements): the area reaches
+// rendered rows, so it must not depend on GOARCH.
+func (m areaModel) area(computeCores, cacheKB int) float64 {
+	nodeLogic := float64(m.coreLogicMM2 * (1 + m.nocOverhead))
+	compute := float64(float64(computeCores) * (nodeLogic + float64(float64(cacheKB)*m.cacheMM2PerKB)))
+	mmu := nodeLogic + float64(m.mmuCacheKB*m.cacheMM2PerKB)
 	return compute + mmu
 }
 
-// pointArea is the area of a kernel point's configuration. The MPMMU
-// cache is the one core.DefaultConfig sets, which the write policy does
-// not size.
-func pointArea(cores, kb int) float64 {
-	return area(cores, kb, core.DefaultConfig(cores, kb, cache.WriteBack).MPMMUCacheKB)
+// WaveformCtx runs a one-point jacobi scenario with the NoC activity
+// waveform of its simulation (VCD; see noc.VCDTracer) written to w, and
+// returns the run's results, byte-identical to a run without it. Like
+// RecordCtx it detaches the result cache: a hit would skip the
+// simulation and write no waveform.
+func WaveformCtx(ctx context.Context, s *Scenario, w io.Writer) ([]Result, error) {
+	if kinds, err := s.workloadKinds(); err != nil || !slices.Equal(kinds, jacobiOnly) || s.NumPoints() != 1 {
+		return nil, fmt.Errorf("scenario: a waveform needs a single-point jacobi scenario, got %s", Summary(s))
+	}
+	run := *s
+	run.Cache = nil
+	run.Waveform = w
+	return RunCtx(ctx, &run)
 }
 
 // kernelCycles returns a kernel row's headline metric: cycles per
@@ -279,7 +324,7 @@ func attachSpeedup(results []Result) {
 		if !ok {
 			continue
 		}
-		key, a := series{r.Workload, r.Variant}, pointArea(r.Cores, r.CacheKB)
+		key, a := series{r.Workload, r.Variant}, paperArea.area(r.Cores, r.CacheKB)
 		if b, seen := base[key]; !seen || a < b.area || (a == b.area && cycles > b.cycles) {
 			base[key] = baseline{a, cycles}
 		}

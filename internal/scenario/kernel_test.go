@@ -151,8 +151,8 @@ func TestJacobiVariantsAxis(t *testing.T) {
 func TestAreaModelCalibration(t *testing.T) {
 	// The 168 configurations must span roughly the 2-22 mm2 x-axis of
 	// Figures 7/9.
-	min := area(2, 2, 32)
-	max := area(15, 64, 32)
+	min := paperArea.area(2, 2)
+	max := paperArea.area(15, 64)
 	if min < 1 || min > 4 {
 		t.Errorf("smallest config area %.2f outside 1-4 mm2", min)
 	}
@@ -160,10 +160,10 @@ func TestAreaModelCalibration(t *testing.T) {
 		t.Errorf("largest config area %.2f outside 18-45 mm2", max)
 	}
 	// Monotonicity.
-	if area(5, 8, 32) >= area(6, 8, 32) {
+	if paperArea.area(5, 8) >= paperArea.area(6, 8) {
 		t.Error("area must grow with cores")
 	}
-	if area(5, 8, 32) >= area(5, 16, 32) {
+	if paperArea.area(5, 8) >= paperArea.area(5, 16) {
 		t.Error("area must grow with cache")
 	}
 }

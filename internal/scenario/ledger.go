@@ -14,19 +14,12 @@ import (
 
 // MerkleRoot returns the hex root of the ledger tree over the results, in
 // their deterministic sweep order. Each leaf is json.Marshal of the whole
-// Result (every field, omitempty tags; a jacobi row without its kernel
-// counters), not the bytes Render's json format prints: those are a
-// per-kind projection with zeros kept, in their own key order.
+// Result (every field, omitempty tags), not the bytes Render's json
+// format prints: those are a per-kind projection with zeros kept, in
+// their own key order.
 func MerkleRoot(results []Result) string {
 	leaves := make([][]byte, len(results))
 	for i, r := range results {
-		if r.Workload == WorkloadJacobi.String() {
-			// A jacobi row's leaf is the row as it was before it carried
-			// the kernel counters (for the K-1 figure format): the roots
-			// recorded under the code version keep holding, and the
-			// stored-entry roots, whose values hold both counters, pin them.
-			r.MPMMUBusy, r.NoCFlits = 0, 0
-		}
 		b, err := json.Marshal(r)
 		if err != nil {
 			// A Result is a flat struct of scalars; Marshal fails only on a

@@ -69,15 +69,17 @@ type Result struct {
 	P99Server   float64 `json:"p99_server,omitempty"`
 
 	// Matmul metrics: barrier-to-barrier total and the B-distribution
-	// phase alone.
+	// phase alone. A jacobi row's TotalCycles is its whole run, warm-up
+	// included, and its MeanLatency the run's mean flit latency.
 	TotalCycles    int64 `json:"total_cycles,omitempty"`
 	TransferCycles int64 `json:"transfer_cycles,omitempty"`
 	// Syncbench metric: mean cycles per synchronization episode.
 	CyclesPerRound int64 `json:"cycles_per_round,omitempty"`
-	// Shared kernel-side counters (matmul and syncbench rows): memory-
-	// node occupancy versus message-path traffic.
-	MPMMUBusy int64 `json:"mpmmu_busy,omitempty"`
-	NoCFlits  int64 `json:"noc_flits,omitempty"`
+	// Shared kernel-side counters: memory-node occupancy versus
+	// message-path traffic, and (jacobi rows) the run's deflected hops.
+	MPMMUBusy   int64 `json:"mpmmu_busy,omitempty"`
+	NoCFlits    int64 `json:"noc_flits,omitempty"`
+	Deflections int64 `json:"deflections,omitempty"`
 }
 
 // RunCtx executes the scenario's full sweep cross-product and returns one

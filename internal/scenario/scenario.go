@@ -42,6 +42,7 @@
 // A file declares what to simulate; how a run executes is its caller's,
 // handed down as values by whoever owns the run: the result cache
 // (Scenario.Cache), trace capture (Scenario.Record, through RecordCtx),
+// the NoC waveform (Scenario.Waveform, through WaveformCtx),
 // fast-forward (sim.WithoutFastForward on the context) and sharding
 // (internal/shard's Coordinator, which the CLIs drive from -shards). None
 // of them can change a rendered byte.
@@ -55,6 +56,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -122,6 +124,10 @@ type Scenario struct {
 	// Runtime state like Cache. Recording bypasses the result cache: a
 	// cache hit skips the simulation and would record nothing.
 	Record *trace.Trace `json:"-"`
+
+	// Waveform, when non-nil, receives the NoC waveform (VCD) of a
+	// one-point jacobi run: runtime state like Record (see WaveformCtx).
+	Waveform io.Writer `json:"-"`
 }
 
 // NoCConfig describes a synthetic-traffic experiment on the bare network.

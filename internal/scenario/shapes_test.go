@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,17 +126,19 @@ func TestShapeSyncOnlyTracksFullWhenMissBound(t *testing.T) {
 }
 
 // TestShapeParetoKnees asserts Figure 7's structure: a Pareto front whose
-// speedup jumps when the per-core data first fits in cache, and a
-// kill-rule knee inside the sweep.
+// speedup jumps when the per-core data first fits in cache, and the
+// kill-rule knee the area model gives, which is the front's last point,
+// the largest configuration swept (15P_8k$): every step up the front
+// that the rule refuses is followed by one it takes.
 func TestShapeParetoKnees(t *testing.T) {
 	_, results := runFigureFile(t, fig6File)
 	front := paretoFront(results)
 	if len(front) < 4 {
 		t.Fatalf("pareto front too small: %d points", len(front))
 	}
-	knee := killRuleKnee(front)
-	if knee <= 0 {
-		t.Fatalf("kill-rule knee at %d", knee)
+	knee, _ := killRule(front)
+	if k := front[knee]; knee != len(front)-1 || k.Cores != 15 || k.CacheKB != 8 {
+		t.Errorf("kill-rule knee at %d of %d (%dP_%dk$), want the last point, 15P_8k$", knee, len(front), k.Cores, k.CacheKB)
 	}
 	if front[len(front)-1].Speedup < 10 {
 		t.Errorf("max speedup %.1fx implausibly small", front[len(front)-1].Speedup)
@@ -183,6 +187,47 @@ func TestKernelAblationShapes(t *testing.T) {
 	for _, want := range []string{"K-1", "jacobi", "matmul", "syncbench", "pure-sm", "summary"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("ablation table missing %q:\n%s", want, table)
+		}
+	}
+}
+
+// TestParetoKneeSensitivity scales each term of the area model by ½, ⅘,
+// 5⁄4 and 2 and finds Figure 7's kill-rule knee again on the memoized
+// Fig. 6 rows: nothing is simulated, only the areas change. (The speedups
+// stand: every model's smallest configuration is still 2P_2k$, since the
+// area grows with cores and with L1 size under any positive terms.) Each
+// entry is the knee and its place on that model's front; REPRODUCING.md's
+// sensitivity note is this table.
+func TestParetoKneeSensitivity(t *testing.T) {
+	_, results := runFigureFile(t, fig6File)
+	factors := []float64{0.5, 0.8, 1.25, 2}
+	for _, c := range []struct {
+		term  string
+		scale func(m *areaModel, x float64)
+		knees [4]string // at ½, ⅘, 5⁄4, 2
+	}{
+		{"coreLogicMM2", func(m *areaModel, x float64) { m.coreLogicMM2 *= x },
+			[4]string{"15P_8k$ 7/7", "15P_8k$ 8/8", "15P_8k$ 9/9", "12P_8k$ 8/9"}},
+		{"nocOverhead", func(m *areaModel, x float64) { m.nocOverhead *= x },
+			[4]string{"15P_8k$ 8/8", "15P_8k$ 8/8", "15P_8k$ 9/9", "15P_8k$ 9/9"}},
+		{"cacheMM2PerKB", func(m *areaModel, x float64) { m.cacheMM2PerKB *= x },
+			[4]string{"12P_8k$ 8/9", "15P_8k$ 9/9", "15P_8k$ 8/8", "15P_8k$ 7/7"}},
+		{"mmuCacheKB", func(m *areaModel, x float64) { m.mmuCacheKB *= x },
+			[4]string{"12P_8k$ 8/9", "15P_8k$ 9/9", "15P_8k$ 9/9", "15P_8k$ 9/9"}},
+	} {
+		for i, x := range factors {
+			m := paperArea
+			c.scale(&m, x)
+			rows := slices.Clone(results)
+			for j := range rows {
+				rows[j].AreaMM2 = m.area(rows[j].Cores, rows[j].CacheKB)
+			}
+			front := paretoFront(rows)
+			knee, _ := killRule(front)
+			got := fmt.Sprintf("%dP_%dk$ %d/%d", front[knee].Cores, front[knee].CacheKB, knee+1, len(front))
+			if got != c.knees[i] {
+				t.Errorf("%s x %g: knee %s, recorded %s", c.term, x, got, c.knees[i])
+			}
 		}
 	}
 }
