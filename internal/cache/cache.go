@@ -381,12 +381,6 @@ func (c *Cache) DirtyLines() []uint32 {
 	return out
 }
 
-// LineData returns a copy of the resident line containing addr.
-func (c *Cache) LineData(addr uint32) []byte {
-	l := c.mustLine(addr)
-	return append([]byte(nil), l.data[:]...)
-}
-
 func checkSpan(addr uint32, n int) {
 	if n <= 0 || int(addr&(LineBytes-1))+n > LineBytes {
 		panic(fmt.Sprintf("cache: access at %#x size %d crosses a line", addr, n))

@@ -206,15 +206,6 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLineData(t *testing.T) {
-	c := mustNew(t, 2, WriteBack)
-	want := line16(0x20)
-	c.Fill(0x40, want)
-	if !bytes.Equal(c.LineData(0x48), want) {
-		t.Error("LineData mismatch")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if WriteBack.String() != "WB" || WriteThrough.String() != "WT" {
 		t.Error("policy strings wrong")

@@ -63,10 +63,6 @@ func (t Type) String() string {
 // Valid reports whether t is one of the seven defined transaction types.
 func (t Type) Valid() bool { return t < numTypes }
 
-// IsSharedMemory reports whether t belongs to the shared-memory protocol
-// (everything except Message).
-func (t Type) IsSharedMemory() bool { return t < Message }
-
 // SubType is the 2-bit sub-type field. For shared-memory transactions it
 // distinguishes Ack/Nack from Address/Data payloads; for message flits it
 // distinguishes request tokens from generic data (the "Data/Req bit").

@@ -28,17 +28,6 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
-func TestIsSharedMemory(t *testing.T) {
-	for typ := SingleRead; typ <= Unlock; typ++ {
-		if !typ.IsSharedMemory() {
-			t.Errorf("%v should be shared-memory", typ)
-		}
-	}
-	if Message.IsSharedMemory() {
-		t.Error("Message should not be shared-memory")
-	}
-}
-
 func TestBurstCodes(t *testing.T) {
 	for _, n := range []int{1, 4, 8, 16} {
 		code, err := EncodeBurst(n)

@@ -1,7 +1,9 @@
 // Package par provides the one sweep loop of the repository. Sweep runs
 // a points-filtered subset of a canonical job list on a fixed worker pool
-// and returns the results in filter order; every sweep in scenario is an
-// enumeration of jobs plus a per-point function handed to it.
+// and returns the results in filter order. Package scenario calls it once:
+// a scenario expands into one canonical list of points across all its
+// workloads, and a run hands Sweep that list (a shard run, its shard's
+// indices as the filter).
 //
 // ForEachCtx is the pool underneath: a bounded number of goroutines pulls
 // indices from a channel, so the goroutine count stays constant no matter

@@ -3,11 +3,12 @@ package scenario
 // The kernel workloads (jacobi, matmul, syncbench) on the full MEDEA
 // system: the design-space exploration of the paper's Section III. A
 // kernel sweep is the (variant, policy, cache, cores) cross-product of the
-// scenario's kernel section, variants outermost, each point one
-// deterministic simulation handed to par.Sweep like every other
-// workload's. The chip-area model and the speedup over the smallest
-// configuration are the two derived figures the Pareto analysis of Figs 7
-// and 9 reads (figures.go).
+// scenario's kernel section, variants outermost; each kernel named on the
+// workload axis contributes one block of that cross-product to the
+// scenario's one point list (Scenario.points), each point one
+// deterministic simulation. The chip-area model and the speedup over the
+// smallest configuration are the two derived figures the Pareto analysis
+// of Figs 7 and 9 reads (figures.go).
 //
 // Cache plumbing: a cached value holds only what the simulator produced;
 // derived quantities (area, labels, speedups) recompute deterministically
@@ -31,7 +32,6 @@ import (
 	"repro/internal/jacobi"
 	"repro/internal/matmul"
 	"repro/internal/noc"
-	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/syncbench"
 	"repro/internal/tie"
@@ -73,32 +73,26 @@ func (ks kernelSweep) jobs() []kernelJob {
 	return jobs
 }
 
-// runKernel executes kernel kind k's sweep through par.Sweep. Speedup is
-// left zero: it is a cross-point figure, attached over the whole run by
+// kernelPoints expands kernel kind k's sweep in canonical order. Speedup
+// is left zero: it is a cross-point figure, attached over the whole run by
 // RunCtx and over the reassembled run by MergeShards.
-func runKernel(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
+func kernelPoints(s *Scenario, k WorkloadKind) ([]point, error) {
 	ks, err := s.Kernel.sweep()
 	if err != nil {
 		return nil, err
 	}
-	// Recording and the waveform bypass the cache: a hit would skip the
-	// simulation and record nothing.
-	rc, rec, wave := s.Cache, tie.SendRecorder(nil), s.Waveform
+	rec, wave := tie.SendRecorder(nil), s.Waveform
 	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
-		rc, rec = nil, s.Record
+		rec = s.Record
 	}
-	if wave != nil {
-		rc = nil
+	jobs := ks.jobs()
+	ps := make([]point, len(jobs))
+	for i, j := range jobs {
+		ps[i] = func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
+			return runKernelPoint(ctx, rc, rec, wave, k, ks, j)
+		}
 	}
-	results, err := par.Sweep(ctx, ks.jobs(), points, s.Parallelism, func(ctx context.Context, j kernelJob) (Result, error) {
-		r, err := runKernelPoint(ctx, rc, rec, wave, k, ks, j)
-		r.Scenario = s.Name
-		return r, err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	return results, nil
+	return ps, nil
 }
 
 // runKernelPoint simulates (or recalls from the cache) one point and
@@ -274,15 +268,14 @@ func (m areaModel) area(computeCores, cacheKB int) float64 {
 
 // WaveformCtx runs a one-point jacobi scenario with the NoC activity
 // waveform of its simulation (VCD; see noc.VCDTracer) written to w, and
-// returns the run's results, byte-identical to a run without it. Like
-// RecordCtx it detaches the result cache: a hit would skip the
-// simulation and write no waveform.
+// returns the run's results, byte-identical to a run without it. Like a
+// recording, the run bypasses the result cache (runPoints): a hit would
+// skip the simulation and write no waveform.
 func WaveformCtx(ctx context.Context, s *Scenario, w io.Writer) ([]Result, error) {
 	if kinds, err := s.workloadKinds(); err != nil || !slices.Equal(kinds, jacobiOnly) || s.NumPoints() != 1 {
 		return nil, fmt.Errorf("scenario: a waveform needs a single-point jacobi scenario, got %s", Summary(s))
 	}
 	run := *s
-	run.Cache = nil
 	run.Waveform = w
 	return RunCtx(ctx, &run)
 }

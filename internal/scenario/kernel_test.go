@@ -255,7 +255,11 @@ func TestSweepPointsValidation(t *testing.T) {
 		{[]int{0, 99}, "outside"},
 		{[]int{-1}, "increasing"}, // -1 <= prev(-1) trips the order check first
 	} {
-		_, err := runKind(context.Background(), s, WorkloadJacobi, tc.points)
+		ps, err := s.points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runPoints(context.Background(), s, ps, tc.points)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("points=%v: err = %v, want mention of %q", tc.points, err, tc.wantSub)
 		}
@@ -278,7 +282,11 @@ func TestKernelSweepPointsFilter(t *testing.T) {
 	}
 	// One index in each variant's series.
 	points := []int{1, 2}
-	sub, err := runKind(context.Background(), s, WorkloadJacobi, points)
+	ps, err := s.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := runPoints(context.Background(), s, ps, points)
 	if err != nil {
 		t.Fatal(err)
 	}

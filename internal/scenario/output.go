@@ -356,6 +356,9 @@ func Summary(s *Scenario) string {
 		axes = fmt.Sprintf("%d topologies x %d routers x %d patterns x %d rates x %d seeds",
 			max(1, len(s.NoC.Topologies)), max(1, len(s.NoC.Routers)),
 			len(s.NoC.Patterns), len(s.NoC.Rates), len(s.seedList()))
+		if w := len(s.NoC.MeasureWindows); w > 0 {
+			axes += fmt.Sprintf(" x %d windows", w)
+		}
 	case WorkloadTrace:
 		if t, err := s.Trace.load(); err == nil {
 			axes = fmt.Sprintf("%d topologies x %d routers replaying %d recorded events",

@@ -147,3 +147,24 @@ func FuzzRender(f *testing.F) {
 		sameAsReference(t, "fuzzed rows", rows)
 	})
 }
+
+// TestSummary pins the sweep header for one file of each workload shape:
+// the factors printed before "=" multiply to the point count, the
+// measure_windows axis included.
+func TestSummary(t *testing.T) {
+	for name, want := range map[string]string{
+		"smoke":           "smoke: noc-synthetic workload, 1 topologies x 1 routers x 2 patterns x 1 rates x 1 seeds = 2 points",
+		"window-sweep":    "window-sweep: noc-synthetic workload, 1 topologies x 2 routers x 2 patterns x 1 rates x 1 seeds x 3 windows = 12 points",
+		"kernel-ablation": "kernel-ablation: jacobi+matmul+syncbench workloads, 3 workloads x 2 variants x 6 cores x 1 caches x 1 policies = 36 points",
+		"service-hotspot": "service-hotspot: service workload, 1 topologies x 2 routers x 1 rates x 2 seeds = 4 points",
+		"trace-replay":    "trace-replay: trace workload, 2 topologies x 2 routers replaying 1918 recorded events = 4 points",
+	} {
+		s, err := Load(filepath.Join("../../examples/scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Summary(s); got != want {
+			t.Errorf("Summary(%s) =\n  %s\nwant\n  %s", name, got, want)
+		}
+	}
+}

@@ -212,3 +212,59 @@ func TestCommittedTraceFresh(t *testing.T) {
 			"regenerate with: go run ./cmd/medea-scenarios -record examples/scenarios/traces/uniform-4x4.trace examples/scenarios/trace-record-quick.json")
 	}
 }
+
+// TestCaptureBypassesCache: a trace or waveform capture runs its point
+// uncached even with a warm result cache attached, because a hit would
+// skip the simulation and capture nothing. Each capture must equal the
+// one taken without a cache, and its rows the cached run's.
+func TestCaptureBypassesCache(t *testing.T) {
+	ctx := context.Background()
+	const jacobiPoint = `{"name": "capture", "workload": "jacobi",
+		"kernel": {"n": 12, "cores": [4], "cache_kb": [4], "variants": ["hybrid-full"]}}`
+	const nocPoint = `{"name": "capture", "workload": "noc-synthetic",
+		"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1],
+		        "warmup_cycles": 100, "measure_cycles": 400}, "seeds": [7]}`
+	warm := func(src string) (*Scenario, []Result) {
+		s := mustParse(t, src)
+		s.Cache = resultcache.New(resultcache.NewMemoryStore(0))
+		rows, err := RunCtx(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, rows
+	}
+	for name, src := range map[string]string{"jacobi": jacobiPoint, "noc": nocPoint} {
+		cold, _, err := RecordCtx(ctx, mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, rows := warm(src)
+		got, gotRows, err := RecordCtx(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cold.Events) == 0 || got.Hash() != cold.Hash() {
+			t.Errorf("%s: recording over a warm cache has %d events (hash %s), without a cache %d (hash %s)",
+				name, len(got.Events), got.Hash(), len(cold.Events), cold.Hash())
+		}
+		if MerkleRoot(gotRows) != MerkleRoot(rows) {
+			t.Errorf("%s: recorded rows differ from the cached run's", name)
+		}
+	}
+
+	var cold, got bytes.Buffer
+	if _, err := WaveformCtx(ctx, mustParse(t, jacobiPoint), &cold); err != nil {
+		t.Fatal(err)
+	}
+	s, rows := warm(jacobiPoint)
+	gotRows, err := WaveformCtx(ctx, s, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Len() == 0 || !bytes.Equal(got.Bytes(), cold.Bytes()) {
+		t.Errorf("waveform over a warm cache has %d bytes, without a cache %d", got.Len(), cold.Len())
+	}
+	if MerkleRoot(gotRows) != MerkleRoot(rows) {
+		t.Error("waveform run's rows differ from the cached run's")
+	}
+}

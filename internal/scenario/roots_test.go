@@ -104,6 +104,9 @@ func TestExampleRootsGolden(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		if n := s.NumPoints(); len(results) != n {
+			t.Errorf("%s: the run produced %d rows, NumPoints says %d", name, len(results), n)
+		}
 		if root := MerkleRoot(results); root != want[name][0] {
 			t.Errorf("%s: merkle root %s, recorded %s", name, root, want[name][0])
 		}

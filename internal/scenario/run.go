@@ -84,29 +84,46 @@ type Result struct {
 
 // RunCtx executes the scenario's full sweep cross-product and returns one
 // Result per point, in deterministic axis order (independent of the
-// execution interleaving): one block per workload, each produced by
-// runKind, with the kernel Speedup attached over the whole run. The
-// scenario must have passed Validate (Load and Parse guarantee this). A
-// canceled context stops dispatching new sweep points,
+// execution interleaving): the canonical point list (Scenario.points) on
+// one worker pool, with the kernel Speedup attached over the whole run.
+// The scenario must have passed Validate (Load and Parse guarantee
+// this). A canceled context stops dispatching new sweep points,
 // interrupts in-flight simulations within a few thousand simulated
 // cycles, and returns the context's error (wrapped in a
 // par.CanceledError recording completed-point counts). The sweep is
 // all-or-nothing either way: on any error no results are returned.
 func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
-	kinds, err := s.workloadKinds()
+	ps, err := s.points()
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, err
 	}
-	var all []Result
-	for _, k := range kinds {
-		results, err := runKind(ctx, s, k, nil)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, results...)
+	results, err := runPoints(ctx, s, ps, nil)
+	if err != nil {
+		return nil, err
 	}
-	attachSpeedup(all)
-	return all, nil
+	attachSpeedup(results)
+	return results, nil
+}
+
+// runPoints runs the points of ps that sel selects (nil: all of them;
+// otherwise strictly increasing indices into ps) through par.Sweep and
+// returns their rows in sel order. It is the one place a point's result
+// cache is chosen: recording and the waveform bypass the cache, since a
+// hit would skip the simulation and record or draw nothing.
+func runPoints(ctx context.Context, s *Scenario, ps []point, sel []int) ([]Result, error) {
+	rc := s.Cache
+	if s.Record != nil || s.Waveform != nil {
+		rc = nil
+	}
+	results, err := par.Sweep(ctx, ps, sel, s.Parallelism, func(ctx context.Context, p point) (Result, error) {
+		r, err := p(ctx, rc)
+		r.Scenario = s.Name
+		return r, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	return results, nil
 }
 
 // nocJob is one point of the noc-synthetic canonical order.
@@ -175,29 +192,28 @@ func nocJobs(s *Scenario) ([]nocJob, error) {
 	return jobs, nil
 }
 
-// runNoC executes the noc-synthetic sweep: every point is an independent
-// deterministic simulation, so the whole set is reproducible.
-func runNoC(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// nocPoints expands the noc-synthetic sweep: every point is an
+// independent deterministic simulation, so the whole set is reproducible.
+func nocPoints(s *Scenario) ([]point, error) {
 	jobs, err := nocJobs(s)
 	if err != nil {
 		return nil, err
 	}
-	// Recording bypasses the cache: a hit would skip the simulation and
-	// record nothing (RecordCtx also detaches the cache, this is the
-	// defence in depth for hand-wired scenarios).
-	rcache, rec := s.Cache, noc.InjectionRecorder(nil)
+	rec := noc.InjectionRecorder(nil)
 	if s.Record != nil { // a nil *trace.Trace in the interface is not nil
-		rcache, rec = nil, s.Record
+		rec = s.Record
 	}
-	// The points of one call share their sources' injection streams: a
+	// The points of one run share their sources' injection streams: a
 	// sparse stream is drawn once per (seed, rate, pattern, run length),
 	// not once per router and fabric. Byte-identical to private draws.
 	shared := noc.NewSchedules()
-	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j nocJob) (Result, error) {
-		r, err := runNoCPoint(ctx, rcache, rec, shared, s.NoC, j)
-		r.Scenario = s.Name
-		return r, err
-	})
+	ps := make([]point, len(jobs))
+	for i, j := range jobs {
+		ps[i] = func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
+			return runNoCPoint(ctx, rc, rec, shared, s.NoC, j)
+		}
+	}
+	return ps, nil
 }
 
 // windowGroup computes one warm-prefix group of a measure_windows sweep

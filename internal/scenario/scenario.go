@@ -25,15 +25,16 @@
 // noc.ParseTopology for the network axes), so the format exists without
 // new Go code: any configuration the cmd/ binaries can reach by flags —
 // and sweeps over cross-products of them that the binaries cannot
-// express — is one JSON file away. Every workload is an enumeration of
-// jobs in canonical order plus a per-point function handed to par.Sweep,
-// the one sweep loop. Kernel points run the paper's design-space
-// exploration (kernel.go: the area model and the speedup over the
-// smallest configuration), and the paper's figures and tables are render
-// formats of kernel scenarios' rows (figures.go: the Pareto front, the
-// kill rule and each table; examples/figures/ holds one file per figure,
-// TestFigsGolden pins each byte for byte). Noc points run through
-// noc.MeasureCtx's path (one sweep call's points share a
+// express — is one JSON file away. A scenario expands once into one
+// canonical point list across all its workloads (Scenario.points), and
+// RunCtx, RunShardCtx, NumPoints and MergeShards all read that list:
+// RunCtx hands it to par.Sweep, the one sweep loop. Kernel points run the
+// paper's design-space exploration (kernel.go: the area model and the
+// speedup over the smallest configuration), and the paper's figures and
+// tables are render formats of kernel scenarios' rows (figures.go: the
+// Pareto front, the kill rule and each table; examples/figures/ holds one
+// file per figure, TestFigsGolden pins each byte for byte). Noc points
+// run through noc.MeasureCtx's path (one run's points share a
 // noc.Schedules store of their sources' injection streams,
 // byte-identically; noc-load-sweep.json is the bare network's load sweep,
 // held to recorded CSVs by TestNoCLoadSweepGolden).
@@ -846,50 +847,15 @@ func (s *Scenario) seedList() []int64 {
 	return seeds
 }
 
-// NumPoints returns the size of the sweep cross-product.
+// NumPoints returns the size of the sweep cross-product: the length of
+// the canonical point list (0 for a scenario that would not pass
+// Validate).
 func (s *Scenario) NumPoints() int {
-	kinds, err := s.workloadKinds()
+	ps, err := s.points()
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, k := range kinds {
-		n += s.kindPoints(k)
-	}
-	return n
-}
-
-// kindPoints returns the number of sweep points one workload kind
-// contributes, matching the canonical point order its Run produces (0 for
-// a scenario that would not pass Validate).
-func (s *Scenario) kindPoints(k WorkloadKind) int {
-	switch k {
-	case WorkloadNoC:
-		topos, _ := s.NoC.fabrics()
-		routers, _ := s.NoC.routers()
-		n := len(topos) * len(routers) * len(s.NoC.Patterns) * len(s.NoC.Rates) * len(s.seedList())
-		if w := len(s.NoC.MeasureWindows); w > 0 {
-			n *= w
-		}
-		return n
-	case WorkloadTrace:
-		t, err := s.Trace.load()
-		if err != nil {
-			return 0
-		}
-		topos, _ := s.Trace.fabrics(t)
-		routers, _ := s.Trace.routers(t)
-		return len(topos) * len(routers)
-	case WorkloadService:
-		topos, _ := s.Service.fabrics()
-		routers, _ := s.Service.routers()
-		return len(topos) * len(routers) * len(s.Service.ArrivalRates) * len(s.seedList())
-	}
-	ks, err := s.Kernel.sweep()
-	if err != nil {
-		return 0
-	}
-	return len(ks.variants) * len(ks.policies) * len(ks.cachesKB) * len(ks.cores)
+	return len(ps)
 }
 
 // fabrics and routers resolve the section's topology and router axes.

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/noc"
-	"repro/internal/par"
 	"repro/internal/resultcache"
 )
 
@@ -16,10 +15,9 @@ type serviceJob struct {
 	seed   int64
 }
 
-// runService expands topologies x routers x arrival_rates x seeds in
-// canonical order and executes each request/response point on the sweep
-// pool.
-func runService(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// servicePoints expands topologies x routers x arrival_rates x seeds in
+// canonical order, one request/response simulation per point.
+func servicePoints(s *Scenario) ([]point, error) {
 	c := s.Service
 	topos, err := c.fabrics()
 	if err != nil {
@@ -29,21 +27,20 @@ func runService(ctx context.Context, s *Scenario, points []int) ([]Result, error
 	if err != nil {
 		return nil, err
 	}
-	var jobs []serviceJob
+	var ps []point
 	for _, topo := range topos {
 		for _, router := range routers {
 			for _, rate := range c.ArrivalRates {
 				for _, seed := range s.seedList() {
-					jobs = append(jobs, serviceJob{topo: topo, router: router, rate: rate, seed: seed})
+					j := serviceJob{topo: topo, router: router, rate: rate, seed: seed}
+					ps = append(ps, func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
+						return runServicePoint(ctx, rc, c, j)
+					})
 				}
 			}
 		}
 	}
-	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j serviceJob) (Result, error) {
-		r, err := runServicePoint(ctx, s.Cache, c, j)
-		r.Scenario = s.Name
-		return r, err
-	})
+	return ps, nil
 }
 
 // servicePointValue is the cached measurement of one service point; like

@@ -37,10 +37,10 @@ func ShardPoints(shard, shards, total int) []int {
 }
 
 // RunShardCtx executes shard (of shards) of the scenario's sweep: the
-// ShardPoints subset of the canonical point order, each point through the
-// same execution path RunCtx uses (result cache included), returning one
-// Row per point. Kernel Speedup is left zero — it is a cross-point figure
-// MergeShards recomputes over the full reassembled series.
+// ShardPoints subset of the canonical point list, through the same runner
+// RunCtx uses (result cache included), returning one Row per point. Kernel
+// Speedup is left zero — it is a cross-point figure MergeShards
+// recomputes over the full reassembled series.
 func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("scenario: shards must be >= 1, got %d", shards)
@@ -48,39 +48,21 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("scenario: shard %d outside [0, %d)", shard, shards)
 	}
-	kinds, err := s.workloadKinds()
+	ps, err := s.points()
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, err
 	}
-	total := 0
-	for _, k := range kinds {
-		total += s.kindPoints(k)
+	sel := ShardPoints(shard, shards, len(ps))
+	if len(sel) == 0 { // a nil selection would run every point
+		return []Row{}, nil
 	}
-	sel := ShardPoints(shard, shards, total)
-	rows := make([]Row, 0, len(sel))
-	offset := 0
-	for _, k := range kinds {
-		n := s.kindPoints(k)
-		// This kind's slice of the shard, rebased to kind-local indices.
-		var local []int
-		for _, g := range sel {
-			if g >= offset && g < offset+n {
-				local = append(local, g-offset)
-			}
-		}
-		if len(local) > 0 {
-			results, err := runKind(ctx, s, k, local)
-			if err != nil {
-				return nil, err
-			}
-			if len(results) != len(local) {
-				return nil, fmt.Errorf("scenario: workload %v returned %d results for %d shard points", k, len(results), len(local))
-			}
-			for i, r := range results {
-				rows = append(rows, Row{Index: offset + local[i], Result: r})
-			}
-		}
-		offset += n
+	results, err := runPoints(ctx, s, ps, sel)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(sel))
+	for i, r := range results {
+		rows[i] = Row{Index: sel[i], Result: r}
 	}
 	return rows, nil
 }
@@ -92,14 +74,11 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 // slice against the single-process root. Every index must arrive exactly
 // once.
 func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
-	kinds, err := s.workloadKinds()
+	ps, err := s.points()
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, err
 	}
-	total := 0
-	for _, k := range kinds {
-		total += s.kindPoints(k)
-	}
+	total := len(ps)
 	results := make([]Result, total)
 	seen := make([]bool, total)
 	for _, r := range rows {

@@ -51,28 +51,56 @@ const kernelShardScenario = `{
 	           "warmup": 1, "measured": 1}
 }`
 
+// threeKernelScenario runs every kernel on a two-point grid: blocks of two
+// points, so round-robin shards over its six points can sit inside one
+// workload's block or straddle two.
+const threeKernelScenario = `{
+	"name": "shard-three-kernels",
+	"workloads": ["jacobi", "matmul", "syncbench"],
+	"kernel": {"n": 8, "cores": [2, 4], "cache_kb": [4], "warmup": 1, "measured": 1}
+}`
+
 // TestRunShardMergeMatchesRun is the scenario-layer half of the sharding
 // golden: RunShardCtx over every shard, merged, must equal RunCtx exactly
-// (including reattached Speedup), for both kernel and noc sweeps.
+// (including reattached Speedup), for every workload shape. The shard
+// counts are chosen to cut where the point list is delicate: 2 and 3
+// shards split every three-window group of window-sweep across shards; 4
+// shards over threeKernelScenario's six points give shards that straddle
+// two workload blocks ({0, 4}, {1, 5}) and shards inside one ({2}, {3}),
+// and 7 shards leave one shard with no point at all.
 func TestRunShardMergeMatchesRun(t *testing.T) {
+	parse := func(raw string) func(t *testing.T) *Scenario {
+		return func(t *testing.T) *Scenario {
+			s, err := Parse([]byte(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+	}
+	example := func(name string) func(t *testing.T) *Scenario {
+		return func(t *testing.T) *Scenario {
+			s, err := Load("../../examples/scenarios/" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+	}
 	cases := []struct {
-		name string
-		load func(t *testing.T) *Scenario
+		name   string
+		load   func(t *testing.T) *Scenario
+		shards []int
+		// multiKind asks for at least one shard inside one workload's
+		// block and one spanning two, at some shard count.
+		multiKind bool
 	}{
-		{"kernel", func(t *testing.T) *Scenario {
-			s, err := Parse([]byte(kernelShardScenario))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
-		{"noc", func(t *testing.T) *Scenario {
-			s, err := Load("../../examples/scenarios/smoke.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
+		{"kernel", parse(kernelShardScenario), []int{1, 3}, false},
+		{"noc", example("smoke"), []int{1, 3}, false},
+		{"service", example("service-hotspot"), []int{1, 3}, false},
+		{"trace", example("trace-replay"), []int{1, 3}, false},
+		{"windows", example("window-sweep"), []int{2, 3}, false},
+		{"multi-kind", parse(threeKernelScenario), []int{4, 7}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -80,7 +108,8 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 3} {
+			inside, spanning := false, false
+			for _, shards := range c.shards {
 				s := c.load(t)
 				var rows []Row
 				for shard := 0; shard < shards; shard++ {
@@ -88,6 +117,12 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					kinds := map[string]bool{}
+					for _, r := range part {
+						kinds[r.Result.Workload] = true
+					}
+					inside = inside || len(kinds) == 1
+					spanning = spanning || len(kinds) > 1
 					rows = append(rows, part...)
 				}
 				got, err := MergeShards(s, rows)
@@ -100,6 +135,9 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 				if gr, wr := MerkleRoot(got), MerkleRoot(want); gr != wr {
 					t.Errorf("shards=%d: merged root %s, direct root %s", shards, gr, wr)
 				}
+			}
+			if c.multiKind && !(inside && spanning) {
+				t.Errorf("shard counts %v: a shard inside one workload block %v, a shard spanning blocks %v; want both", c.shards, inside, spanning)
 			}
 		})
 	}

@@ -3,27 +3,21 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/noc"
-	"repro/internal/par"
 	"repro/internal/resultcache"
 	"repro/internal/trace"
 )
 
-// traceJob is one point of the trace-replay canonical order.
-type traceJob struct {
-	topo   noc.Topology
-	router noc.RouterKind
-}
-
-// runTrace expands topologies x routers over one decoded trace and
-// replays each point on the sweep pool. Replayed rows carry the
-// noc-synthetic schema with the recorded provenance as their axis labels
-// (pattern, rate, seed, bursty come from the trace header; topology and
-// router are the replay axes) — a same-fabric replay therefore renders
-// byte-identical tables/CSV/JSON and an equal Merkle root to its source
-// run, which the record/replay differential battery asserts.
-func runTrace(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+// tracePoints expands topologies x routers over one decoded trace, each
+// point one replay. Replayed rows carry the noc-synthetic schema with the
+// recorded provenance as their axis labels (pattern, rate, seed, bursty
+// come from the trace header; topology and router are the replay axes) —
+// a same-fabric replay therefore renders byte-identical tables/CSV/JSON
+// and an equal Merkle root to its source run, which the record/replay
+// differential battery asserts.
+func tracePoints(s *Scenario) ([]point, error) {
 	c := s.Trace
 	t, err := c.load()
 	if err != nil {
@@ -37,27 +31,29 @@ func runTrace(ctx context.Context, s *Scenario, points []int) ([]Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	events := make([]noc.ReplayEvent, len(t.Events))
-	for i, ev := range t.Events {
-		events[i] = noc.ReplayEvent{
-			Cycle: ev.Cycle, Src: ev.Src, Dst: ev.Dst, Meta: ev.Meta,
-			Req: ev.Kind == trace.EventMessage,
-		}
-	}
-	// Hash() memoizes lazily; force it here, before the fan-out, so the
-	// workers only ever read it.
+	// Decode memoized the hash from the file bytes, so this is a read.
 	hash := t.Hash()
-	var jobs []traceJob
+	// The events convert once per run, when the first point that misses
+	// the cache needs them: expansion (and so NumPoints) stays cheap.
+	events := sync.OnceValue(func() []noc.ReplayEvent {
+		out := make([]noc.ReplayEvent, len(t.Events))
+		for i, ev := range t.Events {
+			out[i] = noc.ReplayEvent{
+				Cycle: ev.Cycle, Src: ev.Src, Dst: ev.Dst, Meta: ev.Meta,
+				Req: ev.Kind == trace.EventMessage,
+			}
+		}
+		return out
+	})
+	var ps []point
 	for _, topo := range topos {
 		for _, router := range routers {
-			jobs = append(jobs, traceJob{topo: topo, router: router})
+			ps = append(ps, func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
+				return runTracePoint(ctx, rc, t, hash, events, topo, router)
+			})
 		}
 	}
-	return par.Sweep(ctx, jobs, points, s.Parallelism, func(ctx context.Context, j traceJob) (Result, error) {
-		r, err := runTracePoint(ctx, s.Cache, t, hash, events, j)
-		r.Scenario = s.Name
-		return r, err
-	})
+	return ps, nil
 }
 
 // runTracePoint replays the trace through one (topology, router) point.
@@ -65,15 +61,15 @@ func runTrace(ctx context.Context, s *Scenario, points []int) ([]Result, error) 
 // the file bytes — so a cached replay can never outlive its trace: any
 // byte change (including header provenance) misses, and two identical
 // files share entries.
-func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, hash string, events []noc.ReplayEvent, j traceJob) (Result, error) {
+func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, hash string, events func() []noc.ReplayEvent, topo noc.Topology, router noc.RouterKind) (Result, error) {
 	key := resultcache.NewKey("scenario/trace").
 		Str("trace_sha256", hash).
-		Str("topology", j.topo.Kind().String()).
-		Str("router", j.router.String()).
+		Str("topology", topo.Kind().String()).
+		Str("router", router.String()).
 		Sum()
 	m, err := resultcache.Fetch(rc, key, func() (nocPointValue, error) {
-		m, err := noc.MeasureReplayCtx(ctx, j.topo, noc.ReplayConfig{
-			Router: j.router, Events: events,
+		m, err := noc.MeasureReplayCtx(ctx, topo, noc.ReplayConfig{
+			Router: router, Events: events(),
 			Warmup: t.Header.Warmup, Measure: t.Header.Measure,
 		})
 		return nocValueOf(m), err
@@ -82,7 +78,7 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 	// fills the pattern/rate/seed axes, so a same-fabric replay row is
 	// byte-identical to its source row.
 	h := t.Header
-	return nocRow(m, j.topo, j.router, h.Pattern, h.Rate, h.Seed, h.Bursty), err
+	return nocRow(m, topo, router, h.Pattern, h.Rate, h.Seed, h.Bursty), err
 }
 
 // RecordCtx runs a single-point scenario with trace capture and returns
@@ -91,8 +87,8 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 // points record eMPI message sends through core.Config.Record, which
 // core.Build hands to every TIE port. The recorder belongs to this run
 // alone: concurrent runs in the same process record nothing into it.
-// Recording detaches the result cache (a cache hit skips the simulation
-// and would record nothing); the returned results are byte-identical to a
+// Recording bypasses the result cache (runPoints: a cache hit skips the
+// simulation and would record nothing); the returned results are byte-identical to a
 // cached run's, which the record/replay differential tests assert.
 func RecordCtx(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error) {
 	kinds, err := s.workloadKinds()
@@ -175,12 +171,9 @@ func recordKernel(ctx context.Context, s *Scenario) (*trace.Trace, []Result, err
 	return t, results, nil
 }
 
-// recordRun runs a copy of s with t as its recorder. The copy detaches
-// the result cache: a cache hit skips the simulation and would record
-// nothing.
+// recordRun runs a copy of s with t as its recorder.
 func recordRun(ctx context.Context, s *Scenario, t *trace.Trace) ([]Result, error) {
 	run := *s
-	run.Cache = nil
 	run.Record = t
 	return RunCtx(ctx, &run)
 }

@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/resultcache"
 )
 
 // WorkloadKind selects what a scenario point simulates. The workload is
 // the fourth sweep axis, next to the network's topology, router and
 // pattern axes: every kind is resolved by name through ParseWorkload
-// (mirroring noc.ParseRouter/ParseTopology), executes through one switch
-// (runKind), and renders through its own schema (the kind's column list
-// in output.go). The set of kinds is closed inside this package (like
-// noc.Router); adding one means a constant here, a case in runKind and a
+// (mirroring noc.ParseRouter/ParseTopology), expands into points through
+// one switch (Scenario.points), and renders through its own schema (the
+// kind's column list in output.go). The set of kinds is closed inside this package (like
+// noc.Router); adding one means a constant here, a case in points and a
 // column list, and every listing flag, validation message and fuzz
 // corpus picks it up through WorkloadNames.
 type WorkloadKind int
@@ -21,7 +23,7 @@ type WorkloadKind int
 // The six workload kinds. The first three are compute kernels
 // on the full MEDEA system (cores + caches + MPMMU over the NoC), sharing
 // the kernel sweep axes (variants x policies x caches x cores) and one
-// execution path (runKernel); the rest drive the bare network:
+// expansion (kernelPoints); the rest drive the bare network:
 // noc-synthetic with generated traffic, trace with recorded traffic, and
 // service with request/response traffic.
 const (
@@ -117,24 +119,44 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 	return 0, fmt.Errorf("scenario: unknown workload %q (have: %s)", s, strings.Join(WorkloadNames(), ", "))
 }
 
-// runKind executes kind k's share of a scenario sweep for the (already
-// validated) scenario: the full cross-product in deterministic axis order
-// when points is nil, otherwise only the listed indices of that canonical
-// order (strictly increasing and in range), one Result per index. A
-// canceled context stops dispatching new points and interrupts in-flight
-// simulations. Cross-point figures (kernel Speedup) are not attached
-// here: RunCtx attaches them over the whole run, and MergeShards over the
-// reassembled one.
-func runKind(ctx context.Context, s *Scenario, k WorkloadKind, points []int) ([]Result, error) {
-	switch k {
-	case WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench:
-		return runKernel(ctx, s, k, points)
-	case WorkloadNoC:
-		return runNoC(ctx, s, points)
-	case WorkloadTrace:
-		return runTrace(ctx, s, points)
-	case WorkloadService:
-		return runService(ctx, s, points)
+// point is one point of a scenario's canonical order: it runs that point
+// against the result cache it is given (nil: cache off) and returns its
+// row. The Scenario label and the cross-point Speedup are the runner's.
+type point func(ctx context.Context, rc *resultcache.Cache) (Result, error)
+
+// points expands the (already validated) scenario into its canonical
+// point list: one block per workload kind in the order the workload axis
+// names them, each block in its kind's canonical axis order. RunCtx,
+// RunShardCtx, NumPoints and MergeShards all read this one list, so a
+// point's index means the same thing to each of them. Expansion resolves
+// the axes and builds the fabrics but simulates nothing and converts no
+// trace event; the work points share (a sweep's injection streams, a
+// window group's warm prefix, a trace's replay events) hangs off state
+// the expansion allocates, so one expansion is one run's.
+func (s *Scenario) points() ([]point, error) {
+	kinds, err := s.workloadKinds()
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return nil, fmt.Errorf("scenario: no implementation for workload kind %d", int(k))
+	var all []point
+	for _, k := range kinds {
+		var ps []point
+		switch k {
+		case WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench:
+			ps, err = kernelPoints(s, k)
+		case WorkloadNoC:
+			ps, err = nocPoints(s)
+		case WorkloadTrace:
+			ps, err = tracePoints(s)
+		case WorkloadService:
+			ps, err = servicePoints(s)
+		default:
+			err = fmt.Errorf("scenario: no implementation for workload kind %d", int(k))
+		}
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, ps...)
+	}
+	return all, nil
 }

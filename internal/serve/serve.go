@@ -153,6 +153,7 @@ type JobStatus struct {
 type job struct {
 	id         string
 	scenario   *scenario.Scenario
+	points     int // scenario.NumPoints, expanded once at submission
 	state      State
 	err        string
 	results    []scenario.Result
@@ -168,7 +169,7 @@ func (j *job) status() JobStatus {
 		ID:         j.id,
 		State:      j.state,
 		Scenario:   j.scenario.Name,
-		Points:     j.scenario.NumPoints(),
+		Points:     j.points,
 		Error:      j.err,
 		MerkleRoot: j.merkleRoot,
 		QueuedAt:   j.queuedAt,
@@ -225,6 +226,7 @@ func New(cfg Config) *Server {
 // errors.Is(err, ErrQueueFull) holds) and a draining server returns
 // ErrDraining.
 func (s *Server) Submit(sc *scenario.Scenario) (JobStatus, error) {
+	points := sc.NumPoints()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -234,6 +236,7 @@ func (s *Server) Submit(sc *scenario.Scenario) (JobStatus, error) {
 	j := &job{
 		id:       fmt.Sprintf("job-%06d", s.seq),
 		scenario: sc,
+		points:   points,
 		state:    StateQueued,
 		queuedAt: time.Now(),
 	}

@@ -25,7 +25,8 @@ type Coordinator struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
 	// Workers caps concurrently running workers; 0 means one per shard.
-	// Only bench/'s stdio probes set it; ROADMAP item 6 deletes it.
+	// Only bench/'s stdio probes set it; the ROADMAP item "One benchmark
+	// PR, then the stdio transport goes" deletes it.
 	Workers int
 	// Retries is the per-shard transport-failure retry budget; < 0 means
 	// none, 0 means DefaultRetries.

@@ -2,7 +2,8 @@ package shard
 
 // The stdio transports (ProcWorker, PipeWorker, ServeWorker) stay only
 // because bench/'s shard.proc_spawn_ms and shard.pipe_overhead_ms probes
-// call them; ROADMAP item 6 deletes this file with Coordinator.Workers.
+// call them; the ROADMAP item "One benchmark PR, then the stdio transport
+// goes" deletes this file with Coordinator.Workers.
 
 import (
 	"bufio"

@@ -27,9 +27,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
-
 // IntRunning accumulates a stream of whole-number observations (cycle
 // and hop counts) and exposes count, sum, mean, min and max: an
 // observation is an add and two compares, with no conversion. Mean is the

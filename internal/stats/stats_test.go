@@ -16,10 +16,6 @@ func TestCounter(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("got %d, want 5", c.Value())
 	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestCounterNegativePanics(t *testing.T) {

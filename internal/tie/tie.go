@@ -267,12 +267,3 @@ func (p *Port) TryRecvAny(class Class) (Packet, bool) {
 	}
 	return Packet{}, false
 }
-
-// PendingPackets returns the number of fully assembled packets waiting.
-func (p *Port) PendingPackets() int {
-	n := 0
-	for _, q := range p.ready {
-		n += q.Len()
-	}
-	return n
-}

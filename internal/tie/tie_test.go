@@ -331,19 +331,6 @@ func TestDeliverRejectsNonMessage(t *testing.T) {
 	dst.Deliver(flit.Flit{Type: flit.SingleRead})
 }
 
-func TestPendingPackets(t *testing.T) {
-	src, dst := newPort(2), newPort(0)
-	deliverPacket(t, src, dst, []uint32{1}, Data, nil)
-	deliverPacket(t, src, dst, []uint32{2}, Data, nil)
-	if got := dst.PendingPackets(); got != 2 {
-		t.Errorf("pending = %d", got)
-	}
-	dst.TryRecv(2, Data)
-	if got := dst.PendingPackets(); got != 1 {
-		t.Errorf("pending after recv = %d", got)
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Req.String() != "req" || Data.String() != "data" {
 		t.Error("class strings wrong")
