@@ -94,14 +94,15 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant(%d)", int(v))
 }
 
-// Spec describes one Jacobi problem.
+// Spec describes one Jacobi problem. The key tags name its fields in
+// the result-cache key (resultcache.KeyBuilder.Struct).
 type Spec struct {
 	// N is the grid edge: the paper uses 16, 30 and 60.
-	N int
+	N int `key:"n"`
 	// Warmup iterations run before measurement (cache warm-up).
-	Warmup int
+	Warmup int `key:"warmup"`
 	// Measured iterations are timed barrier-to-barrier.
-	Measured int
+	Measured int `key:"measured"`
 }
 
 // Validate reports specification errors.

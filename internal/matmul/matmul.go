@@ -25,8 +25,9 @@ import (
 )
 
 // Spec describes one matrix-multiply problem: C = A x B with NxN doubles.
+// The key tag names N in the result-cache key, as jacobi.Spec's.
 type Spec struct {
-	N int
+	N int `key:"n"`
 }
 
 // Validate reports specification errors.

@@ -13,15 +13,17 @@ import (
 // window that runs unmeasured, and a measurement window. It is the single
 // execution path of the scenario runner's noc-synthetic points and of the
 // benchmark's reference points, so their numbers are directly comparable.
+// The key tags name each field in the scenario runner's result-cache key
+// (resultcache.KeyBuilder.Struct); they are stored bytes.
 type MeasureConfig struct {
-	Router  RouterKind
+	Router  RouterKind `key:"router"`
 	Traffic TrafficConfig
 	// Warmup cycles run before measurement starts (may be 0).
-	Warmup int64
+	Warmup int64 `key:"warmup_cycles"`
 	// Measure is the measurement-window length in cycles (must be > 0).
-	Measure int64
+	Measure int64 `key:"measure_cycles"`
 	// Seed seeds every traffic node (deterministic per seed).
-	Seed int64
+	Seed int64 `key:"seed"`
 }
 
 // Measurement is the result of one MeasureCtx call. Latency statistics cover

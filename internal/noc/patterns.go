@@ -114,12 +114,13 @@ func (p Pattern) IsPermutation() bool {
 // BurstConfig parameterizes a two-state (on/off) Markov traffic modulator:
 // geometrically distributed bursts of mean length MeanOn cycles separated
 // by idle gaps of mean length MeanOff cycles. The long-run fraction of
-// cycles spent injecting is Duty().
+// cycles spent injecting is Duty(). The json tags are a scenario file's
+// "burst" object; the key tags are result-cache field names.
 type BurstConfig struct {
 	// MeanOn is the mean burst length in cycles (>= 1).
-	MeanOn float64
+	MeanOn float64 `json:"mean_on" key:"burst_mean_on"`
 	// MeanOff is the mean idle-gap length in cycles (>= 1).
-	MeanOff float64
+	MeanOff float64 `json:"mean_off" key:"burst_mean_off"`
 }
 
 // Validate checks the configuration (positively: NaN is >= nothing).

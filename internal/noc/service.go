@@ -15,35 +15,36 @@ import (
 // other endpoint is a client issuing open-loop request flits at
 // ArrivalRate (optionally burst-modulated, optionally skewed toward the
 // first server) and awaiting ResponseFlits response flits per request.
+// The key tags are result-cache field names, as MeasureConfig's.
 type ServiceMeasureConfig struct {
-	Router RouterKind
+	Router RouterKind `key:"router"`
 	// Servers is how many endpoints (the highest-numbered ones) serve
 	// requests. Must leave at least one client.
-	Servers int
+	Servers int `key:"servers"`
 	// ArrivalRate is the per-client request probability per cycle
 	// (open-loop: clients do not wait for outstanding responses).
-	ArrivalRate float64
+	ArrivalRate float64 `key:"arrival_rate"`
 	// ThinkTime is the server-side service time per request in cycles.
 	// 0 and 1 are equivalent: a response is emitted no earlier than the
 	// step after its request is accepted.
-	ThinkTime int64
+	ThinkTime int64 `key:"think_time"`
 	// ResponseFlits is the response size in flits (default 1).
-	ResponseFlits int
+	ResponseFlits int `key:"response_flits"`
 	// HotspotSkew is the probability a request targets the first server
 	// instead of a uniformly random one (0 = uniform over servers).
-	HotspotSkew float64
+	HotspotSkew float64 `key:"hotspot_skew"`
 	// QueueCap bounds each client's source queue (default 16); when full
 	// the client throttles the arrival instead of issuing it.
-	QueueCap int
+	QueueCap int `key:"queue_cap"`
 	// Burst, when non-nil, gates client arrivals through the two-state
 	// modulator, exactly as TrafficConfig.Burst gates synthetic traffic.
 	Burst *BurstConfig
 	// Warmup cycles run before measurement starts (may be 0).
-	Warmup int64
+	Warmup int64 `key:"warmup_cycles"`
 	// Measure is the measurement-window length in cycles (must be > 0).
-	Measure int64
+	Measure int64 `key:"measure_cycles"`
 	// Seed seeds every client (deterministic per seed).
-	Seed int64
+	Seed int64 `key:"seed"`
 }
 
 // ServiceMeasurement is the flat, CSV-friendly result of one service

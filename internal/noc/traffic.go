@@ -76,24 +76,25 @@ type InjectionRecorder interface {
 	RecordInjection(cycle int64, src, dst int, meta uint32)
 }
 
-// TrafficConfig parameterizes a synthetic traffic node.
+// TrafficConfig parameterizes a synthetic traffic node. Its key tags
+// are result-cache field names, as MeasureConfig's.
 type TrafficConfig struct {
-	Pattern Pattern
+	Pattern Pattern `key:"pattern"`
 	// Rate is the per-node injection probability per cycle (offered load
 	// in flits/node/cycle).
-	Rate float64
+	Rate float64 `key:"rate"`
 	// HotspotNode is the destination for the Hotspot pattern.
-	HotspotNode int
+	HotspotNode int `key:"hotspot_node"`
 	// QueueCap bounds the source queue; when full the generator throttles
 	// (counts a stall instead of queueing), like a real injection FIFO.
-	QueueCap int
+	QueueCap int `key:"queue_cap"`
 	// Burst, when non-nil, gates injection through a two-state on/off
 	// modulator: the node injects at Rate only while the modulator is in
 	// its on state. Composable with every Pattern.
 	Burst *BurstConfig
 	// Record, when non-nil, receives every accepted injection. Purely
 	// observational: results are byte-identical with or without it.
-	Record InjectionRecorder
+	Record InjectionRecorder `key:"-"`
 }
 
 // TrafficNode is a synthetic traffic source/sink implementing LocalPort.

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Key is a content address: the SHA-256 of a canonically serialized
@@ -74,6 +76,79 @@ func (b *KeyBuilder) Bool(name string, v bool) *KeyBuilder {
 	return b.Str(name, strconv.FormatBool(v))
 }
 
+// Struct adds every exported field of the struct v (or of *v; a nil
+// pointer adds nothing) under the name in its `key:"..."` tag, so the
+// config a simulator receives is its own key recipe and no second list of
+// its fields can drift from it:
+//
+//   - a field tagged `key:"-"` cannot change a result (an observer, say)
+//     and adds nothing;
+//   - an untagged struct or pointer-to-struct field adds its own fields
+//     (a nil pointer adds nothing);
+//   - a fmt.Stringer keys by String(); ints, floats, bools and strings key
+//     through Int, Float, Bool and Str;
+//   - any other exported field, untagged or of a kind with no canonical
+//     form, panics with the field's name: a new config field must be
+//     keyed or declared inert before any point can run.
+//
+// Unexported fields add nothing. Field names share one namespace with
+// the builder's other fields, so a tag that repeats one panics in Sum.
+func (b *KeyBuilder) Struct(v any) *KeyBuilder {
+	b.addStruct(reflect.ValueOf(v))
+	return b
+}
+
+var stringerType = reflect.TypeFor[fmt.Stringer]()
+
+func (b *KeyBuilder) addStruct(v reflect.Value) {
+	if v.Kind() == reflect.Pointer {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+	}
+	t := v.Type()
+	if t.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("resultcache: Struct of %s, not a struct", t))
+	}
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name, tagged := f.Tag.Lookup("key")
+		if name == "-" {
+			continue
+		}
+		fv, ft := v.Field(i), f.Type
+		stringer := ft.Kind() != reflect.Pointer && ft.Kind() != reflect.Interface && ft.Implements(stringerType)
+		if !stringer && (ft.Kind() == reflect.Struct || ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct) {
+			if tagged {
+				panic(fmt.Sprintf("resultcache: %s.%s is keyed by its own fields; drop its key tag %q", t, f.Name, name))
+			}
+			b.addStruct(fv)
+			continue
+		}
+		if !tagged {
+			panic(fmt.Sprintf("resultcache: %s.%s has no key tag (name it, or tag it `key:\"-\"` if it cannot change a result)", t, f.Name))
+		}
+		switch k := ft.Kind(); {
+		case stringer:
+			b.Str(name, fv.Interface().(fmt.Stringer).String())
+		case fv.CanInt():
+			b.Int(name, fv.Int())
+		case fv.CanFloat():
+			b.Float(name, fv.Float())
+		case k == reflect.Bool:
+			b.Bool(name, fv.Bool())
+		case k == reflect.String:
+			b.Str(name, fv.String())
+		default:
+			panic(fmt.Sprintf("resultcache: %s.%s: cannot key a %s", t, f.Name, ft))
+		}
+	}
+}
+
 // Sum derives the key. The builder can be reused afterwards (appending
 // more fields derives a new, different key).
 func (b *KeyBuilder) Sum() Key { return b.sum(CodeVersion) }
@@ -81,7 +156,7 @@ func (b *KeyBuilder) Sum() Key { return b.sum(CodeVersion) }
 // sum derives the key under the given code version.
 func (b *KeyBuilder) sum(version string) Key {
 	sorted := append([]field(nil), b.fields...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
+	slices.SortFunc(sorted, func(a, b field) int { return strings.Compare(a.name, b.name) })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].name == sorted[i-1].name {
 			panic(fmt.Sprintf("resultcache: duplicate key field %q in domain %q", sorted[i].name, b.domain))

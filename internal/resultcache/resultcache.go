@@ -7,6 +7,13 @@
 // corruption into misses), and a singleflight layer collapses concurrent
 // computations of the same key into one.
 //
+// A key names every input of its point through KeyBuilder.Struct: the
+// config struct a simulator receives is keyed field by field under its
+// `key:"..."` tags, so the config is the one list of what a result
+// depends on, and a field added without a tag (or a `key:"-"`
+// declaring it inert) panics at the first key instead of being silently
+// left out.
+//
 // The cache is proven harmless, not assumed so: the differential test
 // battery in internal/scenario renders every shipped scenario cold-cache,
 // warm-cache, disk-backed and cache-off and requires byte-identical

@@ -16,10 +16,13 @@ package scenario
 // fresh run are indistinguishable byte for byte in every rendering. Each
 // kernel stores under its own key domain ("dse/jacobi", "dse/matmul",
 // "dse/syncbench"; the names are stored bytes, which disk caches written
-// by earlier builds must keep hitting), and each key carries every option
-// the result depends on and nothing it does not (matmul ignores jacobi's
-// iteration counts, syncbench the problem size), so equivalent points
-// share one entry.
+// by earlier builds must keep hitting). Each key is built from what the
+// simulator receives, through the key tags of jacobi.Spec, matmul.Spec and
+// kernelJob (resultcache.KeyBuilder.Struct): the job's system part is the
+// only input of core.DefaultConfig, so a key carries every option the
+// result depends on and nothing it does not (matmul ignores jacobi's
+// iteration counts, syncbench the problem size and keys its barrier kind
+// and rounds beside the system), and equivalent points share one entry.
 
 import (
 	"context"
@@ -50,11 +53,34 @@ type kernelSweep struct {
 	rounds, warmup, measured int
 }
 
-// kernelJob is one point of the kernel canonical order.
+// jacobiSpec and matmulSpec are the problems every point of the sweep
+// hands its kernel.
+func (ks kernelSweep) jacobiSpec() jacobi.Spec {
+	return jacobi.Spec{N: ks.n, Warmup: ks.warmup, Measured: ks.measured}
+}
+
+func (ks kernelSweep) matmulSpec() matmul.Spec { return matmul.Spec{N: ks.n} }
+
+// kernelJob is one point of the kernel canonical order: a programming
+// model on a system. Its key tags name its fields in the point's cache
+// key (resultcache.KeyBuilder.Struct).
 type kernelJob struct {
-	variant   jacobi.Variant
-	policy    cache.Policy
-	kb, cores int
+	Variant jacobi.Variant `key:"variant"`
+	System  kernelSystem
+}
+
+// kernelSystem is the system a kernel point runs on: the only input of
+// the core.Config its simulator receives (config), so syncbench, which
+// has no variant beyond its barrier kind, keys on it alone.
+type kernelSystem struct {
+	Policy  cache.Policy `key:"policy"`
+	CacheKB int          `key:"cache_kb"`
+	Cores   int          `key:"cores"`
+}
+
+// config builds the point's system configuration.
+func (s kernelSystem) config() core.Config {
+	return core.DefaultConfig(s.Cores, s.CacheKB, s.Policy)
 }
 
 // jobs lists the sweep in canonical order: variants outermost, then
@@ -65,7 +91,7 @@ func (ks kernelSweep) jobs() []kernelJob {
 		for _, pol := range ks.policies {
 			for _, kb := range ks.cachesKB {
 				for _, c := range ks.cores {
-					jobs = append(jobs, kernelJob{variant: v, policy: pol, kb: kb, cores: c})
+					jobs = append(jobs, kernelJob{Variant: v, System: kernelSystem{Policy: pol, CacheKB: kb, Cores: c}})
 				}
 			}
 		}
@@ -101,18 +127,19 @@ func kernelPoints(s *Scenario, k WorkloadKind) ([]point, error) {
 // carry the area, which Figs 7 and 9 print. A non-nil wave receives a
 // jacobi point's NoC waveform.
 func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendRecorder, wave io.Writer, k WorkloadKind, ks kernelSweep, j kernelJob) (Result, error) {
-	cfg := core.DefaultConfig(j.cores, j.kb, j.policy)
+	sys := j.System
+	cfg := sys.config()
 	cfg.Record = rec
 	r := Result{
 		Workload: k.String(),
-		Variant:  j.variant.String(),
-		Cores:    j.cores,
-		CacheKB:  j.kb,
-		Policy:   j.policy.String(),
+		Variant:  j.Variant.String(),
+		Cores:    sys.Cores,
+		CacheKB:  sys.CacheKB,
+		Policy:   sys.Policy.String(),
 	}
 	switch k {
 	case WorkloadJacobi:
-		spec := jacobi.Spec{N: ks.n, Warmup: ks.warmup, Measured: ks.measured}
+		spec := ks.jacobiSpec()
 		val, err := resultcache.Fetch(rc, jacobiPointKey(spec, j), func() (jacobiPointValue, error) {
 			var opts []jacobi.RunOption
 			if wave != nil {
@@ -124,7 +151,7 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 					return err
 				}))
 			}
-			res, err := jacobi.RunCtx(ctx, cfg, spec, j.variant, opts...)
+			res, err := jacobi.RunCtx(ctx, cfg, spec, j.Variant, opts...)
 			return jacobiPointValue{
 				CyclesPerIter: res.CyclesPerIteration,
 				MissRate:      res.MissRate,
@@ -137,11 +164,12 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 		})
 		r.CyclesPerIter, r.MissRate, r.MPMMUBusy, r.NoCFlits = val.CyclesPerIter, val.MissRate, val.MPMMUBusy, val.NoCFlits
 		r.TotalCycles, r.MeanLatency, r.Deflections = val.TotalCycles, val.FlitLatency, val.Deflections
-		r.AreaMM2 = paperArea.area(j.cores, j.kb)
+		r.AreaMM2 = paperArea.area(sys.Cores, sys.CacheKB)
 		return r, err
 	case WorkloadMatmul:
-		val, err := resultcache.Fetch(rc, matmulPointKey(ks.n, j), func() (kernelPointValue, error) {
-			res, err := matmul.RunCtx(ctx, cfg, matmul.Spec{N: ks.n}, j.variant)
+		spec := ks.matmulSpec()
+		val, err := resultcache.Fetch(rc, matmulPointKey(spec, j), func() (kernelPointValue, error) {
+			res, err := matmul.RunCtx(ctx, cfg, spec, j.Variant)
 			return kernelPointValue{
 				Cycles:         res.TotalCycles,
 				TransferCycles: res.TransferCycles,
@@ -152,11 +180,8 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 		r.TotalCycles, r.TransferCycles, r.MPMMUBusy, r.NoCFlits = val.Cycles, val.TransferCycles, val.MPMMUBusy, val.NoCFlits
 		return r, err
 	case WorkloadSyncbench:
-		kind := syncbench.MessageBarrier
-		if j.variant == jacobi.PureSM {
-			kind = syncbench.LockBarrier
-		}
-		val, err := resultcache.Fetch(rc, syncbenchPointKey(kind, ks.rounds, j), func() (kernelPointValue, error) {
+		kind := barrierKind(j.Variant)
+		val, err := resultcache.Fetch(rc, syncbenchPointKey(kind, ks.rounds, sys), func() (kernelPointValue, error) {
 			res, err := syncbench.MeasureWithCtx(ctx, kind, cfg, ks.rounds)
 			return kernelPointValue{
 				Cycles:    res.CyclesPerRound,
@@ -192,38 +217,32 @@ type kernelPointValue struct {
 	NoCFlits       int64 `json:"noc_flits"`
 }
 
-// jacobiPointKey derives the content address of one jacobi point.
+// barrierKind is the barrier a syncbench point measures: the lock
+// barrier under pure shared memory, the message barrier otherwise.
+func barrierKind(v jacobi.Variant) syncbench.Kind {
+	if v == jacobi.PureSM {
+		return syncbench.LockBarrier
+	}
+	return syncbench.MessageBarrier
+}
+
+// jacobiPointKey, matmulPointKey and syncbenchPointKey derive the content
+// address of one kernel point from what its simulator receives: the
+// kernel's spec and the job, or for syncbench the barrier kind, the
+// episode count and the system.
 func jacobiPointKey(spec jacobi.Spec, j kernelJob) resultcache.Key {
-	return resultcache.NewKey("dse/jacobi").
-		Int("n", int64(spec.N)).
-		Int("warmup", int64(spec.Warmup)).
-		Int("measured", int64(spec.Measured)).
-		Str("variant", j.variant.String()).
-		Int("cores", int64(j.cores)).
-		Int("cache_kb", int64(j.kb)).
-		Str("policy", j.policy.String()).
-		Sum()
+	return resultcache.NewKey("dse/jacobi").Struct(spec).Struct(j).Sum()
 }
 
-// matmulPointKey derives the content address of one matmul point.
-func matmulPointKey(n int, j kernelJob) resultcache.Key {
-	return resultcache.NewKey("dse/matmul").
-		Int("n", int64(n)).
-		Str("variant", j.variant.String()).
-		Int("cores", int64(j.cores)).
-		Int("cache_kb", int64(j.kb)).
-		Str("policy", j.policy.String()).
-		Sum()
+func matmulPointKey(spec matmul.Spec, j kernelJob) resultcache.Key {
+	return resultcache.NewKey("dse/matmul").Struct(spec).Struct(j).Sum()
 }
 
-// syncbenchPointKey derives the content address of one syncbench point.
-func syncbenchPointKey(kind syncbench.Kind, rounds int, j kernelJob) resultcache.Key {
+func syncbenchPointKey(kind syncbench.Kind, rounds int, sys kernelSystem) resultcache.Key {
 	return resultcache.NewKey("dse/syncbench").
 		Str("kind", kind.String()).
 		Int("rounds", int64(rounds)).
-		Int("cores", int64(j.cores)).
-		Int("cache_kb", int64(j.kb)).
-		Str("policy", j.policy.String()).
+		Struct(sys).
 		Sum()
 }
 

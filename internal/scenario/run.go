@@ -256,33 +256,31 @@ func measureCycles(n int64) int64 {
 	return n
 }
 
-// nocPointKey derives the content address of one noc-synthetic point from
-// every input the measurement depends on, defaults resolved first.
-func nocPointKey(c *NoCConfig, j nocJob, measure int64) resultcache.Key {
-	b := resultcache.NewKey("scenario/noc").
-		Str("topology", j.topo.Kind().String()).
-		Int("width", int64(c.Width)).
-		Int("height", int64(c.Height)).
-		Str("router", j.router.String()).
-		Str("pattern", j.pattern.String()).
-		Float("rate", j.rate).
-		Int("seed", j.seed).
-		Int("hotspot_node", int64(c.HotspotNode)).
-		Int("queue_cap", int64(c.QueueCap)).
-		Int("warmup_cycles", c.WarmupCycles).
-		Int("measure_cycles", measure)
-	if c.Burst != nil {
-		b.Float("burst_mean_on", c.Burst.MeanOn).Float("burst_mean_off", c.Burst.MeanOff)
-	}
-	return b.Sum()
+// pointKey derives the content address of one noc-synthetic or service
+// point: the fabric it runs on (kind and endpoint grid) plus every keyed
+// field of cfg, the config its simulation receives (see
+// resultcache.KeyBuilder.Struct), so the key cannot miss an input the
+// simulation reads.
+func pointKey(domain string, topo noc.Topology, cfg any) resultcache.Key {
+	w, h := topo.EndpointDims()
+	return resultcache.NewKey(domain).
+		Str("topology", topo.Kind().String()).
+		Int("width", int64(w)).
+		Int("height", int64(h)).
+		Struct(cfg).
+		Sum()
 }
 
-// nocMeasureConfig assembles the noc.MeasureConfig for one point.
-// measure is a fixed window, or 0 for a measure_windows group.
-func nocMeasureConfig(c *NoCConfig, j nocJob, measure int64) noc.MeasureConfig {
-	var burst *noc.BurstConfig
-	if c.Burst != nil {
-		burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
+// nocMeasureConfig assembles the noc.MeasureConfig of one point, defaults
+// resolved: the one value its key and its simulation both read. A
+// measure_windows point measures its own window, so it keys exactly as a
+// plain measure_cycles point with that window length would
+// (noc.Schedules.MeasureWindowsCtx ignores Measure in favour of the
+// group's windows).
+func nocMeasureConfig(c *NoCConfig, j nocJob) noc.MeasureConfig {
+	measure := measureCycles(c.MeasureCycles)
+	if j.group != nil {
+		measure = c.MeasureWindows[j.window]
 	}
 	return noc.MeasureConfig{
 		Router: j.router,
@@ -291,7 +289,7 @@ func nocMeasureConfig(c *NoCConfig, j nocJob, measure int64) noc.MeasureConfig {
 			Rate:        j.rate,
 			HotspotNode: c.HotspotNode,
 			QueueCap:    c.QueueCap,
-			Burst:       burst,
+			Burst:       c.Burst,
 		},
 		Warmup:  c.WarmupCycles,
 		Measure: measure,
@@ -316,27 +314,22 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 
 // runNoCPoint simulates one point through the sweep's schedule store
 // (noc.MeasureCtx's execution path), recalling it from the result cache
-// when one is attached. A measure_windows point keys exactly as a plain
-// measure_cycles point with its window length would — warm-snapshot
-// forking is byte-identical to independent simulation
-// (noc.Schedules.MeasureWindowsCtx's contract, enforced by the
-// differential tests), so the two entry kinds interchange in the store;
-// on a miss the whole group simulates once through the shared
-// windowGroup and this point takes its window's measurement.
+// when one is attached. Warm-snapshot forking is byte-identical to
+// independent simulation (noc.Schedules.MeasureWindowsCtx's contract,
+// enforced by the differential tests), so a measure_windows entry and a
+// plain one of the same window interchange in the store; on a miss the
+// whole group simulates once through the shared windowGroup and this
+// point takes its window's measurement.
 func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, shared *noc.Schedules, c *NoCConfig, j nocJob) (Result, error) {
-	measure := measureCycles(c.MeasureCycles)
-	if j.group != nil {
-		measure = c.MeasureWindows[j.window]
-	}
-	m, err := resultcache.Fetch(rc, nocPointKey(c, j, measure), func() (nocPointValue, error) {
+	mc := nocMeasureConfig(c, j)
+	m, err := resultcache.Fetch(rc, pointKey("scenario/noc", j.topo, mc), func() (nocPointValue, error) {
 		if j.group != nil {
-			ms, err := j.group.measurements(ctx, shared, j.topo, nocMeasureConfig(c, j, 0), c.MeasureWindows)
+			ms, err := j.group.measurements(ctx, shared, j.topo, mc, c.MeasureWindows)
 			if err != nil {
 				return nocPointValue{}, err
 			}
 			return nocValueOf(ms[j.window]), nil
 		}
-		mc := nocMeasureConfig(c, j, measure)
 		mc.Traffic.Record = rec
 		m, err := shared.MeasureCtx(ctx, j.topo, mc)
 		return nocValueOf(m), err

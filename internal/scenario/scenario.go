@@ -159,7 +159,7 @@ type NoCConfig struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Burst, when present, gates every source through a two-state on/off
 	// modulator with the given mean burst/gap lengths in cycles.
-	Burst *BurstConfig `json:"burst,omitempty"`
+	Burst *noc.BurstConfig `json:"burst,omitempty"`
 	// WarmupCycles run before measurement starts (default 0).
 	WarmupCycles int64 `json:"warmup_cycles,omitempty"`
 	// MeasureCycles is the measurement window (default 5000). Mutually
@@ -172,12 +172,6 @@ type NoCConfig struct {
 	// noc.Schedules.MeasureWindowsCtx). Results are byte-identical to
 	// independent runs. Mutually exclusive with MeasureCycles.
 	MeasureWindows []int64 `json:"measure_windows,omitempty"`
-}
-
-// BurstConfig mirrors noc.BurstConfig in the JSON schema.
-type BurstConfig struct {
-	MeanOn  float64 `json:"mean_on"`
-	MeanOff float64 `json:"mean_off"`
 }
 
 // TraceConfig describes a trace-replay experiment: a recorded trace file
@@ -300,7 +294,7 @@ type ServiceConfig struct {
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Burst, when present, gates client arrivals through the two-state
 	// modulator.
-	Burst *BurstConfig `json:"burst,omitempty"`
+	Burst *noc.BurstConfig `json:"burst,omitempty"`
 	// WarmupCycles run before measurement starts (default 0).
 	WarmupCycles int64 `json:"warmup_cycles,omitempty"`
 	// MeasureCycles is the measurement window (default 5000).
@@ -344,7 +338,7 @@ func (c *ServiceConfig) validate() error {
 		return fmt.Errorf(`"service.queue_cap" must be >= 0, got %d`, c.QueueCap)
 	}
 	if c.Burst != nil {
-		if err := (noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}).Validate(); err != nil {
+		if err := c.Burst.Validate(); err != nil {
 			return fmt.Errorf(`"service.burst": %w`, err)
 		}
 	}
@@ -371,8 +365,9 @@ func (c *ServiceConfig) routers() ([]noc.RouterKind, error) {
 // shared: one section drives every kernel listed in "workloads".
 type KernelConfig struct {
 	// N is the problem size: the grid edge for jacobi (the paper uses 16,
-	// 30 and 60), the matrix edge for matmul (2..64). A syncbench-only
-	// scenario has no problem size.
+	// 30 and 60; jacobi.Spec.Validate holds the bound), the matrix edge for
+	// matmul (matmul.Spec.Validate). A syncbench-only scenario has no
+	// problem size.
 	N int `json:"n"`
 	// Variant selects one programming model: "hybrid-full" (default),
 	// "hybrid-sync" or "pure-sm". Mutually exclusive with Variants.
@@ -676,7 +671,7 @@ func (c *NoCConfig) validate() error {
 		return fmt.Errorf(`"noc.queue_cap" must be >= 0, got %d`, c.QueueCap)
 	}
 	if c.Burst != nil {
-		if err := (noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}).Validate(); err != nil {
+		if err := c.Burst.Validate(); err != nil {
 			return fmt.Errorf(`"noc.burst": %w`, err)
 		}
 	}
@@ -704,12 +699,6 @@ func (c *KernelConfig) validate(kinds []WorkloadKind) error {
 	hasMatmul := hasKind(kinds, WorkloadMatmul)
 	hasSync := hasKind(kinds, WorkloadSyncbench)
 
-	if hasJacobi && c.N < 3 {
-		return fmt.Errorf(`"kernel.n" must be >= 3 for jacobi (the paper uses 16, 30 and 60), got %d`, c.N)
-	}
-	if hasMatmul && (c.N < 2 || c.N > 64) {
-		return fmt.Errorf(`"kernel.n" must be in 2..64 for matmul, got %d`, c.N)
-	}
 	if !hasJacobi && !hasMatmul && c.N != 0 {
 		return fmt.Errorf(`"kernel.n" has no effect on the syncbench workload; remove it`)
 	}
@@ -757,6 +746,22 @@ func (c *KernelConfig) validate(kinds []WorkloadKind) error {
 	}
 	if (c.Warmup > 0 || c.Measured > 0) && !hasJacobi {
 		return fmt.Errorf(`"kernel.warmup"/"kernel.measured" only affect the jacobi workload; remove them`)
+	}
+	// The problem size is held to each kernel's own bound, on the specs
+	// its points will run.
+	ks, err := c.sweep()
+	if err != nil {
+		return err
+	}
+	if hasJacobi {
+		if err := ks.jacobiSpec().Validate(); err != nil {
+			return fmt.Errorf(`"kernel.n": %w`, err)
+		}
+	}
+	if hasMatmul {
+		if err := ks.matmulSpec().Validate(); err != nil {
+			return fmt.Errorf(`"kernel.n": %w`, err)
+		}
 	}
 	return nil
 }

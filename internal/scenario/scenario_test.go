@@ -103,6 +103,10 @@ func TestParseRejects(t *testing.T) {
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1],
 			        "burst": {"mean_on": 0, "mean_off": 10}}}`,
 			"burst"},
+		{"unknown burst field", `{"workload": "service",
+			"service": {"width": 4, "height": 4, "servers": 2, "arrival_rates": [0.1],
+			        "burst": {"mean_on": 5, "mean_of": 10}}}`,
+			`unknown field "mean_of"`},
 		{"seeds and replications", `{"workload": "noc-synthetic", "seeds": [1], "replications": 2,
 			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
 			"not both"},
@@ -117,7 +121,12 @@ func TestParseRejects(t *testing.T) {
 			"at least one L1 size"},
 		{"jacobi without n", `{"workload": "jacobi",
 			"kernel": {"cores": [2], "cache_kb": [16]}}`,
-			`"kernel.n" must be >= 3`},
+			`"kernel.n": jacobi: grid 0 too small`},
+		// The bound is jacobi.Spec.Validate's, so a size validation
+		// passes is one every point runs.
+		{"jacobi n below the kernel's bound", `{"workload": "jacobi",
+			"kernel": {"n": 3, "cores": [2], "cache_kb": [4]}}`,
+			`"kernel.n": jacobi: grid 3 too small (need N >= 4)`},
 		{"jacobi bad cores", `{"workload": "jacobi",
 			"kernel": {"n": 30, "cores": [99], "cache_kb": [16]}}`,
 			"2..15"},
@@ -181,7 +190,10 @@ func TestParseRejects(t *testing.T) {
 			"no hybrid-sync variant"},
 		{"matmul n out of range", `{"workload": "matmul",
 			"kernel": {"n": 80, "cores": [2], "cache_kb": [8]}}`,
-			"2..64"},
+			`"kernel.n": matmul: N=80 out of supported range 2..64`},
+		{"matmul n over its bound beside jacobi", `{"workloads": ["jacobi", "matmul"],
+			"kernel": {"n": 65, "cores": [2], "cache_kb": [8]}}`,
+			`"kernel.n": matmul: N=65`},
 		{"n for syncbench only", `{"workload": "syncbench",
 			"kernel": {"n": 16, "cores": [2], "cache_kb": [8]}}`,
 			"no effect"},

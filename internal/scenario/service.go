@@ -15,9 +15,9 @@ type serviceJob struct {
 	seed   int64
 }
 
-// servicePoints expands topologies x routers x arrival_rates x seeds in
-// canonical order, one request/response simulation per point.
-func servicePoints(s *Scenario) ([]point, error) {
+// serviceJobs expands topologies x routers x arrival_rates x seeds in
+// canonical order.
+func serviceJobs(s *Scenario) ([]serviceJob, error) {
 	c := s.Service
 	topos, err := c.fabrics()
 	if err != nil {
@@ -27,17 +27,30 @@ func servicePoints(s *Scenario) ([]point, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ps []point
+	var jobs []serviceJob
 	for _, topo := range topos {
 		for _, router := range routers {
 			for _, rate := range c.ArrivalRates {
 				for _, seed := range s.seedList() {
-					j := serviceJob{topo: topo, router: router, rate: rate, seed: seed}
-					ps = append(ps, func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
-						return runServicePoint(ctx, rc, c, j)
-					})
+					jobs = append(jobs, serviceJob{topo: topo, router: router, rate: rate, seed: seed})
 				}
 			}
+		}
+	}
+	return jobs, nil
+}
+
+// servicePoints expands the service sweep, one request/response
+// simulation per point.
+func servicePoints(s *Scenario) ([]point, error) {
+	jobs, err := serviceJobs(s)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]point, len(jobs))
+	for i, j := range jobs {
+		ps[i] = func(ctx context.Context, rc *resultcache.Cache) (Result, error) {
+			return runServicePoint(ctx, rc, s.Service, j)
 		}
 	}
 	return ps, nil
@@ -63,52 +76,32 @@ type servicePointValue struct {
 	PeakBuffer  int     `json:"peak_buffer"`
 }
 
-// servicePointKey derives the content address of one service point from
-// every input the measurement depends on, defaults resolved first.
-func servicePointKey(c *ServiceConfig, j serviceJob, measure int64) resultcache.Key {
-	b := resultcache.NewKey("scenario/service").
-		Str("topology", j.topo.Kind().String()).
-		Int("width", int64(c.Width)).
-		Int("height", int64(c.Height)).
-		Str("router", j.router.String()).
-		Int("servers", int64(c.Servers)).
-		Float("arrival_rate", j.rate).
-		Int("think_time", c.ThinkTime).
-		Int("response_flits", int64(c.ResponseFlits)).
-		Float("hotspot_skew", c.HotspotSkew).
-		Int("queue_cap", int64(c.QueueCap)).
-		Int("seed", j.seed).
-		Int("warmup_cycles", c.WarmupCycles).
-		Int("measure_cycles", measure)
-	if c.Burst != nil {
-		b.Float("burst_mean_on", c.Burst.MeanOn).Float("burst_mean_off", c.Burst.MeanOff)
+// serviceMeasureConfig assembles the noc.ServiceMeasureConfig of one
+// point, defaults resolved: the one value its key and its simulation both
+// read.
+func serviceMeasureConfig(c *ServiceConfig, j serviceJob) noc.ServiceMeasureConfig {
+	return noc.ServiceMeasureConfig{
+		Router:        j.router,
+		Servers:       c.Servers,
+		ArrivalRate:   j.rate,
+		ThinkTime:     c.ThinkTime,
+		ResponseFlits: c.ResponseFlits,
+		HotspotSkew:   c.HotspotSkew,
+		QueueCap:      c.QueueCap,
+		Burst:         c.Burst,
+		Warmup:        c.WarmupCycles,
+		Measure:       measureCycles(c.MeasureCycles),
+		Seed:          j.seed,
 	}
-	return b.Sum()
 }
 
 // runServicePoint simulates one service point through
 // noc.MeasureServiceCtx, recalling it from the result cache when one is
 // attached.
 func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfig, j serviceJob) (Result, error) {
-	measure := measureCycles(c.MeasureCycles)
-	m, err := resultcache.Fetch(rc, servicePointKey(c, j, measure), func() (servicePointValue, error) {
-		var burst *noc.BurstConfig
-		if c.Burst != nil {
-			burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
-		}
-		m, err := noc.MeasureServiceCtx(ctx, j.topo, noc.ServiceMeasureConfig{
-			Router:        j.router,
-			Servers:       c.Servers,
-			ArrivalRate:   j.rate,
-			ThinkTime:     c.ThinkTime,
-			ResponseFlits: c.ResponseFlits,
-			HotspotSkew:   c.HotspotSkew,
-			QueueCap:      c.QueueCap,
-			Burst:         burst,
-			Warmup:        c.WarmupCycles,
-			Measure:       measure,
-			Seed:          j.seed,
-		})
+	sc := serviceMeasureConfig(c, j)
+	m, err := resultcache.Fetch(rc, pointKey("scenario/service", j.topo, sc), func() (servicePointValue, error) {
+		m, err := noc.MeasureServiceCtx(ctx, j.topo, sc)
 		return servicePointValue{
 			Cycles:      m.Cycles,
 			Issued:      m.Issued,

@@ -138,6 +138,10 @@ func TestHTTPRejectsBadSubmissions(t *testing.T) {
 		// a point: the grid bound turns it away before any job exists.
 		{"grid over the route-table bound", `{"name": "x", "workload": "noc-synthetic",
 			"noc": {"width": 100, "height": 100, "patterns": ["uniform"], "rates": [0.01]}}`, http.StatusBadRequest},
+		// n=3 is below jacobi.Spec's bound: refused at submit, not failed
+		// on every point.
+		{"jacobi grid below the kernel's bound", `{"name": "x", "workload": "jacobi",
+			"kernel": {"n": 3, "cores": [2], "cache_kb": [4]}}`, http.StatusBadRequest},
 		{"oversized", string(bytes.Repeat([]byte("x"), 8192)), http.StatusRequestEntityTooLarge},
 		// A figure format the workload cannot draw is refused at submit.
 		{"figure format on a noc scenario", strings.Replace(smallScenarioJSON, `"output": "csv"`, `"output": "fig6"`, 1), http.StatusBadRequest},
