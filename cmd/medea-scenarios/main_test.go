@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -259,5 +260,56 @@ func TestShardingFlagsNeedShards(t *testing.T) {
 				t.Errorf("%v = %v, want an error containing %q", c.args, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestExplicitDefaultsHitDiskCache runs a noc and a service file over one
+// -cache disk directory, first with every default left out, then with
+// the defaults spelled out (queue cap 16, response flits 1, think time
+// 1, and a hotspot node under the uniform pattern, which ignores it).
+// The second run must be served from the entries the first stored: every
+// point a hit, the same rows and the same merkle root.
+func TestExplicitDefaultsHitDiskCache(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	var logs strings.Builder
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	for _, c := range []struct{ name, omitted, explicit string }{
+		{"noc",
+			`{"name": "point", "workload": "noc-synthetic", "seeds": [1],
+			  "noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 500}}`,
+			`{"name": "point", "workload": "noc-synthetic", "seeds": [1],
+			  "noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1], "measure_cycles": 500,
+			          "queue_cap": 16, "hotspot_node": 3}}`},
+		{"service",
+			`{"name": "point", "workload": "service", "seeds": [1],
+			  "service": {"width": 4, "height": 4, "servers": 4, "arrival_rates": [0.03], "measure_cycles": 500}}`,
+			`{"name": "point", "workload": "service", "seeds": [1],
+			  "service": {"width": 4, "height": 4, "servers": 4, "arrival_rates": [0.03], "measure_cycles": 500,
+			              "queue_cap": 16, "response_flits": 1, "think_time": 1}}`},
+	} {
+		var outs, roots []string
+		for i, src := range []string{c.omitted, c.explicit} {
+			path := filepath.Join(t.TempDir(), "point.json")
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			logs.Reset()
+			var out strings.Builder
+			if err := run(context.Background(), []string{"-cache", "disk", "-cache-dir", cacheDir, path}, &out); err != nil {
+				t.Fatalf("%s run %d: %v", c.name, i, err)
+			}
+			_, root, ok := strings.Cut(logs.String(), "merkle root ")
+			if !ok {
+				t.Fatalf("%s run %d logged no merkle root: %q", c.name, i, logs.String())
+			}
+			outs, roots = append(outs, out.String()), append(roots, strings.TrimSpace(root))
+			if i == 1 && !strings.Contains(logs.String(), "1 hits, 0 misses") {
+				t.Errorf("%s: the explicit defaults missed the cache the omitted ones filled: %s", c.name, logs.String())
+			}
+		}
+		if outs[0] != outs[1] || roots[0] != roots[1] {
+			t.Errorf("%s: explicit defaults changed the run: roots %s and %s\n%s\n%s", c.name, roots[0], roots[1], outs[0], outs[1])
+		}
 	}
 }

@@ -8,33 +8,35 @@ import (
 	"repro/internal/core"
 )
 
-// Result summarizes one Jacobi run.
+// Result summarizes one Jacobi run. It is also the scenario runner's
+// cached value of a jacobi point: the json tags are stored bytes, and a
+// field tagged "-" is not stored (a recalled Result has no Spec, Variant
+// or Cfg).
 type Result struct {
-	Spec    Spec
-	Variant Variant
-	Cfg     core.Config
+	Spec    Spec        `json:"-"`
+	Variant Variant     `json:"-"`
+	Cfg     core.Config `json:"-"`
 
 	// CyclesPerIteration is the paper's metric: execution time in clock
 	// cycles of one Jacobi iteration after cache warm-up.
-	CyclesPerIteration int64
-	// TotalCycles is the full run length including warm-up.
-	TotalCycles int64
-
+	CyclesPerIteration int64 `json:"cycles_per_iter"`
 	// MissRate is the mean L1 miss rate across active compute cores.
-	MissRate float64
+	MissRate float64 `json:"miss_rate"`
+	// MPMMUBusy is the number of cycles the memory node was serving a
+	// transaction.
+	MPMMUBusy int64 `json:"mpmmu_busy"`
 	// NoCFlits is the number of flits delivered by the network.
-	NoCFlits int64
+	NoCFlits int64 `json:"noc_flits"`
+	// TotalCycles is the full run length including warm-up.
+	TotalCycles int64 `json:"total_cycles"`
 	// AvgFlitLatency is the mean inject-to-eject flit latency.
-	AvgFlitLatency float64
+	AvgFlitLatency float64 `json:"flit_latency"`
 	// Deflections is the total number of deflected hops.
-	Deflections int64
+	Deflections int64 `json:"deflections"`
 	// CyclesSkipped counts cycles the engine fast-forwarded over instead
 	// of ticking (a performance counter; every measured figure is
 	// byte-identical whatever its value).
-	CyclesSkipped int64
-	// MPMMUBusy is the number of cycles the memory node was serving a
-	// transaction.
-	MPMMUBusy int64
+	CyclesSkipped int64 `json:"-"`
 }
 
 // DefaultBudget is the cycle budget for a single run; reaching it means

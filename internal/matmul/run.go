@@ -11,22 +11,24 @@ import (
 	"repro/internal/pe"
 )
 
-// Result summarizes one matrix-multiply run.
+// Result summarizes one matrix-multiply run. It is also the scenario
+// runner's cached value of a matmul point, stored under its json tags as
+// jacobi.Result is.
 type Result struct {
-	Spec    Spec
-	Variant Variant
-	Cfg     core.Config
+	Spec    Spec        `json:"-"`
+	Variant Variant     `json:"-"`
+	Cfg     core.Config `json:"-"`
 
 	// TotalCycles covers B distribution plus compute, barrier to barrier.
-	TotalCycles int64
+	TotalCycles int64 `json:"cycles"`
 	// TransferCycles covers only the B distribution phase.
-	TransferCycles int64
-	NoCFlits       int64
-	MPMMUBusy      int64
+	TransferCycles int64 `json:"transfer_cycles,omitempty"`
+	MPMMUBusy      int64 `json:"mpmmu_busy"`
+	NoCFlits       int64 `json:"noc_flits"`
 	// CyclesSkipped counts cycles the engine fast-forwarded over instead
 	// of ticking (a performance counter; the measured figures are
 	// byte-identical whatever its value).
-	CyclesSkipped int64
+	CyclesSkipped int64 `json:"-"`
 }
 
 type mmShared struct {

@@ -26,29 +26,61 @@ type MeasureConfig struct {
 	Seed int64 `key:"seed"`
 }
 
+// Validate checks every per-point bound of mc on topo and resolves its
+// traffic's defaults in place (TrafficConfig.Validate). MeasureCtx and
+// MeasureWindowsCtx validate what they receive; the scenario runner
+// validates each point before it keys it.
+func (mc *MeasureConfig) Validate(topo Topology) error {
+	if err := checkRig(mc.Router, mc.Warmup, mc.Measure); err != nil {
+		return err
+	}
+	return mc.Traffic.Validate(topo)
+}
+
+// checkRig holds the bounds of the rig every measurement builds, which
+// the synthetic and the service configs share: a defined router and the
+// horizon.
+func checkRig(router RouterKind, warmup, measure int64) error {
+	if router < 0 || router >= numRouters {
+		return fmt.Errorf("noc: unknown router kind %d", int(router))
+	}
+	if warmup < 0 {
+		return fmt.Errorf("noc: warmup_cycles must be >= 0, got %d", warmup)
+	}
+	if measure <= 0 {
+		return fmt.Errorf("noc: measure_cycles must be positive, got %d", measure)
+	}
+	return nil
+}
+
 // Measurement is the result of one MeasureCtx call. Latency statistics cover
 // only flits delivered inside the measurement window; peak buffer covers
 // the whole run (buffers fill during warmup too, and sizing hardware needs
-// the worst case).
+// the worst case). It is also the scenario runner's cached value of a
+// noc-synthetic or trace point: the json tags are stored bytes, and a
+// field tagged "-" is not stored.
 type Measurement struct {
-	Cycles      int64 // measurement window length
-	Delivered   int64 // flits ejected in the window
-	Deflections int64 // unproductive hops assigned in the window
-	Throughput  float64
-	MeanLatency float64
-	P99Latency  float64
+	Cycles    int64 `json:"cycles"`    // measurement window length
+	Delivered int64 `json:"delivered"` // flits ejected in the window
+	// Deflections counts unproductive hops assigned in the window. Not
+	// stored: rows report DeflectionRate.
+	Deflections int64   `json:"-"`
+	Throughput  float64 `json:"throughput"`
+	MeanLatency float64 `json:"mean_latency"`
+	P99Latency  float64 `json:"p99_latency"`
 	// DeflectionRate is deflections per delivered flit (0 for buffered
 	// routers, which never deflect).
-	DeflectionRate float64
+	DeflectionRate float64 `json:"deflection_rate"`
 	// PeakBuffer is the worst per-switch buffer occupancy (0 for
 	// bufferless routers).
-	PeakBuffer int
+	PeakBuffer int `json:"peak_buffer"`
 	// CyclesSkipped counts the window's cycles the engine fast-forwarded
 	// over instead of ticking (see internal/sim/sched.go). A pure
 	// performance counter: every other field is byte-identical whatever
 	// its value, which the differential tests assert. It is deliberately
-	// excluded from rendered tables and cache codecs.
-	CyclesSkipped int64
+	// excluded from rendered tables and the stored value, so cached and
+	// fresh points stay byte-identical.
+	CyclesSkipped int64 `json:"-"`
 }
 
 // measureRig is a built network ready to run: the engine, the fabric and
@@ -130,9 +162,10 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 // measure over an exact latency sample and counter snapshots so only
 // flits delivered inside the window count. Throughput is normalized per
 // endpoint, so topologies with different switch counts (the cmesh) stay
-// comparable per attached node. The context is polled every few thousand
-// simulated cycles, so a canceled measurement stops in bounded wall time
-// and returns the context's error with a zero-value Measurement.
+// comparable per attached node. A config that fails Validate is an error.
+// The context is polled every few thousand simulated cycles, so a
+// canceled measurement stops in bounded wall time and returns the
+// context's error with a zero-value Measurement.
 func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
 	return (*Schedules)(nil).MeasureCtx(ctx, topo, mc)
 }
@@ -140,6 +173,9 @@ func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measureme
 // MeasureCtx is the package-level MeasureCtx with the sources' injection
 // streams shared through s; the Measurement is byte-identical.
 func (s *Schedules) MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
+	if err := mc.Validate(topo); err != nil {
+		return Measurement{}, err
+	}
 	r, err := s.newTrafficRig(ctx, topo, mc, mc.Warmup+mc.Measure)
 	if err != nil {
 		return Measurement{}, err
@@ -156,9 +192,17 @@ func (s *Schedules) MeasureCtx(ctx context.Context, topo Topology, mc MeasureCon
 // differential tests assert. The sources' injection streams are shared
 // through s (a nil s draws them privately); the cursor into a schedule is
 // part of a source's snapshot, so each window replays from the warm one.
+// Each window must pass Validate as mc's Measure.
 func (s *Schedules) MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, windows []int64) ([]Measurement, error) {
+	if len(windows) == 0 {
+		return nil, fmt.Errorf("noc: no measurement windows")
+	}
 	var longest int64
 	for _, w := range windows {
+		mc.Measure = w
+		if err := mc.Validate(topo); err != nil {
+			return nil, err
+		}
 		longest = max(longest, w)
 	}
 	r, err := s.newTrafficRig(ctx, topo, mc, mc.Warmup+longest)

@@ -21,20 +21,20 @@ type ServiceMeasureConfig struct {
 	// Servers is how many endpoints (the highest-numbered ones) serve
 	// requests. Must leave at least one client.
 	Servers int `key:"servers"`
-	// ArrivalRate is the per-client request probability per cycle
-	// (open-loop: clients do not wait for outstanding responses).
+	// ArrivalRate is the per-client request probability per cycle, in
+	// (0, 1] (open-loop: clients do not wait for outstanding responses).
 	ArrivalRate float64 `key:"arrival_rate"`
 	// ThinkTime is the server-side service time per request in cycles.
 	// 0 and 1 are equivalent: a response is emitted no earlier than the
-	// step after its request is accepted.
+	// step after its request is accepted. Validate resolves 0 to 1.
 	ThinkTime int64 `key:"think_time"`
-	// ResponseFlits is the response size in flits (default 1).
+	// ResponseFlits is the response size in flits (0: 1).
 	ResponseFlits int `key:"response_flits"`
 	// HotspotSkew is the probability a request targets the first server
 	// instead of a uniformly random one (0 = uniform over servers).
 	HotspotSkew float64 `key:"hotspot_skew"`
-	// QueueCap bounds each client's source queue (default 16); when full
-	// the client throttles the arrival instead of issuing it.
+	// QueueCap bounds each client's source queue (0: defaultQueueCap);
+	// when full the client throttles the arrival instead of issuing it.
 	QueueCap int `key:"queue_cap"`
 	// Burst, when non-nil, gates client arrivals through the two-state
 	// modulator, exactly as TrafficConfig.Burst gates synthetic traffic.
@@ -53,30 +53,31 @@ type ServiceMeasureConfig struct {
 // with Warmup=0, Issued == Completed + InFlight exactly (request
 // conservation, asserted by the property tests). The four latency
 // breakdown components sum to the end-to-end latency per request by
-// construction.
+// construction. It is also the scenario runner's cached value of a
+// service point; the json tags are stored bytes, as Measurement's.
 type ServiceMeasurement struct {
-	Cycles    int64
-	Issued    int64 // requests issued in the window
-	Completed int64 // requests fully answered in the window
-	InFlight  int64 // requests still open at window end
-	Throttled int64 // arrivals dropped at a full client queue
+	Cycles    int64 `json:"cycles"`
+	Issued    int64 `json:"issued"`    // requests issued in the window
+	Completed int64 `json:"completed"` // requests fully answered in the window
+	InFlight  int64 `json:"in_flight"` // requests still open at window end
+	Throttled int64 `json:"throttled"` // arrivals dropped at a full client queue
 	// Throughput is completed requests per client per cycle.
-	Throughput float64
+	Throughput float64 `json:"throughput"`
 	// Breakdown means over requests completed in the window:
 	// client-queue wait, request network traversal, server queueing plus
 	// service, and response network traversal. They sum to MeanLatency.
-	MeanQueue   float64
-	MeanNetOut  float64
-	MeanServer  float64
-	MeanNetBack float64
-	MeanLatency float64 // end-to-end request latency mean
-	P99Latency  float64 // end-to-end request latency p99
-	P99Server   float64 // server-component p99 (the hotspot-skew signal)
-	PeakBuffer  int
+	MeanQueue   float64 `json:"mean_queue"`
+	MeanNetOut  float64 `json:"mean_net_out"`
+	MeanServer  float64 `json:"mean_server"`
+	MeanNetBack float64 `json:"mean_net_back"`
+	MeanLatency float64 `json:"mean_latency"` // end-to-end request latency mean
+	P99Latency  float64 `json:"p99_latency"`  // end-to-end request latency p99
+	P99Server   float64 `json:"p99_server"`   // server-component p99 (the hotspot-skew signal)
+	PeakBuffer  int     `json:"peak_buffer"`
 	// CyclesSkipped counts fast-forwarded window cycles; purely a
-	// performance counter, excluded from rendered rows and cache codecs
-	// like its Measurement counterpart.
-	CyclesSkipped int64
+	// performance counter, excluded from rendered rows and the stored
+	// value like its Measurement counterpart.
+	CyclesSkipped int64 `json:"-"`
 }
 
 // svcRequest tracks one request's lifecycle stamps. Cycle 0 is a valid
@@ -309,35 +310,44 @@ type serviceRig struct {
 	board *svcBoard
 }
 
-func (sc *ServiceMeasureConfig) validate(topo Topology) error {
-	n := topo.NumEndpoints()
-	if sc.Servers < 1 {
-		return fmt.Errorf("noc: service needs at least one server, got %d", sc.Servers)
+// Validate checks every per-point bound of sc on topo and then resolves
+// its defaults in place (queue cap 0 to defaultQueueCap, response flits
+// 0 to 1, think time 0 to its equivalent 1), so two configs that simulate
+// alike are equal afterwards and key alike. Validating a resolved config
+// changes nothing.
+func (sc *ServiceMeasureConfig) Validate(topo Topology) error {
+	if n := topo.NumEndpoints(); sc.Servers < 1 || sc.Servers >= n {
+		return fmt.Errorf("noc: %d servers on %d endpoints: a service needs at least one server and must leave at least one client; use at most %d servers",
+			sc.Servers, n, n-1)
 	}
-	if sc.Servers >= n {
-		return fmt.Errorf("noc: %d servers on a %d-endpoint fabric must leave at least one client", sc.Servers, n)
+	if err := checkSource("arrival_rate", sc.ArrivalRate, sc.QueueCap, sc.Burst); err != nil {
+		return err
 	}
-	if sc.ArrivalRate < 0 || sc.ArrivalRate > 1 {
-		return fmt.Errorf("noc: service arrival rate must be in [0, 1], got %g", sc.ArrivalRate)
-	}
-	if sc.HotspotSkew < 0 || sc.HotspotSkew > 1 {
-		return fmt.Errorf("noc: service hotspot skew must be in [0, 1], got %g", sc.HotspotSkew)
+	if !(sc.HotspotSkew >= 0 && sc.HotspotSkew <= 1) {
+		return fmt.Errorf("noc: hotspot_skew must be in [0, 1], got %g", sc.HotspotSkew)
 	}
 	if sc.ThinkTime < 0 {
-		return fmt.Errorf("noc: service think time must be >= 0, got %d", sc.ThinkTime)
+		return fmt.Errorf("noc: think_time must be >= 0, got %d", sc.ThinkTime)
 	}
-	if sc.Measure <= 0 {
-		return fmt.Errorf("noc: service measure window must be positive, got %d", sc.Measure)
+	if sc.ResponseFlits < 0 {
+		return fmt.Errorf("noc: response_flits must be >= 0, got %d", sc.ResponseFlits)
 	}
+	if err := checkRig(sc.Router, sc.Warmup, sc.Measure); err != nil {
+		return err
+	}
+	if sc.QueueCap == 0 {
+		sc.QueueCap = defaultQueueCap
+	}
+	sc.ResponseFlits = max(sc.ResponseFlits, 1)
+	sc.ThinkTime = max(sc.ThinkTime, 1)
 	return nil
 }
 
+// buildServiceRig validates sc, resolving its defaults, and builds and
+// warms its rig.
 func buildServiceRig(ctx context.Context, topo Topology, sc ServiceMeasureConfig) (*serviceRig, error) {
-	if sc.QueueCap <= 0 {
-		sc.QueueCap = 16
-	}
-	if sc.ResponseFlits <= 0 {
-		sc.ResponseFlits = 1
+	if err := sc.Validate(topo); err != nil {
+		return nil, err
 	}
 	board := newSvcBoard()
 	clients := topo.NumEndpoints() - sc.Servers
@@ -390,11 +400,9 @@ func (r *serviceRig) window(ctx context.Context, topo Topology, sc ServiceMeasur
 
 // MeasureServiceCtx simulates one (topology, router, service, seed)
 // point: warm up, then measure one window of request/response traffic
-// with per-request latency breakdowns.
+// with per-request latency breakdowns. A config that fails Validate is an
+// error.
 func MeasureServiceCtx(ctx context.Context, topo Topology, sc ServiceMeasureConfig) (ServiceMeasurement, error) {
-	if err := sc.validate(topo); err != nil {
-		return ServiceMeasurement{}, err
-	}
 	r, err := buildServiceRig(ctx, topo, sc)
 	if err != nil {
 		return ServiceMeasurement{}, err

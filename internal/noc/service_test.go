@@ -165,6 +165,24 @@ func TestServiceHotspotShape(t *testing.T) {
 	}
 }
 
+// TestMeasureValidation: MeasureCtx returns an error, not a NaN
+// measurement or a panic, for a config that fails Validate.
+func TestMeasureValidation(t *testing.T) {
+	topo := mustKind(t, TopoTorus, 4, 4)
+	for name, mut := range map[string]func(*MeasureConfig){
+		"zero-measure":     func(mc *MeasureConfig) { mc.Measure = 0 },
+		"rate-above-one":   func(mc *MeasureConfig) { mc.Traffic.Rate = 1.5 },
+		"hotspot-off-grid": func(mc *MeasureConfig) { mc.Traffic.Pattern, mc.Traffic.HotspotNode = Hotspot, 99 },
+		"bad-router":       func(mc *MeasureConfig) { mc.Router = numRouters },
+	} {
+		mc := MeasureConfig{Router: RouterDeflection, Traffic: TrafficConfig{Pattern: Uniform, Rate: 0.1}, Measure: 200, Seed: 1}
+		mut(&mc)
+		if _, err := MeasureCtx(context.Background(), topo, mc); err == nil {
+			t.Errorf("%s: accepted %+v", name, mc)
+		}
+	}
+}
+
 // TestServiceValidation: impossible service configurations are rejected
 // with the reason named.
 func TestServiceValidation(t *testing.T) {
@@ -177,6 +195,7 @@ func TestServiceValidation(t *testing.T) {
 		"bad-skew":     func(sc *ServiceMeasureConfig) { sc.HotspotSkew = -0.1 },
 		"neg-think":    func(sc *ServiceMeasureConfig) { sc.ThinkTime = -1 },
 		"zero-measure": func(sc *ServiceMeasureConfig) { sc.Measure = 0 },
+		"bad-router":   func(sc *ServiceMeasureConfig) { sc.Router = numRouters },
 	} {
 		sc := svcConfig()
 		mut(&sc)

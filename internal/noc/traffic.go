@@ -81,12 +81,14 @@ type InjectionRecorder interface {
 type TrafficConfig struct {
 	Pattern Pattern `key:"pattern"`
 	// Rate is the per-node injection probability per cycle (offered load
-	// in flits/node/cycle).
+	// in flits/node/cycle), in (0, 1].
 	Rate float64 `key:"rate"`
-	// HotspotNode is the destination for the Hotspot pattern.
+	// HotspotNode is the destination for the Hotspot pattern; every other
+	// pattern ignores it, and Validate resolves it to 0 there.
 	HotspotNode int `key:"hotspot_node"`
-	// QueueCap bounds the source queue; when full the generator throttles
-	// (counts a stall instead of queueing), like a real injection FIFO.
+	// QueueCap bounds the source queue (0: defaultQueueCap); when full
+	// the generator throttles (counts a stall instead of queueing), like a
+	// real injection FIFO.
 	QueueCap int `key:"queue_cap"`
 	// Burst, when non-nil, gates injection through a two-state on/off
 	// modulator: the node injects at Rate only while the modulator is in
@@ -95,6 +97,55 @@ type TrafficConfig struct {
 	// Record, when non-nil, receives every accepted injection. Purely
 	// observational: results are byte-identical with or without it.
 	Record InjectionRecorder `key:"-"`
+}
+
+// defaultQueueCap is a source queue's capacity when a config leaves it 0.
+const defaultQueueCap = 16
+
+// Validate checks every per-point bound of c on topo and then resolves
+// its defaults in place (queue cap 0 to defaultQueueCap; the hotspot node
+// to 0 under every pattern but Hotspot), so two configs that simulate
+// alike are equal afterwards and key alike. Validating a resolved config
+// changes nothing.
+func (c *TrafficConfig) Validate(topo Topology) error {
+	if err := ValidatePattern(c.Pattern, topo); err != nil {
+		return err
+	}
+	if n := topo.NumEndpoints(); c.HotspotNode < 0 || c.HotspotNode >= n {
+		return fmt.Errorf("noc: hotspot_node %d outside the %d endpoints (0..%d)", c.HotspotNode, n, n-1)
+	}
+	if err := checkSource("rate", c.Rate, c.QueueCap, c.Burst); err != nil {
+		return err
+	}
+	c.resolve()
+	return nil
+}
+
+// resolve fills c's defaults; NewTrafficNode applies it to configs built
+// by hand.
+func (c *TrafficConfig) resolve() {
+	if c.QueueCap == 0 {
+		c.QueueCap = defaultQueueCap
+	}
+	if c.Pattern != Hotspot {
+		c.HotspotNode = 0
+	}
+}
+
+// checkSource holds the bounds every injecting source shares: an
+// injection probability in (0, 1], a queue capacity >= 0 (0 is the
+// default) and, when present, a valid burst modulator.
+func checkSource(rateField string, rate float64, queueCap int, burst *BurstConfig) error {
+	if !(rate > 0 && rate <= 1) { // written positively: NaN is outside
+		return fmt.Errorf("noc: %s %g outside (0, 1]", rateField, rate)
+	}
+	if queueCap < 0 {
+		return fmt.Errorf("noc: queue_cap must be >= 0, got %d", queueCap)
+	}
+	if burst != nil {
+		return burst.Validate()
+	}
+	return nil
 }
 
 // TrafficNode is a synthetic traffic source/sink implementing LocalPort.
@@ -237,11 +288,11 @@ func (g *injectGate) draw(limit int64) int64 {
 }
 
 // NewTrafficNode creates a traffic node for endpoint id (a switch id on
-// non-concentrated topologies; a crossbar slot on the cmesh).
+// non-concentrated topologies; a crossbar slot on the cmesh). It resolves
+// cfg's defaults as Validate does but checks no bound: MeasureCtx
+// validates before it builds a node.
 func NewTrafficNode(id int, topo Topology, cfg TrafficConfig, seed int64) *TrafficNode {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 16
-	}
+	cfg.resolve()
 	return &TrafficNode{
 		cfg:    cfg,
 		inj:    newInjectGate(id, seed, cfg.Rate, cfg.Burst),

@@ -47,7 +47,7 @@ import (
 // and every old entry silently becomes a miss instead of a wrong hit.
 // Golden values like the jacobi 94177 cycle count are the tripwire that
 // says when a bump is due.
-const CodeVersion = "medea-2026.10"
+const CodeVersion = "medea-2026.10b"
 
 // Stats is a point-in-time counter snapshot of one Cache (or one Scope of
 // it). Hits served from the store, Dedups served by joining another

@@ -140,7 +140,7 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 	switch k {
 	case WorkloadJacobi:
 		spec := ks.jacobiSpec()
-		val, err := resultcache.Fetch(rc, jacobiPointKey(spec, j), func() (jacobiPointValue, error) {
+		res, err := resultcache.Fetch(rc, jacobiPointKey(spec, j), func() (jacobi.Result, error) {
 			var opts []jacobi.RunOption
 			if wave != nil {
 				opts = append(opts, jacobi.WithSystemHook(func(sys *core.System) error {
@@ -151,70 +151,28 @@ func runKernelPoint(ctx context.Context, rc *resultcache.Cache, rec tie.SendReco
 					return err
 				}))
 			}
-			res, err := jacobi.RunCtx(ctx, cfg, spec, j.Variant, opts...)
-			return jacobiPointValue{
-				CyclesPerIter: res.CyclesPerIteration,
-				MissRate:      res.MissRate,
-				MPMMUBusy:     res.MPMMUBusy,
-				NoCFlits:      res.NoCFlits,
-				TotalCycles:   res.TotalCycles,
-				FlitLatency:   res.AvgFlitLatency,
-				Deflections:   res.Deflections,
-			}, err
+			return jacobi.RunCtx(ctx, cfg, spec, j.Variant, opts...)
 		})
-		r.CyclesPerIter, r.MissRate, r.MPMMUBusy, r.NoCFlits = val.CyclesPerIter, val.MissRate, val.MPMMUBusy, val.NoCFlits
-		r.TotalCycles, r.MeanLatency, r.Deflections = val.TotalCycles, val.FlitLatency, val.Deflections
+		r.CyclesPerIter, r.MissRate, r.MPMMUBusy, r.NoCFlits = res.CyclesPerIteration, res.MissRate, res.MPMMUBusy, res.NoCFlits
+		r.TotalCycles, r.MeanLatency, r.Deflections = res.TotalCycles, res.AvgFlitLatency, res.Deflections
 		r.AreaMM2 = paperArea.area(sys.Cores, sys.CacheKB)
 		return r, err
 	case WorkloadMatmul:
 		spec := ks.matmulSpec()
-		val, err := resultcache.Fetch(rc, matmulPointKey(spec, j), func() (kernelPointValue, error) {
-			res, err := matmul.RunCtx(ctx, cfg, spec, j.Variant)
-			return kernelPointValue{
-				Cycles:         res.TotalCycles,
-				TransferCycles: res.TransferCycles,
-				MPMMUBusy:      res.MPMMUBusy,
-				NoCFlits:       res.NoCFlits,
-			}, err
+		res, err := resultcache.Fetch(rc, matmulPointKey(spec, j), func() (matmul.Result, error) {
+			return matmul.RunCtx(ctx, cfg, spec, j.Variant)
 		})
-		r.TotalCycles, r.TransferCycles, r.MPMMUBusy, r.NoCFlits = val.Cycles, val.TransferCycles, val.MPMMUBusy, val.NoCFlits
+		r.TotalCycles, r.TransferCycles, r.MPMMUBusy, r.NoCFlits = res.TotalCycles, res.TransferCycles, res.MPMMUBusy, res.NoCFlits
 		return r, err
 	case WorkloadSyncbench:
 		kind := barrierKind(j.Variant)
-		val, err := resultcache.Fetch(rc, syncbenchPointKey(kind, ks.rounds, sys), func() (kernelPointValue, error) {
-			res, err := syncbench.MeasureWithCtx(ctx, kind, cfg, ks.rounds)
-			return kernelPointValue{
-				Cycles:    res.CyclesPerRound,
-				MPMMUBusy: res.MPMMUBusy,
-				NoCFlits:  res.NoCFlits,
-			}, err
+		res, err := resultcache.Fetch(rc, syncbenchPointKey(kind, ks.rounds, sys), func() (syncbench.Result, error) {
+			return syncbench.MeasureWithCtx(ctx, kind, cfg, ks.rounds)
 		})
-		r.CyclesPerRound, r.MPMMUBusy, r.NoCFlits = val.Cycles, val.MPMMUBusy, val.NoCFlits
+		r.CyclesPerRound, r.MPMMUBusy, r.NoCFlits = res.CyclesPerRound, res.MPMMUBusy, res.NoCFlits
 		return r, err
 	}
 	return r, fmt.Errorf("scenario: %v is not a kernel workload", k)
-}
-
-// jacobiPointValue is the cached simulation output of one jacobi point.
-// The last three fields are the whole run's, which only the detail
-// format prints.
-type jacobiPointValue struct {
-	CyclesPerIter int64   `json:"cycles_per_iter"`
-	MissRate      float64 `json:"miss_rate"`
-	MPMMUBusy     int64   `json:"mpmmu_busy"`
-	NoCFlits      int64   `json:"noc_flits"`
-	TotalCycles   int64   `json:"total_cycles"`
-	FlitLatency   float64 `json:"flit_latency"`
-	Deflections   int64   `json:"deflections"`
-}
-
-// kernelPointValue is the cached simulation output of one matmul or
-// syncbench point.
-type kernelPointValue struct {
-	Cycles         int64 `json:"cycles"`
-	TransferCycles int64 `json:"transfer_cycles,omitempty"`
-	MPMMUBusy      int64 `json:"mpmmu_busy"`
-	NoCFlits       int64 `json:"noc_flits"`
 }
 
 // barrierKind is the barrier a syncbench point measures: the lock

@@ -105,14 +105,16 @@ type keyMutation struct{ from, to string }
 // point for point that the key changes exactly when what the simulation
 // receives does: a key that misses an input serves a stale row, and one
 // that names a value the simulation never reads splits one entry in two.
-func checkKeyTracksInputs(t *testing.T, base string, mutations []keyMutation, inputs func(*testing.T, *Scenario) []pointInputs) {
+// Each alias spells out a default or an ignored field of base, so the
+// key and the resolved input must both hold.
+func checkKeyTracksInputs(t *testing.T, base string, mutations, aliases []keyMutation, inputs func(*testing.T, *Scenario) []pointInputs) {
 	t.Helper()
 	s, err := Parse([]byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := inputs(t, s)
-	for _, m := range mutations {
+	check := func(m keyMutation, alias bool) {
 		if !strings.Contains(base, m.from) {
 			t.Fatalf("mutation %s -> %s: base has no %s", m.from, m.to, m.from)
 		}
@@ -127,11 +129,17 @@ func checkKeyTracksInputs(t *testing.T, base string, mutations []keyMutation, in
 		for i := range got {
 			keyMoved := got[i].key != want[i].key
 			inputMoved := !reflect.DeepEqual(got[i].input, want[i].input)
-			if keyMoved != inputMoved {
-				t.Errorf("mutation %s -> %s, point %d: key moved %v, simulator input moved %v\nbase %+v\nmutated %+v",
-					m.from, m.to, i, keyMoved, inputMoved, want[i].input, got[i].input)
+			if keyMoved != inputMoved || alias && keyMoved {
+				t.Errorf("mutation %s -> %s (alias %v), point %d: key moved %v, simulator input moved %v\nbase %+v\nmutated %+v",
+					m.from, m.to, alias, i, keyMoved, inputMoved, want[i].input, got[i].input)
 			}
 		}
+	}
+	for _, m := range mutations {
+		check(m, false)
+	}
+	for _, m := range aliases {
+		check(m, true)
 	}
 }
 
@@ -156,7 +164,7 @@ func TestKernelKeyTracksSystemConfig(t *testing.T) {
 		{`"warmup": 1`, `"warmup": 1, "rounds": 10`},
 		{`"warmup": 1`, `"warmup": 1, "rounds": 20`},
 	}
-	checkKeyTracksInputs(t, base, mutations, func(t *testing.T, s *Scenario) []pointInputs {
+	checkKeyTracksInputs(t, base, mutations, nil, func(t *testing.T, s *Scenario) []pointInputs {
 		kinds, err := s.workloadKinds()
 		if err != nil {
 			t.Fatal(err)
@@ -188,9 +196,10 @@ func TestKernelKeyTracksSystemConfig(t *testing.T) {
 }
 
 // TestNoCKeyTracksMeasureConfig perturbs every noc-section input: a
-// point's key changes exactly when its fabric or its noc.MeasureConfig
-// does. An explicit default and a one-window measure_windows sweep key
-// as the plain point they equal.
+// point's key changes exactly when its fabric or its resolved
+// noc.MeasureConfig does. An explicit default, a hotspot node under a
+// pattern that ignores it, and a one-window measure_windows sweep key as
+// the plain point they equal.
 func TestNoCKeyTracksMeasureConfig(t *testing.T) {
 	base := `{"workload": "noc-synthetic", "seeds": [1], "noc": {"width": 4, "height": 4, "topologies": ["torus"], "routers": ["deflection"], "patterns": ["hotspot"], "rates": [0.1], "hotspot_node": 5, "warmup_cycles": 100}}`
 	mutations := []keyMutation{
@@ -204,28 +213,39 @@ func TestNoCKeyTracksMeasureConfig(t *testing.T) {
 		{`"hotspot_node": 5`, `"hotspot_node": 5, "queue_cap": 8`},
 		{`"hotspot_node": 5`, `"hotspot_node": 5, "burst": {"mean_on": 20, "mean_off": 80}`},
 		{`"warmup_cycles": 100`, `"warmup_cycles": 101`},
-		{`"warmup_cycles": 100`, `"warmup_cycles": 100, "measure_cycles": 5000`},
 		{`"warmup_cycles": 100`, `"warmup_cycles": 100, "measure_cycles": 3000`},
-		{`"warmup_cycles": 100`, `"warmup_cycles": 100, "measure_windows": [5000]`},
 		{`"seeds": [1]`, `"seeds": [2]`},
+	}
+	aliases := []keyMutation{
+		{`"hotspot_node": 5`, `"hotspot_node": 5, "queue_cap": 16`},
+		{`"warmup_cycles": 100`, `"warmup_cycles": 100, "measure_cycles": 5000`},
+		{`"warmup_cycles": 100`, `"warmup_cycles": 100, "measure_windows": [5000]`},
 		{`"seeds": [1]`, `"name": "renamed", "output": "csv"`},
 	}
-	checkKeyTracksInputs(t, base, mutations, func(t *testing.T, s *Scenario) []pointInputs {
-		jobs, err := nocJobs(s)
+	inputs := func(t *testing.T, s *Scenario) []pointInputs {
+		jobs, err := s.NoC.jobs(s.seedList())
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]pointInputs, len(jobs))
 		for i, j := range jobs {
-			mc := nocMeasureConfig(s.NoC, j)
+			mc, err := nocMeasureConfig(s.NoC, j)
+			if err != nil {
+				t.Fatal(err)
+			}
 			out[i] = pointInputs{pointKey("scenario/noc", j.topo, mc), []any{j.topo, mc}}
 		}
 		return out
-	})
+	}
+	checkKeyTracksInputs(t, base, mutations, aliases, inputs)
+	uniform := strings.Replace(base, `["hotspot"], "rates": [0.1], "hotspot_node": 5`, `["uniform"], "rates": [0.1]`, 1)
+	checkKeyTracksInputs(t, uniform, nil, []keyMutation{
+		{`"rates": [0.1]`, `"rates": [0.1], "hotspot_node": 7`},
+	}, inputs)
 }
 
 // TestServiceKeyTracksMeasureConfig is the service section's
-// counterpart: the key changes exactly when the fabric or the
+// counterpart: the key changes exactly when the fabric or the resolved
 // noc.ServiceMeasureConfig does.
 func TestServiceKeyTracksMeasureConfig(t *testing.T) {
 	base := `{"workload": "service", "seeds": [1], "service": {"width": 4, "height": 4, "topologies": ["torus"], "routers": ["deflection"], "servers": 4, "arrival_rates": [0.03], "think_time": 8}}`
@@ -241,20 +261,33 @@ func TestServiceKeyTracksMeasureConfig(t *testing.T) {
 		{`"think_time": 8`, `"think_time": 8, "queue_cap": 4`},
 		{`"think_time": 8`, `"think_time": 8, "burst": {"mean_on": 5, "mean_off": 5}`},
 		{`"think_time": 8`, `"think_time": 8, "warmup_cycles": 50`},
-		{`"think_time": 8`, `"think_time": 8, "measure_cycles": 5000`},
 		{`"think_time": 8`, `"think_time": 8, "measure_cycles": 2000`},
 		{`"seeds": [1]`, `"seeds": [7]`},
 	}
-	checkKeyTracksInputs(t, base, mutations, func(t *testing.T, s *Scenario) []pointInputs {
-		jobs, err := serviceJobs(s)
+	aliases := []keyMutation{
+		{`"think_time": 8`, `"think_time": 8, "queue_cap": 16`},
+		{`"think_time": 8`, `"think_time": 8, "response_flits": 1`},
+		{`"think_time": 8`, `"think_time": 8, "measure_cycles": 5000`},
+	}
+	inputs := func(t *testing.T, s *Scenario) []pointInputs {
+		jobs, err := s.Service.jobs(s.seedList())
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := make([]pointInputs, len(jobs))
 		for i, j := range jobs {
-			sc := serviceMeasureConfig(s.Service, j)
+			sc, err := serviceMeasureConfig(s.Service, j)
+			if err != nil {
+				t.Fatal(err)
+			}
 			out[i] = pointInputs{pointKey("scenario/service", j.topo, sc), []any{j.topo, sc}}
 		}
 		return out
-	})
+	}
+	checkKeyTracksInputs(t, base, mutations, aliases, inputs)
+	// Think time 0 (the field left out) and 1 simulate alike.
+	thinkless := strings.Replace(base, `, "think_time": 8`, ``, 1)
+	checkKeyTracksInputs(t, thinkless, nil, []keyMutation{
+		{`"servers": 4`, `"servers": 4, "think_time": 1`},
+	}, inputs)
 }

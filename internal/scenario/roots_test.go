@@ -56,6 +56,8 @@ func (r *recordingStore) root() string {
 var codeVersionTables = map[string]string{
 	"medea-2026.08": "8346ff3e488091663ddd8be9133dd21cef2b2b10d75b1afc7ae6daae37328e99",
 	"medea-2026.10": "a4758bff8937c32067f028466125114f5add6dcd60d107fd280e8e5cb6eda8be",
+	// Point defaults resolved before keying (noc's Validate).
+	"medea-2026.10b": "5e20f709233b434fd0e5c46262090b051e3583f02b8a76c9da7f4e14873623b4",
 }
 
 // TestExampleRootsGolden pins every shipped scenario to two Merkle roots:
@@ -72,18 +74,18 @@ var codeVersionTables = map[string]string{
 // step, which fails on any fused multiply-add in the repository's code.
 func TestExampleRootsGolden(t *testing.T) {
 	want := map[string][2]string{ // name: {row root, stored-entry root}
-		"bursty-hotspot":     {"383537068fc8961ffceae70f19f365c376b5b06a718d455e237f32558691ea3c", "c054ad3a7ce085b35ac979de2eedf2bd1758a53e4187f18a82a0919b553e85fe"},
-		"fig8-quick":         {"ace2ee435576e8e00a4cea2c89b4a9da72a7d59fa5fa08eeb2f4fc023c8f0bce", "b83610aad06dce397150c37bb1a98d502f13f9973ed4c040d4d136f5b389915c"},
-		"kernel-ablation":    {"fb0ec465151461d69a303d889ee6549049ef5006dbaebfff16ffdcb6cddc0a50", "908b97de5830cc460c39076b4bed72ee6d5a22cad0fd1a6babefdff223a4ae2b"},
-		"noc-load-sweep":     {"ddf9e314a8a6307f5e0aea4075bcbc3afcce7471ef3970b50f58d6d0156e7ed6", "0e25837c4c32346f418569308b0992b341471dfe05d352dafeebfa7b8bfcc30d"},
-		"patterns-sweep":     {"aa6eed44027c998e980a7e605bd1c8823b3a8002b88f31f2c09b089645e78680", "d8f36b145396083fddf84f27c752f1236f553d1a3d8fdfa0bd237ca2ed9e3788"},
-		"router-ablation":    {"7587b91cd06ddc36d24461613842f347ac44354fae12dd41f1bba33f0985be88", "05ec052a86746bdd0de64686a2a3fb398dbd0e767326e2991d67c9564a891be8"},
-		"service-hotspot":    {"74452418a197792489b0d76a97ed09df0a8b26e052d41c2215ef309080415e6a", "8a4641355dcc5519cdef86aa8af1c944da421cce4613706be68a4dec25688237"},
-		"smoke":              {"cadde0f26bd531d3ec2f724ce19a8abf820d25349b50deb837d53bb6ddd4d06b", "af9d704fa2367c1aa6b54556be093914a090c963890255cc2b16405d4f5018cc"},
-		"topology-ablation":  {"8a2b4a21c61ae9310fe5d36cd04c6ef70a81cd490d6a0c70f36d1801ee78c8c8", "54275ad1adaa036a2d1e7bd56287fe02295765d4224a38578103d815cc208491"},
-		"trace-record-quick": {"74aa02f047ae15dbc3836c9b17aec8fdca0eb4da5146804ac426bb1c4d1cf114", "6ab19947b6ef79a492ebd6024fb46804211bdc57aadbdd0d8967c1ef37904eac"},
-		"trace-replay":       {"284995ba397fc1fd784e8419bb7ff4511d2313ddc4b1af89a26179f09c17ef5e", "578f8bb6ba561e270628425413aebc7a0032e1bbc16e5e4713569f51583e64b2"},
-		"window-sweep":       {"b489b1ecbee53bc83da467c2c1809ec5aedcce81d6b02597f8e05ffa1f4cf4da", "9339bdc307b38da7febda2d6d1098f37102c5b19b2cd1de60b021903a5cfb633"},
+		"bursty-hotspot":     {"383537068fc8961ffceae70f19f365c376b5b06a718d455e237f32558691ea3c", "e3a74152be7c0fbe7b6f788d6e39adc13f05b1373c1cf4f9c7b0080de8a03e91"},
+		"fig8-quick":         {"ace2ee435576e8e00a4cea2c89b4a9da72a7d59fa5fa08eeb2f4fc023c8f0bce", "e9a320275d8d3cd17aeb91b64326ca754d2396f7935aa64500bf9d941a5fd0ae"},
+		"kernel-ablation":    {"fb0ec465151461d69a303d889ee6549049ef5006dbaebfff16ffdcb6cddc0a50", "7221d45f85fd5956267a858ab03f484ac3972541a178e6a0df574f5f54c696c6"},
+		"noc-load-sweep":     {"ddf9e314a8a6307f5e0aea4075bcbc3afcce7471ef3970b50f58d6d0156e7ed6", "cecf7325d7e58fa69a14db756efd369dad7bc4d7a332c904309c70aedd7908e0"},
+		"patterns-sweep":     {"aa6eed44027c998e980a7e605bd1c8823b3a8002b88f31f2c09b089645e78680", "63cfc4da92727a81713c9f20fb2005b1cbf775d59d28785407b01522e34a702e"},
+		"router-ablation":    {"7587b91cd06ddc36d24461613842f347ac44354fae12dd41f1bba33f0985be88", "bc8ccb8ea3ad707605be5ca4aa29ab1a1080779f37037d4baa61ba14924836e7"},
+		"service-hotspot":    {"74452418a197792489b0d76a97ed09df0a8b26e052d41c2215ef309080415e6a", "b66d7b162456cf48853a6024be6483172a2cd885ed59254937e842ab1bc70614"},
+		"smoke":              {"cadde0f26bd531d3ec2f724ce19a8abf820d25349b50deb837d53bb6ddd4d06b", "76b89094f14aa8eb6bc4116f04162428caf2e0e10f49cab01337804080c9691a"},
+		"topology-ablation":  {"8a2b4a21c61ae9310fe5d36cd04c6ef70a81cd490d6a0c70f36d1801ee78c8c8", "5fe205c4c3b845c6ef2c3403fd534b7bc7d9ba03f0f78b44ed2669d5705eebd9"},
+		"trace-record-quick": {"74aa02f047ae15dbc3836c9b17aec8fdca0eb4da5146804ac426bb1c4d1cf114", "d29b4e166d6ed8c951e559ac19f65629c2142c20a34808b47f3a651ca0b4f154"},
+		"trace-replay":       {"284995ba397fc1fd784e8419bb7ff4511d2313ddc4b1af89a26179f09c17ef5e", "4cac1e60d3c1d32ac14f4e9cec56d9122f3a37b0b3c8e0ea224e813bb0992b52"},
+		"window-sweep":       {"b489b1ecbee53bc83da467c2c1809ec5aedcce81d6b02597f8e05ffa1f4cf4da", "93ca4f2b7a3eec1ae9eb553895d33310fe98423ba4b76de718e7b39b43b0a0ab"},
 	}
 	files, err := filepath.Glob("../../examples/scenarios/*.json")
 	if err != nil {

@@ -133,6 +133,7 @@ type nocJob struct {
 	pattern noc.Pattern
 	rate    float64
 	seed    int64
+	measure int64 // the point's measurement window
 	// Window-sweep points: every window of one (topology, router,
 	// pattern, rate, seed) tuple shares a group, so the warmup prefix
 	// simulates once and each window forks off its warm snapshot. group is
@@ -141,12 +142,11 @@ type nocJob struct {
 	group  *windowGroup
 }
 
-// nocJobs expands topologies x routers x patterns x rates x seeds (x
+// jobs expands topologies x routers x patterns x rates x seeds (x
 // measure_windows) in canonical order. Window groups form over the
 // canonical order, so under a points filter only the windows that landed
 // in this shard share a warmup prefix.
-func nocJobs(s *Scenario) ([]nocJob, error) {
-	c := s.NoC
+func (c *NoCConfig) jobs(seeds []int64) ([]nocJob, error) {
 	topos, err := c.fabrics()
 	if err != nil {
 		return nil, err
@@ -155,33 +155,24 @@ func nocJobs(s *Scenario) ([]nocJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	patterns := make([]noc.Pattern, 0, len(c.Patterns))
-	for _, name := range c.Patterns {
-		p, err := noc.ParsePattern(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, topo := range topos {
-			if err := noc.ValidatePattern(p, topo); err != nil {
-				return nil, err
-			}
-		}
-		patterns = append(patterns, p)
+	patterns, err := parseAxis("noc.patterns", c.Patterns, noc.ParsePattern)
+	if err != nil {
+		return nil, err
 	}
 	var jobs []nocJob
 	for _, topo := range topos {
 		for _, router := range routers {
 			for _, p := range patterns {
 				for _, rate := range c.Rates {
-					for _, seed := range s.seedList() {
-						j := nocJob{topo: topo, router: router, pattern: p, rate: rate, seed: seed}
+					for _, seed := range seeds {
+						j := nocJob{topo: topo, router: router, pattern: p, rate: rate, seed: seed, measure: measureCycles(c.MeasureCycles)}
 						if len(c.MeasureWindows) == 0 {
 							jobs = append(jobs, j)
 							continue
 						}
 						j.group = &windowGroup{}
-						for wi := range c.MeasureWindows {
-							j.window = wi
+						for wi, w := range c.MeasureWindows {
+							j.window, j.measure = wi, w
 							jobs = append(jobs, j)
 						}
 					}
@@ -195,7 +186,7 @@ func nocJobs(s *Scenario) ([]nocJob, error) {
 // nocPoints expands the noc-synthetic sweep: every point is an
 // independent deterministic simulation, so the whole set is reproducible.
 func nocPoints(s *Scenario) ([]point, error) {
-	jobs, err := nocJobs(s)
+	jobs, err := s.NoC.jobs(s.seedList())
 	if err != nil {
 		return nil, err
 	}
@@ -234,21 +225,10 @@ func (g *windowGroup) measurements(ctx context.Context, shared *noc.Schedules, t
 	return g.ms, g.err
 }
 
-// nocPointValue is the cached measurement of one noc-synthetic point: the
-// raw noc.MeasureCtx metrics only; axis labels reattach from the job.
-type nocPointValue struct {
-	Cycles         int64   `json:"cycles"`
-	Delivered      int64   `json:"delivered"`
-	Throughput     float64 `json:"throughput"`
-	MeanLatency    float64 `json:"mean_latency"`
-	P99Latency     float64 `json:"p99_latency"`
-	DeflectionRate float64 `json:"deflection_rate"`
-	PeakBuffer     int     `json:"peak_buffer"`
-}
-
 // measureCycles resolves a noc or service section's "measure_cycles": 0
-// runs the default window of 5000 cycles. Keys take the resolved value,
-// so an explicit 5000 keys identically to the default.
+// runs the default window of 5000 cycles, the one default of the file
+// format itself (every other lives in noc's Validate). Keys take the
+// resolved value, so an explicit 5000 keys identically to the default.
 func measureCycles(n int64) int64 {
 	if n == 0 {
 		return 5000
@@ -271,18 +251,15 @@ func pointKey(domain string, topo noc.Topology, cfg any) resultcache.Key {
 		Sum()
 }
 
-// nocMeasureConfig assembles the noc.MeasureConfig of one point, defaults
-// resolved: the one value its key and its simulation both read. A
-// measure_windows point measures its own window, so it keys exactly as a
-// plain measure_cycles point with that window length would
+// nocMeasureConfig assembles the noc.MeasureConfig of one point and
+// validates it, which resolves its defaults (noc.MeasureConfig.Validate):
+// the one value its key and its simulation both read. A measure_windows
+// point measures its own window, so it keys exactly as a plain
+// measure_cycles point with that window length would
 // (noc.Schedules.MeasureWindowsCtx ignores Measure in favour of the
 // group's windows).
-func nocMeasureConfig(c *NoCConfig, j nocJob) noc.MeasureConfig {
-	measure := measureCycles(c.MeasureCycles)
-	if j.group != nil {
-		measure = c.MeasureWindows[j.window]
-	}
-	return noc.MeasureConfig{
+func nocMeasureConfig(c *NoCConfig, j nocJob) (noc.MeasureConfig, error) {
+	mc := noc.MeasureConfig{
 		Router: j.router,
 		Traffic: noc.TrafficConfig{
 			Pattern:     j.pattern,
@@ -292,24 +269,11 @@ func nocMeasureConfig(c *NoCConfig, j nocJob) noc.MeasureConfig {
 			Burst:       c.Burst,
 		},
 		Warmup:  c.WarmupCycles,
-		Measure: measure,
+		Measure: j.measure,
 		Seed:    j.seed,
 	}
-}
-
-// nocValueOf projects a Measurement onto the cached codec. CyclesSkipped
-// is deliberately dropped: it counts simulation work, not simulated
-// behaviour, so cached and fresh points stay byte-identical.
-func nocValueOf(m noc.Measurement) nocPointValue {
-	return nocPointValue{
-		Cycles:         m.Cycles,
-		Delivered:      m.Delivered,
-		Throughput:     m.Throughput,
-		MeanLatency:    m.MeanLatency,
-		P99Latency:     m.P99Latency,
-		DeflectionRate: m.DeflectionRate,
-		PeakBuffer:     m.PeakBuffer,
-	}
+	err := mc.Validate(j.topo)
+	return mc, err
 }
 
 // runNoCPoint simulates one point through the sweep's schedule store
@@ -321,25 +285,27 @@ func nocValueOf(m noc.Measurement) nocPointValue {
 // whole group simulates once through the shared windowGroup and this
 // point takes its window's measurement.
 func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, shared *noc.Schedules, c *NoCConfig, j nocJob) (Result, error) {
-	mc := nocMeasureConfig(c, j)
-	m, err := resultcache.Fetch(rc, pointKey("scenario/noc", j.topo, mc), func() (nocPointValue, error) {
+	mc, err := nocMeasureConfig(c, j)
+	if err != nil {
+		return Result{}, err
+	}
+	m, err := resultcache.Fetch(rc, pointKey("scenario/noc", j.topo, mc), func() (noc.Measurement, error) {
 		if j.group != nil {
 			ms, err := j.group.measurements(ctx, shared, j.topo, mc, c.MeasureWindows)
 			if err != nil {
-				return nocPointValue{}, err
+				return noc.Measurement{}, err
 			}
-			return nocValueOf(ms[j.window]), nil
+			return ms[j.window], nil
 		}
 		mc.Traffic.Record = rec
-		m, err := shared.MeasureCtx(ctx, j.topo, mc)
-		return nocValueOf(m), err
+		return shared.MeasureCtx(ctx, j.topo, mc)
 	})
 	return nocRow(m, j.topo, j.router, j.pattern.String(), j.rate, j.seed, c.Burst != nil), err
 }
 
 // nocRow is the noc-synthetic schema's row: a measured value under its
 // axis labels. Synthetic and replayed points both render through it.
-func nocRow(m nocPointValue, topo noc.Topology, router noc.RouterKind, pattern string, rate float64, seed int64, bursty bool) Result {
+func nocRow(m noc.Measurement, topo noc.Topology, router noc.RouterKind, pattern string, rate float64, seed int64, bursty bool) Result {
 	return Result{
 		Workload:       WorkloadNoC.String(),
 		Topology:       topo.Kind().String(),

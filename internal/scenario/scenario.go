@@ -40,6 +40,21 @@
 // held to recorded CSVs by TestNoCLoadSweepGolden).
 // TestExampleRootsGolden pins the rows of every shipped file.
 //
+// A field a file leaves out is resolved in one place, before the point
+// is keyed. "measure_cycles" 0 is the format's own 5000-cycle window
+// (measureCycles). Every other noc and service point default (queue_cap
+// 0 is 16, response_flits 0 is 1, think_time 0 is its equivalent 1, a
+// hotspot_node under any pattern but hotspot is 0) lives in
+// noc.MeasureConfig.Validate and noc.ServiceMeasureConfig.Validate,
+// which also hold every per-point bound: validation runs each point of
+// one seed through them, and the config a point keys and simulates is
+// the one they return. The kernel section's defaults (variant
+// hybrid-full, write-back, 20 rounds, one warmup and one measured
+// iteration) are KernelConfig.sweep's, and its problem size is held by
+// jacobi.Spec.Validate and matmul.Spec.Validate. A section's validate
+// checks its axes alone: lists are non-empty, names parse, nothing is
+// listed twice.
+//
 // A file declares what to simulate; how a run executes is its caller's,
 // handed down as values by whoever owns the run: the result cache
 // (Scenario.Cache), trace capture (Scenario.Record, through RecordCtx),
@@ -301,52 +316,21 @@ type ServiceConfig struct {
 	MeasureCycles int64 `json:"measure_cycles,omitempty"`
 }
 
+// validate checks the section's axes, then runs every point of one seed
+// through noc.ServiceMeasureConfig.Validate, which holds every per-point
+// bound.
 func (c *ServiceConfig) validate() error {
-	topos, err := c.fabrics()
+	jobs, err := c.jobs([]int64{0})
 	if err != nil {
 		return err
-	}
-	if _, err := c.routers(); err != nil {
-		return err
-	}
-	if c.Servers < 1 {
-		return fmt.Errorf(`"service.servers" must be >= 1, got %d`, c.Servers)
-	}
-	endpoints := topos[0].NumEndpoints()
-	if c.Servers >= endpoints {
-		return fmt.Errorf(`"service.servers": %d servers on the %dx%d grid's %d endpoints must leave at least one client; use at most %d servers`,
-			c.Servers, c.Width, c.Height, endpoints, endpoints-1)
 	}
 	if len(c.ArrivalRates) == 0 {
 		return fmt.Errorf(`"service.arrival_rates" must list at least one per-client rate in (0, 1]`)
 	}
-	for _, r := range c.ArrivalRates {
-		if !(r > 0 && r <= 1) { // written positively: NaN is outside
-			return fmt.Errorf(`"service.arrival_rates": rate %g outside (0, 1]`, r)
+	for _, j := range jobs {
+		if _, err := serviceMeasureConfig(c, j); err != nil {
+			return fmt.Errorf(`"service": %w`, err)
 		}
-	}
-	if c.ThinkTime < 0 {
-		return fmt.Errorf(`"service.think_time" must be >= 0, got %d`, c.ThinkTime)
-	}
-	if c.ResponseFlits < 0 {
-		return fmt.Errorf(`"service.response_flits" must be >= 0, got %d`, c.ResponseFlits)
-	}
-	if c.HotspotSkew < 0 || c.HotspotSkew > 1 {
-		return fmt.Errorf(`"service.hotspot_skew" must be in [0, 1], got %g`, c.HotspotSkew)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf(`"service.queue_cap" must be >= 0, got %d`, c.QueueCap)
-	}
-	if c.Burst != nil {
-		if err := c.Burst.Validate(); err != nil {
-			return fmt.Errorf(`"service.burst": %w`, err)
-		}
-	}
-	if c.WarmupCycles < 0 {
-		return fmt.Errorf(`"service.warmup_cycles" must be >= 0, got %d`, c.WarmupCycles)
-	}
-	if c.MeasureCycles < 0 {
-		return fmt.Errorf(`"service.measure_cycles" must be >= 0, got %d`, c.MeasureCycles)
 	}
 	return nil
 }
@@ -625,10 +609,10 @@ func hasKind(kinds []WorkloadKind, k WorkloadKind) bool {
 	return false
 }
 
+// validate checks the section's axes, then runs every point of one seed
+// through noc.MeasureConfig.Validate, which holds every per-point bound.
 func (c *NoCConfig) validate() error {
-	// Resolve the topology axis first: every listed fabric must build at
-	// this size, and every pattern must be valid on every fabric.
-	topos, err := c.fabrics()
+	jobs, err := c.jobs([]int64{0})
 	if err != nil {
 		return err
 	}
@@ -636,59 +620,20 @@ func (c *NoCConfig) validate() error {
 		return fmt.Errorf(`"noc.patterns" must list at least one of: %s`,
 			strings.Join(noc.PatternNames(), ", "))
 	}
-	seen := map[noc.Pattern]bool{}
-	for _, name := range c.Patterns {
-		p, err := noc.ParsePattern(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.patterns": %w`, err)
-		}
-		for _, topo := range topos {
-			if err := noc.ValidatePattern(p, topo); err != nil {
-				return fmt.Errorf(`"noc.patterns": %w`, err)
-			}
-		}
-		if seen[p] {
-			return fmt.Errorf(`"noc.patterns": %v listed twice`, p)
-		}
-		seen[p] = true
-	}
-	if _, err := c.routers(); err != nil {
-		return err
-	}
 	if len(c.Rates) == 0 {
 		return fmt.Errorf(`"noc.rates" must list at least one offered load in (0, 1]`)
 	}
-	for _, r := range c.Rates {
-		if !(r > 0 && r <= 1) { // written positively: NaN is outside
-			return fmt.Errorf(`"noc.rates": offered load %g outside (0, 1]`, r)
+	if len(c.MeasureWindows) > 0 && c.MeasureCycles != 0 {
+		return fmt.Errorf(`set either "noc.measure_cycles" or "noc.measure_windows", not both`)
+	}
+	for _, j := range jobs {
+		// A pattern that does not fit a fabric is the pattern axis's
+		// fault, not one point's.
+		if err := noc.ValidatePattern(j.pattern, j.topo); err != nil {
+			return fmt.Errorf(`"noc.patterns": %w`, err)
 		}
-	}
-	if c.HotspotNode < 0 || c.HotspotNode >= topos[0].NumEndpoints() {
-		return fmt.Errorf(`"noc.hotspot_node" %d outside the %dx%d endpoint grid (0..%d)`,
-			c.HotspotNode, c.Width, c.Height, topos[0].NumEndpoints()-1)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf(`"noc.queue_cap" must be >= 0, got %d`, c.QueueCap)
-	}
-	if c.Burst != nil {
-		if err := c.Burst.Validate(); err != nil {
-			return fmt.Errorf(`"noc.burst": %w`, err)
-		}
-	}
-	if c.WarmupCycles < 0 {
-		return fmt.Errorf(`"noc.warmup_cycles" must be >= 0, got %d`, c.WarmupCycles)
-	}
-	if c.MeasureCycles < 0 {
-		return fmt.Errorf(`"noc.measure_cycles" must be >= 0, got %d`, c.MeasureCycles)
-	}
-	if len(c.MeasureWindows) > 0 {
-		if c.MeasureCycles != 0 {
-			return fmt.Errorf(`set either "noc.measure_cycles" or "noc.measure_windows", not both`)
-		}
-		for _, w := range c.MeasureWindows {
-			if w <= 0 {
-				return fmt.Errorf(`"noc.measure_windows": window %d must be positive`, w)
-			}
+		if _, err := nocMeasureConfig(c, j); err != nil {
+			return fmt.Errorf(`"noc": %w`, err)
 		}
 	}
 	return nil

@@ -15,10 +15,9 @@ type serviceJob struct {
 	seed   int64
 }
 
-// serviceJobs expands topologies x routers x arrival_rates x seeds in
+// jobs expands topologies x routers x arrival_rates x seeds in
 // canonical order.
-func serviceJobs(s *Scenario) ([]serviceJob, error) {
-	c := s.Service
+func (c *ServiceConfig) jobs(seeds []int64) ([]serviceJob, error) {
 	topos, err := c.fabrics()
 	if err != nil {
 		return nil, err
@@ -31,7 +30,7 @@ func serviceJobs(s *Scenario) ([]serviceJob, error) {
 	for _, topo := range topos {
 		for _, router := range routers {
 			for _, rate := range c.ArrivalRates {
-				for _, seed := range s.seedList() {
+				for _, seed := range seeds {
 					jobs = append(jobs, serviceJob{topo: topo, router: router, rate: rate, seed: seed})
 				}
 			}
@@ -43,7 +42,7 @@ func serviceJobs(s *Scenario) ([]serviceJob, error) {
 // servicePoints expands the service sweep, one request/response
 // simulation per point.
 func servicePoints(s *Scenario) ([]point, error) {
-	jobs, err := serviceJobs(s)
+	jobs, err := s.Service.jobs(s.seedList())
 	if err != nil {
 		return nil, err
 	}
@@ -56,31 +55,12 @@ func servicePoints(s *Scenario) ([]point, error) {
 	return ps, nil
 }
 
-// servicePointValue is the cached measurement of one service point; like
-// nocPointValue it drops CyclesSkipped so cached and fresh points stay
-// byte-identical, and axis labels reattach from the job.
-type servicePointValue struct {
-	Cycles      int64   `json:"cycles"`
-	Issued      int64   `json:"issued"`
-	Completed   int64   `json:"completed"`
-	InFlight    int64   `json:"in_flight"`
-	Throttled   int64   `json:"throttled"`
-	Throughput  float64 `json:"throughput"`
-	MeanQueue   float64 `json:"mean_queue"`
-	MeanNetOut  float64 `json:"mean_net_out"`
-	MeanServer  float64 `json:"mean_server"`
-	MeanNetBack float64 `json:"mean_net_back"`
-	MeanLatency float64 `json:"mean_latency"`
-	P99Latency  float64 `json:"p99_latency"`
-	P99Server   float64 `json:"p99_server"`
-	PeakBuffer  int     `json:"peak_buffer"`
-}
-
 // serviceMeasureConfig assembles the noc.ServiceMeasureConfig of one
-// point, defaults resolved: the one value its key and its simulation both
-// read.
-func serviceMeasureConfig(c *ServiceConfig, j serviceJob) noc.ServiceMeasureConfig {
-	return noc.ServiceMeasureConfig{
+// point and validates it, which resolves its defaults
+// (noc.ServiceMeasureConfig.Validate): the one value its key and its
+// simulation both read.
+func serviceMeasureConfig(c *ServiceConfig, j serviceJob) (noc.ServiceMeasureConfig, error) {
+	sc := noc.ServiceMeasureConfig{
 		Router:        j.router,
 		Servers:       c.Servers,
 		ArrivalRate:   j.rate,
@@ -93,31 +73,20 @@ func serviceMeasureConfig(c *ServiceConfig, j serviceJob) noc.ServiceMeasureConf
 		Measure:       measureCycles(c.MeasureCycles),
 		Seed:          j.seed,
 	}
+	err := sc.Validate(j.topo)
+	return sc, err
 }
 
 // runServicePoint simulates one service point through
 // noc.MeasureServiceCtx, recalling it from the result cache when one is
 // attached.
 func runServicePoint(ctx context.Context, rc *resultcache.Cache, c *ServiceConfig, j serviceJob) (Result, error) {
-	sc := serviceMeasureConfig(c, j)
-	m, err := resultcache.Fetch(rc, pointKey("scenario/service", j.topo, sc), func() (servicePointValue, error) {
-		m, err := noc.MeasureServiceCtx(ctx, j.topo, sc)
-		return servicePointValue{
-			Cycles:      m.Cycles,
-			Issued:      m.Issued,
-			Completed:   m.Completed,
-			InFlight:    m.InFlight,
-			Throttled:   m.Throttled,
-			Throughput:  m.Throughput,
-			MeanQueue:   m.MeanQueue,
-			MeanNetOut:  m.MeanNetOut,
-			MeanServer:  m.MeanServer,
-			MeanNetBack: m.MeanNetBack,
-			MeanLatency: m.MeanLatency,
-			P99Latency:  m.P99Latency,
-			P99Server:   m.P99Server,
-			PeakBuffer:  m.PeakBuffer,
-		}, err
+	sc, err := serviceMeasureConfig(c, j)
+	if err != nil {
+		return Result{}, err
+	}
+	m, err := resultcache.Fetch(rc, pointKey("scenario/service", j.topo, sc), func() (noc.ServiceMeasurement, error) {
+		return noc.MeasureServiceCtx(ctx, j.topo, sc)
 	})
 	return Result{
 		Workload:    WorkloadService.String(),

@@ -67,12 +67,11 @@ func runTracePoint(ctx context.Context, rc *resultcache.Cache, t *trace.Trace, h
 		Str("topology", topo.Kind().String()).
 		Str("router", router.String()).
 		Sum()
-	m, err := resultcache.Fetch(rc, key, func() (nocPointValue, error) {
-		m, err := noc.MeasureReplayCtx(ctx, topo, noc.ReplayConfig{
+	m, err := resultcache.Fetch(rc, key, func() (noc.Measurement, error) {
+		return noc.MeasureReplayCtx(ctx, topo, noc.ReplayConfig{
 			Router: router, Events: events(),
 			Warmup: t.Header.Warmup, Measure: t.Header.Measure,
 		})
-		return nocValueOf(m), err
 	})
 	// Replay rows carry the noc-synthetic schema: the recorded provenance
 	// fills the pattern/rate/seed axes, so a same-fabric replay row is
@@ -108,8 +107,9 @@ func RecordCtx(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
 }
 
 // recordNoC captures one noc-synthetic point into a trace whose header
-// carries the point's full provenance, so replaying it reproduces the
-// run exactly.
+// carries the point's full provenance, read off the resolved
+// noc.MeasureConfig the point runs, so replaying it reproduces the run
+// exactly.
 func recordNoC(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error) {
 	c := s.NoC
 	if len(c.MeasureWindows) > 0 {
@@ -118,23 +118,26 @@ func recordNoC(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
 	if n := s.NumPoints(); n != 1 {
 		return nil, nil, fmt.Errorf("scenario: recording needs a single-point scenario (one topology, router, pattern, rate and seed), got %d points", n)
 	}
-	measure := measureCycles(c.MeasureCycles)
-	jobs, err := nocJobs(s)
+	jobs, err := c.jobs(s.seedList())
 	if err != nil {
 		return nil, nil, err
 	}
 	j := jobs[0]
+	mc, err := nocMeasureConfig(c, j)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := trace.New(trace.Header{
 		Width: c.Width, Height: c.Height,
 		Topology: j.topo.Kind().String(),
-		Router:   j.router.String(),
-		Pattern:  j.pattern.String(),
-		Rate:     j.rate,
-		Seed:     j.seed,
-		Bursty:   c.Burst != nil,
-		QueueCap: c.QueueCap,
-		Warmup:   c.WarmupCycles,
-		Measure:  measure,
+		Router:   mc.Router.String(),
+		Pattern:  mc.Traffic.Pattern.String(),
+		Rate:     mc.Traffic.Rate,
+		Seed:     mc.Seed,
+		Bursty:   mc.Traffic.Burst != nil,
+		QueueCap: mc.Traffic.QueueCap,
+		Warmup:   mc.Warmup,
+		Measure:  mc.Measure,
 	})
 	results, err := recordRun(ctx, s, t)
 	if err != nil {

@@ -43,24 +43,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Result is the measured cost of one synchronization episode.
+// Result is the measured cost of one synchronization episode. It is also
+// the scenario runner's cached value of a syncbench point, stored under
+// its json tags (the kind, cores and rounds are the point's key, not its
+// value).
 type Result struct {
-	Kind   Kind
-	Cores  int
-	Rounds int
+	Kind   Kind `json:"-"`
+	Cores  int  `json:"-"`
+	Rounds int  `json:"-"`
 	// CyclesPerRound is the mean cycles per episode, measured at rank 0
 	// across Rounds back-to-back episodes with deterministic per-rank
 	// arrival skew.
-	CyclesPerRound int64
+	CyclesPerRound int64 `json:"cycles"`
 	// MPMMUBusy is the memory-node occupancy accumulated over the run —
 	// the serialization the hybrid approach avoids.
-	MPMMUBusy int64
+	MPMMUBusy int64 `json:"mpmmu_busy"`
 	// NoCFlits is the message-path traffic over the run.
-	NoCFlits int64
+	NoCFlits int64 `json:"noc_flits"`
 	// CyclesSkipped counts cycles the engine fast-forwarded over instead
 	// of ticking (a performance counter; every measured figure above is
 	// byte-identical whatever its value).
-	CyclesSkipped int64
+	CyclesSkipped int64 `json:"-"`
 }
 
 // MeasureWithCtx runs rounds synchronization episodes on the system
@@ -119,7 +122,7 @@ func runKernel(env *pe.Env, kind Kind, sys *core.System, nodes []int, rank, roun
 	case MessageBarrier:
 		comm, err := empi.New(env, nodes)
 		if err != nil {
-			// Fail this rank's core instead of panicking: MeasureWith
+			// Fail this rank's core instead of panicking: MeasureWithCtx
 			// returns the error as a per-run failure instead of the
 			// process dying.
 			env.Fail(fmt.Errorf("syncbench: rank %d: %w", rank, err))
