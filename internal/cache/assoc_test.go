@@ -80,8 +80,7 @@ func TestVictimForAgreesWithFill(t *testing.T) {
 		c.Fill(base+w*setStride, line16(byte(w)))
 	}
 	c.WriteWord(base, 0xDD) // dirty way holding 'base', also makes it MRU
-	v := c.VictimFor(base + 4*setStride)
-	if v.NeedsWriteback {
+	if _, dirty := c.VictimInto(base+4*setStride, make([]byte, LineBytes)); dirty {
 		t.Fatal("victim should be a clean LRU way, not the dirty MRU one")
 	}
 	c.Fill(base+4*setStride, line16(9))
@@ -101,6 +100,7 @@ func TestGoldenModelAssociative(t *testing.T) {
 				golden := make([]uint32, memWords)
 				backing := make([]uint32, memWords)
 				c := mustNewWays(t, 2, ways, pol)
+				var buf [LineBytes]byte
 				readLine := func(addr uint32) []byte {
 					b := make([]byte, LineBytes)
 					for i := 0; i < 4; i++ {
@@ -116,8 +116,8 @@ func TestGoldenModelAssociative(t *testing.T) {
 				ensure := func(addr uint32) {
 					if !c.Probe(addr) {
 						ln := LineAddr(addr)
-						if v := c.VictimFor(ln); v.NeedsWriteback {
-							writeLine(v.Addr, v.Data)
+						if victim, dirty := c.VictimInto(ln, buf[:]); dirty {
+							writeLine(victim, buf[:])
 						}
 						c.Fill(ln, readLine(ln))
 					}
@@ -141,8 +141,8 @@ func TestGoldenModelAssociative(t *testing.T) {
 					}
 				}
 				for _, a := range c.DirtyLines() {
-					if data, dirty := c.FlushLine(a); dirty {
-						writeLine(a, data)
+					if c.FlushLineInto(a, buf[:]) {
+						writeLine(a, buf[:])
 					}
 				}
 				for w := range golden {

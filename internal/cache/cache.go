@@ -179,38 +179,10 @@ func (c *Cache) Lookup(addr uint32) bool {
 	return false
 }
 
-// Victim describes the line that a Fill of addr would replace.
-type Victim struct {
-	// NeedsWriteback is true when the victim is valid and dirty: its data
-	// must be written back to memory before the fill.
-	NeedsWriteback bool
-	// Addr is the victim line's base address (valid only when the slot
-	// holds a valid line).
-	Addr uint32
-	// Data is a copy of the victim's bytes (valid with NeedsWriteback).
-	Data []byte
-}
-
-// VictimFor returns information about the line a Fill of addr would evict.
-// It allocates the victim data; hot paths should use VictimInto.
-func (c *Cache) VictimFor(addr uint32) Victim {
-	l := c.victimSlot(addr)
-	if !l.valid {
-		return Victim{}
-	}
-	base := (l.tag*uint32(c.numSets) + uint32(c.set(addr))) * LineBytes
-	v := Victim{Addr: base}
-	if l.dirty {
-		v.NeedsWriteback = true
-		v.Data = append([]byte(nil), l.data[:]...)
-	}
-	return v
-}
-
-// VictimInto is the allocation-free form of VictimFor for callers that only
-// care about the write-back: when the line a Fill of addr would replace is
-// valid and dirty, its bytes are copied into dst (len(dst) >= LineBytes)
-// and its base address returned with needsWriteback true.
+// VictimInto reports the write-back a Fill of addr needs: when the line
+// the fill would replace is valid and dirty, its bytes are copied into
+// dst (len(dst) >= LineBytes) and its base address returned with
+// needsWriteback true.
 func (c *Cache) VictimInto(addr uint32, dst []byte) (victimAddr uint32, needsWriteback bool) {
 	l := c.victimSlot(addr)
 	if !l.valid || !l.dirty {
@@ -221,9 +193,9 @@ func (c *Cache) VictimInto(addr uint32, dst []byte) (victimAddr uint32, needsWri
 	return base, true
 }
 
-// Fill installs the 16-byte line containing addr into the slot VictimFor
-// reported. data must be the full line at LineAddr(addr). The caller is
-// responsible for writing back the victim first (see VictimFor).
+// Fill installs the 16-byte line containing addr into the slot VictimInto
+// reported on. data must be the full line at LineAddr(addr). The caller is
+// responsible for writing back the victim first (see VictimInto).
 func (c *Cache) Fill(addr uint32, data []byte) {
 	if len(data) != LineBytes {
 		panic(fmt.Sprintf("cache: fill with %d bytes", len(data)))
@@ -256,22 +228,12 @@ func (c *Cache) mustLine(addr uint32) *line {
 }
 
 // ReadInto copies len(dst) bytes at addr out of a resident line into dst
-// without allocating. addr..addr+len(dst) must stay inside one line. It is
-// the hot-path form of Read.
+// without allocating. addr..addr+len(dst) must stay inside one line.
 func (c *Cache) ReadInto(addr uint32, dst []byte) {
 	checkSpan(addr, len(dst))
 	l := c.mustLine(addr)
 	off := addr & (LineBytes - 1)
 	copy(dst, l.data[off:int(off)+len(dst)])
-}
-
-// Read copies n bytes at addr out of a resident line. addr..addr+n must
-// stay inside one line. It allocates the result; hot paths should use
-// ReadInto or ReadUint instead.
-func (c *Cache) Read(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	c.ReadInto(addr, out)
-	return out
 }
 
 // Write stores bytes into a resident line. For WriteBack the line is marked
@@ -341,16 +303,6 @@ func (c *Cache) FlushLineInto(addr uint32, dst []byte) (ok bool) {
 	l.dirty = false
 	copy(dst[:LineBytes], l.data[:])
 	return true
-}
-
-// FlushLine is the allocating form of FlushLineInto, kept for call sites
-// off the per-cycle path.
-func (c *Cache) FlushLine(addr uint32) (data []byte, ok bool) {
-	var buf [LineBytes]byte
-	if !c.FlushLineInto(addr, buf[:]) {
-		return nil, false
-	}
-	return append([]byte(nil), buf[:]...), true
 }
 
 // InvalidateLine implements the DII instruction: the line containing addr

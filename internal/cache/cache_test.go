@@ -54,10 +54,11 @@ func TestFillLookupRead(t *testing.T) {
 	if !c.Lookup(addr) {
 		t.Fatal("fill then lookup must hit")
 	}
-	got := c.Read(addr+4, 4)
+	got := make([]byte, 4)
+	c.ReadInto(addr+4, got)
 	want := line16(7)[4:8]
 	if !bytes.Equal(got, want) {
-		t.Errorf("Read = %v, want %v", got, want)
+		t.Errorf("ReadInto = %v, want %v", got, want)
 	}
 	if c.Stats.Hits.Value() != 1 || c.Stats.Misses.Value() != 1 {
 		t.Errorf("stats hits=%d misses=%d", c.Stats.Hits.Value(), c.Stats.Misses.Value())
@@ -70,11 +71,12 @@ func TestConflictEviction(t *testing.T) {
 	b := a + 2048 // same index, different tag
 	c.Fill(a, line16(1))
 	c.WriteWord(a, 0xAABBCCDD) // dirty
-	v := c.VictimFor(b)
-	if !v.NeedsWriteback || v.Addr != a {
-		t.Fatalf("victim = %+v, want dirty line at %#x", v, a)
+	data := make([]byte, LineBytes)
+	victim, dirty := c.VictimInto(b, data)
+	if !dirty || victim != a {
+		t.Fatalf("victim = %#x (dirty %v), want dirty line at %#x", victim, dirty, a)
 	}
-	if got := v.Data[0:4]; binaryWord(got) != 0xAABBCCDD {
+	if got := data[0:4]; binaryWord(got) != 0xAABBCCDD {
 		t.Error("victim data must reflect the dirty write")
 	}
 	c.Fill(b, line16(9))
@@ -101,10 +103,11 @@ func TestWritePolicyDirtyBit(t *testing.T) {
 		c.Fill(addr, line16(0))
 		c.WriteWord(addr, 1)
 	}
-	if _, dirty := wb.FlushLine(addr); !dirty {
+	buf := make([]byte, LineBytes)
+	if !wb.FlushLineInto(addr, buf) {
 		t.Error("write-back store must mark the line dirty")
 	}
-	if _, dirty := wt.FlushLine(addr); dirty {
+	if wt.FlushLineInto(addr, buf) {
 		t.Error("write-through store must not mark the line dirty")
 	}
 }
@@ -114,8 +117,8 @@ func TestFlushLine(t *testing.T) {
 	addr := uint32(0x80)
 	c.Fill(addr, line16(3))
 	c.WriteWord(addr+8, 0x11223344)
-	data, dirty := c.FlushLine(addr)
-	if !dirty {
+	data := make([]byte, LineBytes)
+	if !c.FlushLineInto(addr, data) {
 		t.Fatal("flush of dirty line must return data")
 	}
 	if binaryWord(data[8:12]) != 0x11223344 {
@@ -125,7 +128,7 @@ func TestFlushLine(t *testing.T) {
 	if !c.Probe(addr) {
 		t.Error("flush must keep the line resident")
 	}
-	if _, dirty := c.FlushLine(addr); dirty {
+	if c.FlushLineInto(addr, data) {
 		t.Error("second flush must be clean")
 	}
 }
@@ -167,7 +170,7 @@ func TestCrossLinePanics(t *testing.T) {
 			t.Error("cross-line access should panic")
 		}
 	}()
-	c.Read(12, 8) // bytes 12..20 cross the 16-byte boundary
+	c.ReadInto(12, make([]byte, 8)) // bytes 12..20 cross the 16-byte boundary
 }
 
 func TestNonResidentAccessPanics(t *testing.T) {

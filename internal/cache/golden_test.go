@@ -19,6 +19,7 @@ func TestGoldenModel(t *testing.T) {
 			golden := make([]uint32, memWords)
 			backing := make([]uint32, memWords)
 			c := mustNew(t, 2, pol)
+			var buf [LineBytes]byte
 
 			readLine := func(addr uint32) []byte {
 				b := make([]byte, LineBytes)
@@ -35,8 +36,8 @@ func TestGoldenModel(t *testing.T) {
 			ensure := func(addr uint32) {
 				if !c.Probe(addr) {
 					line := LineAddr(addr)
-					if v := c.VictimFor(line); v.NeedsWriteback {
-						writeLine(v.Addr, v.Data)
+					if victim, dirty := c.VictimInto(line, buf[:]); dirty {
+						writeLine(victim, buf[:])
 					}
 					c.Fill(line, readLine(line))
 				}
@@ -60,20 +61,20 @@ func TestGoldenModel(t *testing.T) {
 					}
 					golden[addr/4] = v
 				case 7: // flush
-					if data, dirty := c.FlushLine(addr); dirty {
-						writeLine(LineAddr(addr), data)
+					if c.FlushLineInto(addr, buf[:]) {
+						writeLine(LineAddr(addr), buf[:])
 					}
 				case 8: // invalidate: only safe when the line is clean in
 					// the golden sense (write-back dirty data would be
 					// lost, which is the documented hazard of DII), so
 					// flush first.
-					if data, dirty := c.FlushLine(addr); dirty {
-						writeLine(LineAddr(addr), data)
+					if c.FlushLineInto(addr, buf[:]) {
+						writeLine(LineAddr(addr), buf[:])
 					}
 					c.InvalidateLine(addr)
 				case 9: // re-read after invalidate to check memory path
-					if data, dirty := c.FlushLine(addr); dirty {
-						writeLine(LineAddr(addr), data)
+					if c.FlushLineInto(addr, buf[:]) {
+						writeLine(LineAddr(addr), buf[:])
 					}
 					c.InvalidateLine(addr)
 					ensure(addr)
@@ -85,8 +86,8 @@ func TestGoldenModel(t *testing.T) {
 
 			// Drain: flush everything and compare backing to golden.
 			for _, a := range c.DirtyLines() {
-				if data, dirty := c.FlushLine(a); dirty {
-					writeLine(a, data)
+				if c.FlushLineInto(a, buf[:]) {
+					writeLine(a, buf[:])
 				}
 			}
 			for w := range golden {

@@ -307,7 +307,10 @@ func (s *System) Launch(progs []pe.Program) {
 //     returned;
 //   - on every early exit the remaining programs are stopped
 //     (pe.Proc.Abort), so canceled, failed or timed-out runs leave no
-//     coroutine behind (pe.TestAbandonedRunsLeakNothing).
+//     coroutine behind (pe.TestAbandonedRunsLeakNothing);
+//   - a run that otherwise completed fails if any TIE port saw a message
+//     reassembly fault (IntegrityErrors), so no kernel reports cycles of
+//     a run whose messages were corrupted.
 func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
 	err := s.Engine.RunUntilCtx(ctx, func() bool {
 		allHalted := true
@@ -334,6 +337,11 @@ func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
 	}
 	if err == nil && progErr != nil {
 		err = progErr
+	}
+	if err == nil {
+		if n := s.IntegrityErrors(); n != 0 {
+			return fmt.Errorf("core: %d message reassembly faults", n)
+		}
 	}
 	if err != nil {
 		// Unwind whatever is still running so no program outlives its

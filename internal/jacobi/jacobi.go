@@ -18,14 +18,15 @@ package jacobi
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"repro/internal/enum"
 )
 
 // Variant selects the communication/synchronization style. It is the
 // paper's central shared-memory vs message-passing axis and is shared by
 // every kernel workload (jacobi, matmul, syncbench); ParseVariant resolves
-// it by name, mirroring noc.ParseRouter for the network axes.
+// it by name through an enum.Table, as noc.ParseRouter does the network
+// axes.
 type Variant int
 
 const (
@@ -43,56 +44,25 @@ const (
 	numVariants
 )
 
+var variants = enum.New[Variant]("jacobi", "variant", []string{
+	HybridFull: "hybrid-full",
+	HybridSync: "hybrid-sync",
+	PureSM:     "pure-sm",
+})
+
 // AllVariants returns every defined variant in declaration order.
-func AllVariants() []Variant {
-	out := make([]Variant, numVariants)
-	for i := range out {
-		out[i] = Variant(i)
-	}
-	return out
-}
+func AllVariants() []Variant { return variants.All() }
 
 // VariantNames returns the canonical names of every variant, for flag
 // documentation and error messages.
-func VariantNames() []string {
-	names := make([]string, numVariants)
-	for i := range names {
-		names[i] = Variant(i).String()
-	}
-	return names
-}
+func VariantNames() []string { return variants.Names() }
 
 // ParseVariant resolves a variant from its canonical name (as printed by
-// Variant.String) or its numeric value. Matching is case-insensitive and
-// accepts "_" for "-", mirroring noc.ParseRouter.
-func ParseVariant(s string) (Variant, error) {
-	norm := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")
-	for v := Variant(0); v < numVariants; v++ {
-		if norm == v.String() {
-			return v, nil
-		}
-	}
-	if n, err := strconv.Atoi(norm); err == nil {
-		if n >= 0 && n < int(numVariants) {
-			return Variant(n), nil
-		}
-		return 0, fmt.Errorf("jacobi: variant index %d out of range [0, %d)", n, int(numVariants))
-	}
-	return 0, fmt.Errorf("jacobi: unknown variant %q (have: %s)", s, strings.Join(VariantNames(), ", "))
-}
+// Variant.String) or its numeric value, by the rules of enum.Table.Parse.
+func ParseVariant(s string) (Variant, error) { return variants.Parse(s) }
 
 // String implements fmt.Stringer.
-func (v Variant) String() string {
-	switch v {
-	case HybridFull:
-		return "hybrid-full"
-	case HybridSync:
-		return "hybrid-sync"
-	case PureSM:
-		return "pure-sm"
-	}
-	return fmt.Sprintf("variant(%d)", int(v))
-}
+func (v Variant) String() string { return variants.String(v) }
 
 // Spec describes one Jacobi problem. The key tags name its fields in
 // the result-cache key (resultcache.KeyBuilder.Struct).

@@ -88,9 +88,6 @@ func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant, op
 	if err := sys.RunCtx(ctx, DefaultBudget); err != nil {
 		return Result{}, fmt.Errorf("jacobi: %v %v on %d cores: %w", spec, variant, cfg.NumCompute, err)
 	}
-	if n := sys.IntegrityErrors(); n != 0 {
-		return Result{}, fmt.Errorf("jacobi: %d message reassembly faults", n)
-	}
 	if err := Verify(sys, spec, blocks); err != nil {
 		return Result{}, err
 	}

@@ -71,14 +71,6 @@ func (d *DDR) ReadInto(addr uint32, dst []byte) {
 	}
 }
 
-// Read copies n bytes starting at addr into a fresh slice. Hot paths
-// should use ReadInto.
-func (d *DDR) Read(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	d.ReadInto(addr, out)
-	return out
-}
-
 // Write stores the bytes of b starting at addr.
 func (d *DDR) Write(addr uint32, b []byte) {
 	d.Writes.Add(int64((len(b) + 3) / 4))
@@ -93,7 +85,9 @@ func (d *DDR) Write(addr uint32, b []byte) {
 // ReadWord reads a 32-bit little-endian word. addr must be 4-aligned.
 func (d *DDR) ReadWord(addr uint32) uint32 {
 	mustAlign(addr, 4)
-	return binary.LittleEndian.Uint32(d.Read(addr, 4))
+	var b [4]byte
+	d.ReadInto(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // WriteWord writes a 32-bit little-endian word. addr must be 4-aligned.
@@ -107,7 +101,9 @@ func (d *DDR) WriteWord(addr uint32, v uint32) {
 // ReadFloat64 reads an 8-byte IEEE-754 double. addr must be 8-aligned.
 func (d *DDR) ReadFloat64(addr uint32) float64 {
 	mustAlign(addr, 8)
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.Read(addr, 8)))
+	var b [8]byte
+	d.ReadInto(addr, b[:])
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
 // WriteFloat64 writes an 8-byte IEEE-754 double. addr must be 8-aligned.

@@ -10,11 +10,15 @@ func TestReadWriteBytes(t *testing.T) {
 	d := NewDDR(DefaultLatency)
 	data := []byte{1, 2, 3, 4, 5}
 	d.Write(0x1000, data)
-	if got := d.Read(0x1000, 5); !bytes.Equal(got, data) {
+	got := make([]byte, 5)
+	d.ReadInto(0x1000, got)
+	if !bytes.Equal(got, data) {
 		t.Errorf("got %v", got)
 	}
 	// Untouched memory reads zero.
-	if got := d.Read(0x2000, 4); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+	got = make([]byte, 4)
+	d.ReadInto(0x2000, got)
+	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
 		t.Errorf("fresh memory not zero: %v", got)
 	}
 }
@@ -23,7 +27,9 @@ func TestCrossPageAccess(t *testing.T) {
 	d := NewDDR(DefaultLatency)
 	addr := uint32(0x1000 - 2) // straddles a 4 KiB page boundary
 	d.Write(addr, []byte{9, 8, 7, 6})
-	if got := d.Read(addr, 4); !bytes.Equal(got, []byte{9, 8, 7, 6}) {
+	got := make([]byte, 4)
+	d.ReadInto(addr, got)
+	if !bytes.Equal(got, []byte{9, 8, 7, 6}) {
 		t.Errorf("cross-page round trip failed: %v", got)
 	}
 }
@@ -74,7 +80,7 @@ func TestAccessCounters(t *testing.T) {
 	d := NewDDR(DefaultLatency)
 	d.WriteWord(0, 1)
 	d.ReadWord(0)
-	d.Read(0, 16)
+	d.ReadInto(0, make([]byte, 16))
 	if d.Writes.Value() != 1 {
 		t.Errorf("writes = %d", d.Writes.Value())
 	}

@@ -41,7 +41,7 @@ func (mc *MeasureConfig) Validate(topo Topology) error {
 // the synthetic and the service configs share: a defined router and the
 // horizon.
 func checkRig(router RouterKind, warmup, measure int64) error {
-	if router < 0 || router >= numRouters {
+	if !routers.Valid(router) {
 		return fmt.Errorf("noc: unknown router kind %d", int(router))
 	}
 	if warmup < 0 {

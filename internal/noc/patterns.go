@@ -4,49 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
 
 // AllPatterns returns every defined traffic pattern in declaration order.
-func AllPatterns() []Pattern {
-	out := make([]Pattern, numPatterns)
-	for i := range out {
-		out[i] = Pattern(i)
-	}
-	return out
-}
+func AllPatterns() []Pattern { return patterns.All() }
 
 // PatternNames returns the canonical names of every pattern, for flag
 // documentation and error messages.
-func PatternNames() []string {
-	names := make([]string, numPatterns)
-	for i := range names {
-		names[i] = Pattern(i).String()
-	}
-	return names
-}
+func PatternNames() []string { return patterns.Names() }
 
 // ParsePattern resolves a pattern from its canonical name (as printed by
-// Pattern.String) or its numeric value. Matching is case-insensitive and
-// accepts "_" for "-" so "bit_complement" and "Bit-Complement" both work.
-func ParsePattern(s string) (Pattern, error) {
-	norm := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")
-	for p := Pattern(0); p < numPatterns; p++ {
-		if norm == p.String() {
-			return p, nil
-		}
-	}
-	if n, err := strconv.Atoi(norm); err == nil {
-		if n >= 0 && n < int(numPatterns) {
-			return Pattern(n), nil
-		}
-		return 0, fmt.Errorf("noc: pattern index %d out of range [0, %d)", n, int(numPatterns))
-	}
-	return 0, fmt.Errorf("noc: unknown pattern %q (have: %s)", s, strings.Join(PatternNames(), ", "))
-}
+// Pattern.String) or its numeric value, by the rules of enum.Table.Parse:
+// "bit_complement" and "Bit-Complement" both work.
+func ParsePattern(s string) (Pattern, error) { return patterns.Parse(s) }
 
 // ValidatePattern reports whether pattern p can run on topology t. The
 // patterns address the endpoint grid, so the constraints are per-topology:
@@ -55,7 +27,7 @@ func ParsePattern(s string) (Pattern, error) {
 // and mesh the endpoint grid is the switch grid; the cmesh's is 2x denser
 // in each dimension than its switch grid).
 func ValidatePattern(p Pattern, t Topology) error {
-	if p < 0 || p >= numPatterns {
+	if !patterns.Valid(p) {
 		return fmt.Errorf("noc: unknown pattern %d", int(p))
 	}
 	ew, eh := t.EndpointDims()

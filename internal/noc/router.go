@@ -2,10 +2,9 @@ package noc
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"unsafe"
 
+	"repro/internal/enum"
 	"repro/internal/flit"
 	"repro/internal/sim"
 )
@@ -39,20 +38,15 @@ const (
 	numRouters
 )
 
+var routers = enum.New[RouterKind]("noc", "router", []string{
+	RouterDeflection: "deflection",
+	RouterXY:         "xy",
+	RouterAdaptive:   "adaptive",
+	RouterWormhole:   "wormhole",
+})
+
 // String implements fmt.Stringer.
-func (k RouterKind) String() string {
-	switch k {
-	case RouterDeflection:
-		return "deflection"
-	case RouterXY:
-		return "xy"
-	case RouterAdaptive:
-		return "adaptive"
-	case RouterWormhole:
-		return "wormhole"
-	}
-	return fmt.Sprintf("router(%d)", int(k))
-}
+func (k RouterKind) String() string { return routers.String(k) }
 
 // Bufferless reports whether the kind stores no flits inside the switch
 // (the minimal-storage property the paper argues for). The conformance
@@ -62,42 +56,16 @@ func (k RouterKind) Bufferless() bool {
 }
 
 // AllRouters returns every defined router kind in declaration order.
-func AllRouters() []RouterKind {
-	out := make([]RouterKind, numRouters)
-	for i := range out {
-		out[i] = RouterKind(i)
-	}
-	return out
-}
+func AllRouters() []RouterKind { return routers.All() }
 
 // RouterNames returns the canonical names of every router kind, for flag
 // documentation and error messages.
-func RouterNames() []string {
-	names := make([]string, numRouters)
-	for i := range names {
-		names[i] = RouterKind(i).String()
-	}
-	return names
-}
+func RouterNames() []string { return routers.Names() }
 
 // ParseRouter resolves a router kind from its canonical name (as printed
-// by RouterKind.String) or its numeric value. Matching is case-insensitive
-// and accepts "_" for "-", mirroring ParsePattern.
-func ParseRouter(s string) (RouterKind, error) {
-	norm := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")
-	for k := RouterKind(0); k < numRouters; k++ {
-		if norm == k.String() {
-			return k, nil
-		}
-	}
-	if n, err := strconv.Atoi(norm); err == nil {
-		if n >= 0 && n < int(numRouters) {
-			return RouterKind(n), nil
-		}
-		return 0, fmt.Errorf("noc: router index %d out of range [0, %d)", n, int(numRouters))
-	}
-	return 0, fmt.Errorf("noc: unknown router %q (have: %s)", s, strings.Join(RouterNames(), ", "))
-}
+// by RouterKind.String) or its numeric value, by the rules of
+// enum.Table.Parse.
+func ParseRouter(s string) (RouterKind, error) { return routers.Parse(s) }
 
 // Router is one switch instance of a routing algorithm. Implementations
 // share the wiring block (routerPorts) that NewRouterNetwork fills in; the

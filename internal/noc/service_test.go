@@ -183,6 +183,19 @@ func TestMeasureValidation(t *testing.T) {
 	}
 }
 
+// TestNewTrafficNodeValidates: a node built by hand is held to
+// TrafficConfig.Validate too, so a hotspot off the grid cannot route its
+// first flit off it.
+func TestNewTrafficNodeValidates(t *testing.T) {
+	topo := mustKind(t, TopoTorus, 4, 4)
+	defer func() {
+		if r := recover(); r != "noc: hotspot_node 99 outside the 16 endpoints (0..15)" {
+			t.Errorf("recovered %v, want the hotspot bound", r)
+		}
+	}()
+	NewTrafficNode(0, topo, TrafficConfig{Pattern: Hotspot, HotspotNode: 99, Rate: 1}, 1)
+}
+
 // TestServiceValidation: impossible service configurations are rejected
 // with the reason named.
 func TestServiceValidation(t *testing.T) {

@@ -15,9 +15,8 @@ package noc
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"repro/internal/enum"
 	"repro/internal/flit"
 )
 
@@ -66,10 +65,10 @@ func (p Port) Opposite() Port {
 }
 
 // TopologyKind selects a fabric for a Network. Topology is a first-class
-// sweep axis mirroring RouterKind: every kind runs under the same Router
-// implementations, the same LocalPort contract and the same NetStats, so
-// structurally different fabrics are directly comparable under identical
-// traffic.
+// sweep axis named through an enum.Table, as RouterKind and Pattern are:
+// every kind runs under the same Router implementations, the same
+// LocalPort contract and the same NetStats, so structurally different
+// fabrics are directly comparable under identical traffic.
 type TopologyKind int
 
 // The three fabric implementations.
@@ -90,57 +89,26 @@ const (
 	numTopologies
 )
 
+var topologies = enum.New[TopologyKind]("noc", "topology", []string{
+	TopoTorus: "torus",
+	TopoMesh:  "mesh",
+	TopoCMesh: "cmesh",
+})
+
 // String implements fmt.Stringer.
-func (k TopologyKind) String() string {
-	switch k {
-	case TopoTorus:
-		return "torus"
-	case TopoMesh:
-		return "mesh"
-	case TopoCMesh:
-		return "cmesh"
-	}
-	return fmt.Sprintf("topology(%d)", int(k))
-}
+func (k TopologyKind) String() string { return topologies.String(k) }
 
 // AllTopologies returns every defined topology kind in declaration order.
-func AllTopologies() []TopologyKind {
-	out := make([]TopologyKind, numTopologies)
-	for i := range out {
-		out[i] = TopologyKind(i)
-	}
-	return out
-}
+func AllTopologies() []TopologyKind { return topologies.All() }
 
 // TopologyNames returns the canonical names of every topology kind, for
 // flag documentation and error messages.
-func TopologyNames() []string {
-	names := make([]string, numTopologies)
-	for i := range names {
-		names[i] = TopologyKind(i).String()
-	}
-	return names
-}
+func TopologyNames() []string { return topologies.Names() }
 
 // ParseTopology resolves a topology kind from its canonical name (as
-// printed by TopologyKind.String) or its numeric value. Matching is
-// case-insensitive and accepts "_" for "-", mirroring ParseRouter and
-// ParsePattern.
-func ParseTopology(s string) (TopologyKind, error) {
-	norm := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")
-	for k := TopologyKind(0); k < numTopologies; k++ {
-		if norm == k.String() {
-			return k, nil
-		}
-	}
-	if n, err := strconv.Atoi(norm); err == nil {
-		if n >= 0 && n < int(numTopologies) {
-			return TopologyKind(n), nil
-		}
-		return 0, fmt.Errorf("noc: topology index %d out of range [0, %d)", n, int(numTopologies))
-	}
-	return 0, fmt.Errorf("noc: unknown topology %q (have: %s)", s, strings.Join(TopologyNames(), ", "))
-}
+// printed by TopologyKind.String) or its numeric value, by the rules of
+// enum.Table.Parse.
+func ParseTopology(s string) (TopologyKind, error) { return topologies.Parse(s) }
 
 // Topology is a fabric of switches on a 2-D grid and the endpoints
 // attached to them. It is a small comparable value, built only by

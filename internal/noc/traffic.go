@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"repro/internal/enum"
 	"repro/internal/flit"
 	"repro/internal/queue"
 	"repro/internal/sim"
@@ -43,28 +44,19 @@ const (
 	numPatterns
 )
 
+var patterns = enum.New[Pattern]("noc", "pattern", []string{
+	Uniform:       "uniform",
+	Transpose:     "transpose",
+	Hotspot:       "hotspot",
+	Neighbor:      "neighbor",
+	BitComplement: "bit-complement",
+	BitReversal:   "bit-reversal",
+	Shuffle:       "shuffle",
+	Tornado:       "tornado",
+})
+
 // String implements fmt.Stringer.
-func (p Pattern) String() string {
-	switch p {
-	case Uniform:
-		return "uniform"
-	case Transpose:
-		return "transpose"
-	case Hotspot:
-		return "hotspot"
-	case Neighbor:
-		return "neighbor"
-	case BitComplement:
-		return "bit-complement"
-	case BitReversal:
-		return "bit-reversal"
-	case Shuffle:
-		return "shuffle"
-	case Tornado:
-		return "tornado"
-	}
-	return fmt.Sprintf("pattern(%d)", int(p))
-}
+func (p Pattern) String() string { return patterns.String(p) }
 
 // InjectionRecorder observes every injection a traffic source's queue
 // accepts (trace capture; internal/trace.Trace implements it). The
@@ -117,19 +109,13 @@ func (c *TrafficConfig) Validate(topo Topology) error {
 	if err := checkSource("rate", c.Rate, c.QueueCap, c.Burst); err != nil {
 		return err
 	}
-	c.resolve()
-	return nil
-}
-
-// resolve fills c's defaults; NewTrafficNode applies it to configs built
-// by hand.
-func (c *TrafficConfig) resolve() {
 	if c.QueueCap == 0 {
 		c.QueueCap = defaultQueueCap
 	}
 	if c.Pattern != Hotspot {
 		c.HotspotNode = 0
 	}
+	return nil
 }
 
 // checkSource holds the bounds every injecting source shares: an
@@ -288,11 +274,22 @@ func (g *injectGate) draw(limit int64) int64 {
 }
 
 // NewTrafficNode creates a traffic node for endpoint id (a switch id on
-// non-concentrated topologies; a crossbar slot on the cmesh). It resolves
-// cfg's defaults as Validate does but checks no bound: MeasureCtx
-// validates before it builds a node.
+// non-concentrated topologies; a crossbar slot on the cmesh). It holds
+// cfg to Validate, which resolves its defaults, and panics where Validate
+// refuses it, with one exception: Rate 0 is a source that never injects,
+// the load of an idle hand-built rig, which no measured point can ask
+// for. MeasureCtx validates before it builds a node.
 func NewTrafficNode(id int, topo Topology, cfg TrafficConfig, seed int64) *TrafficNode {
-	cfg.resolve()
+	idle := cfg.Rate == 0
+	if idle {
+		cfg.Rate = 1
+	}
+	if err := cfg.Validate(topo); err != nil {
+		panic(err.Error())
+	}
+	if idle {
+		cfg.Rate = 0
+	}
 	return &TrafficNode{
 		cfg:    cfg,
 		inj:    newInjectGate(id, seed, cfg.Rate, cfg.Burst),

@@ -96,15 +96,6 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// Peek returns the oldest element without removing it.
-func (q *FIFO[T]) Peek() (T, bool) {
-	if p := q.Front(); p != nil {
-		return *p, true
-	}
-	var zero T
-	return zero, false
-}
-
 // Front returns the oldest element in place, or nil when the queue is
 // empty. The pointer is good until the next Push, PushSlot or Drop.
 func (q *FIFO[T]) Front() *T {

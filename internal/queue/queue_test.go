@@ -45,16 +45,15 @@ func TestFIFOCapacity(t *testing.T) {
 
 func TestFIFOPeek(t *testing.T) {
 	q := NewFIFO[int](0)
-	if _, ok := q.Peek(); ok {
-		t.Error("peek on empty queue succeeded")
+	if q.Front() != nil {
+		t.Error("front of an empty queue is not nil")
 	}
 	q.Push(7)
-	v, ok := q.Peek()
-	if !ok || v != 7 {
-		t.Fatalf("peek got %v, %v", v, ok)
+	if p := q.Front(); p == nil || *p != 7 {
+		t.Fatalf("front got %v", p)
 	}
 	if q.Len() != 1 {
-		t.Error("peek must not consume")
+		t.Error("front must not consume")
 	}
 }
 
@@ -105,8 +104,8 @@ func TestFIFOWrapAroundAtCapacity(t *testing.T) {
 	if !q.Full() {
 		t.Error("queue should be full again after refill")
 	}
-	if v, ok := q.Peek(); !ok || v != cap/2 {
-		t.Fatalf("peek across wrap = %v, %v; want %d", v, ok, cap/2)
+	if p := q.Front(); p == nil || *p != cap/2 {
+		t.Fatalf("front across wrap = %v; want %d", p, cap/2)
 	}
 	// Full drain must come out in order across the wrap point.
 	for i := cap / 2; i < cap+cap/2; i++ {
@@ -252,8 +251,8 @@ func TestFIFOFrontDrop(t *testing.T) {
 			t.Fatalf("round %d: Front() = %v, want %d", round, p, round)
 		}
 		*p = -1
-		if v, _ := q.Peek(); v != -1 {
-			t.Fatalf("round %d: write through Front not seen by Peek: %d", round, v)
+		if v := *q.Front(); v != -1 {
+			t.Fatalf("round %d: write through Front not seen by the next Front: %d", round, v)
 		}
 		q.Drop()
 		if v, ok := q.Pop(); !ok || v != round+100 {

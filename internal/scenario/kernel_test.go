@@ -183,6 +183,17 @@ func TestAttachSpeedup(t *testing.T) {
 	}
 }
 
+// kernelWorkloadNames lists the kernel subset of WorkloadNames.
+func kernelWorkloadNames() []string {
+	var names []string
+	for _, k := range AllWorkloads() {
+		if k.IsKernel() {
+			names = append(names, k.String())
+		}
+	}
+	return names
+}
+
 // TestKernelSupports: every kernel runs every variant except syncbench's
 // hybrid-sync, which measures no barrier of its own.
 func TestKernelSupports(t *testing.T) {

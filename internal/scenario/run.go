@@ -159,19 +159,27 @@ func (c *NoCConfig) jobs(seeds []int64) ([]nocJob, error) {
 	if err != nil {
 		return nil, err
 	}
+	rates, err := parseAxis("noc.rates", c.Rates, asIs)
+	if err != nil {
+		return nil, err
+	}
+	windows, err := parseAxis("noc.measure_windows", c.MeasureWindows, asIs)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []nocJob
 	for _, topo := range topos {
 		for _, router := range routers {
 			for _, p := range patterns {
-				for _, rate := range c.Rates {
+				for _, rate := range rates {
 					for _, seed := range seeds {
 						j := nocJob{topo: topo, router: router, pattern: p, rate: rate, seed: seed, measure: measureCycles(c.MeasureCycles)}
-						if len(c.MeasureWindows) == 0 {
+						if len(windows) == 0 {
 							jobs = append(jobs, j)
 							continue
 						}
 						j.group = &windowGroup{}
-						for wi, w := range c.MeasureWindows {
+						for wi, w := range windows {
 							j.window, j.measure = wi, w
 							jobs = append(jobs, j)
 						}

@@ -20,12 +20,14 @@
 // through each workload's column lists (Render), or as a figure
 // (Scenario.Render).
 //
-// Every axis is resolved by name through the same registry idiom
-// (ParseWorkload here; noc.ParsePattern, noc.ParseRouter and
-// noc.ParseTopology for the network axes), so the format exists without
-// new Go code: any configuration the cmd/ binaries can reach by flags —
-// and sweeps over cross-products of them that the binaries cannot
-// express — is one JSON file away. A scenario expands once into one
+// Every named axis is resolved through one registry idiom, an
+// enum.Table (ParseWorkload here; jacobi.ParseVariant for the variants;
+// noc.ParsePattern, noc.ParseRouter and noc.ParseTopology for the network
+// axes), and every axis, named or numeric, is read through one parser
+// (parseAxis), so the format exists without new Go code: any
+// configuration the cmd/ binaries can reach by flags — and sweeps over
+// cross-products of them that the binaries cannot express — is one JSON
+// file away. A scenario expands once into one
 // canonical point list across all its workloads (Scenario.points), and
 // RunCtx, RunShardCtx, NumPoints and MergeShards all read that list:
 // RunCtx hands it to par.Sweep, the one sweep loop. Kernel points run the
@@ -450,35 +452,17 @@ func (s *Scenario) workloadKinds() ([]WorkloadKind, error) {
 		return nil, fmt.Errorf(`missing "workload": set one of %s (or a "workloads" list of kernel workloads)`,
 			strings.Join(WorkloadNames(), ", "))
 	}
-	seen := map[WorkloadKind]bool{}
-	kinds := make([]WorkloadKind, 0, len(s.Workloads))
-	for _, name := range s.Workloads {
-		k, err := ParseWorkload(name)
-		if err != nil {
-			return nil, fmt.Errorf(`"workloads": %w`, err)
-		}
+	kinds, err := parseAxis("workloads", s.Workloads, ParseWorkload)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range kinds {
 		if !k.IsKernel() {
-			return nil, fmt.Errorf(`"workloads" sweeps the kernel workloads (%s); run %v through "workload"`,
-				strings.Join(kernelWorkloadNames(), ", "), k)
+			return nil, fmt.Errorf(`"workloads" sweeps the kernel workloads (%v, %v, %v); run %v through "workload"`,
+				WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench, k)
 		}
-		if seen[k] {
-			return nil, fmt.Errorf(`"workloads": %v listed twice`, k)
-		}
-		seen[k] = true
-		kinds = append(kinds, k)
 	}
 	return kinds, nil
-}
-
-// kernelWorkloadNames lists the kernel subset of WorkloadNames.
-func kernelWorkloadNames() []string {
-	var names []string
-	for _, k := range AllWorkloads() {
-		if k.IsKernel() {
-			names = append(names, k.String())
-		}
-	}
-	return names
 }
 
 // Validate checks the scenario for consistency and fills no defaults (the
@@ -497,6 +481,9 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Replications < 0 {
 		return fmt.Errorf("replications must be >= 0, got %d", s.Replications)
+	}
+	if _, err := parseAxis("seeds", s.Seeds, asIs); err != nil {
+		return err
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", s.Parallelism)
@@ -662,23 +649,24 @@ func (c *KernelConfig) validate(kinds []WorkloadKind) error {
 	if len(c.Cores) == 0 {
 		return fmt.Errorf(`"kernel.cores" must list at least one compute-core count`)
 	}
-	for _, n := range c.Cores {
+	if _, err := parseAxis("kernel.cores", c.Cores, func(n int) (int, error) {
 		if n < 2 || n > 15 {
-			return fmt.Errorf(`"kernel.cores": %d outside the architecture's 2..15 range`, n)
+			return 0, fmt.Errorf("%d outside the architecture's 2..15 range", n)
 		}
+		return n, nil
+	}); err != nil {
+		return err
 	}
 	if len(c.CacheKB) == 0 {
 		return fmt.Errorf(`"kernel.cache_kb" must list at least one L1 size in kB`)
 	}
-	for _, kb := range c.CacheKB {
+	if _, err := parseAxis("kernel.cache_kb", c.CacheKB, func(kb int) (int, error) {
 		if kb <= 0 {
-			return fmt.Errorf(`"kernel.cache_kb": %d must be positive`, kb)
+			return 0, fmt.Errorf("%d must be positive", kb)
 		}
-	}
-	for _, p := range c.Policies {
-		if _, err := parsePolicy(p); err != nil {
-			return fmt.Errorf(`"kernel.policies": %w`, err)
-		}
+		return kb, nil
+	}); err != nil {
+		return err
 	}
 	if c.Rounds < 0 {
 		return fmt.Errorf(`"kernel.rounds" must be >= 0, got %d`, c.Rounds)
@@ -692,8 +680,8 @@ func (c *KernelConfig) validate(kinds []WorkloadKind) error {
 	if (c.Warmup > 0 || c.Measured > 0) && !hasJacobi {
 		return fmt.Errorf(`"kernel.warmup"/"kernel.measured" only affect the jacobi workload; remove them`)
 	}
-	// The problem size is held to each kernel's own bound, on the specs
-	// its points will run.
+	// The policies resolve, and the problem size is held to each kernel's
+	// own bound, on the sweep its points will run.
 	ks, err := c.sweep()
 	if err != nil {
 		return err
@@ -718,20 +706,7 @@ func (c *KernelConfig) variantList() ([]jacobi.Variant, error) {
 		if c.Variant != "" {
 			return nil, fmt.Errorf(`set either "kernel.variant" or "kernel.variants", not both`)
 		}
-		seen := map[jacobi.Variant]bool{}
-		out := make([]jacobi.Variant, 0, len(c.Variants))
-		for _, name := range c.Variants {
-			v, err := parseVariant(name)
-			if err != nil {
-				return nil, fmt.Errorf(`"kernel.variants": %w`, err)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf(`"kernel.variants": %v listed twice`, v)
-			}
-			seen[v] = true
-			out = append(out, v)
-		}
-		return out, nil
+		return parseAxis("kernel.variants", c.Variants, parseVariant)
 	}
 	v, err := parseVariant(c.Variant)
 	if err != nil {
@@ -750,14 +725,12 @@ func (c *KernelConfig) sweep() (kernelSweep, error) {
 	if err != nil {
 		return kernelSweep{}, err
 	}
-	policies := []cache.Policy{cache.WriteBack}
-	if len(c.Policies) > 0 {
-		policies = make([]cache.Policy, len(c.Policies))
-		for i, name := range c.Policies {
-			if policies[i], err = parsePolicy(name); err != nil {
-				return kernelSweep{}, err
-			}
-		}
+	policies, err := parseAxis("kernel.policies", c.Policies, parsePolicy)
+	if err != nil {
+		return kernelSweep{}, err
+	}
+	if len(policies) == 0 {
+		policies = []cache.Policy{cache.WriteBack}
 	}
 	ks := kernelSweep{
 		n:        c.N,
@@ -817,15 +790,17 @@ func (c *NoCConfig) routers() ([]noc.RouterKind, error) {
 	return routerAxis("noc", c.Routers)
 }
 
-// parseAxis resolves one named sweep axis: every name must parse and none
-// may repeat. field is the JSON path the error messages name. Validate
-// and the runners both resolve their axes through it, so a name can never
-// pass one and fail the other.
-func parseAxis[K comparable](field string, names []string, parse func(string) (K, error)) ([]K, error) {
+// parseAxis resolves one sweep axis: every entry must parse (a named
+// axis through its enum.Table's Parse, a numeric one through its bound)
+// and no two may resolve to the same value, so "wb" and "write-back"
+// repeat each other. field is the JSON path the error messages name.
+// Validate and the runners both resolve their axes through it, so an
+// entry can never pass one and fail the other.
+func parseAxis[S any, K comparable](field string, entries []S, parse func(S) (K, error)) ([]K, error) {
 	seen := map[K]bool{}
-	out := make([]K, 0, len(names))
-	for _, name := range names {
-		k, err := parse(name)
+	out := make([]K, 0, len(entries))
+	for _, e := range entries {
+		k, err := parse(e)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", field, err)
 		}
@@ -837,6 +812,10 @@ func parseAxis[K comparable](field string, names []string, parse func(string) (K
 	}
 	return out, nil
 }
+
+// asIs is the parse of an axis whose bounds the simulator's own config
+// holds: parseAxis only rejects its repeats.
+func asIs[T any](v T) (T, error) { return v, nil }
 
 // buildFabrics resolves a section's topology axis (none named: the
 // paper's folded torus) and builds every fabric on the w x h endpoint

@@ -182,6 +182,30 @@ func TestParseRejects(t *testing.T) {
 		{"duplicate variant", `{"workload": "jacobi",
 			"kernel": {"n": 16, "variants": ["pure-sm", "pure-sm"], "cores": [2], "cache_kb": [8]}}`,
 			"twice"},
+		// A numeric axis or a policy listed twice runs the same points
+		// twice; policies compare after parsing, so an alias repeats its
+		// canonical name.
+		{"duplicate policy alias", `{"workload": "jacobi",
+			"kernel": {"n": 16, "cores": [2], "cache_kb": [4], "policies": ["wb", "write-back"]}}`,
+			`"kernel.policies": WB listed twice`},
+		{"duplicate cores", `{"workload": "jacobi",
+			"kernel": {"n": 16, "cores": [2, 2], "cache_kb": [4]}}`,
+			`"kernel.cores": 2 listed twice`},
+		{"duplicate cache size", `{"workload": "jacobi",
+			"kernel": {"n": 16, "cores": [2], "cache_kb": [4, 4]}}`,
+			`"kernel.cache_kb": 4 listed twice`},
+		{"duplicate rate", `{"workload": "noc-synthetic",
+			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1, 0.1]}}`,
+			`"noc.rates": 0.1 listed twice`},
+		{"duplicate seed", `{"workload": "noc-synthetic", "seeds": [1, 1],
+			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1]}}`,
+			`"seeds": 1 listed twice`},
+		{"duplicate measure window", `{"workload": "noc-synthetic",
+			"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.1], "measure_windows": [500, 500]}}`,
+			`"noc.measure_windows": 500 listed twice`},
+		{"duplicate arrival rate", `{"workload": "service",
+			"service": {"width": 4, "height": 4, "servers": 2, "arrival_rates": [0.1, 0.1]}}`,
+			`"service.arrival_rates": 0.1 listed twice`},
 		{"bad variant in variants", `{"workload": "jacobi",
 			"kernel": {"n": 16, "variants": ["mpi"], "cores": [2], "cache_kb": [8]}}`,
 			"unknown variant"},

@@ -26,10 +26,14 @@ func (c *ServiceConfig) jobs(seeds []int64) ([]serviceJob, error) {
 	if err != nil {
 		return nil, err
 	}
+	rates, err := parseAxis("service.arrival_rates", c.ArrivalRates, asIs)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []serviceJob
 	for _, topo := range topos {
 		for _, router := range routers {
-			for _, rate := range c.ArrivalRates {
+			for _, rate := range rates {
 				for _, seed := range seeds {
 					jobs = append(jobs, serviceJob{topo: topo, router: router, rate: rate, seed: seed})
 				}

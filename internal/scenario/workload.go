@@ -3,21 +3,21 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"repro/internal/enum"
 	"repro/internal/resultcache"
 )
 
 // WorkloadKind selects what a scenario point simulates. The workload is
 // the fourth sweep axis, next to the network's topology, router and
 // pattern axes: every kind is resolved by name through ParseWorkload
-// (mirroring noc.ParseRouter/ParseTopology), expands into points through
-// one switch (Scenario.points), and renders through its own schema (the
-// kind's column list in output.go). The set of kinds is closed inside this package (like
-// noc.Router); adding one means a constant here, a case in points and a
-// column list, and every listing flag, validation message and fuzz
-// corpus picks it up through WorkloadNames.
+// (an enum.Table, as noc.ParseRouter and ParseTopology are), expands into
+// points through one switch (Scenario.points), and renders through its
+// own schema (the kind's column list in output.go). The set of kinds is
+// closed inside this package (like noc.Router); adding one means a
+// constant and its name here, a case in points and a column list, and
+// every listing flag, validation message and fuzz corpus picks it up
+// through WorkloadNames.
 type WorkloadKind int
 
 // The six workload kinds. The first three are compute kernels
@@ -50,25 +50,18 @@ const (
 	numWorkloads
 )
 
+var workloads = enum.New[WorkloadKind]("scenario", "workload", []string{
+	WorkloadJacobi:    "jacobi",
+	WorkloadMatmul:    "matmul",
+	WorkloadSyncbench: "syncbench",
+	WorkloadNoC:       "noc-synthetic",
+	WorkloadTrace:     "trace",
+	WorkloadService:   "service",
+})
+
 // String implements fmt.Stringer; the names are the scenario JSON and CLI
 // vocabulary.
-func (k WorkloadKind) String() string {
-	switch k {
-	case WorkloadJacobi:
-		return "jacobi"
-	case WorkloadMatmul:
-		return "matmul"
-	case WorkloadSyncbench:
-		return "syncbench"
-	case WorkloadNoC:
-		return "noc-synthetic"
-	case WorkloadTrace:
-		return "trace"
-	case WorkloadService:
-		return "service"
-	}
-	return fmt.Sprintf("workload(%d)", int(k))
-}
+func (k WorkloadKind) String() string { return workloads.String(k) }
 
 // IsKernel reports whether the kind is a compute kernel on the full MEDEA
 // system (sharing the kernel sweep axes), as opposed to a bare-network
@@ -82,42 +75,16 @@ func (k WorkloadKind) IsKernel() bool {
 }
 
 // AllWorkloads returns every defined workload kind in declaration order.
-func AllWorkloads() []WorkloadKind {
-	out := make([]WorkloadKind, numWorkloads)
-	for i := range out {
-		out[i] = WorkloadKind(i)
-	}
-	return out
-}
+func AllWorkloads() []WorkloadKind { return workloads.All() }
 
 // WorkloadNames returns the canonical names of every workload kind, for
 // flag documentation and error messages.
-func WorkloadNames() []string {
-	names := make([]string, numWorkloads)
-	for i := range names {
-		names[i] = WorkloadKind(i).String()
-	}
-	return names
-}
+func WorkloadNames() []string { return workloads.Names() }
 
 // ParseWorkload resolves a workload kind from its canonical name (as
-// printed by WorkloadKind.String) or its numeric value. Matching is
-// case-insensitive and accepts "_" for "-", mirroring noc.ParseRouter.
-func ParseWorkload(s string) (WorkloadKind, error) {
-	norm := strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), "_", "-")
-	for k := WorkloadKind(0); k < numWorkloads; k++ {
-		if norm == k.String() {
-			return k, nil
-		}
-	}
-	if n, err := strconv.Atoi(norm); err == nil {
-		if n >= 0 && n < int(numWorkloads) {
-			return WorkloadKind(n), nil
-		}
-		return 0, fmt.Errorf("scenario: workload index %d out of range [0, %d)", n, int(numWorkloads))
-	}
-	return 0, fmt.Errorf("scenario: unknown workload %q (have: %s)", s, strings.Join(WorkloadNames(), ", "))
-}
+// printed by WorkloadKind.String) or its numeric value, by the rules of
+// enum.Table.Parse.
+func ParseWorkload(s string) (WorkloadKind, error) { return workloads.Parse(s) }
 
 // point is one point of a scenario's canonical order: it runs that point
 // against the result cache it is given (nil: cache off) and returns its

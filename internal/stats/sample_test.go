@@ -5,50 +5,8 @@ import (
 	"testing"
 )
 
-func TestSample(t *testing.T) {
-	var s Sample
-	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(99) != 0 {
-		t.Error("zero-value Sample should report zeros")
-	}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		s.Observe(v)
-	}
-	if s.Count() != 5 {
-		t.Errorf("count = %d, want 5", s.Count())
-	}
-	if s.Mean() != 3 {
-		t.Errorf("mean = %v, want 3", s.Mean())
-	}
-	if got := s.Percentile(50); got != 3 {
-		t.Errorf("p50 = %v, want 3", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Errorf("p100 = %v, want 5", got)
-	}
-	if got := s.Max(); got != 5 {
-		t.Errorf("max = %v, want 5", got)
-	}
-	// Observing after a percentile query must re-sort.
-	s.Observe(10)
-	if got := s.Percentile(100); got != 10 {
-		t.Errorf("p100 after new observation = %v, want 10", got)
-	}
-}
-
-func TestSamplePercentileAgreesWithFreeFunction(t *testing.T) {
-	var s Sample
-	vals := []float64{9, 2, 7, 7, 1, 4, 8, 3}
-	for _, v := range vals {
-		s.Observe(v)
-	}
-	for _, p := range []float64{0, 10, 50, 90, 99, 100} {
-		if got, want := s.Percentile(p), Percentile(vals, p); got != want {
-			t.Errorf("p%.0f = %v, want %v", p, got, want)
-		}
-	}
-}
-
-// TestSampleEdgeCases pins the nearest-rank boundary behaviour: empty
+// TestSampleEdgeCases pins the nearest-rank boundary behaviour of both
+// exact percentiles, Percentile over a slice and CycleSample: empty
 // samples report zeros, a single element is every percentile, all-equal
 // values are flat, and p0/p100 clamp to the extreme ranks (p0 rounds the
 // rank up to 1, i.e. the minimum; p100 is the maximum).
@@ -80,55 +38,25 @@ func TestSampleEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var s Sample
+			var s CycleSample
 			for _, v := range tc.vals {
-				s.Observe(v)
+				s.Observe(int64(v))
+			}
+			if got := Percentile(tc.vals, tc.p); got != tc.want {
+				t.Errorf("Percentile(%v, %v) = %v, want %v", tc.vals, tc.p, got, tc.want)
 			}
 			if got := s.Percentile(tc.p); got != tc.want {
-				t.Errorf("Percentile(%v) over %v = %v, want %v", tc.p, tc.vals, got, tc.want)
+				t.Errorf("CycleSample.Percentile(%v) over %v = %v, want %v", tc.p, tc.vals, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestSampleMeanEdgeCases covers the running-sum mean on the same corner
-// inputs.
-func TestSampleMeanEdgeCases(t *testing.T) {
-	var empty Sample
-	if got := empty.Mean(); got != 0 {
-		t.Errorf("empty mean = %v", got)
-	}
-	var one Sample
-	one.Observe(-3.5)
-	if got := one.Mean(); got != -3.5 {
-		t.Errorf("single-element mean = %v, want -3.5", got)
-	}
-	var eq Sample
-	for i := 0; i < 5; i++ {
-		eq.Observe(2.5)
-	}
-	if got := eq.Mean(); got != 2.5 {
-		t.Errorf("all-equal mean = %v, want 2.5", got)
-	}
-	if got := eq.Max(); got != 2.5 {
-		t.Errorf("all-equal max = %v, want 2.5", got)
-	}
-}
-
-func TestSamplePercentileRangePanics(t *testing.T) {
-	var s Sample
-	defer func() {
-		if recover() == nil {
-			t.Error("Percentile(101) should panic")
-		}
-	}()
-	s.Percentile(101)
-}
-
 // TestCycleSampleAgreesWithSample feeds seeded integer streams to a
-// CycleSample and a Sample side by side: the counting form must return
-// the same mean and the same percentiles, bit for bit, including on the
-// empty and the single-value stream.
+// CycleSample and keeps them as a float64 sample beside it: the counting
+// form must return the sample's size, its float64 mean and Percentile's
+// percentiles, bit for bit, including on the empty and the single-value
+// stream.
 func TestCycleSampleAgreesWithSample(t *testing.T) {
 	streams := map[string][]int64{
 		"empty":  nil,
@@ -149,25 +77,26 @@ func TestCycleSampleAgreesWithSample(t *testing.T) {
 	}
 	for name, vals := range streams {
 		var c CycleSample
-		var s Sample
 		floats := make([]float64, len(vals))
+		var sum float64
 		for i, v := range vals {
 			c.Observe(v)
-			s.Observe(float64(v))
 			floats[i] = float64(v)
+			sum += floats[i]
 		}
-		if c.Count() != int64(s.Count()) {
-			t.Errorf("%s: count = %d, want %d", name, c.Count(), s.Count())
+		if c.Count() != int64(len(vals)) {
+			t.Errorf("%s: count = %d, want %d", name, c.Count(), len(vals))
 		}
-		if got, want := c.Mean(), s.Mean(); got != want {
-			t.Errorf("%s: mean = %v, want %v", name, got, want)
+		mean := 0.0
+		if len(vals) > 0 {
+			mean = sum / float64(len(vals))
+		}
+		if got := c.Mean(); got != mean {
+			t.Errorf("%s: mean = %v, want %v", name, got, mean)
 		}
 		for _, p := range []float64{0, 50, 99, 100} {
 			if got, want := c.Percentile(p), Percentile(floats, p); got != want {
 				t.Errorf("%s: p%.0f = %v, want %v", name, p, got, want)
-			}
-			if got, want := c.Percentile(p), s.Percentile(p); got != want {
-				t.Errorf("%s: p%.0f = %v, Sample says %v", name, p, got, want)
 			}
 		}
 	}
